@@ -288,7 +288,11 @@ bool RunLiveMixed(const esd::graph::Graph& g, const Workload& mix,
   EsdQueryService::Options opts;
   opts.num_threads = workers;
   opts.max_queue = 1 << 15;
-  EsdQueryService service(live->EngineProvider(), opts);
+  esd::live::LiveEsdIndex* live_raw = live.get();
+  EsdQueryService service(esd::serve::SnapshotProvider([live_raw] {
+                            return live_raw->CurrentSnapshot();
+                          }),
+                          opts);
 
   std::atomic<int64_t> remaining{static_cast<int64_t>(total_reads)};
   std::atomic<bool> stop{false};

@@ -139,8 +139,8 @@ struct LiveStats {
 ///
 /// Read path: CurrentSnapshot()/CurrentEngine() — one O(1) shared_ptr
 /// copy; readers keep serving their pinned epoch while newer ones publish
-/// (RCU). EngineProvider() packages this for EsdQueryService, which pins
-/// one snapshot per batch.
+/// (RCU). EsdQueryService serves it through a provider over
+/// CurrentSnapshot(), pinning one snapshot per batch.
 ///
 /// Checkpoint(): publish + persist a graph snapshot, then truncate the WAL.
 /// Crash-safe in every interleaving because records carry sequence numbers
@@ -208,12 +208,6 @@ class LiveEsdIndex {
   std::shared_ptr<const core::EsdQueryEngine> CurrentEngine() const {
     auto snap = manager_->Current();
     return std::shared_ptr<const core::EsdQueryEngine>(snap, &snap->index);
-  }
-
-  /// Provider functor for EsdQueryService's engine-swap serving mode.
-  std::function<std::shared_ptr<const core::EsdQueryEngine>()>
-  EngineProvider() const {
-    return [this] { return CurrentEngine(); };
   }
 
   /// Installs a callback fired after every successful epoch publish (new

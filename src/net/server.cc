@@ -1,8 +1,8 @@
 #include "net/server.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <utility>
 
@@ -19,6 +19,10 @@
 namespace esd::net {
 
 namespace {
+
+/// Token separators of the text dialect: the isspace() set, so the verb
+/// and arguments split exactly as an istream's `>>` splits them.
+constexpr const char* kTextSpace = " \t\n\v\f\r";
 
 bool SetNonBlocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -53,6 +57,28 @@ std::string HttpResponse(int code, const char* reason,
 }
 
 }  // namespace
+
+bool ParseQueryArgs(std::string_view args, serve::QueryRequest* request) {
+  auto next = [&args] {
+    const size_t b = std::min(args.find_first_not_of(kTextSpace), args.size());
+    const size_t e = std::min(args.find_first_of(kTextSpace, b), args.size());
+    const std::string_view token = args.substr(b, e - b);
+    args.remove_prefix(e);
+    return token;
+  };
+  auto number = [](std::string_view token, uint32_t* out) {
+    if (token.empty()) return false;
+    const char* end = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), end, *out);
+    return ec == std::errc() && ptr == end;
+  };
+  if (!number(next(), &request->k) || !number(next(), &request->tau)) {
+    return false;
+  }
+  const std::string_view flag = next();
+  request->strict = flag == "STRICT";
+  return (flag.empty() || request->strict) && next().empty();
+}
 
 /// Per-connection state machine. The loop thread owns fd/mode/input; the
 /// ordered output-slot queue is shared with worker-thread completion
@@ -295,13 +321,8 @@ void NetServer::LoopThread() {
           CloseConn(conn, /*backpressure=*/false);
         }
       }
-      if (conns_.empty()) break;
-      if (std::chrono::steady_clock::now() > drain_deadline) {
-        std::vector<std::shared_ptr<Conn>> all;
-        for (auto& [fd, conn] : conns_) all.push_back(conn);
-        for (const std::shared_ptr<Conn>& conn : all) {
-          CloseConn(conn, /*backpressure=*/false);
-        }
+      // Past the drain budget, the loop exit below force-closes the rest.
+      if (conns_.empty() || std::chrono::steady_clock::now() > drain_deadline) {
         break;
       }
     }
@@ -464,30 +485,22 @@ void NetServer::ProcessBinary(const std::shared_ptr<Conn>& conn) {
     if (status != WireStatus::kOk) {
       // Unsynchronizable stream: answer one typed error frame and hang up.
       m_parse_errors_.Inc();
-      const uint64_t seq = ReserveSlot(conn);
-      FillSlotLocal(conn, seq,
-                    EncodeError(WireErrorFor(status), WireStatusName(status)));
-      conn->want_close = true;
-      conn->reading = false;
-      UpdateInterest(conn);
+      ReplyLocal(conn,
+                 EncodeError(WireErrorFor(status), WireStatusName(status)),
+                 /*then_close=*/true);
       break;
     }
     switch (frame.type) {
       case FrameType::kPing: {
-        const uint64_t seq = ReserveSlot(conn);
-        FillSlotLocal(conn, seq, EncodeFrame(FrameType::kPong, ""));
+        ReplyLocal(conn, EncodeFrame(FrameType::kPong, ""));
         break;
       }
       case FrameType::kQuery: {
         QueryFrame q;
         if (DecodeQuery(frame.payload, &q) != WireStatus::kOk) {
           m_parse_errors_.Inc();
-          const uint64_t seq = ReserveSlot(conn);
-          FillSlotLocal(conn, seq,
-                        EncodeError(WireError::kBadPayload, "bad query"));
-          conn->want_close = true;
-          conn->reading = false;
-          UpdateInterest(conn);
+          ReplyLocal(conn, EncodeError(WireError::kBadPayload, "bad query"),
+                     /*then_close=*/true);
           break;
         }
         serve::QueryRequest rq;
@@ -497,24 +510,19 @@ void NetServer::ProcessBinary(const std::shared_ptr<Conn>& conn) {
         rq.deadline_us = q.deadline_us;
         rq.strict = q.strict != 0;
         rq.arrival_ns = obs::MonotonicNanos();
-        const uint64_t seq = ReserveSlot(conn);
-        m_queries_.Inc();
         // Answer in the version the request arrived with: a v1 client
         // gets the 29-byte result prefix it knows how to parse.
-        SubmitQuery(conn, rq, seq, q.cid, /*binary=*/true, frame.version);
+        SubmitQuery(conn, rq, q.cid, /*binary=*/true, frame.version);
         break;
       }
       default: {
         // Server->client frame types coming *from* a client are protocol
         // violations.
         m_parse_errors_.Inc();
-        const uint64_t seq = ReserveSlot(conn);
-        FillSlotLocal(conn, seq,
-                      EncodeError(WireError::kBadType, "client sent a "
-                                                       "server frame type"));
-        conn->want_close = true;
-        conn->reading = false;
-        UpdateInterest(conn);
+        ReplyLocal(conn,
+                   EncodeError(WireError::kBadType,
+                               "client sent a server frame type"),
+                   /*then_close=*/true);
         break;
       }
     }
@@ -531,11 +539,7 @@ void NetServer::ProcessText(const std::shared_ptr<Conn>& conn) {
     if (nl == std::string::npos) {
       if (conn->inbuf.size() > options_.max_line_bytes) {
         m_parse_errors_.Inc();
-        const uint64_t seq = ReserveSlot(conn);
-        FillSlotLocal(conn, seq, "ERR line too long\n");
-        conn->want_close = true;
-        conn->reading = false;
-        UpdateInterest(conn);
+        ReplyLocal(conn, "ERR line too long\n", /*then_close=*/true);
       } else if (conn->read_eof && !conn->inbuf.empty()) {
         // Final unterminated line: the stdin loop serves it too.
         std::string line(std::move(conn->inbuf));
@@ -556,44 +560,25 @@ void NetServer::ProcessText(const std::shared_ptr<Conn>& conn) {
 
 void NetServer::HandleTextLine(const std::shared_ptr<Conn>& conn,
                                const std::string& line) {
-  const size_t first = line.find_first_not_of(" \t");
+  const size_t first = line.find_first_not_of(kTextSpace);
   if (first == std::string::npos) return;  // blank line: ignore, like stdin
-  const size_t word_end = line.find_first_of(" \t", first);
-  const std::string cmd = line.substr(first, word_end == std::string::npos
-                                                 ? std::string::npos
-                                                 : word_end - first);
-  if (cmd == "QUERY") {
+  const size_t word_end =
+      std::min(line.find_first_of(kTextSpace, first), line.size());
+  if (line.compare(first, word_end - first, "QUERY") == 0) {
     serve::QueryRequest rq;
-    unsigned k = 0, tau = 0;
-    char extra[16] = {0};
-    const int fields = std::sscanf(line.c_str() + first, "QUERY %u %u %15s",
-                                   &k, &tau, extra);
-    const bool strict = fields == 3 && std::string_view(extra) == "STRICT";
-    if (fields < 2 || (fields == 3 && !strict)) {
-      const uint64_t seq = ReserveSlot(conn);
-      FillSlotLocal(conn, seq, "ERR usage: QUERY <k> <tau> [STRICT]\n");
+    if (!ParseQueryArgs(std::string_view(line).substr(word_end), &rq)) {
+      ReplyLocal(conn, std::string(kQueryUsage));
       return;
     }
-    rq.k = k;
-    rq.tau = tau;
-    rq.strict = strict;
     rq.arrival_ns = obs::MonotonicNanos();
-    const uint64_t seq = ReserveSlot(conn);
-    m_queries_.Inc();
-    SubmitQuery(conn, rq, seq, /*cid=*/0, /*binary=*/false);
+    SubmitQuery(conn, rq, /*cid=*/0, /*binary=*/false);
     return;
   }
   m_commands_.Inc();
   std::string out;
   const bool keep_open = handlers_.command ? handlers_.command(line, &out)
                                            : false;
-  const uint64_t seq = ReserveSlot(conn);
-  FillSlotLocal(conn, seq, std::move(out));
-  if (!keep_open) {
-    conn->want_close = true;
-    conn->reading = false;
-    UpdateInterest(conn);
-  }
+  ReplyLocal(conn, std::move(out), /*then_close=*/!keep_open);
 }
 
 void NetServer::ProcessHttp(const std::shared_ptr<Conn>& conn) {
@@ -621,19 +606,20 @@ void NetServer::ProcessHttp(const std::shared_ptr<Conn>& conn) {
   } else {
     response = HttpResponse(404, "Not Found", "not found\n");
   }
-  const uint64_t seq = ReserveSlot(conn);
-  FillSlotLocal(conn, seq, std::move(response));
-  conn->want_close = true;
+  ReplyLocal(conn, std::move(response), /*then_close=*/true);
 }
 
 void NetServer::SubmitQuery(const std::shared_ptr<Conn>& conn,
                             const serve::QueryRequest& request,
-                            uint64_t slot_seq, uint64_t cid, bool binary,
-                            uint8_t wire_version) {
+                            uint64_t cid, bool binary, uint8_t wire_version) {
+  uint64_t slot_seq;
   {
     std::lock_guard<std::mutex> lock(conn->mu);
+    conn->slots.emplace_back();
+    slot_seq = conn->next_seq++;
     ++conn->inflight;
   }
+  m_queries_.Inc();
   m_inflight_.Set(static_cast<double>(inflight_.fetch_add(1) + 1));
   callback_handoff_.fetch_add(1);
   // The callback owns a shared_ptr: the Conn object outlives the service's
@@ -689,20 +675,19 @@ void NetServer::SubmitQuery(const std::shared_ptr<Conn>& conn,
   });
 }
 
-uint64_t NetServer::ReserveSlot(const std::shared_ptr<Conn>& conn) {
-  std::lock_guard<std::mutex> lock(conn->mu);
-  conn->slots.emplace_back();
-  return conn->next_seq++;
-}
-
-void NetServer::FillSlotLocal(const std::shared_ptr<Conn>& conn, uint64_t seq,
-                              std::string bytes) {
-  std::lock_guard<std::mutex> lock(conn->mu);
-  const uint64_t idx = seq - conn->base_seq;
-  if (idx >= conn->slots.size()) return;
-  conn->slots[idx].ready = true;
-  conn->slots[idx].bytes = std::move(bytes);
-  conn->slot_bytes += conn->slots[idx].bytes.size();
+void NetServer::ReplyLocal(const std::shared_ptr<Conn>& conn,
+                           std::string bytes, bool then_close) {
+  {
+    std::lock_guard<std::mutex> lock(conn->mu);
+    conn->slot_bytes += bytes.size();
+    conn->slots.push_back(Conn::Slot{true, std::move(bytes)});
+    ++conn->next_seq;
+  }
+  if (then_close) {
+    conn->want_close = true;
+    conn->reading = false;
+    UpdateInterest(conn);
+  }
 }
 
 void NetServer::FlushSlots(const std::shared_ptr<Conn>& conn) {

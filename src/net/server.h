@@ -10,6 +10,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -20,6 +21,17 @@
 #include "serve/query_service.h"
 
 namespace esd::net {
+
+/// Usage reply to a malformed text-mode QUERY line.
+inline constexpr std::string_view kQueryUsage =
+    "ERR usage: QUERY <k> <tau> [STRICT]\n";
+
+/// Parses the arguments of a text-mode `QUERY <k> <tau> [STRICT]` line
+/// (everything after the verb) into *request: the one parser behind the
+/// socket text mode and esd_server's stdin executor. k and tau are
+/// unsigned 32-bit decimals. False on a negative, overflowing, non-numeric
+/// or missing value, or on anything else after them.
+bool ParseQueryArgs(std::string_view args, serve::QueryRequest* request);
 
 /// Network front end of the serving stack: one non-blocking event-loop
 /// thread (epoll, poll fallback) owning a listener plus per-connection
@@ -82,8 +94,8 @@ class NetServer {
   /// is ready (including rejected/shutdown bounces).
   using SubmitFn = std::function<void(
       const serve::QueryRequest&, std::function<void(serve::QueryResponse)>)>;
-  /// Text-mode command execution (every line except QUERY). Returns false
-  /// to close the connection after the reply flushes (QUIT).
+  /// Text-mode command execution (every non-blank line except QUERY).
+  /// Returns false to close the connection after the reply flushes (QUIT).
   using CommandFn = std::function<bool(const std::string& line,
                                        std::string* out)>;
   /// Renders a text-mode QUERY response (the stdin loop's format).
@@ -165,15 +177,15 @@ class NetServer {
   void ProcessHttp(const std::shared_ptr<Conn>& conn);
   void HandleTextLine(const std::shared_ptr<Conn>& conn,
                       const std::string& line);
+  /// Reserves the query's ordered output slot and submits it; the
+  /// completion fills the slot from a worker thread.
   void SubmitQuery(const std::shared_ptr<Conn>& conn,
-                   const serve::QueryRequest& request, uint64_t slot_seq,
-                   uint64_t cid, bool binary,
-                   uint8_t wire_version = kWireVersion);
-  /// Reserves the next ordered output slot (under conn->mu).
-  uint64_t ReserveSlot(const std::shared_ptr<Conn>& conn);
-  /// Fills a reserved slot; loop-thread fast path for sync replies.
-  void FillSlotLocal(const std::shared_ptr<Conn>& conn, uint64_t seq,
-                     std::string bytes);
+                   const serve::QueryRequest& request, uint64_t cid,
+                   bool binary, uint8_t wire_version = kWireVersion);
+  /// Appends a ready reply slot (loop thread: sync replies). With
+  /// `then_close`, stops reading and closes once everything has flushed.
+  void ReplyLocal(const std::shared_ptr<Conn>& conn, std::string bytes,
+                  bool then_close = false);
   /// Moves the ready prefix of the slot queue into the outbox; applies the
   /// backpressure cap; updates poller interest. Loop thread only.
   void FlushSlots(const std::shared_ptr<Conn>& conn);

@@ -21,7 +21,25 @@ uint64_t Nanos(std::chrono::steady_clock::time_point t) {
           .count());
 }
 
-SlowQueryLog::Options SlowLogOptions(const EsdQueryService::Options& o) {
+}  // namespace
+
+const char* ResponseStatusName(ResponseStatus status) {
+  switch (status) {
+    case ResponseStatus::kOk:
+      return "ok";
+    case ResponseStatus::kRejectedQueueFull:
+      return "rejected";
+    case ResponseStatus::kDeadlineMissed:
+      return "deadline-missed";
+    case ResponseStatus::kShutdown:
+      return "shutdown";
+    case ResponseStatus::kShardsUnavailable:
+      return "shards-unavailable";
+  }
+  return "?";
+}
+
+SlowQueryLog::Options EsdQueryService::SlowLogOptions(const Options& o) {
   SlowQueryLog::Options s;
   s.capacity = o.slowlog_capacity;
   s.window = o.slowlog_window;
@@ -29,8 +47,8 @@ SlowQueryLog::Options SlowLogOptions(const EsdQueryService::Options& o) {
   return s;
 }
 
-std::unique_ptr<ResultCache> MakeCache(const EsdQueryService::Options& options,
-                                       ServiceMetrics& metrics) {
+std::unique_ptr<ResultCache> EsdQueryService::MakeCache(
+    const Options& options, ServiceMetrics& metrics) {
   if (options.cache_bytes == 0) return nullptr;
   ResultCache::Options copts;
   copts.max_bytes = options.cache_bytes;
@@ -39,84 +57,25 @@ std::unique_ptr<ResultCache> MakeCache(const EsdQueryService::Options& options,
   return std::make_unique<ResultCache>(copts, metrics.registry());
 }
 
-}  // namespace
-
-EsdQueryService::EsdQueryService(const core::EsdQueryEngine& engine)
-    : EsdQueryService(engine, Options{}) {}
-
-EsdQueryService::EsdQueryService(const core::EsdQueryEngine& engine,
+EsdQueryService::EsdQueryService(ServingBackend& backend,
                                  const Options& options)
-    : engine_(&engine),
-      frozen_(dynamic_cast<const core::FrozenEsdIndex*>(&engine)),
-      num_threads_(options.num_threads == 0
-                       ? util::ThreadPool::DefaultThreadCount()
-                       : options.num_threads),
-      max_queue_(std::max<size_t>(1, options.max_queue)),
-      max_batch_(std::max<size_t>(1, options.max_batch)),
-      health_source_(options.health_source),
-      metrics_(options.registry),
-      cache_(MakeCache(options, metrics_)),  // static engine: epoch 0 forever
-      slow_log_(SlowLogOptions(options)),
-      pool_(num_threads_, "serve-worker") {
+    : backend_(&backend), options_(options) {
   if (!options.start_paused) Start();
 }
 
-EsdQueryService::EsdQueryService(EngineProvider provider,
+EsdQueryService::EsdQueryService(const core::EsdQueryEngine& engine,
                                  const Options& options)
-    : engine_(nullptr),
-      provider_(std::move(provider)),
-      frozen_(nullptr),
-      num_threads_(options.num_threads == 0
-                       ? util::ThreadPool::DefaultThreadCount()
-                       : options.num_threads),
-      max_queue_(std::max<size_t>(1, options.max_queue)),
-      max_batch_(std::max<size_t>(1, options.max_batch)),
-      health_source_(options.health_source),
-      metrics_(options.registry),
-      // No epoch signal in this mode: the provider may swap engines under a
-      // constant key, so caching would serve stale answers. Disabled.
-      cache_(nullptr),
-      slow_log_(SlowLogOptions(options)),
-      pool_(num_threads_, "serve-worker") {
+    : owned_backend_(std::make_unique<EngineBackend>(engine)),
+      backend_(owned_backend_.get()),
+      options_(options) {
   if (!options.start_paused) Start();
 }
 
 EsdQueryService::EsdQueryService(EpochEngineProvider provider,
                                  const Options& options)
-    : engine_(nullptr),
-      epoch_provider_(std::move(provider)),
-      frozen_(nullptr),
-      num_threads_(options.num_threads == 0
-                       ? util::ThreadPool::DefaultThreadCount()
-                       : options.num_threads),
-      max_queue_(std::max<size_t>(1, options.max_queue)),
-      max_batch_(std::max<size_t>(1, options.max_batch)),
-      health_source_(options.health_source),
-      metrics_(options.registry),
-      cache_(MakeCache(options, metrics_)),
-      slow_log_(SlowLogOptions(options)),
-      pool_(num_threads_, "serve-worker") {
-  if (!options.start_paused) Start();
-}
-
-EsdQueryService::EsdQueryService(ShardedBackend& backend,
-                                 const Options& options)
-    : engine_(nullptr),
-      sharded_(&backend),
-      frozen_(nullptr),
-      num_threads_(options.num_threads == 0
-                       ? util::ThreadPool::DefaultThreadCount()
-                       : options.num_threads),
-      max_queue_(std::max<size_t>(1, options.max_queue)),
-      max_batch_(std::max<size_t>(1, options.max_batch)),
-      health_source_(options.health_source),
-      metrics_(options.registry),
-      // The backend's monotone Generation() plays the epoch role, so the
-      // cache stays sound across shard-level events (epoch publishes,
-      // degradations, heals all rotate the generation).
-      cache_(MakeCache(options, metrics_)),
-      slow_log_(SlowLogOptions(options)),
-      pool_(num_threads_, "serve-worker") {
+    : owned_backend_(std::make_unique<EngineBackend>(std::move(provider))),
+      backend_(owned_backend_.get()),
+      options_(options) {
   if (!options.start_paused) Start();
 }
 
@@ -272,8 +231,10 @@ obs::HealthState EsdQueryService::Health() const {
     std::lock_guard<std::mutex> lock(mu_);
     if (stop_) own = obs::HealthState::kReadOnly;
   }
-  if (sharded_ != nullptr) own = obs::WorseHealth(own, sharded_->Health());
-  if (health_source_) return obs::WorseHealth(own, health_source_());
+  own = obs::WorseHealth(own, backend_->Health());
+  if (options_.health_source) {
+    return obs::WorseHealth(own, options_.health_source());
+  }
   return own;
 }
 
@@ -286,45 +247,21 @@ void EsdQueryService::ServeBatch(std::vector<Pending> batch) {
   // time between it and a request's own turn is batch_formation (their sum
   // is the classic queue_us).
   const uint64_t batch_start_ns = obs::MonotonicNanos();
-  // Pin the serving engine once per batch. In provider mode the shared_ptr
-  // keeps this batch's epoch alive even while the writer publishes newer
-  // ones (RCU read-side); in static mode the engine outlives the service
-  // by contract and pinning is free.
-  std::shared_ptr<const core::EsdQueryEngine> pinned;
-  const core::EsdQueryEngine* engine = engine_;
-  const core::FrozenEsdIndex* frozen = frozen_;
-  uint64_t epoch = 0;  // static engines never change: epoch 0 forever
-  // Sharded mode: the backend's monotone generation is this batch's
-  // "epoch" (cache key), and the fleet tally polled here is stamped into
-  // every response that doesn't execute (hits, dedups, strict bounces);
-  // misses get the fresher per-execute tally.
-  ShardCounts batch_shards;
-  if (sharded_ != nullptr) {
-    epoch = sharded_->Generation();
-    batch_shards = sharded_->Counts();
-  } else if (epoch_provider_) {
-    PinnedEngine pe = epoch_provider_();
-    pinned = std::move(pe.engine);
-    epoch = pe.epoch;
-    engine = pinned.get();
-    frozen = dynamic_cast<const core::FrozenEsdIndex*>(engine);
-  } else if (provider_) {
-    pinned = provider_();
-    engine = pinned.get();
-    frozen = dynamic_cast<const core::FrozenEsdIndex*>(engine);
-  }
+  // Pin once per batch: the view's generation keys the cache, its shard
+  // tally is stamped into every response that doesn't execute (hits,
+  // dedups, strict bounces), and its pin keeps this batch's image alive
+  // even while the backend publishes newer ones (RCU read-side).
+  ServingView view = backend_->Pin();
   // Per-batch forensic stamps: upstream health is polled here (not per
   // request) and published for future admissions to pick up.
-  if (health_source_) {
-    last_health_.store(static_cast<uint8_t>(health_source_()),
+  if (options_.health_source) {
+    last_health_.store(static_cast<uint8_t>(options_.health_source()),
                        std::memory_order_relaxed);
   }
-  const core::ScorerKind scorer =
-      sharded_ != nullptr ? sharded_->Scorer() : engine->Scorer();
   // Group by (tau, k, pad) (stable: FIFO preserved among identical
-  // requests) so the frozen engine's sizes_ binary search runs once per
-  // distinct tau in the batch — one ascending-tau sweep — and identical
-  // requests land adjacent, where the dedup below answers them once.
+  // requests) so the backend's per-tau setup runs once per distinct tau in
+  // the batch — one ascending-tau sweep — and identical requests land
+  // adjacent, where the dedup below answers them once.
   std::stable_sort(batch.begin(), batch.end(),
                    [](const Pending& a, const Pending& b) {
                      if (a.request.tau != b.request.tau)
@@ -340,13 +277,8 @@ void EsdQueryService::ServeBatch(std::vector<Pending> batch) {
   std::vector<QueryResponse> responses(batch.size());
   size_t executed = 0;
   size_t distinct_taus = 0;
-  size_t slab = core::FrozenEsdIndex::kNoSlab;
-  uint32_t slab_tau = 0;
-  bool have_slab = false;
-  // Distinct-tau accounting is shared by the frozen and degenerate paths:
-  // a tau counts once per batch no matter how many requests carry it or
-  // which path serves them (the degenerate path used to count every
-  // request, overstating slab_searches_saved's baseline).
+  // A tau counts once per batch no matter how many requests carry it or
+  // which backend path serves them.
   uint32_t last_tau = 0;
   bool have_tau = false;
   // Intra-batch dedup: the previous executed request's (tau, k, pad) and
@@ -366,7 +298,7 @@ void EsdQueryService::ServeBatch(std::vector<Pending> batch) {
     rec.k = p.request.k;
     rec.pad_with_zero_edges = p.request.pad_with_zero_edges;
     rec.deadline_missed = missed;
-    rec.scorer = scorer;
+    rec.scorer = view.scorer;
     rec.cache = r.ctx.cache;
     rec.health = p.admit_health;
     rec.shards_ok = r.shards_ok;
@@ -387,12 +319,10 @@ void EsdQueryService::ServeBatch(std::vector<Pending> batch) {
     QueryResponse& response = responses[i];
     response.ctx = p.ctx;
     obs::RequestContext& ctx = response.ctx;
-    ctx.epoch = epoch;
-    if (sharded_ != nullptr) {
-      response.shards_ok = batch_shards.ok;
-      response.shards_degraded = batch_shards.degraded;
-      response.shards_down = batch_shards.down;
-    }
+    ctx.epoch = view.generation;
+    response.shards_ok = view.shards.ok;
+    response.shards_degraded = view.shards.degraded;
+    response.shards_down = view.shards.down;
     response.queue_us = Micros(picked_up - p.enqueued);
     // queue_wait ends where the batch began; everything since is
     // batch_formation (sort, engine pin, earlier batchmates). Together
@@ -408,8 +338,7 @@ void EsdQueryService::ServeBatch(std::vector<Pending> batch) {
       // Missed deadlines are forensic gold: they enter the slow log with
       // their queue-side attribution even though the engine never ran.
       record_slow(p, response, /*missed=*/true, t0);
-    } else if (sharded_ != nullptr && p.request.strict &&
-               !batch_shards.all_ok()) {
+    } else if (p.request.strict && !view.shards.all_ok()) {
       // Strict partial-result policy: the caller asked to fail fast rather
       // than accept a narrowed answer, and the fleet is not whole. Decided
       // before the cache so a stale full answer can never mask a sick
@@ -440,8 +369,8 @@ void EsdQueryService::ServeBatch(std::vector<Pending> batch) {
         ctx.cache = obs::CacheOutcome::kDedup;
         response.result = *prev_result;
       } else if (cache_ != nullptr &&
-                 cache_->Lookup(epoch, rq.tau, rq.k, rq.pad_with_zero_edges,
-                                &response.result)) {
+                 cache_->Lookup(view.generation, rq.tau, rq.k,
+                                rq.pad_with_zero_edges, &response.result)) {
         // Cache hit: answered without touching the engine.
         t1 = t2 = t3 = obs::MonotonicNanos();
         ctx.cache = obs::CacheOutcome::kHit;
@@ -451,50 +380,26 @@ void EsdQueryService::ServeBatch(std::vector<Pending> batch) {
         // Without a cache there was no lookup to time: cache_lookup is
         // identically zero and the clock read would only measure itself.
         t1 = cache_ != nullptr ? obs::MonotonicNanos() : t0;
-        if (sharded_ != nullptr) {
-          // Scatter-gather miss path. The whole merge (per-shard slab
-          // cursors + k-way heap + padding) runs inside the backend and is
-          // attributed to slab_scan; the per-shard split lives in the
-          // esd_shard_* metrics rather than the six-stage enum.
-          ShardedOutcome so = sharded_->Execute(
-              rq.k, rq.tau, rq.pad_with_zero_edges, p.deadline);
-          t2 = t3 = obs::MonotonicNanos();
-          response.shards_ok = so.shards.ok;
-          response.shards_degraded = so.shards.degraded;
-          response.shards_down = so.shards.down;
-          if (so.deadline_expired) {
-            response.status = ResponseStatus::kDeadlineMissed;
-            metrics_.RecordDeadlineMissed(response.queue_us);
-            record_slow(p, response, /*missed=*/true, t2);
-            continue;  // never dedup-copied, never cached
-          }
-          response.result = std::move(so.result);
-        } else if (frozen != nullptr && rq.k > 0 && rq.tau > 0) {
-          if (!have_slab || slab_tau != rq.tau) {
-            slab = frozen->FindSlab(rq.tau);
-            slab_tau = rq.tau;
-            have_slab = true;
-          }
-          // Scan and padding run under separate clocks (identical answer
-          // to QueryAtSlab(slab, k, pad)): the skew sweep showed deep-k
-          // padding dominating misses, and this is where that shows up.
-          response.result = frozen->QueryAtSlab(slab, rq.k, false);
-          t2 = obs::MonotonicNanos();
-          t3 = t2;
-          if (rq.pad_with_zero_edges) {
-            frozen->PadQueryResult(slab, rq.k, &response.result);
-            t3 = obs::MonotonicNanos();
-          }
-        } else {
-          // Degenerate (k or tau 0) or non-frozen engine: per-request
-          // path, attributed wholly to slab_scan.
-          response.result =
-              engine->Query(rq.k, rq.tau, rq.pad_with_zero_edges);
-          t2 = t3 = obs::MonotonicNanos();
+        // A scatter-gather merge runs wholly inside Execute and is
+        // attributed to slab_scan; the per-shard split lives in the
+        // esd_shard_* metrics rather than the six-stage enum.
+        ExecuteOutcome out = view.Execute(rq.k, rq.tau,
+                                          rq.pad_with_zero_edges, p.deadline);
+        t3 = obs::MonotonicNanos();
+        t2 = out.scan_end_ns != 0 ? out.scan_end_ns : t3;
+        response.shards_ok = out.shards.ok;
+        response.shards_degraded = out.shards.degraded;
+        response.shards_down = out.shards.down;
+        if (out.deadline_expired) {
+          response.status = ResponseStatus::kDeadlineMissed;
+          metrics_.RecordDeadlineMissed(response.queue_us);
+          record_slow(p, response, /*missed=*/true, t3);
+          continue;  // never dedup-copied, never cached
         }
+        response.result = std::move(out.result);
         if (cache_ != nullptr) {
-          cache_->Insert(epoch, rq.tau, rq.k, rq.pad_with_zero_edges,
-                         response.result);
+          cache_->Insert(view.generation, rq.tau, rq.k,
+                         rq.pad_with_zero_edges, response.result);
         }
       }
       prev_rq = &rq;
@@ -511,31 +416,19 @@ void EsdQueryService::ServeBatch(std::vector<Pending> batch) {
       ++executed;
       record_slow(p, response, /*missed=*/false, t4);
       if (tracer.enabled()) {
-        // One span per nonzero stage, all joined by args.rid — a filtered
-        // Perfetto view reassembles this request's admission -> batch ->
-        // slab timeline even though it shared a batch and a worker track.
-        const uint64_t rid = ctx.request_id;
-        tracer.RecordComplete(obs::StageSpanName(obs::Stage::kQueueWait),
-                              ctx.admit_ns,
-                              ctx.StageNanos(obs::Stage::kQueueWait), rid);
-        tracer.RecordComplete(
-            obs::StageSpanName(obs::Stage::kBatchFormation), batch_start_ns,
-            ctx.StageNanos(obs::Stage::kBatchFormation), rid);
-        if (t1 > t0) {
-          tracer.RecordComplete(obs::StageSpanName(obs::Stage::kCacheLookup),
-                                t0, t1 - t0, rid);
-        }
-        if (t2 > t1) {
-          tracer.RecordComplete(obs::StageSpanName(obs::Stage::kSlabScan),
-                                t1, t2 - t1, rid);
-        }
-        if (t3 > t2) {
-          tracer.RecordComplete(
-              obs::StageSpanName(obs::Stage::kPaddingScan), t2, t3 - t2, rid);
-        }
-        if (t4 > t3) {
-          tracer.RecordComplete(obs::StageSpanName(obs::Stage::kMerge), t3,
-                                t4 - t3, rid);
+        // One span per stage (execution stages only when nonzero), all
+        // joined by args.rid — a filtered Perfetto view reassembles this
+        // request's admission -> batch -> slab timeline even though it
+        // shared a batch and a worker track.
+        const uint64_t starts[obs::kNumStages] = {ctx.admit_ns, batch_start_ns,
+                                                  t0, t1, t2, t3};
+        for (size_t s = 0; s < obs::kNumStages; ++s) {
+          const auto stage = static_cast<obs::Stage>(s);
+          const uint64_t ns = ctx.StageNanos(stage);
+          if (stage <= obs::Stage::kBatchFormation || ns > 0) {
+            tracer.RecordComplete(obs::StageSpanName(stage), starts[s], ns,
+                                  ctx.request_id);
+          }
         }
       }
     }

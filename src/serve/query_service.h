@@ -1,6 +1,7 @@
 #ifndef ESD_SERVE_QUERY_SERVICE_H_
 #define ESD_SERVE_QUERY_SERVICE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -14,13 +15,12 @@
 #include <thread>
 #include <vector>
 
-#include "core/frozen_index.h"
 #include "core/query_engine.h"
 #include "obs/health.h"
 #include "obs/request_context.h"
 #include "serve/metrics.h"
 #include "serve/result_cache.h"
-#include "serve/sharded_backend.h"
+#include "serve/serving_backend.h"
 #include "serve/slowlog.h"
 #include "util/thread_pool.h"
 
@@ -59,6 +59,9 @@ enum class ResponseStatus : uint8_t {
   kShardsUnavailable,   ///< strict query, but >= 1 shard degraded or down
 };
 
+/// Stable name of `status` ("ok", "rejected", "deadline-missed", ...).
+const char* ResponseStatusName(ResponseStatus status);
+
 /// The service's answer to one QueryRequest.
 struct QueryResponse {
   ResponseStatus status = ResponseStatus::kOk;
@@ -79,32 +82,33 @@ struct QueryResponse {
   uint16_t shards_down = 0;
 };
 
-/// Concurrent query service over one shared immutable EsdQueryEngine — the
-/// paper's build-once / query-forever workload as an actual server loop.
+/// Concurrent query service over one ServingBackend — the paper's
+/// build-once / query-forever workload as an actual server loop. The
+/// backend is a single engine (EngineBackend: static, or a live index's
+/// epoch of the moment) or a sharded fleet; the service never asks which.
 ///
 /// Shape: Submit() pushes into one bounded FIFO (admission control: a full
 /// queue rejects instead of blocking, so overload degrades by shedding, not
 /// by unbounded memory). Worker loops — run on the existing
 /// util::ThreadPool via one long-lived ParallelFor, one loop per pool
 /// thread — drain up to max_batch requests per wakeup and serve them
-/// batched: the batch is sorted by tau, so when the engine is a
-/// FrozenEsdIndex the slab binary search is paid once per distinct tau in
-/// the batch rather than once per query (FindSlab/QueryAtSlab). Under low
-/// load batches degenerate to size 1 and the service behaves like a plain
+/// batched: each batch pins one ServingView, and is sorted by tau so the
+/// backend pays its per-tau setup (the frozen slab binary search) once per
+/// distinct tau in the batch rather than once per query. Under low load
+/// batches degenerate to size 1 and the service behaves like a plain
 /// thread-per-request executor; under load batching kicks in naturally.
 ///
-/// Ahead of the slab path sits an optional epoch-keyed ResultCache
-/// (Options::cache_bytes): repeated (tau, k, pad) traffic within one
-/// engine epoch is answered from the cache without touching the engine,
-/// and an epoch swap invalidates the whole generation in O(1). Batches are
-/// additionally sorted by (tau, k, pad) so identical requests inside one
-/// batch are answered once and copied.
+/// Ahead of the miss path sits an optional ResultCache
+/// (Options::cache_bytes) keyed by the view's generation: repeated
+/// (tau, k, pad) traffic within one generation is answered from the cache
+/// without touching the backend, and a generation change invalidates the
+/// cache in O(1). Batches are additionally sorted by (tau, k, pad) so
+/// identical requests inside one batch are answered once and copied.
 ///
-/// The engine is shared by const reference across all workers, relying on
+/// Engines are shared by const reference across all workers, relying on
 /// the EsdQueryEngine thread-safety contract: the caller must not mutate
-/// the engine (or an online adapter's borrowed graph) while the service is
-/// alive. FrozenEsdIndex, immutable by construction, is the intended
-/// engine.
+/// an engine (or an online adapter's borrowed graph) while it is served.
+/// FrozenEsdIndex, immutable by construction, is the intended engine.
 ///
 /// Responses are delivered through std::future. Stop() (also run by the
 /// destructor) drains gracefully: every admitted request is still served;
@@ -132,11 +136,9 @@ class EsdQueryService {
     /// degraded/read-only state). Called from any thread; empty = the
     /// service reports only its own state.
     std::function<obs::HealthState()> health_source;
-    /// Byte budget of the epoch-keyed result cache; 0 (default) disables
-    /// caching entirely. Only honored in static-engine mode (the engine is
-    /// immutable, epoch 0 forever) and epoch-provider mode (epoch swaps
-    /// rotate the cache generation); the legacy EngineProvider mode has no
-    /// epoch signal and never caches.
+    /// Byte budget of the result cache, keyed by the backend's serving
+    /// generation (a generation change rotates the cache); 0 (default)
+    /// disables caching entirely.
     size_t cache_bytes = 0;
     /// Entry budget of the result cache (split across its shards).
     size_t cache_entries = 1 << 16;
@@ -149,43 +151,20 @@ class EsdQueryService {
     size_t slowlog_stripes = 8;
   };
 
-  /// Returns the engine a batch should serve from. Called once per batch
-  /// (the pinning granularity): every request in a batch sees one
-  /// consistent engine, and the shared_ptr keeps that engine alive for the
-  /// batch even if the provider publishes a newer one mid-serve. Must be
-  /// callable from any worker thread and never return null.
-  using EngineProvider =
-      std::function<std::shared_ptr<const core::EsdQueryEngine>()>;
+  /// The provider types of the epoch-provider constructor
+  /// (serving_backend.h), also reachable as members.
+  using PinnedEngine = serve::PinnedEngine;
+  using EpochEngineProvider = serve::EpochEngineProvider;
 
-  /// An engine pinned together with the epoch id it serves — what the
-  /// epoch-aware provider returns. The epoch keys the result cache: two
-  /// calls returning the same epoch MUST return the same (immutable)
-  /// engine image. LiveEsdIndex's seq-guarded publish provides exactly
-  /// this (epoch ids are monotone in applied_seq).
-  struct PinnedEngine {
-    std::shared_ptr<const core::EsdQueryEngine> engine;
-    uint64_t epoch = 0;
-  };
-  /// Epoch-aware engine provider; must never return a null engine.
-  using EpochEngineProvider = std::function<PinnedEngine()>;
-
-  explicit EsdQueryService(const core::EsdQueryEngine& engine);
+  /// Serves every batch from `backend`'s pin of the moment; the backend
+  /// must outlive the service.
+  EsdQueryService(ServingBackend& backend, const Options& options);
+  /// Serves one fixed engine (generation 0 forever) through an
+  /// EngineBackend the service owns; the engine must outlive the service.
   EsdQueryService(const core::EsdQueryEngine& engine, const Options& options);
-  /// Engine-swap serving mode: each batch pins the provider's current
-  /// engine (e.g. a LiveEsdIndex epoch) instead of one fixed engine.
-  /// No epoch signal, so Options::cache_bytes is ignored (never caches).
-  EsdQueryService(EngineProvider provider, const Options& options);
-  /// Epoch-aware engine-swap mode: like EngineProvider, but each batch also
-  /// learns which epoch it pinned, enabling the result cache (hits answer
-  /// without touching the engine; an epoch swap invalidates the whole
-  /// cache generation in O(1)).
+  /// Serves the provider's engine of the moment through an EngineBackend
+  /// the service owns (e.g. a LiveEsdIndex's current epoch).
   EsdQueryService(EpochEngineProvider provider, const Options& options);
-  /// Sharded scatter-gather mode: every miss executes through `backend`
-  /// (which must outlive the service), the result cache keys on the
-  /// backend's monotone Generation() instead of a single epoch, strict
-  /// requests fail typed (kShardsUnavailable) while any shard is sick, and
-  /// every response carries the fleet tally.
-  EsdQueryService(ShardedBackend& backend, const Options& options);
   ~EsdQueryService();
 
   EsdQueryService(const EsdQueryService&) = delete;
@@ -233,13 +212,14 @@ class EsdQueryService {
     if (cache_) cache_->OnEpochChange(epoch);
   }
 
-  /// The result cache, or null when disabled (cache_bytes == 0 or legacy
-  /// provider mode). Exposed for stats surfaces (esd_server STATS, tests).
+  /// The result cache, or null when disabled (cache_bytes == 0). Exposed
+  /// for stats surfaces (esd_server STATS, tests).
   const ResultCache* cache() const { return cache_.get(); }
 
-  /// Combined serving health: the worse of this service's own state (a
+  /// Combined serving health: the worst of this service's own state (a
   /// stopped service is read-only — admitted work still drains but nothing
-  /// new is accepted) and the Options::health_source feed.
+  /// new is accepted), the backend's Health(), and the
+  /// Options::health_source feed.
   obs::HealthState Health() const;
 
  private:
@@ -273,32 +253,32 @@ class EsdQueryService {
   /// exactly once — admission bounce, Stop orphan, or served batch.
   static void Resolve(Pending& p, QueryResponse response);
 
-  /// Exactly one of engine_/provider_/epoch_provider_/sharded_ is set. In
-  /// provider modes ServeBatch re-pins per batch; in static mode engine_
-  /// (and the frozen_ downcast) are fixed for the service's lifetime; in
-  /// sharded mode every miss scatter-gathers through the backend.
-  const core::EsdQueryEngine* engine_;
-  EngineProvider provider_;
-  EpochEngineProvider epoch_provider_;
-  ShardedBackend* sharded_ = nullptr;
-  /// Non-null when engine_ is a FrozenEsdIndex: enables the batched
-  /// slab-reuse fast path.
-  const core::FrozenEsdIndex* frozen_;
-  const unsigned num_threads_;
-  const size_t max_queue_;
-  const size_t max_batch_;
-  const std::function<obs::HealthState()> health_source_;
+  static std::unique_ptr<ResultCache> MakeCache(const Options& options,
+                                                ServiceMetrics& metrics);
+  static SlowQueryLog::Options SlowLogOptions(const Options& options);
 
-  ServiceMetrics metrics_;
+  /// Set by the engine constructors, which wrap their engine themselves.
+  std::unique_ptr<ServingBackend> owned_backend_;
+  ServingBackend* const backend_;
+  const Options options_;
+  // The constructors initialize only the three members above; the rest
+  // derive from options_.
+  const unsigned num_threads_ = options_.num_threads == 0
+                                    ? util::ThreadPool::DefaultThreadCount()
+                                    : options_.num_threads;
+  const size_t max_queue_ = std::max<size_t>(1, options_.max_queue);
+  const size_t max_batch_ = std::max<size_t>(1, options_.max_batch);
+
+  ServiceMetrics metrics_{options_.registry};
   /// Declared after metrics_: the cache registers its esd_cache_* metrics
   /// on metrics_.registry(). Null when caching is disabled.
-  std::unique_ptr<ResultCache> cache_;
-  SlowQueryLog slow_log_;
+  std::unique_ptr<ResultCache> cache_ = MakeCache(options_, metrics_);
+  SlowQueryLog slow_log_{SlowLogOptions(options_)};
   /// Latest upstream health observation (one byte of HealthState),
   /// refreshed once per served batch and stamped into admissions — slow-log
   /// entries carry it without a per-request lock on the health source.
   std::atomic<uint8_t> last_health_{0};
-  util::ThreadPool pool_;
+  util::ThreadPool pool_{num_threads_, "serve-worker"};
 
   mutable std::mutex mu_;
   std::condition_variable queue_ready_;

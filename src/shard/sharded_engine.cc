@@ -195,6 +195,21 @@ obs::HealthState ShardedQueryEngine::Health() const {
   return obs::HealthState::kOk;
 }
 
+serve::ServingView ShardedQueryEngine::Pin() {
+  serve::ServingView view;
+  view.generation = Generation();
+  view.shards = Counts();
+  view.scorer = options_.scorer;
+  view.backend = this;
+  return view;
+}
+
+serve::ExecuteOutcome ShardedQueryEngine::Execute(
+    serve::ServingView& /*view*/, uint32_t k, uint32_t tau,
+    bool pad_with_zero_edges, Clock::time_point deadline) {
+  return Execute(k, tau, pad_with_zero_edges, deadline);
+}
+
 uint64_t ShardedQueryEngine::Generation() {
   const Clock::time_point now = Clock::now();
   uint64_t fp = 14695981039346656037ull;  // FNV offset basis

@@ -60,7 +60,7 @@
 #include "live/live_index.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
-#include "serve/sharded_backend.h"
+#include "serve/serving_backend.h"
 
 namespace esd::shard {
 
@@ -111,7 +111,7 @@ struct ShardStatus {
   uint64_t replayed = 0;  ///< journal updates replayed while catching up
 };
 
-class ShardedQueryEngine final : public serve::ShardedBackend {
+class ShardedQueryEngine final : public serve::ServingBackend {
  public:
   /// Live mode: opens (and recovers) one LiveEsdIndex per shard under
   /// `options.dir`. A shard whose open fails — torn WAL beyond repair,
@@ -132,14 +132,34 @@ class ShardedQueryEngine final : public serve::ShardedBackend {
 
   ~ShardedQueryEngine() override;
 
-  // ---- serve::ShardedBackend ----------------------------------------------
-  uint64_t Generation() override;
-  serve::ShardCounts Counts() override;
+  // ---- serve::ServingBackend ----------------------------------------------
+  /// Pins the fleet generation (the view's cache key) and tally. Never
+  /// blocks on the write path.
+  serve::ServingView Pin() override;
+  serve::ExecuteOutcome Execute(
+      serve::ServingView& view, uint32_t k, uint32_t tau,
+      bool pad_with_zero_edges,
+      std::chrono::steady_clock::time_point deadline) override;
+  /// Worst-shard health: any shard down or degraded degrades the fleet
+  /// view (partial answers), all-ok is ok.
+  obs::HealthState Health() const override;
+
+  // ---- Read path ----------------------------------------------------------
+
+  /// Monotone serving generation: bumps whenever any shard's published
+  /// epoch, health, or up/down state changes. One generation names one
+  /// immutable (epoch vector, fleet state) image, so cached answers are
+  /// invalidated by any shard-level event, including heals.
+  uint64_t Generation();
+
+  /// Current fleet tally (same classification Execute stamps).
+  serve::ShardCounts Counts();
+
+  /// Scatter-gather top-k over the healthy shards. Returns when the merge
+  /// finishes or `deadline` passes, whichever is first.
   serve::ShardedOutcome Execute(
       uint32_t k, uint32_t tau, bool pad_with_zero_edges,
-      std::chrono::steady_clock::time_point deadline) override;
-  obs::HealthState Health() const override;
-  core::ScorerKind Scorer() const override { return options_.scorer; }
+      std::chrono::steady_clock::time_point deadline);
 
   // ---- Write path (live mode) ---------------------------------------------
 

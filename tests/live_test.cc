@@ -685,13 +685,8 @@ TEST(LiveIndexTest, CachedAnswersMatchPinnedEpochUnderChurn) {
   serve_options.cache_bytes = 1 << 20;
   LiveEsdIndex* live_raw = live.get();
   serve::EsdQueryService service(
-      [live_raw]() -> serve::EsdQueryService::PinnedEngine {
-        std::shared_ptr<const live::EpochSnapshot> snap =
-            live_raw->CurrentSnapshot();
-        return {std::shared_ptr<const core::EsdQueryEngine>(snap,
-                                                            &snap->index),
-                snap->epoch};
-      },
+      serve::SnapshotProvider(
+          [live_raw] { return live_raw->CurrentSnapshot(); }),
       serve_options);
   ASSERT_NE(service.cache(), nullptr);
   service.NotifyEpoch(live->CurrentSnapshot()->epoch);
@@ -757,7 +752,11 @@ TEST(LiveServeStressTest, ReadersPinEpochsWhileWriterStreams) {
   serve_options.num_threads = 4;
   serve_options.max_queue = 1 << 14;
   serve_options.max_batch = 8;
-  serve::EsdQueryService service(live->EngineProvider(), serve_options);
+  LiveEsdIndex* live_raw = live.get();
+  serve::EsdQueryService service(
+      serve::SnapshotProvider(
+          [live_raw] { return live_raw->CurrentSnapshot(); }),
+      serve_options);
 
   graph::DynamicGraph shadow(bootstrap);
   constexpr size_t kUpdates = 600;

@@ -5,11 +5,14 @@
 // compatibility, HTTP /metrics, 64-connection fan-in, backpressure
 // disconnect, graceful drain), and fail-point chaos at the net.read /
 // net.write sites proving one poisoned connection never stalls the event
-// loop or leaks an in-flight query. All suites are named Net* so the CI
-// TSan job picks them up via its -R filter.
+// loop or leaks an in-flight query, and a text-protocol fuzz holding the
+// socket text mode to the stdin executor's bytes. All suites are named
+// Net* so the CI TSan job picks them up via its -R filter.
 
+#include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdint>
@@ -17,7 +20,9 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -36,6 +41,7 @@
 #include "net/wire.h"
 #include "obs/metrics.h"
 #include "serve/query_service.h"
+#include "tests/server_app_fixture.h"
 #include "util/rng.h"
 
 namespace esd {
@@ -333,6 +339,127 @@ TEST(NetWireTest, FuzzMutatedValidFramesNeverCrash) {
       }
     } while (st == WireStatus::kOk);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Text-protocol fuzz: seeded random lines, split into partial writes, must
+// get the same replies from the socket text mode as from the stdin
+// executor, one per non-blank line.
+// ---------------------------------------------------------------------------
+
+// Request ids and timings differ between two runs of one query; nothing
+// else in a reply may. Replaces each "rid=<digits>" and each decimal
+// "<digits>.<digits>" with '#'.
+std::string MaskVolatile(const std::string& text) {
+  auto digits_end = [&text](size_t i) {
+    while (i < text.size() && text[i] >= '0' && text[i] <= '9') ++i;
+    return i;
+  };
+  std::string out;
+  for (size_t i = 0; i < text.size();) {
+    if (text.compare(i, 4, "rid=") == 0) {
+      out += "rid=#";
+      i = digits_end(i + 4);
+      continue;
+    }
+    const size_t int_end = digits_end(i);
+    if (int_end > i && int_end + 1 < text.size() && text[int_end] == '.' &&
+        digits_end(int_end + 1) > int_end + 1) {
+      out += '#';
+      i = digits_end(int_end + 1);
+    } else if (int_end > i) {
+      out.append(text, i, int_end - i);
+      i = int_end;
+    } else {
+      out += text[i++];
+    }
+  }
+  return out;
+}
+
+// Every reply opens with an OK or ERR line; a query's telemetry and edge
+// lines are indented.
+size_t CountReplies(const std::string& text) {
+  size_t replies = 0;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("OK ", 0) == 0 || line.rfind("ERR ", 0) == 0) ++replies;
+  }
+  return replies;
+}
+
+std::string ReadToClose(int fd) {
+  std::string got;
+  char buf[4096];
+  for (ssize_t n; (n = ::read(fd, buf, sizeof(buf))) > 0;) {
+    got.append(buf, static_cast<size_t>(n));
+  }
+  return got;
+}
+
+TEST(NetTextFuzzTest, ExecutorAndTextModeAnswerIdentically) {
+  test::ScratchServer server("text_fuzz");
+  ASSERT_TRUE(server.Open());
+  obs::MetricRegistry registry;
+  NetServer::Options nopts;
+  nopts.registry = &registry;
+  NetServer net(server.app().NetHandlers(), nopts);
+  std::string error;
+  ASSERT_TRUE(net.Start(&error)) << error;
+
+  // Verbs whose replies are deterministic on a static server (no counters,
+  // no files written).
+  const std::vector<std::string> verbs = {
+      "QUERY", "QUERY", "QUERY", "INSERT", "DELETE", "CHECKPOINT",
+      "REFREEZE", "SHARDS", "query", "NOPE"};
+  const std::vector<std::string> args = {
+      "3", "2", "0", "17", "-1", "+4", "4294967295", "4294967296",
+      "18446744073709551616", "abc", "2x", "STRICT", "strict"};
+  const std::vector<std::string> gaps = {" ", "\t", "  ", " \t", "\v"};
+  util::Rng rng(0x7E47);
+  auto pick = [&rng](const std::vector<std::string>& from) {
+    return from[rng.Next() % from.size()];
+  };
+  for (int round = 0; round < 200; ++round) {
+    std::string stream;
+    size_t lines = 0;
+    const size_t n = 1 + rng.Next() % 10;
+    for (size_t l = 0; l < n; ++l) {
+      if (rng.Next() % 6 == 0) stream += pick(gaps) + "\n";  // blank line
+      if (rng.Next() % 4 == 0) stream += pick(gaps);
+      stream += pick(verbs);
+      for (uint64_t a = rng.Next() % 5; a > 0; --a) {
+        stream += pick(gaps) + pick(args);
+      }
+      if (rng.Next() % 8 == 0) stream += "\r";
+      ++lines;
+      // The last line may stay unterminated: both paths serve it at EOF.
+      if (l + 1 < n || rng.Next() % 2 == 0) stream += "\n";
+    }
+
+    std::string want;
+    std::istringstream in(stream);
+    for (std::string line; std::getline(in, line);) {
+      std::string out;
+      ASSERT_TRUE(server.app().Execute(line, &out)) << line;
+      want += out;
+    }
+
+    BlockingClient raw;
+    ASSERT_TRUE(raw.Connect("127.0.0.1", net.port(), &error)) << error;
+    for (size_t off = 0; off < stream.size();) {
+      const size_t chunk = std::min<size_t>(1 + rng.Next() % 16,
+                                            stream.size() - off);
+      ASSERT_TRUE(raw.SendRaw(std::string_view(stream).substr(off, chunk)));
+      off += chunk;
+    }
+    ASSERT_EQ(::shutdown(raw.fd(), SHUT_WR), 0);
+    const std::string got = ReadToClose(raw.fd());
+
+    EXPECT_EQ(CountReplies(want), lines) << stream;
+    EXPECT_EQ(MaskVolatile(got), MaskVolatile(want)) << stream;
+  }
+  EXPECT_EQ(net.SnapStats().parse_errors, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -306,13 +306,15 @@ TEST(ServeTest, EngineProviderPinsEnginePerBatch) {
 
   std::mutex mu;
   std::shared_ptr<const FrozenEsdIndex> current = engine_a;
+  uint64_t epoch = 0;
   EsdQueryService::Options opts;
   opts.num_threads = 2;
   EsdQueryService service(
-      [&]() -> std::shared_ptr<const core::EsdQueryEngine> {
-        std::lock_guard<std::mutex> lock(mu);
-        return current;
-      },
+      EsdQueryService::EpochEngineProvider(
+          [&]() -> EsdQueryService::PinnedEngine {
+            std::lock_guard<std::mutex> lock(mu);
+            return {current, epoch};
+          }),
       opts);
 
   QueryRequest rq;
@@ -326,6 +328,7 @@ TEST(ServeTest, EngineProviderPinsEnginePerBatch) {
   {
     std::lock_guard<std::mutex> lock(mu);
     current = engine_b;
+    ++epoch;
   }
   engine_a.reset();
   EXPECT_EQ(service.Query(rq).result, want_b);
@@ -521,24 +524,6 @@ TEST(ServeTest, ResultCacheServesRepeatsAndKeepsParity) {
   EXPECT_GT(s.hits, 0u);
   EXPECT_GE(s.misses, 6u);  // at least one compulsory miss per combination
   EXPECT_EQ(s.epoch, 0u);   // static engine: the generation never rotates
-}
-
-TEST(ServeTest, LegacyProviderModeNeverCaches) {
-  graph::Graph g = gen::ErdosRenyiGnm(30, 90, 4);
-  auto engine = std::make_shared<FrozenEsdIndex>(core::BuildFrozenIndex(g));
-  EsdQueryService::Options opts;
-  opts.num_threads = 1;
-  opts.cache_bytes = 1 << 20;  // requested, but the mode can't honor it
-  EsdQueryService service(
-      [engine]() -> std::shared_ptr<const core::EsdQueryEngine> {
-        return engine;
-      },
-      opts);
-  EXPECT_EQ(service.cache(), nullptr);
-  QueryRequest rq;
-  rq.k = 4;
-  rq.tau = 2;
-  EXPECT_EQ(service.Query(rq).result, engine->Query(4, 2));
 }
 
 // Regression: the per-request (non-frozen) path used to bump the
