@@ -7,35 +7,6 @@ using graph::EdgeId;
 using graph::Graph;
 using graph::VertexId;
 
-void ForEachTriangle(const DegreeOrderedDag& dag,
-                     const std::function<void(const Triangle&)>& fn) {
-  const VertexId n = dag.NumVertices();
-  for (VertexId u = 0; u < n; ++u) {
-    auto nu = dag.OutNeighbors(u);
-    auto eu = dag.OutEdges(u);
-    for (size_t vi = 0; vi < nu.size(); ++vi) {
-      VertexId v = nu[vi];
-      auto nv = dag.OutNeighbors(v);
-      auto ev = dag.OutEdges(v);
-      // Merge-intersect out-lists of u and v (both sorted by id).
-      size_t i = 0, j = 0;
-      while (i < nu.size() && j < nv.size()) {
-        if (nu[i] < nv[j]) {
-          ++i;
-        } else if (nu[i] > nv[j]) {
-          ++j;
-        } else {
-          VertexId w = nu[i];
-          // Orientation of (u,v,w): u precedes v and w; v precedes w.
-          fn(Triangle{u, v, w, eu[vi], eu[i], ev[j]});
-          ++i;
-          ++j;
-        }
-      }
-    }
-  }
-}
-
 uint64_t CountTriangles(const Graph& g) {
   DegreeOrderedDag dag(g);
   uint64_t count = 0;
@@ -44,8 +15,11 @@ uint64_t CountTriangles(const Graph& g) {
 }
 
 std::vector<uint32_t> EdgeSupport(const Graph& g) {
-  std::vector<uint32_t> support(g.NumEdges(), 0);
-  DegreeOrderedDag dag(g);
+  return EdgeSupport(DegreeOrderedDag(g));
+}
+
+std::vector<uint32_t> EdgeSupport(const DegreeOrderedDag& dag) {
+  std::vector<uint32_t> support(dag.NumEdges(), 0);
   ForEachTriangle(dag, [&support](const Triangle& t) {
     ++support[t.uv];
     ++support[t.uw];

@@ -1,8 +1,9 @@
 #ifndef ESD_CLIQUES_TRIANGLE_H_
 #define ESD_CLIQUES_TRIANGLE_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <vector>
 
 #include "graph/graph.h"
 #include "graph/orientation.h"
@@ -16,16 +17,66 @@ struct Triangle {
   graph::EdgeId uv, uw, vw;
 };
 
-/// Enumerates every triangle exactly once by intersecting out-neighborhoods
-/// on the degree-ordered DAG (the standard O(αm) algorithm).
-void ForEachTriangle(const graph::DegreeOrderedDag& dag,
-                     const std::function<void(const Triangle&)>& fn);
+/// Scratch for ForEachTriangleOfVertex: slot[w] is 1 + the index of w in
+/// N+(u) while u is being listed, 0 otherwise. Sized to the vertex count and
+/// reused across vertices; one instance per thread.
+struct TriangleScratch {
+  explicit TriangleScratch(const graph::DegreeOrderedDag& dag)
+      : slot(dag.NumVertices(), 0) {}
+  std::vector<uint32_t> slot;
+};
+
+/// Enumerates the triangles whose lowest-ranked vertex is `u`: N+(u) is
+/// marked in the scratch, then every w in N+(v), for v in N+(u), that is
+/// marked closes the triangle (u, v, w). That costs O(Σ_v d+(v)) per vertex,
+/// O(αm) overall. The union over all vertices yields each triangle exactly
+/// once, so the parallel arena fill splits the listing by vertex.
+///
+/// `fn` is a callable taking (const Triangle&); it is a template parameter
+/// so the per-triangle dispatch inlines (the index builder's arena fill
+/// lists every triangle twice).
+template <typename Fn>
+void ForEachTriangleOfVertex(const graph::DegreeOrderedDag& dag,
+                             graph::VertexId u, TriangleScratch* scratch,
+                             Fn&& fn) {
+  auto nu = dag.OutNeighbors(u);
+  auto eu = dag.OutEdges(u);
+  std::vector<uint32_t>& slot = scratch->slot;
+  for (size_t i = 0; i < nu.size(); ++i) {
+    slot[nu[i]] = static_cast<uint32_t>(i + 1);
+  }
+  for (size_t vi = 0; vi < nu.size(); ++vi) {
+    graph::VertexId v = nu[vi];
+    auto nv = dag.OutNeighbors(v);
+    auto ev = dag.OutEdges(v);
+    for (size_t j = 0; j < nv.size(); ++j) {
+      const uint32_t s = slot[nv[j]];
+      // Orientation of (u,v,w): u precedes v and w; v precedes w.
+      if (s != 0) fn(Triangle{u, v, nv[j], eu[vi], eu[s - 1], ev[j]});
+    }
+  }
+  for (graph::VertexId w : nu) slot[w] = 0;
+}
+
+/// Enumerates every triangle exactly once on the degree-ordered DAG (the
+/// standard O(αm) algorithm).
+template <typename Fn>
+void ForEachTriangle(const graph::DegreeOrderedDag& dag, Fn&& fn) {
+  TriangleScratch scratch(dag);
+  const graph::VertexId n = dag.NumVertices();
+  for (graph::VertexId u = 0; u < n; ++u) {
+    ForEachTriangleOfVertex(dag, u, &scratch, fn);
+  }
+}
 
 /// Number of triangles.
 uint64_t CountTriangles(const graph::Graph& g);
 
 /// Per-edge triangle support |N(uv)| for every edge, computed in O(αm).
 std::vector<uint32_t> EdgeSupport(const graph::Graph& g);
+
+/// Same, for a caller that already holds the graph's DAG.
+std::vector<uint32_t> EdgeSupport(const graph::DegreeOrderedDag& dag);
 
 /// Global clustering coefficient 3*triangles / open wedges (0 if no wedge).
 double GlobalClusteringCoefficient(const graph::Graph& g);

@@ -1,6 +1,7 @@
 #include "core/edge_dsu_arena.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <numeric>
 
@@ -8,49 +9,93 @@
 
 namespace esd::core {
 
+using graph::DegreeOrderedDag;
 using graph::EdgeId;
-using graph::Graph;
 using graph::VertexId;
 
-EdgeDsuArena::EdgeDsuArena(const Graph& g, util::ThreadPool* pool) {
-  const EdgeId m = g.NumEdges();
-  // |N(uv)| per edge via triangle support — one O(αm) pass sizes the whole
-  // arena so member fill never reallocates.
-  std::vector<uint32_t> support = cliques::EdgeSupport(g);
-  offsets_.assign(m + 1, 0);
-  for (EdgeId e = 0; e < m; ++e) offsets_[e + 1] = offsets_[e] + support[e];
-  members_.resize(offsets_[m]);
-  parent_.resize(offsets_[m]);
-  count_.assign(offsets_[m], 1);
+namespace {
 
-  auto fill = [this, &g](uint64_t lo, uint64_t hi) {
-    for (uint64_t e = lo; e < hi; ++e) {
-      const graph::Edge& uv = g.EdgeAt(static_cast<EdgeId>(e));
-      auto nu = g.Neighbors(uv.u);
-      auto nv = g.Neighbors(uv.v);
-      uint64_t out = offsets_[e];
-      size_t i = 0, j = 0;
-      while (i < nu.size() && j < nv.size()) {
-        if (nu[i] < nv[j]) {
-          ++i;
-        } else if (nu[i] > nv[j]) {
-          ++j;
-        } else {
-          members_[out] = nu[i];
-          parent_[out] = static_cast<uint32_t>(out);
-          ++out;
-          ++i;
-          ++j;
-        }
+// Runs fn(lo, hi) over [0, n): on `pool` in chunks of `grain` if non-null,
+// else as one call.
+template <typename Fn>
+void ForRange(util::ThreadPool* pool, uint64_t n, uint64_t grain, Fn&& fn) {
+  if (pool != nullptr) {
+    pool->ParallelForChunked(0, n, grain, fn);
+  } else {
+    fn(0, n);
+  }
+}
+
+}  // namespace
+
+EdgeDsuArena::EdgeDsuArena(const DegreeOrderedDag& dag,
+                           util::ThreadPool* pool) {
+  const EdgeId m = dag.NumEdges();
+  const VertexId n = dag.NumVertices();
+  offsets_.assign(m + 1, 0);
+
+  // Each chunk of the vertex range lists with its own n-sized scratch, so
+  // the parallel listing runs in a few chunks per thread.
+  const unsigned threads = pool == nullptr ? 1 : pool->num_threads();
+  const uint64_t grain = std::max<uint64_t>(64, n / (16 * threads));
+  auto list = [&](auto&& fn) {
+    ForRange(pool, n, grain, [&](uint64_t lo, uint64_t hi) {
+      cliques::TriangleScratch scratch(dag);
+      for (uint64_t u = lo; u < hi; ++u) {
+        cliques::ForEachTriangleOfVertex(dag, static_cast<VertexId>(u),
+                                         &scratch, fn);
       }
-      assert(out == offsets_[e + 1]);
+    });
+  };
+  // offsets_[e + 1] is edge e's cursor throughout the fill; `bump` advances
+  // it and returns the old value. Threads of the parallel fill may bump the
+  // same edge, so they go through an atomic_ref.
+  auto fill = [&](auto bump) {
+    // Count pass: |N(uv)| per edge is its triangle support.
+    list([&](const cliques::Triangle& t) {
+      bump(t.uv);
+      bump(t.uw);
+      bump(t.vw);
+    });
+    // Shifted exclusive prefix sum: offsets_[e + 1] becomes the start of
+    // e's slice, so the scatter's bumps leave it at the end of e's slice —
+    // the start of e + 1's. No separate cursor array is needed.
+    uint64_t total = 0;
+    for (EdgeId e = 0; e < m; ++e) {
+      const uint64_t support = offsets_[e + 1];
+      offsets_[e + 1] = total;
+      total += support;
     }
+    members_.resize(total);
+    // Scatter pass: each triangle's third vertex joins each edge's slice.
+    list([&](const cliques::Triangle& t) {
+      members_[bump(t.uv)] = t.w;
+      members_[bump(t.uw)] = t.v;
+      members_[bump(t.vw)] = t.u;
+    });
   };
   if (pool != nullptr) {
-    pool->ParallelForChunked(0, m, 512, fill);
+    fill([this](EdgeId e) {
+      return std::atomic_ref<uint64_t>(offsets_[e + 1])
+          .fetch_add(1, std::memory_order_relaxed);
+    });
   } else {
-    fill(0, m);
+    fill([this](EdgeId e) { return offsets_[e + 1]++; });
   }
+
+  // Sort each slice so SlotOf can binary-search it; every slot starts as
+  // its own singleton component.
+  parent_.resize(members_.size());
+  count_.assign(members_.size(), 1);
+  ForRange(pool, m, 512, [this](uint64_t lo, uint64_t hi) {
+    for (uint64_t e = lo; e < hi; ++e) {
+      std::sort(members_.begin() + offsets_[e],
+                members_.begin() + offsets_[e + 1]);
+      std::iota(parent_.begin() + offsets_[e],
+                parent_.begin() + offsets_[e + 1],
+                static_cast<uint32_t>(offsets_[e]));
+    }
+  });
 }
 
 uint32_t EdgeDsuArena::SlotOf(EdgeId e, VertexId w) const {
@@ -77,13 +122,46 @@ void EdgeDsuArena::Union(EdgeId e, VertexId a, VertexId b) {
   count_[ra] += count_[rb];
 }
 
-std::vector<uint32_t> EdgeDsuArena::ComponentSizes(EdgeId e) {
-  std::vector<uint32_t> sizes;
+uint32_t EdgeDsuArena::NumComponents(EdgeId e) const {
+  uint32_t roots = 0;
   for (uint64_t s = offsets_[e]; s < offsets_[e + 1]; ++s) {
-    if (parent_[s] == s) sizes.push_back(count_[s]);
+    roots += parent_[s] == s ? 1 : 0;
   }
-  std::sort(sizes.begin(), sizes.end());
+  return roots;
+}
+
+void EdgeDsuArena::WriteComponentSizes(EdgeId e, uint32_t* out) const {
+  uint32_t* end = out;
+  for (uint64_t s = offsets_[e]; s < offsets_[e + 1]; ++s) {
+    if (parent_[s] == s) *end++ = count_[s];
+  }
+  std::sort(out, end);
+}
+
+std::vector<uint32_t> EdgeDsuArena::ComponentSizes(EdgeId e) const {
+  std::vector<uint32_t> sizes(NumComponents(e));
+  WriteComponentSizes(e, sizes.data());
   return sizes;
+}
+
+EdgeSizePool EdgeDsuArena::ComponentSizePool(util::ThreadPool* pool) const {
+  const EdgeId m = static_cast<EdgeId>(NumEdges());
+  EdgeSizePool out;
+  out.offsets.assign(m + 1, 0);
+  ForRange(pool, m, 512, [&](uint64_t lo, uint64_t hi) {
+    for (uint64_t e = lo; e < hi; ++e) {
+      out.offsets[e + 1] = NumComponents(static_cast<EdgeId>(e));
+    }
+  });
+  for (EdgeId e = 0; e < m; ++e) out.offsets[e + 1] += out.offsets[e];
+  out.values.resize(out.offsets[m]);
+  ForRange(pool, m, 512, [&](uint64_t lo, uint64_t hi) {
+    for (uint64_t e = lo; e < hi; ++e) {
+      WriteComponentSizes(static_cast<EdgeId>(e),
+                          out.values.data() + out.offsets[e]);
+    }
+  });
+  return out;
 }
 
 util::KeyedDsu EdgeDsuArena::ToKeyedDsu(EdgeId e) {

@@ -5,7 +5,9 @@
 #include <span>
 #include <vector>
 
+#include "core/frozen_index.h"
 #include "graph/graph.h"
+#include "graph/orientation.h"
 #include "util/dsu.h"
 #include "util/thread_pool.h"
 
@@ -26,9 +28,13 @@ namespace esd::core {
 /// the *same* edge (striped locks).
 class EdgeDsuArena {
  public:
-  /// Builds member slices for every edge of `g` — lines 1-4 of Algorithm 3.
-  /// If `pool` is non-null the per-edge fill runs on it.
-  explicit EdgeDsuArena(const graph::Graph& g,
+  /// Builds member slices for every edge of the DAG's graph — lines 1-4 of
+  /// Algorithm 3 — from two triangle listings, O(αm): a count pass sizes
+  /// every slice, a scatter pass writes each triangle's third vertex into
+  /// its three edges' slices, then each slice is sorted. If `pool` is
+  /// non-null both listings and the sorts run on it; the sort makes the
+  /// result independent of thread interleaving.
+  explicit EdgeDsuArena(const graph::DegreeOrderedDag& dag,
                         util::ThreadPool* pool = nullptr);
 
   /// Number of edges covered.
@@ -47,7 +53,11 @@ class EdgeDsuArena {
   void Union(graph::EdgeId e, graph::VertexId a, graph::VertexId b);
 
   /// Sorted component sizes of edge e's ego-network (the paper's C_uv).
-  std::vector<uint32_t> ComponentSizes(graph::EdgeId e);
+  std::vector<uint32_t> ComponentSizes(graph::EdgeId e) const;
+
+  /// Every edge's component sizes, packed as CSR (lines 16-23, first
+  /// half). If `pool` is non-null the per-edge extraction runs on it.
+  EdgeSizePool ComponentSizePool(util::ThreadPool* pool = nullptr) const;
 
   /// Converts edge e's structure to a standalone KeyedDsu with the same
   /// components (used to bootstrap the dynamic index).
@@ -56,6 +66,10 @@ class EdgeDsuArena {
  private:
   uint32_t SlotOf(graph::EdgeId e, graph::VertexId w) const;
   uint32_t FindSlot(uint32_t s);
+  /// Number of components (roots) in edge e's slice.
+  uint32_t NumComponents(graph::EdgeId e) const;
+  /// Writes edge e's component sizes, ascending, to out[0..NumComponents).
+  void WriteComponentSizes(graph::EdgeId e, uint32_t* out) const;
 
   std::vector<uint64_t> offsets_;          // size m+1
   std::vector<graph::VertexId> members_;   // sorted per edge slice

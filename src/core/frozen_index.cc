@@ -28,90 +28,179 @@ uint32_t ScoreAt(std::span<const uint32_t> sizes, uint32_t c) {
       sizes.end() - std::lower_bound(sizes.begin(), sizes.end(), c));
 }
 
+// Packs values_of(e) for every slot with live[e] set into a CSR pool; freed
+// slots carry nothing.
+template <typename ValuesOf>
+EdgeSizePool PackLiveSizes(const std::vector<uint8_t>& live,
+                           ValuesOf&& values_of) {
+  EdgeSizePool out;
+  out.offsets.assign(live.size() + 1, 0);
+  for (size_t e = 0; e < live.size(); ++e) {
+    const size_t len = live[e] ? values_of(static_cast<EdgeId>(e)).size() : 0;
+    out.offsets[e + 1] = out.offsets[e] + len;
+  }
+  out.values.reserve(out.offsets.back());
+  for (size_t e = 0; e < live.size(); ++e) {
+    if (!live[e]) continue;
+    const auto& values = values_of(static_cast<EdgeId>(e));
+    out.values.insert(out.values.end(), values.begin(), values.end());
+  }
+  return out;
+}
+
 }  // namespace
 
-FrozenEsdIndex FrozenEsdIndex::FromEdgeSizes(
-    std::vector<Edge> edges, std::vector<std::vector<uint32_t>> sizes_per_edge,
-    std::vector<uint8_t> live, ScorerKind scorer) {
+std::vector<std::vector<uint32_t>> EdgeSizePool::ToVectors() const {
+  std::vector<std::vector<uint32_t>> out(offsets.size() - 1);
+  for (size_t e = 0; e < out.size(); ++e) {
+    out[e].assign(values.begin() + offsets[e], values.begin() + offsets[e + 1]);
+  }
+  return out;
+}
+
+FrozenEsdIndex FrozenEsdIndex::FromSizePool(std::vector<Edge> edges,
+                                            EdgeSizePool sizes,
+                                            std::vector<uint8_t> live,
+                                            ScorerKind scorer) {
   obs::PhaseSeries phases;
   phases.Begin("build.slab_sort");
   FrozenEsdIndex out;
   out.scorer_ = scorer;
   const size_t n = edges.size();
-  assert(sizes_per_edge.size() == n);
+  assert(sizes.offsets.size() == n + 1 &&
+         sizes.offsets[n] == sizes.values.size());
   out.edges_ = std::move(edges);
   out.live_ = live.empty() ? std::vector<uint8_t>(n, 1) : std::move(live);
   assert(out.live_.size() == n);
+  out.size_offsets_ = std::move(sizes.offsets);
+  out.size_pool_ = std::move(sizes.values);
+  uint32_t max_value = 0;
+  uint64_t max_len = 0;
   for (size_t e = 0; e < n; ++e) {
-    assert(std::is_sorted(sizes_per_edge[e].begin(), sizes_per_edge[e].end()));
-    if (!out.live_[e]) sizes_per_edge[e].clear();  // freed slots carry nothing
+    std::span<const uint32_t> s = out.EdgeSizes(static_cast<EdgeId>(e));
+    assert(std::is_sorted(s.begin(), s.end()));
+    assert(out.live_[e] || s.empty());
     if (out.live_[e]) ++out.num_live_;
+    if (s.empty()) continue;
+    max_value = std::max(max_value, s.back());
+    max_len = std::max<uint64_t>(max_len, s.size());
   }
 
-  // Pack the per-edge multisets into one CSR pool.
-  out.size_offsets_.resize(n + 1);
-  uint64_t total_sizes = 0;
-  for (size_t e = 0; e < n; ++e) {
-    out.size_offsets_[e] = total_sizes;
-    total_sizes += sizes_per_edge[e].size();
+  // The distinct size set C, ascending, and slot_of(v) = the index of v in
+  // C, from marking the values present in a pool-bounded array. A full ESD
+  // image always fits the bound (a size-c component puts a value in the
+  // multisets of at least 2c other edges); a filtered shard or a loaded
+  // file may not, and falls back to sorting a copy of the pool.
+  const bool dense = max_value <= out.size_pool_.size();
+  std::vector<uint32_t> rank;
+  if (dense) {
+    rank.assign(static_cast<size_t>(max_value) + 1, 0);
+    for (uint32_t v : out.size_pool_) rank[v] = 1;
+    for (uint32_t v = 0; v <= max_value; ++v) {
+      if (rank[v] == 0) continue;
+      rank[v] = static_cast<uint32_t>(out.sizes_.size());
+      out.sizes_.push_back(v);
+    }
+  } else {
+    out.sizes_ = out.size_pool_;
+    std::sort(out.sizes_.begin(), out.sizes_.end());
+    out.sizes_.erase(std::unique(out.sizes_.begin(), out.sizes_.end()),
+                     out.sizes_.end());
   }
-  out.size_offsets_[n] = total_sizes;
-  out.size_pool_.reserve(total_sizes);
-  for (size_t e = 0; e < n; ++e) {
-    out.size_pool_.insert(out.size_pool_.end(), sizes_per_edge[e].begin(),
-                          sizes_per_edge[e].end());
-  }
-
-  // The distinct size set C, ascending.
-  out.sizes_ = out.size_pool_;
-  std::sort(out.sizes_.begin(), out.sizes_.end());
-  out.sizes_.erase(std::unique(out.sizes_.begin(), out.sizes_.end()),
-                   out.sizes_.end());
+  auto slot_of = [&](uint32_t v) -> size_t {
+    if (dense) return rank[v];
+    return static_cast<size_t>(
+        std::lower_bound(out.sizes_.begin(), out.sizes_.end(), v) -
+        out.sizes_.begin());
+  };
   const size_t num_c = out.sizes_.size();
 
   // |H(c_i)| = #{edges with max(C_e) >= c_i}: bucket edges by the index of
-  // their maximum size, then suffix-sum.
-  std::vector<std::vector<EdgeId>> by_max(num_c);
+  // their maximum size (CSR, each bucket in ascending edge id), then
+  // suffix-sum.
+  auto has_sizes = [&](size_t e) {
+    return out.size_offsets_[e] != out.size_offsets_[e + 1];
+  };
+  auto max_slot = [&](size_t e) {
+    return slot_of(out.size_pool_[out.size_offsets_[e + 1] - 1]);
+  };
+  std::vector<uint64_t> bucket(num_c + 1, 0);
   for (size_t e = 0; e < n; ++e) {
-    if (sizes_per_edge[e].empty()) continue;
-    size_t idx = static_cast<size_t>(
-        std::lower_bound(out.sizes_.begin(), out.sizes_.end(),
-                         sizes_per_edge[e].back()) -
-        out.sizes_.begin());
-    by_max[idx].push_back(static_cast<EdgeId>(e));
+    if (has_sizes(e)) ++bucket[max_slot(e) + 1];
+  }
+  for (size_t i = 0; i < num_c; ++i) bucket[i + 1] += bucket[i];
+  std::vector<EdgeId> by_max(bucket[num_c]);
+  {
+    std::vector<uint64_t> cursor(bucket.begin(), bucket.end() - 1);
+    for (size_t e = 0; e < n; ++e) {
+      if (has_sizes(e)) by_max[cursor[max_slot(e)]++] = static_cast<EdgeId>(e);
+    }
   }
   out.offsets_.assign(num_c + 1, 0);
-  {
-    uint64_t suffix = 0;
-    std::vector<uint64_t> slab_len(num_c, 0);
-    for (size_t i = num_c; i-- > 0;) {
-      suffix += by_max[i].size();
-      slab_len[i] = suffix;
-    }
-    for (size_t i = 0; i < num_c; ++i) {
-      out.offsets_[i + 1] = out.offsets_[i] + slab_len[i];
-    }
+  for (size_t i = 0; i < num_c; ++i) {
+    out.offsets_[i + 1] = out.offsets_[i] + (by_max.size() - bucket[i]);
   }
   out.entries_.resize(out.offsets_[num_c]);
 
   // Sweep c from largest to smallest keeping the active set (edges with
-  // max >= c), emitting each slab as one sorted run — the same sweep as
-  // EsdIndex::BulkLoad, but into flat storage instead of treaps.
-  std::vector<EdgeId> active;
-  std::vector<Entry> run;
+  // max >= c) in edge-id order by merging each bucket into it, then emit
+  // each slab with a stable counting sort on score, descending: the
+  // canonical (score desc, edge asc) order in O(|slab| + max score). A
+  // slab whose top score dwarfs its length (a pathological scorer) takes a
+  // comparison sort instead, so the sweep stays O(entries log) overall.
+  std::vector<EdgeId> active, merged;
+  active.reserve(by_max.size());
+  merged.reserve(by_max.size());
+  std::vector<uint32_t> score(by_max.size());
+  std::vector<uint64_t> start(max_len + 2, 0);
   for (size_t i = num_c; i-- > 0;) {
-    active.insert(active.end(), by_max[i].begin(), by_max[i].end());
+    merged.resize(active.size() + (bucket[i + 1] - bucket[i]));
+    std::merge(active.begin(), active.end(), by_max.begin() + bucket[i],
+               by_max.begin() + bucket[i + 1], merged.begin());
+    active.swap(merged);
     const uint32_t c = out.sizes_[i];
-    run.clear();
-    run.reserve(active.size());
-    for (EdgeId e : active) {
-      run.push_back(Entry{ScoreAt(out.EdgeSizes(e), c), e});
+    uint32_t top = 0;
+    for (size_t j = 0; j < active.size(); ++j) {
+      score[j] = ScoreAt(out.EdgeSizes(active[j]), c);
+      top = std::max(top, score[j]);
     }
-    std::sort(run.begin(), run.end(), EntryBefore);
-    assert(run.size() == out.offsets_[i + 1] - out.offsets_[i]);
-    std::copy(run.begin(), run.end(), out.entries_.begin() + out.offsets_[i]);
+    Entry* slab = out.entries_.data() + out.offsets_[i];
+    assert(active.size() == out.offsets_[i + 1] - out.offsets_[i]);
+    if (top > active.size()) {
+      for (size_t j = 0; j < active.size(); ++j) {
+        slab[j] = Entry{score[j], active[j]};
+      }
+      std::sort(slab, slab + active.size(), EntryBefore);
+      continue;
+    }
+    // start[s] = number of entries scoring above s.
+    std::fill(start.begin(), start.begin() + top + 2, 0);
+    for (size_t j = 0; j < active.size(); ++j) ++start[score[j]];
+    uint64_t above = 0;
+    for (uint32_t s = top + 1; s-- > 0;) {
+      const uint64_t count = start[s];
+      start[s] = above;
+      above += count;
+    }
+    for (size_t j = 0; j < active.size(); ++j) {
+      slab[start[score[j]]++] = Entry{score[j], active[j]};
+    }
   }
   return out;
+}
+
+FrozenEsdIndex FrozenEsdIndex::FromEdgeSizes(
+    std::vector<Edge> edges,
+    const std::vector<std::vector<uint32_t>>& sizes_per_edge,
+    std::vector<uint8_t> live, ScorerKind scorer) {
+  assert(sizes_per_edge.size() == edges.size());
+  if (live.empty()) live.assign(edges.size(), 1);
+  EdgeSizePool sizes = PackLiveSizes(
+      live, [&](EdgeId e) -> const std::vector<uint32_t>& {
+        return sizes_per_edge[e];
+      });
+  return FromSizePool(std::move(edges), std::move(sizes), std::move(live),
+                      scorer);
 }
 
 bool FrozenEsdIndex::Adopt(Parts parts, FrozenEsdIndex* out,
@@ -319,18 +408,19 @@ bool operator==(const FrozenEsdIndex& a, const FrozenEsdIndex& b) {
 FrozenEsdIndex Freeze(const EsdIndex& index) {
   const size_t slots = index.EdgeSlotCount();
   std::vector<Edge> edges;
-  std::vector<std::vector<uint32_t>> sizes;
   std::vector<uint8_t> live;
   edges.reserve(slots);
-  sizes.reserve(slots);
   live.reserve(slots);
   for (EdgeId e = 0; e < slots; ++e) {
     edges.push_back(index.EdgeAt(e));
-    sizes.push_back(index.EdgeSizes(e));
     live.push_back(index.IsLive(e) ? 1 : 0);
   }
-  return FrozenEsdIndex::FromEdgeSizes(std::move(edges), std::move(sizes),
-                                       std::move(live), index.Scorer());
+  EdgeSizePool sizes = PackLiveSizes(
+      live, [&](EdgeId e) -> const std::vector<uint32_t>& {
+        return index.EdgeSizes(e);
+      });
+  return FrozenEsdIndex::FromSizePool(std::move(edges), std::move(sizes),
+                                      std::move(live), index.Scorer());
 }
 
 EsdIndex Thaw(const FrozenEsdIndex& frozen) {
@@ -371,16 +461,14 @@ FrozenEsdIndex FilterFrozenIndex(
     const std::function<bool(Edge)>& keep) {
   const size_t slots = index.EdgeSlotCount();
   std::vector<Edge> edges(index.Edges().begin(), index.Edges().end());
-  std::vector<std::vector<uint32_t>> sizes(slots);
   std::vector<uint8_t> live(slots, 0);
   for (EdgeId e = 0; e < slots; ++e) {
-    if (!index.IsLive(e) || !keep(edges[e])) continue;
-    live[e] = 1;
-    std::span<const uint32_t> s = index.EdgeSizes(e);
-    sizes[e].assign(s.begin(), s.end());
+    live[e] = index.IsLive(e) && keep(edges[e]) ? 1 : 0;
   }
-  return FrozenEsdIndex::FromEdgeSizes(std::move(edges), std::move(sizes),
-                                       std::move(live), index.Scorer());
+  EdgeSizePool sizes =
+      PackLiveSizes(live, [&](EdgeId e) { return index.EdgeSizes(e); });
+  return FrozenEsdIndex::FromSizePool(std::move(edges), std::move(sizes),
+                                      std::move(live), index.Scorer());
 }
 
 }  // namespace esd::core

@@ -16,6 +16,17 @@ namespace esd::core {
 
 class EsdIndex;
 
+/// Per-edge value multisets packed as CSR: slot e's multiset (ascending) is
+/// values[offsets[e] .. offsets[e+1]). This is the layout FrozenEsdIndex
+/// stores, so a builder hands it over without one vector per edge.
+struct EdgeSizePool {
+  std::vector<uint64_t> offsets;  // slots + 1, offsets[0] = 0
+  std::vector<uint32_t> values;
+
+  /// One vector per slot, for the treap index and the scorer hook.
+  std::vector<std::vector<uint32_t>> ToVectors() const;
+};
+
 /// Read-optimized, immutable image of the ESDIndex (Section IV-A) — the
 /// serving layer.
 ///
@@ -63,13 +74,25 @@ class FrozenEsdIndex final : public EsdQueryEngine {
 
   FrozenEsdIndex() = default;
 
-  /// Builds the frozen image straight from per-edge component-size
-  /// multisets (each ascending; index = dense edge id), skipping treap
-  /// construction entirely — the builders' frozen-output path. An empty
-  /// `live` means every slot is live.
+  /// The slab builder: adopts per-slot component-size multisets already
+  /// packed as CSR (each ascending; freed slots empty) as the image's size
+  /// pool and lays out the H(c) slabs from it, skipping treap construction
+  /// entirely — the builders' frozen-output path, Freeze and
+  /// FilterFrozenIndex. An empty `live` means every slot is live.
+  ///
+  /// O(pool + entries + |C| + max multiset length): the size set C comes
+  /// from marking the values present, and each slab is emitted from an
+  /// id-ordered active set by a stable counting sort on score.
+  static FrozenEsdIndex FromSizePool(std::vector<graph::Edge> edges,
+                                     EdgeSizePool sizes,
+                                     std::vector<uint8_t> live = {},
+                                     ScorerKind scorer = ScorerKind::kEsd);
+
+  /// FromSizePool for callers holding one multiset per slot (index_io,
+  /// non-ESD scorers): packs the live slots' multisets, then builds.
   static FrozenEsdIndex FromEdgeSizes(
       std::vector<graph::Edge> edges,
-      std::vector<std::vector<uint32_t>> sizes_per_edge,
+      const std::vector<std::vector<uint32_t>>& sizes_per_edge,
       std::vector<uint8_t> live = {},
       ScorerKind scorer = ScorerKind::kEsd);
 

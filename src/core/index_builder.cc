@@ -47,19 +47,22 @@ EsdIndex BuildIndexBasicFast(const Graph& g) {
 // Algorithm 3 minus the H build: per-edge component-size multisets via one
 // 4-clique enumeration over the degree-ordered DAG. Shared by the treap and
 // frozen output paths (and the ESD scorer's bulk hook).
-std::vector<std::vector<uint32_t>> CliqueComponentSizes(
-    const Graph& g, std::vector<KeyedDsu>* m_out) {
+EdgeSizePool CliqueComponentSizes(const Graph& g,
+                                  std::vector<KeyedDsu>* m_out) {
   const EdgeId m = g.NumEdges();
   obs::PhaseSeries phases;
+  // One DAG serves the arena fill's triangle listings and the 4-clique
+  // enumeration.
+  phases.Begin("build.orientation");
+  graph::DegreeOrderedDag dag(g);
+
   // Lines 1-4 of Algorithm 3: one disjoint-set structure per edge, seeded
   // with the common neighborhood as singletons (arena-packed).
   phases.Begin("build.dsu_init");
-  EdgeDsuArena dsu(g);
+  EdgeDsuArena dsu(dag);
 
   // Lines 5-15: each 4-clique {u, v, w1, w2} merges, in the structure of
   // every one of its six edges, the opposite pair of vertices.
-  phases.Begin("build.orientation");
-  graph::DegreeOrderedDag dag(g);
   phases.Begin("build.clique_enum");
   cliques::ForEach4Clique(dag, [&dsu](const cliques::FourClique& q) {
     dsu.Union(q.uv, q.w1, q.w2);
@@ -72,8 +75,7 @@ std::vector<std::vector<uint32_t>> CliqueComponentSizes(
 
   // Lines 16-23 (first half): read component sizes off the disjoint sets.
   phases.Begin("build.extract_sizes");
-  std::vector<std::vector<uint32_t>> sizes(m);
-  for (EdgeId e = 0; e < m; ++e) sizes[e] = dsu.ComponentSizes(e);
+  EdgeSizePool sizes = dsu.ComponentSizePool();
   if (m_out != nullptr) {
     m_out->clear();
     m_out->reserve(m);
@@ -84,13 +86,13 @@ std::vector<std::vector<uint32_t>> CliqueComponentSizes(
 
 EsdIndex BuildIndexClique(const Graph& g, std::vector<KeyedDsu>* m_out) {
   EsdIndex index;
-  index.BulkLoad(g.Edges(), CliqueComponentSizes(g, m_out));
+  index.BulkLoad(g.Edges(), CliqueComponentSizes(g, m_out).ToVectors());
   return index;
 }
 
 FrozenEsdIndex BuildFrozenIndex(const Graph& g) {
-  return FrozenEsdIndex::FromEdgeSizes(g.Edges(),
-                                       CliqueComponentSizes(g, nullptr));
+  return FrozenEsdIndex::FromSizePool(g.Edges(),
+                                      CliqueComponentSizes(g, nullptr));
 }
 
 EsdIndex BuildIndex(const Graph& g, const DiversityScorer& scorer) {

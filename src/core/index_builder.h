@@ -38,10 +38,11 @@ EsdIndex BuildIndexClique(const graph::Graph& g,
 FrozenEsdIndex BuildFrozenIndex(const graph::Graph& g);
 
 /// The shared core of Algorithm 3: per-edge component-size multisets via one
-/// 4-clique enumeration over the degree-ordered DAG (no H build). Exposed so
-/// the ESD scorer's bulk hook and the builders share one implementation. If
-/// `m_out` is non-null it receives the per-edge disjoint-set structures.
-std::vector<std::vector<uint32_t>> CliqueComponentSizes(
+/// 4-clique enumeration over the degree-ordered DAG (no H build), packed as
+/// CSR. Exposed so the ESD scorer's bulk hook and the builders share one
+/// implementation. If `m_out` is non-null it receives the per-edge
+/// disjoint-set structures.
+EdgeSizePool CliqueComponentSizes(
     const graph::Graph& g, std::vector<util::KeyedDsu>* m_out = nullptr);
 
 /// Scorer-parameterized treap build: ESD dispatches to BuildIndexClique,

@@ -20,19 +20,20 @@ namespace {
 
 // Phases 1-3 of Section IV-E: parallel per-edge component-size extraction,
 // shared by the treap and frozen output paths. The pool outlives the call.
-std::vector<std::vector<uint32_t>> ParallelComponentSizes(
-    const Graph& g, util::ThreadPool& pool, ParallelMode mode,
-    std::vector<KeyedDsu>* m_out) {
+EdgeSizePool ParallelComponentSizes(const Graph& g, util::ThreadPool& pool,
+                                    ParallelMode mode,
+                                    std::vector<KeyedDsu>* m_out) {
   const EdgeId m = g.NumEdges();
   obs::PhaseSeries phases;
-
-  // Phase 1: disjoint-set initialization, parallel over edges.
-  phases.Begin("build.dsu_init");
-  EdgeDsuArena dsu(g, &pool);
-
-  // Phase 2: 4-clique enumeration.
   phases.Begin("build.orientation");
   graph::DegreeOrderedDag dag(g);
+
+  // Phase 1: disjoint-set initialization — the triangle-scatter fill,
+  // parallel over vertices, then parallel slice sorts.
+  phases.Begin("build.dsu_init");
+  EdgeDsuArena dsu(dag, &pool);
+
+  // Phase 2: 4-clique enumeration.
   util::StripedLocks locks(4096);
   auto locked_union = [&](EdgeId e, VertexId a, VertexId b) {
     util::SpinLockGuard guard(locks.ForKey(e));
@@ -94,13 +95,7 @@ std::vector<std::vector<uint32_t>> ParallelComponentSizes(
   // Phase 3: component-size extraction, parallel over edges. Arena slices
   // of different edges are disjoint, so no synchronization is needed.
   phases.Begin("build.extract_sizes");
-  std::vector<std::vector<uint32_t>> sizes(m);
-  pool.ParallelForChunked(0, m, 512, [&](uint64_t lo, uint64_t hi) {
-    ESD_TRACE_SPAN("build.extract_sizes.chunk");
-    for (uint64_t e = lo; e < hi; ++e) {
-      sizes[e] = dsu.ComponentSizes(static_cast<EdgeId>(e));
-    }
-  });
+  EdgeSizePool sizes = dsu.ComponentSizePool(&pool);
 
   if (m_out != nullptr) {
     m_out->clear();
@@ -139,14 +134,15 @@ EsdIndex BuildIndexParallel(const Graph& g, unsigned num_threads,
                             std::vector<KeyedDsu>* m_out, ParallelMode mode) {
   util::ThreadPool pool(num_threads);
   EsdIndex index;
-  index.BulkLoad(g.Edges(), ParallelComponentSizes(g, pool, mode, m_out));
+  index.BulkLoad(g.Edges(),
+                 ParallelComponentSizes(g, pool, mode, m_out).ToVectors());
   return index;
 }
 
 FrozenEsdIndex BuildFrozenIndexParallel(const Graph& g, unsigned num_threads,
                                         ParallelMode mode) {
   util::ThreadPool pool(num_threads);
-  return FrozenEsdIndex::FromEdgeSizes(
+  return FrozenEsdIndex::FromSizePool(
       g.Edges(), ParallelComponentSizes(g, pool, mode, nullptr));
 }
 

@@ -24,7 +24,9 @@ enum class ParallelMode {
 /// Parallel index construction (Section IV-E, "PESDIndex+").
 ///
 /// Parallelizes the three phases of Algorithm 3:
-///   1. per-edge disjoint-set initialization (edges are independent),
+///   1. per-edge disjoint-set initialization: the arena's triangle-scatter
+///      fill, split by vertex with atomic per-edge cursors, then parallel
+///      per-slice sorts,
 ///   2. 4-clique enumeration, parallel over directed edges of the DAG by
 ///      default (see ParallelMode) — with each union on M_e guarded by a
 ///      striped spinlock keyed by e,

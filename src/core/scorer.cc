@@ -91,7 +91,7 @@ class EsdScorerImpl final : public DiversityScorer {
   std::string_view Name() const override { return "esd"; }
   std::vector<std::vector<uint32_t>> BuildAllEdgeValues(
       const Graph& g) const override {
-    return CliqueComponentSizes(g, nullptr);
+    return CliqueComponentSizes(g, nullptr).ToVectors();
   }
   std::vector<uint32_t> EdgeValues(const Graph& g, VertexId u,
                                    VertexId v) const override {

@@ -40,11 +40,13 @@ DegreeOrderedDag::DegreeOrderedDag(const Graph& g) {
     adj_vertex_[cursor[src]] = dst;
     adj_edge_[cursor[src]++] = e;
   }
-  // Sort each out-list by vertex id (keeping the edge-id array parallel).
+  // Sort each out-list by vertex id (keeping the edge-id array parallel),
+  // through one scratch buffer sized for the longest list.
+  std::vector<std::pair<VertexId, EdgeId>> tmp;
+  tmp.reserve(max_out_degree_);
   for (VertexId u = 0; u < n; ++u) {
     uint64_t lo = offsets_[u], hi = offsets_[u + 1];
-    std::vector<std::pair<VertexId, EdgeId>> tmp;
-    tmp.reserve(hi - lo);
+    tmp.clear();
     for (uint64_t i = lo; i < hi; ++i) {
       tmp.emplace_back(adj_vertex_[i], adj_edge_[i]);
     }

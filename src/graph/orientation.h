@@ -31,6 +31,10 @@ class DegreeOrderedDag {
     return static_cast<VertexId>(offsets_.empty() ? 0 : offsets_.size() - 1);
   }
 
+  /// Number of arcs, i.e. edges of the source graph (edge ids are dense in
+  /// [0, NumEdges())).
+  EdgeId NumEdges() const { return static_cast<EdgeId>(adj_edge_.size()); }
+
   /// Rank of vertex `u` in the total order ≺ (0 = smallest).
   uint32_t Rank(VertexId u) const { return rank_[u]; }
 

@@ -17,6 +17,7 @@
 #include "gen/erdos_renyi.h"
 #include "gen/word_association.h"
 #include "graph/builder.h"
+#include "graph/orientation.h"
 #include "graph/sampling.h"
 #include "tests/test_helpers.h"
 
@@ -37,7 +38,8 @@ TEST(EdgeCasesTest, EmptyGraphEverywhere) {
   EsdIndex index = core::BuildIndexClique(g);
   EXPECT_TRUE(index.Query(5, 2).empty());
   EXPECT_EQ(index.NumEntries(), 0u);
-  core::EdgeDsuArena arena(g);
+  graph::DegreeOrderedDag dag(g);
+  core::EdgeDsuArena arena(dag);
   EXPECT_EQ(arena.NumEdges(), 0u);
   EXPECT_TRUE(baselines::EdgeBetweenness(g).empty());
   EXPECT_TRUE(baselines::TopKByCommonNeighbors(g, 5).empty());

@@ -16,6 +16,7 @@
 #include "gen/erdos_renyi.h"
 #include "gen/holme_kim.h"
 #include "graph/builder.h"
+#include "graph/orientation.h"
 #include "tests/test_helpers.h"
 #include "util/rng.h"
 
@@ -33,7 +34,8 @@ using graph::VertexId;
 
 TEST(EdgeDsuArenaTest, MembersAreCommonNeighborhoods) {
   Graph g = gen::ErdosRenyiGnp(30, 0.3, 1);
-  core::EdgeDsuArena arena(g);
+  graph::DegreeOrderedDag dag(g);
+  core::EdgeDsuArena arena(dag);
   ASSERT_EQ(arena.NumEdges(), g.NumEdges());
   for (EdgeId e = 0; e < g.NumEdges(); ++e) {
     const Edge& uv = g.EdgeAt(e);
@@ -46,7 +48,8 @@ TEST(EdgeDsuArenaTest, MembersAreCommonNeighborhoods) {
 
 TEST(EdgeDsuArenaTest, UnionsMatchEgoComponents) {
   Graph g = gen::ErdosRenyiGnp(25, 0.35, 2);
-  core::EdgeDsuArena arena(g);
+  graph::DegreeOrderedDag dag(g);
+  core::EdgeDsuArena arena(dag);
   // Union along every ego-network edge, then component sizes must match
   // the BFS ground truth.
   for (EdgeId e = 0; e < g.NumEdges(); ++e) {
@@ -67,7 +70,8 @@ TEST(EdgeDsuArenaTest, UnionsMatchEgoComponents) {
 
 TEST(EdgeDsuArenaTest, ToKeyedDsuPreservesComponents) {
   Graph g = gen::HolmeKim(60, 4, 0.5, 3);
-  core::EdgeDsuArena arena(g);
+  graph::DegreeOrderedDag dag(g);
+  core::EdgeDsuArena arena(dag);
   for (EdgeId e = 0; e < g.NumEdges(); ++e) {
     auto members = arena.Members(e);
     for (size_t i = 0; i + 1 < members.size(); i += 2) {
@@ -88,8 +92,9 @@ TEST(EdgeDsuArenaTest, ToKeyedDsuPreservesComponents) {
 TEST(EdgeDsuArenaTest, ParallelFillMatchesSerial) {
   Graph g = gen::HolmeKim(100, 5, 0.4, 4);
   util::ThreadPool pool(4);
-  core::EdgeDsuArena serial(g);
-  core::EdgeDsuArena parallel(g, &pool);
+  graph::DegreeOrderedDag dag(g);
+  core::EdgeDsuArena serial(dag);
+  core::EdgeDsuArena parallel(dag, &pool);
   ASSERT_EQ(serial.TotalMembers(), parallel.TotalMembers());
   for (EdgeId e = 0; e < g.NumEdges(); ++e) {
     auto a = serial.Members(e);

@@ -734,8 +734,9 @@ TEST(LiveIndexTest, CachedAnswersMatchPinnedEpochUnderChurn) {
 
 // TSan-targeted stress: concurrent readers serve through the provider while
 // a writer streams updates and epochs swap underneath them. Asserts at
-// least 3 epoch publications and full request accounting, then end-state
-// parity with a from-scratch build.
+// least 4 epoch publications (the writer awaits each refreeze boundary's)
+// and full request accounting, then end-state parity with a from-scratch
+// build.
 TEST(LiveServeStressTest, ReadersPinEpochsWhileWriterStreams) {
   ScratchDir dir("live_stress");
   graph::Graph bootstrap = gen::BarabasiAlbert(120, 3, 11);
@@ -774,6 +775,17 @@ TEST(LiveServeStressTest, ReadersPinEpochsWhileWriterStreams) {
         break;
       }
       for (size_t j = 0; j < n; ++j) ApplyToShadow(&shadow, updates[i + j]);
+      // ScheduleRefreeze coalesces by contract: a boundary that passes while
+      // the previous refreeze is still queued publishes nothing of its own.
+      // Waiting (bounded) for each boundary's epoch keeps the publish count
+      // asserted below independent of thread scheduling.
+      const uint64_t epochs = 1 + (i + n) / options.refreeze_every;
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(30);
+      while (live->Stats().refreezes < epochs &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
     }
     writer_done.store(true);
   });
