@@ -15,8 +15,9 @@
 // Engines: treap (the paper's index), frozen (read-optimized serving
 // image), dynamic (maintained index), online / online-mindeg (index-free
 // BFS). --online is a shorthand for --engine online. --save-index writes
-// the record format for treap and the frozen array image for frozen;
-// --load-index accepts either file version for either engine.
+// the one index file format (the frozen array image; a treap engine is
+// frozen first) and --load-index reads it into either engine (a treap
+// engine thaws it).
 //
 // --scorer picks the diversity definition the engine ranks by: esd (the
 // paper's component-count score, default), truss (k-truss cohesion of the
@@ -221,29 +222,23 @@ int main(int argc, char** argv) {
   util::Timer timer;
   std::unique_ptr<core::EsdQueryEngine> engine;
   if (!load_index.empty()) {
-    // Checked loads: a file stamped for a different scorer is refused.
-    if (engine_name == "treap") {
-      core::EsdIndex index;
-      const core::IndexIoResult res =
-          core::LoadIndex(load_index, &index, scorer->Kind());
-      if (!res) {
-        std::fprintf(stderr, "error: %s\n", res.message.c_str());
-        return 1;
-      }
-      engine = std::make_unique<core::EsdIndex>(std::move(index));
-    } else if (engine_name == "frozen") {
-      core::FrozenEsdIndex index;
-      const core::IndexIoResult res =
-          core::LoadFrozenIndex(load_index, &index, scorer->Kind());
-      if (!res) {
-        std::fprintf(stderr, "error: %s\n", res.message.c_str());
-        return 1;
-      }
-      engine = std::make_unique<core::FrozenEsdIndex>(std::move(index));
-    } else {
+    if (engine_name != "treap" && engine_name != "frozen") {
       std::fprintf(stderr,
                    "error: --load-index requires --engine treap or frozen\n");
       return 2;
+    }
+    // Checked load: a file stamped for a different scorer is refused.
+    core::FrozenEsdIndex index;
+    const core::IndexIoResult res =
+        core::LoadFrozenIndex(load_index, &index, scorer->Kind());
+    if (!res) {
+      std::fprintf(stderr, "error: %s\n", res.message.c_str());
+      return 1;
+    }
+    if (engine_name == "treap") {
+      engine = std::make_unique<core::EsdIndex>(core::Thaw(index));
+    } else {
+      engine = std::make_unique<core::FrozenEsdIndex>(std::move(index));
     }
     std::printf("%s engine loaded from %s: %.1f ms\n", engine_name.c_str(),
                 load_index.c_str(), timer.ElapsedMillis());
@@ -263,11 +258,9 @@ int main(int argc, char** argv) {
   if (!save_index.empty()) {
     std::string error;
     bool ok;
-    // The file version follows the engine: treap writes records, frozen
-    // writes the array image (either loads back into either engine); both
-    // carry the engine's scorer id.
+    // One file format for both engines, stamped with the engine's scorer.
     if (auto* treap = dynamic_cast<const core::EsdIndex*>(engine.get())) {
-      ok = core::SaveIndex(*treap, save_index, &error);
+      ok = core::SaveFrozenIndex(core::Freeze(*treap), save_index, &error);
     } else if (auto* frozen =
                    dynamic_cast<const core::FrozenEsdIndex*>(engine.get())) {
       ok = core::SaveFrozenIndex(*frozen, save_index, &error);

@@ -44,7 +44,7 @@ inline uint64_t Fnv1a(const void* data, size_t n) {
   return sum.value();
 }
 
-/// Checksumming stream writer shared by the binary formats (index_io v1/v2,
+/// Checksumming stream writer shared by the binary formats (index files,
 /// live snapshots). Values are written in native byte order.
 class BinaryWriter {
  public:

@@ -437,8 +437,8 @@ EsdIndex Thaw(const FrozenEsdIndex& frozen) {
     }
     out.BulkLoad(std::move(edges), std::move(sizes));
   } else {
-    // Register every slot first so ids stay sequential, then free the dead
-    // ones — identical to the v1 deserialization replay.
+    // Register every slot first so ids stay sequential (RegisterEdge would
+    // otherwise recycle freed ids mid-replay), then free the dead ones.
     for (EdgeId e = 0; e < slots; ++e) {
       EdgeId got = out.RegisterEdge(frozen.EdgeAt(e));
       assert(got == e);

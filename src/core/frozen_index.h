@@ -47,7 +47,7 @@ struct EdgeSizePool {
 /// round-trips losslessly to/from EsdIndex (Freeze / Thaw below).
 ///
 /// Every array is a straight contiguous allocation, which is what makes the
-/// index_io v2 format a plain sequence of array writes (mmap-friendly) and
+/// index file format a plain sequence of array writes (mmap-friendly) and
 /// lets a loaded file serve queries with no rebuild step.
 class FrozenEsdIndex final : public EsdQueryEngine {
  public:
@@ -210,8 +210,10 @@ class FrozenEsdIndex final : public EsdQueryEngine {
 /// Thaw(Freeze(x)) reproduces x's exact id layout.
 FrozenEsdIndex Freeze(const EsdIndex& index);
 
-/// Reconstructs a mutable EsdIndex from a frozen image (the H(c) treaps are
-/// rebuilt from the stored multisets, exactly as the v1 loader does).
+/// Reconstructs a mutable EsdIndex from a frozen image: the H(c) treaps are
+/// rebuilt from the stored multisets, keeping the image's edge-id layout,
+/// freed slots and scorer. This is how the treap engine loads an index
+/// file (Thaw of LoadFrozenIndex's result).
 EsdIndex Thaw(const FrozenEsdIndex& frozen);
 
 /// Restricts a frozen image to the edges `keep` selects: the edge-id slot

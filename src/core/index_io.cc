@@ -4,11 +4,9 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
-#include <optional>
 #include <ostream>
 #include <span>
 #include <utility>
-#include <vector>
 
 #include "core/binary_format.h"
 #include "fault/failpoint.h"
@@ -33,10 +31,6 @@ bool InjectedIoError(const char* point, const std::string& path,
   return false;
 }
 
-}  // namespace
-
-namespace {
-
 // The checksumming Reader/Writer pair and its hardened length-prefix
 // handling live in core/binary_format.h, shared with the live-index
 // snapshot and WAL formats.
@@ -44,10 +38,7 @@ using Reader = BinaryReader;
 using Writer = BinaryWriter;
 
 constexpr char kMagic[4] = {'E', 'S', 'D', 'X'};
-constexpr uint32_t kVersionRecords = 1;        // per-slot records, no scorer
-constexpr uint32_t kVersionFrozen = 2;         // frozen arrays, no scorer
-constexpr uint32_t kVersionRecordsScorer = 3;  // v1 + leading scorer id
-constexpr uint32_t kVersionFrozenScorer = 4;   // v2 + leading scorer id
+constexpr uint32_t kIndexFormatVersion = 4;  // scorer id + frozen arrays
 
 IndexIoResult Fail(IndexIoStatus status, std::string message) {
   return IndexIoResult{status, std::move(message)};
@@ -57,13 +48,8 @@ IndexIoResult FormatError(std::string message) {
   return Fail(IndexIoStatus::kFormatError, std::move(message));
 }
 
-bool IsRecordVersion(uint32_t v) {
-  return v == kVersionRecords || v == kVersionRecordsScorer;
-}
-
-/// Reads magic + version (the un-checksummed preamble). Returns kOk and
-/// sets *version on success.
-IndexIoResult ReadVersionHeader(std::istream& in, uint32_t* version) {
+/// Reads magic + version (the un-checksummed preamble).
+IndexIoResult ReadVersionHeader(std::istream& in) {
   char magic[4];
   in.read(magic, sizeof(magic));
   if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
@@ -71,22 +57,19 @@ IndexIoResult ReadVersionHeader(std::istream& in, uint32_t* version) {
   }
   uint32_t v = 0;
   in.read(reinterpret_cast<char*>(&v), sizeof(v));
-  if (!in || v < kVersionRecords || v > kVersionFrozenScorer) {
-    return FormatError("unsupported index version");
+  if (!in) return FormatError("truncated index file");
+  if (v != kIndexFormatVersion) {
+    return FormatError("unsupported index version " + std::to_string(v) +
+                       " (only version " +
+                       std::to_string(kIndexFormatVersion) + " loads)");
   }
-  *version = v;
   return {};
 }
 
-/// Reads the scorer id (first checksummed field) for v3/v4 streams;
-/// v1/v2 streams carry no id and load as kEsd. A raw value that is not a
-/// known ScorerKind is the typed kUnknownScorer error — the payload that
+/// Reads the scorer id (first checksummed field). A raw value that is not
+/// a known ScorerKind is the typed kUnknownScorer error — the payload that
 /// follows cannot be trusted to mean anything.
-IndexIoResult ReadScorerField(Reader& r, uint32_t version, ScorerKind* out) {
-  if (version < kVersionRecordsScorer) {
-    *out = ScorerKind::kEsd;
-    return {};
-  }
+IndexIoResult ReadScorerField(Reader& r, ScorerKind* out) {
   uint32_t raw = 0;
   if (!r.Get(&raw)) return FormatError("truncated index file");
   if (!ValidScorerKind(raw)) {
@@ -101,62 +84,15 @@ IndexIoResult ReadScorerField(Reader& r, uint32_t version, ScorerKind* out) {
 /// The kScorerMismatch error, emitted only after the checksum verified —
 /// so "mismatch" always means a well-formed file of another scorer, never
 /// a corrupt one.
-IndexIoResult CheckExpectedScorer(ScorerKind got,
-                                  std::optional<ScorerKind> expected) {
-  if (!expected.has_value() || got == *expected) return {};
+IndexIoResult CheckExpectedScorer(ScorerKind got, ScorerKind expected) {
+  if (got == expected) return {};
   return Fail(IndexIoStatus::kScorerMismatch,
               std::string("scorer mismatch: index file was built for '") +
                   std::string(ScorerKindName(got)) + "' (id " +
                   std::to_string(static_cast<uint32_t>(got)) +
                   ") but this engine expects '" +
-                  std::string(ScorerKindName(*expected)) + "' (id " +
-                  std::to_string(static_cast<uint32_t>(*expected)) + ")");
-}
-
-/// One record-format slot.
-struct Record {
-  graph::Edge edge;
-  bool live;
-  std::vector<uint32_t> sizes;
-};
-
-/// Reads the record payload (after the header/scorer) and verifies the
-/// checksum. `r` must be the same Reader the scorer field went through so
-/// the checksum covers it.
-IndexIoResult ReadRecordPayload(std::istream& in, Reader& r,
-                                std::vector<Record>* out) {
-  uint64_t slots = 0;
-  if (!r.Get(&slots)) return FormatError("truncated index file");
-  std::vector<Record> records;
-  records.reserve(slots);
-  for (uint64_t i = 0; i < slots; ++i) {
-    Record rec;
-    uint8_t live = 0;
-    uint32_t count = 0;
-    if (!r.Get(&rec.edge.u) || !r.Get(&rec.edge.v) || !r.Get(&live) ||
-        !r.Get(&count)) {
-      return FormatError("truncated index file");
-    }
-    rec.live = live != 0;
-    rec.sizes.resize(count);
-    uint32_t prev = 0;
-    for (uint32_t j = 0; j < count; ++j) {
-      if (!r.Get(&rec.sizes[j])) return FormatError("truncated index file");
-      if (rec.sizes[j] < prev || rec.sizes[j] == 0) {
-        return FormatError(
-            "corrupt index file: size multiset not sorted/positive");
-      }
-      prev = rec.sizes[j];
-    }
-    records.push_back(std::move(rec));
-  }
-  uint64_t stored_checksum = 0;
-  in.read(reinterpret_cast<char*>(&stored_checksum), sizeof(stored_checksum));
-  if (!in || stored_checksum != r.checksum()) {
-    return FormatError("checksum mismatch: index file corrupt");
-  }
-  *out = std::move(records);
-  return {};
+                  std::string(ScorerKindName(expected)) + "' (id " +
+                  std::to_string(static_cast<uint32_t>(expected)) + ")");
 }
 
 /// Reads the frozen payload (after the header/scorer) and verifies the
@@ -180,198 +116,12 @@ IndexIoResult ReadFrozenPayload(std::istream& in, Reader& r,
   return {};
 }
 
-/// Reassembles an EsdIndex from record slots, reproducing the exact
-/// edge-id layout (freed slots stay freed).
-EsdIndex IndexFromRecords(std::vector<Record> records) {
-  bool all_live = true;
-  for (const Record& rec : records) all_live &= rec.live;
-  EsdIndex fresh;
-  if (all_live) {
-    // Fast path: all slots live -> BulkLoad.
-    std::vector<graph::Edge> edges;
-    std::vector<std::vector<uint32_t>> sizes;
-    edges.reserve(records.size());
-    sizes.reserve(records.size());
-    for (Record& rec : records) {
-      edges.push_back(rec.edge);
-      sizes.push_back(std::move(rec.sizes));
-    }
-    fresh.BulkLoad(std::move(edges), std::move(sizes));
-  } else {
-    // Register every slot first so ids stay sequential (RegisterEdge would
-    // otherwise recycle freed ids mid-replay), then free the dead slots.
-    for (Record& rec : records) {
-      graph::EdgeId e = fresh.RegisterEdge(rec.edge);
-      if (rec.live) fresh.SetEdgeSizes(e, std::move(rec.sizes));
-    }
-    for (graph::EdgeId e = 0; e < records.size(); ++e) {
-      if (!records[e].live) fresh.UnregisterEdge(e);
-    }
-  }
-  return fresh;
-}
-
-/// Builds the frozen image from record slots (the one-time slab build a
-/// record file pays when loaded into the serving layer).
-FrozenEsdIndex FrozenFromRecords(std::vector<Record> records,
-                                 ScorerKind scorer) {
-  std::vector<graph::Edge> edges;
-  std::vector<std::vector<uint32_t>> sizes;
-  std::vector<uint8_t> live;
-  edges.reserve(records.size());
-  sizes.reserve(records.size());
-  live.reserve(records.size());
-  for (Record& rec : records) {
-    edges.push_back(rec.edge);
-    sizes.push_back(std::move(rec.sizes));
-    live.push_back(rec.live ? 1 : 0);
-  }
-  return FrozenEsdIndex::FromEdgeSizes(std::move(edges), std::move(sizes),
-                                       std::move(live), scorer);
-}
-
-IndexIoResult DeserializeIndexImpl(std::istream& in, EsdIndex* index,
-                                   std::optional<ScorerKind> expected) {
-  uint32_t version = 0;
-  if (IndexIoResult res = ReadVersionHeader(in, &version); !res) return res;
-  Reader r(in);
-  ScorerKind scorer = ScorerKind::kEsd;
-  if (IndexIoResult res = ReadScorerField(r, version, &scorer); !res) {
-    return res;
-  }
-  if (IsRecordVersion(version)) {
-    std::vector<Record> records;
-    if (IndexIoResult res = ReadRecordPayload(in, r, &records); !res) {
-      return res;
-    }
-    if (IndexIoResult res = CheckExpectedScorer(scorer, expected); !res) {
-      return res;
-    }
-    *index = IndexFromRecords(std::move(records));
-    index->SetScorerKind(scorer);
-    return {};
-  }
-  // Frozen stream: validate the image, then thaw it back into treaps.
-  FrozenEsdIndex::Parts parts;
-  if (IndexIoResult res = ReadFrozenPayload(in, r, &parts); !res) return res;
-  if (IndexIoResult res = CheckExpectedScorer(scorer, expected); !res) {
-    return res;
-  }
-  parts.scorer = scorer;
-  FrozenEsdIndex frozen;
-  std::string adopt_error;
-  if (!FrozenEsdIndex::Adopt(std::move(parts), &frozen, &adopt_error)) {
-    return FormatError(std::move(adopt_error));
-  }
-  *index = Thaw(frozen);
-  return {};
-}
-
-IndexIoResult DeserializeFrozenIndexImpl(std::istream& in,
-                                         FrozenEsdIndex* index,
-                                         std::optional<ScorerKind> expected) {
-  uint32_t version = 0;
-  if (IndexIoResult res = ReadVersionHeader(in, &version); !res) return res;
-  Reader r(in);
-  ScorerKind scorer = ScorerKind::kEsd;
-  if (IndexIoResult res = ReadScorerField(r, version, &scorer); !res) {
-    return res;
-  }
-  if (!IsRecordVersion(version)) {
-    FrozenEsdIndex::Parts parts;
-    if (IndexIoResult res = ReadFrozenPayload(in, r, &parts); !res) {
-      return res;
-    }
-    if (IndexIoResult res = CheckExpectedScorer(scorer, expected); !res) {
-      return res;
-    }
-    parts.scorer = scorer;
-    std::string adopt_error;
-    if (!FrozenEsdIndex::Adopt(std::move(parts), index, &adopt_error)) {
-      return FormatError(std::move(adopt_error));
-    }
-    return {};
-  }
-  // Record stream: rebuild the slabs once from the per-edge multisets.
-  std::vector<Record> records;
-  if (IndexIoResult res = ReadRecordPayload(in, r, &records); !res) {
-    return res;
-  }
-  if (IndexIoResult res = CheckExpectedScorer(scorer, expected); !res) {
-    return res;
-  }
-  *index = FrozenFromRecords(std::move(records), scorer);
-  return {};
-}
-
-IndexIoResult LoadIndexImpl(const std::string& path, EsdIndex* index,
-                            std::optional<ScorerKind> expected) {
-  std::string injected;
-  if (InjectedIoError("index_io.load", path, "read", &injected)) {
-    return Fail(IndexIoStatus::kIoError, std::move(injected));
-  }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Fail(IndexIoStatus::kIoError, "cannot open " + path);
-  return DeserializeIndexImpl(in, index, expected);
-}
-
-IndexIoResult LoadFrozenIndexImpl(const std::string& path,
-                                  FrozenEsdIndex* index,
-                                  std::optional<ScorerKind> expected) {
-  std::string injected;
-  if (InjectedIoError("index_io.load", path, "read", &injected)) {
-    return Fail(IndexIoStatus::kIoError, std::move(injected));
-  }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Fail(IndexIoStatus::kIoError, "cannot open " + path);
-  return DeserializeFrozenIndexImpl(in, index, expected);
-}
-
-/// Adapts a typed result to the legacy bool + string* surface.
-bool ToBool(const IndexIoResult& res, std::string* error) {
-  if (!res && error != nullptr) *error = res.message;
-  return static_cast<bool>(res);
-}
-
 }  // namespace
-
-bool SerializeIndex(const EsdIndex& index, std::ostream& out,
-                    std::string* error) {
-  out.write(kMagic, sizeof(kMagic));
-  uint32_t version = kVersionRecordsScorer;
-  out.write(reinterpret_cast<const char*>(&version), sizeof(version));
-
-  Writer w(out);
-  w.Put(static_cast<uint32_t>(index.Scorer()));
-  const uint64_t slots = index.EdgeSlotCount();
-  w.Put(slots);
-  for (graph::EdgeId e = 0; e < slots; ++e) {
-    const graph::Edge edge = index.EdgeAt(e);
-    w.Put(edge.u);
-    w.Put(edge.v);
-    w.Put(static_cast<uint8_t>(index.IsLive(e) ? 1 : 0));
-    // Freed slots always carry an empty multiset (UnregisterEdge requires
-    // clearing first), so EdgeSizes is safe for both cases.
-    const std::vector<uint32_t>& sizes = index.EdgeSizes(e);
-    w.Put(static_cast<uint32_t>(sizes.size()));
-    if (!sizes.empty()) {
-      w.PutRaw(sizes.data(), sizes.size() * sizeof(uint32_t));
-    }
-  }
-  uint64_t checksum = w.checksum();
-  out.write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
-  out.flush();
-  if (!out) {
-    if (error != nullptr) *error = "write failure while serializing index";
-    return false;
-  }
-  return true;
-}
 
 bool SerializeFrozenIndex(const FrozenEsdIndex& index, std::ostream& out,
                           std::string* error) {
   out.write(kMagic, sizeof(kMagic));
-  uint32_t version = kVersionFrozenScorer;
+  uint32_t version = kIndexFormatVersion;
   out.write(reinterpret_cast<const char*>(&version), sizeof(version));
 
   // A default-constructed index has empty offset arrays; serialize the
@@ -402,43 +152,24 @@ bool SerializeFrozenIndex(const FrozenEsdIndex& index, std::ostream& out,
   return true;
 }
 
-bool DeserializeIndex(std::istream& in, EsdIndex* index, std::string* error) {
-  return ToBool(DeserializeIndexImpl(in, index, std::nullopt), error);
-}
-
-bool DeserializeFrozenIndex(std::istream& in, FrozenEsdIndex* index,
-                            std::string* error) {
-  return ToBool(DeserializeFrozenIndexImpl(in, index, std::nullopt), error);
-}
-
-IndexIoResult DeserializeIndex(std::istream& in, EsdIndex* index,
-                               ScorerKind expected_scorer) {
-  return DeserializeIndexImpl(in, index, expected_scorer);
-}
-
 IndexIoResult DeserializeFrozenIndex(std::istream& in, FrozenEsdIndex* index,
                                      ScorerKind expected_scorer) {
-  return DeserializeFrozenIndexImpl(in, index, expected_scorer);
-}
-
-bool SaveIndex(const EsdIndex& index, const std::string& path,
-               std::string* error) {
-  if (InjectedIoError("index_io.save", path, "write", error)) return false;
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    if (error != nullptr) *error = "cannot open " + path + " for writing";
-    return false;
+  if (IndexIoResult res = ReadVersionHeader(in); !res) return res;
+  Reader r(in);
+  ScorerKind scorer = ScorerKind::kEsd;
+  if (IndexIoResult res = ReadScorerField(r, &scorer); !res) return res;
+  FrozenEsdIndex::Parts parts;
+  if (IndexIoResult res = ReadFrozenPayload(in, r, &parts); !res) return res;
+  if (IndexIoResult res = CheckExpectedScorer(scorer, expected_scorer);
+      !res) {
+    return res;
   }
-  return SerializeIndex(index, out, error);
-}
-
-bool LoadIndex(const std::string& path, EsdIndex* index, std::string* error) {
-  return ToBool(LoadIndexImpl(path, index, std::nullopt), error);
-}
-
-IndexIoResult LoadIndex(const std::string& path, EsdIndex* index,
-                        ScorerKind expected_scorer) {
-  return LoadIndexImpl(path, index, expected_scorer);
+  parts.scorer = scorer;
+  std::string adopt_error;
+  if (!FrozenEsdIndex::Adopt(std::move(parts), index, &adopt_error)) {
+    return FormatError(std::move(adopt_error));
+  }
+  return {};
 }
 
 bool SaveFrozenIndex(const FrozenEsdIndex& index, const std::string& path,
@@ -452,14 +183,15 @@ bool SaveFrozenIndex(const FrozenEsdIndex& index, const std::string& path,
   return SerializeFrozenIndex(index, out, error);
 }
 
-bool LoadFrozenIndex(const std::string& path, FrozenEsdIndex* index,
-                     std::string* error) {
-  return ToBool(LoadFrozenIndexImpl(path, index, std::nullopt), error);
-}
-
 IndexIoResult LoadFrozenIndex(const std::string& path, FrozenEsdIndex* index,
                               ScorerKind expected_scorer) {
-  return LoadFrozenIndexImpl(path, index, expected_scorer);
+  std::string injected;
+  if (InjectedIoError("index_io.load", path, "read", &injected)) {
+    return Fail(IndexIoStatus::kIoError, std::move(injected));
+  }
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return Fail(IndexIoStatus::kIoError, "cannot open " + path);
+  return DeserializeFrozenIndex(in, index, expected_scorer);
 }
 
 }  // namespace esd::core

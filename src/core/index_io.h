@@ -4,7 +4,6 @@
 #include <iosfwd>
 #include <string>
 
-#include "core/esd_index.h"
 #include "core/frozen_index.h"
 #include "core/scorer.h"
 
@@ -14,26 +13,18 @@ namespace esd::core {
 /// and loaded by later processes (the paper's motivating deployment: build
 /// once in ~minutes, then answer queries in milliseconds forever).
 ///
-/// Four on-disk versions share the magic "ESDX" + u32 version header and a
-/// trailing u64 FNV-1a checksum of the payload:
+/// One on-disk format, version 4: magic "ESDX" + u32 version (4), then a
+/// checksummed payload — u32 scorer id (ScorerKind), followed by the seven
+/// FrozenEsdIndex arrays written verbatim as length-prefixed contiguous
+/// blocks (edges, live mask, multiset CSR offsets + pool, distinct sizes C,
+/// slab offsets, slab entries) — and a trailing u64 FNV-1a checksum.
+/// Contiguous writes, mmap-friendly layout, and a load path that is
+/// validation + adoption — no rebuild step. Every other version number is
+/// refused as kFormatError naming the version found.
 ///
-///   v1 (record format): u64 edge-slot count, then per-slot
-///      {u, v, live, size count, sizes...}. The H(c) lists are rebuilt on
-///      load from the per-edge size multisets.
-///   v2 (frozen format): the seven FrozenEsdIndex arrays written verbatim
-///      as length-prefixed contiguous blocks (edges, live mask, multiset
-///      CSR offsets + pool, distinct sizes C, slab offsets, slab entries).
-///      Contiguous writes, mmap-friendly layout, and a load path that is
-///      validation + adoption — no rebuild step.
-///   v3 / v4: v1 / v2 with a leading u32 scorer id (ScorerKind) as the
-///      first checksummed field, so a file built for one diversity scorer
-///      is never silently loaded by another. v1/v2 files load as kEsd.
-///
-/// Both loaders accept all versions: a record file loads into a
-/// FrozenEsdIndex by building the slabs once, and a frozen file loads into
-/// an EsdIndex by thawing (rebuilding the treaps from the stored
-/// multisets). SerializeIndex always writes v3; SerializeFrozenIndex
-/// always writes v4, both stamped with the index's Scorer().
+/// The treap engine persists through the same file: save Freeze(index),
+/// load Thaw(loaded). Both preserve the edge-id layout, freed slots and
+/// scorer stamp.
 
 /// Typed outcome of a checked load/save, so callers can distinguish "the
 /// disk is broken" from "this file belongs to a different scorer".
@@ -51,34 +42,16 @@ struct IndexIoResult {
   explicit operator bool() const { return status == IndexIoStatus::kOk; }
 };
 
-bool SaveIndex(const EsdIndex& index, const std::string& path,
-               std::string* error);
-bool LoadIndex(const std::string& path, EsdIndex* index, std::string* error);
-
+/// Writes `index` stamped with its Scorer().
 bool SaveFrozenIndex(const FrozenEsdIndex& index, const std::string& path,
                      std::string* error);
-bool LoadFrozenIndex(const std::string& path, FrozenEsdIndex* index,
-                     std::string* error);
-
-/// Checked variants: fail with kScorerMismatch when the file's scorer id
-/// differs from `expected_scorer` (v1/v2 files count as kEsd). The bool
-/// APIs above accept any scorer and stamp it on the loaded index.
-IndexIoResult LoadIndex(const std::string& path, EsdIndex* index,
-                        ScorerKind expected_scorer);
-IndexIoResult LoadFrozenIndex(const std::string& path, FrozenEsdIndex* index,
-                              ScorerKind expected_scorer);
-
-/// Stream variants (used by the file functions and by tests).
-bool SerializeIndex(const EsdIndex& index, std::ostream& out,
-                    std::string* error);
-bool DeserializeIndex(std::istream& in, EsdIndex* index, std::string* error);
 bool SerializeFrozenIndex(const FrozenEsdIndex& index, std::ostream& out,
                           std::string* error);
-bool DeserializeFrozenIndex(std::istream& in, FrozenEsdIndex* index,
-                            std::string* error);
 
-IndexIoResult DeserializeIndex(std::istream& in, EsdIndex* index,
-                               ScorerKind expected_scorer);
+/// Loads a file written by SaveFrozenIndex, failing with kScorerMismatch
+/// when its scorer id differs from `expected_scorer`.
+IndexIoResult LoadFrozenIndex(const std::string& path, FrozenEsdIndex* index,
+                              ScorerKind expected_scorer);
 IndexIoResult DeserializeFrozenIndex(std::istream& in, FrozenEsdIndex* index,
                                      ScorerKind expected_scorer);
 

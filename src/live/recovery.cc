@@ -89,8 +89,7 @@ bool Recover(const graph::Graph& bootstrap, const RecoveryOptions& options,
         &state->wal, error);
     if (!ok) return false;
     if (state->wal.scorer != options.expected_scorer &&
-        (state->wal.records > 0 ||
-         state->wal.valid_bytes >= kWalFileHeaderBytes)) {
+        state->wal.valid_bytes >= kWalFileHeaderBytes) {
       // A log that replayed at least its header under another scorer's id
       // must not be adopted; an absent/empty/torn-header log carries no
       // scorer claim and stays usable.

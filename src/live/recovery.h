@@ -19,8 +19,7 @@ struct RecoveryOptions {
   bool truncate_torn_tail = true;
   /// Scorer this recovery serves. A snapshot or WAL stamped with a
   /// different scorer id is an unrecoverable mismatch (replaying another
-  /// definition's updates would silently produce wrong scores); legacy
-  /// files without an id count as kEsd.
+  /// definition's updates would silently produce wrong scores).
   core::ScorerKind expected_scorer = core::ScorerKind::kEsd;
 };
 

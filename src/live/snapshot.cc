@@ -23,8 +23,7 @@ namespace esd::live {
 namespace {
 
 constexpr char kSnapshotMagic[4] = {'E', 'S', 'D', 'S'};
-constexpr uint32_t kSnapshotVersion = 1;        // no scorer id, reads as kEsd
-constexpr uint32_t kSnapshotVersionScorer = 2;  // leading u32 scorer id
+constexpr uint32_t kSnapshotFormatVersion = 2;  // leading u32 scorer id
 
 bool SetError(std::string* error, const std::string& what) {
   if (error != nullptr) *error = what;
@@ -147,7 +146,7 @@ bool SaveGraphSnapshot(const std::string& path, const graph::DynamicGraph& g,
   }
   std::ostringstream out(std::ios::binary);
   out.write(kSnapshotMagic, sizeof(kSnapshotMagic));
-  uint32_t version = kSnapshotVersionScorer;
+  uint32_t version = kSnapshotFormatVersion;
   out.write(reinterpret_cast<const char*>(&version), sizeof(version));
   core::BinaryWriter w(out);
   w.Put(static_cast<uint32_t>(scorer));
@@ -171,21 +170,22 @@ bool LoadGraphSnapshot(const std::string& path, GraphSnapshotData* out,
     return SetError(error, "bad magic: " + path + " is not an ESDS snapshot");
   }
   in.read(reinterpret_cast<char*>(&version), sizeof(version));
-  if (!in ||
-      (version != kSnapshotVersion && version != kSnapshotVersionScorer)) {
-    return SetError(error, "unsupported snapshot version");
+  if (!in) return SetError(error, "truncated snapshot file");
+  if (version != kSnapshotFormatVersion) {
+    return SetError(error, "unsupported snapshot version " +
+                               std::to_string(version) + " (only version " +
+                               std::to_string(kSnapshotFormatVersion) +
+                               " loads)");
   }
   core::BinaryReader r(in);
   GraphSnapshotData data;
-  if (version == kSnapshotVersionScorer) {
-    uint32_t raw = 0;
-    if (!r.Get(&raw)) return SetError(error, "truncated snapshot file");
-    if (!core::ValidScorerKind(raw)) {
-      return SetError(error, "corrupt snapshot: unknown scorer id " +
-                                 std::to_string(raw));
-    }
-    data.scorer = static_cast<core::ScorerKind>(raw);
+  uint32_t raw = 0;
+  if (!r.Get(&raw)) return SetError(error, "truncated snapshot file");
+  if (!core::ValidScorerKind(raw)) {
+    return SetError(error, "corrupt snapshot: unknown scorer id " +
+                               std::to_string(raw));
   }
+  data.scorer = static_cast<core::ScorerKind>(raw);
   if (!r.Get(&data.applied_seq) || !r.Get(&data.num_vertices) ||
       !r.GetArray(&data.edges)) {
     return SetError(error, r.error() != nullptr

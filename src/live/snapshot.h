@@ -39,11 +39,10 @@ struct EpochSnapshot {
 };
 
 /// The persisted half of a checkpoint: the writer graph plus its update
-/// watermark ("ESDS" file: header, then — v2 only — u32 scorer id, u64
-/// applied_seq, u32 num_vertices, length-prefixed edge array, trailing u64
-/// FNV-1a checksum, same conventions as index_io, written atomically via
-/// tmp-file + rename). v1 files carry no scorer id and load as kEsd; new
-/// snapshots are always written v2.
+/// watermark ("ESDS" file: magic + u32 version (2), then u32 scorer id,
+/// u64 applied_seq, u32 num_vertices, length-prefixed edge array, trailing
+/// u64 FNV-1a checksum, same conventions as index_io, written atomically
+/// via tmp-file + rename). A file with any other version fails to load.
 struct GraphSnapshotData {
   uint64_t applied_seq = 0;
   graph::VertexId num_vertices = 0;

@@ -17,8 +17,9 @@ namespace esd::live {
 namespace {
 
 constexpr char kWalMagic[4] = {'E', 'S', 'D', 'W'};
-constexpr uint32_t kWalVersion = 1;        // 8-byte header, implicitly kEsd
-constexpr uint32_t kWalVersionScorer = 2;  // 12-byte header with scorer id
+constexpr uint32_t kWalFormatVersion = 2;  // magic + version + scorer id
+/// Magic + version: enough bytes to tell a foreign file from a torn one.
+constexpr size_t kWalMagicVersionBytes = 8;
 
 void EncodeU32(char* dst, uint32_t v) { std::memcpy(dst, &v, sizeof(v)); }
 void EncodeU64(char* dst, uint64_t v) { std::memcpy(dst, &v, sizeof(v)); }
@@ -54,6 +55,48 @@ WalRecord DecodePayload(const char* src) {
 bool SetError(std::string* error, const std::string& what) {
   if (error != nullptr) *error = what;
   return false;
+}
+
+/// What the file header of an existing log says. `error` is set for
+/// every status but kOk.
+struct WalHeader {
+  enum Status { kEmpty, kTorn, kBad, kOk };
+  Status status = kEmpty;
+  core::ScorerKind scorer = core::ScorerKind::kEsd;
+  std::string error;
+};
+
+/// The one parser of the 12-byte file header, shared by replay and append.
+/// A file shorter than the header is torn, unless its first 8 bytes
+/// already name another format or version.
+WalHeader ReadWalHeader(std::istream& in, const std::string& path) {
+  char header[kWalFileHeaderBytes];
+  in.read(header, sizeof(header));
+  const auto got = static_cast<size_t>(in.gcount());
+  const bool has_version = got >= kWalMagicVersionBytes;
+  const uint32_t version = has_version ? DecodeU32(header + 4) : 0;
+  WalHeader out;
+  if (has_version && std::memcmp(header, kWalMagic, sizeof(kWalMagic)) != 0) {
+    out.status = WalHeader::kBad;
+    out.error = "bad wal header: " + path + " is not an ESDW log";
+  } else if (has_version && version != kWalFormatVersion) {
+    out.status = WalHeader::kBad;
+    out.error = "bad wal header: " + path + " has unsupported version " +
+                std::to_string(version) + " (only version " +
+                std::to_string(kWalFormatVersion) + " loads)";
+  } else if (got < sizeof(header)) {
+    out.status = got == 0 ? WalHeader::kEmpty : WalHeader::kTorn;
+    out.error = "wal file " + path + " has a torn header; run recovery first";
+  } else if (const uint32_t raw = DecodeU32(header + 8);
+             !core::ValidScorerKind(raw)) {
+    out.status = WalHeader::kBad;
+    out.error = "bad wal header: " + path + " names unknown scorer id " +
+                std::to_string(raw);
+  } else {
+    out.status = WalHeader::kOk;
+    out.scorer = static_cast<core::ScorerKind>(raw);
+  }
+  return out;
 }
 
 }  // namespace
@@ -107,41 +150,22 @@ bool ReplayWal(const std::string& path,
     return SetError(error, "cannot open wal file " + path);
   }
 
-  char header[kWalFileHeaderBytes];
-  in.read(header, sizeof(header));
-  const std::streamsize got = in.gcount();
-  if (got == 0) return true;  // empty file: fresh log
-  if (got < static_cast<std::streamsize>(sizeof(header))) {
-    // The initial header write itself was torn; nothing was ever logged.
-    result->tail = WalTailStatus::kTruncatedRecord;
-    return true;
-  }
-  const uint32_t version = DecodeU32(header + 4);
-  if (std::memcmp(header, kWalMagic, sizeof(kWalMagic)) != 0 ||
-      (version != kWalVersion && version != kWalVersionScorer)) {
-    result->tail = WalTailStatus::kBadFileHeader;
-    return SetError(error, "bad wal header: " + path + " is not an ESDW log");
-  }
-  result->valid_bytes = kWalFileHeaderBytes;
-  if (version == kWalVersionScorer) {
-    char scorer_field[4];
-    in.read(scorer_field, sizeof(scorer_field));
-    if (in.gcount() < static_cast<std::streamsize>(sizeof(scorer_field))) {
-      // Torn mid-header: nothing was ever logged.
-      result->valid_bytes = 0;
+  const WalHeader header = ReadWalHeader(in, path);
+  switch (header.status) {
+    case WalHeader::kEmpty:
+      return true;  // fresh log
+    case WalHeader::kTorn:
+      // The initial header write itself was torn; nothing was ever logged.
       result->tail = WalTailStatus::kTruncatedRecord;
       return true;
-    }
-    const uint32_t raw = DecodeU32(scorer_field);
-    if (!core::ValidScorerKind(raw)) {
+    case WalHeader::kBad:
       result->tail = WalTailStatus::kBadFileHeader;
-      return SetError(error, "bad wal header: " + path +
-                                 " names unknown scorer id " +
-                                 std::to_string(raw));
-    }
-    result->scorer = static_cast<core::ScorerKind>(raw);
-    result->valid_bytes = kWalFileHeaderBytesV2;
+      return SetError(error, header.error);
+    case WalHeader::kOk:
+      break;
   }
+  result->scorer = header.scorer;
+  result->valid_bytes = kWalFileHeaderBytes;
 
   // Fixed stack buffer: a corrupt length prefix can never over-allocate.
   char payload[kMaxWalRecordBytes];
@@ -226,10 +250,10 @@ bool WalWriter::Open(const std::string& path, std::string* error,
   }
   bytes_ = static_cast<uint64_t>(st.st_size);
   if (bytes_ == 0) {
-    // Fresh log: always the v2 header, stamped with the caller's scorer.
-    char header[kWalFileHeaderBytesV2];
+    // Fresh log: the header stamped with the caller's scorer.
+    char header[kWalFileHeaderBytes];
     std::memcpy(header, kWalMagic, sizeof(kWalMagic));
-    EncodeU32(header + 4, kWalVersionScorer);
+    EncodeU32(header + 4, kWalFormatVersion);
     EncodeU32(header + 8, static_cast<uint32_t>(scorer));
     const util::WriteResult wr = util::WriteFully(fd_, header, sizeof(header));
     eintr_retries_ += wr.eintr_retries;
@@ -245,51 +269,23 @@ bool WalWriter::Open(const std::string& path, std::string* error,
       Close();
       return false;
     }
-    bytes_ = kWalFileHeaderBytesV2;
-    header_bytes_ = kWalFileHeaderBytesV2;
+    bytes_ = kWalFileHeaderBytes;
     return true;
   }
-  if (bytes_ < kWalFileHeaderBytes) {
-    Close();
-    return SetError(error, "wal file " + path +
-                               " has a torn header; run recovery first");
-  }
   // Verify we are appending to our own format, not someone else's file,
-  // and to our own scorer's log, not another engine's.
+  // and to our own scorer's log, not another engine's. Nothing is written
+  // to a file that fails either check.
   std::ifstream in(path, std::ios::binary);
-  char header[kWalFileHeaderBytes];
-  in.read(header, sizeof(header));
-  const uint32_t version = in ? DecodeU32(header + 4) : 0;
-  if (!in || std::memcmp(header, kWalMagic, sizeof(kWalMagic)) != 0 ||
-      (version != kWalVersion && version != kWalVersionScorer)) {
+  const WalHeader header = ReadWalHeader(in, path);
+  if (header.status != WalHeader::kOk) {
     Close();
-    return SetError(error, "bad wal header: " + path + " is not an ESDW log");
+    return SetError(error, header.error);
   }
-  core::ScorerKind file_scorer = core::ScorerKind::kEsd;
-  header_bytes_ = kWalFileHeaderBytes;
-  if (version == kWalVersionScorer) {
-    char scorer_field[4];
-    in.read(scorer_field, sizeof(scorer_field));
-    if (!in || bytes_ < kWalFileHeaderBytesV2) {
-      Close();
-      return SetError(error, "wal file " + path +
-                                 " has a torn header; run recovery first");
-    }
-    const uint32_t raw = DecodeU32(scorer_field);
-    if (!core::ValidScorerKind(raw)) {
-      Close();
-      return SetError(error, "bad wal header: " + path +
-                                 " names unknown scorer id " +
-                                 std::to_string(raw));
-    }
-    file_scorer = static_cast<core::ScorerKind>(raw);
-    header_bytes_ = kWalFileHeaderBytesV2;
-  }
-  if (file_scorer != scorer) {
+  if (header.scorer != scorer) {
     Close();
     return SetError(
         error, "wal scorer mismatch: " + path + " belongs to scorer '" +
-                   std::string(core::ScorerKindName(file_scorer)) +
+                   std::string(core::ScorerKindName(header.scorer)) +
                    "' but this index uses '" +
                    std::string(core::ScorerKindName(scorer)) + "'");
   }
@@ -389,13 +385,13 @@ bool WalWriter::TruncateAll(std::string* error) {
     return SetError(error, std::string("wal truncate failed: ") +
                                std::strerror(hit.error_code) + " [injected]");
   }
-  if (::ftruncate(fd_, static_cast<off_t>(header_bytes_)) != 0) {
+  if (::ftruncate(fd_, static_cast<off_t>(kWalFileHeaderBytes)) != 0) {
     last_status_ = WalIoStatus::kIoError;
     last_errno_ = errno;
     return SetError(error, std::string("wal truncate failed: ") +
                                std::strerror(errno));
   }
-  bytes_ = header_bytes_;
+  bytes_ = kWalFileHeaderBytes;
   tail_dirty_ = false;
   return Sync(error);
 }

@@ -37,8 +37,8 @@ enum class WalTailStatus : uint8_t {
   kTruncatedRecord,    ///< partial record (or partial initial header) at EOF
   kChecksumMismatch,   ///< payload bytes do not match the stored checksum
   kOversizedRecord,    ///< length prefix exceeds kMaxWalRecordBytes
-  kMalformedRecord,    ///< length prefix is not a v1 payload size
-  kBadFileHeader,      ///< magic/version wrong: not our log, nothing replayed
+  kMalformedRecord,    ///< length prefix is not the record payload size
+  kBadFileHeader,      ///< magic/version/scorer id wrong: nothing replayed
 };
 
 const char* WalTailStatusName(WalTailStatus status);
@@ -61,18 +61,17 @@ struct WalReplayResult {
   uint64_t last_seq = 0;    ///< seq of the last valid record (0 if none)
   uint64_t valid_bytes = 0; ///< replayable prefix length, incl. file header
   WalTailStatus tail = WalTailStatus::kClean;
-  /// Scorer the log belongs to (v2 header field; v1 logs are kEsd).
+  /// Scorer the log belongs to (file header field).
   core::ScorerKind scorer = core::ScorerKind::kEsd;
 };
 
 /// On-disk layout (native byte order, like every format in this repo):
-///   v1 file header: magic "ESDW" + u32 version (1)
-///   v2 file header: magic "ESDW" + u32 version (2) + u32 scorer id
-///   records:        u32 payload_len | u64 fnv1a(payload) | payload
-///   payload:        u64 seq | u8 kind | u32 u | u32 v      (17 bytes)
-/// Both header versions replay; fresh logs are always written v2.
-inline constexpr size_t kWalFileHeaderBytes = 8;
-inline constexpr size_t kWalFileHeaderBytesV2 = 12;
+///   file header: magic "ESDW" + u32 version (2) + u32 scorer id
+///   records:     u32 payload_len | u64 fnv1a(payload) | payload
+///   payload:     u64 seq | u8 kind | u32 u | u32 v      (17 bytes)
+/// A header with any other version is refused (kBadFileHeader on replay,
+/// an error from WalWriter::Open), never replayed or appended to.
+inline constexpr size_t kWalFileHeaderBytes = 12;
 inline constexpr size_t kWalRecordHeaderBytes = 12;
 inline constexpr uint32_t kWalPayloadBytes = 17;
 /// Hard bound on a record's claimed payload length. A corrupt or hostile
@@ -83,7 +82,8 @@ inline constexpr uint32_t kMaxWalRecordBytes = 4096;
 /// Streams every valid record of the log at `path` through `fn`, stopping
 /// at EOF or at the first invalid byte (torn tail). A missing or empty
 /// file replays zero records with a clean tail. Returns false only when
-/// the file exists but is not an ESDW log (kBadFileHeader) or cannot be
+/// the file exists but its header is not ours — another magic, another
+/// version, or an unknown scorer id (kBadFileHeader) — or it cannot be
 /// read at all — *error is set and nothing is replayed; every torn-tail
 /// case returns true with `result->tail` typed accordingly.
 bool ReplayWal(const std::string& path,
@@ -116,12 +116,13 @@ class WalWriter {
   /// keeps the classic names.
   void SetFaultSiteSuffix(const std::string& suffix);
 
-  /// Opens `path` for appending, creating it (with a fresh v2 file header
+  /// Opens `path` for appending, creating it (with a fresh file header
   /// stamped with `scorer`) if missing or empty. The caller must have
   /// truncated any torn tail first (recovery does); an existing file with
-  /// a foreign or partial header is refused rather than clobbered, and so
-  /// is a log whose header names a different scorer (v1 logs count as
-  /// kEsd) — appending another scorer's updates would poison replay.
+  /// a foreign, other-version or partial header is refused rather than
+  /// clobbered (its bytes stay as they were), and so is a log whose header
+  /// names a different scorer — appending another scorer's updates would
+  /// poison replay.
   bool Open(const std::string& path, std::string* error,
             core::ScorerKind scorer = core::ScorerKind::kEsd);
 
@@ -164,9 +165,6 @@ class WalWriter {
 
   int fd_ = -1;
   uint64_t bytes_ = 0;
-  /// Length of the file header Open() found or wrote (8 for an adopted v1
-  /// log, 12 for v2) — TruncateAll must cut back to exactly this.
-  uint64_t header_bytes_ = kWalFileHeaderBytes;
   WalIoStatus last_status_ = WalIoStatus::kOk;
   int last_errno_ = 0;
   uint64_t eintr_retries_ = 0;

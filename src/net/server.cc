@@ -510,9 +510,7 @@ void NetServer::ProcessBinary(const std::shared_ptr<Conn>& conn) {
         rq.deadline_us = q.deadline_us;
         rq.strict = q.strict != 0;
         rq.arrival_ns = obs::MonotonicNanos();
-        // Answer in the version the request arrived with: a v1 client
-        // gets the 29-byte result prefix it knows how to parse.
-        SubmitQuery(conn, rq, q.cid, /*binary=*/true, frame.version);
+        SubmitQuery(conn, rq, q.cid, /*binary=*/true);
         break;
       }
       default: {
@@ -611,7 +609,7 @@ void NetServer::ProcessHttp(const std::shared_ptr<Conn>& conn) {
 
 void NetServer::SubmitQuery(const std::shared_ptr<Conn>& conn,
                             const serve::QueryRequest& request,
-                            uint64_t cid, bool binary, uint8_t wire_version) {
+                            uint64_t cid, bool binary) {
   uint64_t slot_seq;
   {
     std::lock_guard<std::mutex> lock(conn->mu);
@@ -625,8 +623,8 @@ void NetServer::SubmitQuery(const std::shared_ptr<Conn>& conn,
   // The callback owns a shared_ptr: the Conn object outlives the service's
   // answer even if the socket dies first (the bytes are then dropped under
   // conn->closed, and no Pending ever dangles).
-  handlers_.submit(request, [this, conn, slot_seq, cid, binary,
-                             wire_version](serve::QueryResponse resp) {
+  handlers_.submit(request, [this, conn, slot_seq, cid,
+                             binary](serve::QueryResponse resp) {
     std::string bytes;
     if (binary) {
       QueryResultFrame result;
@@ -642,7 +640,7 @@ void NetServer::SubmitQuery(const std::shared_ptr<Conn>& conn,
         result.edges.push_back(ResultEdge{scored.edge.u, scored.edge.v,
                                           scored.score});
       }
-      bytes = EncodeQueryResult(result, wire_version);
+      bytes = EncodeQueryResult(result);
     } else {
       bytes = handlers_.format_query ? handlers_.format_query(resp)
                                      : std::string("OK\n");

@@ -181,7 +181,7 @@ class NetServer {
   /// completion fills the slot from a worker thread.
   void SubmitQuery(const std::shared_ptr<Conn>& conn,
                    const serve::QueryRequest& request, uint64_t cid,
-                   bool binary, uint8_t wire_version = kWireVersion);
+                   bool binary);
   /// Appends a ready reply slot (loop thread: sync replies). With
   /// `then_close`, stops reading and closes once everything has flushed.
   void ReplyLocal(const std::shared_ptr<Conn>& conn, std::string bytes,

@@ -55,11 +55,10 @@ bool KnownType(uint8_t t) {
   return false;
 }
 
-constexpr size_t kQueryPayloadBytesV1 = 8 + 4 + 4 + 1 + 8;       // 25
-constexpr size_t kQueryPayloadBytesV2 = kQueryPayloadBytesV1 + 1;  // 26
-constexpr size_t kQueryResultPrefixBytesV1 = 8 + 1 + 8 + 8 + 4;  // 29
-constexpr size_t kQueryResultPrefixBytesV2 =
-    kQueryResultPrefixBytesV1 + 3 * 2;  // 35
+// cid, k, tau, pad, deadline, strict
+constexpr size_t kQueryPayloadBytes = 8 + 4 + 4 + 1 + 8 + 1;  // 26
+// cid, status, rid, epoch, three shard counts, edge count
+constexpr size_t kQueryResultPrefixBytes = 8 + 1 + 8 + 8 + 3 * 2 + 4;  // 35
 constexpr size_t kResultEdgeBytes = 12;
 
 }  // namespace
@@ -86,12 +85,11 @@ const char* WireStatusName(WireStatus status) {
   return "unknown";
 }
 
-std::string EncodeFrame(FrameType type, std::string_view payload,
-                        uint8_t version) {
+std::string EncodeFrame(FrameType type, std::string_view payload) {
   std::string out;
   out.reserve(kFrameHeaderBytes + payload.size());
   out.push_back(static_cast<char>(kFrameMagic));
-  out.push_back(static_cast<char>(version));
+  out.push_back(static_cast<char>(kWireVersion));
   out.push_back(static_cast<char>(type));
   out.push_back(0);  // flags
   PutU32(&out, static_cast<uint32_t>(payload.size()));
@@ -101,7 +99,7 @@ std::string EncodeFrame(FrameType type, std::string_view payload,
 
 std::string EncodeQuery(const QueryFrame& q) {
   std::string payload;
-  payload.reserve(kQueryPayloadBytesV2);
+  payload.reserve(kQueryPayloadBytes);
   PutU64(&payload, q.cid);
   PutU32(&payload, q.k);
   PutU32(&payload, q.tau);
@@ -111,26 +109,23 @@ std::string EncodeQuery(const QueryFrame& q) {
   return EncodeFrame(FrameType::kQuery, payload);
 }
 
-std::string EncodeQueryResult(const QueryResultFrame& r, uint8_t version) {
+std::string EncodeQueryResult(const QueryResultFrame& r) {
   std::string payload;
-  payload.reserve(kQueryResultPrefixBytesV2 +
-                  r.edges.size() * kResultEdgeBytes);
+  payload.reserve(kQueryResultPrefixBytes + r.edges.size() * kResultEdgeBytes);
   PutU64(&payload, r.cid);
   payload.push_back(static_cast<char>(r.status));
   PutU64(&payload, r.rid);
   PutU64(&payload, r.epoch);
-  if (version >= 2) {
-    PutU16(&payload, r.shards_ok);
-    PutU16(&payload, r.shards_degraded);
-    PutU16(&payload, r.shards_down);
-  }
+  PutU16(&payload, r.shards_ok);
+  PutU16(&payload, r.shards_degraded);
+  PutU16(&payload, r.shards_down);
   PutU32(&payload, static_cast<uint32_t>(r.edges.size()));
   for (const ResultEdge& e : r.edges) {
     PutU32(&payload, e.u);
     PutU32(&payload, e.v);
     PutU32(&payload, e.score);
   }
-  return EncodeFrame(FrameType::kQueryResult, payload, version);
+  return EncodeFrame(FrameType::kQueryResult, payload);
 }
 
 std::string EncodeError(WireError code, std::string_view message) {
@@ -142,10 +137,7 @@ std::string EncodeError(WireError code, std::string_view message) {
 }
 
 WireStatus DecodeQuery(std::string_view payload, QueryFrame* out) {
-  if (payload.size() != kQueryPayloadBytesV1 &&
-      payload.size() != kQueryPayloadBytesV2) {
-    return WireStatus::kBadPayload;
-  }
+  if (payload.size() != kQueryPayloadBytes) return WireStatus::kBadPayload;
   const char* p = payload.data();
   out->cid = GetU64(p);
   out->k = GetU32(p + 8);
@@ -153,30 +145,13 @@ WireStatus DecodeQuery(std::string_view payload, QueryFrame* out) {
   out->pad_with_zero_edges = static_cast<uint8_t>(p[16]);
   if (out->pad_with_zero_edges > 1) return WireStatus::kBadPayload;
   out->deadline_us = GetU64(p + 17);
-  // v1 queries have no strict byte: partial-result semantics, the mode
-  // every pre-sharding client implicitly asked for.
-  out->strict = 0;
-  if (payload.size() == kQueryPayloadBytesV2) {
-    out->strict = static_cast<uint8_t>(p[25]);
-    if (out->strict > 1) return WireStatus::kBadPayload;
-  }
+  out->strict = static_cast<uint8_t>(p[25]);
+  if (out->strict > 1) return WireStatus::kBadPayload;
   return WireStatus::kOk;
 }
 
 WireStatus DecodeQueryResult(std::string_view payload, QueryResultFrame* out) {
-  if (payload.size() < kQueryResultPrefixBytesV1) {
-    return WireStatus::kBadPayload;
-  }
-  // The prefix widths differ by 6 bytes — not a multiple of the 12-byte
-  // edge stride — so exactly one layout fits any valid payload length.
-  size_t prefix = 0;
-  if (payload.size() >= kQueryResultPrefixBytesV2 &&
-      (payload.size() - kQueryResultPrefixBytesV2) % kResultEdgeBytes == 0) {
-    prefix = kQueryResultPrefixBytesV2;
-  } else if ((payload.size() - kQueryResultPrefixBytesV1) % kResultEdgeBytes ==
-             0) {
-    prefix = kQueryResultPrefixBytesV1;
-  } else {
+  if (payload.size() < kQueryResultPrefixBytes) {
     return WireStatus::kBadPayload;
   }
   const char* p = payload.data();
@@ -184,23 +159,18 @@ WireStatus DecodeQueryResult(std::string_view payload, QueryResultFrame* out) {
   out->status = static_cast<uint8_t>(p[8]);
   out->rid = GetU64(p + 9);
   out->epoch = GetU64(p + 17);
-  out->shards_ok = out->shards_degraded = out->shards_down = 0;
-  const char* q = p + 25;
-  if (prefix == kQueryResultPrefixBytesV2) {
-    out->shards_ok = GetU16(q);
-    out->shards_degraded = GetU16(q + 2);
-    out->shards_down = GetU16(q + 4);
-    q += 6;
-  }
-  const uint32_t count = GetU32(q);
+  out->shards_ok = GetU16(p + 25);
+  out->shards_degraded = GetU16(p + 27);
+  out->shards_down = GetU16(p + 29);
+  const uint32_t count = GetU32(p + 31);
   // The count is validated against the bytes actually present before the
   // vector is sized — a hostile count cannot drive an allocation.
-  const size_t remaining = payload.size() - prefix;
+  const size_t remaining = payload.size() - kQueryResultPrefixBytes;
   if (remaining != static_cast<size_t>(count) * kResultEdgeBytes) {
     return WireStatus::kBadPayload;
   }
   out->edges.resize(count);
-  const char* e = p + prefix;
+  const char* e = p + kQueryResultPrefixBytes;
   for (uint32_t i = 0; i < count; ++i, e += kResultEdgeBytes) {
     out->edges[i].u = GetU32(e);
     out->edges[i].v = GetU32(e + 4);
@@ -223,7 +193,7 @@ WireStatus FrameDecoder::Next(Frame* out) {
   WireStatus bad = WireStatus::kOk;
   if (h[0] != kFrameMagic) {
     bad = WireStatus::kBadMagic;
-  } else if (h[1] < kMinWireVersion || h[1] > kWireVersion) {
+  } else if (h[1] != kWireVersion) {
     bad = WireStatus::kBadVersion;
   } else if (h[3] != 0) {
     bad = WireStatus::kBadFlags;
@@ -243,7 +213,6 @@ WireStatus FrameDecoder::Next(Frame* out) {
   const size_t total = kFrameHeaderBytes + length;
   if (buf_.size() < total) return WireStatus::kNeedMore;
   out->type = static_cast<FrameType>(h[2]);
-  out->version = h[1];
   out->payload.assign(buf_, kFrameHeaderBytes, length);
   buf_.erase(0, total);
   return WireStatus::kOk;

@@ -20,7 +20,7 @@ namespace esd::net {
 ///   offset  size  field
 ///   0       1     magic    0xE5 (also the binary-mode detection byte:
 ///                          never a printable ASCII command or 'G' of GET)
-///   1       1     version  kMinWireVersion..kWireVersion
+///   1       1     version  kWireVersion (2); any other value is kBadVersion
 ///   2       1     type     FrameType
 ///   3       1     flags    reserved, must be 0
 ///   4       4     length   payload bytes, <= max_frame_bytes
@@ -30,16 +30,12 @@ namespace esd::net {
 /// so pipelined clients can match answers without trusting ordering (the
 /// server nevertheless answers each connection in submission order).
 ///
-/// Version history. v1: 25-byte query payload, 29-byte result prefix.
-/// v2 (sharded serving): the query payload gains a trailing `strict` byte
-/// (26 bytes) and the result prefix gains three u16 shard-health counts
-/// (35 bytes). Decoders accept both layouts — a v1 query reads as
-/// strict = 0 — and the server answers each request in the version the
-/// request arrived with, so v1 clients never see bytes they can't parse.
+/// One protocol version is spoken: a frame whose version byte is not
+/// kWireVersion fails with kBadVersion, which the server answers with a
+/// kError frame before closing.
 
 inline constexpr uint8_t kFrameMagic = 0xE5;
 inline constexpr uint8_t kWireVersion = 2;
-inline constexpr uint8_t kMinWireVersion = 1;
 inline constexpr size_t kFrameHeaderBytes = 8;
 /// Hard cap a decoder enforces on the length prefix before allocating or
 /// waiting for payload bytes. Responses are sized by the server itself
@@ -85,13 +81,10 @@ enum class WireError : uint16_t {
 
 struct Frame {
   FrameType type = FrameType::kPing;
-  /// Header version the frame arrived with; responses to it should be
-  /// encoded at the same version.
-  uint8_t version = kWireVersion;
   std::string payload;
 };
 
-/// Payload of kQuery: 26 bytes in v2 (25 in v1 — no strict byte).
+/// Payload of kQuery: exactly 26 bytes.
 struct QueryFrame {
   uint64_t cid = 0;  ///< client correlation id, echoed in the response
   uint32_t k = 10;
@@ -109,18 +102,14 @@ struct ResultEdge {
   uint32_t score = 0;
 };
 
-/// Payload of kQueryResult: fixed prefix (35 bytes in v2, 29 in v1 — no
-/// shard counts) + 12 bytes per edge. The edge count is validated against
-/// the payload length before allocation; the two prefix widths differ by
-/// 6 bytes, never a multiple of the edge stride, so the decoder tells the
-/// layouts apart from the length alone.
+/// Payload of kQueryResult: a 35-byte prefix + 12 bytes per edge. The edge
+/// count is validated against the payload length before allocation.
 struct QueryResultFrame {
   uint64_t cid = 0;
   uint8_t status = 0;  ///< serve::ResponseStatus numeric value
   uint64_t rid = 0;    ///< server-minted request id (telemetry join key)
   uint64_t epoch = 0;  ///< serving epoch the answer came from
-  /// Fleet tally of the serving batch (v2; all zero from v1 servers and
-  /// unsharded ones).
+  /// Fleet tally of the serving batch (all zero from unsharded servers).
   uint16_t shards_ok = 0;
   uint16_t shards_degraded = 0;
   uint16_t shards_down = 0;
@@ -134,13 +123,9 @@ struct ErrorFrame {
 };
 
 /// Encoders produce one complete frame (header + payload), ready to write.
-/// `version` selects the header byte and, for query results, the payload
-/// layout — servers pass the version the request arrived with.
-std::string EncodeFrame(FrameType type, std::string_view payload,
-                        uint8_t version = kWireVersion);
+std::string EncodeFrame(FrameType type, std::string_view payload);
 std::string EncodeQuery(const QueryFrame& q);
-std::string EncodeQueryResult(const QueryResultFrame& r,
-                              uint8_t version = kWireVersion);
+std::string EncodeQueryResult(const QueryResultFrame& r);
 std::string EncodeError(WireError code, std::string_view message);
 
 /// Payload decoders (header already stripped by FrameDecoder).

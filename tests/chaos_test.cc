@@ -493,11 +493,16 @@ TEST_F(ChaosTest, IndexIoInjectionIsTypedAndClean) {
 
   Arm("index_io.load", "error(EIO)");
   FrozenEsdIndex loaded;
-  EXPECT_FALSE(core::LoadFrozenIndex(path, &loaded, &error));
-  EXPECT_NE(error.find(path), std::string::npos) << error;
+  const core::IndexIoResult injected =
+      core::LoadFrozenIndex(path, &loaded, core::ScorerKind::kEsd);
+  EXPECT_EQ(injected.status, core::IndexIoStatus::kIoError);
+  EXPECT_NE(injected.message.find(path), std::string::npos)
+      << injected.message;
 
   FailPointRegistry::Global().ClearAll();
-  ASSERT_TRUE(core::LoadFrozenIndex(path, &loaded, &error)) << error;
+  const core::IndexIoResult res =
+      core::LoadFrozenIndex(path, &loaded, core::ScorerKind::kEsd);
+  ASSERT_TRUE(res) << res.message;
   ExpectEngineParity(loaded, g, "reloaded frozen index");
 }
 

@@ -108,16 +108,16 @@ TEST(EdgeDsuArenaTest, ParallelFillMatchesSerial) {
 // Index serialization
 // ---------------------------------------------------------------------------
 
+// The treap engine persists through the frozen file format: Freeze, save,
+// load, Thaw. Ids, freed slots and the scorer stamp survive.
+
 TEST(IndexIoTest, RoundTripFreshIndex) {
   Graph g = gen::HolmeKim(200, 5, 0.5, 5);
   core::EsdIndex index = core::BuildIndexClique(g);
-  std::stringstream buffer;
-  std::string error;
-  ASSERT_TRUE(core::SerializeIndex(index, buffer, &error)) << error;
-  core::EsdIndex loaded;
-  ASSERT_TRUE(core::DeserializeIndex(buffer, &loaded, &error)) << error;
+  core::EsdIndex loaded = test::TreapFileRoundTrip(index);
   test::ExpectIndexesEqual(index, loaded);
   EXPECT_EQ(loaded.NumRegisteredEdges(), index.NumRegisteredEdges());
+  EXPECT_EQ(loaded.Scorer(), index.Scorer());
   // Queries behave identically.
   for (uint32_t tau : {1u, 2u, 3u}) {
     EXPECT_EQ(core::Scores(loaded.Query(20, tau)),
@@ -135,14 +135,12 @@ TEST(IndexIoTest, RoundTripWithFreedSlots) {
   index.SetEdgeSizes(c, {2, 2});
   index.SetEdgeSizes(b, {});
   index.UnregisterEdge(b);
-  std::stringstream buffer;
-  std::string error;
-  ASSERT_TRUE(core::SerializeIndex(index, buffer, &error)) << error;
-  core::EsdIndex loaded;
-  ASSERT_TRUE(core::DeserializeIndex(buffer, &loaded, &error)) << error;
+  core::EsdIndex loaded = test::TreapFileRoundTrip(index);
   test::ExpectIndexesEqual(index, loaded);
+  EXPECT_EQ(loaded.EdgeSlotCount(), index.EdgeSlotCount());
   EXPECT_FALSE(loaded.IsLive(b));
   EXPECT_TRUE(loaded.IsLive(a));
+  EXPECT_EQ(loaded.EdgeAt(c), index.EdgeAt(c));
   EXPECT_EQ(loaded.EdgeSizes(c), (std::vector<uint32_t>{2, 2}));
 }
 
@@ -151,10 +149,13 @@ TEST(IndexIoTest, FileRoundTrip) {
   core::EsdIndex index = core::BuildIndexBasic(g);
   std::string path = ::testing::TempDir() + "/esd_index_io_test.bin";
   std::string error;
-  ASSERT_TRUE(core::SaveIndex(index, path, &error)) << error;
-  core::EsdIndex loaded;
-  ASSERT_TRUE(core::LoadIndex(path, &loaded, &error)) << error;
-  test::ExpectIndexesEqual(index, loaded);
+  ASSERT_TRUE(core::SaveFrozenIndex(core::Freeze(index), path, &error))
+      << error;
+  core::FrozenEsdIndex frozen;
+  const core::IndexIoResult res =
+      core::LoadFrozenIndex(path, &frozen, core::ScorerKind::kEsd);
+  ASSERT_TRUE(res) << res.message;
+  test::ExpectIndexesEqual(index, core::Thaw(frozen));
   std::remove(path.c_str());
 }
 
@@ -163,34 +164,34 @@ TEST(IndexIoTest, RejectsBadMagicAndTruncationAndCorruption) {
   core::EsdIndex index = core::BuildIndexBasic(g);
   std::stringstream buffer;
   std::string error;
-  ASSERT_TRUE(core::SerializeIndex(index, buffer, &error));
+  ASSERT_TRUE(core::SerializeFrozenIndex(core::Freeze(index), buffer, &error));
   std::string payload = buffer.str();
+  auto load = [](const std::string& bytes) {
+    std::stringstream in(bytes);
+    core::FrozenEsdIndex out;
+    return core::DeserializeFrozenIndex(in, &out, core::ScorerKind::kEsd);
+  };
 
   {
-    std::stringstream bad("not an index at all");
-    core::EsdIndex out;
-    EXPECT_FALSE(core::DeserializeIndex(bad, &out, &error));
-    EXPECT_NE(error.find("magic"), std::string::npos);
+    const core::IndexIoResult res = load("not an index at all");
+    EXPECT_EQ(res.status, core::IndexIoStatus::kFormatError);
+    EXPECT_NE(res.message.find("magic"), std::string::npos);
   }
-  {
-    std::stringstream truncated(payload.substr(0, payload.size() / 2));
-    core::EsdIndex out;
-    EXPECT_FALSE(core::DeserializeIndex(truncated, &out, &error));
-  }
+  EXPECT_EQ(load(payload.substr(0, payload.size() / 2)).status,
+            core::IndexIoStatus::kFormatError);
   {
     std::string corrupt = payload;
     corrupt[corrupt.size() / 2] ^= 0x5A;  // flip bits mid-payload
-    std::stringstream stream(corrupt);
-    core::EsdIndex out;
-    EXPECT_FALSE(core::DeserializeIndex(stream, &out, &error));
+    EXPECT_EQ(load(corrupt).status, core::IndexIoStatus::kFormatError);
   }
 }
 
 TEST(IndexIoTest, LoadMissingFileFails) {
-  core::EsdIndex out;
-  std::string error;
-  EXPECT_FALSE(core::LoadIndex("/definitely/not/here.bin", &out, &error));
-  EXPECT_FALSE(error.empty());
+  core::FrozenEsdIndex out;
+  const core::IndexIoResult res = core::LoadFrozenIndex(
+      "/definitely/not/here.bin", &out, core::ScorerKind::kEsd);
+  EXPECT_EQ(res.status, core::IndexIoStatus::kIoError);
+  EXPECT_FALSE(res.message.empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
 // FrozenEsdIndex: the read-optimized serving layer must be observationally
 // identical to the treap index it images — on every query, for every
 // (k, tau), including the documented zero-padding order — and must
-// round-trip losslessly through Freeze/Thaw and both index_io file
-// versions.
+// round-trip losslessly through Freeze/Thaw and the index file format.
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/binary_format.h"
 #include "core/esd_index.h"
 #include "core/frozen_index.h"
 #include "core/index_builder.h"
@@ -31,7 +32,13 @@ namespace {
 
 using core::EsdIndex;
 using core::FrozenEsdIndex;
+using core::IndexIoResult;
+using core::IndexIoStatus;
 using core::TopKResult;
+using test::U32Bytes;
+using test::U64Bytes;
+
+constexpr core::ScorerKind kEsd = core::ScorerKind::kEsd;
 
 /// ~50 small random graphs: half ER (sparse to dense), half BA (hubby).
 std::vector<graph::Graph> RandomGraphs() {
@@ -177,13 +184,14 @@ TEST(FrozenIndexTest, EmptyAndDefaultImages) {
   EXPECT_EQ(empty.EdgeSlotCount(), 0u);
 
   // Even a default image (whose offset tables are empty rather than the
-  // canonical single zero) serializes to a loadable v2 file, and loading
+  // canonical single zero) serializes to a loadable file, and loading
   // normalizes it to the canonical empty image.
   std::stringstream buf;
   std::string error;
   ASSERT_TRUE(core::SerializeFrozenIndex(def, buf, &error)) << error;
   FrozenEsdIndex back;
-  ASSERT_TRUE(core::DeserializeFrozenIndex(buf, &back, &error)) << error;
+  const IndexIoResult res = core::DeserializeFrozenIndex(buf, &back, kEsd);
+  ASSERT_TRUE(res) << res.message;
   EXPECT_TRUE(back == empty);
 }
 
@@ -247,30 +255,10 @@ TEST(IndexIoV2Test, FrozenRoundTripV2) {
     std::string error;
     ASSERT_TRUE(core::SerializeFrozenIndex(frozen, buf, &error)) << error;
     FrozenEsdIndex back;
-    ASSERT_TRUE(core::DeserializeFrozenIndex(buf, &back, &error)) << error;
+    const IndexIoResult res = core::DeserializeFrozenIndex(buf, &back, kEsd);
+    ASSERT_TRUE(res) << res.message;
     EXPECT_TRUE(back == frozen);
   }
-}
-
-TEST(IndexIoV2Test, V1FileLoadsIntoBothEngines) {
-  graph::Graph g = gen::ErdosRenyiGnm(35, 140, 6);
-  EsdIndex built = core::BuildIndexClique(g);
-  std::stringstream buf;
-  std::string error;
-  ASSERT_TRUE(core::SerializeIndex(built, buf, &error)) << error;
-  const std::string v1 = buf.str();
-
-  std::stringstream in_treap(v1);
-  EsdIndex as_treap;
-  ASSERT_TRUE(core::DeserializeIndex(in_treap, &as_treap, &error)) << error;
-  std::stringstream in_frozen(v1);
-  FrozenEsdIndex as_frozen;
-  ASSERT_TRUE(core::DeserializeFrozenIndex(in_frozen, &as_frozen, &error))
-      << error;
-
-  test::ExpectIndexesEqual(built, as_treap);
-  EXPECT_TRUE(as_frozen == core::Freeze(built));
-  ExpectEngineParity(as_treap, as_frozen);
 }
 
 TEST(IndexIoV2Test, V2FileLoadsIntoBothEngines) {
@@ -279,37 +267,16 @@ TEST(IndexIoV2Test, V2FileLoadsIntoBothEngines) {
   std::stringstream buf;
   std::string error;
   ASSERT_TRUE(core::SerializeFrozenIndex(frozen, buf, &error)) << error;
-  const std::string v2 = buf.str();
 
-  std::stringstream in_frozen(v2);
   FrozenEsdIndex as_frozen;
-  ASSERT_TRUE(core::DeserializeFrozenIndex(in_frozen, &as_frozen, &error))
-      << error;
-  std::stringstream in_treap(v2);
-  EsdIndex as_treap;
-  ASSERT_TRUE(core::DeserializeIndex(in_treap, &as_treap, &error)) << error;
+  const IndexIoResult res = core::DeserializeFrozenIndex(buf, &as_frozen, kEsd);
+  ASSERT_TRUE(res) << res.message;
+  // The treap engine loads the same file by thawing it.
+  const EsdIndex as_treap = core::Thaw(as_frozen);
 
   EXPECT_TRUE(as_frozen == frozen);
   test::ExpectIndexesEqual(as_treap, core::Thaw(frozen));
   ExpectEngineParity(as_treap, as_frozen);
-}
-
-TEST(IndexIoV2Test, V1ToV2MigrationPreservesAnswers) {
-  // The migration path: load a legacy v1 file into the serving layer, save
-  // it as v2, reload — every answer must survive both hops.
-  graph::Graph g = gen::BarabasiAlbert(45, 2, 11);
-  EsdIndex built = core::BuildIndexClique(g);
-  std::stringstream v1;
-  std::string error;
-  ASSERT_TRUE(core::SerializeIndex(built, v1, &error)) << error;
-  FrozenEsdIndex migrated;
-  ASSERT_TRUE(core::DeserializeFrozenIndex(v1, &migrated, &error)) << error;
-  std::stringstream v2;
-  ASSERT_TRUE(core::SerializeFrozenIndex(migrated, v2, &error)) << error;
-  FrozenEsdIndex reloaded;
-  ASSERT_TRUE(core::DeserializeFrozenIndex(v2, &reloaded, &error)) << error;
-  EXPECT_TRUE(reloaded == migrated);
-  ExpectEngineParity(built, reloaded);
 }
 
 TEST(IndexIoV2Test, CorruptV2Rejected) {
@@ -319,41 +286,23 @@ TEST(IndexIoV2Test, CorruptV2Rejected) {
   std::string error;
   ASSERT_TRUE(core::SerializeFrozenIndex(frozen, buf, &error)) << error;
   const std::string good = buf.str();
+  auto load = [](const std::string& bytes) {
+    std::stringstream in(bytes);
+    FrozenEsdIndex out;
+    return core::DeserializeFrozenIndex(in, &out, kEsd).status;
+  };
 
-  {  // Bad magic.
-    std::string bad = good;
-    bad[0] = 'X';
-    std::stringstream in(bad);
-    FrozenEsdIndex out;
-    EXPECT_FALSE(core::DeserializeFrozenIndex(in, &out, &error));
-  }
-  {  // Unsupported version.
-    std::string bad = good;
-    bad[4] = 99;
-    std::stringstream in(bad);
-    FrozenEsdIndex out;
-    EXPECT_FALSE(core::DeserializeFrozenIndex(in, &out, &error));
-  }
-  {  // Flipped payload byte: the checksum (or Adopt) must catch it.
-    std::string bad = good;
-    bad[bad.size() / 2] ^= 0x20;
-    std::stringstream in(bad);
-    FrozenEsdIndex out;
-    EXPECT_FALSE(core::DeserializeFrozenIndex(in, &out, &error));
-  }
-  {  // Truncation.
-    std::string bad = good.substr(0, good.size() - 9);
-    std::stringstream in(bad);
-    FrozenEsdIndex out;
-    EXPECT_FALSE(core::DeserializeFrozenIndex(in, &out, &error));
-  }
-  {  // A v2 stream also fails cleanly through the treap loader.
-    std::string bad = good;
-    bad[bad.size() / 2] ^= 0x20;
-    std::stringstream in(bad);
-    EsdIndex out;
-    EXPECT_FALSE(core::DeserializeIndex(in, &out, &error));
-  }
+  std::string bad = good;
+  bad[0] = 'X';  // bad magic
+  EXPECT_EQ(load(bad), IndexIoStatus::kFormatError);
+  bad = good;
+  bad[4] = 99;  // unsupported version
+  EXPECT_EQ(load(bad), IndexIoStatus::kFormatError);
+  bad = good;
+  bad[bad.size() / 2] ^= 0x20;  // the checksum (or Adopt) must catch it
+  EXPECT_EQ(load(bad), IndexIoStatus::kFormatError);
+  EXPECT_EQ(load(good.substr(0, good.size() - 9)),
+            IndexIoStatus::kFormatError);  // truncation
 }
 
 /// Byte offsets (into a serialized frozen stream) of each array's u64
@@ -380,7 +329,7 @@ std::vector<size_t> V2CountOffsets(const FrozenEsdIndex& frozen) {
 }
 
 TEST(IndexIoV2Test, OversizedCountsRejectedWithoutAllocation) {
-  // A corrupt or hostile v2 file may claim any 64-bit element count; the
+  // A corrupt or hostile file may claim any 64-bit element count; the
   // loader must reject it with a parse error before trusting it with an
   // allocation. Fuzz every array's count slot with a spread of oversized
   // values (the driver acceptance case: no multi-GB resize, no n*sizeof(T)
@@ -403,21 +352,12 @@ TEST(IndexIoV2Test, OversizedCountsRejectedWithoutAllocation) {
       std::memcpy(bad.data() + offset, &n, sizeof(n));
       std::stringstream in(bad);
       FrozenEsdIndex out;
-      error.clear();
-      EXPECT_FALSE(core::DeserializeFrozenIndex(in, &out, &error))
+      const IndexIoResult res = core::DeserializeFrozenIndex(in, &out, kEsd);
+      EXPECT_EQ(res.status, IndexIoStatus::kFormatError)
           << "offset=" << offset << " n=" << n;
-      EXPECT_NE(error.find("exceeds remaining bytes"), std::string::npos)
-          << "offset=" << offset << " n=" << n << " error=" << error;
+      EXPECT_NE(res.message.find("exceeds remaining bytes"), std::string::npos)
+          << "offset=" << offset << " n=" << n << " error=" << res.message;
     }
-  }
-  // The same hostile counts must fail the treap loader's v2 path too.
-  {
-    std::string bad = good;
-    const uint64_t huge = uint64_t{1} << 61;
-    std::memcpy(bad.data() + 8, &huge, sizeof(huge));
-    std::stringstream in(bad);
-    EsdIndex out;
-    EXPECT_FALSE(core::DeserializeIndex(in, &out, &error));
   }
 }
 
@@ -438,10 +378,88 @@ TEST(IndexIoV2Test, TruncatedBlockRejected) {
                       good.size() / 2}) {
     std::stringstream in(good.substr(0, keep));
     FrozenEsdIndex out;
-    error.clear();
-    EXPECT_FALSE(core::DeserializeFrozenIndex(in, &out, &error)) << keep;
-    EXPECT_FALSE(error.empty());
+    const IndexIoResult res = core::DeserializeFrozenIndex(in, &out, kEsd);
+    EXPECT_EQ(res.status, IndexIoStatus::kFormatError) << keep;
+    EXPECT_FALSE(res.message.empty());
   }
+}
+
+/// Well-formed streams of the retired versions, each as its writer laid it
+/// out: 1 = per-slot records, 2 = frozen arrays, 3 = scorer id + records.
+std::vector<std::pair<uint32_t, std::string>> RetiredVersionStreams(
+    const EsdIndex& index) {
+  auto records = [&index](bool with_scorer) {
+    std::ostringstream out(std::ios::binary);
+    out << "ESDX" << U32Bytes(with_scorer ? 3 : 1);
+    core::BinaryWriter w(out);
+    if (with_scorer) w.Put(static_cast<uint32_t>(index.Scorer()));
+    w.Put(static_cast<uint64_t>(index.EdgeSlotCount()));
+    for (graph::EdgeId e = 0; e < index.EdgeSlotCount(); ++e) {
+      const graph::Edge edge = index.EdgeAt(e);
+      const std::vector<uint32_t>& sizes = index.EdgeSizes(e);
+      w.Put(edge.u);
+      w.Put(edge.v);
+      w.Put(static_cast<uint8_t>(index.IsLive(e) ? 1 : 0));
+      w.Put(static_cast<uint32_t>(sizes.size()));
+      for (uint32_t size : sizes) w.Put(size);
+    }
+    const uint64_t checksum = w.checksum();
+    out.write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
+    return std::move(out).str();
+  };
+  // Version 2 is today's stream without the scorer id.
+  std::stringstream current;
+  std::string error;
+  EXPECT_TRUE(
+      core::SerializeFrozenIndex(core::Freeze(index), current, &error));
+  const std::string v4 = current.str();
+  const std::string arrays = v4.substr(12, v4.size() - 12 - 8);
+  const std::string v2 = "ESDX" + U32Bytes(2) + arrays +
+                         U64Bytes(core::Fnv1a(arrays.data(), arrays.size()));
+  return {{1, records(false)}, {2, v2}, {3, records(true)}};
+}
+
+// One index format: versions 1-3 are refused typed, by the frozen load and
+// by the treap engine's load path (file -> Thaw), which never gets an image
+// to thaw.
+TEST(IndexIoFormatTest, RetiredVersionsRefusedByFrozenAndThawLoads) {
+  graph::Graph g = gen::ErdosRenyiGnm(30, 90, 5);
+  const EsdIndex built = core::BuildIndexClique(g);
+  const std::string path = ::testing::TempDir() + "/esd_retired_index.bin";
+  for (const auto& [version, bytes] : RetiredVersionStreams(built)) {
+    const std::string named = "version " + std::to_string(version);
+    std::stringstream in(bytes);
+    FrozenEsdIndex out;
+    const IndexIoResult res = core::DeserializeFrozenIndex(in, &out, kEsd);
+    EXPECT_EQ(res.status, IndexIoStatus::kFormatError) << named;
+    EXPECT_NE(res.message.find(named), std::string::npos) << res.message;
+
+    {
+      std::ofstream file(path, std::ios::binary | std::ios::trunc);
+      file << bytes;
+    }
+    FrozenEsdIndex loaded;
+    const IndexIoResult file_res = core::LoadFrozenIndex(path, &loaded, kEsd);
+    EXPECT_EQ(file_res.status, IndexIoStatus::kFormatError) << named;
+    EXPECT_NE(file_res.message.find(named), std::string::npos)
+        << file_res.message;
+    EXPECT_TRUE(loaded == FrozenEsdIndex{}) << named;
+    EXPECT_EQ(core::Thaw(loaded).EdgeSlotCount(), 0u) << named;
+  }
+  std::remove(path.c_str());
+}
+
+// The surviving header, byte for byte: magic, version 4, scorer id.
+TEST(IndexIoFormatTest, HeaderBytesArePinned) {
+  graph::Graph g = gen::ErdosRenyiGnm(12, 30, 3);
+  std::stringstream buf;
+  std::string error;
+  ASSERT_TRUE(core::SerializeFrozenIndex(core::BuildFrozenIndex(g), buf,
+                                         &error))
+      << error;
+  EXPECT_EQ(buf.str().substr(0, 12),
+            "ESDX" + U32Bytes(4) +
+                U32Bytes(static_cast<uint32_t>(core::ScorerKind::kEsd)));
 }
 
 TEST(QueryEngineTest, FactoryCoversAllEnginesWithEqualAnswers) {

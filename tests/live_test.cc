@@ -14,12 +14,15 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <span>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/binary_format.h"
 #include "core/frozen_index.h"
 #include "core/index_builder.h"
 #include "core/query_engine.h"
@@ -31,6 +34,7 @@
 #include "live/snapshot.h"
 #include "live/wal.h"
 #include "serve/query_service.h"
+#include "tests/test_helpers.h"
 #include "util/rng.h"
 
 #if defined(__has_feature)
@@ -57,6 +61,8 @@ using live::WalRecord;
 using live::WalReplayResult;
 using live::WalTailStatus;
 using live::WalWriter;
+using test::U32Bytes;
+using test::U64Bytes;
 
 /// A fresh scratch directory per test, removed on destruction.
 class ScratchDir {
@@ -178,23 +184,23 @@ TEST(LiveWalTest, TruncationSweepDeliversLongestValidPrefix) {
         &error))
         << "cut=" << cut << ": " << error;
     const size_t whole_records =
-        cut < live::kWalFileHeaderBytesV2
+        cut < live::kWalFileHeaderBytes
             ? 0
-            : (cut - live::kWalFileHeaderBytesV2) / record_bytes;
+            : (cut - live::kWalFileHeaderBytes) / record_bytes;
     EXPECT_EQ(delivered, whole_records) << "cut=" << cut;
     EXPECT_EQ(result.records, whole_records) << "cut=" << cut;
     const bool at_boundary =
-        cut == 0 || (cut >= live::kWalFileHeaderBytesV2 &&
-                     (cut - live::kWalFileHeaderBytesV2) % record_bytes == 0);
+        cut == 0 || (cut >= live::kWalFileHeaderBytes &&
+                     (cut - live::kWalFileHeaderBytes) % record_bytes == 0);
     EXPECT_EQ(result.tail == WalTailStatus::kClean, at_boundary)
         << "cut=" << cut;
     if (!at_boundary) {
       EXPECT_EQ(result.tail, WalTailStatus::kTruncatedRecord)
           << "cut=" << cut;
       EXPECT_EQ(result.valid_bytes,
-                cut < live::kWalFileHeaderBytesV2
+                cut < live::kWalFileHeaderBytes
                     ? 0
-                    : live::kWalFileHeaderBytesV2 +
+                    : live::kWalFileHeaderBytes +
                           whole_records * record_bytes)
           << "cut=" << cut;
     }
@@ -222,7 +228,7 @@ TEST(LiveWalTest, BitFlipSweepNeverCrashesAndTypesTheTail) {
     const bool ok = live::ReplayWal(
         flipped, [&delivered](const WalRecord&) { ++delivered; }, &result,
         &error);
-    if (pos < live::kWalFileHeaderBytesV2) {
+    if (pos < live::kWalFileHeaderBytes) {
       EXPECT_FALSE(ok) << "pos=" << pos;
       EXPECT_EQ(result.tail, WalTailStatus::kBadFileHeader) << "pos=" << pos;
       EXPECT_EQ(delivered, 0u);
@@ -234,7 +240,7 @@ TEST(LiveWalTest, BitFlipSweepNeverCrashesAndTypesTheTail) {
     const size_t record_bytes =
         live::kWalRecordHeaderBytes + live::kWalPayloadBytes;
     const size_t hit_record =
-        (pos - live::kWalFileHeaderBytesV2) / record_bytes;
+        (pos - live::kWalFileHeaderBytes) / record_bytes;
     EXPECT_EQ(delivered, hit_record) << "pos=" << pos;
     EXPECT_NE(result.tail, WalTailStatus::kClean) << "pos=" << pos;
     EXPECT_NE(result.tail, WalTailStatus::kBadFileHeader) << "pos=" << pos;
@@ -271,7 +277,7 @@ TEST(LiveWalTest, OversizedAndMalformedLengthPrefixes) {
     EXPECT_EQ(result.tail, WalTailStatus::kOversizedRecord);
   }
   {
-    // In-bounds but not a v1 payload size.
+    // In-bounds but not the record payload size.
     const std::string malformed = dir.Path("malformed.bin");
     WriteFileBytes(malformed, with_third_record_len(16));
     WalReplayResult result;
@@ -282,24 +288,46 @@ TEST(LiveWalTest, OversizedAndMalformedLengthPrefixes) {
   }
 }
 
+// Another program's file, and a well-formed log under the retired 8-byte
+// version-1 header: replay, the writer and a live index all refuse them,
+// and the refused open leaves the bytes as they were.
 TEST(LiveWalTest, ForeignFileRefusedByReplayAndWriter) {
   ScratchDir dir("wal_foreign");
   const std::string path = dir.Path("not_a_wal.bin");
-  WriteFileBytes(path, "this is certainly not an ESDW log at all");
+  const std::string payload =
+      U64Bytes(1) + std::string(1, '\0') + U32Bytes(3) + U32Bytes(4);
+  ASSERT_EQ(payload.size(), live::kWalPayloadBytes);
+  const std::string v1_log =
+      "ESDW" + U32Bytes(1) + U32Bytes(live::kWalPayloadBytes) +
+      U64Bytes(core::Fnv1a(payload.data(), payload.size())) + payload;
 
-  WalReplayResult result;
-  std::string error;
-  EXPECT_FALSE(live::ReplayWal(path, nullptr, &result, &error));
-  EXPECT_EQ(result.tail, WalTailStatus::kBadFileHeader);
-  EXPECT_FALSE(error.empty());
+  for (const std::string& bytes :
+       {std::string("this is certainly not an ESDW log at all"), v1_log}) {
+    WriteFileBytes(path, bytes);
+    uint64_t delivered = 0;
+    WalReplayResult result;
+    std::string error;
+    EXPECT_FALSE(live::ReplayWal(
+        path, [&delivered](const WalRecord&) { ++delivered; }, &result,
+        &error));
+    EXPECT_EQ(result.tail, WalTailStatus::kBadFileHeader);
+    EXPECT_EQ(delivered, 0u);
+    EXPECT_FALSE(error.empty());
 
-  WalWriter w;
-  error.clear();
-  EXPECT_FALSE(w.Open(path, &error));
-  EXPECT_FALSE(error.empty());
-  // The foreign file must not have been clobbered by the refused open.
-  EXPECT_EQ(ReadFileBytes(path),
-            "this is certainly not an ESDW log at all");
+    WalWriter w;
+    error.clear();
+    EXPECT_FALSE(w.Open(path, &error));
+    EXPECT_FALSE(w.is_open());
+    EXPECT_FALSE(error.empty());
+    EXPECT_EQ(ReadFileBytes(path), bytes);
+
+    LiveOptions options;
+    options.wal_path = path;
+    EXPECT_EQ(
+        LiveEsdIndex::Open(gen::BarabasiAlbert(10, 2, 1), options, &error),
+        nullptr);
+    EXPECT_EQ(ReadFileBytes(path), bytes);
+  }
 }
 
 TEST(LiveWalTest, TruncateAllKeepsHeaderAndAcceptsAppends) {
@@ -310,7 +338,7 @@ TEST(LiveWalTest, TruncateAllKeepsHeaderAndAcceptsAppends) {
   std::string error;
   ASSERT_TRUE(w.Open(path, &error)) << error;
   ASSERT_TRUE(w.TruncateAll(&error)) << error;
-  EXPECT_EQ(w.SizeBytes(), live::kWalFileHeaderBytesV2);
+  EXPECT_EQ(w.SizeBytes(), live::kWalFileHeaderBytes);
 
   WalRecord rec;
   rec.seq = 100;
@@ -328,6 +356,58 @@ TEST(LiveWalTest, TruncateAllKeepsHeaderAndAcceptsAppends) {
   EXPECT_EQ(result.tail, WalTailStatus::kClean);
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].seq, 100u);
+}
+
+// The one WAL header, byte for byte: magic, version 2, scorer id.
+TEST(LiveWalTest, HeaderBytesArePinned) {
+  ScratchDir dir("wal_pin");
+  const std::string path = dir.Path("wal.bin");
+  WalWriter w;
+  std::string error;
+  ASSERT_TRUE(w.Open(path, &error, core::ScorerKind::kTruss)) << error;
+  EXPECT_EQ(w.SizeBytes(), 12u);
+  w.Close();
+  EXPECT_EQ(live::kWalFileHeaderBytes, 12u);
+  EXPECT_EQ(ReadFileBytes(path),
+            "ESDW" + U32Bytes(2) +
+                U32Bytes(static_cast<uint32_t>(core::ScorerKind::kTruss)));
+}
+
+// The one snapshot header is pinned; a well-formed version-1 snapshot (no
+// scorer id) fails to load, and so does a live index opened over it.
+TEST(LiveRecoveryTest, SnapshotHeaderPinnedAndV1Refused) {
+  ScratchDir dir("snap_v1");
+  graph::DynamicGraph g(3);
+  g.InsertEdge(0, 1);
+  g.InsertEdge(1, 2);
+  std::string error;
+  const std::string current = dir.Path("current.bin");
+  ASSERT_TRUE(live::SaveGraphSnapshot(current, g, 7, &error)) << error;
+  EXPECT_EQ(ReadFileBytes(current).substr(0, 8), "ESDS" + U32Bytes(2));
+
+  std::ostringstream v1(std::ios::binary);
+  v1 << "ESDS" << U32Bytes(1);
+  core::BinaryWriter w(v1);
+  w.Put(uint64_t{7});
+  w.Put(graph::VertexId{3});
+  const std::vector<graph::Edge> edges = {{0, 1}, {1, 2}};
+  w.PutArray(std::span<const graph::Edge>(edges));
+  const uint64_t checksum = w.checksum();
+  v1.write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
+  const std::string snap = dir.Path("snap.bin");
+  WriteFileBytes(snap, v1.str());
+
+  live::GraphSnapshotData data;
+  EXPECT_FALSE(live::LoadGraphSnapshot(snap, &data, &error));
+  EXPECT_NE(error.find("version 1"), std::string::npos) << error;
+
+  LiveOptions options;
+  options.wal_path = dir.Path("wal.bin");
+  options.snapshot_path = snap;
+  error.clear();
+  EXPECT_EQ(LiveEsdIndex::Open(gen::BarabasiAlbert(10, 2, 1), options, &error),
+            nullptr);
+  EXPECT_NE(error.find("version 1"), std::string::npos) << error;
 }
 
 TEST(LiveRecoveryTest, SnapshotRoundTripAndCorruptionDetected) {
@@ -532,9 +612,9 @@ TEST(LiveIndexTest, CheckpointCompactsTheLog) {
 
   const std::vector<LiveUpdate> updates = RandomUpdates(64, 40, 99);
   ASSERT_EQ(live->ApplyBatch(updates, &error), updates.size()) << error;
-  EXPECT_GT(live->Stats().wal_bytes, live::kWalFileHeaderBytesV2);
+  EXPECT_GT(live->Stats().wal_bytes, live::kWalFileHeaderBytes);
   ASSERT_TRUE(live->Checkpoint(&error)) << error;
-  EXPECT_EQ(live->Stats().wal_bytes, live::kWalFileHeaderBytesV2);
+  EXPECT_EQ(live->Stats().wal_bytes, live::kWalFileHeaderBytes);
   EXPECT_TRUE(fs::exists(dir.Path("snap.bin")));
 
   // Updates after the checkpoint land in the compacted log and survive.
@@ -618,6 +698,10 @@ TEST(LiveIndexTest, RefreezePublishesFreshEpochs) {
 // bumps before the sleep, giving the test a sync point), letting a second,
 // newer refreeze overtake it deterministically.
 TEST(LiveIndexTest, StalePublishDiscardedBySeqGuard) {
+  if (!fault::kFailPointsCompiledIn) {
+    // The race window is held open by the live.refreeze fail point.
+    GTEST_SKIP() << "ESD_FAULT=OFF: the live.refreeze fail point compiles out";
+  }
   ScratchDir dir("live_pubrace");
   LiveOptions options;
   options.wal_path = dir.Path("wal.bin");

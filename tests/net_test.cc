@@ -65,6 +65,21 @@ using serve::QueryRequest;
 using serve::QueryResponse;
 using serve::ResponseStatus;
 
+/// A query as a client of the retired protocol version 1 sent it: version
+/// byte 1 and a 25-byte payload (no strict byte).
+std::string V1QueryFrame() {
+  QueryFrame q;
+  q.cid = 11;
+  q.k = 3;
+  q.tau = 2;
+  std::string frame = EncodeQuery(q);
+  frame[1] = 1;
+  frame.pop_back();
+  const uint32_t v1_len = 25;
+  std::memcpy(&frame[4], &v1_len, sizeof(v1_len));
+  return frame;
+}
+
 // ---------------------------------------------------------------------------
 // Wire codec: round trips.
 // ---------------------------------------------------------------------------
@@ -189,18 +204,42 @@ TEST(NetWireTest, BadMagicPoisonsDecoder) {
 }
 
 TEST(NetWireTest, BadVersionAndFlagsRejected) {
-  std::string frame = net::EncodeFrame(FrameType::kPing, "");
-  frame[1] = static_cast<char>(net::kWireVersion + 9);
-  FrameDecoder dec1;
-  dec1.Feed(frame);
+  std::string hostile = net::EncodeFrame(FrameType::kPing, "");
+  hostile[1] = static_cast<char>(net::kWireVersion + 9);
+  std::string v1_ping = net::EncodeFrame(FrameType::kPing, "");
+  v1_ping[1] = 1;
   Frame out;
-  EXPECT_EQ(dec1.Next(&out), WireStatus::kBadVersion);
+  for (const std::string& frame : {hostile, v1_ping, V1QueryFrame()}) {
+    FrameDecoder dec;
+    dec.Feed(frame);
+    EXPECT_EQ(dec.Next(&out), WireStatus::kBadVersion);
+  }
 
-  frame = net::EncodeFrame(FrameType::kPing, "");
+  std::string frame = net::EncodeFrame(FrameType::kPing, "");
   frame[3] = 0x40;  // reserved flags must be zero
   FrameDecoder dec2;
   dec2.Feed(frame);
   EXPECT_EQ(dec2.Next(&out), WireStatus::kBadFlags);
+}
+
+// The surviving header and payload sizes, byte for byte.
+TEST(NetWireTest, HeaderBytesArePinned) {
+  EXPECT_EQ(net::kWireVersion, 2);
+  QueryFrame q;
+  const std::string query = EncodeQuery(q);
+  ASSERT_EQ(query.size(), net::kFrameHeaderBytes + 26);
+  EXPECT_EQ(static_cast<uint8_t>(query[0]), 0xE5);
+  EXPECT_EQ(static_cast<uint8_t>(query[1]), 0x02);
+  EXPECT_EQ(static_cast<uint8_t>(query[2]),
+            static_cast<uint8_t>(FrameType::kQuery));
+  EXPECT_EQ(query[3], 0);
+  QueryResultFrame r;
+  r.edges = {{1, 2, 3}};
+  const std::string result = EncodeQueryResult(r);
+  ASSERT_EQ(result.size(), net::kFrameHeaderBytes + 35 + 12);
+  EXPECT_EQ(result.substr(0, 2), std::string("\xE5\x02", 2));
+  EXPECT_EQ(EncodeFrame(FrameType::kPing, "").substr(0, 2),
+            std::string("\xE5\x02", 2));
 }
 
 TEST(NetWireTest, UnknownTypeRejected) {
@@ -634,25 +673,30 @@ TEST_F(NetServerTest, PipelinedResponsesArriveInRequestOrder) {
 
 TEST_F(NetServerTest, MalformedFrameGetsTypedErrorAndClose) {
   NetServer* srv = StartServer();
-  BlockingClient client;
-  std::string error;
-  ASSERT_TRUE(client.Connect("127.0.0.1", srv->port(), &error)) << error;
 
-  // Valid magic, hostile version byte: binary mode engages, then the
-  // decoder reports kBadVersion — the server must answer a kError frame
-  // and close, never hang.
-  std::string bad = EncodeFrame(FrameType::kPing, "");
-  bad[1] = 77;
-  ASSERT_TRUE(client.SendRaw(bad));
-  Frame frame;
-  ASSERT_EQ(client.RecvFrame(&frame), WireStatus::kOk);
-  ASSERT_EQ(frame.type, FrameType::kError);
-  ErrorFrame ef;
-  ASSERT_EQ(net::DecodeError(frame.payload, &ef), WireStatus::kOk);
-  EXPECT_EQ(ef.code, WireError::kParse);
-  // Peer must close after the error frame.
-  EXPECT_EQ(client.RecvFrame(&frame), WireStatus::kNeedMore);
-  EXPECT_GE(srv->SnapStats().parse_errors, 1u);
+  // Valid magic, then a version byte the server does not speak — a
+  // hostile 77, or a query from a client of the retired version 1: binary
+  // mode engages, then the decoder reports kBadVersion — the server must
+  // answer a kError frame and close, never hang or answer in a layout the
+  // client cannot parse.
+  std::string hostile = EncodeFrame(FrameType::kPing, "");
+  hostile[1] = 77;
+  for (const std::string& bad : {hostile, V1QueryFrame()}) {
+    BlockingClient client;
+    std::string error;
+    ASSERT_TRUE(client.Connect("127.0.0.1", srv->port(), &error)) << error;
+    ASSERT_TRUE(client.SendRaw(bad));
+    Frame frame;
+    ASSERT_EQ(client.RecvFrame(&frame), WireStatus::kOk);
+    ASSERT_EQ(frame.type, FrameType::kError);
+    ErrorFrame ef;
+    ASSERT_EQ(net::DecodeError(frame.payload, &ef), WireStatus::kOk);
+    EXPECT_EQ(ef.code, WireError::kParse);
+    EXPECT_EQ(ef.message, "bad-version");
+    // Peer must close after the error frame.
+    EXPECT_EQ(client.RecvFrame(&frame), WireStatus::kNeedMore);
+  }
+  EXPECT_GE(srv->SnapStats().parse_errors, 2u);
 }
 
 TEST_F(NetServerTest, OversizedPrefixRejectedWithoutPayload) {

@@ -35,6 +35,7 @@
 #include "gen/watts_strogatz.h"
 #include "graph/graph.h"
 #include "live/live_index.h"
+#include "tests/test_helpers.h"
 #include "util/rng.h"
 
 namespace esd {
@@ -332,20 +333,19 @@ TEST(ScorerIndexIoTest, RoundTripCarriesScorerKind) {
   const EsdIndex treap = BuildIndex(g, core::TrussScorer());
   const FrozenEsdIndex frozen = BuildFrozenIndex(g, core::TrussScorer());
 
-  std::stringstream record_stream, frozen_stream;
+  // The treap engine persists as Freeze -> file -> Thaw.
+  const EsdIndex treap2 = test::TreapFileRoundTrip(treap);
+  EXPECT_EQ(treap2.Scorer(), ScorerKind::kTruss);
+  test::ExpectIndexesEqual(treap, treap2);
+
+  std::stringstream frozen_stream;
   std::string error;
-  ASSERT_TRUE(core::SerializeIndex(treap, record_stream, &error)) << error;
   ASSERT_TRUE(core::SerializeFrozenIndex(frozen, frozen_stream, &error))
       << error;
-
-  EsdIndex treap2;
-  ASSERT_TRUE(core::DeserializeIndex(record_stream, &treap2, &error))
-      << error;
-  EXPECT_EQ(treap2.Scorer(), ScorerKind::kTruss);
-
   FrozenEsdIndex frozen2;
-  ASSERT_TRUE(core::DeserializeFrozenIndex(frozen_stream, &frozen2, &error))
-      << error;
+  const IndexIoResult res =
+      core::DeserializeFrozenIndex(frozen_stream, &frozen2, ScorerKind::kTruss);
+  ASSERT_TRUE(res) << res.message;
   EXPECT_EQ(frozen2.Scorer(), ScorerKind::kTruss);
   EXPECT_TRUE(frozen == frozen2);
 }
@@ -359,21 +359,22 @@ TEST(ScorerIndexIoTest, CheckedLoadAcceptsMatchRejectsMismatch) {
   const std::string frozen_path = dir + "/frozen.bin";
 
   std::string error;
-  ASSERT_TRUE(
-      core::SaveIndex(BuildIndex(g, core::TrussScorer()), treap_path, &error))
+  const EsdIndex built = BuildIndex(g, core::TrussScorer());
+  ASSERT_TRUE(core::SaveFrozenIndex(core::Freeze(built), treap_path, &error))
       << error;
   ASSERT_TRUE(core::SaveFrozenIndex(BuildFrozenIndex(g, core::TrussScorer()),
                                     frozen_path, &error))
       << error;
 
-  EsdIndex treap;
+  FrozenEsdIndex loaded;
   FrozenEsdIndex frozen;
-  EXPECT_TRUE(core::LoadIndex(treap_path, &treap, ScorerKind::kTruss));
+  EXPECT_TRUE(core::LoadFrozenIndex(treap_path, &loaded, ScorerKind::kTruss));
+  test::ExpectIndexesEqual(built, core::Thaw(loaded));
   EXPECT_TRUE(
       core::LoadFrozenIndex(frozen_path, &frozen, ScorerKind::kTruss));
 
   const IndexIoResult treap_miss =
-      core::LoadIndex(treap_path, &treap, ScorerKind::kEgoBetweenness);
+      core::LoadFrozenIndex(treap_path, &loaded, ScorerKind::kEgoBetweenness);
   EXPECT_FALSE(treap_miss);
   EXPECT_EQ(treap_miss.status, IndexIoStatus::kScorerMismatch);
   EXPECT_NE(treap_miss.message.find("truss"), std::string::npos);
@@ -384,15 +385,8 @@ TEST(ScorerIndexIoTest, CheckedLoadAcceptsMatchRejectsMismatch) {
   EXPECT_FALSE(frozen_miss);
   EXPECT_EQ(frozen_miss.status, IndexIoStatus::kScorerMismatch);
 
-  // A frozen file also loads into the record path and vice versa — the
-  // mismatch check is format-independent.
-  const IndexIoResult cross =
-      core::LoadIndex(frozen_path, &treap, ScorerKind::kEsd);
-  EXPECT_FALSE(cross);
-  EXPECT_EQ(cross.status, IndexIoStatus::kScorerMismatch);
-
   const IndexIoResult missing =
-      core::LoadIndex(dir + "/nope.bin", &treap, ScorerKind::kTruss);
+      core::LoadFrozenIndex(dir + "/nope.bin", &frozen, ScorerKind::kTruss);
   EXPECT_FALSE(missing);
   EXPECT_EQ(missing.status, IndexIoStatus::kIoError);
 
@@ -400,7 +394,7 @@ TEST(ScorerIndexIoTest, CheckedLoadAcceptsMatchRejectsMismatch) {
 }
 
 /// Fuzz the 4-byte scorer-id field (bytes 8..11, right after magic +
-/// version) of serialized v3/v4 streams. Garbage ids must fail typed as
+/// version) of a serialized index stream. Garbage ids must fail typed as
 /// kUnknownScorer; a *valid but different* id must trip the checksum
 /// (kFormatError) — the stamp is checksummed, so it cannot be quietly
 /// rewritten; and only a well-formed foreign file yields kScorerMismatch.
@@ -425,9 +419,6 @@ TEST(ScorerIndexIoTest, GarbageScorerIdFuzz) {
     EXPECT_FALSE(res) << "raw id " << raw;
     EXPECT_EQ(res.status, IndexIoStatus::kUnknownScorer) << raw;
     EXPECT_NE(res.message.find("scorer"), std::string::npos);
-
-    std::stringstream in_bool(bad);
-    EXPECT_FALSE(core::DeserializeFrozenIndex(in_bool, &out, &error));
   }
 
   // Patch in kEsd (valid id, wrong scorer): the checksum covers the field,
@@ -452,23 +443,6 @@ TEST(ScorerIndexIoTest, GarbageScorerIdFuzz) {
         core::DeserializeFrozenIndex(in, &out, ScorerKind::kTruss);
     EXPECT_FALSE(res) << "keep " << keep;
     EXPECT_EQ(res.status, IndexIoStatus::kFormatError);
-  }
-
-  // Same sweep for the record-stream (v3) format.
-  std::stringstream rec;
-  ASSERT_TRUE(
-      core::SerializeIndex(BuildIndex(g, core::TrussScorer()), rec, &error))
-      << error;
-  const std::string rec_good = rec.str();
-  for (uint32_t raw : {0u, 4u, 0xFFFFFFFFu}) {
-    std::string bad = rec_good;
-    std::memcpy(&bad[8], &raw, sizeof(raw));
-    std::stringstream in(bad);
-    EsdIndex out;
-    const IndexIoResult res =
-        core::DeserializeIndex(in, &out, ScorerKind::kTruss);
-    EXPECT_FALSE(res) << raw;
-    EXPECT_EQ(res.status, IndexIoStatus::kUnknownScorer) << raw;
   }
 }
 

@@ -1,8 +1,9 @@
 // Sharded serving engine (src/shard/): the hash partition, the filtered
 // per-shard serving images, the scatter-gather merge's exact parity with
 // the unsharded canonical answer, the early-exit drain bound, the fleet
-// tally surfaced through EsdQueryService, and the v1/v2 wire protocol
-// round trips the shard counts ride on.
+// tally surfaced through EsdQueryService, and the wire round trips the
+// shard counts ride on (plus the refusal of the retired layouts without
+// them).
 //
 // Fault-driven behavior (stall breakers, WAL outages quarantining one
 // shard, heal catch-up under injected errors) lives in chaos_test.cc —
@@ -468,9 +469,9 @@ TEST(ShardLiveTest, OutOfBoundsBatchRejectedBeforeAnyShard) {
   }
 }
 
-// ---- Wire protocol v1/v2 ---------------------------------------------------
+// ---- Wire protocol ----------------------------------------------------------
 
-TEST(ShardWireTest, QueryCarriesStrictAndV1PayloadStillDecodes) {
+TEST(ShardWireTest, QueryCarriesStrictAndV1PayloadIsRefused) {
   net::QueryFrame q;
   q.cid = 42;
   q.k = 7;
@@ -484,25 +485,22 @@ TEST(ShardWireTest, QueryCarriesStrictAndV1PayloadStillDecodes) {
   decoder.Feed(frame);
   net::Frame out;
   ASSERT_EQ(decoder.Next(&out), net::WireStatus::kOk);
-  EXPECT_EQ(out.version, net::kWireVersion);
   net::QueryFrame round;
   ASSERT_EQ(net::DecodeQuery(out.payload, &round), net::WireStatus::kOk);
   EXPECT_EQ(round.cid, 42u);
   EXPECT_EQ(round.strict, 1u);
   EXPECT_EQ(round.deadline_us, 1234u);
 
-  // A v1 client's 25-byte payload (no strict byte) reads as strict = 0.
+  // The retired 25-byte payload (no strict byte) is not a query.
+  ASSERT_EQ(out.payload.size(), 26u);
   net::QueryFrame v1;
-  ASSERT_EQ(net::DecodeQuery(
+  EXPECT_EQ(net::DecodeQuery(
                 std::string_view(out.payload).substr(0, out.payload.size() - 1),
                 &v1),
-            net::WireStatus::kOk);
-  EXPECT_EQ(v1.cid, 42u);
-  EXPECT_EQ(v1.k, 7u);
-  EXPECT_EQ(v1.strict, 0u);
+            net::WireStatus::kBadPayload);
 }
 
-TEST(ShardWireTest, QueryResultRoundTripsShardCountsPerVersion) {
+TEST(ShardWireTest, QueryResultRoundTripsShardCounts) {
   net::QueryResultFrame r;
   r.cid = 9;
   r.status = 0;
@@ -514,41 +512,30 @@ TEST(ShardWireTest, QueryResultRoundTripsShardCountsPerVersion) {
   r.edges.push_back({1, 2, 10});
   r.edges.push_back({2, 3, 8});
 
-  // v2 encoding round-trips the fleet tally.
-  {
-    net::FrameDecoder decoder;
-    decoder.Feed(net::EncodeQueryResult(r, /*version=*/2));
-    net::Frame frame;
-    ASSERT_EQ(decoder.Next(&frame), net::WireStatus::kOk);
-    EXPECT_EQ(frame.version, 2);
-    net::QueryResultFrame out;
-    ASSERT_EQ(net::DecodeQueryResult(frame.payload, &out),
-              net::WireStatus::kOk);
-    EXPECT_EQ(out.shards_ok, 3u);
-    EXPECT_EQ(out.shards_degraded, 1u);
-    EXPECT_EQ(out.shards_down, 2u);
-    ASSERT_EQ(out.edges.size(), 2u);
-    EXPECT_EQ(out.edges[1].score, 8u);
-  }
+  net::FrameDecoder decoder;
+  decoder.Feed(net::EncodeQueryResult(r));
+  net::Frame frame;
+  ASSERT_EQ(decoder.Next(&frame), net::WireStatus::kOk);
+  net::QueryResultFrame out;
+  ASSERT_EQ(net::DecodeQueryResult(frame.payload, &out), net::WireStatus::kOk);
+  EXPECT_EQ(out.shards_ok, 3u);
+  EXPECT_EQ(out.shards_degraded, 1u);
+  EXPECT_EQ(out.shards_down, 2u);
+  ASSERT_EQ(out.edges.size(), 2u);
+  EXPECT_EQ(out.edges[1].score, 8u);
 
-  // v1 encoding omits the counts: the 29-byte prefix decodes with all
-  // three zeroed — exactly what a v1 client expects to see.
-  {
-    net::FrameDecoder decoder;
-    decoder.Feed(net::EncodeQueryResult(r, /*version=*/1));
-    net::Frame frame;
-    ASSERT_EQ(decoder.Next(&frame), net::WireStatus::kOk);
-    EXPECT_EQ(frame.version, 1);
-    net::QueryResultFrame out;
-    ASSERT_EQ(net::DecodeQueryResult(frame.payload, &out),
-              net::WireStatus::kOk);
-    EXPECT_EQ(out.cid, 9u);
-    EXPECT_EQ(out.shards_ok, 0u);
-    EXPECT_EQ(out.shards_degraded, 0u);
-    EXPECT_EQ(out.shards_down, 0u);
-    ASSERT_EQ(out.edges.size(), 2u);
-    EXPECT_EQ(out.edges[0].u, 1u);
-  }
+  // The retired layout: the same result without the three u16 counts, a
+  // 29-byte prefix. Every length a 35-byte prefix cannot explain is refused.
+  ASSERT_EQ(frame.payload.size(), 35u + 2 * 12u);
+  std::string v1 = frame.payload;
+  v1.erase(25, 6);
+  EXPECT_EQ(net::DecodeQueryResult(v1, &out), net::WireStatus::kBadPayload);
+  r.edges.clear();
+  decoder.Feed(net::EncodeQueryResult(r));
+  ASSERT_EQ(decoder.Next(&frame), net::WireStatus::kOk);
+  v1 = frame.payload;
+  v1.erase(25, 6);
+  EXPECT_EQ(net::DecodeQueryResult(v1, &out), net::WireStatus::kBadPayload);
 }
 
 }  // namespace

@@ -3,15 +3,19 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdint>
 #include <cstdlib>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/esd_index.h"
+#include "core/frozen_index.h"
+#include "core/index_io.h"
 #include "core/naive_topk.h"
 #include "core/topk_result.h"
 #include "graph/graph.h"
@@ -39,6 +43,29 @@ inline void ExpectIndexesEqual(const core::EsdIndex& a,
                                const core::EsdIndex& b) {
   EXPECT_EQ(ImageOf(a), ImageOf(b));
   EXPECT_EQ(a.NumEntries(), b.NumEntries());
+}
+
+/// Native-order bytes of one field, for hand-crafting file images.
+inline std::string U32Bytes(uint32_t v) {
+  return std::string(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+inline std::string U64Bytes(uint64_t v) {
+  return std::string(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+/// Persists a treap index the one way the repo supports — Freeze, then the
+/// frozen file format — and loads it back through Thaw, checking the scorer
+/// stamp on the way in.
+inline core::EsdIndex TreapFileRoundTrip(const core::EsdIndex& index) {
+  std::stringstream buffer;
+  std::string error;
+  EXPECT_TRUE(core::SerializeFrozenIndex(core::Freeze(index), buffer, &error))
+      << error;
+  core::FrozenEsdIndex frozen;
+  const core::IndexIoResult res =
+      core::DeserializeFrozenIndex(buffer, &frozen, index.Scorer());
+  EXPECT_TRUE(res) << res.message;
+  return core::Thaw(frozen);
 }
 
 /// Checks the EsdIndex invariant from first principles: every list H(c)
