@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
-#include "graph/connectivity.h"
+#include "graph/ego_net.h"
 
 namespace esd::baselines {
 
@@ -11,14 +11,9 @@ using graph::Graph;
 using graph::VertexId;
 
 uint32_t VertexScore(const Graph& g, VertexId v, uint32_t tau) {
-  auto nbrs = g.Neighbors(v);
-  std::vector<VertexId> ego(nbrs.begin(), nbrs.end());
-  std::vector<uint32_t> sizes = graph::InducedComponentSizes(g, ego);
-  uint32_t score = 0;
-  for (uint32_t s : sizes) {
-    if (s >= tau) ++score;
-  }
-  return score;
+  graph::EgoScratch& ego = graph::ThreadEgoScratch();
+  ego.Build(g, g.Neighbors(v), graph::EgoProbe::kShorterSide);
+  return ego.ComponentsAtLeast(tau);
 }
 
 std::vector<uint32_t> AllVertexScores(const Graph& g, uint32_t tau) {

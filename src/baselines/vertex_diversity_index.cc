@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "graph/connectivity.h"
+#include "graph/ego_net.h"
 #include "util/binary_heap.h"
 #include "util/flat_map.h"
 #include "util/timer.h"
@@ -16,11 +16,9 @@ namespace {
 
 // Sorted (ascending) component sizes of the subgraph induced by N(v).
 std::vector<uint32_t> NeighborhoodComponentSizes(const Graph& g, VertexId v) {
-  auto nbrs = g.Neighbors(v);
-  std::vector<VertexId> ego(nbrs.begin(), nbrs.end());
-  std::vector<uint32_t> sizes = graph::InducedComponentSizes(g, ego);
-  std::sort(sizes.begin(), sizes.end());
-  return sizes;
+  graph::EgoScratch& ego = graph::ThreadEgoScratch();
+  ego.Build(g, g.Neighbors(v), graph::EgoProbe::kShorterSide);
+  return ego.SortedComponentSizes();
 }
 
 }  // namespace

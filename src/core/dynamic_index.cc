@@ -34,6 +34,11 @@ obs::Counter& TouchedCounter() {
   return c;
 }
 
+void SortUnique(std::vector<EdgeId>* ids) {
+  std::sort(ids->begin(), ids->end());
+  ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
+}
+
 }  // namespace
 
 DynamicEsdIndex::DynamicEsdIndex(const graph::Graph& g,
@@ -119,14 +124,11 @@ bool DynamicEsdIndex::InsertEdge(VertexId u, VertexId v) {
   // (v, w) — for w in N(uv). The affected-edge enumeration is the same for
   // every scorer; only the DSU repairs are ESD-specific (non-ESD scorers
   // recompute each affected edge through the scorer hook instead).
-  std::vector<VertexId> common = graph_.CommonNeighbors(u, v);
-  std::vector<EdgeId> affected;
-  affected.reserve(3 * common.size() + 1);
-  affected.push_back(e);
+  ego_.BuildCommon(graph_, u, v);
+  const std::span<const VertexId> common = ego_.Members();
+  affected_.assign(1, e);
   if (use_dsu_) dsu_[e].Reserve(common.size());
-  util::FlatSet<VertexId> in_common(common.size());
   for (VertexId w : common) {
-    in_common.Insert(w);
     EdgeId euw = IdOf(u, w);
     EdgeId evw = IdOf(v, w);
     if (use_dsu_) {
@@ -134,34 +136,30 @@ bool DynamicEsdIndex::InsertEdge(VertexId u, VertexId v) {
       dsu_[euw].AddMember(v);
       dsu_[evw].AddMember(u);
     }
-    affected.push_back(euw);
-    affected.push_back(evw);
+    affected_.push_back(euw);
+    affected_.push_back(evw);
   }
 
   // Lines 10-19: every edge (w1, w2) inside N(uv) closes the new 4-clique
   // {u, v, w1, w2}; merge the opposite pair in all six structures.
-  for (VertexId w1 : common) {
-    for (VertexId w2 : graph_.Neighbors(w1)) {
-      if (w2 <= w1 || !in_common.Contains(w2)) continue;
-      EdgeId e12 = IdOf(w1, w2);
-      if (use_dsu_) {
-        dsu_[e].Union(w1, w2);
-        dsu_[IdOf(u, w1)].Union(v, w2);
-        dsu_[IdOf(u, w2)].Union(v, w1);
-        dsu_[IdOf(v, w1)].Union(u, w2);
-        dsu_[IdOf(v, w2)].Union(u, w1);
-        dsu_[e12].Union(u, v);
-      }
-      affected.push_back(e12);
+  ego_.ForEachEdge([&](uint32_t i, uint32_t j) {
+    const VertexId w1 = common[i], w2 = common[j];
+    EdgeId e12 = IdOf(w1, w2);
+    if (use_dsu_) {
+      dsu_[e].Union(w1, w2);
+      dsu_[IdOf(u, w1)].Union(v, w2);
+      dsu_[IdOf(u, w2)].Union(v, w1);
+      dsu_[IdOf(v, w1)].Union(u, w2);
+      dsu_[IdOf(v, w2)].Union(u, w1);
+      dsu_[e12].Union(u, v);
     }
-  }
+    affected_.push_back(e12);
+  });
 
   // Lines 20-22: refresh C_xy and H for every edge of Ĝ_{N(uv)}.
-  std::sort(affected.begin(), affected.end());
-  affected.erase(std::unique(affected.begin(), affected.end()),
-                 affected.end());
-  for (EdgeId a : affected) RefreshScores(a);
-  last_touched_ = affected.size();
+  SortUnique(&affected_);
+  for (EdgeId a : affected_) RefreshScores(a);
+  last_touched_ = affected_.size();
   TouchedCounter().Inc(last_touched_);
   return true;
 }
@@ -174,79 +172,54 @@ bool DynamicEsdIndex::DeleteEdge(VertexId u, VertexId v) {
   const EdgeId e = *pe;
   DeleteCounter().Inc();
 
-  // Snapshot the affected subgraph G̃_{N(uv)} before mutating the graph.
-  std::vector<VertexId> common = graph_.CommonNeighbors(u, v);
-  util::FlatSet<VertexId> in_common(common.size());
-  for (VertexId w : common) in_common.Insert(w);
-  struct Pair {
-    VertexId w1, w2;
-    EdgeId e12;
-  };
-  std::vector<Pair> pairs;
-  for (VertexId w1 : common) {
-    for (VertexId w2 : graph_.Neighbors(w1)) {
-      if (w2 <= w1 || !in_common.Contains(w2)) continue;
-      pairs.push_back(Pair{w1, w2, IdOf(w1, w2)});
-    }
+  // Snapshot the affected subgraph G̃_{N(uv)} before mutating the graph: the
+  // wedge edges (u, w), (v, w) for each w in N(uv), then every edge inside
+  // N(uv). The snapshot is held as edge ids because the repairs below
+  // rebuild ego_.
+  ego_.BuildCommon(graph_, u, v);
+  const std::span<const VertexId> common = ego_.Members();
+  affected_.clear();
+  for (VertexId w : common) {
+    affected_.push_back(IdOf(u, w));
+    affected_.push_back(IdOf(v, w));
   }
+  const size_t num_wedge = affected_.size();
+  ego_.ForEachEdge([&](uint32_t i, uint32_t j) {
+    affected_.push_back(IdOf(common[i], common[j]));
+  });
 
   graph_.EraseEdge(u, v);
 
-  std::vector<EdgeId> affected;
-  affected.reserve(2 * common.size() + pairs.size());
-
-  if (!use_dsu_) {
-    // Non-ESD scorers: same affected set, repaired by recomputing each
-    // edge's values from the post-deletion graph via the scorer hook.
-    for (VertexId w : common) {
-      affected.push_back(IdOf(u, w));
-      affected.push_back(IdOf(v, w));
-    }
-    for (const Pair& p : pairs) affected.push_back(p.e12);
-    std::sort(affected.begin(), affected.end());
-    affected.erase(std::unique(affected.begin(), affected.end()),
-                   affected.end());
-  } else if (strategy_ == DeletionStrategy::kRebuildLocal) {
-    for (VertexId w : common) {
-      affected.push_back(IdOf(u, w));
-      affected.push_back(IdOf(v, w));
-    }
-    for (const Pair& p : pairs) affected.push_back(p.e12);
-    std::sort(affected.begin(), affected.end());
-    affected.erase(std::unique(affected.begin(), affected.end()),
-                   affected.end());
-    for (EdgeId a : affected) RebuildDsu(a);
-  } else {
+  // Non-ESD scorers repair every affected edge by recomputing its values
+  // from the post-deletion graph via the scorer hook (RefreshScores).
+  if (use_dsu_ && strategy_ == DeletionStrategy::kTargeted) {
     // Algorithm 5. For each w in N(uv): v leaves N(uw) and u leaves N(vw);
     // if the leaving endpoint was isolated it is simply dropped (lines 6-9),
     // otherwise its component is rebuilt (the Update procedure).
-    for (VertexId w : common) {
-      EdgeId euw = IdOf(u, w);
-      EdgeId evw = IdOf(v, w);
+    for (size_t i = 0; i < num_wedge; i += 2) {
+      const EdgeId euw = affected_[i], evw = affected_[i + 1];
       if (!dsu_[euw].RemoveSingleton(v)) TargetedRepair(euw, v);
       if (!dsu_[evw].RemoveSingleton(u)) TargetedRepair(evw, u);
-      affected.push_back(euw);
-      affected.push_back(evw);
     }
     // For each edge (w1, w2) inside N(uv): the 4-clique {u, v, w1, w2} is
     // broken; u and v stay members of M_{w1w2} but their shared component
     // may split (lines 10-18).
-    for (const Pair& p : pairs) {
-      TargetedRepair(p.e12, u);
-      affected.push_back(p.e12);
+    for (size_t i = num_wedge; i < affected_.size(); ++i) {
+      TargetedRepair(affected_[i], u);
     }
-    std::sort(affected.begin(), affected.end());
-    affected.erase(std::unique(affected.begin(), affected.end()),
-                   affected.end());
   }
-  for (EdgeId a : affected) RefreshScores(a);
+  SortUnique(&affected_);
+  if (use_dsu_ && strategy_ == DeletionStrategy::kRebuildLocal) {
+    for (EdgeId a : affected_) RebuildDsu(a);
+  }
+  for (EdgeId a : affected_) RefreshScores(a);
 
   // Lines 22-23: drop the deleted edge itself.
   index_.SetEdgeSizes(e, {});
   index_.UnregisterEdge(e);
   if (use_dsu_) dsu_[e] = KeyedDsu();
   ids_.Erase(key);
-  last_touched_ = affected.size() + 1;
+  last_touched_ = affected_.size() + 1;
   TouchedCounter().Inc(last_touched_);
   return true;
 }
@@ -264,19 +237,10 @@ size_t DynamicEsdIndex::RemoveVertexEdges(graph::VertexId v) {
 
 void DynamicEsdIndex::RebuildDsu(EdgeId e) {
   const Edge xy = index_.EdgeAt(e);
+  ego_.BuildCommon(graph_, xy.u, xy.v);
   KeyedDsu fresh;
-  std::vector<VertexId> common = graph_.CommonNeighbors(xy.u, xy.v);
-  fresh.Reserve(common.size());
-  util::FlatSet<VertexId> in_common(common.size());
-  for (VertexId w : common) {
-    fresh.AddMember(w);
-    in_common.Insert(w);
-  }
-  for (VertexId w1 : common) {
-    for (VertexId w2 : graph_.Neighbors(w1)) {
-      if (w2 > w1 && in_common.Contains(w2)) fresh.Union(w1, w2);
-    }
-  }
+  fresh.Reserve(ego_.NumMembers());
+  AddEgoTo(&fresh);
   dsu_[e] = std::move(fresh);
 }
 
@@ -284,25 +248,25 @@ void DynamicEsdIndex::TargetedRepair(EdgeId e, VertexId z) {
   KeyedDsu& m = dsu_[e];
   if (!m.Contains(z)) return;
   const Edge xy = index_.EdgeAt(e);
-  std::vector<VertexId> stale = m.ComponentMembers(z);
+  std::vector<VertexId> keep = m.ComponentMembers(z);
   m.RemoveComponent(z);
   // Re-admit members still in N(xy) as singletons (lines 28-30), then
   // re-union along surviving ego-network edges (lines 31-33). Deletions
   // only split components, so edges leaving the old component's vertex set
   // cannot exist.
-  util::FlatSet<VertexId> keep(stale.size());
-  for (VertexId w : stale) {
-    if (graph_.HasEdge(xy.u, w) && graph_.HasEdge(xy.v, w)) {
-      m.AddMember(w);
-      keep.Insert(w);
-    }
-  }
-  for (VertexId w : stale) {
-    if (!keep.Contains(w)) continue;
-    for (VertexId w2 : graph_.Neighbors(w)) {
-      if (w2 > w && keep.Contains(w2)) m.Union(w, w2);
-    }
-  }
+  std::erase_if(keep, [this, &xy](VertexId w) {
+    return !graph_.HasEdge(xy.u, w) || !graph_.HasEdge(xy.v, w);
+  });
+  std::sort(keep.begin(), keep.end());
+  ego_.Build(graph_, keep);
+  AddEgoTo(&m);
+}
+
+void DynamicEsdIndex::AddEgoTo(KeyedDsu* m) const {
+  const std::span<const VertexId> members = ego_.Members();
+  for (VertexId w : members) m->AddMember(w);
+  ego_.ForEachEdge(
+      [&](uint32_t i, uint32_t j) { m->Union(members[i], members[j]); });
 }
 
 uint32_t DynamicEsdIndex::ScoreOf(VertexId u, VertexId v,

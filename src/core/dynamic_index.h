@@ -9,6 +9,7 @@
 #include "core/scorer.h"
 #include "core/topk_result.h"
 #include "graph/dynamic_graph.h"
+#include "graph/ego_net.h"
 #include "graph/graph.h"
 #include "util/dsu.h"
 #include "util/flat_map.h"
@@ -144,6 +145,10 @@ class DynamicEsdIndex final : public EsdQueryEngine {
   /// pairwise adjacency unions).
   void RebuildDsu(graph::EdgeId e);
 
+  /// Adds ego_'s members to `*m` as singletons, then unions them along
+  /// ego_'s edges.
+  void AddEgoTo(util::KeyedDsu* m) const;
+
   /// Paper's Update: in M_e, rebuild only the component containing z.
   /// `z` need not be a member (then this is a no-op).
   void TargetedRepair(graph::EdgeId e, graph::VertexId z);
@@ -166,6 +171,9 @@ class DynamicEsdIndex final : public EsdQueryEngine {
   // Batch mode: RefreshScores records edge keys here instead of updating H.
   bool batch_mode_ = false;
   util::FlatSet<uint64_t> pending_refresh_;
+  // Per-update working state, reused so a warm writer does not allocate.
+  graph::EgoScratch ego_;
+  std::vector<graph::EdgeId> affected_;
 };
 
 }  // namespace esd::core

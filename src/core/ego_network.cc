@@ -2,126 +2,26 @@
 
 #include <algorithm>
 
-#include "graph/connectivity.h"
-#include "util/flat_map.h"
-
 namespace esd::core {
 
-using graph::DynamicGraph;
 using graph::Graph;
 using graph::VertexId;
 
-std::vector<uint32_t> EgoComponentSizes(const Graph& g, VertexId u,
-                                        VertexId v) {
-  // Plain BFS, as in the paper: every member's full neighbor list is
-  // scanned and filtered against the membership table.
-  std::vector<VertexId> common = graph::CommonNeighbors(g, u, v);
-  const size_t k = common.size();
-  std::vector<uint32_t> sizes;
-  if (k == 0) return sizes;
-  util::FlatMap<VertexId, uint32_t> local(k);
-  for (uint32_t i = 0; i < k; ++i) local.Insert(common[i], i);
-  std::vector<uint8_t> visited(k, 0);
-  std::vector<uint32_t> queue;
-  for (uint32_t s = 0; s < k; ++s) {
-    if (visited[s]) continue;
-    visited[s] = 1;
-    queue.assign(1, s);
-    uint32_t comp = 0;
-    while (!queue.empty()) {
-      uint32_t li = queue.back();
-      queue.pop_back();
-      ++comp;
-      for (VertexId w : g.Neighbors(common[li])) {
-        const uint32_t* lj = local.Find(w);
-        if (lj != nullptr && !visited[*lj]) {
-          visited[*lj] = 1;
-          queue.push_back(*lj);
-        }
-      }
-    }
-    sizes.push_back(comp);
-  }
-  std::sort(sizes.begin(), sizes.end());
-  return sizes;
-}
-
-std::vector<uint32_t> EgoComponentSizesFast(const Graph& g, VertexId u,
-                                            VertexId v) {
-  std::vector<VertexId> common = graph::CommonNeighbors(g, u, v);
-  std::vector<uint32_t> sizes = graph::InducedComponentSizes(g, common);
-  std::sort(sizes.begin(), sizes.end());
-  return sizes;
-}
-
-std::vector<uint32_t> EgoComponentSizes(const DynamicGraph& g, VertexId u,
-                                        VertexId v) {
-  std::vector<VertexId> common = g.CommonNeighbors(u, v);
-  const size_t k = common.size();
-  std::vector<uint32_t> sizes;
-  if (k == 0) return sizes;
-  util::FlatMap<VertexId, uint32_t> local(k);
-  for (uint32_t i = 0; i < k; ++i) local.Insert(common[i], i);
-  std::vector<uint8_t> visited(k, 0);
-  std::vector<uint32_t> queue;
-  for (uint32_t s = 0; s < k; ++s) {
-    if (visited[s]) continue;
-    visited[s] = 1;
-    queue.assign(1, s);
-    uint32_t comp = 0;
-    while (!queue.empty()) {
-      uint32_t li = queue.back();
-      queue.pop_back();
-      ++comp;
-      for (VertexId w : g.Neighbors(common[li])) {
-        const uint32_t* lj = local.Find(w);
-        if (lj != nullptr && !visited[*lj]) {
-          visited[*lj] = 1;
-          queue.push_back(*lj);
-        }
-      }
-    }
-    sizes.push_back(comp);
-  }
-  std::sort(sizes.begin(), sizes.end());
-  return sizes;
-}
-
 std::vector<std::vector<VertexId>> EgoComponents(const Graph& g, VertexId u,
                                                  VertexId v) {
-  std::vector<VertexId> common = graph::CommonNeighbors(g, u, v);
-  const size_t k = common.size();
-  std::vector<std::vector<VertexId>> components;
-  if (k == 0) return components;
-  util::FlatMap<VertexId, uint32_t> local(k);
-  for (uint32_t i = 0; i < k; ++i) local.Insert(common[i], i);
-  std::vector<uint8_t> visited(k, 0);
-  std::vector<uint32_t> queue;
-  for (uint32_t s = 0; s < k; ++s) {
-    if (visited[s]) continue;
-    visited[s] = 1;
-    queue.assign(1, s);
-    std::vector<VertexId> members;
-    while (!queue.empty()) {
-      uint32_t li = queue.back();
-      queue.pop_back();
-      members.push_back(common[li]);
-      for (VertexId w : g.Neighbors(common[li])) {
-        const uint32_t* lj = local.Find(w);
-        if (lj != nullptr && !visited[*lj]) {
-          visited[*lj] = 1;
-          queue.push_back(*lj);
-        }
-      }
-    }
-    std::sort(members.begin(), members.end());
-    components.push_back(std::move(members));
+  graph::EgoScratch& ego = graph::ThreadEgoScratch();
+  ego.BuildCommon(g, u, v);
+  std::vector<std::vector<VertexId>> components(ego.ComponentSizes().size());
+  for (uint32_t i = 0; i < ego.NumMembers(); ++i) {
+    components[ego.Label(i)].push_back(ego.Members()[i]);
   }
-  std::sort(components.begin(), components.end(),
-            [](const std::vector<VertexId>& a, const std::vector<VertexId>& b) {
-              if (a.size() != b.size()) return a.size() < b.size();
-              return a.front() < b.front();
-            });
+  // Labels follow each component's smallest member, so a stable sort by
+  // size leaves ties in smallest-member order.
+  std::stable_sort(components.begin(), components.end(),
+                   [](const std::vector<VertexId>& a,
+                      const std::vector<VertexId>& b) {
+                     return a.size() < b.size();
+                   });
   return components;
 }
 
@@ -133,7 +33,9 @@ uint32_t ScoreFromSizes(const std::vector<uint32_t>& sorted_sizes,
 }
 
 uint32_t EdgeScore(const Graph& g, VertexId u, VertexId v, uint32_t tau) {
-  return ScoreFromSizes(EgoComponentSizes(g, u, v), tau);
+  graph::EgoScratch& ego = graph::ThreadEgoScratch();
+  ego.BuildCommon(g, u, v);
+  return ego.ComponentsAtLeast(tau);
 }
 
 }  // namespace esd::core

@@ -4,32 +4,24 @@
 #include <cstdint>
 #include <vector>
 
-#include "graph/dynamic_graph.h"
+#include "graph/ego_net.h"
 #include "graph/graph.h"
 
 namespace esd::core {
 
 /// Sizes of the connected components of the edge ego-network G_{N(uv)}
-/// (Definition 1), sorted ascending. Computed exactly as the paper's BFS
-/// (Algorithm 1 line 13 / Algorithm 2 lines 1-2): traverse each member's
-/// full neighbor list, keeping the neighbors inside N(uv). Cost
-/// O(Σ_{w∈N(uv)} d(w)).
-std::vector<uint32_t> EgoComponentSizes(const graph::Graph& g,
-                                        graph::VertexId u, graph::VertexId v);
-
-/// Output-sensitive variant (an improvement over the paper): for a member
-/// whose degree exceeds |N(uv)|, probe the member set against its sorted
-/// adjacency instead, bounding the per-member cost by
-/// O(min{d(w), |N(uv)|} log d(w)). Same result; used by the improved-
-/// baseline builder in the ablation benches.
-std::vector<uint32_t> EgoComponentSizesFast(const graph::Graph& g,
-                                            graph::VertexId u,
-                                            graph::VertexId v);
-
-/// Same, over a mutable graph (used by maintenance tests and the
-/// local-rebuild deletion strategy).
-std::vector<uint32_t> EgoComponentSizes(const graph::DynamicGraph& g,
-                                        graph::VertexId u, graph::VertexId v);
+/// (Definition 1), sorted ascending. G is a Graph or a DynamicGraph. With
+/// the default probe this is exactly the paper's BFS (Algorithm 1 line 13 /
+/// Algorithm 2 lines 1-2), cost O(Σ_{w∈N(uv)} d(w)); kShorterSide is the
+/// output-sensitive variant the builder ablation measures.
+template <typename G>
+std::vector<uint32_t> EgoComponentSizes(
+    const G& g, graph::VertexId u, graph::VertexId v,
+    graph::EgoProbe probe = graph::EgoProbe::kScanNeighbors) {
+  graph::EgoScratch& ego = graph::ThreadEgoScratch();
+  ego.BuildCommon(g, u, v, probe);
+  return ego.SortedComponentSizes();
+}
 
 /// The connected components of the edge ego-network, as member lists
 /// (each inner vector sorted ascending; components ordered by ascending

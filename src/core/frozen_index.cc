@@ -218,10 +218,14 @@ bool FrozenEsdIndex::Adopt(Parts parts, FrozenEsdIndex* out,
       parts.size_offsets[n] != parts.size_pool.size()) {
     return fail("frozen index: size-offset table malformed");
   }
+  // Each offset table is checked to be monotone before any loop reads
+  // through it: with both ends pinned, that keeps every range in its array.
+  if (!std::is_sorted(parts.size_offsets.begin(), parts.size_offsets.end())) {
+    return fail("frozen index: size offsets not monotone");
+  }
   uint64_t num_live = 0;
   for (size_t e = 0; e < n; ++e) {
     const uint64_t lo = parts.size_offsets[e], hi = parts.size_offsets[e + 1];
-    if (lo > hi) return fail("frozen index: size offsets not monotone");
     if (parts.live[e] == 0 && lo != hi) {
       return fail("frozen index: freed slot with non-empty multiset");
     }
@@ -248,6 +252,9 @@ bool FrozenEsdIndex::Adopt(Parts parts, FrozenEsdIndex* out,
       parts.offsets[num_c] != parts.entries.size()) {
     return fail("frozen index: slab offset table malformed");
   }
+  if (!std::is_sorted(parts.offsets.begin(), parts.offsets.end())) {
+    return fail("frozen index: slab offsets not monotone");
+  }
   // Expected |H(c_i)| = #{edges with max(C_e) >= c_i}: bucket each edge by
   // the index of its maximum size, then suffix-sum.
   std::vector<uint64_t> expected_len(num_c + 1, 0);
@@ -268,7 +275,6 @@ bool FrozenEsdIndex::Adopt(Parts parts, FrozenEsdIndex* out,
   for (size_t i = 0; i < num_c; ++i) {
     const uint32_t c = parts.sizes[i];
     const uint64_t lo = parts.offsets[i], hi = parts.offsets[i + 1];
-    if (lo > hi) return fail("frozen index: slab offsets not monotone");
     if (hi - lo != expected_len[i]) {
       return fail("frozen index: slab length wrong");
     }

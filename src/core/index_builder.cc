@@ -14,29 +14,14 @@ using graph::EdgeId;
 using graph::Graph;
 using util::KeyedDsu;
 
-EsdIndex BuildIndexBasic(const Graph& g) {
+EsdIndex BuildIndexBasic(const Graph& g, graph::EgoProbe probe) {
   std::vector<std::vector<uint32_t>> sizes(g.NumEdges());
   {
     obs::PhaseSeries phases;
     phases.Begin("build.ego_bfs");
     for (EdgeId e = 0; e < g.NumEdges(); ++e) {
       const graph::Edge& uv = g.EdgeAt(e);
-      sizes[e] = EgoComponentSizes(g, uv.u, uv.v);
-    }
-  }
-  EsdIndex index;
-  index.BulkLoad(g.Edges(), std::move(sizes));
-  return index;
-}
-
-EsdIndex BuildIndexBasicFast(const Graph& g) {
-  std::vector<std::vector<uint32_t>> sizes(g.NumEdges());
-  {
-    obs::PhaseSeries phases;
-    phases.Begin("build.ego_bfs");
-    for (EdgeId e = 0; e < g.NumEdges(); ++e) {
-      const graph::Edge& uv = g.EdgeAt(e);
-      sizes[e] = EgoComponentSizesFast(g, uv.u, uv.v);
+      sizes[e] = EgoComponentSizes(g, uv.u, uv.v, probe);
     }
   }
   EsdIndex index;

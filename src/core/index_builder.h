@@ -6,21 +6,20 @@
 #include "core/esd_index.h"
 #include "core/frozen_index.h"
 #include "core/scorer.h"
+#include "graph/ego_net.h"
 #include "graph/graph.h"
 #include "util/dsu.h"
 
 namespace esd::core {
 
 /// Basic index construction (Algorithm 2, "ESDIndex"): one BFS over every
-/// edge ego-network. O((d_max + log m) α m) worst case — each 4-clique is
-/// effectively traversed six times, once per edge.
-EsdIndex BuildIndexBasic(const graph::Graph& g);
-
-/// Improved BFS baseline (beyond the paper): same as Algorithm 2 but with
-/// the output-sensitive ego BFS (EgoComponentSizesFast), which bounds the
-/// per-member probe cost by min{d(w), |N(uv)|}. Used by the builder
-/// ablation bench.
-EsdIndex BuildIndexBasicFast(const graph::Graph& g);
+/// edge ego-network. With the default probe this is the paper's
+/// O((d_max + log m) α m) worst case — each 4-clique is effectively
+/// traversed six times, once per edge. kShorterSide is the improved BFS
+/// baseline (beyond the paper) that the builder ablation bench reports.
+EsdIndex BuildIndexBasic(
+    const graph::Graph& g,
+    graph::EgoProbe probe = graph::EgoProbe::kScanNeighbors);
 
 /// Improved index construction (Algorithm 3, "ESDIndex+"): enumerate every
 /// 4-clique exactly once on the degree-ordered DAG and grow the per-edge

@@ -5,8 +5,8 @@
 #include "cliques/truss.h"
 #include "core/ego_network.h"
 #include "core/index_builder.h"
+#include "graph/ego_net.h"
 #include "graph/graph.h"
-#include "util/dsu.h"
 
 namespace esd::core {
 
@@ -16,48 +16,25 @@ using graph::Edge;
 using graph::Graph;
 using graph::VertexId;
 
-std::vector<VertexId> CommonOf(const Graph& g, VertexId u, VertexId v) {
-  return graph::CommonNeighbors(g, u, v);
-}
-
-std::vector<VertexId> CommonOf(const graph::DynamicGraph& g, VertexId u,
-                               VertexId v) {
-  return g.CommonNeighbors(u, v);
-}
-
-// Truss-cohesion values of edge {u, v}: remap N(uv) to local ids, induce the
-// ego subgraph, run one truss decomposition over it, and emit per connected
-// component the max trussness of its edges (1 for an edgeless singleton).
-// Works for Graph and DynamicGraph — both expose Neighbors() spans.
+// Truss-cohesion values of edge {u, v}: one truss decomposition over the ego
+// subgraph G_{N(uv)}, then per connected component the max trussness of its
+// edges (1 for an edgeless singleton). G is a Graph or a DynamicGraph.
 template <typename G>
 std::vector<uint32_t> TrussValuesImpl(const G& g, VertexId u, VertexId v) {
-  std::vector<VertexId> common = CommonOf(g, u, v);
-  std::sort(common.begin(), common.end());
-  const uint32_t s = static_cast<uint32_t>(common.size());
-  if (s == 0) return {};
+  graph::EgoScratch& ego = graph::ThreadEgoScratch();
+  ego.BuildCommon(g, u, v);
+  if (ego.NumMembers() == 0) return {};
   std::vector<Edge> local_edges;
-  for (uint32_t i = 0; i < s; ++i) {
-    for (VertexId x : g.Neighbors(common[i])) {
-      auto it = std::lower_bound(common.begin(), common.end(), x);
-      if (it == common.end() || *it != x) continue;
-      const uint32_t j = static_cast<uint32_t>(it - common.begin());
-      if (i < j) local_edges.push_back(Edge{i, j});
-    }
-  }
-  Graph ego = Graph::FromEdges(s, std::move(local_edges));
-  const cliques::TrussDecomposition truss = cliques::ComputeTrussness(ego);
-  util::Dsu dsu(s);
-  for (const Edge& e : ego.Edges()) dsu.Union(e.u, e.v);
-  std::vector<uint32_t> best(s, 0);
-  for (graph::EdgeId e = 0; e < ego.NumEdges(); ++e) {
-    const uint32_t root = dsu.Find(ego.EdgeAt(e).u);
-    best[root] = std::max(best[root], truss.trussness[e]);
-  }
-  std::vector<uint32_t> values;
-  values.reserve(dsu.NumComponents());
-  for (uint32_t i = 0; i < s; ++i) {
-    if (dsu.Find(i) != i) continue;
-    values.push_back(std::max(best[i], 1u));  // edgeless component -> 1
+  local_edges.reserve(ego.NumEdges());
+  ego.ForEachEdge([&local_edges](uint32_t i, uint32_t j) {
+    local_edges.push_back(Edge{i, j});
+  });
+  const Graph sub = Graph::FromEdges(ego.NumMembers(), std::move(local_edges));
+  const cliques::TrussDecomposition truss = cliques::ComputeTrussness(sub);
+  std::vector<uint32_t> values(ego.ComponentSizes().size(), 1);
+  for (graph::EdgeId e = 0; e < sub.NumEdges(); ++e) {
+    uint32_t& best = values[ego.Label(sub.EdgeAt(e).u)];
+    best = std::max(best, truss.trussness[e]);
   }
   std::sort(values.begin(), values.end());
   return values;
@@ -69,18 +46,10 @@ std::vector<uint32_t> TrussValuesImpl(const G& g, VertexId u, VertexId v) {
 template <typename G>
 std::vector<uint32_t> EgoBetweennessValuesImpl(const G& g, VertexId u,
                                                VertexId v) {
-  std::vector<VertexId> common = CommonOf(g, u, v);
-  std::sort(common.begin(), common.end());
-  const uint64_t s = common.size();
-  if (s < 2) return {};
-  uint64_t intra = 0;  // edges of the induced ego subgraph, counted twice
-  for (VertexId w : common) {
-    for (VertexId x : g.Neighbors(w)) {
-      if (std::binary_search(common.begin(), common.end(), x)) ++intra;
-    }
-  }
-  const uint64_t b = s * (s - 1) / 2 - intra / 2;
-  if (b == 0) return {};
+  graph::EgoScratch& ego = graph::ThreadEgoScratch();
+  ego.BuildCommon(g, u, v);
+  const uint64_t s = ego.NumMembers();
+  const uint64_t b = s < 2 ? 0 : s * (s - 1) / 2 - ego.NumEdges();
   return std::vector<uint32_t>(static_cast<size_t>(b),
                                static_cast<uint32_t>(b));
 }

@@ -2,6 +2,8 @@
 
 #include <cerrno>
 #include <chrono>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <thread>
@@ -34,6 +36,20 @@ constexpr ErrnoName kErrnoNames[] = {
     {"ETIMEDOUT", ETIMEDOUT},
 };
 
+/// Decimal digits only; refuses a value above UINT64_MAX instead of wrapping.
+bool ParseUint(std::string_view text, uint64_t* out) {
+  if (text.empty()) return false;
+  uint64_t value = 0;
+  for (char c : text) {
+    if (c < '0' || c > '9') return false;
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (value > (UINT64_MAX - digit) / 10) return false;
+    value = value * 10 + digit;
+  }
+  *out = value;
+  return true;
+}
+
 bool ParseErrno(std::string_view text, int* code) {
   for (const ErrnoName& e : kErrnoNames) {
     if (text == e.name) {
@@ -41,24 +57,9 @@ bool ParseErrno(std::string_view text, int* code) {
       return true;
     }
   }
-  if (text.empty()) return false;
-  int value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + (c - '0');
-  }
-  *code = value;
-  return value > 0;
-}
-
-bool ParseUint(std::string_view text, uint64_t* out) {
-  if (text.empty()) return false;
   uint64_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *out = value;
+  if (!ParseUint(text, &value) || value == 0 || value > INT_MAX) return false;
+  *code = static_cast<int>(value);
   return true;
 }
 

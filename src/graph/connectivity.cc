@@ -1,9 +1,5 @@
 #include "graph/connectivity.h"
 
-#include <algorithm>
-
-#include "util/flat_map.h"
-
 namespace esd::graph {
 
 Components ConnectedComponents(const Graph& g) {
@@ -30,57 +26,6 @@ Components ConnectedComponents(const Graph& g) {
     }
   }
   return out;
-}
-
-std::vector<uint32_t> InducedComponentSizes(
-    const Graph& g, const std::vector<VertexId>& vertices) {
-  // Map each subset vertex to a local slot; BFS over the induced subgraph by
-  // intersecting global adjacency with the (sorted) subset.
-  const size_t k = vertices.size();
-  std::vector<uint32_t> sizes;
-  if (k == 0) return sizes;
-
-  util::FlatMap<VertexId, uint32_t> local(k);
-  for (uint32_t i = 0; i < k; ++i) local.Insert(vertices[i], i);
-
-  std::vector<uint8_t> visited(k, 0);
-  std::vector<uint32_t> queue;
-  for (uint32_t s = 0; s < k; ++s) {
-    if (visited[s]) continue;
-    visited[s] = 1;
-    queue.assign(1, s);
-    uint32_t comp_size = 0;
-    while (!queue.empty()) {
-      uint32_t li = queue.back();
-      queue.pop_back();
-      ++comp_size;
-      VertexId u = vertices[li];
-      auto nbrs = g.Neighbors(u);
-      // Iterate the shorter side: either u's global neighbors probed into
-      // the subset map, or (if the subset is smaller) the subset probed into
-      // u's sorted adjacency.
-      if (nbrs.size() <= k) {
-        for (VertexId w : nbrs) {
-          const uint32_t* lj = local.Find(w);
-          if (lj != nullptr && !visited[*lj]) {
-            visited[*lj] = 1;
-            queue.push_back(*lj);
-          }
-        }
-      } else {
-        for (uint32_t lj = 0; lj < k; ++lj) {
-          if (visited[lj]) continue;
-          VertexId w = vertices[lj];
-          if (std::binary_search(nbrs.begin(), nbrs.end(), w)) {
-            visited[lj] = 1;
-            queue.push_back(lj);
-          }
-        }
-      }
-    }
-    sizes.push_back(comp_size);
-  }
-  return sizes;
 }
 
 bool IsConnected(const Graph& g) {

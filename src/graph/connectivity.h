@@ -21,14 +21,6 @@ struct Components {
 /// Connected components of the whole graph via BFS. O(n + m).
 Components ConnectedComponents(const Graph& g);
 
-/// Connected components of the subgraph induced by `vertices` (which must
-/// be sorted, duplicate-free vertex ids). Runs BFS restricted to the subset
-/// using sorted-adjacency intersections. Returns sizes only, in no
-/// particular order. This is the primitive behind the BFS-based structural
-/// diversity computation (Algorithm 1, line 13).
-std::vector<uint32_t> InducedComponentSizes(
-    const Graph& g, const std::vector<VertexId>& vertices);
-
 /// True if the whole graph is connected (vacuously true when n <= 1).
 bool IsConnected(const Graph& g);
 

@@ -45,11 +45,7 @@ bool DynamicGraph::EraseEdge(VertexId u, VertexId v) {
 std::vector<VertexId> DynamicGraph::CommonNeighbors(VertexId u,
                                                     VertexId v) const {
   std::vector<VertexId> out;
-  const auto& nu = adj_[u];
-  const auto& nv = adj_[v];
-  out.reserve(std::min(nu.size(), nv.size()));
-  std::set_intersection(nu.begin(), nu.end(), nv.begin(), nv.end(),
-                        std::back_inserter(out));
+  IntersectSorted(adj_[u], adj_[v], &out);
   return out;
 }
 

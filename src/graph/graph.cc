@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 
 namespace esd::graph {
 
@@ -74,23 +75,17 @@ EdgeId Graph::FindEdge(VertexId u, VertexId v) const {
   return IncidentEdges(u)[static_cast<size_t>(it - nbrs.begin())];
 }
 
+void IntersectSorted(std::span<const VertexId> a, std::span<const VertexId> b,
+                     std::vector<VertexId>* out) {
+  out->clear();
+  out->reserve(std::min(a.size(), b.size()));
+  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                        std::back_inserter(*out));
+}
+
 std::vector<VertexId> CommonNeighbors(const Graph& g, VertexId u, VertexId v) {
   std::vector<VertexId> out;
-  auto nu = g.Neighbors(u);
-  auto nv = g.Neighbors(v);
-  out.reserve(std::min(nu.size(), nv.size()));
-  size_t i = 0, j = 0;
-  while (i < nu.size() && j < nv.size()) {
-    if (nu[i] < nv[j]) {
-      ++i;
-    } else if (nu[i] > nv[j]) {
-      ++j;
-    } else {
-      out.push_back(nu[i]);
-      ++i;
-      ++j;
-    }
-  }
+  IntersectSorted(g.Neighbors(u), g.Neighbors(v), &out);
   return out;
 }
 

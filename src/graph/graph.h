@@ -105,6 +105,11 @@ class Graph {
   uint32_t max_degree_ = 0;
 };
 
+/// Sorted intersection of two sorted vertex lists, written into `*out`
+/// (cleared first). The one merge behind every N(uv) = N(u) ∩ N(v).
+void IntersectSorted(std::span<const VertexId> a, std::span<const VertexId> b,
+                     std::vector<VertexId>* out);
+
 /// Sorted intersection of the neighbor lists of u and v — the common
 /// neighborhood N(uv) (Section II). Output is sorted by vertex id.
 std::vector<VertexId> CommonNeighbors(const Graph& g, VertexId u, VertexId v);

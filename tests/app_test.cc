@@ -78,6 +78,8 @@ void ExpectModeIndependentVerbs(ScratchServer& server) {
             "FAILPOINT clearall\n");
   EXPECT_EQ(server.Run("FAILPOINT wal.append"),
             "ERR usage: FAILPOINT <name> <spec>\n");
+  EXPECT_TRUE(StartsWith(
+      server.Run("FAILPOINT wal.append nth(99999999999999999999)"), "ERR "));
   EXPECT_TRUE(StartsWith(server.Run("FAILPOINT LIST"), "OK "));
   EXPECT_EQ(server.Run("FAILPOINT clearall"), "OK fail points cleared\n");
   EXPECT_EQ(server.Run("TRACE"), "ERR usage: TRACE <path>\n");

@@ -3,7 +3,6 @@
 // against independent references over a zoo of graph shapes.
 
 #include <algorithm>
-#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,10 +15,8 @@
 #include "core/frozen_index.h"
 #include "core/index_builder.h"
 #include "core/parallel_builder.h"
-#include "gen/erdos_renyi.h"
-#include "gen/holme_kim.h"
-#include "graph/builder.h"
 #include "graph/orientation.h"
+#include "tests/test_helpers.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -30,81 +27,7 @@ using core::FrozenEsdIndex;
 using graph::Edge;
 using graph::EdgeId;
 using graph::Graph;
-using graph::GraphBuilder;
 using graph::VertexId;
-
-Graph Complete(VertexId n) {
-  GraphBuilder b(n);
-  for (VertexId u = 0; u < n; ++u) {
-    for (VertexId v = u + 1; v < n; ++v) b.AddEdge(u, v);
-  }
-  return b.Build();
-}
-
-// Hubs 0..hubs-1 form a clique, each with its own leaves; every leaf also
-// knows the next leaf, so the hub edges' ego-networks hold many components.
-Graph StarWithHubClique(VertexId hubs, VertexId leaves_per_hub) {
-  GraphBuilder b(hubs + hubs * leaves_per_hub);
-  for (VertexId h = 0; h < hubs; ++h) {
-    for (VertexId h2 = h + 1; h2 < hubs; ++h2) b.AddEdge(h, h2);
-    const VertexId first = hubs + h * leaves_per_hub;
-    for (VertexId i = 0; i < leaves_per_hub; ++i) {
-      b.AddEdge(h, first + i);
-      b.AddEdge((h + 1) % hubs, first + i);
-      if (i % 3 != 2 && i + 1 < leaves_per_hub) {
-        b.AddEdge(first + i, first + i + 1);
-      }
-    }
-  }
-  return b.Build();
-}
-
-// `g` with its vertex ids shuffled, so id order and degree-rank order
-// disagree everywhere.
-Graph Relabeled(const Graph& g, uint64_t seed) {
-  std::vector<VertexId> perm(g.NumVertices());
-  std::iota(perm.begin(), perm.end(), 0);
-  util::Rng rng(seed);
-  std::shuffle(perm.begin(), perm.end(), rng);
-  GraphBuilder b(g.NumVertices());
-  for (const Edge& e : g.Edges()) b.AddEdge(perm[e.u], perm[e.v]);
-  return b.Build();
-}
-
-std::vector<std::pair<std::string, Graph>> Zoo() {
-  std::vector<std::pair<std::string, Graph>> zoo;
-  zoo.emplace_back("empty", Graph());
-  zoo.emplace_back("isolated-only", GraphBuilder(12).Build());
-  {
-    GraphBuilder b(20);  // two triangles and a path among isolated vertices
-    b.AddEdge(0, 1);
-    b.AddEdge(1, 2);
-    b.AddEdge(0, 2);
-    b.AddEdge(7, 8);
-    b.AddEdge(8, 9);
-    b.AddEdge(7, 9);
-    b.AddEdge(12, 13);
-    b.AddEdge(13, 14);
-    zoo.emplace_back("isolated-vertices", b.Build());
-  }
-  {
-    GraphBuilder b(11);  // K_{5,6}: many edges, no triangle
-    for (VertexId u = 0; u < 5; ++u) {
-      for (VertexId v = 5; v < 11; ++v) b.AddEdge(u, v);
-    }
-    zoo.emplace_back("triangle-free", b.Build());
-  }
-  zoo.emplace_back("K3", Complete(3));
-  zoo.emplace_back("K9", Complete(9));
-  zoo.emplace_back("star-hub-clique", StarWithHubClique(6, 25));
-  zoo.emplace_back("gnp", gen::ErdosRenyiGnp(60, 0.2, 3));
-  zoo.emplace_back("holme-kim", gen::HolmeKim(300, 5, 0.6, 4));
-  zoo.emplace_back("holme-kim-relabeled",
-                   Relabeled(gen::HolmeKim(300, 5, 0.6, 4), 5));
-  zoo.emplace_back("star-hub-clique-relabeled",
-                   Relabeled(StarWithHubClique(6, 25), 6));
-  return zoo;
-}
 
 std::vector<VertexId> MergeCommonNeighbors(const Graph& g, const Edge& uv) {
   auto nu = g.Neighbors(uv.u);
@@ -138,7 +61,7 @@ void ExpectAdopted(const FrozenEsdIndex& frozen, const std::string& what) {
 }
 
 TEST(BuildKernelTest, ArenaMembersMatchMergedCommonNeighborhoods) {
-  for (const auto& [name, g] : Zoo()) {
+  for (const auto& [name, g] : test::Zoo()) {
     graph::DegreeOrderedDag dag(g);
     core::EdgeDsuArena arena(dag);
     ASSERT_EQ(arena.NumEdges(), g.NumEdges()) << name;
@@ -155,7 +78,7 @@ TEST(BuildKernelTest, ArenaMembersMatchMergedCommonNeighborhoods) {
 }
 
 TEST(BuildKernelTest, FrozenBuildMatchesFreezeOfBfsBuild) {
-  for (const auto& [name, g] : Zoo()) {
+  for (const auto& [name, g] : test::Zoo()) {
     EXPECT_TRUE(core::BuildFrozenIndex(g) ==
                 core::Freeze(core::BuildIndexBasic(g)))
         << name;
@@ -163,7 +86,7 @@ TEST(BuildKernelTest, FrozenBuildMatchesFreezeOfBfsBuild) {
 }
 
 TEST(BuildKernelTest, ParallelBuildMatchesSerialAtOneToFourThreads) {
-  for (const auto& [name, g] : Zoo()) {
+  for (const auto& [name, g] : test::Zoo()) {
     graph::DegreeOrderedDag dag(g);
     core::EdgeDsuArena serial_arena(dag);
     const FrozenEsdIndex serial = core::BuildFrozenIndex(g);
@@ -187,7 +110,7 @@ TEST(BuildKernelTest, ParallelBuildMatchesSerialAtOneToFourThreads) {
 }
 
 TEST(BuildKernelTest, EveryBuiltAndFrozenImagePassesAdopt) {
-  for (const auto& [name, g] : Zoo()) {
+  for (const auto& [name, g] : test::Zoo()) {
     const FrozenEsdIndex built = core::BuildFrozenIndex(g);
     ExpectAdopted(built, name + " built");
     ExpectAdopted(core::BuildFrozenIndexParallel(g, 3), name + " parallel");

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <numeric>
 #include <set>
@@ -17,8 +18,10 @@
 #include "gen/holme_kim.h"
 #include "gen/watts_strogatz.h"
 #include "graph/builder.h"
+#include "graph/dynamic_graph.h"
 #include "graph/graph.h"
 #include "tests/test_helpers.h"
+#include "util/dsu.h"
 #include "util/rng.h"
 
 namespace esd::core {
@@ -104,13 +107,81 @@ TEST(EgoNetworkTest, DynamicGraphOverloadMatches) {
   }
 }
 
-TEST(EgoNetworkTest, FastVariantMatchesPlainBfs) {
-  for (uint64_t seed : {3ull, 4ull, 5ull}) {
-    Graph g = gen::ErdosRenyiGnp(50, 0.25, seed);
+TEST(EgoNetworkTest, ProbePoliciesAgreeOnZoo) {
+  using graph::EgoProbe;
+  for (const auto& [name, g] : test::Zoo()) {
+    uint64_t shorter_side_members = 0;  // members that take the probe path
     for (const Edge& e : g.Edges()) {
-      EXPECT_EQ(EgoComponentSizes(g, e.u, e.v),
-                EgoComponentSizesFast(g, e.u, e.v));
+      EXPECT_EQ(EgoComponentSizes(g, e.u, e.v, EgoProbe::kScanNeighbors),
+                EgoComponentSizes(g, e.u, e.v, EgoProbe::kShorterSide))
+          << name << " edge (" << e.u << "," << e.v << ")";
+      const std::vector<VertexId> common =
+          graph::CommonNeighbors(g, e.u, e.v);
+      for (VertexId w : common) {
+        shorter_side_members += g.Degree(w) > common.size();
+      }
     }
+    if (name.rfind("star-hub-clique", 0) == 0) {
+      EXPECT_GT(shorter_side_members, 0u) << name;
+    }
+  }
+}
+
+// Independent reference: components of G[N(uv)] by pairwise adjacency tests.
+template <typename G>
+std::vector<uint32_t> ReferenceEgoSizes(const G& g, VertexId u, VertexId v) {
+  auto nu = g.Neighbors(u);
+  auto nv = g.Neighbors(v);
+  std::vector<VertexId> common;
+  std::set_intersection(nu.begin(), nu.end(), nv.begin(), nv.end(),
+                        std::back_inserter(common));
+  util::Dsu dsu(common.size());
+  for (uint32_t i = 0; i < common.size(); ++i) {
+    for (uint32_t j = i + 1; j < common.size(); ++j) {
+      if (g.HasEdge(common[i], common[j])) dsu.Union(i, j);
+    }
+  }
+  std::vector<uint32_t> sizes;
+  for (uint32_t i = 0; i < common.size(); ++i) {
+    if (dsu.Find(i) == i) sizes.push_back(dsu.ComponentSize(i));
+  }
+  std::sort(sizes.begin(), sizes.end());
+  return sizes;
+}
+
+// The thread's scratch serves a large graph, then a smaller one, then a
+// DynamicGraph that grows past both through AddVertex: no stamp from an
+// earlier graph and no stale array size may leak into a later answer.
+TEST(EgoNetworkTest, ThreadScratchSurvivesGraphChanges) {
+  const Graph large = gen::HolmeKim(300, 5, 0.6, 4);
+  const Graph small = gen::ErdosRenyiGnp(40, 0.3, 9);
+  for (const Graph* g : {&large, &small}) {
+    for (const Edge& e : g->Edges()) {
+      ASSERT_EQ(EgoComponentSizes(*g, e.u, e.v),
+                ReferenceEgoSizes(*g, e.u, e.v));
+    }
+  }
+  graph::DynamicGraph d(small);
+  util::Rng rng(12);
+  for (int step = 0; step < 400; ++step) {
+    // Each new vertex closes a triangle on a random existing edge.
+    const VertexId x = d.AddVertex();
+    const VertexId a = static_cast<VertexId>(rng.NextBounded(x));
+    if (d.Degree(a) == 0) continue;
+    const VertexId b = d.Neighbors(a)[rng.NextBounded(d.Degree(a))];
+    d.InsertEdge(x, a);
+    d.InsertEdge(x, b);
+    for (auto [p, q] : {std::pair{x, a}, {x, b}, {a, b}}) {
+      ASSERT_EQ(EgoComponentSizes(d, p, q), ReferenceEgoSizes(d, p, q))
+          << "step " << step;
+    }
+  }
+  ASSERT_GT(d.NumVertices(), large.NumVertices());
+  const Graph grown = d.Snapshot();
+  for (const Edge& e : grown.Edges()) {
+    ASSERT_EQ(EgoComponentSizes(d, e.u, e.v), ReferenceEgoSizes(d, e.u, e.v));
+    ASSERT_EQ(EgoComponentSizes(grown, e.u, e.v),
+              ReferenceEgoSizes(grown, e.u, e.v));
   }
 }
 
@@ -450,7 +521,7 @@ TEST_P(BuilderEquivalenceTest, AllBuildersProduceIdenticalIndexes) {
   uint64_t seed = GetParam();
   Graph g = gen::ErdosRenyiGnp(45, 0.25, seed);
   EsdIndex basic = BuildIndexBasic(g);
-  EsdIndex fast = BuildIndexBasicFast(g);
+  EsdIndex fast = BuildIndexBasic(g, graph::EgoProbe::kShorterSide);
   EsdIndex clique = BuildIndexClique(g);
   EsdIndex par1 = BuildIndexParallel(g, 1);
   EsdIndex par4 = BuildIndexParallel(g, 4);

@@ -133,7 +133,9 @@ TEST(FailPointSpecTest, OffClearsAndBadSpecsAreRejected) {
 
   for (const char* bad :
        {"", "bogus", "error(EWHAT)", "0in5", "6in5", "delay(99999999)",
-        "nth(0)", "0", "*error", "delay()"}) {
+        "nth(0)", "0", "*error", "delay()", "error(4294967297)",
+        "nth(99999999999999999999)", "1in99999999999999999999",
+        "delay(18446744073709551617)"}) {
     EXPECT_FALSE(reg.Set("p", bad, &error)) << "spec accepted: " << bad;
   }
 }

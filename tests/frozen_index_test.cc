@@ -245,6 +245,31 @@ TEST(FrozenIndexTest, AdoptRejectsMalformedParts) {
     p.sizes.pop_back();  // C no longer matches the pool's distinct sizes
     expect_rejected(std::move(p));
   }
+  {
+    // Size offsets that descend only at the end: the pool is cut one value
+    // into the second-to-last multiset, so that multiset's range runs past
+    // the pool. A fresh vector keeps capacity == size for ASan.
+    auto p = parts_of();
+    size_t e = p.size_offsets.size() - 2;
+    while (p.size_offsets[e] == p.size_offsets[e + 1]) --e;
+    ASSERT_GT(p.size_offsets[e], 0u);
+    const uint64_t cut = p.size_offsets[e] - 1;
+    p.size_pool = decltype(p.size_pool)(p.size_pool.begin(),
+                                        p.size_pool.begin() + cut);
+    p.size_offsets.back() = cut;
+    expect_rejected(std::move(p));
+  }
+  {
+    // Slab offsets that descend only at the end: entries are cut one into
+    // the second-to-last slab, so that slab's range runs past them.
+    auto p = parts_of();
+    ASSERT_GE(p.offsets.size(), 3u);
+    const uint64_t cut = p.offsets[p.offsets.size() - 2] - 1;
+    p.entries =
+        decltype(p.entries)(p.entries.begin(), p.entries.begin() + cut);
+    p.offsets.back() = cut;
+    expect_rejected(std::move(p));
+  }
 }
 
 TEST(IndexIoV2Test, FrozenRoundTripV2) {

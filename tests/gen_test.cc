@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "cliques/triangle.h"
+#include "core/ego_network.h"
 #include "gen/barabasi_albert.h"
 #include "gen/collaboration.h"
 #include "gen/datasets.h"
@@ -214,11 +215,10 @@ TEST(WordAssociationTest, SensesAreEgoComponents) {
   WordAssociationGraph w = GenerateWordAssociation(p, 61);
   VertexId bank = w.Find("bank");
   VertexId money = w.Find("money");
-  std::vector<VertexId> common = graph::CommonNeighbors(w.graph, bank, money);
-  std::vector<uint32_t> sizes = graph::InducedComponentSizes(w.graph, common);
   // Fig. 13 shape: the bank–money ego-network splits into one component per
   // planted sense.
-  EXPECT_EQ(sizes.size(), w.ground_truth[0].senses.size());
+  EXPECT_EQ(core::EgoComponents(w.graph, bank, money).size(),
+            w.ground_truth[0].senses.size());
 }
 
 // ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@
 #include <cstdint>
 #include <cstdlib>
 #include <map>
+#include <numeric>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,7 +20,11 @@
 #include "core/index_io.h"
 #include "core/naive_topk.h"
 #include "core/topk_result.h"
+#include "gen/erdos_renyi.h"
+#include "gen/holme_kim.h"
+#include "graph/builder.h"
 #include "graph/graph.h"
+#include "util/rng.h"
 
 namespace esd::test {
 
@@ -271,6 +277,88 @@ class JsonParser {
   const char* p_;
   const char* end_;
 };
+
+inline graph::Graph Complete(graph::VertexId n) {
+  graph::GraphBuilder b(n);
+  for (graph::VertexId u = 0; u < n; ++u) {
+    for (graph::VertexId v = u + 1; v < n; ++v) b.AddEdge(u, v);
+  }
+  return b.Build();
+}
+
+// Hubs 0..hubs-1 form a clique, each with its own leaves; every leaf also
+// knows the next leaf, so the hub edges' ego-networks hold many components.
+inline graph::Graph StarWithHubClique(graph::VertexId hubs,
+                                      graph::VertexId leaves_per_hub) {
+  graph::GraphBuilder b(hubs + hubs * leaves_per_hub);
+  for (graph::VertexId h = 0; h < hubs; ++h) {
+    for (graph::VertexId h2 = h + 1; h2 < hubs; ++h2) b.AddEdge(h, h2);
+    const graph::VertexId first = hubs + h * leaves_per_hub;
+    for (graph::VertexId i = 0; i < leaves_per_hub; ++i) {
+      b.AddEdge(h, first + i);
+      b.AddEdge((h + 1) % hubs, first + i);
+      if (i % 3 != 2 && i + 1 < leaves_per_hub) {
+        b.AddEdge(first + i, first + i + 1);
+      }
+    }
+  }
+  return b.Build();
+}
+
+// `g` with its vertex ids shuffled, so id order and degree-rank order
+// disagree everywhere.
+inline graph::Graph Relabeled(const graph::Graph& g,
+                              uint64_t seed) {
+  std::vector<graph::VertexId> perm(g.NumVertices());
+  std::iota(perm.begin(), perm.end(), 0);
+  util::Rng rng(seed);
+  std::shuffle(perm.begin(), perm.end(), rng);
+  graph::GraphBuilder b(g.NumVertices());
+  for (const graph::Edge& e : g.Edges()) b.AddEdge(perm[e.u], perm[e.v]);
+  return b.Build();
+}
+
+/// A zoo of graph shapes for kernel checks: empty and isolated-vertex
+/// graphs, a triangle-free graph, cliques, a star with a hub clique (whose
+/// hub edges hold members of degree above |N(uv)|, so both ego-net probe
+/// policies fire), random and power-law graphs, and relabelled copies whose
+/// id order disagrees with degree order.
+inline std::vector<std::pair<std::string, graph::Graph>> Zoo() {
+  std::vector<std::pair<std::string, graph::Graph>> zoo;
+  zoo.emplace_back("empty", graph::Graph());
+  zoo.emplace_back("isolated-only", graph::GraphBuilder(12).Build());
+  {
+    // Two triangles and a path among isolated vertices.
+    graph::GraphBuilder b(20);
+    b.AddEdge(0, 1);
+    b.AddEdge(1, 2);
+    b.AddEdge(0, 2);
+    b.AddEdge(7, 8);
+    b.AddEdge(8, 9);
+    b.AddEdge(7, 9);
+    b.AddEdge(12, 13);
+    b.AddEdge(13, 14);
+    zoo.emplace_back("isolated-vertices", b.Build());
+  }
+  {
+    graph::GraphBuilder b(11);  // K_{5,6}: many edges, no triangle
+    for (graph::VertexId u = 0; u < 5; ++u) {
+      for (graph::VertexId v = 5; v < 11; ++v) b.AddEdge(u, v);
+    }
+    zoo.emplace_back("triangle-free", b.Build());
+  }
+  zoo.emplace_back("K3", Complete(3));
+  zoo.emplace_back("K9", Complete(9));
+  zoo.emplace_back("star-hub-clique", StarWithHubClique(6, 25));
+  zoo.emplace_back("gnp", gen::ErdosRenyiGnp(60, 0.2, 3));
+  zoo.emplace_back("holme-kim", gen::HolmeKim(300, 5, 0.6, 4));
+  zoo.emplace_back("holme-kim-relabeled",
+                   Relabeled(gen::HolmeKim(300, 5, 0.6, 4), 5));
+  zoo.emplace_back("star-hub-clique-relabeled",
+                   Relabeled(StarWithHubClique(6, 25), 6));
+  return zoo;
+}
+
 
 }  // namespace esd::test
 
