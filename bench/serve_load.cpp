@@ -37,6 +37,7 @@
 #include <deque>
 #include <filesystem>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -741,12 +742,12 @@ int main(int argc, char** argv) {
                 cached_qps, uncached_qps);
   }
 
-  // Sharded scatter-gather: the same closed-loop mix against a statically
-  // partitioned fleet (ESD_SHARDS shards, default 4; 1 disables). Every
+  // Sharded serving: the same closed-loop mix against a fleet partitioning
+  // one static image (ESD_SHARDS shards, default 4; 1 disables). Every
   // query probes every healthy shard, so per-shard query counts are
-  // uniform by construction — the imbalance that matters is *work*: slab
-  // entries drained per shard, which follows how the hash partition split
-  // the hot slabs. The JSON line carries both vectors plus max/mean skew
+  // uniform by construction — the imbalance that matters is *work*: answer
+  // entries per shard, which follows how the hash partition split the hot
+  // slabs. The JSON line carries both vectors plus max/mean skew
   // ratios so regressions in partition balance show up in the artifact.
   {
     uint32_t num_shards = 4;
@@ -757,9 +758,10 @@ int main(int argc, char** argv) {
     if (num_shards >= 2) {
       shard::ShardedOptions sopts;
       sopts.num_shards = num_shards;
-      sopts.scorer = g_scorer->Kind();
-      std::unique_ptr<shard::ShardedQueryEngine> sharded =
-          shard::ShardedQueryEngine::BuildStatic(d.graph, sopts);
+      auto sharded = std::make_unique<shard::ShardedQueryEngine>(
+          std::make_shared<const core::FrozenEsdIndex>(
+              core::BuildFrozenIndex(d.graph, *g_scorer)),
+          sopts);
       EsdQueryService::Options opts;
       opts.num_threads = 2;
       opts.max_queue = 1 << 15;
@@ -813,7 +815,7 @@ int main(int argc, char** argv) {
       const double d_skew =
           d_mean > 0 ? static_cast<double>(d_max) / d_mean : 0.0;
 
-      std::printf("\nsharded scatter-gather: %u shards, 2 workers, "
+      std::printf("\nsharded serving: %u shards, 2 workers, "
                   "%u clients\n",
                   num_shards, clients);
       std::printf("%-8s %12s %12s %8s\n", "shard", "queries", "drained",

@@ -8,7 +8,7 @@
 // After the burst the server reads commands from stdin until EOF/QUIT:
 //   QUERY <k> <tau> [STRICT]  run one query through the service, print the
 //                     edges (STRICT: fail typed instead of answering
-//                     partially when any shard is degraded or down)
+//                     partially when any shard is down)
 //   INSERT <u> <v>    (live mode) durably insert an edge
 //   DELETE <u> <v>    (live mode) durably delete an edge
 //   CHECKPOINT        (live mode) persist a snapshot + compact the WAL
@@ -29,9 +29,9 @@
 //                     in $ESD_FAILPOINTS, e.g. "error(ENOSPC)" or "off");
 //                     FAILPOINT LIST enumerates every compiled-in site with
 //                     live hit/fire counts; FAILPOINT clearall disarms all
-//   REFREEZE          synchronously publish fresh epochs (live or sharded);
-//                     with shards this quiesces the fleet to one watermark
-//   SHARDS            (--shards) per-shard state/health/watermark detail
+//   REFREEZE          (live mode) synchronously publish a fresh epoch
+//   SHARDS            (--shards) fleet tally and epoch, then per-shard
+//                     state, queries, drained entries and stall trips
 //   TRACE <path>      write collected spans as Chrome trace JSON
 //   QUIT              shut down
 // (With stdin at EOF — e.g. the smoke test — the loop exits immediately,

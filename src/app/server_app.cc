@@ -75,21 +75,25 @@ void HandleShutdownSignal(int) {
 }
 
 /// The admin seam: everything the commands and startup do differently in
-/// static, live and sharded serving. The command table calls only this, so
-/// no handler asks which mode is running. Reply methods append one
-/// complete reply; the caller serializes calls. The defaults are the
+/// static and live serving, sharded or not. The command table calls only
+/// this, so no handler asks which mode is running. Reply methods append
+/// one complete reply; the caller serializes calls. The defaults are the
 /// replies of a mode that cannot do the thing.
 class ServingAdmin {
  public:
   virtual ~ServingAdmin() = default;
 
   /// What the query service serves from.
-  virtual serve::ServingBackend& Backend() = 0;
-  virtual std::string EngineName() const = 0;
+  serve::ServingBackend& Backend() { return *backend_; }
+  std::string EngineName() const {
+    return fleet_ != nullptr ? "sharded-" + name_ : name_;
+  }
   virtual uint64_t MemoryBytes() const = 0;
   /// Pushes this mode's pull-style metrics (live lag, shard state) into the
   /// global registry.
-  virtual void ExportMetrics() {}
+  virtual void ExportMetrics() {
+    if (fleet_ != nullptr) fleet_->ExportMetrics();
+  }
   /// Upstream health folded into the query service's Health().
   virtual obs::HealthState Health() const { return obs::HealthState::kOk; }
   /// Routes epoch publishes into `service`'s result cache; null detaches,
@@ -103,53 +107,93 @@ class ServingAdmin {
     AppendF(out, "ERR checkpoint needs --live-dir\n");
   }
   virtual void Refreeze(std::string* out) {
-    AppendF(out, "ERR refreeze needs --live-dir or --shards\n");
+    AppendF(out, "ERR refreeze needs --live-dir\n");
   }
-  virtual void Shards(std::string* out) {
-    AppendF(out, "ERR not running sharded (--shards N)\n");
+  void Shards(std::string* out) {
+    if (fleet_ == nullptr) {
+      AppendF(out, "ERR not running sharded (--shards N)\n");
+      return;
+    }
+    const serve::ShardCounts counts = fleet_->Counts();
+    AppendF(out,
+            "OK shards=%u ok=%u degraded=%u down=%u generation=%llu "
+            "epoch=%llu\n",
+            fleet_->num_shards(), counts.ok, counts.degraded, counts.down,
+            static_cast<ull>(fleet_->Generation()),
+            static_cast<ull>(fleet_->epoch()));
+    for (const shard::ShardStatus& st : fleet_->Status()) {
+      AppendF(out, "shard %u state=%s queries=%llu drained=%llu "
+                   "stall_trips=%llu\n",
+              st.id, st.state.c_str(), static_cast<ull>(st.queries),
+              static_cast<ull>(st.drained), static_cast<ull>(st.stall_trips));
+    }
   }
   /// Mode-specific STATS fields, appended after the service's own.
-  virtual void AppendStats(std::string* /*out*/) {}
+  virtual void AppendStats(std::string* out) {
+    if (fleet_ == nullptr) return;
+    const serve::ShardCounts counts = fleet_->Counts();
+    AppendF(out,
+            " shards=%u shards_ok=%u shards_degraded=%u shards_down=%u "
+            "shard_generation=%llu",
+            fleet_->num_shards(), counts.ok, counts.degraded, counts.down,
+            static_cast<ull>(fleet_->Generation()));
+  }
+
+ protected:
+  bool sharded() const { return fleet_ != nullptr; }
+
+  /// `backend` is a shard::ShardedQueryEngine when serving sharded.
+  ServingAdmin(std::string name, std::unique_ptr<serve::ServingBackend> backend)
+      : name_(std::move(name)),
+        backend_(std::move(backend)),
+        fleet_(dynamic_cast<shard::ShardedQueryEngine*>(backend_.get())) {}
+
+ private:
+  const std::string name_;
+  const std::unique_ptr<serve::ServingBackend> backend_;
+  shard::ShardedQueryEngine* const fleet_;  ///< backend_, when sharded
 };
 
 /// One immutable engine, built at startup or loaded from an index file.
 class StaticAdmin final : public ServingAdmin {
  public:
-  StaticAdmin(std::unique_ptr<core::EsdQueryEngine> engine, std::string name)
-      : engine_(std::move(engine)),
-        backend_(*engine_),
-        name_(std::move(name)) {}
+  StaticAdmin(std::shared_ptr<const core::EsdQueryEngine> engine,
+              std::string name, std::unique_ptr<serve::ServingBackend> backend)
+      : ServingAdmin(std::move(name), std::move(backend)),
+        engine_(std::move(engine)) {}
 
-  serve::ServingBackend& Backend() override { return backend_; }
-  std::string EngineName() const override { return name_; }
   uint64_t MemoryBytes() const override { return engine_->MemoryBytes(); }
 
  private:
-  const std::unique_ptr<core::EsdQueryEngine> engine_;
-  serve::EngineBackend backend_;
-  const std::string name_;
+  const std::shared_ptr<const core::EsdQueryEngine> engine_;
 };
 
-/// A LiveEsdIndex: WAL-durable updates, served as immutable epochs.
+/// A LiveEsdIndex: WAL-durable updates, served as immutable epochs. The
+/// index is the one writer whether or not the epochs are served sharded.
+/// The backend reads the index, and as a base member it is destroyed
+/// after it; neither backend touches its source on destruction.
 class LiveAdmin final : public ServingAdmin {
  public:
-  explicit LiveAdmin(std::unique_ptr<live::LiveEsdIndex> live)
-      : live_(std::move(live)),
-        backend_(serve::SnapshotProvider(
-            [index = live_.get()] { return index->CurrentSnapshot(); })) {}
+  LiveAdmin(std::unique_ptr<live::LiveEsdIndex> live,
+            std::unique_ptr<serve::ServingBackend> backend)
+      : ServingAdmin("live", std::move(backend)), live_(std::move(live)) {}
 
-  serve::ServingBackend& Backend() override { return backend_; }
-  std::string EngineName() const override { return "live"; }
   uint64_t MemoryBytes() const override {
     return live_->CurrentEngine()->MemoryBytes();
   }
-  void ExportMetrics() override { live_->ExportMetrics(); }
+  void ExportMetrics() override {
+    live_->ExportMetrics();
+    ServingAdmin::ExportMetrics();
+  }
   obs::HealthState Health() const override { return live_->Health(); }
   void AttachService(serve::EsdQueryService* service) override {
     if (service == nullptr) {
       live_->SetEpochListener({});
       return;
     }
+    // A fleet keys the cache on its own generation, which follows the
+    // epoch as soon as a batch pins it.
+    if (sharded()) return;
     // Rotate the cache generation the moment an epoch publishes rather
     // than lazily on the first post-swap lookup.
     service->NotifyEpoch(live_->CurrentSnapshot()->epoch);
@@ -196,6 +240,7 @@ class LiveAdmin final : public ServingAdmin {
             static_cast<ull>(ls.wal_append_failures),
             static_cast<ull>(ls.degraded_rejections),
             static_cast<ull>(ls.heals), ls.breaker_open ? 1 : 0);
+    ServingAdmin::AppendStats(out);
   }
 
  private:
@@ -207,85 +252,23 @@ class LiveAdmin final : public ServingAdmin {
   }
 
   const std::unique_ptr<live::LiveEsdIndex> live_;
-  serve::EngineBackend backend_;
 };
 
-/// A ShardedQueryEngine fleet, static or live; it is its own backend.
-class ShardedAdmin final : public ServingAdmin {
- public:
-  explicit ShardedAdmin(std::unique_ptr<shard::ShardedQueryEngine> fleet)
-      : fleet_(std::move(fleet)) {}
-
-  serve::ServingBackend& Backend() override { return *fleet_; }
-  std::string EngineName() const override {
-    return fleet_->live_mode() ? "sharded-live" : "sharded-frozen";
-  }
-  uint64_t MemoryBytes() const override { return fleet_->MemoryBytes(); }
-  void ExportMetrics() override { fleet_->ExportMetrics(); }
-
-  bool Writable() const override { return fleet_->live_mode(); }
-  void Apply(const live::LiveUpdate& update, std::string* out) override {
-    // Broadcast write: one typed outcome for the whole fleet, plus the
-    // post-apply health tallies.
-    const live::ApplyResult result = fleet_->ApplyBatchTyped({&update, 1});
-    const serve::ShardCounts counts = fleet_->Counts();
-    if (result.status == live::ApplyStatus::kOk) {
-      AppendF(out, "OK shards_ok=%u shards_degraded=%u shards_down=%u%s%s\n",
-              counts.ok, counts.degraded, counts.down,
-              result.message.empty() ? "" : " - ", result.message.c_str());
-    } else {
-      AppendF(out, "ERR %s %s\n", live::ApplyStatusName(result.status),
-              result.message.c_str());
+/// The layout live dirs had while every shard ran its own writer: one WAL
+/// per shard under <dir>/shard-<i>/ and none at the top. Opening one WAL
+/// over it would bootstrap from the dataset and drop every write those
+/// shard logs acknowledged, so it is refused instead.
+bool HoldsRetiredShardLayout(const std::filesystem::path& dir) {
+  std::error_code ec;
+  if (std::filesystem::exists(dir / "wal.bin", ec)) return false;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    if (entry.is_directory(ec) &&
+        entry.path().filename().string().rfind("shard-", 0) == 0) {
+      return true;
     }
   }
-  void Checkpoint(std::string* out) override {
-    if (!fleet_->live_mode()) return ServingAdmin::Checkpoint(out);
-    std::string error;
-    if (fleet_->Checkpoint(&error)) {
-      AppendF(out, "OK all shards checkpointed\n");
-    } else {
-      AppendF(out, "ERR %s\n", error.c_str());
-    }
-  }
-  void Refreeze(std::string* out) override {
-    // The quiesce step chaos tests use before comparing against an
-    // unsharded reference: heal probes and journal replay first.
-    fleet_->CatchUp();
-    AppendF(out, fleet_->RefreezeAll() ? "OK refrozen\n"
-                                       : "ERR refreeze failed on >= 1 shard\n");
-  }
-  void Shards(std::string* out) override {
-    const serve::ShardCounts counts = fleet_->Counts();
-    AppendF(out, "OK shards=%u ok=%u degraded=%u down=%u generation=%llu\n",
-            fleet_->num_shards(), counts.ok, counts.degraded, counts.down,
-            static_cast<ull>(fleet_->Generation()));
-    for (const shard::ShardStatus& st : fleet_->Status()) {
-      AppendF(out,
-              "shard %u state=%s health=%s epoch=%llu wal_seq=%llu "
-              "journal_applied=%llu journal_lag=%llu queries=%llu "
-              "drained=%llu stall_trips=%llu replayed=%llu%s%s\n",
-              st.id, st.state.c_str(), obs::HealthStateName(st.health),
-              static_cast<ull>(st.epoch), static_cast<ull>(st.wal_applied_seq),
-              static_cast<ull>(st.journal_applied),
-              static_cast<ull>(st.journal_lag), static_cast<ull>(st.queries),
-              static_cast<ull>(st.drained), static_cast<ull>(st.stall_trips),
-              static_cast<ull>(st.replayed),
-              st.down_reason.empty() ? "" : " reason=",
-              st.down_reason.c_str());
-    }
-  }
-  void AppendStats(std::string* out) override {
-    const serve::ShardCounts counts = fleet_->Counts();
-    AppendF(out,
-            " shards=%u shards_ok=%u shards_degraded=%u shards_down=%u "
-            "shard_generation=%llu",
-            fleet_->num_shards(), counts.ok, counts.degraded, counts.down,
-            static_cast<ull>(fleet_->Generation()));
-  }
-
- private:
-  const std::unique_ptr<shard::ShardedQueryEngine> fleet_;
-};
+  return false;
+}
 
 /// Opens the serving mode `config` selects over `g` (which must outlive
 /// the result) and prints its startup line. Null with *error and
@@ -296,45 +279,23 @@ std::unique_ptr<ServingAdmin> OpenAdmin(const ServerConfig& config,
                                         std::string* error, int* exit_code) {
   util::Timer timer;
   *exit_code = 1;
-  if (config.shards >= 2) {
-    if (!config.load_index.empty()) {
-      *error = "--shards and --load-index are incompatible (shards build "
-               "their masked images from the graph)";
-      *exit_code = 2;
+  shard::ShardedOptions shard_options;
+  shard_options.num_shards = config.shards;
+  shard_options.registry = &Registry();
+  const bool sharded = config.shards >= 2;
+  if (!config.live_dir.empty()) {
+    const std::filesystem::path dir(config.live_dir);
+    if (HoldsRetiredShardLayout(dir)) {
+      *error = config.live_dir +
+               " holds the retired per-shard layout (shard-<i>/wal.log, "
+               "one WAL per shard); this server keeps one wal.bin per live "
+               "dir and will not bootstrap over it";
       return nullptr;
     }
-    shard::ShardedOptions sopts;
-    sopts.num_shards = config.shards;
-    sopts.scorer = scorer.Kind();
-    sopts.refreeze_every = config.refreeze_every;
-    sopts.registry = &Registry();
-    sopts.dir = config.live_dir;
-    std::unique_ptr<shard::ShardedQueryEngine> fleet =
-        config.live_dir.empty()
-            ? shard::ShardedQueryEngine::BuildStatic(g, sopts)
-            : shard::ShardedQueryEngine::Open(g, sopts, error);
-    if (fleet == nullptr) return nullptr;
-    const serve::ShardCounts counts = fleet->Counts();
-    std::printf("sharded engine up: %.1f ms (%u shards: %u ok, %u degraded, "
-                "%u down)\n",
-                timer.ElapsedMillis(), fleet->num_shards(), counts.ok,
-                counts.degraded, counts.down);
-    for (const shard::ShardStatus& st : fleet->Status()) {
-      if (st.state != "ok") {
-        std::printf("  shard %u: %s%s%s\n", st.id, st.state.c_str(),
-                    st.down_reason.empty() ? "" : " - ",
-                    st.down_reason.c_str());
-      }
-    }
-    return std::make_unique<ShardedAdmin>(std::move(fleet));
-  }
-  if (!config.live_dir.empty()) {
-    std::filesystem::create_directories(config.live_dir);
+    std::filesystem::create_directories(dir);
     live::LiveOptions live_options;
-    live_options.wal_path =
-        (std::filesystem::path(config.live_dir) / "wal.bin").string();
-    live_options.snapshot_path =
-        (std::filesystem::path(config.live_dir) / "snapshot.bin").string();
+    live_options.wal_path = (dir / "wal.bin").string();
+    live_options.snapshot_path = (dir / "snapshot.bin").string();
     live_options.refreeze_every = config.refreeze_every;
     live_options.scorer = scorer.Kind();
     live_options.registry = &Registry();
@@ -349,10 +310,21 @@ std::unique_ptr<ServingAdmin> OpenAdmin(const ServerConfig& config,
         static_cast<ull>(rec.replay_applied),
         live::WalTailStatusName(rec.wal.tail),
         static_cast<ull>(live->Stats().applied_seq));
-    return std::make_unique<LiveAdmin>(std::move(live));
+    std::unique_ptr<serve::ServingBackend> backend;
+    if (sharded) {
+      backend = std::make_unique<shard::ShardedQueryEngine>(*live,
+                                                            shard_options);
+    } else {
+      backend = std::make_unique<serve::EngineBackend>(serve::SnapshotProvider(
+          [index = live.get()] { return index->CurrentSnapshot(); }));
+    }
+    return std::make_unique<LiveAdmin>(std::move(live), std::move(backend));
   }
+  // A fleet serves slices of one frozen image, whatever --engine says.
+  const std::string name = sharded ? "frozen" : config.engine;
+  std::shared_ptr<const core::EsdQueryEngine> engine;
   if (!config.load_index.empty()) {
-    auto index = std::make_unique<core::FrozenEsdIndex>();
+    auto index = std::make_shared<core::FrozenEsdIndex>();
     const core::IndexIoResult res =
         core::LoadFrozenIndex(config.load_index, index.get(), scorer.Kind());
     if (!res) {
@@ -361,17 +333,26 @@ std::unique_ptr<ServingAdmin> OpenAdmin(const ServerConfig& config,
     }
     std::printf("frozen engine loaded from %s: %.1f ms\n",
                 config.load_index.c_str(), timer.ElapsedMillis());
-    return std::make_unique<StaticAdmin>(std::move(index), "frozen");
+    engine = std::move(index);
+  } else {
+    engine = core::BuildQueryEngine(g, name, scorer, error);
+    if (engine == nullptr) {
+      *exit_code = 2;
+      return nullptr;
+    }
+    std::printf("%s engine build (%s scorer): %.1f ms\n", name.c_str(),
+                std::string(scorer.Name()).c_str(), timer.ElapsedMillis());
   }
-  std::unique_ptr<core::EsdQueryEngine> engine =
-      core::BuildQueryEngine(g, config.engine, scorer, error);
-  if (engine == nullptr) {
-    *exit_code = 2;
-    return nullptr;
+  std::unique_ptr<serve::ServingBackend> backend;
+  if (sharded) {
+    backend = std::make_unique<shard::ShardedQueryEngine>(
+        std::dynamic_pointer_cast<const core::FrozenEsdIndex>(engine),
+        shard_options);
+  } else {
+    backend = std::make_unique<serve::EngineBackend>(*engine);
   }
-  std::printf("%s engine build (%s scorer): %.1f ms\n", config.engine.c_str(),
-              std::string(scorer.Name()).c_str(), timer.ElapsedMillis());
-  return std::make_unique<StaticAdmin>(std::move(engine), config.engine);
+  return std::make_unique<StaticAdmin>(std::move(engine), name,
+                                       std::move(backend));
 }
 
 }  // namespace
@@ -404,11 +385,8 @@ namespace {
 
 std::string MetricsTextLocked(ServerState& s) {
   s.admin->ExportMetrics();
-  // A scrape also reports the work counters of the engine being served
-  // (sharded views pin no single engine).
-  if (const auto engine = s.admin->Backend().Pin().engine) {
-    core::ExportEngineCounters(*engine, &Registry());
-  }
+  // A scrape also reports the work counters of the image being served.
+  core::ExportEngineCounters(*s.admin->Backend().Pin().engine, &Registry());
   // The combined (service + live) health beats the live-only view
   // ExportMetrics just wrote.
   obs::ExportHealth(Registry(), s.service->Health());
@@ -522,8 +500,8 @@ void FailPoint(ServerState&, Args& args, std::string* out) {
                  "FAILPOINT clearall\n");
   } else if (name == "LIST" || name == "list") {
     // Operator discovery: every compiled-in site with its live hit/fire
-    // counters, then armed names outside the curated table (the
-    // ".shard<i>"-suffixed instances and test-only points).
+    // counters, then armed names outside the curated table (numbered
+    // shard.query.<i> instances and test-only points).
     const std::vector<fault::FailPointSite> sites =
         fault::BuiltinFailPointSites();
     const std::vector<std::string> active = fpr.ActiveNames();
@@ -672,6 +650,9 @@ std::unique_ptr<ServerApp> ServerApp::Open(const ServerConfig& config,
   if (s->admin == nullptr) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return nullptr;
+  }
+  if (config.shards >= 2) {
+    std::printf("sharded serving: %u shards over one image\n", config.shards);
   }
 
   serve::EsdQueryService::Options opts;

@@ -42,11 +42,11 @@ struct ServerConfig {
 struct ServerState;
 
 /// The server behind esd_server: a query service over the serving mode
-/// the config selects (static engine, live index, or shard fleet), a
-/// metric history, and the text command set, served from stdin and — with
-/// ServerConfig::listen — over TCP. Commands dispatch through one table;
-/// handlers see the serving mode only through an admin seam with one
-/// implementation per mode.
+/// the config selects (a static engine or a live index, either one
+/// optionally read through a shard fleet), a metric history, and the text
+/// command set, served from stdin and — with ServerConfig::listen — over
+/// TCP. Commands dispatch through one table; handlers see the serving
+/// mode only through an admin seam with one implementation per mode.
 class ServerApp {
  public:
   /// Prints the startup lines, loads the graph, opens the serving mode and

@@ -462,19 +462,4 @@ EsdIndex Thaw(const FrozenEsdIndex& frozen) {
   return out;
 }
 
-FrozenEsdIndex FilterFrozenIndex(
-    const FrozenEsdIndex& index,
-    const std::function<bool(Edge)>& keep) {
-  const size_t slots = index.EdgeSlotCount();
-  std::vector<Edge> edges(index.Edges().begin(), index.Edges().end());
-  std::vector<uint8_t> live(slots, 0);
-  for (EdgeId e = 0; e < slots; ++e) {
-    live[e] = index.IsLive(e) && keep(edges[e]) ? 1 : 0;
-  }
-  EdgeSizePool sizes =
-      PackLiveSizes(live, [&](EdgeId e) { return index.EdgeSizes(e); });
-  return FrozenEsdIndex::FromSizePool(std::move(edges), std::move(sizes),
-                                      std::move(live), index.Scorer());
-}
-
 }  // namespace esd::core

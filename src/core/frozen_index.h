@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -77,8 +76,8 @@ class FrozenEsdIndex final : public EsdQueryEngine {
   /// The slab builder: adopts per-slot component-size multisets already
   /// packed as CSR (each ascending; freed slots empty) as the image's size
   /// pool and lays out the H(c) slabs from it, skipping treap construction
-  /// entirely — the builders' frozen-output path, Freeze and
-  /// FilterFrozenIndex. An empty `live` means every slot is live.
+  /// entirely — the builders' frozen-output path and Freeze. An empty
+  /// `live` means every slot is live.
   ///
   /// O(pool + entries + |C| + max multiset length): the size set C comes
   /// from marking the values present, and each slab is emitted from an
@@ -215,18 +214,6 @@ FrozenEsdIndex Freeze(const EsdIndex& index);
 /// freed slots and scorer. This is how the treap engine loads an index
 /// file (Thaw of LoadFrozenIndex's result).
 EsdIndex Thaw(const FrozenEsdIndex& frozen);
-
-/// Restricts a frozen image to the edges `keep` selects: the edge-id slot
-/// layout is preserved exactly (so ids, padding order, and dedup semantics
-/// line up across differently-filtered images of the same index), but
-/// non-kept slots are marked dead with empty multisets and their slab
-/// entries dropped. This is the sharding primitive: a shard serves
-/// FilterFrozenIndex(full, owns) and the scores it reports for kept edges
-/// are identical to the full image's — per-edge scores depend only on that
-/// edge's own multiset, so masking other edges never perturbs them.
-FrozenEsdIndex FilterFrozenIndex(
-    const FrozenEsdIndex& index,
-    const std::function<bool(graph::Edge)>& keep);
 
 }  // namespace esd::core
 

@@ -300,15 +300,14 @@ FaultHit EvaluateSlow(std::string_view name) {
 }
 
 std::vector<FailPointSite> BuiltinFailPointSites() {
-  // Keep sorted by name; one entry per base site. Suffixed per-instance
-  // sites (".shard<i>" on the WAL/refreeze family, ".<i>" on shard.query)
-  // follow the convention noted in their description.
+  // Keep sorted by name; one entry per site. The per-shard query probes
+  // ("shard.query.0", ...) are listed once as shard.query.<i>.
   return {
       {"index_io.load", "index file read fails typed (open/parse path)"},
       {"index_io.save", "index file write fails typed"},
       {"live.refreeze",
        "background epoch rebuild fails; feeds the refreeze circuit "
-       "breaker (per shard: live.refreeze.shard<i>)"},
+       "breaker"},
       {"net.accept", "accept() fails; listener logs and keeps polling"},
       {"net.read", "connection read fails; connection is torn down"},
       {"net.write", "connection write fails; connection is torn down"},
@@ -318,8 +317,9 @@ std::vector<FailPointSite> BuiltinFailPointSites() {
       {"serve.admission", "admission sheds the request (typed rejection)"},
       {"serve.worker", "serving worker stalls (delay) before batch pickup"},
       {"shard.query.<i>",
-       "scatter probe of shard i errors (dropped from the merge, stall "
-       "breaker trips) or stalls (delay; consecutive slow probes trip)"},
+       "query probe of shard i errors (its edges left out of the answer, "
+       "stall breaker trips) or stalls (delay; consecutive slow probes "
+       "trip)"},
       {"snapshot.dir_fsync", "snapshot directory fsync fails"},
       {"snapshot.fsync", "snapshot data fsync fails"},
       {"snapshot.open", "snapshot temp-file open fails"},
@@ -327,16 +327,12 @@ std::vector<FailPointSite> BuiltinFailPointSites() {
       {"snapshot.write", "snapshot body write fails"},
       {"wal.append",
        "WAL record append fails; exhausting retries flips the index "
-       "read-only (per shard: wal.append.shard<i>)"},
-      {"wal.fsync",
-       "WAL fsync fails (per shard: wal.fsync.shard<i>)"},
-      {"wal.open", "WAL open at boot fails (per shard: wal.open.shard<i>)"},
+       "read-only"},
+      {"wal.fsync", "WAL fsync fails"},
+      {"wal.open", "WAL open at boot fails"},
       {"wal.short_write",
-       "WAL append writes a short prefix, simulating a torn record "
-       "(per shard: wal.short_write.shard<i>)"},
-      {"wal.truncate",
-       "WAL truncate (checkpoint / torn-tail repair) fails "
-       "(per shard: wal.truncate.shard<i>)"},
+       "WAL append writes a short prefix, simulating a torn record"},
+      {"wal.truncate", "WAL truncate (checkpoint / torn-tail repair) fails"},
   };
 }
 

@@ -51,12 +51,11 @@ struct FailPointSite {
   std::string_view description;
 };
 
-/// The curated registry of compiled-in call sites, sorted by name. Sites
-/// whose names are built per instance (per-shard WAL/refreeze suffixes
-/// like "wal.append.shard2", per-shard query probes "shard.query.2") are
-/// listed once under their base name with the suffix convention noted —
-/// the live hit counts of the suffixed instances still show up in
-/// FAILPOINT LIST because the registry tracks any evaluated name.
+/// The curated registry of compiled-in call sites, sorted by name. The
+/// per-shard query probes ("shard.query.2") are listed once as
+/// "shard.query.<i>" — the live hit counts of the numbered instances
+/// still show up in FAILPOINT LIST because the registry tracks any
+/// evaluated name.
 std::vector<FailPointSite> BuiltinFailPointSites();
 
 /// What one ESD_FAILPOINT evaluation injected. `fired` is true only for

@@ -51,9 +51,6 @@ std::unique_ptr<LiveEsdIndex> LiveEsdIndex::Open(const graph::Graph& bootstrap,
 
   std::unique_ptr<LiveEsdIndex> live(
       new LiveEsdIndex(options, std::move(state)));
-  if (!options.fault_site_suffix.empty()) {
-    live->wal_.SetFaultSiteSuffix(options.fault_site_suffix);
-  }
   if (!live->wal_.Open(options.wal_path, error, options.scorer)) {
     return nullptr;
   }
@@ -64,8 +61,7 @@ LiveEsdIndex::LiveEsdIndex(const LiveOptions& options, RecoveredState recovered)
     : options_(options), recovered_(std::move(recovered)) {
   manager_ = std::make_unique<EpochSnapshotManager>(
       recovered_.graph.Snapshot(), recovered_.applied_seq,
-      options_.pool_threads, core::ScorerForKind(options_.scorer),
-      options_.serve_filter, options_.fault_site_suffix);
+      options_.pool_threads, core::ScorerForKind(options_.scorer));
   manager_->ConfigureBreaker(options_.refreeze_breaker_threshold,
                              options_.refreeze_breaker_cooldown);
   next_seq_ = recovered_.applied_seq + 1;
@@ -288,9 +284,9 @@ bool LiveEsdIndex::Checkpoint(std::string* error) {
 }
 
 obs::HealthState LiveEsdIndex::Health() const {
-  // Lock-free on purpose: sharded classification probes health on every
-  // query, and must not queue behind a write (or a sleeping heal probe)
-  // that holds live_mu_.
+  // Lock-free on purpose: the query service probes health on every batch,
+  // and must not queue behind a write (or a sleeping heal probe) that
+  // holds live_mu_.
   if (read_only_.load(std::memory_order_acquire)) {
     return obs::HealthState::kReadOnly;
   }

@@ -55,16 +55,6 @@ struct LiveOptions {
   /// opens, and how long it stays open before letting a retry through.
   int refreeze_breaker_threshold = 3;
   std::chrono::milliseconds refreeze_breaker_cooldown{100};
-  /// Restricts the edges published read epochs serve (see
-  /// EpochSnapshotManager::ServeFilter). The WAL, writer index, recovery,
-  /// and checkpoints all stay whole-graph; only the frozen images readers
-  /// pin are masked. Empty (default) serves everything.
-  EpochSnapshotManager::ServeFilter serve_filter;
-  /// Suffix appended to this instance's fail-point site names
-  /// ("wal.append" -> "wal.append.shard2", "live.refreeze" likewise) so a
-  /// chaos schedule can fail one shard's durability path in isolation.
-  /// Empty (default) keeps the process-classic names.
-  std::string fault_site_suffix;
 };
 
 /// One update submitted to the live index.
@@ -215,7 +205,8 @@ class LiveEsdIndex {
   /// hooks to rotate generations as soon as an epoch swaps, instead of on
   /// the first post-swap lookup. Runs on the background refreeze pool;
   /// keep it cheap, and clear it (empty listener) before destroying
-  /// anything it captures.
+  /// anything it captures: the call returns only once no call of the
+  /// previous listener is still running.
   void SetEpochListener(EpochSnapshotManager::EpochListener listener) {
     manager_->SetEpochListener(std::move(listener));
   }
@@ -251,8 +242,8 @@ class LiveEsdIndex {
   uint64_t checkpoints_ = 0;
 
   // Degraded-mode state (guarded by live_mu_; read_only_ is atomic so
-  // Health() — a classification probe on sharded query paths — never
-  // blocks behind a write or heal probe holding live_mu_).
+  // Health() — probed by the query service once per batch — never blocks
+  // behind a write or heal probe holding live_mu_).
   std::atomic<bool> read_only_{false};
   std::chrono::steady_clock::time_point next_probe_{};
   uint64_t wal_retries_ = 0;

@@ -209,12 +209,8 @@ bool LoadGraphSnapshot(const std::string& path, GraphSnapshotData* out,
 EpochSnapshotManager::EpochSnapshotManager(const graph::Graph& base,
                                            uint64_t base_seq,
                                            unsigned pool_threads,
-                                           const core::DiversityScorer& scorer,
-                                           ServeFilter serve_filter,
-                                           const std::string& fault_site_suffix)
-    : serve_filter_(std::move(serve_filter)),
-      refreeze_site_("live.refreeze" + fault_site_suffix),
-      writer_(base, scorer),
+                                           const core::DiversityScorer& scorer)
+    : writer_(base, scorer),
       applied_seq_(base_seq),
       // Named track: background re-freezes show up as "refreeze-1" (etc.)
       // in Chrome trace exports instead of bare thread ids.
@@ -262,7 +258,7 @@ bool EpochSnapshotManager::RefreezeNow() {
   // failed rebuild (previous epoch stays published, breaker counts it),
   // while a delay action parks this thread in exactly the window whose
   // interleaving Publish's seq guard must survive.
-  if (ESD_FAILPOINT(refreeze_site_)) {
+  if (ESD_FAILPOINT("live.refreeze")) {
     std::lock_guard<std::mutex> lock(mu_);
     refreeze_failures_.fetch_add(1, std::memory_order_relaxed);
     if (++consecutive_failures_ >= breaker_threshold_ &&
@@ -325,10 +321,7 @@ void EpochSnapshotManager::SetEpochListener(EpochListener listener) {
 void EpochSnapshotManager::Publish(core::FrozenEsdIndex frozen,
                                    uint64_t seq) {
   auto snap = std::make_shared<EpochSnapshot>();
-  // Ownership mask: readers of this manager only ever see the filtered
-  // image; the full one is a freeze-time intermediate.
-  snap->index = serve_filter_ ? core::FilterFrozenIndex(frozen, serve_filter_)
-                              : std::move(frozen);
+  snap->index = std::move(frozen);
   snap->applied_seq = seq;
   snap->published_at = std::chrono::steady_clock::now();
   {
@@ -346,12 +339,11 @@ void EpochSnapshotManager::Publish(core::FrozenEsdIndex frozen,
     snap->epoch = epochs_published_.fetch_add(1, std::memory_order_relaxed);
     published_ = snap;
   }
-  EpochListener listener;
-  {
-    std::lock_guard<std::mutex> lock(listener_mu_);
-    listener = listener_;
-  }
-  if (listener) listener(snap->epoch, snap->applied_seq);
+  // The call runs under listener_mu_ so that clearing the listener waits
+  // for it: a caller tearing down what the listener captures must not
+  // race a publish still inside it.
+  std::lock_guard<std::mutex> lock(listener_mu_);
+  if (listener_) listener_(snap->epoch, snap->applied_seq);
 }
 
 }  // namespace esd::live

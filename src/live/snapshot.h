@@ -85,26 +85,14 @@ SnapshotDirFsyncHandler SetSnapshotDirFsyncHandler(
 ///     queued on the pool at a time.
 class EpochSnapshotManager {
  public:
-  /// Restricts which edges each PUBLISHED epoch serves; the writer index
-  /// itself always maintains the full graph (so recovery, checkpoints, and
-  /// per-edge maintenance stay whole-graph exact — scores depend on global
-  /// 2-hop structure). A shard passes its ownership predicate here: every
-  /// refreeze is masked through core::FilterFrozenIndex before readers see
-  /// it, partitioning serving memory while write work stays replicated.
-  using ServeFilter = std::function<bool(graph::Edge)>;
-
   /// Bootstraps the writer index from `base` (a from-scratch build under
   /// `scorer` — the ESD 4-clique build for the default EsdScorer()) and
   /// publishes epoch 0 covering `base_seq`. `scorer` must outlive the
   /// manager; the built-in scorers are process-lifetime singletons.
-  /// `fault_site_suffix` renames the "live.refreeze" fail point for this
-  /// instance (per-shard chaos targeting); empty keeps the classic name.
   EpochSnapshotManager(const graph::Graph& base, uint64_t base_seq,
                        unsigned pool_threads,
                        const core::DiversityScorer& scorer =
-                           core::EsdScorer(),
-                       ServeFilter serve_filter = {},
-                       const std::string& fault_site_suffix = "");
+                           core::EsdScorer());
 
   /// Joins in-flight background refreezes (the pool drains before exit).
   ~EpochSnapshotManager() = default;
@@ -140,7 +128,10 @@ class EpochSnapshotManager {
   /// proactively instead of waiting for the first post-swap lookup.
   /// Discarded stale publishes (see publish_races) never fire it. May be
   /// invoked from the background refreeze pool; keep it cheap. Replaces
-  /// any previous listener; empty clears.
+  /// any previous listener; empty clears. Returns only after any running
+  /// call of the previous listener has finished, so a caller may destroy
+  /// what that listener captured as soon as this returns. Must not be
+  /// called from inside the listener.
   using EpochListener = std::function<void(uint64_t epoch, uint64_t seq)>;
   void SetEpochListener(EpochListener listener);
 
@@ -191,10 +182,6 @@ class EpochSnapshotManager {
  private:
   void Publish(core::FrozenEsdIndex frozen, uint64_t seq);
 
-  /// Immutable after construction; applied to every freeze before publish.
-  const ServeFilter serve_filter_;
-  const std::string refreeze_site_;
-
   mutable std::mutex mu_;  // guards writer_ and the breaker bookkeeping
   core::DynamicEsdIndex writer_;
   bool refreeze_queued_ = false;
@@ -223,9 +210,9 @@ class EpochSnapshotManager {
   mutable std::mutex published_mu_;
   std::shared_ptr<const EpochSnapshot> published_;
 
-  /// Epoch-change notification (guarded separately: the listener can be
-  /// installed while refreezes are in flight, and firing it must not hold
-  /// published_mu_).
+  /// Epoch-change notification. Held across each listener call as well
+  /// as by SetEpochListener, which therefore waits out a running call
+  /// (publishes fire it outside published_mu_).
   mutable std::mutex listener_mu_;
   EpochListener listener_;
 

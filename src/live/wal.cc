@@ -215,21 +215,13 @@ void WalWriter::Close() {
   }
 }
 
-void WalWriter::SetFaultSiteSuffix(const std::string& suffix) {
-  site_open_ = "wal.open" + suffix;
-  site_append_ = "wal.append" + suffix;
-  site_fsync_ = "wal.fsync" + suffix;
-  site_truncate_ = "wal.truncate" + suffix;
-  site_short_write_ = "wal.short_write" + suffix;
-}
-
 bool WalWriter::Open(const std::string& path, std::string* error,
                      core::ScorerKind scorer) {
   Close();
   last_status_ = WalIoStatus::kOk;
   last_errno_ = 0;
   tail_dirty_ = false;
-  if (const auto hit = ESD_FAILPOINT(site_open_)) {
+  if (const auto hit = ESD_FAILPOINT("wal.open")) {
     last_status_ = WalIoStatus::kIoError;
     last_errno_ = hit.error_code;
     return SetError(error, "cannot open wal file " + path + ": " +
@@ -315,7 +307,7 @@ bool WalWriter::Append(const WalRecord& record, std::string* error) {
     last_errno_ = errno;
     return false;
   }
-  if (const auto hit = ESD_FAILPOINT(site_append_)) {
+  if (const auto hit = ESD_FAILPOINT("wal.append")) {
     last_status_ = WalIoStatus::kIoError;
     last_errno_ = hit.error_code;
     return SetError(error, std::string("wal write failed: ") +
@@ -327,7 +319,7 @@ bool WalWriter::Append(const WalRecord& record, std::string* error) {
   EncodeU64(buf + 4, core::Fnv1a(buf + kWalRecordHeaderBytes,
                                  kWalPayloadBytes));
   const util::WriteResult wr =
-      util::WriteFully(fd_, buf, sizeof(buf), site_short_write_.c_str());
+      util::WriteFully(fd_, buf, sizeof(buf), "wal.short_write");
   eintr_retries_ += wr.eintr_retries;
   if (!wr.ok) {
     last_status_ =
@@ -357,7 +349,7 @@ bool WalWriter::Sync(std::string* error) {
     last_status_ = WalIoStatus::kNotOpen;
     return SetError(error, "wal writer is not open");
   }
-  if (const auto hit = ESD_FAILPOINT(site_fsync_)) {
+  if (const auto hit = ESD_FAILPOINT("wal.fsync")) {
     last_status_ = WalIoStatus::kIoError;
     last_errno_ = hit.error_code;
     return SetError(error, std::string("wal fsync failed: ") +
@@ -379,7 +371,7 @@ bool WalWriter::TruncateAll(std::string* error) {
     last_status_ = WalIoStatus::kNotOpen;
     return SetError(error, "wal writer is not open");
   }
-  if (const auto hit = ESD_FAILPOINT(site_truncate_)) {
+  if (const auto hit = ESD_FAILPOINT("wal.truncate")) {
     last_status_ = WalIoStatus::kIoError;
     last_errno_ = hit.error_code;
     return SetError(error, std::string("wal truncate failed: ") +

@@ -108,14 +108,6 @@ class WalWriter {
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  /// Renames this writer's fail-point sites from the process-wide
-  /// "wal.append"/"wal.fsync"/... to "wal.append<suffix>" etc. A sharded
-  /// deployment gives each shard's writer its own suffix (".shard2"), so
-  /// chaos schedules can fail exactly one shard's log while the rest of
-  /// the fleet keeps appending. Call before Open; empty (the default)
-  /// keeps the classic names.
-  void SetFaultSiteSuffix(const std::string& suffix);
-
   /// Opens `path` for appending, creating it (with a fresh file header
   /// stamped with `scorer`) if missing or empty. The caller must have
   /// truncated any torn tail first (recovery does); an existing file with
@@ -155,13 +147,6 @@ class WalWriter {
 
  private:
   bool RepairTail(std::string* error);
-
-  // Fail-point site names, rewritable per instance (SetFaultSiteSuffix).
-  std::string site_open_ = "wal.open";
-  std::string site_append_ = "wal.append";
-  std::string site_fsync_ = "wal.fsync";
-  std::string site_truncate_ = "wal.truncate";
-  std::string site_short_write_ = "wal.short_write";
 
   int fd_ = -1;
   uint64_t bytes_ = 0;

@@ -380,8 +380,8 @@ void EsdQueryService::ServeBatch(std::vector<Pending> batch) {
         // Without a cache there was no lookup to time: cache_lookup is
         // identically zero and the clock read would only measure itself.
         t1 = cache_ != nullptr ? obs::MonotonicNanos() : t0;
-        // A scatter-gather merge runs wholly inside Execute and is
-        // attributed to slab_scan; the per-shard split lives in the
+        // A sharded walk runs wholly inside Execute and is attributed to
+        // slab_scan and padding_scan; the per-shard split lives in the
         // esd_shard_* metrics rather than the six-stage enum.
         ExecuteOutcome out = view.Execute(rq.k, rq.tau,
                                           rq.pad_with_zero_edges, p.deadline);

@@ -75,8 +75,9 @@ struct QueryResponse {
   obs::RequestContext ctx;
   /// Fleet tally (sharded serving only; all zero on unsharded services):
   /// shards that contributed to this answer, shards alive but excluded
-  /// (their edges are missing from the result), and shards down. A partial
-  /// answer is exactly one with shards_degraded + shards_down > 0.
+  /// (always 0 — see serve::ShardCounts), and shards down (their edges are
+  /// missing from the result). A partial answer is exactly one with
+  /// shards_degraded + shards_down > 0.
   uint16_t shards_ok = 0;
   uint16_t shards_degraded = 0;
   uint16_t shards_down = 0;

@@ -17,13 +17,15 @@
 namespace esd::serve {
 
 /// Fleet health tally stamped into every sharded QueryResponse: how many
-/// shards contributed to (ok), were alive but excluded from (degraded), or
-/// were entirely absent from (down) the merge. ok + degraded + down is the
-/// configured shard count; all zero when serving is unsharded.
+/// shards served (ok) or were left out of (down) the answer. ok + degraded
+/// + down is the configured shard count; all zero when serving is
+/// unsharded.
 struct ShardCounts {
   uint16_t ok = 0;
-  uint16_t degraded = 0;  ///< serving an old epoch: read-only, breaker, stale
-  uint16_t down = 0;      ///< quarantined at open, resync required, stall-tripped
+  /// Alive but excluded. Always 0: every shard serves the one writer's
+  /// last good epoch, so none is ever stale. Kept on the wire.
+  uint16_t degraded = 0;
+  uint16_t down = 0;  ///< probe errored or stall breaker open
   bool all_ok() const { return degraded == 0 && down == 0; }
 };
 
@@ -33,18 +35,18 @@ struct ExecuteOutcome {
   /// Fleet tally at execution time (may differ from the batch-level pin if
   /// a shard changed state mid-batch; the response carries this one).
   ShardCounts shards;
-  /// The merge hit the deadline before completing; `result` is partial
+  /// Execution hit the deadline before completing; `result` is partial
   /// junk and the caller must answer kDeadlineMissed instead.
   bool deadline_expired = false;
-  /// Slab entries actually drained across all shards — the early-exit
-  /// bound's observable: at most k + (#shards - 1) for a k-entry answer.
+  /// Slab entries a sharded walk emitted into the answer — the early-exit
+  /// bound's observable: at most k. 0 when unsharded.
   uint64_t drained_entries = 0;
   /// obs::MonotonicNanos() when the slab scan ended and zero-edge padding
   /// began; 0 when the call ran no separate padding phase (the whole call
   /// is then attributed to slab_scan).
   uint64_t scan_end_ns = 0;
 };
-/// The name the shard layer's scatter-gather callers use.
+/// The name the shard layer's callers use.
 using ShardedOutcome = ExecuteOutcome;
 
 class ServingBackend;
@@ -62,16 +64,16 @@ struct ServingView {
   core::ScorerKind scorer = core::ScorerKind::kEsd;
 
   /// Miss path: answers one query from this view, giving up at `deadline`
-  /// where the backend can (a scatter-gather merge).
+  /// where the backend can (a sharded walk).
   ExecuteOutcome Execute(uint32_t k, uint32_t tau, bool pad_with_zero_edges,
                          std::chrono::steady_clock::time_point deadline);
 
   // Pin state, read only by the backend that produced the view.
   ServingBackend* backend = nullptr;
-  /// The pinned engine image (EngineBackend); null for sharded views.
+  /// The pinned engine image.
   std::shared_ptr<const core::EsdQueryEngine> engine;
   /// engine as a FrozenEsdIndex, when it is one: enables the batched
-  /// slab-reuse path.
+  /// slab-reuse path (always set for sharded views).
   const core::FrozenEsdIndex* frozen = nullptr;
   /// The last slab looked up in this batch and the tau it was found for
   /// (0 = none yet), so the slab binary search runs once per distinct tau.

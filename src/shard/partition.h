@@ -19,10 +19,8 @@ inline uint64_t MixEdgeKey(uint64_t x) {
 }
 
 /// The partition function: which shard owns edge (u, v). Stable across
-/// processes and runs — it depends only on the normalized endpoint pair —
-/// which is what lets a recovered shard re-derive its ownership mask from
-/// nothing but its id and the fleet size. num_shards <= 1 collapses to a
-/// single owner.
+/// processes and runs — it depends only on the normalized endpoint pair
+/// and the fleet size. num_shards <= 1 collapses to a single owner.
 inline uint32_t ShardOfEdge(graph::Edge e, uint32_t num_shards) {
   if (num_shards <= 1) return 0;
   const graph::Edge n = graph::MakeEdge(e.u, e.v);
@@ -30,8 +28,7 @@ inline uint32_t ShardOfEdge(graph::Edge e, uint32_t num_shards) {
   return static_cast<uint32_t>(MixEdgeKey(key) % num_shards);
 }
 
-/// The ownership mask of one shard, in the shape EpochSnapshotManager's
-/// ServeFilter and core::FilterFrozenIndex expect.
+/// The ownership mask of one shard, as a predicate over edges.
 inline std::function<bool(graph::Edge)> OwnsFilter(uint32_t shard,
                                                    uint32_t num_shards) {
   return [shard, num_shards](graph::Edge e) {

@@ -8,6 +8,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -25,6 +27,7 @@ using test::ScratchServer;
 constexpr const char* kQueryUsage = "ERR usage: QUERY <k> <tau> [STRICT]\n";
 constexpr const char* kNotLive = "ERR updates need --live-dir\n";
 constexpr const char* kNotSharded = "ERR not running sharded (--shards N)\n";
+constexpr const char* kNoRefreeze = "ERR refreeze needs --live-dir\n";
 
 bool StartsWith(const std::string& s, const std::string& prefix) {
   return s.rfind(prefix, 0) == 0;
@@ -108,8 +111,7 @@ TEST(ServeNetCommandTest, StaticModeVerbs) {
   EXPECT_EQ(server.Run("DELETE 1 2"), kNotLive);
   EXPECT_EQ(server.Run("INSERT"), kNotLive);  // mode checked before args
   EXPECT_EQ(server.Run("CHECKPOINT"), "ERR checkpoint needs --live-dir\n");
-  EXPECT_EQ(server.Run("REFREEZE"),
-            "ERR refreeze needs --live-dir or --shards\n");
+  EXPECT_EQ(server.Run("REFREEZE"), kNoRefreeze);
   EXPECT_EQ(server.Run("SHARDS"), kNotSharded);
 }
 
@@ -142,12 +144,14 @@ TEST(ServeNetCommandTest, ShardedModeVerbs) {
   EXPECT_TRUE(Contains(server.Run("QUERY 3 2"), " shards=3/0/0 "));
   EXPECT_EQ(server.Run("INSERT 1 2"), kNotLive);
   EXPECT_EQ(server.Run("CHECKPOINT"), "ERR checkpoint needs --live-dir\n");
-  EXPECT_EQ(server.Run("REFREEZE"), "OK refrozen\n");
+  EXPECT_EQ(server.Run("REFREEZE"), kNoRefreeze);
   const std::string shards = server.Run("SHARDS");
   EXPECT_TRUE(
       StartsWith(shards, "OK shards=3 ok=3 degraded=0 down=0 generation="))
       << shards;
-  EXPECT_TRUE(Contains(shards, "\nshard 2 state=ok health=ok ")) << shards;
+  EXPECT_TRUE(Contains(shards, " epoch=0\nshard 0 state=ok queries="))
+      << shards;
+  EXPECT_TRUE(Contains(shards, "\nshard 2 state=ok queries=")) << shards;
   EXPECT_TRUE(Contains(server.Run("STATS"),
                        " shards=3 shards_ok=3 shards_degraded=0 "
                        "shards_down=0 shard_generation="));
@@ -160,15 +164,46 @@ TEST(ServeNetCommandTest, ShardedLiveModeVerbs) {
   ASSERT_TRUE(server.Open());
   EXPECT_EQ(server.app().EngineName(), "sharded-live");
   ExpectModeIndependentVerbs(server);
-  EXPECT_EQ(server.Run("INSERT 1 2"),
-            "OK shards_ok=3 shards_degraded=0 shards_down=0\n");
-  EXPECT_EQ(server.Run("DELETE 1 2"),
-            "OK shards_ok=3 shards_degraded=0 shards_down=0\n");
+  // One writer: the same replies as unsharded live serving.
+  EXPECT_TRUE(StartsWith(server.Run("INSERT 1 2"), "OK seq=1 wal_bytes="));
+  EXPECT_TRUE(StartsWith(server.Run("DELETE 1 2"), "OK seq=2 wal_bytes="));
   EXPECT_EQ(server.Run("INSERT 1"), "ERR usage: INSERT <u> <v>\n");
-  EXPECT_EQ(server.Run("CHECKPOINT"), "OK all shards checkpointed\n");
+  EXPECT_TRUE(StartsWith(server.Run("INSERT 1 99999999"), "ERR bounds "));
+  EXPECT_TRUE(StartsWith(server.Run("CHECKPOINT"),
+                         "OK seq=2 wal_bytes=12 epoch="));
   EXPECT_EQ(server.Run("REFREEZE"), "OK refrozen\n");
   EXPECT_TRUE(Contains(server.Run("QUERY 3 2"), " shards=3/0/0 "));
   EXPECT_TRUE(StartsWith(server.Run("SHARDS"), "OK shards=3 ok=3 "));
+  const std::string stats = server.Run("STATS");
+  EXPECT_TRUE(Contains(stats, " live_seq=2 ")) << stats;
+  EXPECT_TRUE(Contains(stats, " shards=3 shards_ok=3 ")) << stats;
+  EXPECT_TRUE(Contains(server.Run("METRICS"), "esd_shard_count 3"));
+  // One WAL for the whole fleet, and no per-shard directories.
+  size_t wals = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(server.Path("fleet"))) {
+    EXPECT_FALSE(entry.is_directory()) << entry.path();
+    wals += entry.path().filename() == "wal.bin" ? 1 : 0;
+  }
+  EXPECT_EQ(wals, 1u);
+}
+
+// A live dir in the retired layout (one WAL per shard under shard-<i>/,
+// none at the top) is refused typed: opening one WAL over it would
+// bootstrap from the graph and drop every write those logs acknowledged.
+TEST(ServeNetCommandTest, RetiredShardLayoutIsRefused) {
+  ScratchServer server("retired_layout");
+  const std::filesystem::path fleet = server.Path("fleet");
+  std::filesystem::create_directories(fleet / "shard-0");
+  std::ofstream(fleet / "shard-0" / "wal.log") << "acknowledged writes";
+  server.config.shards = 3;
+  server.config.live_dir = fleet.string();
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(server.TryOpen(), 1);
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_TRUE(Contains(err, "retired per-shard layout")) << err;
+  EXPECT_FALSE(std::filesystem::exists(fleet / "wal.bin"));
+  EXPECT_TRUE(std::filesystem::exists(fleet / "shard-0" / "wal.log"));
 }
 
 // A listener that cannot bind must still tear down in order. Every write

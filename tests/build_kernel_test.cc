@@ -118,9 +118,6 @@ TEST(BuildKernelTest, EveryBuiltAndFrozenImagePassesAdopt) {
     const FrozenEsdIndex frozen = core::Freeze(index);
     EXPECT_TRUE(frozen == built) << name;
     ExpectAdopted(frozen, name + " frozen");
-    ExpectAdopted(core::FilterFrozenIndex(
-                      built, [](Edge e) { return (e.u + e.v) % 3 != 0; }),
-                  name + " filtered");
     // Freed slots: unregister every fourth edge, then freeze.
     for (EdgeId e = 0; e < index.EdgeSlotCount(); e += 4) {
       index.SetEdgeSizes(e, {});

@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -590,17 +591,11 @@ TEST_F(ChaosTest, RandomizedFaultScheduleKeepsInvariants) {
 
 // ---- Sharded fleet under fault schedules -----------------------------------
 
-/// ShardedOptions tuned like ChaosOptions: zero-sleep retries, short heal
-/// interval, and a fast stall breaker so schedules stay deterministic.
-shard::ShardedOptions ShardChaosOptions(const ScratchDir& dir,
-                                        uint32_t num_shards) {
+/// ShardedOptions tuned like ChaosOptions: a fast stall breaker so
+/// schedules stay deterministic.
+shard::ShardedOptions ShardChaosOptions(uint32_t num_shards) {
   shard::ShardedOptions options;
   options.num_shards = num_shards;
-  options.dir = dir.Path("fleet");
-  options.max_vertex_id = 127;
-  options.wal_retry.max_attempts = 3;
-  options.wal_retry.base_delay = std::chrono::microseconds(0);
-  options.heal_retry_interval = std::chrono::milliseconds(2);
   options.stall_threshold = std::chrono::microseconds(5000);
   options.stall_breaker_trips = 1;
   // Long enough that assertions made right after a trip can't race the
@@ -611,68 +606,65 @@ shard::ShardedOptions ShardChaosOptions(const ScratchDir& dir,
 
 constexpr auto kFarDeadline = std::chrono::steady_clock::time_point::max();
 
-// The PR's acceptance scenario. One shard's WAL hits ENOSPC (read-only,
-// falls behind the fleet watermark), another's scatter probe stalls until
-// the query stall breaker quarantines it. Strict queries must fail typed,
-// partial queries must answer correctly over the healthy remainder within
-// their deadline, and after the faults clear the healed fleet must hold
-// exact edge-for-edge parity with an unsharded live index that replayed
-// the identical history.
+// The acceptance scenario. Shard 0's query probe errors and shard 1's
+// stalls until the stall breaker takes it down, while the one writer keeps
+// accepting writes. Strict queries must fail typed, partial queries must
+// answer the current epoch restricted to the healthy shard's edges, and
+// once the faults clear the whole fleet must hold exact edge-for-edge
+// parity with an unsharded live index that applied the identical history.
 TEST_F(ChaosTest, ShardOutageServesPartialThenHealsToExactParity) {
   ScratchDir dir("shard_outage");
   graph::Graph bootstrap = gen::BarabasiAlbert(60, 3, 11);
   const uint32_t num_shards = 3;
   std::string error;
-  auto fleet = shard::ShardedQueryEngine::Open(
-      bootstrap, ShardChaosOptions(dir, num_shards), &error);
-  ASSERT_NE(fleet, nullptr) << error;
+  LiveOptions writer_options = ChaosOptions(dir);
+  writer_options.wal_path = dir.Path("fleet_wal.bin");
+  writer_options.snapshot_path = dir.Path("fleet_snap.bin");
+  auto writer = LiveEsdIndex::Open(bootstrap, writer_options, &error);
+  ASSERT_NE(writer, nullptr) << error;
+  shard::ShardedQueryEngine fleet(*writer, ShardChaosOptions(num_shards));
 
   // The unsharded reference follows the same update history, so edge-id
   // slots — and therefore the exact canonical answers — line up.
-  LiveOptions ref_options = ChaosOptions(dir);
-  auto reference = LiveEsdIndex::Open(bootstrap, ref_options, &error);
+  auto reference = LiveEsdIndex::Open(bootstrap, ChaosOptions(dir), &error);
   ASSERT_NE(reference, nullptr) << error;
-
   const std::vector<LiveUpdate> updates = RandomUpdates(30, 100, 0x5A4D);
-  const std::span<const LiveUpdate> first(updates.data(), 10);
-  ASSERT_EQ(fleet->ApplyBatchTyped(first).status, ApplyStatus::kOk);
-  ASSERT_EQ(reference->ApplyBatch(first, &error), first.size()) << error;
-  ASSERT_TRUE(fleet->RefreezeAll());
-  ASSERT_TRUE(reference->RefreezeNow());
+  auto apply_both = [&](size_t from, size_t n) {
+    const std::span<const LiveUpdate> batch(updates.data() + from, n);
+    ASSERT_EQ(writer->ApplyBatch(batch, &error), n) << error;
+    ASSERT_EQ(reference->ApplyBatch(batch, &error), n) << error;
+    ASSERT_TRUE(writer->RefreezeNow());
+    ASSERT_TRUE(reference->RefreezeNow());
+  };
+  apply_both(0, 10);
   {
-    const serve::ShardedOutcome all_ok = fleet->Execute(64, 2, true,
-                                                        kFarDeadline);
+    const serve::ShardedOutcome all_ok = fleet.Execute(64, 2, true,
+                                                       kFarDeadline);
     EXPECT_EQ(all_ok.result, reference->CurrentEngine()->Query(64, 2));
     EXPECT_EQ(all_ok.shards.ok, num_shards);
   }
 
-  // Fault 1: shard 0's WAL dies. The broadcast write still succeeds on the
-  // other shards (durable on >= 1 replica), but shard 0 flips read-only
-  // and falls behind the fleet watermark — excluded as degraded.
-  Arm("wal.append.shard0", "error(ENOSPC)");
-  const std::span<const LiveUpdate> second(updates.data() + 10, 10);
-  const ApplyResult partial_write = fleet->ApplyBatchTyped(second);
-  EXPECT_EQ(partial_write.status, ApplyStatus::kOk) << partial_write.message;
-  EXPECT_NE(partial_write.message.find("behind"), std::string::npos)
-      << partial_write.message;
-  ASSERT_EQ(reference->ApplyBatch(second, &error), second.size()) << error;
-  EXPECT_EQ(fleet->Counts().degraded, 1u);
-
-  // Fault 2: shard 1's scatter probe stalls 30ms. The first query pays the
-  // delay (the cost is already sunk) and the stall breaker trips; from the
-  // next round shard 1 is down and its fail point is no longer evaluated.
+  // Fault 1: shard 0's query probe errors — it is left out of the round
+  // and its breaker opens. Fault 2: shard 1's probe stalls 30ms; the
+  // first query pays the delay (the cost is already sunk) and the stall
+  // breaker trips, so from the next round shard 1 is down too.
+  Arm("shard.query.0", "error(EIO)");
   Arm("shard.query.1", "delay(30)");
-  (void)fleet->Execute(8, 2, true, kFarDeadline);
+  (void)fleet.Execute(8, 2, true, kFarDeadline);
   {
-    const serve::ShardCounts counts = fleet->Counts();
-    EXPECT_EQ(counts.degraded, 1u);  // shard 0: read-only + behind
-    EXPECT_EQ(counts.down, 1u);      // shard 1: stall breaker
-    EXPECT_EQ(counts.ok, 1u);        // shard 2 carries the fleet
+    const serve::ShardCounts counts = fleet.Counts();
+    EXPECT_EQ(counts.degraded, 0u);  // every shard serves the last epoch
+    EXPECT_EQ(counts.down, 2u);
+    EXPECT_EQ(counts.ok, 1u);  // shard 2 carries the fleet
   }
+
+  // The read-side outage does not touch the writer: it keeps accepting,
+  // and the fleet serves the epoch it publishes.
+  apply_both(10, 10);
 
   serve::EsdQueryService::Options sopts;
   sopts.num_threads = 1;
-  serve::EsdQueryService service(*fleet, sopts);
+  serve::EsdQueryService service(fleet, sopts);
 
   // Strict: typed rejection, no partial answer smuggled through.
   serve::QueryRequest rq;
@@ -683,64 +675,53 @@ TEST_F(ChaosTest, ShardOutageServesPartialThenHealsToExactParity) {
   EXPECT_EQ(service.Query(rq).status,
             serve::ResponseStatus::kShardsUnavailable);
 
-  // Partial: correct answer over the healthy remainder, within deadline.
-  // Shard 2 serves its pre-fault epoch, so the expected answer is the
-  // reference's pre-fault image restricted to shard 2's edges. (Padding is
-  // off: the full-k zero-fill would legitimately differ across epochs.)
+  // Partial: the reference's current answer restricted to shard 2's
+  // edges, edge for edge. (Padding is off here; the healed phase below
+  // checks it.)
   rq.strict = false;
+  rq.pad_with_zero_edges = false;
   const serve::QueryResponse partial = service.Query(rq);
   ASSERT_EQ(partial.status, serve::ResponseStatus::kOk);
   EXPECT_EQ(partial.shards_ok, 1u);
-  EXPECT_EQ(partial.shards_degraded, 1u);
-  EXPECT_EQ(partial.shards_down, 1u);
+  EXPECT_EQ(partial.shards_degraded, 0u);
+  EXPECT_EQ(partial.shards_down, 2u);
   {
     const serve::ShardedOutcome got =
-        fleet->Execute(64, 2, /*pad_with_zero_edges=*/false, kFarDeadline);
+        fleet.Execute(64, 2, /*pad_with_zero_edges=*/false, kFarDeadline);
     const auto owns2 = shard::OwnsFilter(2, num_shards);
     core::TopKResult want;
-    const FrozenEsdIndex pre_fault =
-        core::BuildFrozenIndex([&] {
-          graph::DynamicGraph shadow(bootstrap);
-          for (const LiveUpdate& u : first) ApplyToShadow(&shadow, u);
-          return shadow.Snapshot();
-        }());
-    for (const core::ScoredEdge& se : pre_fault.Query(1u << 20, 2, false)) {
+    for (const core::ScoredEdge& se :
+         reference->CurrentEngine()->Query(1u << 20, 2, false)) {
       if (owns2(se.edge) && want.size() < 64) want.push_back(se);
     }
-    EXPECT_EQ(core::Scores(got.result), core::Scores(want));
+    EXPECT_EQ(got.result, want);
+    EXPECT_EQ(partial.result, want);
   }
 
-  // Heal: clear the faults, let the stall cooldown and heal interval
-  // elapse, replay the journal into shard 0, and quiesce everything.
+  // Heal: clear the faults, let the breaker cooldowns elapse, write on.
   FailPointRegistry::Global().ClearAll();
   std::this_thread::sleep_for(std::chrono::milliseconds(350));
-  fleet->CatchUp();
-  const std::span<const LiveUpdate> third(updates.data() + 20, 10);
-  ASSERT_EQ(fleet->ApplyBatchTyped(third).status, ApplyStatus::kOk);
-  ASSERT_EQ(reference->ApplyBatch(third, &error), third.size()) << error;
-  ASSERT_TRUE(fleet->RefreezeAll());
-  ASSERT_TRUE(reference->RefreezeNow());
+  apply_both(20, 10);
 
-  EXPECT_EQ(fleet->Counts().ok, num_shards);
-  EXPECT_EQ(fleet->Health(), HealthState::kOk);
-  bool replayed = false;
-  for (const shard::ShardStatus& st : fleet->Status()) {
-    EXPECT_EQ(st.state, "ok") << "shard " << st.id << ": " << st.down_reason;
-    EXPECT_EQ(st.journal_lag, 0u);
-    replayed = replayed || st.replayed > 0;
+  EXPECT_EQ(fleet.Counts().ok, num_shards);
+  EXPECT_EQ(fleet.Health(), HealthState::kOk);
+  for (const shard::ShardStatus& st : fleet.Status()) {
+    EXPECT_EQ(st.state, "ok") << "shard " << st.id;
+    EXPECT_EQ(st.stall_trips > 0, st.id < 2) << "shard " << st.id;
   }
-  EXPECT_TRUE(replayed) << "shard 0 never replayed the journaled writes";
 
   // Exact parity with the unsharded reference, padding included.
   const auto healed_ref = reference->CurrentEngine();
   for (uint32_t tau : {1u, 2u, 3u, 5u}) {
     for (uint32_t k : {1u, 8u, 64u, 256u}) {
-      const serve::ShardedOutcome got = fleet->Execute(k, tau, true,
-                                                       kFarDeadline);
+      const serve::ShardedOutcome got = fleet.Execute(k, tau, true,
+                                                      kFarDeadline);
       EXPECT_EQ(got.result, healed_ref->Query(k, tau))
           << "healed fleet diverged at k=" << k << " tau=" << tau;
     }
   }
+  rq.strict = true;
+  rq.pad_with_zero_edges = true;
   EXPECT_EQ(service.Query(rq).status, serve::ResponseStatus::kOk);
 }
 
@@ -787,54 +768,51 @@ TEST_F(ChaosTest, ShardStallBreakerCoolsDownAndRejoins) {
   EXPECT_EQ(healed.result, full.Query(64, 2));
 }
 
-// Satellite regression: a request admitted while a shard heal probe is in
-// flight must get its typed answer immediately — classification reads
-// atomics, never the write path's mutex — not stall behind the probe.
-TEST_F(ChaosTest, ShardQueryDuringInFlightHealProbeAnswersTypedNotStalls) {
-  ScratchDir dir("heal_probe");
+// A query admitted while the one writer is stalled inside a WAL append
+// must get its typed answer at once: the fleet pins published epochs and
+// never waits on the write path.
+TEST_F(ChaosTest, ShardQueryDuringStalledWriteAnswersTypedNotStalls) {
+  ScratchDir dir("stalled_write");
   graph::Graph bootstrap = gen::BarabasiAlbert(50, 3, 53);
   std::string error;
-  auto fleet = shard::ShardedQueryEngine::Open(
-      bootstrap, ShardChaosOptions(dir, 2), &error);
-  ASSERT_NE(fleet, nullptr) << error;
+  auto writer = LiveEsdIndex::Open(bootstrap, ChaosOptions(dir), &error);
+  ASSERT_NE(writer, nullptr) << error;
+  shard::ShardedQueryEngine fleet(*writer, ShardChaosOptions(2));
 
-  // Knock shard 0 read-only and behind the watermark.
-  const std::vector<LiveUpdate> updates = RandomUpdates(8, 90, 0x9EA1);
-  Arm("wal.append.shard0", "error(ENOSPC)");
-  const ApplyResult r =
-      fleet->ApplyBatchTyped({updates.data(), updates.size()});
-  EXPECT_EQ(r.status, ApplyStatus::kOk) << r.message;
-  EXPECT_EQ(fleet->Counts().degraded, 1u);
-
-  // Re-arm as a 150ms-per-append stall and start a heal attempt in the
-  // background: CatchUp holds the write path inside shard 0's WAL probe
-  // and replay for the whole delay window.
-  FailPointRegistry::Global().ClearAll();
-  Arm("wal.append.shard0", "delay(150)");
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));  // heal interval
-  std::thread healer([&] { fleet->CatchUp(); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));  // probe armed
+  // Shard 0 down (one probe error opens its breaker), so strict queries
+  // have something to refuse; then park the writer 150ms in every WAL
+  // append, holding the write path.
+  Arm("shard.query.0", "error(EIO)");
+  (void)fleet.Execute(8, 2, true, kFarDeadline);
+  ASSERT_EQ(fleet.Counts().down, 1u);
+  Arm("wal.append", "delay(150)");
+  const std::vector<LiveUpdate> updates = RandomUpdates(3, 90, 0x9EA1);
+  ApplyResult write_result;
+  std::thread write([&] {
+    write_result = writer->ApplyBatchTyped({updates.data(), updates.size()});
+  });
+  while (FailPointRegistry::Global().FireCount("wal.append") < 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 
   serve::EsdQueryService::Options sopts;
   sopts.num_threads = 1;
-  serve::EsdQueryService service(*fleet, sopts);
+  serve::EsdQueryService service(fleet, sopts);
   serve::QueryRequest rq;
   rq.k = 8;
   rq.tau = 2;
   rq.deadline_us = 50000;
 
-  // Strict: the shard is still behind while its probe sleeps, so the
-  // typed rejection must come back well inside the probe's 250ms.
+  // Strict: the typed rejection comes back well inside the stall.
   rq.strict = true;
   const auto t0 = std::chrono::steady_clock::now();
   const serve::QueryResponse strict_resp = service.Query(rq);
   const auto strict_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
       std::chrono::steady_clock::now() - t0);
   EXPECT_EQ(strict_resp.status, serve::ResponseStatus::kShardsUnavailable);
-  EXPECT_LT(strict_ms.count(), 150) << "strict rejection stalled on the heal";
+  EXPECT_LT(strict_ms.count(), 150) << "strict rejection stalled on the write";
 
-  // Partial: served from shard 1 inside the deadline, same non-blocking
-  // guarantee.
+  // Partial: served from shard 1 inside the deadline, same guarantee.
   rq.strict = false;
   const auto t1 = std::chrono::steady_clock::now();
   const serve::QueryResponse partial = service.Query(rq);
@@ -842,14 +820,16 @@ TEST_F(ChaosTest, ShardQueryDuringInFlightHealProbeAnswersTypedNotStalls) {
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::steady_clock::now() - t1);
   EXPECT_EQ(partial.status, serve::ResponseStatus::kOk);
-  EXPECT_EQ(partial.shards_degraded, 1u);
-  EXPECT_LT(partial_ms.count(), 150) << "partial answer stalled on the heal";
+  EXPECT_EQ(partial.shards_ok, 1u);
+  EXPECT_EQ(partial.shards_down, 1u);
+  EXPECT_LT(partial_ms.count(), 150) << "partial answer stalled on the write";
 
-  healer.join();
+  write.join();
+  EXPECT_EQ(write_result.status, ApplyStatus::kOk) << write_result.message;
+  EXPECT_EQ(write_result.processed, updates.size());
   FailPointRegistry::Global().ClearAll();
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  fleet->CatchUp();
-  EXPECT_EQ(fleet->Counts().ok, 2u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(350));
+  EXPECT_EQ(fleet.Counts().ok, 2u);
   rq.strict = true;
   EXPECT_EQ(service.Query(rq).status, serve::ResponseStatus::kOk);
 }

@@ -661,6 +661,98 @@ TEST(LiveIndexTest, InsertBeyondVertexBoundIsRejectedBeforeLogging) {
   EXPECT_EQ(snap->applied_seq, 1u);
 }
 
+// The writer's batch bound: updates before the first out-of-range insert
+// are applied and made durable together, nothing after it is, and the
+// typed result says kBounds with the prefix length — across a reopen.
+TEST(LiveIndexTest, OutOfBoundsBatchKeepsDurablePrefixOnly) {
+  ScratchDir dir("live_batch_bound");
+  LiveOptions options;
+  options.wal_path = dir.Path("wal.bin");
+  options.max_vertex_id = 49;
+  options.refreeze_every = 0;
+  const graph::Graph bootstrap = gen::BarabasiAlbert(30, 2, 5);
+  std::string error;
+  auto live = LiveEsdIndex::Open(bootstrap, options, &error);
+  ASSERT_NE(live, nullptr) << error;
+
+  std::vector<LiveUpdate> batch(4);
+  batch[0] = {UpdateKind::kInsert, 0, 40};
+  batch[1] = {UpdateKind::kInsert, 1, 41};
+  batch[2] = {UpdateKind::kInsert, 2, 50};  // beyond the bound
+  batch[3] = {UpdateKind::kInsert, 3, 42};
+  // A no-op action, armed only so that fsyncs are counted.
+  fault::FailPointRegistry& fp = fault::FailPointRegistry::Global();
+  ASSERT_TRUE(fp.Set("wal.fsync", "delay(0)", &error)) << error;
+  const uint64_t syncs_before = fp.HitCount("wal.fsync");
+  const live::ApplyResult r = live->ApplyBatchTyped(batch);
+  const uint64_t syncs_after = fp.HitCount("wal.fsync");
+  fp.Clear("wal.fsync");
+  EXPECT_EQ(r.status, live::ApplyStatus::kBounds);
+  EXPECT_EQ(r.processed, 2u);
+  EXPECT_FALSE(r.message.empty());
+  EXPECT_EQ(live->Stats().applied_seq, 2u);
+  if (fault::kFailPointsCompiledIn) {
+    // The prefix still got its one durability point.
+    EXPECT_EQ(syncs_after, syncs_before + 1);
+  }
+
+  live.reset();
+  live = LiveEsdIndex::Open(bootstrap, options, &error);
+  ASSERT_NE(live, nullptr) << error;
+  EXPECT_EQ(live->Stats().applied_seq, 2u);
+  EXPECT_EQ(live->recovery().replay_applied, 2u);
+  const auto snap = live->CurrentSnapshot();
+  auto has_edge = [&](graph::VertexId u, graph::VertexId v) {
+    for (graph::EdgeId e = 0; e < snap->index.EdgeSlotCount(); ++e) {
+      if (snap->index.IsLive(e) &&
+          snap->index.EdgeAt(e) == graph::MakeEdge(u, v)) {
+        return true;
+      }
+    }
+    return false;
+  };
+  EXPECT_TRUE(has_edge(0, 40));
+  EXPECT_TRUE(has_edge(1, 41));
+  EXPECT_FALSE(has_edge(3, 42));
+}
+
+// Clearing the epoch listener waits out a call already running: a caller
+// tearing down what the listener captured (a server's result cache) must
+// not race a publish still inside it.
+TEST(LiveIndexTest, ClearingEpochListenerWaitsForRunningCall) {
+  ScratchDir dir("live_listener");
+  LiveOptions options;
+  options.wal_path = dir.Path("wal.bin");
+  options.refreeze_every = 0;
+  std::string error;
+  auto live =
+      LiveEsdIndex::Open(gen::BarabasiAlbert(30, 2, 1), options, &error);
+  ASSERT_NE(live, nullptr) << error;
+
+  std::atomic<bool> entered{false};
+  std::atomic<bool> latch_open{false};
+  live->SetEpochListener([&](uint64_t, uint64_t) {
+    entered = true;
+    while (!latch_open) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  std::thread publisher([&] { EXPECT_TRUE(live->RefreezeNow()); });
+  while (!entered) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+  std::atomic<bool> cleared{false};
+  std::thread clearer([&] {
+    live->SetEpochListener({});
+    cleared = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(cleared) << "listener cleared while a call was still running";
+  latch_open = true;
+  clearer.join();
+  publisher.join();
+  EXPECT_TRUE(cleared);
+}
+
 TEST(LiveIndexTest, RefreezePublishesFreshEpochs) {
   ScratchDir dir("live_epoch");
   LiveOptions options;

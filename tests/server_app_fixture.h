@@ -39,15 +39,21 @@ class ScratchServer {
     return (dir_ / name).string();
   }
 
-  /// Writes the graph and opens the app; false (with a test failure) when
-  /// it does not open.
-  bool Open() {
+  /// Writes the graph and opens the app; returns the exit code Open
+  /// reported (0 when it opened).
+  int TryOpen() {
     std::string error;
     EXPECT_TRUE(graph::SaveEdgeList(gen::BarabasiAlbert(150, 4, 3),
                                     config.file, &error))
         << error;
     int exit_code = 0;
     app_ = app::ServerApp::Open(config, &exit_code);
+    return exit_code;
+  }
+
+  /// TryOpen, false (with a test failure) when the app does not open.
+  bool Open() {
+    const int exit_code = TryOpen();
     EXPECT_NE(app_, nullptr) << "exit code " << exit_code;
     return app_ != nullptr;
   }

@@ -1,20 +1,19 @@
 // Sharded serving engine (src/shard/): the hash partition, the filtered
-// per-shard serving images, the scatter-gather merge's exact parity with
-// the unsharded canonical answer, the early-exit drain bound, the fleet
-// tally surfaced through EsdQueryService, and the wire round trips the
-// shard counts ride on (plus the refusal of the retired layouts without
-// them).
+// slab walk's exact parity with the unsharded canonical answer, the
+// early-exit drain bound, the fleet tally surfaced through
+// EsdQueryService, a fleet over one live writer, and the wire round trips
+// the shard counts ride on (plus the refusal of the retired layouts
+// without them).
 //
-// Fault-driven behavior (stall breakers, WAL outages quarantining one
-// shard, heal catch-up under injected errors) lives in chaos_test.cc —
-// this suite covers everything that must hold with no fault armed.
+// Fault-driven behavior (shard probe errors, stall breakers, queries
+// during a stalled write) lives in chaos_test.cc — this suite covers
+// everything that must hold with no fault armed.
 
 #include <unistd.h>
 
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -59,14 +58,13 @@ class ScratchDir {
     std::error_code ec;
     fs::remove_all(dir_, ec);
   }
-  std::string Root() const { return dir_.string(); }
   fs::path Sub(const std::string& name) const { return dir_ / name; }
 
  private:
   fs::path dir_;
 };
 
-ShardedOptions StaticOptions(uint32_t num_shards) {
+ShardedOptions ShardOptions(uint32_t num_shards) {
   ShardedOptions options;
   options.num_shards = num_shards;
   return options;
@@ -122,46 +120,7 @@ TEST(ShardPartitionTest, OwnsFiltersFormExactPartition) {
   }
 }
 
-// ---- Filtered serving images -----------------------------------------------
-
-TEST(ShardFilterTest, FilteredImagePreservesSlotLayoutAndKeptScores) {
-  const graph::Graph g = gen::BarabasiAlbert(120, 3, 31);
-  const FrozenEsdIndex full = core::BuildFrozenIndex(g);
-  const auto keep = shard::OwnsFilter(1, 3);
-  const FrozenEsdIndex filtered = core::FilterFrozenIndex(full, keep);
-
-  // Slot layout is preserved exactly: same slot count, same edge at every
-  // slot — this is what makes edge-id tie-breaks and the padding order
-  // line up across differently-filtered images.
-  ASSERT_EQ(filtered.EdgeSlotCount(), full.EdgeSlotCount());
-  size_t kept = 0;
-  for (graph::EdgeId e = 0; e < full.EdgeSlotCount(); ++e) {
-    EXPECT_EQ(filtered.EdgeAt(e), full.EdgeAt(e));
-    if (!full.IsLive(e)) continue;
-    if (keep(full.EdgeAt(e))) {
-      ++kept;
-      ASSERT_TRUE(filtered.IsLive(e));
-      // The ownership guarantee the merge proof rests on: a kept edge's
-      // multiset — hence its score at every tau — is untouched by masking
-      // the other shards' edges.
-      const auto full_sizes = full.EdgeSizes(e);
-      const auto filt_sizes = filtered.EdgeSizes(e);
-      ASSERT_EQ(std::vector<uint32_t>(filt_sizes.begin(), filt_sizes.end()),
-                std::vector<uint32_t>(full_sizes.begin(), full_sizes.end()));
-      for (uint32_t tau : {1u, 2u, 4u}) {
-        EXPECT_EQ(filtered.ScoreOf(e, tau), full.ScoreOf(e, tau));
-      }
-    } else {
-      EXPECT_FALSE(filtered.IsLive(e));
-      EXPECT_TRUE(filtered.EdgeSizes(e).empty());
-    }
-  }
-  EXPECT_GT(kept, 0u);
-  EXPECT_LT(kept, full.NumRegisteredEdges());
-  EXPECT_EQ(filtered.NumRegisteredEdges(), kept);
-}
-
-// ---- Scatter-gather merge parity -------------------------------------------
+// ---- Merge parity ------------------------------------------------------------
 
 TEST(ShardMergeTest, StaticParityAcrossGraphsAndShardCounts) {
   const std::vector<graph::Graph> zoo = {
@@ -173,7 +132,7 @@ TEST(ShardMergeTest, StaticParityAcrossGraphsAndShardCounts) {
     const FrozenEsdIndex full = core::BuildFrozenIndex(zoo[gi]);
     for (uint32_t shards : {2u, 3u, 5u}) {
       const std::unique_ptr<ShardedQueryEngine> engine =
-          ShardedQueryEngine::BuildStatic(zoo[gi], StaticOptions(shards));
+          ShardedQueryEngine::BuildStatic(zoo[gi], ShardOptions(shards));
       ASSERT_NE(engine, nullptr);
       EXPECT_EQ(engine->Counts().ok, shards);
       for (uint32_t tau : {1u, 2u, 3u, 5u, 9u}) {
@@ -199,7 +158,7 @@ TEST(ShardMergeTest, DrainedEntriesRespectEarlyExitBound) {
   const graph::Graph g = gen::BarabasiAlbert(150, 3, 57);
   const uint32_t shards = 4;
   const std::unique_ptr<ShardedQueryEngine> engine =
-      ShardedQueryEngine::BuildStatic(g, StaticOptions(shards));
+      ShardedQueryEngine::BuildStatic(g, ShardOptions(shards));
   ASSERT_NE(engine, nullptr);
   for (uint32_t tau : {1u, 2u, 4u}) {
     for (uint32_t k : {1u, 8u, 32u}) {
@@ -216,7 +175,7 @@ TEST(ShardMergeTest, DrainedEntriesRespectEarlyExitBound) {
 TEST(ShardMergeTest, ExpiredDeadlineReturnsDeadlineExpired) {
   const graph::Graph g = gen::BarabasiAlbert(80, 3, 91);
   const std::unique_ptr<ShardedQueryEngine> engine =
-      ShardedQueryEngine::BuildStatic(g, StaticOptions(3));
+      ShardedQueryEngine::BuildStatic(g, ShardOptions(3));
   ASSERT_NE(engine, nullptr);
   const serve::ShardedOutcome got = engine->Execute(
       16, 1, true, std::chrono::steady_clock::now() - std::chrono::seconds(1));
@@ -229,7 +188,7 @@ TEST(ShardServiceTest, ResponsesCarryFleetTallyAndStrictPassesWhenAllOk) {
   const graph::Graph g = gen::BarabasiAlbert(100, 3, 23);
   const FrozenEsdIndex full = core::BuildFrozenIndex(g);
   const std::unique_ptr<ShardedQueryEngine> engine =
-      ShardedQueryEngine::BuildStatic(g, StaticOptions(3));
+      ShardedQueryEngine::BuildStatic(g, ShardOptions(3));
   ASSERT_NE(engine, nullptr);
   serve::EsdQueryService::Options options;
   options.num_threads = 2;
@@ -252,7 +211,7 @@ TEST(ShardServiceTest, ResponsesCarryFleetTallyAndStrictPassesWhenAllOk) {
 TEST(ShardServiceTest, GenerationKeyedCacheSurvivesFleetQueries) {
   const graph::Graph g = gen::BarabasiAlbert(90, 3, 67);
   const std::unique_ptr<ShardedQueryEngine> engine =
-      ShardedQueryEngine::BuildStatic(g, StaticOptions(2));
+      ShardedQueryEngine::BuildStatic(g, ShardOptions(2));
   ASSERT_NE(engine, nullptr);
   serve::EsdQueryService::Options options;
   options.num_threads = 1;
@@ -285,25 +244,23 @@ void ApplyToShadow(graph::DynamicGraph* g, const live::LiveUpdate& u) {
   }
 }
 
-ShardedOptions LiveOptions(const ScratchDir& dir, uint32_t num_shards) {
-  ShardedOptions options;
-  options.num_shards = num_shards;
-  options.dir = dir.Root();
+live::LiveOptions WriterOptions(const ScratchDir& dir) {
+  live::LiveOptions options;
+  options.wal_path = dir.Sub("wal.bin").string();
+  options.snapshot_path = dir.Sub("snapshot.bin").string();
   options.max_vertex_id = 255;
-  options.wal_retry.max_attempts = 2;
-  options.wal_retry.base_delay = std::chrono::microseconds(0);
-  options.heal_retry_interval = std::chrono::milliseconds(2);
   return options;
 }
 
-TEST(ShardLiveTest, BroadcastWritesReachEveryShardAndMergeMatchesReference) {
+TEST(ShardLiveTest, OneWriterFleetMatchesUnshardedReference) {
   ScratchDir dir("live_parity");
   const graph::Graph bootstrap = gen::BarabasiAlbert(70, 3, 11);
   std::string error;
-  std::unique_ptr<ShardedQueryEngine> engine =
-      ShardedQueryEngine::Open(bootstrap, LiveOptions(dir, 3), &error);
-  ASSERT_NE(engine, nullptr) << error;
-  ASSERT_TRUE(engine->live_mode());
+  std::unique_ptr<live::LiveEsdIndex> writer =
+      live::LiveEsdIndex::Open(bootstrap, WriterOptions(dir), &error);
+  ASSERT_NE(writer, nullptr) << error;
+  auto engine =
+      std::make_unique<ShardedQueryEngine>(*writer, ShardOptions(3));
   EXPECT_EQ(engine->Counts().ok, 3u);
 
   graph::DynamicGraph shadow(bootstrap);
@@ -320,33 +277,24 @@ TEST(ShardLiveTest, BroadcastWritesReachEveryShardAndMergeMatchesReference) {
     updates.push_back(u);
   }
   const uint64_t gen_before = engine->Generation();
-  const live::ApplyResult applied =
-      engine->ApplyBatchTyped({updates.data(), updates.size()});
-  EXPECT_EQ(applied.status, live::ApplyStatus::kOk) << applied.message;
-  EXPECT_EQ(applied.processed, updates.size());
+  const uint64_t epoch_before = engine->epoch();
+  ASSERT_EQ(writer->ApplyBatch(updates, &error), updates.size()) << error;
   for (const live::LiveUpdate& u : updates) ApplyToShadow(&shadow, u);
 
-  // Every shard's writer applied the full batch (broadcast semantics).
-  for (const shard::ShardStatus& st : engine->Status()) {
-    EXPECT_EQ(st.state, "ok") << "shard " << st.id << ": " << st.down_reason;
-    EXPECT_EQ(st.wal_applied_seq, updates.size());
-    EXPECT_EQ(st.journal_lag, 0u);
-  }
+  // The fleet serves whatever the one writer publishes: a refreeze moves
+  // its epoch and its generation (the result-cache key).
+  ASSERT_TRUE(writer->RefreezeNow());
+  EXPECT_GT(engine->epoch(), epoch_before);
+  EXPECT_GT(engine->Generation(), gen_before);
 
   // Exact parity: an unsharded live index replaying the same history
-  // assigns the same edge-id slots, so after both quiesce the merged
-  // answer must match it edge for edge (same canonical order, same
-  // padding fill). The fresh-build comparison below covers the scores —
-  // its edge-id layout legitimately differs after deletions.
-  ASSERT_TRUE(engine->RefreezeAll());
-  EXPECT_GT(engine->Generation(), gen_before);
+  // assigns the same edge-id slots, so the fleet's answer must match it
+  // edge for edge (same canonical order, same padding fill). The
+  // fresh-build comparison covers the scores — its edge-id layout
+  // legitimately differs after deletions.
   ScratchDir ref_dir("live_parity_ref");
-  live::LiveOptions ref_options;
-  ref_options.wal_path = ref_dir.Sub("wal.log").string();
-  ref_options.snapshot_path = ref_dir.Sub("snapshot.bin").string();
-  ref_options.max_vertex_id = 255;
   std::unique_ptr<live::LiveEsdIndex> reference =
-      live::LiveEsdIndex::Open(bootstrap, ref_options, &error);
+      live::LiveEsdIndex::Open(bootstrap, WriterOptions(ref_dir), &error);
   ASSERT_NE(reference, nullptr) << error;
   ASSERT_EQ(reference->ApplyBatch(updates, &error), updates.size()) << error;
   ASSERT_TRUE(reference->RefreezeNow());
@@ -363,110 +311,16 @@ TEST(ShardLiveTest, BroadcastWritesReachEveryShardAndMergeMatchesReference) {
     }
   }
 
-  // The fleet recovers to the same answers from disk.
-  std::string reopen_error;
+  // The writer recovers to the same answers from disk, and a fleet over
+  // the reopened writer serves them.
   engine.reset();
-  engine = ShardedQueryEngine::Open(bootstrap, LiveOptions(dir, 3),
-                                    &reopen_error);
-  ASSERT_NE(engine, nullptr) << reopen_error;
+  writer.reset();
+  writer = live::LiveEsdIndex::Open(bootstrap, WriterOptions(dir), &error);
+  ASSERT_NE(writer, nullptr) << error;
+  engine = std::make_unique<ShardedQueryEngine>(*writer, ShardOptions(3));
   EXPECT_EQ(engine->Counts().ok, 3u);
   const serve::ShardedOutcome got = engine->Execute(16, 2, true, kFarDeadline);
   EXPECT_EQ(got.result, ref_engine->Query(16, 2));
-}
-
-TEST(ShardLiveTest, CorruptShardIsQuarantinedAtOpenOthersServe) {
-  ScratchDir dir("quarantine");
-  const graph::Graph bootstrap = gen::BarabasiAlbert(60, 3, 29);
-  const uint32_t shards = 3;
-
-  // Poison shard 1's WAL with a garbage header before the fleet opens.
-  fs::create_directories(dir.Sub("shard-1"));
-  {
-    std::ofstream wal(dir.Sub("shard-1") / "wal.log", std::ios::binary);
-    wal << "this is not an ESDW log";
-  }
-
-  std::string error;
-  const std::unique_ptr<ShardedQueryEngine> engine =
-      ShardedQueryEngine::Open(bootstrap, LiveOptions(dir, shards), &error);
-  ASSERT_NE(engine, nullptr) << error;  // per-shard failure is not fatal
-
-  const serve::ShardCounts counts = engine->Counts();
-  EXPECT_EQ(counts.down, 1u);
-  EXPECT_EQ(counts.ok, shards - 1);
-  const std::vector<shard::ShardStatus> status = engine->Status();
-  EXPECT_EQ(status[1].state, "down");
-  EXPECT_NE(status[1].down_reason.find("open failed"), std::string::npos)
-      << status[1].down_reason;
-  EXPECT_EQ(engine->Health(), obs::HealthState::kDegraded);
-
-  // Partial answers: exactly the healthy shards' edges, in canonical order
-  // — the sub-answer of the full build restricted to shards 0 and 2.
-  const FrozenEsdIndex full = core::BuildFrozenIndex(bootstrap);
-  const auto f0 = shard::OwnsFilter(0, shards);
-  const auto f2 = shard::OwnsFilter(2, shards);
-  const serve::ShardedOutcome got =
-      engine->Execute(1000, 2, /*pad_with_zero_edges=*/false, kFarDeadline);
-  TopKResult want;
-  for (const core::ScoredEdge& se : full.Query(1000, 2, false)) {
-    if (f0(se.edge) || f2(se.edge)) want.push_back(se);
-  }
-  EXPECT_EQ(got.result, want);
-  EXPECT_EQ(got.shards.down, 1u);
-
-  // Strict queries through the service fail typed instead of narrowing.
-  serve::EsdQueryService::Options options;
-  options.num_threads = 1;
-  serve::EsdQueryService service(*engine, options);
-  serve::QueryRequest rq;
-  rq.k = 8;
-  rq.tau = 2;
-  rq.strict = true;
-  EXPECT_EQ(service.Query(rq).status,
-            serve::ResponseStatus::kShardsUnavailable);
-  rq.strict = false;
-  const serve::QueryResponse partial = service.Query(rq);
-  EXPECT_EQ(partial.status, serve::ResponseStatus::kOk);
-  EXPECT_EQ(partial.shards_down, 1u);
-}
-
-TEST(ShardLiveTest, StaticEngineRejectsWritesTyped) {
-  const graph::Graph g = gen::BarabasiAlbert(50, 2, 13);
-  const std::unique_ptr<ShardedQueryEngine> engine =
-      ShardedQueryEngine::BuildStatic(g, StaticOptions(2));
-  ASSERT_NE(engine, nullptr);
-  live::LiveUpdate u;
-  u.kind = live::UpdateKind::kInsert;
-  u.u = 1;
-  u.v = 2;
-  const live::ApplyResult r = engine->ApplyBatchTyped({&u, 1});
-  EXPECT_EQ(r.status, live::ApplyStatus::kDegraded);
-  EXPECT_EQ(r.processed, 0u);
-  EXPECT_NE(r.message.find("read-only"), std::string::npos) << r.message;
-}
-
-TEST(ShardLiveTest, OutOfBoundsBatchRejectedBeforeAnyShard) {
-  ScratchDir dir("bounds");
-  const graph::Graph bootstrap = gen::BarabasiAlbert(40, 2, 37);
-  std::string error;
-  const std::unique_ptr<ShardedQueryEngine> engine =
-      ShardedQueryEngine::Open(bootstrap, LiveOptions(dir, 2), &error);
-  ASSERT_NE(engine, nullptr) << error;
-  std::vector<live::LiveUpdate> batch(2);
-  batch[0].kind = live::UpdateKind::kInsert;
-  batch[0].u = 1;
-  batch[0].v = 2;
-  batch[1].kind = live::UpdateKind::kInsert;
-  batch[1].u = 3;
-  batch[1].v = 1000;  // > max_vertex_id (255)
-  const live::ApplyResult r =
-      engine->ApplyBatchTyped({batch.data(), batch.size()});
-  EXPECT_EQ(r.status, live::ApplyStatus::kBounds);
-  EXPECT_EQ(r.processed, 0u);
-  // Whole-batch precheck: not even the in-bounds prefix reached a WAL.
-  for (const shard::ShardStatus& st : engine->Status()) {
-    EXPECT_EQ(st.wal_applied_seq, 0u) << "shard " << st.id;
-  }
 }
 
 // ---- Wire protocol ----------------------------------------------------------
