@@ -11,28 +11,6 @@ namespace esd::core {
 using graph::Edge;
 using graph::EdgeId;
 
-EdgeId EsdIndex::RegisterEdge(Edge uv) {
-  if (!free_ids_.empty()) {
-    EdgeId e = free_ids_.back();
-    free_ids_.pop_back();
-    edges_[e] = uv;
-    live_[e] = 1;
-    edge_sizes_[e].clear();
-    return e;
-  }
-  EdgeId e = static_cast<EdgeId>(edges_.size());
-  edges_.push_back(uv);
-  edge_sizes_.emplace_back();
-  live_.push_back(1);
-  return e;
-}
-
-void EsdIndex::UnregisterEdge(EdgeId e) {
-  assert(live_[e] && edge_sizes_[e].empty());
-  live_[e] = 0;
-  free_ids_.push_back(e);
-}
-
 void EsdIndex::RemoveEntries(EdgeId e, const std::vector<uint32_t>& sizes) {
   if (sizes.empty()) return;
   const uint32_t max_size = sizes.back();
@@ -92,29 +70,25 @@ void EsdIndex::InsertEntries(EdgeId e, const std::vector<uint32_t>& sizes) {
 }
 
 void EsdIndex::SetEdgeSizes(EdgeId e, std::vector<uint32_t> sorted_sizes) {
-  assert(e < edge_sizes_.size() && live_[e]);
-  assert(std::is_sorted(sorted_sizes.begin(), sorted_sizes.end()));
-  if (edge_sizes_[e] == sorted_sizes) return;
-  RemoveEntries(e, edge_sizes_[e]);
+  if (EdgeSizes(e) == sorted_sizes) return;
+  RemoveEntries(e, EdgeSizes(e));
   InsertEntries(e, sorted_sizes);
-  edge_sizes_[e] = std::move(sorted_sizes);
+  EdgeSizeTable::SetEdgeSizes(e, std::move(sorted_sizes));
 }
 
 void EsdIndex::BulkLoad(std::vector<Edge> edges,
                         std::vector<std::vector<uint32_t>> sizes_per_edge) {
   obs::PhaseSeries phases;
   phases.Begin("build.hlist_build");
-  assert(edges.size() == sizes_per_edge.size());
+  EdgeSizeTable::BulkLoad(std::move(edges), std::move(sizes_per_edge));
   lists_.clear();
   size_owner_count_.clear();
-  free_ids_.clear();
   num_entries_ = 0;
-  edges_ = std::move(edges);
-  edge_sizes_ = std::move(sizes_per_edge);
-  live_.assign(edges_.size(), 1);
+  const EdgeId slots = static_cast<EdgeId>(EdgeSlotCount());
 
   // Owner counts and the distinct size set C.
-  for (const auto& sizes : edge_sizes_) {
+  for (EdgeId e = 0; e < slots; ++e) {
+    const auto& sizes = EdgeSizes(e);
     assert(std::is_sorted(sizes.begin(), sizes.end()));
     for (size_t i = 0; i < sizes.size(); ++i) {
       if (i > 0 && sizes[i] == sizes[i - 1]) continue;
@@ -129,10 +103,8 @@ void EsdIndex::BulkLoad(std::vector<Edge> edges,
   // sweep c from largest to smallest, keeping the set of edges with
   // max >= c "active" and emitting one sorted run per list.
   std::map<uint32_t, std::vector<EdgeId>, std::greater<>> by_max;
-  for (EdgeId e = 0; e < edge_sizes_.size(); ++e) {
-    if (!edge_sizes_[e].empty()) {
-      by_max[edge_sizes_[e].back()].push_back(e);
-    }
+  for (EdgeId e = 0; e < slots; ++e) {
+    if (!EdgeSizes(e).empty()) by_max[EdgeSizes(e).back()].push_back(e);
   }
   std::vector<EdgeId> active;
   auto max_it = by_max.begin();
@@ -147,7 +119,7 @@ void EsdIndex::BulkLoad(std::vector<Edge> edges,
     run.clear();
     run.reserve(active.size());
     for (EdgeId e : active) {
-      const auto& sizes = edge_sizes_[e];
+      const auto& sizes = EdgeSizes(e);
       uint32_t score = static_cast<uint32_t>(
           sizes.end() - std::lower_bound(sizes.begin(), sizes.end(), c));
       run.push_back(Entry{score, e});
@@ -173,7 +145,7 @@ TopKResult EsdIndex::Query(uint32_t k, uint32_t tau,
   if (it != lists_.end()) {
     it->second.ForEachInOrder([&](const Entry& entry) {
       if (out.size() >= k) return false;
-      out.push_back(ScoredEdge{edges_[entry.e], entry.score});
+      out.push_back(ScoredEdge{EdgeAt(entry.e), entry.score});
       taken.push_back(entry.e);
       return true;
     });
@@ -183,9 +155,9 @@ TopKResult EsdIndex::Query(uint32_t k, uint32_t tau,
     // skipping edges already reported (FrozenEsdIndex pads identically).
     util::FlatSet<EdgeId> included(taken.size());
     for (EdgeId e : taken) included.Insert(e);
-    for (EdgeId e = 0; e < edges_.size() && out.size() < k; ++e) {
-      if (live_[e] && !included.Contains(e)) {
-        out.push_back(ScoredEdge{edges_[e], 0});
+    for (EdgeId e = 0; e < EdgeSlotCount() && out.size() < k; ++e) {
+      if (IsLive(e) && !included.Contains(e)) {
+        out.push_back(ScoredEdge{EdgeAt(e), 0});
       }
     }
   }
@@ -213,14 +185,14 @@ TopKResult EsdIndex::QueryWithScoreAtLeast(uint32_t tau, uint32_t min_score,
   it->second.ForEachInOrder([&](const Entry& entry) {
     if (entry.score < min_score) return false;
     if (limit > 0 && out.size() >= limit) return false;
-    out.push_back(ScoredEdge{edges_[entry.e], entry.score});
+    out.push_back(ScoredEdge{EdgeAt(entry.e), entry.score});
     return true;
   });
   return out;
 }
 
 uint32_t EsdIndex::ScoreOf(EdgeId e, uint32_t tau) const {
-  const auto& sizes = edge_sizes_[e];
+  const auto& sizes = EdgeSizes(e);
   return static_cast<uint32_t>(
       sizes.end() - std::lower_bound(sizes.begin(), sizes.end(), tau));
 }
@@ -235,10 +207,10 @@ std::vector<uint32_t> EsdIndex::DistinctSizes() const {
 uint64_t EsdIndex::MemoryBytes() const {
   // Treap node: Entry (8) + priority/left/right/size (16).
   uint64_t bytes = num_entries_ * 24;
-  for (const auto& sizes : edge_sizes_) {
-    bytes += sizes.size() * sizeof(uint32_t);
+  for (EdgeId e = 0; e < EdgeSlotCount(); ++e) {
+    bytes += EdgeSizes(e).size() * sizeof(uint32_t);
   }
-  bytes += edges_.size() * (sizeof(Edge) + sizeof(uint8_t));
+  bytes += EdgeSlotCount() * (sizeof(Edge) + sizeof(uint8_t));
   return bytes;
 }
 

@@ -6,6 +6,7 @@
 #include <map>
 #include <vector>
 
+#include "core/edge_size_table.h"
 #include "core/query_engine.h"
 #include "core/topk_result.h"
 #include "graph/graph.h"
@@ -21,12 +22,13 @@ namespace esd::core {
 /// threshold c (descending). Each H(c) is an order-statistics treap, the
 /// paper's "self-balance binary search tree".
 ///
-/// The class is also the mutation substrate of the maintenance algorithms
-/// (Section V): it stores each edge's component-size multiset C_e and
-/// exposes SetEdgeSizes(), which atomically moves the edge's entries across
-/// all affected lists, creating brand-new H(c) lists by cloning the next
-/// larger list (see DESIGN.md §3 for why the clone is exact) and dropping
-/// lists whose size value disappears from the graph.
+/// The class is also the mutation substrate of the dynamic engine's
+/// maintenance (Section V, lines 20-22 of Algorithms 4-5): on top of the
+/// edge registry and multisets C_e of its EdgeSizeTable base,
+/// SetEdgeSizes() atomically moves the edge's entries across all affected
+/// lists, creating brand-new H(c) lists by cloning the next larger list
+/// (see DESIGN.md §3 for why the clone is exact) and dropping lists whose
+/// size value disappears from the graph.
 ///
 /// Invariant (checked by tests): for every c in C,
 ///   H(c) = { (score_c(e), e) : max(C_e) >= c },  score_c(e) = |{s in C_e :
@@ -36,7 +38,7 @@ namespace esd::core {
 /// For serving-only deployments, Freeze() (core/frozen_index.h) converts
 /// this structure into the flat, read-optimized FrozenEsdIndex; both
 /// implement the EsdQueryEngine interface with identical query semantics.
-class EsdIndex : public EsdQueryEngine {
+class EsdIndex : public EsdQueryEngine, public EdgeSizeTable {
  public:
   /// An entry of a sorted list H(c): ordered by score descending, then edge
   /// id ascending.
@@ -54,28 +56,9 @@ class EsdIndex : public EsdQueryEngine {
 
   EsdIndex() = default;
 
-  // ---- Edge registry ------------------------------------------------------
-
-  /// Registers an edge and returns its dense id (freed ids are reused).
-  graph::EdgeId RegisterEdge(graph::Edge uv);
-
-  /// Unregisters `e`. Its size list must already be empty
-  /// (SetEdgeSizes(e, {}) first).
-  void UnregisterEdge(graph::EdgeId e);
-
-  /// Endpoints of a registered edge.
-  graph::Edge EdgeAt(graph::EdgeId e) const { return edges_[e]; }
-
-  /// Number of live registered edges.
-  size_t NumRegisteredEdges() const { return edges_.size() - free_ids_.size(); }
-
-  /// Total edge-id slots, live and freed (ids are < EdgeSlotCount()).
-  size_t EdgeSlotCount() const { return edges_.size(); }
-
-  /// True if edge id `e` is currently registered.
-  bool IsLive(graph::EdgeId e) const { return e < live_.size() && live_[e]; }
-
   // ---- Construction / maintenance ----------------------------------------
+  // The edge registry and C_e come from EdgeSizeTable; these two writers
+  // hide its own so every C_e change also moves the edge's H entries.
 
   /// Replaces edge e's component-size multiset with `sorted_sizes`
   /// (ascending) and updates every affected H(c) list. O(|C_e| log m)
@@ -88,11 +71,6 @@ class EsdIndex : public EsdQueryEngine {
   /// (Algorithms 2 and 3, lines building H).
   void BulkLoad(std::vector<graph::Edge> edges,
                 std::vector<std::vector<uint32_t>> sizes_per_edge);
-
-  /// Component-size multiset of edge e (ascending).
-  const std::vector<uint32_t>& EdgeSizes(graph::EdgeId e) const {
-    return edge_sizes_[e];
-  }
 
   // ---- Query ---------------------------------------------------------------
 
@@ -145,15 +123,7 @@ class EsdIndex : public EsdQueryEngine {
   /// entries walked to build answers.
   EngineCounters Counters() const override { return counters_.Snap(); }
 
-  /// Which diversity definition the stored value multisets follow. The
-  /// structure itself is scorer-agnostic (any sorted multiset per edge);
-  /// the kind is a label the builders stamp so serialization and the live
-  /// stack can refuse cross-scorer mixing.
-  ScorerKind Scorer() const override { return scorer_kind_; }
-
-  /// Stamps the scorer label (builders and loaders only; does not touch
-  /// the stored multisets).
-  void SetScorerKind(ScorerKind kind) { scorer_kind_ = kind; }
+  ScorerKind Scorer() const override { return EdgeSizeTable::Scorer(); }
 
   /// Invokes fn(c, list) for every list, ascending c.
   template <typename Fn>
@@ -169,12 +139,7 @@ class EsdIndex : public EsdQueryEngine {
   // Number of edges owning at least one component of size c; a list lives
   // iff its counter is positive.
   std::map<uint32_t, uint32_t> size_owner_count_;
-  std::vector<std::vector<uint32_t>> edge_sizes_;  // by EdgeId
-  std::vector<graph::Edge> edges_;                 // by EdgeId
-  std::vector<graph::EdgeId> free_ids_;
-  std::vector<uint8_t> live_;  // by EdgeId
   uint64_t num_entries_ = 0;
-  ScorerKind scorer_kind_ = ScorerKind::kEsd;
   EngineCounterBlock counters_;
 };
 

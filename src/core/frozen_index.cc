@@ -411,22 +411,22 @@ bool operator==(const FrozenEsdIndex& a, const FrozenEsdIndex& b) {
          a.offsets_ == b.offsets_ && a.entries_ == b.entries_;
 }
 
-FrozenEsdIndex Freeze(const EsdIndex& index) {
-  const size_t slots = index.EdgeSlotCount();
+FrozenEsdIndex Freeze(const EdgeSizeTable& table) {
+  const size_t slots = table.EdgeSlotCount();
   std::vector<Edge> edges;
   std::vector<uint8_t> live;
   edges.reserve(slots);
   live.reserve(slots);
   for (EdgeId e = 0; e < slots; ++e) {
-    edges.push_back(index.EdgeAt(e));
-    live.push_back(index.IsLive(e) ? 1 : 0);
+    edges.push_back(table.EdgeAt(e));
+    live.push_back(table.IsLive(e) ? 1 : 0);
   }
   EdgeSizePool sizes = PackLiveSizes(
       live, [&](EdgeId e) -> const std::vector<uint32_t>& {
-        return index.EdgeSizes(e);
+        return table.EdgeSizes(e);
       });
   return FrozenEsdIndex::FromSizePool(std::move(edges), std::move(sizes),
-                                      std::move(live), index.Scorer());
+                                      std::move(live), table.Scorer());
 }
 
 EsdIndex Thaw(const FrozenEsdIndex& frozen) {

@@ -13,6 +13,7 @@
 
 namespace esd::core {
 
+class EdgeSizeTable;
 class EsdIndex;
 
 /// Per-edge value multisets packed as CSR: slot e's multiset (ascending) is
@@ -204,10 +205,11 @@ class FrozenEsdIndex final : public EsdQueryEngine {
   EngineCounterBlock counters_;
 };
 
-/// Converts the mutable treap-backed index into its frozen serving image.
-/// Freed slots are preserved (live mask + empty multiset), so
-/// Thaw(Freeze(x)) reproduces x's exact id layout.
-FrozenEsdIndex Freeze(const EsdIndex& index);
+/// Builds the frozen serving image of an edge registry plus its multisets
+/// C_e — an EsdIndex (whose H lists it never reads) or the live writer's
+/// bare table — through FromSizePool. Freed slots are preserved (live mask
+/// + empty multiset), so Thaw(Freeze(x)) reproduces x's exact id layout.
+FrozenEsdIndex Freeze(const EdgeSizeTable& table);
 
 /// Reconstructs a mutable EsdIndex from a frozen image: the H(c) treaps are
 /// rebuilt from the stored multisets, keeping the image's edge-id layout,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "fault/failpoint.h"
 #include "obs/trace.h"
 
 namespace esd::live {
@@ -58,15 +59,15 @@ std::unique_ptr<LiveEsdIndex> LiveEsdIndex::Open(const graph::Graph& bootstrap,
 }
 
 LiveEsdIndex::LiveEsdIndex(const LiveOptions& options, RecoveredState recovered)
-    : options_(options), recovered_(std::move(recovered)) {
-  manager_ = std::make_unique<EpochSnapshotManager>(
-      recovered_.graph.Snapshot(), recovered_.applied_seq,
-      options_.pool_threads, core::ScorerForKind(options_.scorer));
-  manager_->ConfigureBreaker(options_.refreeze_breaker_threshold,
-                             options_.refreeze_breaker_cooldown);
-  next_seq_ = recovered_.applied_seq + 1;
-  // The recovered graph lives on inside the manager; drop the copy.
+    : options_(options),
+      recovered_(std::move(recovered)),
+      next_seq_(recovered_.applied_seq + 1),
+      writer_(recovered_.graph.Snapshot(), core::ScorerForKind(options_.scorer),
+              core::DeletionStrategy::kTargeted),
+      writer_seq_(recovered_.applied_seq) {
+  // The recovered graph lives on inside the writer; drop the copy.
   recovered_.graph = graph::DynamicGraph();
+  Publish(core::Freeze(writer_.table()), writer_seq_);
   Registry(options_)
       .GetCounter("esd_live_replayed_total",
                   "WAL records folded in during recovery")
@@ -94,7 +95,6 @@ void LiveEsdIndex::EnterReadOnlyLocked() {
 }
 
 ApplyResult LiveEsdIndex::ApplyBatchTyped(std::span<const LiveUpdate> updates) {
-  static thread_local std::string scratch_error;
   ApplyResult result;
   std::lock_guard<std::mutex> lock(live_mu_);
   obs::MetricRegistry& reg = Registry(options_);
@@ -195,8 +195,19 @@ ApplyResult LiveEsdIndex::ApplyBatchTyped(std::span<const LiveUpdate> updates) {
     }
     appended = true;
     ++next_seq_;
-    const bool effective =
-        manager_->Apply(rec, options_.max_vertex_id, &scratch_error);
+    bool effective = false;
+    {
+      std::lock_guard<std::mutex> writer_lock(writer_mu_);
+      writer_seq_ = rec.seq;
+      if (rec.kind == UpdateKind::kInsert) {
+        while (writer_.CurrentGraph().NumVertices() <= hi) writer_.AddVertex();
+        effective = writer_.InsertEdge(rec.u, rec.v);
+      } else {
+        // Deleting outside the vertex set is a no-op miss, never an error.
+        effective = hi < writer_.CurrentGraph().NumVertices() &&
+                    writer_.DeleteEdge(rec.u, rec.v);
+      }
+    }
     if (effective) {
       if (u.kind == UpdateKind::kInsert) {
         ++inserts_;
@@ -213,14 +224,14 @@ ApplyResult LiveEsdIndex::ApplyBatchTyped(std::span<const LiveUpdate> updates) {
     if (options_.refreeze_every != 0 &&
         ++since_refreeze_ >= options_.refreeze_every) {
       since_refreeze_ = 0;
-      manager_->ScheduleRefreeze();
+      ScheduleRefreeze();
     }
   }
   // One durability point per batch: the records are acknowledged together.
   // An fsync that fails through its retries degrades exactly like a failed
   // append — the batch is applied in memory but its durability is not
   // acknowledged.
-  if (appended && options_.fsync_on_batch) {
+  if (appended) {
     std::string sync_error;
     const fault::RetryOutcome out = fault::RetryWithBackoff(
         options_.wal_retry, [&] { return wal_.Sync(&sync_error); });
@@ -254,7 +265,7 @@ bool LiveEsdIndex::Checkpoint(std::string* error) {
   // Publish first so readers never regress behind the persisted state. A
   // failed rebuild aborts the checkpoint: the previous epoch, snapshot,
   // and WAL all stay intact, so nothing is lost and a retry is safe.
-  if (!manager_->RefreezeNow()) {
+  if (!RefreezeNow()) {
     ++checkpoint_failures_;
     c_failures.Inc();
     return SetError(error,
@@ -263,7 +274,11 @@ bool LiveEsdIndex::Checkpoint(std::string* error) {
   }
   graph::DynamicGraph g;
   uint64_t seq = 0;
-  manager_->GraphCopy(&g, &seq);
+  {
+    std::lock_guard<std::mutex> writer_lock(writer_mu_);
+    g = writer_.CurrentGraph();
+    seq = writer_seq_;
+  }
   if (!SaveGraphSnapshot(options_.snapshot_path, g, seq, error,
                          options_.scorer)) {
     ++checkpoint_failures_;
@@ -283,6 +298,95 @@ bool LiveEsdIndex::Checkpoint(std::string* error) {
   return true;
 }
 
+bool LiveEsdIndex::RefreezeNow() {
+  ESD_TRACE_SPAN("live.refreeze");
+  core::FrozenEsdIndex frozen;
+  uint64_t seq = 0;
+  {
+    std::lock_guard<std::mutex> lock(writer_mu_);
+    refreeze_queued_ = false;
+    frozen = core::Freeze(writer_.table());
+    seq = writer_seq_;
+  }
+  // The freeze-to-publish window: writer_mu_ is released, so newer updates
+  // can be applied — and refrozen by another thread — before this image
+  // reaches Publish. The fail point sits here on purpose: an error action
+  // models a failed rebuild (previous epoch stays published, breaker
+  // counts it), while a delay action parks this thread in exactly the
+  // window whose interleaving Publish's seq guard must survive.
+  if (ESD_FAILPOINT("live.refreeze")) {
+    std::lock_guard<std::mutex> lock(writer_mu_);
+    refreeze_failures_.fetch_add(1, std::memory_order_relaxed);
+    if (++consecutive_failures_ >= options_.refreeze_breaker_threshold &&
+        !breaker_open_.load(std::memory_order_relaxed)) {
+      breaker_open_.store(true, std::memory_order_relaxed);
+      breaker_opened_at_ = std::chrono::steady_clock::now();
+    }
+    return false;
+  }
+  {
+    std::lock_guard<std::mutex> lock(writer_mu_);
+    consecutive_failures_ = 0;
+    breaker_open_.store(false, std::memory_order_relaxed);
+  }
+  Publish(std::move(frozen), seq);
+  return true;
+}
+
+void LiveEsdIndex::ScheduleRefreeze() {
+  {
+    std::lock_guard<std::mutex> lock(writer_mu_);
+    if (refreeze_queued_) return;
+    if (breaker_open_.load(std::memory_order_relaxed)) {
+      const auto now = std::chrono::steady_clock::now();
+      if (now - breaker_opened_at_ < options_.refreeze_breaker_cooldown) {
+        // Open breaker, still cooling down: don't burn a pool slot on a
+        // rebuild that just failed. The skip is counted so operators can
+        // see staleness accumulating.
+        refreezes_skipped_.fetch_add(1, std::memory_order_relaxed);
+        return;
+      }
+      // Cooldown elapsed: let one attempt through (the retry); re-arm the
+      // window so a failure waits out another cooldown.
+      breaker_opened_at_ = now;
+    }
+    refreeze_queued_ = true;
+  }
+  pool_.Post([this] { RefreezeNow(); });
+}
+
+void LiveEsdIndex::SetEpochListener(EpochListener listener) {
+  std::lock_guard<std::mutex> lock(listener_mu_);
+  listener_ = std::move(listener);
+}
+
+void LiveEsdIndex::Publish(core::FrozenEsdIndex frozen, uint64_t seq) {
+  auto snap = std::make_shared<EpochSnapshot>();
+  snap->index = std::move(frozen);
+  snap->applied_seq = seq;
+  snap->published_at = std::chrono::steady_clock::now();
+  {
+    std::lock_guard<std::mutex> lock(published_mu_);
+    // Seq guard: freezes are built under writer_mu_ but published after
+    // releasing it, so a slow freeze can arrive here after a faster one
+    // that folded in more updates. Publishing it would roll readers — and
+    // every epoch-keyed result-cache generation — back to a stale image;
+    // discard it instead. Epoch ids are assigned under this lock so
+    // (epoch, applied_seq) stay jointly monotone.
+    if (published_ != nullptr && seq < published_->applied_seq) {
+      ++publish_races_;
+      return;
+    }
+    snap->epoch = published_ != nullptr ? published_->epoch + 1 : 0;
+    published_ = snap;
+  }
+  // The call runs under listener_mu_ so that clearing the listener waits
+  // for it: a caller tearing down what the listener captures must not
+  // race a publish still inside it.
+  std::lock_guard<std::mutex> lock(listener_mu_);
+  if (listener_) listener_(snap->epoch, snap->applied_seq);
+}
+
 obs::HealthState LiveEsdIndex::Health() const {
   // Lock-free on purpose: the query service probes health on every batch,
   // and must not queue behind a write (or a sleeping heal probe) that
@@ -290,8 +394,9 @@ obs::HealthState LiveEsdIndex::Health() const {
   if (read_only_.load(std::memory_order_acquire)) {
     return obs::HealthState::kReadOnly;
   }
-  return manager_->breaker_open() ? obs::HealthState::kDegraded
-                                  : obs::HealthState::kOk;
+  return breaker_open_.load(std::memory_order_relaxed)
+             ? obs::HealthState::kDegraded
+             : obs::HealthState::kOk;
 }
 
 LiveStats LiveEsdIndex::Stats() const {
@@ -312,12 +417,17 @@ LiveStats LiveEsdIndex::Stats() const {
     s.checkpoint_failures = checkpoint_failures_;
     s.wal_eintr_retries = wal_.eintr_retries();
   }
-  s.breaker_open = manager_->breaker_open();
-  s.refreeze_failures = manager_->refreeze_failures();
-  s.refreezes_skipped = manager_->refreezes_skipped();
-  s.publish_races = manager_->publish_races();
-  s.refreezes = manager_->epochs_published();
-  const auto snap = manager_->Current();
+  s.breaker_open = breaker_open_.load(std::memory_order_relaxed);
+  s.refreeze_failures = refreeze_failures_.load(std::memory_order_relaxed);
+  s.refreezes_skipped = refreezes_skipped_.load(std::memory_order_relaxed);
+  std::shared_ptr<const EpochSnapshot> snap;
+  {
+    std::lock_guard<std::mutex> lock(published_mu_);
+    snap = published_;
+    s.publish_races = publish_races_;
+  }
+  // Epoch ids are dense from 0, so the current id counts the publishes.
+  s.refreezes = snap->epoch + 1;
   s.snapshot_epoch = snap->epoch;
   s.snapshot_seq = snap->applied_seq;
   s.snapshot_age_s = snap->AgeSeconds();

@@ -11,6 +11,9 @@
 #include <string>
 #include <vector>
 
+#include "core/edge_size_table.h"
+#include "core/frozen_index.h"
+#include "core/maintainer.h"
 #include "core/query_engine.h"
 #include "fault/retry.h"
 #include "graph/graph.h"
@@ -19,6 +22,7 @@
 #include "live/wal.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
+#include "util/thread_pool.h"
 
 namespace esd::live {
 
@@ -33,14 +37,8 @@ struct LiveOptions {
   /// Re-freeze (publish a new read epoch) every this many applied updates;
   /// 0 disables automatic refreezes (callers drive RefreezeNow/Checkpoint).
   uint64_t refreeze_every = 256;
-  /// fsync the WAL once per Apply/ApplyBatch call (the durability knob;
-  /// turning it off trades crash durability of the newest batch for
-  /// throughput — recovery still works, it just replays less).
-  bool fsync_on_batch = true;
   /// Hard bound on vertex ids accepted by inserts (auto-grow limit).
   graph::VertexId max_vertex_id = (1u << 22);
-  /// Threads of the background refreeze pool.
-  unsigned pool_threads = 2;
   /// Metrics home; null = obs::MetricRegistry::Global().
   obs::MetricRegistry* registry = nullptr;
   /// Capped-exponential-backoff policy for failed WAL appends and fsyncs.
@@ -76,10 +74,10 @@ enum class ApplyStatus : uint8_t {
 const char* ApplyStatusName(ApplyStatus status);
 
 /// What a typed write call did. `processed` updates were applied to the
-/// in-memory writer index; on kOk they are also durable. On kWalError the
+/// in-memory writer state; on kOk they are also durable. On kWalError the
 /// in-memory state may be ahead of the log (the failing update and
-/// everything after it were NOT applied; with fsync_on_batch the batch's
-/// durability is not guaranteed until the next successful sync).
+/// everything after it were NOT applied; the batch's durability is not
+/// guaranteed until the next successful sync).
 struct ApplyResult {
   size_t processed = 0;
   ApplyStatus status = ApplyStatus::kOk;
@@ -115,15 +113,17 @@ struct LiveStats {
   uint64_t publish_races = 0;        ///< stale publishes discarded by seq guard
 };
 
-/// The live serving index: WAL-backed ingestion in front of an
-/// EpochSnapshotManager, recovered on open.
+/// The live serving index: WAL-backed ingestion in front of the paper's
+/// maintenance state, recovered on open, read through immutable epochs.
 ///
 /// Write path (Apply/ApplyBatch, serialized on one mutex):
 ///   1. append the update(s) to the WAL, fsync once per call (durability
 ///      point — an update is acknowledged only once it would survive
 ///      SIGKILL),
-///   2. apply to the writer-side DynamicEsdIndex (paper Section V
-///      maintenance),
+///   2. apply to the maintenance state — the graph, the edge registry, the
+///      per-edge disjoint sets M_e and multisets C_e (Section V,
+///      Algorithms 4-5 up to line 19); no H lists are kept, because
+///      epochs are frozen straight from C_e,
 ///   3. every `refreeze_every` applied updates, queue a background
 ///      re-freeze that publishes a fresh immutable FrozenEsdIndex epoch.
 ///
@@ -131,6 +131,12 @@ struct LiveStats {
 /// copy; readers keep serving their pinned epoch while newer ones publish
 /// (RCU). EsdQueryService serves it through a provider over
 /// CurrentSnapshot(), pinning one snapshot per batch.
+///
+/// Locks, always taken in this order: live_mu_ (WAL order == apply order
+/// == seq order), writer_mu_ (maintenance state and refreeze breaker),
+/// published_mu_ (the current epoch; held only for a pointer copy or
+/// swap, so readers never wait on a build), listener_mu_ (the epoch
+/// listener, taken after published_mu_ is released).
 ///
 /// Checkpoint(): publish + persist a graph snapshot, then truncate the WAL.
 /// Crash-safe in every interleaving because records carry sequence numbers
@@ -180,9 +186,14 @@ class LiveEsdIndex {
   bool Checkpoint(std::string* error);
 
   /// Synchronous epoch publish (also available through the background
-  /// refreeze schedule). False when the rebuild failed — the previous
-  /// epoch stays published and the circuit breaker counts the failure.
-  bool RefreezeNow() { return manager_->RefreezeNow(); }
+  /// refreeze schedule): freezes the maintenance state under the writer
+  /// lock and publishes it. False when the rebuild failed (only possible
+  /// via the live.refreeze fail point today): the previous epoch stays
+  /// published and the circuit breaker counts the failure — after
+  /// options.refreeze_breaker_threshold consecutive failures it opens and
+  /// scheduled refreezes are skipped until the cooldown has passed, when
+  /// the next schedule is the retry. A success closes the breaker.
+  bool RefreezeNow();
 
   /// Fault posture for health endpoints: read-only beats an open refreeze
   /// breaker (degraded) beats ok.
@@ -190,26 +201,27 @@ class LiveEsdIndex {
 
   /// The current read epoch; pin by holding the shared_ptr.
   std::shared_ptr<const EpochSnapshot> CurrentSnapshot() const {
-    return manager_->Current();
+    std::lock_guard<std::mutex> lock(published_mu_);
+    return published_;
   }
 
   /// The current epoch's engine, as an aliasing shared_ptr: the engine
   /// stays valid exactly as long as the returned pointer lives.
   std::shared_ptr<const core::EsdQueryEngine> CurrentEngine() const {
-    auto snap = manager_->Current();
+    auto snap = CurrentSnapshot();
     return std::shared_ptr<const core::EsdQueryEngine>(snap, &snap->index);
   }
 
   /// Installs a callback fired after every successful epoch publish (new
   /// epoch id + applied_seq watermark) — what a serving-layer result cache
   /// hooks to rotate generations as soon as an epoch swaps, instead of on
-  /// the first post-swap lookup. Runs on the background refreeze pool;
-  /// keep it cheap, and clear it (empty listener) before destroying
-  /// anything it captures: the call returns only once no call of the
-  /// previous listener is still running.
-  void SetEpochListener(EpochSnapshotManager::EpochListener listener) {
-    manager_->SetEpochListener(std::move(listener));
-  }
+  /// the first post-swap lookup. Stale publishes discarded by the seq
+  /// guard never fire it. Runs on the background refreeze pool; keep it
+  /// cheap, and clear it (empty listener) before destroying anything it
+  /// captures: the call returns only once no call of the previous
+  /// listener is still running. Must not be called from the listener.
+  using EpochListener = std::function<void(uint64_t epoch, uint64_t seq)>;
+  void SetEpochListener(EpochListener listener);
 
   LiveStats Stats() const;
 
@@ -227,11 +239,19 @@ class LiveEsdIndex {
   /// Flips into read-only mode and arms the next heal probe. live_mu_ held.
   void EnterReadOnlyLocked();
 
+  /// Queues RefreezeNow on the pool unless one is already queued or the
+  /// breaker is open and still cooling down.
+  void ScheduleRefreeze();
+
+  /// Publishes `frozen` as the next epoch unless an image with a newer
+  /// watermark is already published, then fires the listener.
+  void Publish(core::FrozenEsdIndex frozen, uint64_t seq);
+
   LiveOptions options_;
   RecoveredState recovered_;
 
   /// Serializes the write path: WAL append order == apply order == seq
-  /// order. (Lock order: live_mu_ before the manager's writer mutex.)
+  /// order.
   mutable std::mutex live_mu_;
   WalWriter wal_;
   uint64_t next_seq_ = 1;
@@ -252,7 +272,35 @@ class LiveEsdIndex {
   uint64_t heals_ = 0;
   uint64_t checkpoint_failures_ = 0;
 
-  std::unique_ptr<EpochSnapshotManager> manager_;
+  // Guards the maintenance state, its watermark and the refreeze breaker
+  // (the breaker atomics are also read lock-free by Stats and Health).
+  mutable std::mutex writer_mu_;
+  core::Maintainer<core::EdgeSizeTable> writer_;
+  uint64_t writer_seq_ = 0;  ///< last WAL seq folded into writer_
+  bool refreeze_queued_ = false;
+  int consecutive_failures_ = 0;
+  std::chrono::steady_clock::time_point breaker_opened_at_{};
+  std::atomic<bool> breaker_open_{false};
+  std::atomic<uint64_t> refreeze_failures_{0};
+  std::atomic<uint64_t> refreezes_skipped_{0};
+
+  // Publication: both sides hold published_mu_ only for one shared_ptr
+  // copy or swap. (std::atomic<shared_ptr> would do, but libstdc++'s
+  // lock-bit implementation is opaque to TSan.) Publish's seq guard lives
+  // under it too, which makes (epoch id, applied_seq) jointly monotone —
+  // the invariant the serving layer's result cache keys on.
+  mutable std::mutex published_mu_;
+  std::shared_ptr<const EpochSnapshot> published_;
+  uint64_t publish_races_ = 0;  ///< stale publishes discarded by the guard
+
+  // Held across each listener call as well as by SetEpochListener, which
+  // therefore waits out a running call.
+  std::mutex listener_mu_;
+  EpochListener listener_;
+
+  /// Declared last: destroyed first, which drains any queued refreeze
+  /// while the members it touches are still alive.
+  util::ThreadPool pool_{2, "refreeze"};
 };
 
 }  // namespace esd::live

@@ -4,18 +4,17 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 #include <utility>
 
 #include "core/binary_format.h"
 #include "fault/failpoint.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "util/posix_io.h"
 
 namespace esd::live {
@@ -204,146 +203,6 @@ bool LoadGraphSnapshot(const std::string& path, GraphSnapshotData* out,
   }
   *out = std::move(data);
   return true;
-}
-
-EpochSnapshotManager::EpochSnapshotManager(const graph::Graph& base,
-                                           uint64_t base_seq,
-                                           unsigned pool_threads,
-                                           const core::DiversityScorer& scorer)
-    : writer_(base, scorer),
-      applied_seq_(base_seq),
-      // Named track: background re-freezes show up as "refreeze-1" (etc.)
-      // in Chrome trace exports instead of bare thread ids.
-      pool_(std::max(2u, pool_threads), "refreeze") {
-  Publish(core::Freeze(writer_.Index()), base_seq);
-}
-
-bool EpochSnapshotManager::Apply(const WalRecord& record,
-                                 graph::VertexId max_vertex_id,
-                                 std::string* error) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const graph::VertexId hi = std::max(record.u, record.v);
-  bool effective = false;
-  if (record.kind == UpdateKind::kInsert) {
-    if (hi > max_vertex_id) {
-      SetError(error, "vertex id " + std::to_string(hi) +
-                          " exceeds the live index bound " +
-                          std::to_string(max_vertex_id));
-      return false;
-    }
-    while (writer_.CurrentGraph().NumVertices() <= hi) writer_.AddVertex();
-    effective = writer_.InsertEdge(record.u, record.v);
-  } else {
-    // Deleting outside the vertex set is just a no-op miss, never an error.
-    effective = hi < writer_.CurrentGraph().NumVertices() &&
-                writer_.DeleteEdge(record.u, record.v);
-  }
-  applied_seq_.store(record.seq, std::memory_order_relaxed);
-  return effective;
-}
-
-bool EpochSnapshotManager::RefreezeNow() {
-  ESD_TRACE_SPAN("live.refreeze");
-  core::FrozenEsdIndex frozen;
-  uint64_t seq;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    refreeze_queued_ = false;
-    frozen = core::Freeze(writer_.Index());
-    seq = applied_seq_.load(std::memory_order_relaxed);
-  }
-  // The freeze-to-publish window: mu_ is released, so newer updates can be
-  // applied — and refrozen by another thread — before this image reaches
-  // Publish. The fail point sits here on purpose: an error action models a
-  // failed rebuild (previous epoch stays published, breaker counts it),
-  // while a delay action parks this thread in exactly the window whose
-  // interleaving Publish's seq guard must survive.
-  if (ESD_FAILPOINT("live.refreeze")) {
-    std::lock_guard<std::mutex> lock(mu_);
-    refreeze_failures_.fetch_add(1, std::memory_order_relaxed);
-    if (++consecutive_failures_ >= breaker_threshold_ &&
-        !breaker_open_.load(std::memory_order_relaxed)) {
-      breaker_open_.store(true, std::memory_order_relaxed);
-      breaker_opened_at_ = std::chrono::steady_clock::now();
-    }
-    return false;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    consecutive_failures_ = 0;
-    breaker_open_.store(false, std::memory_order_relaxed);
-  }
-  Publish(std::move(frozen), seq);
-  return true;
-}
-
-void EpochSnapshotManager::ScheduleRefreeze() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (refreeze_queued_) return;
-    if (breaker_open_.load(std::memory_order_relaxed)) {
-      const auto now = std::chrono::steady_clock::now();
-      if (now - breaker_opened_at_ < breaker_cooldown_) {
-        // Open breaker, still cooling down: don't burn a pool slot on a
-        // rebuild that just failed. The skip is counted so operators can
-        // see staleness accumulating.
-        refreezes_skipped_.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      // Cooldown elapsed: let one attempt through (the retry); re-arm the
-      // window so a failure waits out another cooldown.
-      breaker_opened_at_ = now;
-    }
-    refreeze_queued_ = true;
-  }
-  pool_.Post([this] { RefreezeNow(); });
-}
-
-void EpochSnapshotManager::ConfigureBreaker(
-    int threshold, std::chrono::milliseconds cooldown) {
-  std::lock_guard<std::mutex> lock(mu_);
-  breaker_threshold_ = std::max(1, threshold);
-  breaker_cooldown_ = cooldown;
-}
-
-void EpochSnapshotManager::GraphCopy(graph::DynamicGraph* out,
-                                     uint64_t* applied_seq) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  *out = writer_.CurrentGraph();
-  *applied_seq = applied_seq_.load(std::memory_order_relaxed);
-}
-
-void EpochSnapshotManager::SetEpochListener(EpochListener listener) {
-  std::lock_guard<std::mutex> lock(listener_mu_);
-  listener_ = std::move(listener);
-}
-
-void EpochSnapshotManager::Publish(core::FrozenEsdIndex frozen,
-                                   uint64_t seq) {
-  auto snap = std::make_shared<EpochSnapshot>();
-  snap->index = std::move(frozen);
-  snap->applied_seq = seq;
-  snap->published_at = std::chrono::steady_clock::now();
-  {
-    std::lock_guard<std::mutex> lock(published_mu_);
-    // Seq guard: freezes are built under mu_ but published after releasing
-    // it, so a slow freeze can arrive here after a faster one that folded
-    // in more updates. Publishing it would roll readers — and every
-    // epoch-keyed result-cache generation — back to a stale image; discard
-    // it instead. Epoch ids are assigned under this lock so (epoch,
-    // applied_seq) stay jointly monotone.
-    if (published_ != nullptr && seq < published_->applied_seq) {
-      publish_races_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    snap->epoch = epochs_published_.fetch_add(1, std::memory_order_relaxed);
-    published_ = snap;
-  }
-  // The call runs under listener_mu_ so that clearing the listener waits
-  // for it: a caller tearing down what the listener captures must not
-  // race a publish still inside it.
-  std::lock_guard<std::mutex> lock(listener_mu_);
-  if (listener_) listener_(snap->epoch, snap->applied_seq);
 }
 
 }  // namespace esd::live

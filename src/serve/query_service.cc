@@ -42,8 +42,6 @@ const char* ResponseStatusName(ResponseStatus status) {
 SlowQueryLog::Options EsdQueryService::SlowLogOptions(const Options& o) {
   SlowQueryLog::Options s;
   s.capacity = o.slowlog_capacity;
-  s.window = o.slowlog_window;
-  s.stripes = o.slowlog_stripes;
   return s;
 }
 
@@ -360,6 +358,7 @@ void EsdQueryService::ServeBatch(std::vector<Pending> batch) {
       uint64_t t1 = t0;
       uint64_t t2 = t0;
       uint64_t t3 = t0;
+      bool narrowed = false;
       if (prev_rq != nullptr && prev_rq->tau == rq.tau &&
           prev_rq->k == rq.k &&
           prev_rq->pad_with_zero_edges == rq.pad_with_zero_edges) {
@@ -396,13 +395,24 @@ void EsdQueryService::ServeBatch(std::vector<Pending> batch) {
           record_slow(p, response, /*missed=*/true, t3);
           continue;  // never dedup-copied, never cached
         }
+        if (rq.strict && !out.shards.all_ok()) {
+          // A shard failed inside this execution although the batch pin
+          // saw the fleet whole: the strict policy still holds.
+          response.status = ResponseStatus::kShardsUnavailable;
+          metrics_.RecordShardsUnavailable(response.queue_us);
+          record_slow(p, response, /*missed=*/false, t3);
+          continue;
+        }
         response.result = std::move(out.result);
-        if (cache_ != nullptr) {
+        // An answer narrowed by a mid-batch shard failure is not what the
+        // generation promises: it is neither cached nor dedup-copied.
+        narrowed = out.shards != view.shards;
+        if (cache_ != nullptr && !narrowed) {
           cache_->Insert(view.generation, rq.tau, rq.k,
                          rq.pad_with_zero_edges, response.result);
         }
       }
-      prev_rq = &rq;
+      prev_rq = narrowed ? nullptr : &rq;
       prev_result = &response.result;
       const uint64_t t4 = obs::MonotonicNanos();
       ctx.Charge(obs::Stage::kCacheLookup, t1 - t0);

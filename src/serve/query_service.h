@@ -146,10 +146,9 @@ class EsdQueryService {
     /// Lock stripes of the result cache.
     size_t cache_shards = 16;
     /// Slow-query forensics (always on): worst requests retained per
-    /// trailing window, served by slow_log() / esd_server's SLOWLOG.
+    /// trailing window (SlowQueryLog's default window and stripes), served
+    /// by slow_log() / esd_server's SLOWLOG.
     size_t slowlog_capacity = 32;
-    std::chrono::seconds slowlog_window{60};
-    size_t slowlog_stripes = 8;
   };
 
   /// The provider types of the epoch-provider constructor

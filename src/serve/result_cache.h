@@ -22,7 +22,7 @@ namespace esd::serve {
 /// into a hash lookup plus a result copy; the slab is never touched.
 ///
 /// Correctness rests on one invariant, repaired by the seq-guarded
-/// EpochSnapshotManager::Publish: epoch ids are monotone in applied_seq,
+/// LiveEsdIndex::Publish: epoch ids are monotone in applied_seq,
 /// so a given epoch id names exactly one immutable index image. The cache
 /// keys whole generations on that id:
 ///
@@ -39,7 +39,7 @@ namespace esd::serve {
 ///     pinned its engine just before a swap — bypasses: it must neither
 ///     hit the new generation nor pollute it with stale answers.
 ///
-/// Lock discipline mirrors EpochSnapshotManager's publication lock: the
+/// Lock discipline mirrors LiveEsdIndex's publication lock: the
 /// generation pointer hides behind gen_mu_ whose critical sections are
 /// O(1) shared_ptr copies/swaps, so lookups (which then lock only their
 /// one shard) never contend with the writer's epoch bump, and the bump

@@ -27,6 +27,7 @@ struct ShardCounts {
   uint16_t degraded = 0;
   uint16_t down = 0;  ///< probe errored or stall breaker open
   bool all_ok() const { return degraded == 0 && down == 0; }
+  friend bool operator==(const ShardCounts&, const ShardCounts&) = default;
 };
 
 /// One miss-path execution's outcome.

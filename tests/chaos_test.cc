@@ -768,6 +768,47 @@ TEST_F(ChaosTest, ShardStallBreakerCoolsDownAndRejoins) {
   EXPECT_EQ(healed.result, full.Query(64, 2));
 }
 
+// A shard probe that fails inside a batch's execution, with no earlier
+// query to open its breaker: the batch pin still sees the fleet whole. A
+// strict request must still be refused, and the narrowed answer the
+// partial request got must be neither dedup-copied nor cached under the
+// pin's generation, so the healed fleet answers in full.
+TEST_F(ChaosTest, ShardProbeFailingMidBatchFailsStrictAndIsNotCached) {
+  graph::Graph g = gen::BarabasiAlbert(60, 3, 11);
+  auto fleet = shard::ShardedQueryEngine::BuildStatic(g, ShardChaosOptions(3));
+  ASSERT_NE(fleet, nullptr);
+  const FrozenEsdIndex full = core::BuildFrozenIndex(g);
+
+  Arm("shard.query.0", "error(EIO)");
+  serve::EsdQueryService::Options sopts;
+  sopts.num_threads = 1;
+  sopts.start_paused = true;
+  sopts.cache_bytes = 1 << 20;
+  serve::EsdQueryService service(*fleet, sopts);
+  serve::QueryRequest rq;
+  rq.k = 64;
+  rq.tau = 2;
+  auto partial = service.Submit(rq);
+  rq.strict = true;
+  auto strict = service.Submit(rq);
+  service.Start();
+
+  const serve::QueryResponse partial_resp = partial.get();
+  ASSERT_EQ(partial_resp.status, serve::ResponseStatus::kOk);
+  EXPECT_EQ(partial_resp.shards_down, 1u);
+  EXPECT_NE(partial_resp.result, full.Query(64, 2));
+  EXPECT_EQ(strict.get().status, serve::ResponseStatus::kShardsUnavailable);
+
+  // Heal: past the breaker cooldown the pin is back to the generation the
+  // failing batch pinned, so a cached narrowed answer would be served.
+  FailPointRegistry::Global().ClearAll();
+  std::this_thread::sleep_for(std::chrono::milliseconds(350));
+  const serve::QueryResponse healed = service.Query(rq);
+  ASSERT_EQ(healed.status, serve::ResponseStatus::kOk);
+  EXPECT_EQ(healed.shards_ok, 3u);
+  EXPECT_EQ(healed.result, full.Query(64, 2));
+}
+
 // A query admitted while the one writer is stalled inside a WAL append
 // must get its typed answer at once: the fleet pins published epochs and
 // never waits on the write path.

@@ -23,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include "core/binary_format.h"
+#include "core/dynamic_index.h"
 #include "core/frozen_index.h"
 #include "core/index_builder.h"
 #include "core/query_engine.h"
@@ -597,6 +598,74 @@ TEST(LiveIndexTest, PropertyParityWithFromScratchBuild) {
   EXPECT_TRUE(reopened->recovery().snapshot_loaded);
   auto engine = reopened->CurrentEngine();
   ExpectEngineParity(*engine, final_graph, "reopened engine");
+}
+
+// Live epochs are the dynamic engine's frozen image, slot for slot: both
+// run the same maintenance over the same boot graph, the live writer just
+// keeps no H lists. The stream deletes existing edges (freeing ids) and
+// inserts afterwards reuse them, past the bootstrap vertex set.
+TEST(LiveIndexTest, EpochsAreByteIdenticalToDynamicEngineFreeze) {
+  const graph::Graph bootstrap = gen::BarabasiAlbert(80, 3, 7);
+  for (core::ScorerKind kind :
+       {core::ScorerKind::kEsd, core::ScorerKind::kTruss,
+        core::ScorerKind::kEgoBetweenness}) {
+    const std::string name(core::ScorerForKind(kind).Name());
+    ScratchDir dir("live_bytes_" + name);
+    LiveOptions options;
+    options.wal_path = dir.Path("wal.bin");
+    options.scorer = kind;
+    options.refreeze_every = 0;
+    options.max_vertex_id = 127;
+    std::string error;
+    auto live = LiveEsdIndex::Open(bootstrap, options, &error);
+    ASSERT_NE(live, nullptr) << error;
+    core::DynamicEsdIndex dyn(graph::DynamicGraph(bootstrap).Snapshot(),
+                              core::ScorerForKind(kind));
+    ASSERT_TRUE(live->CurrentSnapshot()->index == core::Freeze(dyn.Index()))
+        << name << " boot epoch";
+
+    util::Rng rng(0xB17E);
+    size_t freed = 0;
+    size_t inserted = 0;
+    for (size_t i = 0; i < 300; ++i) {
+      LiveUpdate u;
+      const graph::DynamicGraph& cur = dyn.CurrentGraph();
+      if (i % 3 == 1) {
+        // Delete an existing edge: a random vertex's first neighbour.
+        u.kind = UpdateKind::kDelete;
+        do {
+          u.u = static_cast<graph::VertexId>(
+              rng.NextBounded(cur.NumVertices()));
+        } while (cur.Degree(u.u) == 0);
+        u.v = cur.Neighbors(u.u)[0];
+      } else {
+        u.kind = UpdateKind::kInsert;
+        u.u = static_cast<graph::VertexId>(rng.NextBounded(100));
+        do {
+          u.v = static_cast<graph::VertexId>(rng.NextBounded(100));
+        } while (u.v == u.u);
+      }
+      ASSERT_TRUE(live->Apply(u, &error)) << name << " i=" << i << error;
+      const graph::VertexId hi = std::max(u.u, u.v);
+      if (u.kind == UpdateKind::kInsert) {
+        while (dyn.CurrentGraph().NumVertices() <= hi) dyn.AddVertex();
+        inserted += dyn.InsertEdge(u.u, u.v);
+      } else {
+        freed += dyn.DeleteEdge(u.u, u.v);
+      }
+      if (i == 149 || i == 299) {
+        ASSERT_TRUE(live->RefreezeNow());
+        EXPECT_TRUE(live->CurrentSnapshot()->index ==
+                    core::Freeze(dyn.Index()))
+            << name << " after update " << i;
+      }
+    }
+    EXPECT_EQ(freed, 100u) << name;
+    // Fewer slots than edges ever registered: inserts reused freed ids.
+    EXPECT_LT(dyn.Index().EdgeSlotCount(), bootstrap.NumEdges() + inserted)
+        << name;
+    EXPECT_GT(dyn.CurrentGraph().NumVertices(), bootstrap.NumVertices());
+  }
 }
 
 TEST(LiveIndexTest, CheckpointCompactsTheLog) {
