@@ -112,7 +112,7 @@ void CompareEngines() {
               "frozen (ms)", "treap MiB", "frozen MiB");
   for (const char* name : {"dblp-s", "youtube-s"}) {
     esd::gen::Dataset d = esd::bench::Load(name);
-    esd::core::EsdIndex treap = esd::core::BuildIndexClique(d.graph);
+    esd::core::EsdIndex treap = esd::core::BuildIndex(d.graph);
     esd::core::FrozenEsdIndex frozen = esd::core::Freeze(treap);
     double treap_ms =
         esd::bench::TimeMean([&] { treap.Query(k, tau); }) * 1e3;

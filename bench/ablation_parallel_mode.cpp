@@ -13,7 +13,7 @@
 
 #include "bench/bench_common.h"
 #include "cliques/four_clique.h"
-#include "core/parallel_builder.h"
+#include "core/index_builder.h"
 #include "graph/orientation.h"
 
 int main() {
@@ -60,14 +60,13 @@ int main() {
       for (size_t i = 0; i < top; ++i) sum += work[i];
       return 100.0 * static_cast<double>(sum) / static_cast<double>(total);
     };
-    double vtx_time = bench::TimeOnce([&] {
-      core::BuildIndexParallel(d.graph, threads, nullptr,
-                               core::ParallelMode::kVertexParallel);
-    });
-    double edge_time = bench::TimeOnce([&] {
-      core::BuildIndexParallel(d.graph, threads, nullptr,
-                               core::ParallelMode::kEdgeParallel);
-    });
+    util::ThreadPool pool(threads);
+    auto time_mode = [&](core::ParallelMode mode) {
+      return bench::TimeOnce(
+          [&] { core::CliqueComponentSizes(d.graph, &pool, nullptr, mode); });
+    };
+    double vtx_time = time_mode(core::ParallelMode::kVertexParallel);
+    double edge_time = time_mode(core::ParallelMode::kEdgeParallel);
     std::printf("%-15s %14llu | %15.1f%% %15.1f%% | %16.1f %16.1f\n",
                 d.name.c_str(), static_cast<unsigned long long>(total),
                 top_share(per_vertex), top_share(per_arc), vtx_time * 1e3,

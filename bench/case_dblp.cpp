@@ -81,7 +81,7 @@ int main() {
   const uint32_t k = params.num_bridge_pairs;
   const uint32_t tau = 2;
 
-  core::EsdIndex index = core::BuildIndexClique(net.graph);
+  core::EsdIndex index = core::BuildIndex(net.graph);
   TopKResult esd_top = index.Query(k, tau, /*pad_with_zero_edges=*/false);
   TopKResult cn_top = baselines::TopKByCommonNeighbors(net.graph, k);
   TopKResult bt_top =

@@ -48,7 +48,7 @@ int main() {
               net.graph.NumVertices(), net.graph.NumEdges());
 
   const uint32_t tau = 2, k = 2;
-  core::EsdIndex index = core::BuildIndexClique(net.graph);
+  core::EsdIndex index = core::BuildIndex(net.graph);
   core::TopKResult top = index.Query(k, tau, /*pad_with_zero_edges=*/false);
 
   std::set<graph::Edge> planted(net.planted_pairs.begin(),

@@ -19,7 +19,7 @@ int main() {
               "index (MB)", "ratio", "entries");
   std::vector<gen::Dataset> datasets = bench::LoadAll();
   for (const gen::Dataset& d : datasets) {
-    core::EsdIndex index = core::BuildIndexClique(d.graph);
+    core::EsdIndex index = core::BuildIndex(d.graph);
     // Graph payload: CSR adjacency (2m vertex ids + 2m edge ids) + offsets.
     double graph_mb =
         (2.0 * d.graph.NumEdges() * 8 + d.graph.NumVertices() * 8 +
@@ -43,7 +43,7 @@ int main() {
         bench::TimeOnce([&] { core::BuildIndexBasic(d.graph); });
     const std::vector<double> after_basic = bench::SnapBuildPhaseSeconds();
     double t_clique =
-        bench::TimeOnce([&] { core::BuildIndexClique(d.graph); });
+        bench::TimeOnce([&] { core::BuildIndex(d.graph); });
     const std::vector<double> after_clique = bench::SnapBuildPhaseSeconds();
     std::printf("%-15s %6u %16.1f %16.1f %8.2fx\n", d.name.c_str(), delta,
                 t_basic * 1e3, t_clique * 1e3, t_basic / t_clique);

@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
   for (const gen::Dataset& d : bench::LoadAll()) {
     core::EsdIndex index;
     core::FrozenEsdIndex frozen;
-    if (use_treap || use_frozen) index = core::BuildIndexClique(d.graph);
+    if (use_treap || use_frozen) index = core::BuildIndex(d.graph);
     if (use_frozen) frozen = core::Freeze(index);
     std::printf("== %s (n=%u, m=%u)\n", d.name.c_str(),
                 d.graph.NumVertices(), d.graph.NumEdges());

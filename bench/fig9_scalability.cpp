@@ -13,7 +13,6 @@
 #include "core/esd_index.h"
 #include "core/index_builder.h"
 #include "core/online_topk.h"
-#include "core/parallel_builder.h"
 #include "graph/sampling.h"
 
 int main() {
@@ -43,12 +42,11 @@ int main() {
                            : graph::SampleVertices(d.graph, pct / 100.0, 77));
       double online = bench::TimeOnce(
           [&] { OnlineTopK(g, k, tau, UpperBoundRule::kCommonNeighbor); });
-      core::EsdIndex index = core::BuildIndexClique(g);
+      core::EsdIndex index = core::BuildIndex(g);
       double query = bench::TimeMean([&] { index.Query(k, tau); });
-      double build1 =
-          bench::TimeOnce([&] { core::BuildIndexParallel(g, 1); });
+      double build1 = bench::TimeOnce([&] { core::BuildIndex(g); });
       double buildN = bench::TimeOnce(
-          [&] { core::BuildIndexParallel(g, max_threads); });
+          [&] { core::BuildIndex(g, core::EsdScorer(), max_threads); });
       std::printf("%4d%% %10u %10u %16.2f %16.4f %14.1f %14.1f\n", pct,
                   g.NumVertices(), g.NumEdges(), online * 1e3, query * 1e3,
                   build1 * 1e3, buildN * 1e3);

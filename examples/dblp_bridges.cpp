@@ -67,7 +67,7 @@ int main() {
 
   const uint32_t k = 5, tau = 2;
 
-  core::EsdIndex index = core::BuildIndexClique(g);
+  core::EsdIndex index = core::BuildIndex(g);
   Describe(net, "ESD (this paper)",
            index.Query(k, tau, /*pad_with_zero_edges=*/false));
   Describe(net, "CN (common neighbors)",

@@ -60,7 +60,7 @@ int main() {
 
   // The alternative: rebuild the whole index once.
   timer.Reset();
-  core::EsdIndex rebuilt = core::BuildIndexClique(g);
+  core::EsdIndex rebuilt = core::BuildIndex(g);
   double rebuild_ms = timer.ElapsedMillis();
   std::printf("\nfull rebuild: %.1f ms -> incremental updates are %.0fx\n",
               rebuild_ms,

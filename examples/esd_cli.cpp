@@ -40,7 +40,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -61,6 +60,7 @@
 #include "obs/metrics.h"
 #include "obs/request_context.h"
 #include "obs/trace.h"
+#include "util/flag_parse.h"
 #include "util/timer.h"
 
 namespace {
@@ -116,12 +116,15 @@ int main(int argc, char** argv) {
       file = next();
     } else if (arg == "--dataset") {
       dataset = next();
-    } else if (arg == "--scale") {
-      scale = std::atof(next());
-    } else if (arg == "--k") {
-      k = static_cast<uint32_t>(std::atoi(next()));
-    } else if (arg == "--tau") {
-      tau = static_cast<uint32_t>(std::atoi(next()));
+    } else if (arg == "--scale" || arg == "--k" || arg == "--tau") {
+      const char* text = next();
+      const bool ok = arg == "--scale" ? util::ParseFlagValue(text, &scale)
+                      : arg == "--k"   ? util::ParseFlagValue(text, &k)
+                                       : util::ParseFlagValue(text, &tau);
+      if (!ok) {
+        Usage();
+        return 2;
+      }
     } else if (arg == "--engine") {
       engine_name = next();
     } else if (arg == "--scorer") {

@@ -73,11 +73,8 @@
 //   build/examples/esd_server --dataset pokec-s --requests 2000
 //   build/examples/esd_server --dataset dblp-s --live-dir /tmp/esd_live
 
-#include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <iostream>
 #include <map>
@@ -85,13 +82,13 @@
 #include <string>
 #include <string_view>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "app/server_app.h"
 #include "esd_version.h"
 #include "serve/metrics.h"
 #include "serve/query_service.h"
+#include "util/flag_parse.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -116,26 +113,12 @@ namespace {
   std::exit(2);
 }
 
-/// Setter for one valued flag. Numbers must be whole unsigned decimals
-/// that fit the field (--scale: a positive finite decimal); a sign,
-/// trailing junk or overflow is a usage error.
+/// Setter for one valued flag (util::ParseFlagValue: strict unsigned
+/// decimals, a positive finite --scale); a bad value is a usage error.
 template <typename T>
 std::function<void(const char*)> Into(T* field) {
   return [field](const char* text) {
-    if constexpr (std::is_same_v<T, std::string>) {
-      *field = text;
-    } else if constexpr (std::is_same_v<T, double>) {
-      char* end = nullptr;
-      *field = std::strtod(text, &end);
-      if (end == text || *end != '\0' || !std::isfinite(*field) ||
-          *field <= 0) {
-        UsageExit();
-      }
-    } else {
-      const char* end = text + std::strlen(text);
-      const auto [ptr, ec] = std::from_chars(text, end, *field);
-      if (ptr == text || ec != std::errc() || ptr != end) UsageExit();
-    }
+    if (!esd::util::ParseFlagValue(text, field)) UsageExit();
   };
 }
 

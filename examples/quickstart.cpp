@@ -53,7 +53,7 @@ int main() {
   }
 
   // Index-based: build once, query in O(k log m + log n).
-  core::EsdIndex index = core::BuildIndexClique(g);
+  core::EsdIndex index = core::BuildIndex(g);
   std::printf("index: %zu lists, %llu entries\n", index.NumLists(),
               static_cast<unsigned long long>(index.NumEntries()));
   for (const auto& se : index.Query(k, tau)) {

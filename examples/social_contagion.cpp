@@ -27,7 +27,7 @@ int main() {
               g.NumVertices(), g.NumEdges(), g.MaxDegree(), cores.degeneracy);
 
   const uint32_t tau = 2;
-  core::EsdIndex index = core::BuildIndexClique(g);
+  core::EsdIndex index = core::BuildIndex(g);
 
   std::printf("top-5 edges by structural diversity (tau=%u):\n", tau);
   std::printf("%-10s %-7s %-22s\n", "edge", "score", "ego components >= tau");

@@ -25,7 +25,7 @@ int main() {
               g.NumEdges());
 
   const uint32_t tau = 2, k = 2;
-  core::EsdIndex index = core::BuildIndexClique(g);
+  core::EsdIndex index = core::BuildIndex(g);
 
   for (const auto& se : index.Query(k, tau, /*pad_with_zero_edges=*/false)) {
     const std::string& wa = net.words[se.edge.u];

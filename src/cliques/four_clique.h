@@ -19,7 +19,7 @@ struct FourClique {
 };
 
 /// Scratch buffers reused across arcs, so per-arc enumeration does not
-/// allocate. One instance per thread in the parallel builder.
+/// allocate. One instance per thread in a pooled build.
 class FourCliqueScratch {
  public:
   struct CommonOut {
@@ -90,18 +90,26 @@ void ForEach4CliqueOfArc(const graph::DegreeOrderedDag& dag, graph::VertexId u,
   }
 }
 
+/// Enumerates the 4-cliques whose lowest-ranked vertex is `u`: those of
+/// every out-arc of u.
+template <typename Fn>
+void ForEach4CliqueOfVertex(const graph::DegreeOrderedDag& dag,
+                            graph::VertexId u, FourCliqueScratch* scratch,
+                            Fn&& fn) {
+  auto nu = dag.OutNeighbors(u);
+  auto eu = dag.OutEdges(u);
+  for (size_t vi = 0; vi < nu.size(); ++vi) {
+    ForEach4CliqueOfArc(dag, u, nu[vi], eu[vi], scratch, fn);
+  }
+}
+
 /// Enumerates all 4-cliques of the graph exactly once, in O(α²m) time
 /// (Chiba–Nishizeki via the degree-ordered DAG).
 template <typename Fn>
 void ForEach4Clique(const graph::DegreeOrderedDag& dag, Fn&& fn) {
   FourCliqueScratch scratch;
-  const graph::VertexId n = dag.NumVertices();
-  for (graph::VertexId u = 0; u < n; ++u) {
-    auto nu = dag.OutNeighbors(u);
-    auto eu = dag.OutEdges(u);
-    for (size_t vi = 0; vi < nu.size(); ++vi) {
-      ForEach4CliqueOfArc(dag, u, nu[vi], eu[vi], &scratch, fn);
-    }
+  for (graph::VertexId u = 0; u < dag.NumVertices(); ++u) {
+    ForEach4CliqueOfVertex(dag, u, &scratch, fn);
   }
 }
 

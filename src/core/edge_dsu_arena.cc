@@ -12,21 +12,7 @@ namespace esd::core {
 using graph::DegreeOrderedDag;
 using graph::EdgeId;
 using graph::VertexId;
-
-namespace {
-
-// Runs fn(lo, hi) over [0, n): on `pool` in chunks of `grain` if non-null,
-// else as one call.
-template <typename Fn>
-void ForRange(util::ThreadPool* pool, uint64_t n, uint64_t grain, Fn&& fn) {
-  if (pool != nullptr) {
-    pool->ParallelForChunked(0, n, grain, fn);
-  } else {
-    fn(0, n);
-  }
-}
-
-}  // namespace
+using util::ForRange;
 
 EdgeDsuArena::EdgeDsuArena(const DegreeOrderedDag& dag,
                            util::ThreadPool* pool) {

@@ -5,7 +5,7 @@
 #include <span>
 #include <vector>
 
-#include "core/frozen_index.h"
+#include "core/scorer.h"
 #include "graph/graph.h"
 #include "graph/orientation.h"
 #include "util/dsu.h"
@@ -23,7 +23,7 @@ namespace esd::core {
 /// vertex→slot resolution is a binary search in the edge's slice. Union
 /// and Find use path halving + union by size, exactly like KeyedDsu.
 ///
-/// Slices of different edges are disjoint, so the parallel builder may
+/// Slices of different edges are disjoint, so a pooled build may
 /// process different edges concurrently as long as it serializes unions on
 /// the *same* edge (striped locks).
 class EdgeDsuArena {

@@ -161,7 +161,9 @@ TopKResult EsdIndex::Query(uint32_t k, uint32_t tau,
       }
     }
   }
-  counters_.AddEntriesScanned(out.size());
+  // Only the H-list entries walked count: zero-padded filler never touches
+  // a list (FrozenEsdIndex counts its slab prefix the same way).
+  counters_.AddEntriesScanned(taken.size());
   return out;
 }
 

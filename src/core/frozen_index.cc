@@ -28,35 +28,7 @@ uint32_t ScoreAt(std::span<const uint32_t> sizes, uint32_t c) {
       sizes.end() - std::lower_bound(sizes.begin(), sizes.end(), c));
 }
 
-// Packs values_of(e) for every slot with live[e] set into a CSR pool; freed
-// slots carry nothing.
-template <typename ValuesOf>
-EdgeSizePool PackLiveSizes(const std::vector<uint8_t>& live,
-                           ValuesOf&& values_of) {
-  EdgeSizePool out;
-  out.offsets.assign(live.size() + 1, 0);
-  for (size_t e = 0; e < live.size(); ++e) {
-    const size_t len = live[e] ? values_of(static_cast<EdgeId>(e)).size() : 0;
-    out.offsets[e + 1] = out.offsets[e] + len;
-  }
-  out.values.reserve(out.offsets.back());
-  for (size_t e = 0; e < live.size(); ++e) {
-    if (!live[e]) continue;
-    const auto& values = values_of(static_cast<EdgeId>(e));
-    out.values.insert(out.values.end(), values.begin(), values.end());
-  }
-  return out;
-}
-
 }  // namespace
-
-std::vector<std::vector<uint32_t>> EdgeSizePool::ToVectors() const {
-  std::vector<std::vector<uint32_t>> out(offsets.size() - 1);
-  for (size_t e = 0; e < out.size(); ++e) {
-    out[e].assign(values.begin() + offsets[e], values.begin() + offsets[e + 1]);
-  }
-  return out;
-}
 
 FrozenEsdIndex FrozenEsdIndex::FromSizePool(std::vector<Edge> edges,
                                             EdgeSizePool sizes,
@@ -187,20 +159,6 @@ FrozenEsdIndex FrozenEsdIndex::FromSizePool(std::vector<Edge> edges,
     }
   }
   return out;
-}
-
-FrozenEsdIndex FrozenEsdIndex::FromEdgeSizes(
-    std::vector<Edge> edges,
-    const std::vector<std::vector<uint32_t>>& sizes_per_edge,
-    std::vector<uint8_t> live, ScorerKind scorer) {
-  assert(sizes_per_edge.size() == edges.size());
-  if (live.empty()) live.assign(edges.size(), 1);
-  EdgeSizePool sizes = PackLiveSizes(
-      live, [&](EdgeId e) -> const std::vector<uint32_t>& {
-        return sizes_per_edge[e];
-      });
-  return FromSizePool(std::move(edges), std::move(sizes), std::move(live),
-                      scorer);
 }
 
 bool FrozenEsdIndex::Adopt(Parts parts, FrozenEsdIndex* out,
@@ -421,9 +379,11 @@ FrozenEsdIndex Freeze(const EdgeSizeTable& table) {
     edges.push_back(table.EdgeAt(e));
     live.push_back(table.IsLive(e) ? 1 : 0);
   }
-  EdgeSizePool sizes = PackLiveSizes(
-      live, [&](EdgeId e) -> const std::vector<uint32_t>& {
-        return table.EdgeSizes(e);
+  // Freed slots carry empty multisets, so packing every slot keeps them
+  // empty in the pool.
+  EdgeSizePool sizes = EdgeSizePool::Pack(
+      slots, [&](size_t e) -> const std::vector<uint32_t>& {
+        return table.EdgeSizes(static_cast<EdgeId>(e));
       });
   return FrozenEsdIndex::FromSizePool(std::move(edges), std::move(sizes),
                                       std::move(live), table.Scorer());

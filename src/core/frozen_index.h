@@ -16,17 +16,6 @@ namespace esd::core {
 class EdgeSizeTable;
 class EsdIndex;
 
-/// Per-edge value multisets packed as CSR: slot e's multiset (ascending) is
-/// values[offsets[e] .. offsets[e+1]). This is the layout FrozenEsdIndex
-/// stores, so a builder hands it over without one vector per edge.
-struct EdgeSizePool {
-  std::vector<uint64_t> offsets;  // slots + 1, offsets[0] = 0
-  std::vector<uint32_t> values;
-
-  /// One vector per slot, for the treap index and the scorer hook.
-  std::vector<std::vector<uint32_t>> ToVectors() const;
-};
-
 /// Read-optimized, immutable image of the ESDIndex (Section IV-A) — the
 /// serving layer.
 ///
@@ -77,7 +66,7 @@ class FrozenEsdIndex final : public EsdQueryEngine {
   /// The slab builder: adopts per-slot component-size multisets already
   /// packed as CSR (each ascending; freed slots empty) as the image's size
   /// pool and lays out the H(c) slabs from it, skipping treap construction
-  /// entirely — the builders' frozen-output path and Freeze. An empty
+  /// entirely — BuildFrozenIndex's output path and Freeze. An empty
   /// `live` means every slot is live.
   ///
   /// O(pool + entries + |C| + max multiset length): the size set C comes
@@ -87,14 +76,6 @@ class FrozenEsdIndex final : public EsdQueryEngine {
                                      EdgeSizePool sizes,
                                      std::vector<uint8_t> live = {},
                                      ScorerKind scorer = ScorerKind::kEsd);
-
-  /// FromSizePool for callers holding one multiset per slot (index_io,
-  /// non-ESD scorers): packs the live slots' multisets, then builds.
-  static FrozenEsdIndex FromEdgeSizes(
-      std::vector<graph::Edge> edges,
-      const std::vector<std::vector<uint32_t>>& sizes_per_edge,
-      std::vector<uint8_t> live = {},
-      ScorerKind scorer = ScorerKind::kEsd);
 
   /// Validates `parts` (offset monotonicity, sorted multisets and slabs,
   /// edge ids in range, slab membership/scores consistent with the

@@ -7,12 +7,87 @@
 #include "core/ego_network.h"
 #include "graph/orientation.h"
 #include "obs/trace.h"
+#include "util/spinlock.h"
 
 namespace esd::core {
 
 using graph::EdgeId;
 using graph::Graph;
+using graph::VertexId;
 using util::KeyedDsu;
+
+namespace {
+
+// Lines 5-15 of Algorithm 3: each 4-clique {u, v, w1, w2} merges, in the
+// structure of every one of its six edges, the opposite pair of vertices.
+template <typename Unite>
+void UniteOppositePairs(const cliques::FourClique& q, Unite&& unite) {
+  unite(q.uv, q.w1, q.w2);
+  unite(q.uw1, q.v, q.w2);
+  unite(q.uw2, q.v, q.w1);
+  unite(q.vw1, q.u, q.w2);
+  unite(q.vw2, q.u, q.w1);
+  unite(q.w1w2, q.u, q.v);
+}
+
+// The 4-clique stage on a pool: chunks of arcs (the paper's choice, whose
+// work distribution is much flatter) or of vertices, with the unions on
+// each M_e serialized by a striped lock keyed by e.
+void PooledCliqueUnions(const graph::DegreeOrderedDag& dag,
+                        util::ThreadPool& pool, ParallelMode mode,
+                        EdgeDsuArena* dsu) {
+  util::StripedLocks locks(4096);
+  auto on_clique = [&](const cliques::FourClique& q) {
+    UniteOppositePairs(q, [&](EdgeId e, VertexId a, VertexId b) {
+      util::SpinLockGuard guard(locks.ForKey(e));
+      dsu->Union(e, a, b);
+    });
+  };
+  if (mode == ParallelMode::kVertexParallel) {
+    pool.ParallelForChunked(
+        0, dag.NumVertices(), 32, [&](uint64_t lo, uint64_t hi) {
+          ESD_TRACE_SPAN("build.clique_enum.chunk");
+          cliques::FourCliqueScratch scratch;
+          for (uint64_t u = lo; u < hi; ++u) {
+            cliques::ForEach4CliqueOfVertex(dag, static_cast<VertexId>(u),
+                                            &scratch, on_clique);
+          }
+        });
+    return;
+  }
+  struct Arc {
+    VertexId u, v;
+    EdgeId e;
+  };
+  std::vector<Arc> arcs;
+  arcs.reserve(dag.NumEdges());
+  for (VertexId u = 0; u < dag.NumVertices(); ++u) {
+    auto out = dag.OutNeighbors(u);
+    auto eids = dag.OutEdges(u);
+    for (size_t i = 0; i < out.size(); ++i) {
+      arcs.push_back(Arc{u, out[i], eids[i]});
+    }
+  }
+  pool.ParallelForChunked(0, arcs.size(), 64, [&](uint64_t lo, uint64_t hi) {
+    ESD_TRACE_SPAN("build.clique_enum.chunk");
+    cliques::FourCliqueScratch scratch;
+    for (uint64_t i = lo; i < hi; ++i) {
+      cliques::ForEach4CliqueOfArc(dag, arcs[i].u, arcs[i].v, arcs[i].e,
+                                   &scratch, on_clique);
+    }
+  });
+}
+
+// The scorer's bulk hook, on a pool only when more than one thread is
+// asked for (a lone build spawns nothing).
+EdgeSizePool BulkValues(const Graph& g, const DiversityScorer& scorer,
+                        unsigned num_threads) {
+  if (num_threads <= 1) return scorer.BuildAllEdgeValues(g);
+  util::ThreadPool pool(num_threads);
+  return scorer.BuildAllEdgeValues(g, &pool);
+}
+
+}  // namespace
 
 EsdIndex BuildIndexBasic(const Graph& g, graph::EgoProbe probe) {
   std::vector<std::vector<uint32_t>> sizes(g.NumEdges());
@@ -29,70 +104,61 @@ EsdIndex BuildIndexBasic(const Graph& g, graph::EgoProbe probe) {
   return index;
 }
 
-// Algorithm 3 minus the H build: per-edge component-size multisets via one
-// 4-clique enumeration over the degree-ordered DAG. Shared by the treap and
-// frozen output paths (and the ESD scorer's bulk hook).
-EdgeSizePool CliqueComponentSizes(const Graph& g,
-                                  std::vector<KeyedDsu>* m_out) {
-  const EdgeId m = g.NumEdges();
+EdgeSizePool CliqueComponentSizes(const Graph& g, util::ThreadPool* pool,
+                                  std::vector<KeyedDsu>* m_out,
+                                  ParallelMode mode) {
+  if (pool != nullptr && pool->num_threads() <= 1) pool = nullptr;
   obs::PhaseSeries phases;
   // One DAG serves the arena fill's triangle listings and the 4-clique
   // enumeration.
   phases.Begin("build.orientation");
   graph::DegreeOrderedDag dag(g);
 
-  // Lines 1-4 of Algorithm 3: one disjoint-set structure per edge, seeded
-  // with the common neighborhood as singletons (arena-packed).
+  // Lines 1-4: one disjoint-set structure per edge, seeded with the common
+  // neighborhood as singletons (arena-packed).
   phases.Begin("build.dsu_init");
-  EdgeDsuArena dsu(dag);
+  EdgeDsuArena dsu(dag, pool);
 
-  // Lines 5-15: each 4-clique {u, v, w1, w2} merges, in the structure of
-  // every one of its six edges, the opposite pair of vertices.
   phases.Begin("build.clique_enum");
-  cliques::ForEach4Clique(dag, [&dsu](const cliques::FourClique& q) {
-    dsu.Union(q.uv, q.w1, q.w2);
-    dsu.Union(q.uw1, q.v, q.w2);
-    dsu.Union(q.uw2, q.v, q.w1);
-    dsu.Union(q.vw1, q.u, q.w2);
-    dsu.Union(q.vw2, q.u, q.w1);
-    dsu.Union(q.w1w2, q.u, q.v);
-  });
+  if (pool == nullptr) {
+    cliques::ForEach4Clique(dag, [&dsu](const cliques::FourClique& q) {
+      UniteOppositePairs(q, [&dsu](EdgeId e, VertexId a, VertexId b) {
+        dsu.Union(e, a, b);
+      });
+    });
+  } else {
+    PooledCliqueUnions(dag, *pool, mode, &dsu);
+  }
 
   // Lines 16-23 (first half): read component sizes off the disjoint sets.
+  // Slices of different edges are disjoint, so no synchronization is
+  // needed.
   phases.Begin("build.extract_sizes");
-  EdgeSizePool sizes = dsu.ComponentSizePool();
+  EdgeSizePool sizes = dsu.ComponentSizePool(pool);
   if (m_out != nullptr) {
     m_out->clear();
-    m_out->reserve(m);
-    for (EdgeId e = 0; e < m; ++e) m_out->push_back(dsu.ToKeyedDsu(e));
+    m_out->resize(g.NumEdges());
+    util::ForRange(pool, g.NumEdges(), 512, [&](uint64_t lo, uint64_t hi) {
+      for (uint64_t e = lo; e < hi; ++e) {
+        (*m_out)[e] = dsu.ToKeyedDsu(static_cast<EdgeId>(e));
+      }
+    });
   }
   return sizes;
 }
 
-EsdIndex BuildIndexClique(const Graph& g, std::vector<KeyedDsu>* m_out) {
+EsdIndex BuildIndex(const Graph& g, const DiversityScorer& scorer,
+                    unsigned num_threads) {
   EsdIndex index;
-  index.BulkLoad(g.Edges(), CliqueComponentSizes(g, m_out).ToVectors());
-  return index;
-}
-
-FrozenEsdIndex BuildFrozenIndex(const Graph& g) {
-  return FrozenEsdIndex::FromSizePool(g.Edges(),
-                                      CliqueComponentSizes(g, nullptr));
-}
-
-EsdIndex BuildIndex(const Graph& g, const DiversityScorer& scorer) {
-  if (scorer.Kind() == ScorerKind::kEsd) return BuildIndexClique(g);
-  EsdIndex index;
-  index.BulkLoad(g.Edges(), scorer.BuildAllEdgeValues(g));
+  index.BulkLoad(g.Edges(), BulkValues(g, scorer, num_threads).ToVectors());
   index.SetScorerKind(scorer.Kind());
   return index;
 }
 
-FrozenEsdIndex BuildFrozenIndex(const Graph& g,
-                                const DiversityScorer& scorer) {
-  if (scorer.Kind() == ScorerKind::kEsd) return BuildFrozenIndex(g);
-  return FrozenEsdIndex::FromEdgeSizes(g.Edges(), scorer.BuildAllEdgeValues(g),
-                                       {}, scorer.Kind());
+FrozenEsdIndex BuildFrozenIndex(const Graph& g, const DiversityScorer& scorer,
+                                unsigned num_threads) {
+  return FrozenEsdIndex::FromSizePool(
+      g.Edges(), BulkValues(g, scorer, num_threads), {}, scorer.Kind());
 }
 
 }  // namespace esd::core

@@ -9,6 +9,7 @@
 #include "graph/ego_net.h"
 #include "graph/graph.h"
 #include "util/dsu.h"
+#include "util/thread_pool.h"
 
 namespace esd::core {
 
@@ -21,37 +22,48 @@ EsdIndex BuildIndexBasic(
     const graph::Graph& g,
     graph::EgoProbe probe = graph::EgoProbe::kScanNeighbors);
 
-/// Improved index construction (Algorithm 3, "ESDIndex+"): enumerate every
-/// 4-clique exactly once on the degree-ordered DAG and grow the per-edge
-/// disjoint sets M_uv (Observation 1). O((α γ(n) + log m) α m).
+/// Work distribution of the pooled 4-clique stage (Section IV-E). The
+/// paper rejects the "simple solution" of parallelizing over vertices
+/// because out-degree (and thus per-vertex clique work) is heavily skewed,
+/// and adopts edge-parallelism instead; both are provided so the ablation
+/// bench can measure that argument.
+enum class ParallelMode {
+  kVertexParallel,
+  kEdgeParallel,
+};
+
+/// Algorithm 3 ("ESDIndex+") minus the H build: enumerate every 4-clique
+/// exactly once on the degree-ordered DAG, grow the per-edge disjoint sets
+/// M_uv (Observation 1), and read off each edge's component sizes, packed
+/// as CSR. O((α γ(n) + log m) α m). The ESD scorer's bulk hook.
+///
+/// With a pool of two or more threads this is PESDIndex+ (Section IV-E):
+/// the arena fill and the extraction split over edges and vertices, and
+/// the 4-clique stage runs over chunks of arcs (or vertices, per `mode`)
+/// with each union on M_e under a striped spinlock keyed by e. Unions
+/// commute, so the result is identical at every thread count. With no
+/// pool, or a 1-thread one, the 4-clique stage is one lock-free sweep.
 ///
 /// If `m_out` is non-null it receives the per-edge disjoint-set structures
 /// (indexed by EdgeId), which the dynamic index maintains incrementally.
-EsdIndex BuildIndexClique(const graph::Graph& g,
-                          std::vector<util::KeyedDsu>* m_out = nullptr);
-
-/// Frozen-output path of the 4-clique builder: the per-edge component-size
-/// multisets are emitted straight into the CSR slabs of a FrozenEsdIndex,
-/// skipping treap construction entirely. Identical query answers to
-/// Freeze(BuildIndexClique(g)) with one fewer intermediate structure.
-FrozenEsdIndex BuildFrozenIndex(const graph::Graph& g);
-
-/// The shared core of Algorithm 3: per-edge component-size multisets via one
-/// 4-clique enumeration over the degree-ordered DAG (no H build), packed as
-/// CSR. Exposed so the ESD scorer's bulk hook and the builders share one
-/// implementation. If `m_out` is non-null it receives the per-edge
-/// disjoint-set structures.
 EdgeSizePool CliqueComponentSizes(
-    const graph::Graph& g, std::vector<util::KeyedDsu>* m_out = nullptr);
+    const graph::Graph& g, util::ThreadPool* pool = nullptr,
+    std::vector<util::KeyedDsu>* m_out = nullptr,
+    ParallelMode mode = ParallelMode::kEdgeParallel);
 
-/// Scorer-parameterized treap build: ESD dispatches to BuildIndexClique,
-/// any other scorer bulk-computes its value multisets through the scorer
-/// hook. The result is stamped with the scorer's kind.
-EsdIndex BuildIndex(const graph::Graph& g, const DiversityScorer& scorer);
+/// Treap index of `g` under `scorer`: the scorer's bulk hook (on a pool of
+/// `num_threads` if more than one) bulk-loaded into H. The default is the
+/// paper's ESDIndex+, and PESDIndex+ with num_threads > 1.
+EsdIndex BuildIndex(const graph::Graph& g,
+                    const DiversityScorer& scorer = EsdScorer(),
+                    unsigned num_threads = 1);
 
-/// Scorer-parameterized frozen build (same dispatch as BuildIndex).
+/// Frozen index of `g` under `scorer`: the same bulk hook, with the
+/// multisets laid straight into CSR slabs (FrozenEsdIndex::FromSizePool)
+/// and no treap built. Equal to Freeze(BuildIndex(g, scorer)).
 FrozenEsdIndex BuildFrozenIndex(const graph::Graph& g,
-                                const DiversityScorer& scorer);
+                                const DiversityScorer& scorer = EsdScorer(),
+                                unsigned num_threads = 1);
 
 }  // namespace esd::core
 

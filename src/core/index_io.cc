@@ -5,11 +5,13 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <sstream>
 #include <span>
 #include <utility>
 
 #include "core/binary_format.h"
 #include "fault/failpoint.h"
+#include "util/posix_io.h"
 
 namespace esd::core {
 
@@ -175,12 +177,12 @@ IndexIoResult DeserializeFrozenIndex(std::istream& in, FrozenEsdIndex* index,
 bool SaveFrozenIndex(const FrozenEsdIndex& index, const std::string& path,
                      std::string* error) {
   if (InjectedIoError("index_io.save", path, "write", error)) return false;
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    if (error != nullptr) *error = "cannot open " + path + " for writing";
-    return false;
-  }
-  return SerializeFrozenIndex(index, out, error);
+  // Serialized in memory first so the file is replaced in one rename: a
+  // failed save leaves the previous index whole.
+  std::ostringstream out(std::ios::binary);
+  if (!SerializeFrozenIndex(index, out, error)) return false;
+  return util::WriteFileAtomically(path, std::move(out).str(), "index_io",
+                                   error);
 }
 
 IndexIoResult LoadFrozenIndex(const std::string& path, FrozenEsdIndex* index,

@@ -42,7 +42,9 @@ struct IndexIoResult {
   explicit operator bool() const { return status == IndexIoStatus::kOk; }
 };
 
-/// Writes `index` stamped with its Scorer().
+/// Writes `index` stamped with its Scorer(), replacing `path` atomically
+/// (util::WriteFileAtomically, fail points index_io.<step>): a failed save
+/// leaves any previous file at `path` intact.
 bool SaveFrozenIndex(const FrozenEsdIndex& index, const std::string& path,
                      std::string* error);
 bool SerializeFrozenIndex(const FrozenEsdIndex& index, std::ostream& out,

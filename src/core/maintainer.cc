@@ -51,9 +51,10 @@ Maintainer<Table>::Maintainer(const graph::Graph& g,
       scorer_(&scorer),
       use_dsu_(scorer.Kind() == ScorerKind::kEsd),
       strategy_(strategy) {
-  table_.BulkLoad(g.Edges(), use_dsu_
-                                 ? CliqueComponentSizes(g, &dsu_).ToVectors()
-                                 : scorer.BuildAllEdgeValues(g));
+  const EdgeSizePool values = use_dsu_
+                                  ? CliqueComponentSizes(g, nullptr, &dsu_)
+                                  : scorer.BuildAllEdgeValues(g);
+  table_.BulkLoad(g.Edges(), values.ToVectors());
   table_.SetScorerKind(scorer.Kind());
   ids_.Reserve(g.NumEdges());
   for (EdgeId e = 0; e < g.NumEdges(); ++e) {

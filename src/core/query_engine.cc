@@ -139,38 +139,8 @@ std::vector<std::string> QueryEngineNames() {
 
 std::unique_ptr<EsdQueryEngine> BuildQueryEngine(const graph::Graph& g,
                                                  std::string_view name,
-                                                 std::string* error) {
-  if (name == "treap") {
-    return std::make_unique<EsdIndex>(BuildIndexClique(g));
-  }
-  if (name == "frozen") {
-    return std::make_unique<FrozenEsdIndex>(BuildFrozenIndex(g));
-  }
-  if (name == "dynamic") {
-    return std::make_unique<DynamicEsdIndex>(g);
-  }
-  if (name == "online") {
-    return std::make_unique<OnlineQueryEngine>(g,
-                                               UpperBoundRule::kCommonNeighbor);
-  }
-  if (name == "online-mindeg") {
-    return std::make_unique<OnlineQueryEngine>(g, UpperBoundRule::kMinDegree);
-  }
-  if (error != nullptr) {
-    *error = "unknown engine '" + std::string(name) + "' (expected one of:";
-    for (const std::string& n : QueryEngineNames()) *error += " " + n;
-    *error += ")";
-  }
-  return nullptr;
-}
-
-std::unique_ptr<EsdQueryEngine> BuildQueryEngine(const graph::Graph& g,
-                                                 std::string_view name,
                                                  const DiversityScorer& scorer,
                                                  std::string* error) {
-  if (scorer.Kind() == ScorerKind::kEsd) {
-    return BuildQueryEngine(g, name, error);
-  }
   if (name == "treap") {
     return std::make_unique<EsdIndex>(BuildIndex(g, scorer));
   }
@@ -181,9 +151,21 @@ std::unique_ptr<EsdQueryEngine> BuildQueryEngine(const graph::Graph& g,
     return std::make_unique<DynamicEsdIndex>(g, scorer);
   }
   if (name == "online" || name == "online-mindeg") {
-    return std::make_unique<ScorerOnlineEngine>(g, scorer);
+    // The pruned OnlineBFS is the paper's, for ESD only; any other scorer
+    // gets the full scan.
+    if (scorer.Kind() != ScorerKind::kEsd) {
+      return std::make_unique<ScorerOnlineEngine>(g, scorer);
+    }
+    return std::make_unique<OnlineQueryEngine>(
+        g, name == "online" ? UpperBoundRule::kCommonNeighbor
+                            : UpperBoundRule::kMinDegree);
   }
-  return BuildQueryEngine(g, name, error);  // unknown name: shared error
+  if (error != nullptr) {
+    *error = "unknown engine '" + std::string(name) + "' (expected one of:";
+    for (const std::string& n : QueryEngineNames()) *error += " " + n;
+    *error += ")";
+  }
+  return nullptr;
 }
 
 void ExportEngineCounters(const EsdQueryEngine& engine,

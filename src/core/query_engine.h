@@ -246,19 +246,13 @@ class ScorerOnlineEngine final : public EsdQueryEngine {
 std::vector<std::string> QueryEngineNames();
 
 /// Builds the engine registered under `name` ("treap", "frozen", "dynamic",
-/// "online", "online-mindeg") for graph `g`. The online engines borrow `g`
-/// (it must outlive the result); the index engines snapshot it. Returns
-/// nullptr and sets *error on an unknown name.
-std::unique_ptr<EsdQueryEngine> BuildQueryEngine(const graph::Graph& g,
-                                                 std::string_view name,
-                                                 std::string* error);
-
-/// Scorer-parameterized factory: same engine names, but the per-edge score
-/// definition comes from `scorer`. For the ESD scorer this dispatches to
-/// the specialized builders above; for other scorers the index engines are
-/// built through the scorer's bulk hook and the online engines become
-/// ScorerOnlineEngine full scans (both "online" and "online-mindeg" map to
-/// the same full scan — non-ESD scorers have no upper-bound pruning rules).
+/// "online", "online-mindeg") for graph `g`, scoring edges by `scorer`.
+/// The index engines go through BuildIndex / BuildFrozenIndex (the
+/// scorer's bulk hook) and snapshot `g`. The online engines borrow `g` (it
+/// must outlive the result): for ESD they are the paper's pruned
+/// OnlineBFS; any other scorer has no upper-bound pruning rule, so both
+/// names map to the ScorerOnlineEngine full scan. Returns nullptr and sets
+/// *error on an unknown name.
 std::unique_ptr<EsdQueryEngine> BuildQueryEngine(
     const graph::Graph& g, std::string_view name,
     const DiversityScorer& scorer, std::string* error);

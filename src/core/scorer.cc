@@ -7,6 +7,8 @@
 #include "core/index_builder.h"
 #include "graph/ego_net.h"
 #include "graph/graph.h"
+#include "obs/trace.h"
+#include "util/thread_pool.h"
 
 namespace esd::core {
 
@@ -58,9 +60,9 @@ class EsdScorerImpl final : public DiversityScorer {
  public:
   ScorerKind Kind() const override { return ScorerKind::kEsd; }
   std::string_view Name() const override { return "esd"; }
-  std::vector<std::vector<uint32_t>> BuildAllEdgeValues(
-      const Graph& g) const override {
-    return CliqueComponentSizes(g, nullptr).ToVectors();
+  EdgeSizePool BuildAllEdgeValues(const Graph& g,
+                                  util::ThreadPool* pool) const override {
+    return CliqueComponentSizes(g, pool);
   }
   std::vector<uint32_t> EdgeValues(const Graph& g, VertexId u,
                                    VertexId v) const override {
@@ -102,14 +104,29 @@ class EgoBetweennessScorerImpl final : public DiversityScorer {
 
 }  // namespace
 
-std::vector<std::vector<uint32_t>> DiversityScorer::BuildAllEdgeValues(
-    const Graph& g) const {
-  std::vector<std::vector<uint32_t>> values(g.NumEdges());
-  for (graph::EdgeId e = 0; e < g.NumEdges(); ++e) {
-    const Edge& uv = g.EdgeAt(e);
-    values[e] = EdgeValues(g, uv.u, uv.v);
+std::vector<std::vector<uint32_t>> EdgeSizePool::ToVectors() const {
+  std::vector<std::vector<uint32_t>> out(offsets.size() - 1);
+  for (size_t e = 0; e < out.size(); ++e) {
+    out[e].assign(values.begin() + offsets[e], values.begin() + offsets[e + 1]);
   }
-  return values;
+  return out;
+}
+
+EdgeSizePool DiversityScorer::BuildAllEdgeValues(
+    const Graph& g, util::ThreadPool* pool) const {
+  obs::PhaseSeries phases;
+  phases.Begin("build.extract_sizes");
+  std::vector<std::vector<uint32_t>> values(g.NumEdges());
+  util::ForRange(pool, g.NumEdges(), 64, [&](uint64_t lo, uint64_t hi) {
+    ESD_TRACE_SPAN("build.extract_sizes.chunk");
+    for (uint64_t e = lo; e < hi; ++e) {
+      const Edge& uv = g.EdgeAt(static_cast<graph::EdgeId>(e));
+      values[e] = EdgeValues(g, uv.u, uv.v);
+    }
+  });
+  return EdgeSizePool::Pack(
+      values.size(),
+      [&](size_t e) -> const std::vector<uint32_t>& { return values[e]; });
 }
 
 const DiversityScorer& EsdScorer() {

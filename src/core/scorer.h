@@ -9,6 +9,10 @@
 #include "graph/dynamic_graph.h"
 #include "graph/graph.h"
 
+namespace esd::util {
+class ThreadPool;
+}  // namespace esd::util
+
 namespace esd::core {
 
 /// Identifies a per-edge diversity definition. The raw value is what gets
@@ -29,6 +33,34 @@ enum class ScorerKind : uint32_t {
   kEgoBetweenness = 3,
 };
 
+/// Per-edge value multisets packed as CSR: slot e's multiset (ascending) is
+/// values[offsets[e] .. offsets[e+1]). The bulk hook's output and the
+/// layout FrozenEsdIndex stores, so a build hands it over without one
+/// vector per edge.
+struct EdgeSizePool {
+  std::vector<uint64_t> offsets;  // slots + 1, offsets[0] = 0
+  std::vector<uint32_t> values;
+
+  /// Packs values_of(e), a sorted range, for every slot e < slots.
+  template <typename ValuesOf>
+  static EdgeSizePool Pack(size_t slots, ValuesOf&& values_of) {
+    EdgeSizePool out;
+    out.offsets.assign(slots + 1, 0);
+    for (size_t e = 0; e < slots; ++e) {
+      out.offsets[e + 1] = out.offsets[e] + values_of(e).size();
+    }
+    out.values.reserve(out.offsets.back());
+    for (size_t e = 0; e < slots; ++e) {
+      const auto& values = values_of(e);
+      out.values.insert(out.values.end(), values.begin(), values.end());
+    }
+    return out;
+  }
+
+  /// One vector per slot, for the treap index and the maintenance table.
+  std::vector<std::vector<uint32_t>> ToVectors() const;
+};
+
 /// A pluggable per-edge score definition over the generic index substrate.
 ///
 /// Every engine in this repo (treap H-lists, frozen CSR slabs, dynamic
@@ -37,7 +69,8 @@ enum class ScorerKind : uint32_t {
 /// score_tau(e) = |{ c in C_e : c >= tau }|. The Theorem-4 H-list
 /// consistency that makes the index answer top-k queries holds for ANY
 /// multiset, so a scorer only has to define what C_e is:
-///   * a bulk build hook (all edges of a static graph),
+///   * a bulk build hook (all edges of a static graph, on an optional
+///     thread pool),
 ///   * a single-edge recompute hook (used by dynamic maintenance, whose
 ///     affected-edge enumeration — the edge, its wedge edges (u,w)/(v,w),
 ///     and pair edges inside N(uv) — is valid for any scorer whose value
@@ -55,9 +88,12 @@ class DiversityScorer {
   virtual std::string_view Name() const = 0;
 
   /// Value multisets (each sorted ascending) for every edge of `g`,
-  /// indexed by EdgeId. Default: one EdgeValues call per edge.
-  virtual std::vector<std::vector<uint32_t>> BuildAllEdgeValues(
-      const graph::Graph& g) const;
+  /// indexed by EdgeId — the one bulk-build hook every builder calls. If
+  /// `pool` is non-null the work runs on it; the result does not depend on
+  /// the thread count. Default: one EdgeValues call per edge, over the
+  /// pool's chunks.
+  virtual EdgeSizePool BuildAllEdgeValues(
+      const graph::Graph& g, util::ThreadPool* pool = nullptr) const;
 
   /// Value multiset (sorted ascending) of edge {u, v}.
   virtual std::vector<uint32_t> EdgeValues(const graph::Graph& g,

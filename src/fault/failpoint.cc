@@ -303,8 +303,13 @@ std::vector<FailPointSite> BuiltinFailPointSites() {
   // Keep sorted by name; one entry per site. The per-shard query probes
   // ("shard.query.0", ...) are listed once as shard.query.<i>.
   return {
+      {"index_io.dir_fsync", "index directory fsync fails (save succeeds)"},
+      {"index_io.fsync", "index temp-file fsync fails; old file kept"},
       {"index_io.load", "index file read fails typed (open/parse path)"},
+      {"index_io.open", "index temp-file open fails; old file kept"},
+      {"index_io.rename", "index atomic rename fails; old file kept"},
       {"index_io.save", "index file write fails typed"},
+      {"index_io.write", "index body write fails; old file kept"},
       {"live.refreeze",
        "background epoch rebuild fails; feeds the refreeze circuit "
        "breaker"},

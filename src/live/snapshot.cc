@@ -1,11 +1,5 @@
 #include "live/snapshot.h"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <mutex>
@@ -13,7 +7,6 @@
 #include <utility>
 
 #include "core/binary_format.h"
-#include "fault/failpoint.h"
 #include "obs/metrics.h"
 #include "util/posix_io.h"
 
@@ -44,84 +37,6 @@ void ReportDirFsyncFailure(const std::string& dir, int error_code) {
     handler = g_dir_fsync_handler;
   }
   if (handler) handler(dir, error_code);
-}
-
-/// Durable whole-file write: tmp file in the same directory, write + fsync +
-/// close, rename over the target, fsync the directory. A crash at any point
-/// leaves either the old snapshot or the new one, never a torn mix.
-bool WriteFileAtomically(const std::string& path, const std::string& bytes,
-                         std::string* error) {
-  const std::string tmp = path + ".tmp";
-  if (const auto hit = ESD_FAILPOINT("snapshot.open")) {
-    return SetError(error, "cannot open " + tmp + " for writing: " +
-                               std::strerror(hit.error_code) + " [injected]");
-  }
-  int fd = ::open(tmp.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
-  if (fd < 0) {
-    return SetError(error, "cannot open " + tmp + " for writing: " +
-                               std::strerror(errno));
-  }
-  if (const auto hit = ESD_FAILPOINT("snapshot.write")) {
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return SetError(error, "snapshot write failed: " +
-                               std::string(std::strerror(hit.error_code)) +
-                               " [injected]");
-  }
-  const util::WriteResult wr = util::WriteFully(
-      fd, bytes.data(), bytes.size(), "snapshot.short_write");
-  if (!wr.ok) {
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return SetError(error, wr.short_write
-                               ? "snapshot write torn mid-file"
-                               : "snapshot write failed: " +
-                                     std::string(std::strerror(
-                                         wr.error_code)));
-  }
-  bool synced = ::fsync(fd) == 0;
-  if (const auto hit = ESD_FAILPOINT("snapshot.fsync")) {
-    synced = false;
-    errno = hit.error_code;
-  }
-  ::close(fd);
-  if (!synced) {
-    ::unlink(tmp.c_str());
-    return SetError(error, "snapshot fsync failed: " +
-                               std::string(std::strerror(errno)));
-  }
-  if (const auto hit = ESD_FAILPOINT("snapshot.rename")) {
-    ::unlink(tmp.c_str());
-    return SetError(error, "cannot rename " + tmp + " over " + path + ": " +
-                               std::strerror(hit.error_code) + " [injected]");
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    const int rename_errno = errno;  // before unlink can clobber it
-    ::unlink(tmp.c_str());
-    return SetError(error, "cannot rename " + tmp + " over " + path + ": " +
-                               std::strerror(rename_errno));
-  }
-  const size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos
-                              ? std::string(".")
-                              : path.substr(0, slash == 0 ? 1 : slash);
-  const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  int dir_fsync_errno = 0;
-  if (dfd >= 0) {
-    if (::fsync(dfd) != 0) dir_fsync_errno = errno;
-    ::close(dfd);
-  } else {
-    dir_fsync_errno = errno;
-  }
-  if (const auto hit = ESD_FAILPOINT("snapshot.dir_fsync")) {
-    dir_fsync_errno = hit.error_code;
-  }
-  if (dir_fsync_errno != 0) {
-    // The snapshot bytes are durable; only the rename's directory entry is
-    // at risk. Typed warning instead of the old silent best-effort.
-    ReportDirFsyncFailure(dir, dir_fsync_errno);
-  }
-  return true;
 }
 
 }  // namespace
@@ -155,7 +70,8 @@ bool SaveGraphSnapshot(const std::string& path, const graph::DynamicGraph& g,
   const uint64_t checksum = w.checksum();
   out.write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
   if (!out) return SetError(error, "snapshot serialization failed");
-  return WriteFileAtomically(path, std::move(out).str(), error);
+  return util::WriteFileAtomically(path, std::move(out).str(), "snapshot",
+                                   error, ReportDirFsyncFailure);
 }
 
 bool LoadGraphSnapshot(const std::string& path, GraphSnapshotData* out,

@@ -3,13 +3,13 @@
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "core/frozen_index.h"
 #include "graph/dynamic_graph.h"
 #include "graph/graph.h"
+#include "util/posix_io.h"
 
 namespace esd::live {
 
@@ -56,8 +56,7 @@ bool LoadGraphSnapshot(const std::string& path, GraphSnapshotData* out,
 /// is a warning, not a write failure — but it is no longer silent: the
 /// esd_snapshot_dir_fsync_failures counter on MetricRegistry::Global() is
 /// bumped and this handler (process-wide; tests install their own) runs.
-using SnapshotDirFsyncHandler =
-    std::function<void(const std::string& dir, int error_code)>;
+using SnapshotDirFsyncHandler = util::DirFsyncFailureHandler;
 
 /// Installs `handler` (empty = counter-only) and returns the previous one.
 SnapshotDirFsyncHandler SetSnapshotDirFsyncHandler(

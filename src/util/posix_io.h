@@ -3,6 +3,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <string>
+#include <string_view>
 
 namespace esd::util {
 
@@ -31,6 +34,25 @@ struct WriteResult {
 /// case durable-log writers must repair (see WalWriter::Append).
 WriteResult WriteFully(int fd, const char* data, size_t n,
                        const char* short_write_failpoint = nullptr);
+
+/// Called with the directory and errno when the post-rename directory
+/// fsync of WriteFileAtomically fails.
+using DirFsyncFailureHandler =
+    std::function<void(const std::string& dir, int error_code)>;
+
+/// Durable whole-file replace: writes `bytes` to `path`.tmp in the same
+/// directory, fsyncs and closes it, renames it over `path`, then fsyncs the
+/// directory. A crash or a failed step at any point leaves either the old
+/// file or the new one, never a torn mix: on failure the tmp file is
+/// removed, *error names the step, and false is returned. Each step has a
+/// fail point named `<failpoint_prefix>.open`, `.write`, `.short_write`,
+/// `.fsync`, `.rename` and `.dir_fsync`. A failed directory fsync does not
+/// fail the call (the bytes are durable; only the rename's directory entry
+/// may not survive a power cut): it goes to `on_dir_fsync_failure`, if set.
+bool WriteFileAtomically(const std::string& path, std::string_view bytes,
+                         std::string_view failpoint_prefix, std::string* error,
+                         const DirFsyncFailureHandler& on_dir_fsync_failure =
+                             {});
 
 }  // namespace esd::util
 

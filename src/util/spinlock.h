@@ -39,10 +39,10 @@ class SpinLockGuard {
   SpinLock& lock_;
 };
 
-/// An array of spinlocks indexed by key hash. The parallel builder guards
-/// each per-edge disjoint-set structure M_e by the stripe of its edge id;
-/// union operations take exactly one stripe at a time, so no lock ordering
-/// issues can arise.
+/// An array of spinlocks indexed by key hash. Algorithm 3's pooled 4-clique
+/// stage guards each per-edge disjoint-set structure M_e by the stripe of
+/// its edge id; union operations take exactly one stripe at a time, so no
+/// lock ordering issues can arise.
 class StripedLocks {
  public:
   /// `stripes` is rounded up to a power of two (min 1).

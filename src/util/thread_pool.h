@@ -85,6 +85,17 @@ class ThreadPool {
   unsigned active_workers_ = 0;
 };
 
+/// Runs fn(lo, hi) over [0, n): on `pool` in chunks of `grain` if non-null,
+/// else as one call on the calling thread.
+template <typename Fn>
+void ForRange(ThreadPool* pool, uint64_t n, uint64_t grain, Fn&& fn) {
+  if (pool != nullptr) {
+    pool->ParallelForChunked(0, n, grain, fn);
+  } else {
+    fn(0, n);
+  }
+}
+
 }  // namespace esd::util
 
 #endif  // ESD_UTIL_THREAD_POOL_H_

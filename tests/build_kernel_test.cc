@@ -14,7 +14,6 @@
 #include "core/esd_index.h"
 #include "core/frozen_index.h"
 #include "core/index_builder.h"
-#include "core/parallel_builder.h"
 #include "graph/orientation.h"
 #include "tests/test_helpers.h"
 #include "util/rng.h"
@@ -102,7 +101,10 @@ TEST(BuildKernelTest, ParallelBuildMatchesSerialAtOneToFourThreads) {
       }
       for (core::ParallelMode mode : {core::ParallelMode::kEdgeParallel,
                                       core::ParallelMode::kVertexParallel}) {
-        EXPECT_TRUE(core::BuildFrozenIndexParallel(g, threads, mode) == serial)
+        EXPECT_TRUE(FrozenEsdIndex::FromSizePool(
+                        g.Edges(),
+                        core::CliqueComponentSizes(g, &pool, nullptr, mode)) ==
+                    serial)
             << name << " t=" << threads;
       }
     }
@@ -113,8 +115,9 @@ TEST(BuildKernelTest, EveryBuiltAndFrozenImagePassesAdopt) {
   for (const auto& [name, g] : test::Zoo()) {
     const FrozenEsdIndex built = core::BuildFrozenIndex(g);
     ExpectAdopted(built, name + " built");
-    ExpectAdopted(core::BuildFrozenIndexParallel(g, 3), name + " parallel");
-    core::EsdIndex index = core::BuildIndexClique(g);
+    ExpectAdopted(core::BuildFrozenIndex(g, core::EsdScorer(), 3),
+                  name + " parallel");
+    core::EsdIndex index = core::BuildIndex(g);
     const FrozenEsdIndex frozen = core::Freeze(index);
     EXPECT_TRUE(frozen == built) << name;
     ExpectAdopted(frozen, name + " frozen");
@@ -154,7 +157,10 @@ TEST(BuildKernelTest, TiedScoresMatchComparisonSortReference) {
   for (const Case& c : cases) {
     std::vector<Edge> edges;
     for (VertexId e = 0; e < c.sizes.size(); ++e) edges.push_back({e, e + 1});
-    const FrozenEsdIndex frozen = FrozenEsdIndex::FromEdgeSizes(edges, c.sizes);
+    const FrozenEsdIndex frozen = FrozenEsdIndex::FromSizePool(
+        edges, core::EdgeSizePool::Pack(
+                   c.sizes.size(),
+                   [&](size_t e) -> const auto& { return c.sizes[e]; }));
     ExpectAdopted(frozen, c.name);
 
     std::vector<uint32_t> all;

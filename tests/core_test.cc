@@ -12,7 +12,6 @@
 #include "core/index_builder.h"
 #include "core/naive_topk.h"
 #include "core/online_topk.h"
-#include "core/parallel_builder.h"
 #include "gen/collaboration.h"
 #include "gen/erdos_renyi.h"
 #include "gen/holme_kim.h"
@@ -23,6 +22,7 @@
 #include "tests/test_helpers.h"
 #include "util/dsu.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace esd::core {
 namespace {
@@ -522,9 +522,9 @@ TEST_P(BuilderEquivalenceTest, AllBuildersProduceIdenticalIndexes) {
   Graph g = gen::ErdosRenyiGnp(45, 0.25, seed);
   EsdIndex basic = BuildIndexBasic(g);
   EsdIndex fast = BuildIndexBasic(g, graph::EgoProbe::kShorterSide);
-  EsdIndex clique = BuildIndexClique(g);
-  EsdIndex par1 = BuildIndexParallel(g, 1);
-  EsdIndex par4 = BuildIndexParallel(g, 4);
+  EsdIndex clique = BuildIndex(g);
+  EsdIndex par1 = BuildIndex(g, EsdScorer(), 1);
+  EsdIndex par4 = BuildIndex(g, EsdScorer(), 4);
   test::ExpectIndexesEqual(basic, fast);
   test::ExpectIndexesEqual(basic, clique);
   test::ExpectIndexesEqual(basic, par1);
@@ -534,13 +534,20 @@ TEST_P(BuilderEquivalenceTest, AllBuildersProduceIdenticalIndexes) {
 INSTANTIATE_TEST_SUITE_P(Sweep, BuilderEquivalenceTest,
                          ::testing::Values(101, 102, 103, 104, 105));
 
+// Algorithm 3 on a 4-thread pool in `mode`, bulk-loaded into H.
+EsdIndex PooledCliqueIndex(const Graph& g, ParallelMode mode) {
+  util::ThreadPool pool(4);
+  EsdIndex index;
+  index.BulkLoad(g.Edges(),
+                 CliqueComponentSizes(g, &pool, nullptr, mode).ToVectors());
+  return index;
+}
+
 TEST(BuilderTest, VertexParallelModeMatchesEdgeParallel) {
   for (uint64_t seed : {301ull, 302ull}) {
     Graph g = gen::ErdosRenyiGnp(50, 0.3, seed);
-    EsdIndex edge_par = BuildIndexParallel(g, 4, nullptr,
-                                           ParallelMode::kEdgeParallel);
-    EsdIndex vertex_par = BuildIndexParallel(g, 4, nullptr,
-                                             ParallelMode::kVertexParallel);
+    EsdIndex edge_par = PooledCliqueIndex(g, ParallelMode::kEdgeParallel);
+    EsdIndex vertex_par = PooledCliqueIndex(g, ParallelMode::kVertexParallel);
     test::ExpectIndexesEqual(edge_par, vertex_par);
     test::ExpectIndexesEqual(edge_par, BuildIndexBasic(g));
   }
@@ -549,14 +556,14 @@ TEST(BuilderTest, VertexParallelModeMatchesEdgeParallel) {
 TEST(BuilderTest, CliqueBuilderOnStructuredGraphs) {
   for (Graph g : {PaperGraph(), gen::WattsStrogatz(80, 6, 0.2, 5),
                   gen::HolmeKim(100, 4, 0.6, 6)}) {
-    test::ExpectIndexesEqual(BuildIndexBasic(g), BuildIndexClique(g));
+    test::ExpectIndexesEqual(BuildIndexBasic(g), BuildIndex(g));
   }
 }
 
 TEST(BuilderTest, CliqueBuilderExportsDsu) {
   Graph g = PaperGraph();
   std::vector<util::KeyedDsu> dsu;
-  EsdIndex index = BuildIndexClique(g, &dsu);
+  CliqueComponentSizes(g, nullptr, &dsu);
   ASSERT_EQ(dsu.size(), g.NumEdges());
   for (EdgeId e = 0; e < g.NumEdges(); ++e) {
     const Edge& uv = g.EdgeAt(e);
@@ -567,12 +574,12 @@ TEST(BuilderTest, CliqueBuilderExportsDsu) {
 TEST(BuilderTest, EmptyAndTriangleFreeGraphs) {
   Graph empty;
   EXPECT_EQ(BuildIndexBasic(empty).NumLists(), 0u);
-  EXPECT_EQ(BuildIndexClique(empty).NumLists(), 0u);
+  EXPECT_EQ(BuildIndex(empty).NumLists(), 0u);
   // A tree has no common neighbors at all: C is empty.
   GraphBuilder b(6);
   for (VertexId i = 1; i < 6; ++i) b.AddEdge(0, i);
   Graph star = b.Build();
-  EsdIndex index = BuildIndexClique(star);
+  EsdIndex index = BuildIndex(star);
   EXPECT_EQ(index.NumLists(), 0u);
   EXPECT_EQ(index.NumEntries(), 0u);
   // Queries pad with zero-score edges.
@@ -583,7 +590,7 @@ TEST(BuilderTest, IndexSizeBoundedByCommonNeighborSum) {
   // Theorem 3: entries <= sum over edges of |N(uv)|... each edge appears in
   // at most max-component-size <= |N(uv)| lists.
   Graph g = gen::HolmeKim(200, 5, 0.5, 77);
-  EsdIndex index = BuildIndexClique(g);
+  EsdIndex index = BuildIndex(g);
   uint64_t bound = 0;
   for (const Edge& e : g.Edges()) {
     bound += graph::CountCommonNeighbors(g, e.u, e.v);
@@ -602,7 +609,7 @@ TEST(CrossAlgorithmTest, IndexVsOnlineVsNaiveOnCollaboration) {
   p.num_papers = 700;
   p.num_communities = 6;
   Graph g = gen::GenerateCollaboration(p, 201).graph;
-  EsdIndex index = BuildIndexClique(g);
+  EsdIndex index = BuildIndex(g);
   for (uint32_t tau : {1u, 2u, 3u}) {
     for (uint32_t k : {1u, 10u, 40u}) {
       std::vector<uint32_t> want = test::NaiveTopScores(g, k, tau);

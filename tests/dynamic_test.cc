@@ -28,7 +28,7 @@ using graph::VertexId;
 // scratch on the current graph snapshot (same lists, same scores).
 void ExpectEqualsFreshRebuild(const DynamicEsdIndex& dyn) {
   Graph snapshot = dyn.CurrentGraph().Snapshot();
-  EsdIndex fresh = BuildIndexClique(snapshot);
+  EsdIndex fresh = BuildIndex(snapshot);
   // Dynamic edge ids may differ from snapshot ids after churn, so compare
   // via score multisets per threshold and entry counts per list.
   EXPECT_EQ(dyn.Index().NumEntries(), fresh.NumEntries());
@@ -117,7 +117,7 @@ TEST(DynamicIndexTest, InsertDuplicateAndSelfLoopRejected) {
 TEST(DynamicIndexTest, InsertThenDeleteRoundTrips) {
   Graph g = PaperGraph();
   DynamicEsdIndex dyn(g);
-  EsdIndex before = BuildIndexClique(g);
+  EsdIndex before = BuildIndex(g);
   ASSERT_TRUE(dyn.InsertEdge(A, W));
   ASSERT_TRUE(dyn.InsertEdge(C, D));
   ASSERT_TRUE(dyn.DeleteEdge(C, D));

@@ -13,7 +13,6 @@
 #include "core/esd_index.h"
 #include "core/index_builder.h"
 #include "core/online_topk.h"
-#include "core/parallel_builder.h"
 #include "gen/erdos_renyi.h"
 #include "gen/word_association.h"
 #include "graph/builder.h"
@@ -35,7 +34,7 @@ TEST(EdgeCasesTest, EmptyGraphEverywhere) {
   EXPECT_TRUE(core::NaiveTopK(g, 5, 2).empty());
   EXPECT_TRUE(
       core::OnlineTopK(g, 5, 2, core::UpperBoundRule::kMinDegree).empty());
-  EsdIndex index = core::BuildIndexClique(g);
+  EsdIndex index = core::BuildIndex(g);
   EXPECT_TRUE(index.Query(5, 2).empty());
   EXPECT_EQ(index.NumEntries(), 0u);
   graph::DegreeOrderedDag dag(g);
@@ -56,7 +55,7 @@ TEST(EdgeCasesTest, DisconnectedGraphWithIsolatedVertices) {
   b.AddEdge(4, 5);
   b.AddEdge(3, 5);
   Graph g = b.Build();
-  EsdIndex index = core::BuildIndexClique(g);
+  EsdIndex index = core::BuildIndex(g);
   // Each triangle edge's ego-network is a single common neighbor.
   for (const Edge& e : g.Edges()) {
     EXPECT_EQ(index.ScoreOf(g.FindEdge(e.u, e.v), 1), 1u);
@@ -76,7 +75,7 @@ TEST(EdgeCasesTest, DisconnectedGraphWithIsolatedVertices) {
 
 TEST(EdgeCasesTest, KAndTauExtremes) {
   Graph g = gen::ErdosRenyiGnp(25, 0.3, 3);
-  EsdIndex index = core::BuildIndexClique(g);
+  EsdIndex index = core::BuildIndex(g);
   // k far beyond m.
   EXPECT_EQ(index.Query(1 << 20, 1).size(), g.NumEdges());
   // tau beyond any neighborhood.
@@ -91,7 +90,7 @@ TEST(EdgeCasesTest, KAndTauExtremes) {
 
 TEST(EdgeCasesTest, ParallelBuilderMoreThreadsThanWork) {
   Graph g = Graph::FromEdges(4, {{0, 1}, {1, 2}, {2, 3}});
-  EsdIndex a = core::BuildIndexParallel(g, 16);
+  EsdIndex a = core::BuildIndex(g, core::EsdScorer(), 16);
   EsdIndex b = core::BuildIndexBasic(g);
   test::ExpectIndexesEqual(a, b);
 }

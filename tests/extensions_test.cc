@@ -113,7 +113,7 @@ TEST(EdgeDsuArenaTest, ParallelFillMatchesSerial) {
 
 TEST(IndexIoTest, RoundTripFreshIndex) {
   Graph g = gen::HolmeKim(200, 5, 0.5, 5);
-  core::EsdIndex index = core::BuildIndexClique(g);
+  core::EsdIndex index = core::BuildIndex(g);
   core::EsdIndex loaded = test::TreapFileRoundTrip(index);
   test::ExpectIndexesEqual(index, loaded);
   EXPECT_EQ(loaded.NumRegisteredEdges(), index.NumRegisteredEdges());

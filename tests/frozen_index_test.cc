@@ -3,9 +3,15 @@
 // (k, tau), including the documented zero-padding order — and must
 // round-trip losslessly through Freeze/Thaw and the index file format.
 
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <csignal>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -20,7 +26,6 @@
 #include "core/index_builder.h"
 #include "core/index_io.h"
 #include "core/naive_topk.h"
-#include "core/parallel_builder.h"
 #include "core/query_engine.h"
 #include "gen/barabasi_albert.h"
 #include "gen/erdos_renyi.h"
@@ -93,7 +98,7 @@ void ExpectEngineParity(const EsdIndex& index, const FrozenEsdIndex& frozen) {
 
 TEST(FrozenIndexTest, ParityOnRandomGraphs) {
   for (const graph::Graph& g : RandomGraphs()) {
-    EsdIndex index = core::BuildIndexClique(g);
+    EsdIndex index = core::BuildIndex(g);
     FrozenEsdIndex frozen = core::Freeze(index);
     ExpectEngineParity(index, frozen);
   }
@@ -101,7 +106,7 @@ TEST(FrozenIndexTest, ParityOnRandomGraphs) {
 
 TEST(FrozenIndexTest, FreezeThawFreezeIsIdentity) {
   for (const graph::Graph& g : RandomGraphs()) {
-    EsdIndex index = core::BuildIndexClique(g);
+    EsdIndex index = core::BuildIndex(g);
     FrozenEsdIndex frozen = core::Freeze(index);
     EsdIndex thawed = core::Thaw(frozen);
     test::ExpectIndexesEqual(index, thawed);
@@ -112,17 +117,21 @@ TEST(FrozenIndexTest, FreezeThawFreezeIsIdentity) {
 TEST(FrozenIndexTest, BuilderFrozenPathsMatchFreeze) {
   for (uint64_t seed : {3u, 7u, 11u}) {
     graph::Graph g = gen::ErdosRenyiGnm(40, 160, seed);
-    FrozenEsdIndex want = core::Freeze(core::BuildIndexClique(g));
+    FrozenEsdIndex want = core::Freeze(core::BuildIndex(g));
     EXPECT_TRUE(core::BuildFrozenIndex(g) == want);
-    EXPECT_TRUE(core::BuildFrozenIndexParallel(g, 4) == want);
-    EXPECT_TRUE(core::BuildFrozenIndexParallel(
-                    g, 3, core::ParallelMode::kVertexParallel) == want);
+    EXPECT_TRUE(core::BuildFrozenIndex(g, core::EsdScorer(), 4) == want);
+    util::ThreadPool pool(3);
+    EXPECT_TRUE(FrozenEsdIndex::FromSizePool(
+                    g.Edges(),
+                    core::CliqueComponentSizes(
+                        g, &pool, nullptr,
+                        core::ParallelMode::kVertexParallel)) == want);
   }
 }
 
 TEST(FrozenIndexTest, FreedSlotsRoundTrip) {
   graph::Graph g = gen::BarabasiAlbert(40, 3, 5);
-  EsdIndex index = core::BuildIndexClique(g);
+  EsdIndex index = core::BuildIndex(g);
   // Free a few slots, as the dynamic maintenance path would.
   for (graph::EdgeId e : {2u, 7u, 20u}) {
     index.SetEdgeSizes(e, {});
@@ -151,7 +160,7 @@ TEST(FrozenIndexTest, PaddingOrderIsAscendingEdgeId) {
   graph::GraphBuilder b;
   for (uint32_t i = 1; i <= 6; ++i) b.AddEdge(0, i);
   g = b.Build();
-  EsdIndex index = core::BuildIndexClique(g);
+  EsdIndex index = core::BuildIndex(g);
   FrozenEsdIndex frozen = core::Freeze(index);
   TopKResult got = frozen.Query(4, 3);
   ASSERT_EQ(got.size(), 4u);
@@ -179,7 +188,8 @@ TEST(FrozenIndexTest, EmptyAndDefaultImages) {
   EXPECT_EQ(def.CountWithScoreAtLeast(2, 1), 0u);
   EXPECT_EQ(def.MemoryBytes(), 0u);
 
-  FrozenEsdIndex empty = FrozenEsdIndex::FromEdgeSizes({}, {});
+  FrozenEsdIndex empty =
+      FrozenEsdIndex::FromSizePool({}, core::EdgeSizePool{{0}, {}});
   EXPECT_EQ(empty.Query(5, 2), TopKResult{});
   EXPECT_EQ(empty.EdgeSlotCount(), 0u);
 
@@ -302,6 +312,46 @@ TEST(IndexIoV2Test, V2FileLoadsIntoBothEngines) {
   EXPECT_TRUE(as_frozen == frozen);
   test::ExpectIndexesEqual(as_treap, core::Thaw(frozen));
   ExpectEngineParity(as_treap, as_frozen);
+}
+
+// A save that fails partway (here: at the file-size limit) must leave the
+// previous index at the path whole: the file is replaced by one rename of
+// a fully written, fsynced temp file, never truncated in place.
+TEST(IndexIoV2Test, FailedSaveKeepsPreviousIndex) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("esd_failed_save_" + std::to_string(::getpid()) + ".esdx"))
+          .string();
+  const FrozenEsdIndex old_index =
+      core::BuildFrozenIndex(gen::ErdosRenyiGnm(60, 300, 3));
+  const FrozenEsdIndex new_index =
+      core::BuildFrozenIndex(gen::ErdosRenyiGnm(300, 3000, 4));
+  std::string error;
+  ASSERT_TRUE(core::SaveFrozenIndex(old_index, path, &error)) << error;
+  std::stringstream image;
+  ASSERT_TRUE(core::SerializeFrozenIndex(new_index, image, &error)) << error;
+  const rlim_t limit = image.str().size() / 2;
+
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    // Writes past the limit fail with EFBIG instead of raising SIGXFSZ.
+    ::signal(SIGXFSZ, SIG_IGN);
+    const rlimit fsize = {limit, limit};
+    if (::setrlimit(RLIMIT_FSIZE, &fsize) != 0) ::_exit(3);
+    ::_exit(core::SaveFrozenIndex(new_index, path, nullptr) ? 1 : 0);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << status;
+  EXPECT_EQ(WEXITSTATUS(status), 0) << "the save over the size limit succeeded";
+
+  FrozenEsdIndex loaded;
+  const IndexIoResult res = core::LoadFrozenIndex(path, &loaded, kEsd);
+  ASSERT_TRUE(res) << res.message;
+  EXPECT_TRUE(loaded == old_index);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  std::filesystem::remove(path);
 }
 
 TEST(IndexIoV2Test, CorruptV2Rejected) {
@@ -449,7 +499,7 @@ std::vector<std::pair<uint32_t, std::string>> RetiredVersionStreams(
 // to thaw.
 TEST(IndexIoFormatTest, RetiredVersionsRefusedByFrozenAndThawLoads) {
   graph::Graph g = gen::ErdosRenyiGnm(30, 90, 5);
-  const EsdIndex built = core::BuildIndexClique(g);
+  const EsdIndex built = core::BuildIndex(g);
   const std::string path = ::testing::TempDir() + "/esd_retired_index.bin";
   for (const auto& [version, bytes] : RetiredVersionStreams(built)) {
     const std::string named = "version " + std::to_string(version);
@@ -493,7 +543,7 @@ TEST(QueryEngineTest, FactoryCoversAllEnginesWithEqualAnswers) {
   for (const std::string& name : core::QueryEngineNames()) {
     std::string error;
     std::unique_ptr<core::EsdQueryEngine> engine =
-        core::BuildQueryEngine(g, name, &error);
+        core::BuildQueryEngine(g, name, core::EsdScorer(), &error);
     ASSERT_NE(engine, nullptr) << error;
     EXPECT_EQ(engine->EngineName(), name);
     TopKResult got = engine->Query(8, 2);
@@ -507,12 +557,13 @@ TEST(QueryEngineTest, FactoryCoversAllEnginesWithEqualAnswers) {
       EXPECT_EQ(core::Scores(got), core::Scores(want)) << name;
     }
     EXPECT_EQ(engine->CountWithScoreAtLeast(2, 1),
-              core::BuildQueryEngine(g, "treap", &error)
+              core::BuildQueryEngine(g, "treap", core::EsdScorer(), &error)
                   ->CountWithScoreAtLeast(2, 1))
         << name;
   }
   std::string error;
-  EXPECT_EQ(core::BuildQueryEngine(g, "no-such-engine", &error), nullptr);
+  EXPECT_EQ(core::BuildQueryEngine(g, "no-such-engine", core::EsdScorer(),
+                                   &error), nullptr);
   EXPECT_FALSE(error.empty());
 }
 

@@ -62,8 +62,8 @@ TEST(MetamorphicTest, ScoresInvariantUnderVertexRelabeling) {
       }
     }
     // Index artifacts match too (distinct sizes and entry count).
-    EsdIndex ig = core::BuildIndexClique(g);
-    EsdIndex ih = core::BuildIndexClique(h);
+    EsdIndex ig = core::BuildIndex(g);
+    EsdIndex ih = core::BuildIndex(h);
     EXPECT_EQ(ig.DistinctSizes(), ih.DistinctSizes());
     EXPECT_EQ(ig.NumEntries(), ih.NumEntries());
   }

@@ -34,7 +34,7 @@ TEST(DatasetsTest, ScaleParameterGrowsGraphs) {
 
 TEST(EsdIndexTest, MoveSemanticsPreserveContents) {
   Graph g = gen::ErdosRenyiGnp(30, 0.3, 5);
-  EsdIndex a = core::BuildIndexClique(g);
+  EsdIndex a = core::BuildIndex(g);
   uint64_t entries = a.NumEntries();
   std::vector<uint32_t> scores = core::Scores(a.Query(10, 2));
   EsdIndex b = std::move(a);

@@ -19,6 +19,7 @@
 #include <string>
 #include <thread>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -29,7 +30,6 @@
 #include "core/frozen_index.h"
 #include "core/index_builder.h"
 #include "core/online_topk.h"
-#include "core/parallel_builder.h"
 #include "core/query_engine.h"
 #include "gen/barabasi_albert.h"
 #include "obs/histogram.h"
@@ -448,7 +448,7 @@ TEST(ObsTraceTest, ParallelBuildExportsValidChromeTrace) {
   Tracer& tracer = Tracer::Global();
   tracer.Clear();
   graph::Graph g = gen::BarabasiAlbert(300, 5, 7);
-  core::FrozenEsdIndex frozen = core::BuildFrozenIndexParallel(g, 3);
+  core::FrozenEsdIndex frozen = core::BuildFrozenIndex(g, core::EsdScorer(), 3);
   ASSERT_GT(frozen.NumEntries(), 0u);
 
   JsonValue root;
@@ -560,7 +560,7 @@ TEST(ObsTraceTest, CompiledOutStubsReportUnavailable) {
 TEST(ObsEngineCountersTest, IndexEnginesCountQueries) {
   graph::Graph g = gen::BarabasiAlbert(200, 4, 11);
 
-  core::EsdIndex treap = core::BuildIndexClique(g);
+  core::EsdIndex treap = core::BuildIndex(g);
   (void)treap.Query(5, 2);
   (void)treap.Query(5, 3);
   core::EngineCounters c = treap.Counters();
@@ -578,11 +578,34 @@ TEST(ObsEngineCountersTest, IndexEnginesCountQueries) {
   EXPECT_EQ(c.exact_computations, 0u);
 }
 
+// Zero-padded filler is not index work: every index engine counts only the
+// H-list or slab entries it walked, so the same padded queries report equal
+// entries_scanned on the treap, dynamic and frozen engines.
+TEST(ObsEngineCountersTest, PaddedQueriesCountOnlyWalkedEntries) {
+  graph::Graph g = gen::BarabasiAlbert(200, 4, 11);
+  core::EsdIndex treap = core::BuildIndex(g);
+  core::DynamicEsdIndex dyn(g);
+  core::FrozenEsdIndex frozen = core::BuildFrozenIndex(g);
+  const uint32_t m = g.NumEdges();
+  uint64_t returned = 0;
+  for (const auto& [k, tau] : std::vector<std::pair<uint32_t, uint32_t>>{
+           {500, 2}, {m + 10, 1}, {50, 1000}, {3, 2}}) {
+    const core::TopKResult want = frozen.Query(k, tau);
+    returned += want.size();
+    EXPECT_EQ(treap.Query(k, tau), want) << k << " " << tau;
+    EXPECT_EQ(dyn.Query(k, tau), want) << k << " " << tau;
+  }
+  const uint64_t scanned = frozen.Counters().entries_scanned;
+  EXPECT_LT(scanned, returned);  // the queries really were padded
+  EXPECT_EQ(treap.Counters().entries_scanned, scanned);
+  EXPECT_EQ(dyn.Counters().entries_scanned, scanned);
+}
+
 TEST(ObsEngineCountersTest, OnlineEngineExposesPruningPower) {
   graph::Graph g = gen::BarabasiAlbert(200, 4, 13);
   std::string error;
   std::unique_ptr<core::EsdQueryEngine> engine =
-      core::BuildQueryEngine(g, "online", &error);
+      core::BuildQueryEngine(g, "online", core::EsdScorer(), &error);
   ASSERT_NE(engine, nullptr) << error;
   (void)engine->Query(5, 2);
   const core::EngineCounters c = engine->Counters();

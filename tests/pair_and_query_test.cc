@@ -132,7 +132,7 @@ TEST(PairDiversityTest, EmptyAndTinyGraphs) {
 
 TEST(ThresholdQueryTest, CountMatchesNaive) {
   Graph g = gen::ErdosRenyiGnp(40, 0.3, 31);
-  EsdIndex index = BuildIndexClique(g);
+  EsdIndex index = BuildIndex(g);
   for (uint32_t tau : {1u, 2u, 3u}) {
     std::vector<uint32_t> scores = AllEdgeScores(g, tau);
     for (uint32_t min_score : {1u, 2u, 3u, 5u}) {
@@ -147,7 +147,7 @@ TEST(ThresholdQueryTest, CountMatchesNaive) {
 
 TEST(ThresholdQueryTest, QueryReturnsAllQualifyingEdges) {
   Graph g = gen::HolmeKim(100, 5, 0.6, 33);
-  EsdIndex index = BuildIndexClique(g);
+  EsdIndex index = BuildIndex(g);
   const uint32_t tau = 2, min_score = 2;
   TopKResult r = index.QueryWithScoreAtLeast(tau, min_score);
   EXPECT_EQ(r.size(), index.CountWithScoreAtLeast(tau, min_score));
@@ -166,7 +166,7 @@ TEST(ThresholdQueryTest, QueryReturnsAllQualifyingEdges) {
 
 TEST(ThresholdQueryTest, DegenerateInputs) {
   Graph g = gen::ErdosRenyiGnp(20, 0.3, 37);
-  EsdIndex index = BuildIndexClique(g);
+  EsdIndex index = BuildIndex(g);
   EXPECT_TRUE(index.QueryWithScoreAtLeast(0, 1).empty());
   EXPECT_TRUE(index.QueryWithScoreAtLeast(2, 0).empty());
   EXPECT_EQ(index.CountWithScoreAtLeast(1000, 1), 0u);
@@ -204,7 +204,7 @@ TEST(VertexUpdateTest, RemoveVertexEdgesMatchesRebuild) {
   EXPECT_EQ(removed, g.Degree(victim));
   EXPECT_EQ(dyn.CurrentGraph().Degree(victim), 0u);
   Graph now = dyn.CurrentGraph().Snapshot();
-  EsdIndex fresh = BuildIndexClique(now);
+  EsdIndex fresh = BuildIndex(now);
   EXPECT_EQ(dyn.Index().NumEntries(), fresh.NumEntries());
   EXPECT_EQ(dyn.Index().DistinctSizes(), fresh.DistinctSizes());
   for (uint32_t tau : {1u, 2u, 3u}) {

@@ -111,7 +111,7 @@ TEST(PaperExampleTest, Fig2cH4IsTheFifteenCliqueEdges) {
   // "H(4) contains 15 edges which are {(j,k),(j,u),(j,v),(k,u),(k,v),
   // (u,v),(u,p),(u,q),(v,p),(v,q),(p,q),(j,p),(j,q),(k,p),(k,q)}".
   Graph g = PaperGraph();
-  EsdIndex index = BuildIndexClique(g);
+  EsdIndex index = BuildIndex(g);
   TopKResult h4 = index.QueryWithScoreAtLeast(4, 1);
   ASSERT_EQ(h4.size(), 15u);
   std::set<Edge> got;
@@ -133,7 +133,7 @@ TEST(PaperExampleTest, Fig2dH5AndExample3Tau5) {
   // H(5) = {(u,p),(u,q),(p,q)}, each score 1; they are also the top-3
   // answer for k=3, tau=5 (Example 3).
   Graph g = PaperGraph();
-  EsdIndex index = BuildIndexClique(g);
+  EsdIndex index = BuildIndex(g);
   TopKResult h5 = index.QueryWithScoreAtLeast(5, 1);
   ASSERT_EQ(h5.size(), 3u);
   std::set<Edge> got;
@@ -156,7 +156,7 @@ TEST(PaperExampleTest, Example5QueryUsesNextLargerList) {
   // return the same scores as tau=4 for every edge whose components skip
   // size 3 (Theorem 4's argument).
   Graph g = PaperGraph();
-  EsdIndex index = BuildIndexClique(g);
+  EsdIndex index = BuildIndex(g);
   std::vector<uint32_t> c = index.DistinctSizes();
   EXPECT_TRUE(std::find(c.begin(), c.end(), 3u) == c.end());
   EXPECT_EQ(Scores(index.Query(15, 3, false)),

@@ -18,7 +18,6 @@
 #include "core/index_builder.h"
 #include "core/naive_topk.h"
 #include "core/online_topk.h"
-#include "core/parallel_builder.h"
 #include "gen/chung_lu.h"
 #include "gen/collaboration.h"
 #include "gen/erdos_renyi.h"
@@ -87,7 +86,7 @@ TEST_P(FamilyTest, AllAlgorithmsAgreeOnTopKScores) {
   Family family = Families()[GetParam()];
   for (uint64_t seed : {1ull, 2ull}) {
     Graph g = family.make(seed);
-    EsdIndex index = core::BuildIndexClique(g);
+    EsdIndex index = core::BuildIndex(g);
     for (uint32_t tau : {1u, 2u, 3u, 4u}) {
       for (uint32_t k : {1u, 8u, 50u}) {
         std::vector<uint32_t> want = test::NaiveTopScores(g, k, tau);
@@ -112,8 +111,8 @@ TEST_P(FamilyTest, BuildersAgreeAndInvariantHolds) {
   Family family = Families()[GetParam()];
   Graph g = family.make(7);
   EsdIndex basic = core::BuildIndexBasic(g);
-  EsdIndex clique = core::BuildIndexClique(g);
-  EsdIndex par = core::BuildIndexParallel(g, 3);
+  EsdIndex clique = core::BuildIndex(g);
+  EsdIndex par = core::BuildIndex(g, core::EsdScorer(), 3);
   test::ExpectIndexesEqual(basic, clique);
   test::ExpectIndexesEqual(basic, par);
   std::vector<graph::EdgeId> ids(g.NumEdges());
@@ -140,7 +139,7 @@ TEST_P(FamilyTest, MaintainedIndexSurvivesChurn) {
     }
   }
   Graph now = dyn.CurrentGraph().Snapshot();
-  EsdIndex fresh = core::BuildIndexClique(now);
+  EsdIndex fresh = core::BuildIndex(now);
   EXPECT_EQ(dyn.Index().NumEntries(), fresh.NumEntries()) << family.name;
   EXPECT_EQ(dyn.Index().DistinctSizes(), fresh.DistinctSizes())
       << family.name;

@@ -19,7 +19,7 @@ using graph::VertexId;
 TEST(ScoreProfileTest, MatchesNaiveHistogram) {
   for (uint64_t seed : {1ull, 2ull}) {
     Graph g = gen::ErdosRenyiGnp(40, 0.3, seed);
-    EsdIndex index = BuildIndexClique(g);
+    EsdIndex index = BuildIndex(g);
     for (uint32_t tau : {1u, 2u, 3u}) {
       ScoreHistogram h = ComputeScoreHistogram(index, tau);
       std::vector<uint32_t> scores = AllEdgeScores(g, tau);
@@ -55,7 +55,7 @@ TEST(ScoreProfileTest, AllZeroScores) {
   // A star: no edge has a common neighbor.
   GraphBuilder b(6);
   for (VertexId i = 1; i < 6; ++i) b.AddEdge(0, i);
-  EsdIndex index = BuildIndexClique(b.Build());
+  EsdIndex index = BuildIndex(b.Build());
   ScoreHistogram h = ComputeScoreHistogram(index, 1);
   EXPECT_EQ(h.count[0], 5u);
   EXPECT_EQ(h.max_score, 0u);
@@ -65,7 +65,7 @@ TEST(ScoreProfileTest, AllZeroScores) {
 
 TEST(ScoreProfileTest, PercentileMonotone) {
   Graph g = gen::HolmeKim(300, 5, 0.6, 5);
-  EsdIndex index = BuildIndexClique(g);
+  EsdIndex index = BuildIndex(g);
   ScoreHistogram h = ComputeScoreHistogram(index, 2);
   uint32_t prev = 0;
   for (double f : {0.0, 0.25, 0.5, 0.75, 0.9, 1.0}) {
@@ -120,7 +120,7 @@ TEST(ScoreProfileTest, PaperObservationDblpScoresSmallForLargeTau) {
   // ... are no larger than 3". Check the same qualitative fact on the
   // collaboration-like stand-in via the histogram.
   Graph g = gen::HolmeKim(500, 6, 0.6, 9);
-  EsdIndex index = BuildIndexClique(g);
+  EsdIndex index = BuildIndex(g);
   ScoreHistogram h3 = ComputeScoreHistogram(index, 3);
   EXPECT_LE(ScorePercentile(h3, 0.95), 3u);
   // At tau = 1 scores are much richer.

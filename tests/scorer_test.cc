@@ -25,7 +25,6 @@
 #include "core/frozen_index.h"
 #include "core/index_builder.h"
 #include "core/index_io.h"
-#include "core/parallel_builder.h"
 #include "core/query_engine.h"
 #include "core/score_profile.h"
 #include "core/scorer.h"
@@ -44,9 +43,7 @@ namespace {
 namespace fs = std::filesystem;
 
 using core::BuildFrozenIndex;
-using core::BuildFrozenIndexParallel;
 using core::BuildIndex;
-using core::BuildIndexParallel;
 using core::DiversityScorer;
 using core::DynamicEsdIndex;
 using core::EsdIndex;
@@ -135,9 +132,9 @@ TEST(ScorerParityTest, AllEnginesMatchReferenceOnEveryScorer) {
       ExpectMatchesReference(g, *scorer, treap);
       const FrozenEsdIndex frozen = BuildFrozenIndex(g, *scorer);
       ExpectMatchesReference(g, *scorer, frozen);
-      const EsdIndex par = BuildIndexParallel(g, *scorer, 4);
+      const EsdIndex par = BuildIndex(g, *scorer, 4);
       ExpectMatchesReference(g, *scorer, par);
-      const FrozenEsdIndex pfro = BuildFrozenIndexParallel(g, *scorer, 4);
+      const FrozenEsdIndex pfro = BuildFrozenIndex(g, *scorer, 4);
       ExpectMatchesReference(g, *scorer, pfro);
       const DynamicEsdIndex dyn(g, *scorer);
       ExpectMatchesReference(g, *scorer, dyn);
@@ -148,7 +145,8 @@ TEST(ScorerParityTest, AllEnginesMatchReferenceOnEveryScorer) {
 TEST(ScorerParityTest, EsdScorerPathMatchesHistoricalBuilders) {
   const Graph g = gen::ErdosRenyiGnm(70, 200, 9);
   const FrozenEsdIndex via_scorer = BuildFrozenIndex(g, core::EsdScorer());
-  const FrozenEsdIndex historical = BuildFrozenIndex(g);
+  const FrozenEsdIndex historical =
+      FrozenEsdIndex::FromSizePool(g.Edges(), core::CliqueComponentSizes(g));
   EXPECT_TRUE(via_scorer == historical);
   EXPECT_EQ(via_scorer.Scorer(), ScorerKind::kEsd);
 

@@ -105,7 +105,7 @@ TEST(ServeTest, ParityAgainstEveryEngineKind) {
   for (const std::string& name : core::QueryEngineNames()) {
     std::string error;
     std::unique_ptr<core::EsdQueryEngine> engine =
-        core::BuildQueryEngine(g, name, &error);
+        core::BuildQueryEngine(g, name, core::EsdScorer(), &error);
     ASSERT_NE(engine, nullptr) << error;
     EsdQueryService::Options opts;
     opts.num_threads = 2;
@@ -533,7 +533,7 @@ TEST(ServeTest, DegenerateBatchCountsDistinctTausOnce) {
   graph::Graph g = gen::ErdosRenyiGnm(30, 90, 12);
   std::string error;
   std::unique_ptr<core::EsdQueryEngine> treap =
-      core::BuildQueryEngine(g, "treap", &error);
+      core::BuildQueryEngine(g, "treap", core::EsdScorer(), &error);
   ASSERT_NE(treap, nullptr) << error;
 
   EsdQueryService::Options opts;

@@ -76,7 +76,7 @@ TEST(StatsTest, LargestComponentFraction) {
 TEST(ConcurrencyTest, ParallelQueriesAreSafeAndConsistent) {
   // EsdIndex queries are const and safe to issue from many threads.
   Graph g = gen::ErdosRenyiGnp(60, 0.3, 11);
-  core::EsdIndex index = core::BuildIndexClique(g);
+  core::EsdIndex index = core::BuildIndex(g);
   std::vector<std::vector<uint32_t>> expected(7);
   for (uint32_t tau = 1; tau <= 6; ++tau) {
     expected[tau] = core::Scores(index.Query(20, tau));

@@ -5,6 +5,7 @@
 #include <numeric>
 #include <queue>
 #include <set>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -13,6 +14,7 @@
 
 #include "util/binary_heap.h"
 #include "util/dsu.h"
+#include "util/flag_parse.h"
 #include "util/flat_map.h"
 #include "util/rng.h"
 #include "util/spinlock.h"
@@ -657,6 +659,32 @@ TEST(ThreadPoolPostTest, PostedTasksInterleaveWithParallelFor) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_EQ(tasks.load(), 100);
+}
+
+// The binaries' numeric flags: a sign, trailing junk, a non-number or
+// overflow is refused instead of wrapping or reading as a prefix.
+TEST(FlagParseTest, RejectsSignsJunkAndOverflow) {
+  uint32_t k = 7;
+  EXPECT_TRUE(ParseFlagValue("3", &k));
+  EXPECT_EQ(k, 3u);
+  EXPECT_TRUE(ParseFlagValue("4294967295", &k));
+  EXPECT_EQ(k, 4294967295u);
+  for (const char* bad : {"-1", "3x", "abc", "", "+3", " 3", "4294967296"}) {
+    EXPECT_FALSE(ParseFlagValue(bad, &k)) << '"' << bad << '"';
+  }
+  uint16_t port = 0;
+  EXPECT_FALSE(ParseFlagValue("70000", &port));
+
+  double scale = 0;
+  EXPECT_TRUE(ParseFlagValue("0.05", &scale));
+  EXPECT_DOUBLE_EQ(scale, 0.05);
+  for (const char* bad : {"abc", "", "0", "-0.5", "0.5x", "inf", "nan"}) {
+    EXPECT_FALSE(ParseFlagValue(bad, &scale)) << '"' << bad << '"';
+  }
+
+  std::string name;
+  EXPECT_TRUE(ParseFlagValue("youtube-s", &name));
+  EXPECT_EQ(name, "youtube-s");
 }
 
 }  // namespace
