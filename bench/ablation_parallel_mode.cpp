@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "cliques/four_clique.h"
 #include "core/index_builder.h"
 #include "graph/orientation.h"
 
@@ -23,34 +22,47 @@ int main() {
       std::max(2u, std::thread::hardware_concurrency());
   std::printf("work-skew of the 4-clique enumeration (Sec. IV-E)\n\n");
   std::printf("%-15s %14s | %16s %16s | %16s %16s\n", "dataset", "work units",
-              "vtx top-1%% share", "arc top-1%% share", "vtx-par (ms)",
+              "vtx top-1% share", "arc top-1% share", "vtx-par (ms)",
               "edge-par (ms)");
   for (const gen::Dataset& d : bench::LoadAll()) {
     graph::DegreeOrderedDag dag(d.graph);
-    // Work model per arc (u,v): the outer merge scans d+(u)+d+(v) slots,
-    // then every member w of W = N+(u) ∩ N+(v) is merged against W
-    // (d+(w) + |W| slots) — exactly the instruction profile of
-    // ForEach4CliqueOfArc.
+    // Work model of ForEach4CliqueOfVertex. Listing u's local DAG (the
+    // sub-DAG induced on N+(u)) stamps N+(u) and scans N+(v) for every v
+    // in it: d+(u) + Σ_{v∈N+(u)} d+(v) slots. Closing arc (u,v) stamps
+    // L(v) = N+(v) ∩ N+(u) and walks L(w1) for each w1 in L(v): |L(v)| +
+    // Σ_{w1∈L(v)} |L(w1)| slots. A vertex's unit is its listing plus all
+    // its arcs; an arc's unit is its closing plus an even share of u's
+    // listing (a run holding all of u's arcs lists it once).
     std::vector<uint64_t> per_vertex(d.graph.NumVertices(), 0);
     std::vector<uint64_t> per_arc;
     per_arc.reserve(d.graph.NumEdges());
     uint64_t total = 0;
-    std::vector<graph::VertexId> w_set;
+    std::vector<uint32_t> slot(d.graph.NumVertices(), 0);
+    std::vector<std::vector<uint32_t>> local;
     for (graph::VertexId u = 0; u < d.graph.NumVertices(); ++u) {
       auto nu = dag.OutNeighbors(u);
-      for (graph::VertexId v : nu) {
-        auto nv = dag.OutNeighbors(v);
-        w_set.clear();
-        std::set_intersection(nu.begin(), nu.end(), nv.begin(), nv.end(),
-                              std::back_inserter(w_set));
-        uint64_t work = nu.size() + nv.size();
-        for (graph::VertexId w : w_set) {
-          work += dag.OutDegree(w) + w_set.size();
-        }
-        per_arc.push_back(work);
-        per_vertex[u] += work;
-        total += work;
+      if (nu.empty()) continue;
+      for (size_t i = 0; i < nu.size(); ++i) {
+        slot[nu[i]] = static_cast<uint32_t>(i + 1);
       }
+      uint64_t listing = nu.size();
+      local.assign(nu.size(), {});
+      for (size_t i = 0; i < nu.size(); ++i) {
+        auto nv = dag.OutNeighbors(nu[i]);
+        listing += nv.size();
+        for (graph::VertexId w : nv) {
+          if (slot[w] != 0) local[i].push_back(slot[w] - 1);
+        }
+      }
+      for (graph::VertexId w : nu) slot[w] = 0;
+      per_vertex[u] = listing;
+      for (size_t i = 0; i < nu.size(); ++i) {
+        uint64_t closing = local[i].size();
+        for (uint32_t w1 : local[i]) closing += local[w1].size();
+        per_arc.push_back(closing + listing / nu.size());
+        per_vertex[u] += closing;
+      }
+      total += per_vertex[u];
     }
     auto top_share = [total](std::vector<uint64_t> work) {
       if (total == 0 || work.empty()) return 0.0;

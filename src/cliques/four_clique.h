@@ -1,7 +1,10 @@
 #ifndef ESD_CLIQUES_FOUR_CLIQUE_H_
 #define ESD_CLIQUES_FOUR_CLIQUE_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "graph/graph.h"
@@ -18,88 +21,110 @@ struct FourClique {
   graph::EdgeId uv, uw1, uw2, vw1, vw2, w1w2;
 };
 
-/// Scratch buffers reused across arcs, so per-arc enumeration does not
-/// allocate. One instance per thread in a pooled build.
+/// Scratch for ForEach4CliqueOfVertex, sized once from the DAG so the
+/// enumeration never allocates; one instance per thread.
+///
+/// While u is listed, `slot[w]` is 1 + the index of w in N+(u) (the
+/// triangle kernel's stamp), and that index is w's local id. The sub-DAG
+/// induced on N+(u) is a local CSR: the out-list L(i) of local vertex i is
+/// `local[off[i], off[i + 1])`, the local id and arc edge id of each w in
+/// N+(OutNeighbors(u)[i]) ∩ N+(u), in vertex-id order. While arc i is
+/// closed, `in_w[j]` is 1 + the position of local id j in L(i), 0 if absent.
 class FourCliqueScratch {
  public:
-  struct CommonOut {
-    graph::VertexId w;
-    graph::EdgeId uw;
-    graph::EdgeId vw;
+  struct LocalArc {
+    uint32_t w;
+    graph::EdgeId e;
   };
-  std::vector<CommonOut> common;
+
+  explicit FourCliqueScratch(const graph::DegreeOrderedDag& dag)
+      : slot(dag.NumVertices(), 0),
+        off(dag.MaxOutDegree() + 1, 0),
+        in_w(dag.MaxOutDegree() + 1, 0) {
+    // The sub-DAG induced on N+(u) has at most C(d+(u), 2) arcs, and never
+    // more than the graph has edges. Reserved, not filled: the pages of an
+    // unused tail are never touched.
+    const uint64_t d = dag.MaxOutDegree();
+    local.reserve(std::min<uint64_t>(d * (d - 1) / 2, dag.NumEdges()));
+  }
+
+  std::vector<uint32_t> slot;
+  std::vector<uint64_t> off;
+  std::vector<uint32_t> in_w;
+  std::vector<LocalArc> local;
 };
 
-/// Enumerates the 4-cliques whose two lowest-ranked vertices are the arc
-/// (u, v) of the DAG (u ≺ v). `e_uv` is the undirected edge id of the arc.
-/// The union over all arcs yields each 4-clique exactly once.
+/// A half-open range of indices into OutNeighbors(u); the default covers
+/// every out-arc. `hi` is clamped to the out-degree.
+struct ArcRange {
+  uint32_t lo = 0;
+  uint32_t hi = std::numeric_limits<uint32_t>::max();
+};
+
+/// Enumerates the 4-cliques whose two lowest-ranked vertices are u and an
+/// out-neighbor v = OutNeighbors(u)[i], for every i in `arcs` (kClist,
+/// specialised to k = 4). The sub-DAG induced on N+(u) is listed once —
+/// exactly u's triangle listing, O(d+(u) + Σ_{v∈N+(u)} d+(v)) — and every
+/// triangle (v, w1, w2) of that local DAG is one 4-clique {u, v, w1, w2}.
+/// The six edge ids come from OutEdges(u) and the local CSR.
+///
+/// Cliques come out arc by arc in id order of v, then of w1, then of w2.
+/// The union over all vertices (or over any cover of each vertex's arcs by
+/// disjoint ranges) yields each 4-clique exactly once, so the pooled build
+/// splits the enumeration by vertex or by (u, arc range) runs.
 ///
 /// `fn` is a callable taking (const FourClique&); it is a template
 /// parameter so the per-clique dispatch inlines (this sits on the index
 /// builder's hottest path).
 template <typename Fn>
-void ForEach4CliqueOfArc(const graph::DegreeOrderedDag& dag, graph::VertexId u,
-                         graph::VertexId v, graph::EdgeId e_uv,
-                         FourCliqueScratch* scratch, Fn&& fn) {
-  auto nu = dag.OutNeighbors(u);
-  auto eu = dag.OutEdges(u);
-  auto nv = dag.OutNeighbors(v);
-  auto ev = dag.OutEdges(v);
-
-  // W = N+(u) ∩ N+(v), with the edge ids to both endpoints.
-  auto& common = scratch->common;
-  common.clear();
-  size_t i = 0, j = 0;
-  while (i < nu.size() && j < nv.size()) {
-    if (nu[i] < nv[j]) {
-      ++i;
-    } else if (nu[i] > nv[j]) {
-      ++j;
-    } else {
-      common.push_back({nu[i], eu[i], ev[j]});
-      ++i;
-      ++j;
-    }
-  }
-  if (common.size() < 2) return;
-
-  // Edges inside W: for each w1 in W, merge-intersect N+(w1) with W (both
-  // sorted by vertex id). Each such edge (w1, w2) closes exactly one
-  // 4-clique {u, v, w1, w2}.
-  for (size_t a = 0; a < common.size(); ++a) {
-    graph::VertexId w1 = common[a].w;
-    auto nw = dag.OutNeighbors(w1);
-    auto ew = dag.OutEdges(w1);
-    // q scans all of W: id order need not agree with rank order, so lower-id
-    // members can still be out-neighbors of w1. Each W-edge lives in exactly
-    // one out-list, so nothing is emitted twice.
-    size_t p = 0, q = 0;
-    while (p < nw.size() && q < common.size()) {
-      if (nw[p] < common[q].w) {
-        ++p;
-      } else if (nw[p] > common[q].w) {
-        ++q;
-      } else {
-        const auto& c2 = common[q];
-        fn(FourClique{u, v, w1, c2.w, e_uv, common[a].uw, c2.uw, common[a].vw,
-                      c2.vw, ew[p]});
-        ++p;
-        ++q;
-      }
-    }
-  }
-}
-
-/// Enumerates the 4-cliques whose lowest-ranked vertex is `u`: those of
-/// every out-arc of u.
-template <typename Fn>
 void ForEach4CliqueOfVertex(const graph::DegreeOrderedDag& dag,
                             graph::VertexId u, FourCliqueScratch* scratch,
-                            Fn&& fn) {
+                            Fn&& fn, ArcRange arcs = {}) {
   auto nu = dag.OutNeighbors(u);
   auto eu = dag.OutEdges(u);
-  for (size_t vi = 0; vi < nu.size(); ++vi) {
-    ForEach4CliqueOfArc(dag, u, nu[vi], eu[vi], scratch, fn);
+  const uint32_t d = static_cast<uint32_t>(nu.size());
+  const uint32_t hi = std::min(arcs.hi, d);
+  // v, w1 and w2 all lie in N+(u).
+  if (d < 3 || arcs.lo >= hi) return;
+
+  std::vector<uint32_t>& slot = scratch->slot;
+  std::vector<uint64_t>& off = scratch->off;
+  std::vector<uint32_t>& in_w = scratch->in_w;
+  auto& local = scratch->local;
+  for (uint32_t i = 0; i < d; ++i) slot[nu[i]] = i + 1;
+  // Local id order is id order: N+(u) is sorted by vertex id.
+  local.clear();
+  off[0] = 0;
+  for (uint32_t i = 0; i < d; ++i) {
+    auto nv = dag.OutNeighbors(nu[i]);
+    auto ev = dag.OutEdges(nu[i]);
+    for (size_t j = 0; j < nv.size(); ++j) {
+      const uint32_t s = slot[nv[j]];
+      if (s != 0) local.push_back({s - 1, ev[j]});
+    }
+    off[i + 1] = local.size();
+  }
+  for (graph::VertexId w : nu) slot[w] = 0;
+
+  // Triangles (v, w1, w2) of the local DAG: stamp L(v), then each w2 in
+  // L(w1) that is stamped closes one.
+  for (uint32_t vi = arcs.lo; vi < hi; ++vi) {
+    const uint64_t vlo = off[vi], vhi = off[vi + 1];
+    if (vhi - vlo < 2) continue;
+    for (uint64_t p = vlo; p < vhi; ++p) {
+      in_w[local[p].w] = static_cast<uint32_t>(p - vlo + 1);
+    }
+    for (uint64_t p = vlo; p < vhi; ++p) {
+      const uint32_t w1 = local[p].w;
+      for (uint64_t q = off[w1]; q < off[w1 + 1]; ++q) {
+        const uint32_t w2 = local[q].w;
+        const uint32_t s = in_w[w2];
+        if (s == 0) continue;
+        fn(FourClique{u, nu[vi], nu[w1], nu[w2], eu[vi], eu[w1], eu[w2],
+                      local[p].e, local[vlo + s - 1].e, local[q].e});
+      }
+    }
+    for (uint64_t p = vlo; p < vhi; ++p) in_w[local[p].w] = 0;
   }
 }
 
@@ -107,7 +132,7 @@ void ForEach4CliqueOfVertex(const graph::DegreeOrderedDag& dag,
 /// (Chiba–Nishizeki via the degree-ordered DAG).
 template <typename Fn>
 void ForEach4Clique(const graph::DegreeOrderedDag& dag, Fn&& fn) {
-  FourCliqueScratch scratch;
+  FourCliqueScratch scratch(dag);
   for (graph::VertexId u = 0; u < dag.NumVertices(); ++u) {
     ForEach4CliqueOfVertex(dag, u, &scratch, fn);
   }

@@ -1,5 +1,7 @@
 #include "core/index_builder.h"
 
+#include <algorithm>
+#include <span>
 #include <utility>
 
 #include "cliques/four_clique.h"
@@ -32,7 +34,10 @@ void UniteOppositePairs(const cliques::FourClique& q, Unite&& unite) {
 
 // The 4-clique stage on a pool: chunks of arcs (the paper's choice, whose
 // work distribution is much flatter) or of vertices, with the unions on
-// each M_e serialized by a striped lock keyed by e.
+// each M_e serialized by a striped lock keyed by e. Each chunk lists with
+// its own n-sized scratch, so chunks take the arena fill's grain (a few per
+// thread). An arc chunk is cut at vertex boundaries into (u, arc range)
+// runs; each run lists u's local DAG once.
 void PooledCliqueUnions(const graph::DegreeOrderedDag& dag,
                         util::ThreadPool& pool, ParallelMode mode,
                         EdgeDsuArena* dsu) {
@@ -43,37 +48,37 @@ void PooledCliqueUnions(const graph::DegreeOrderedDag& dag,
       dsu->Union(e, a, b);
     });
   };
+  const uint64_t units = mode == ParallelMode::kVertexParallel
+                             ? dag.NumVertices()
+                             : dag.NumEdges();
+  const uint64_t grain =
+      std::max<uint64_t>(64, units / (16 * pool.num_threads()));
   if (mode == ParallelMode::kVertexParallel) {
-    pool.ParallelForChunked(
-        0, dag.NumVertices(), 32, [&](uint64_t lo, uint64_t hi) {
-          ESD_TRACE_SPAN("build.clique_enum.chunk");
-          cliques::FourCliqueScratch scratch;
-          for (uint64_t u = lo; u < hi; ++u) {
-            cliques::ForEach4CliqueOfVertex(dag, static_cast<VertexId>(u),
-                                            &scratch, on_clique);
-          }
-        });
+    pool.ParallelForChunked(0, units, grain, [&](uint64_t lo, uint64_t hi) {
+      ESD_TRACE_SPAN("build.clique_enum.chunk");
+      cliques::FourCliqueScratch scratch(dag);
+      for (uint64_t u = lo; u < hi; ++u) {
+        cliques::ForEach4CliqueOfVertex(dag, static_cast<VertexId>(u),
+                                        &scratch, on_clique);
+      }
+    });
     return;
   }
-  struct Arc {
-    VertexId u, v;
-    EdgeId e;
-  };
-  std::vector<Arc> arcs;
-  arcs.reserve(dag.NumEdges());
-  for (VertexId u = 0; u < dag.NumVertices(); ++u) {
-    auto out = dag.OutNeighbors(u);
-    auto eids = dag.OutEdges(u);
-    for (size_t i = 0; i < out.size(); ++i) {
-      arcs.push_back(Arc{u, out[i], eids[i]});
-    }
-  }
-  pool.ParallelForChunked(0, arcs.size(), 64, [&](uint64_t lo, uint64_t hi) {
+  // Arc i of the DAG is OutNeighbors(u)[i - first[u]].
+  std::span<const uint64_t> first = dag.ArcOffsets();
+  pool.ParallelForChunked(0, units, grain, [&](uint64_t lo, uint64_t hi) {
     ESD_TRACE_SPAN("build.clique_enum.chunk");
-    cliques::FourCliqueScratch scratch;
-    for (uint64_t i = lo; i < hi; ++i) {
-      cliques::ForEach4CliqueOfArc(dag, arcs[i].u, arcs[i].v, arcs[i].e,
-                                   &scratch, on_clique);
+    cliques::FourCliqueScratch scratch(dag);
+    // The vertex whose out-arcs hold arc `lo`.
+    auto u = static_cast<VertexId>(
+        std::upper_bound(first.begin(), first.end(), lo) - first.begin() - 1);
+    for (; lo < hi; ++u) {
+      const uint64_t end = std::min(hi, first[u + 1]);
+      cliques::ForEach4CliqueOfVertex(
+          dag, u, &scratch, on_clique,
+          {static_cast<uint32_t>(lo - first[u]),
+           static_cast<uint32_t>(end - first[u])});
+      lo = end;
     }
   });
 }

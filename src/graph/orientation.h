@@ -55,6 +55,10 @@ class DegreeOrderedDag {
             adj_vertex_.data() + offsets_[u + 1]};
   }
 
+  /// Arc offsets, n + 1 entries: the out-arcs of u are arcs
+  /// [ArcOffsets()[u], ArcOffsets()[u + 1]) of the DAG's CSR order.
+  std::span<const uint64_t> ArcOffsets() const { return offsets_; }
+
   /// Edge ids parallel to OutNeighbors(u).
   std::span<const EdgeId> OutEdges(VertexId u) const {
     return {adj_edge_.data() + offsets_[u], adj_edge_.data() + offsets_[u + 1]};

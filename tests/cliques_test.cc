@@ -1,6 +1,8 @@
 #include <algorithm>
 #include <array>
 #include <functional>
+#include <numeric>
+#include <tuple>
 #include <set>
 #include <vector>
 
@@ -9,6 +11,7 @@
 #include "cliques/four_clique.h"
 #include "cliques/kclique.h"
 #include "cliques/triangle.h"
+#include "gen/datasets.h"
 #include "gen/erdos_renyi.h"
 #include "graph/builder.h"
 #include "graph/graph.h"
@@ -125,6 +128,73 @@ TEST(TriangleTest, ClusteringCoefficientBounds) {
 // 4-cliques
 // ---------------------------------------------------------------------------
 
+// The per-arc merge enumerator the kernel replaced, kept as the oracle for
+// its emission sequence: for each arc (u, v) in id order of u, then of v,
+// W = N+(u) ∩ N+(v) by merge, then each w1 of W merged against N+(w1).
+std::vector<FourClique> PerArcMergeOracle(const graph::DegreeOrderedDag& dag) {
+  struct CommonOut {
+    VertexId w;
+    graph::EdgeId uw, vw;
+  };
+  std::vector<FourClique> out;
+  std::vector<CommonOut> common;
+  for (VertexId u = 0; u < dag.NumVertices(); ++u) {
+    auto nu = dag.OutNeighbors(u);
+    auto eu = dag.OutEdges(u);
+    for (size_t vi = 0; vi < nu.size(); ++vi) {
+      auto nv = dag.OutNeighbors(nu[vi]);
+      auto ev = dag.OutEdges(nu[vi]);
+      common.clear();
+      for (size_t i = 0, j = 0; i < nu.size() && j < nv.size();) {
+        if (nu[i] < nv[j]) {
+          ++i;
+        } else if (nu[i] > nv[j]) {
+          ++j;
+        } else {
+          common.push_back({nu[i], eu[i], ev[j]});
+          ++i;
+          ++j;
+        }
+      }
+      for (const CommonOut& c1 : common) {
+        auto nw = dag.OutNeighbors(c1.w);
+        auto ew = dag.OutEdges(c1.w);
+        for (size_t p = 0, q = 0; p < nw.size() && q < common.size();) {
+          if (nw[p] < common[q].w) {
+            ++p;
+          } else if (nw[p] > common[q].w) {
+            ++q;
+          } else {
+            const CommonOut& c2 = common[q];
+            out.push_back(FourClique{u, nu[vi], c1.w, c2.w, eu[vi], c1.uw,
+                                     c2.uw, c1.vw, c2.vw, ew[p]});
+            ++p;
+            ++q;
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
+std::array<uint32_t, 10> Fields(const FourClique& q) {
+  return {q.u, q.v, q.w1, q.w2, q.uv, q.uw1, q.uw2, q.vw1, q.vw2, q.w1w2};
+}
+
+// ForEach4Clique emits the oracle's sequence: all ten fields, in order.
+void ExpectOracleSequence(const Graph& g) {
+  graph::DegreeOrderedDag dag(g);
+  std::vector<FourClique> expected = PerArcMergeOracle(dag);
+  size_t i = 0;
+  ForEach4Clique(dag, [&](const FourClique& q) {
+    ASSERT_LT(i, expected.size()) << "extra clique";
+    EXPECT_EQ(Fields(q), Fields(expected[i])) << "clique " << i;
+    ++i;
+  });
+  EXPECT_EQ(i, expected.size());
+}
+
 TEST(FourCliqueTest, CountsOnKnownGraphs) {
   EXPECT_EQ(Count4Cliques(CompleteGraph(4)), 1u);
   EXPECT_EQ(Count4Cliques(CompleteGraph(6)), Choose(6, 4));
@@ -172,6 +242,7 @@ TEST_P(FourCliqueRandomTest, MatchesBruteForceOnce) {
     EXPECT_TRUE(seen.insert(key).second) << "duplicate 4-clique";
   });
   EXPECT_EQ(seen.size(), BruteKCliques(g, 4));
+  ExpectOracleSequence(g);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -185,22 +256,77 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(18u, 0.15, 7ull),
                       std::make_tuple(30u, 0.2, 8ull)));
 
-TEST(FourCliqueTest, ArcVariantAggregatesToFull) {
-  Graph g = gen::ErdosRenyiGnp(20, 0.4, 17);
-  graph::DegreeOrderedDag dag(g);
-  uint64_t full = 0;
-  ForEach4Clique(dag, [&full](const FourClique&) { ++full; });
-  uint64_t via_arcs = 0;
-  FourCliqueScratch scratch;
-  for (VertexId u = 0; u < g.NumVertices(); ++u) {
-    auto out = dag.OutNeighbors(u);
-    auto eids = dag.OutEdges(u);
-    for (size_t i = 0; i < out.size(); ++i) {
-      ForEach4CliqueOfArc(dag, u, out[i], eids[i], &scratch,
-                          [&via_arcs](const FourClique&) { ++via_arcs; });
+TEST(FourCliqueTest, EmitsPerArcMergeSequenceOnDenseCliques) {
+  // In K_30 the first vertex's out-degree is 29 and its local DAG is
+  // complete.
+  ExpectOracleSequence(CompleteGraph(8));
+  ExpectOracleSequence(CompleteGraph(30));
+  EXPECT_EQ(Count4Cliques(CompleteGraph(30)), Choose(30, 4));
+}
+
+TEST(FourCliqueTest, EmitsPerArcMergeSequenceOnHubCliqueSocialGraph) {
+  // The pokec-s recipe: Holme–Kim plus a clique of 15 celebrity hubs.
+  Graph g = gen::LoadStandardDataset("pokec-s", 0.05).graph;
+  ASSERT_GT(Count4Cliques(g), 0u);
+  ExpectOracleSequence(g);
+}
+
+TEST(FourCliqueTest, EmitsPerArcMergeSequenceWithIsolatedAndLeafVertices) {
+  // Two K5s sharing an edge, a pendant path and isolated vertices.
+  GraphBuilder b(16);
+  for (VertexId i = 0; i < 5; ++i) {
+    for (VertexId j = i + 1; j < 5; ++j) b.AddEdge(i, j);
+  }
+  for (VertexId i : {0u, 1u, 5u, 6u, 7u}) {
+    for (VertexId j : {0u, 1u, 5u, 6u, 7u}) {
+      if (i < j && !(i == 0 && j == 1)) b.AddEdge(i, j);
     }
   }
-  EXPECT_EQ(via_arcs, full);
+  b.AddEdge(7, 8);
+  b.AddEdge(8, 9);
+  b.AddEdge(2, 10);
+  Graph g = b.Build();
+  EXPECT_EQ(Count4Cliques(g), 2 * Choose(5, 4));
+  ExpectOracleSequence(g);
+  ExpectOracleSequence(Graph::FromEdges(4, {}));
+  ExpectOracleSequence(Graph());
+}
+
+TEST(FourCliqueTest, ArcVariantAggregatesToFull) {
+  Graph g = gen::ErdosRenyiGnp(40, 0.4, 17);
+  graph::DegreeOrderedDag dag(g);
+  std::vector<std::array<uint32_t, 10>> full;
+  ForEach4Clique(dag, [&full](const FourClique& q) {
+    full.push_back(Fields(q));
+  });
+  ASSERT_FALSE(full.empty());
+
+  // Each vertex's arcs split into ranges at random cuts, vertices visited
+  // in shuffled order, one scratch reused throughout.
+  util::Rng rng(23);
+  std::vector<VertexId> order(g.NumVertices());
+  std::iota(order.begin(), order.end(), 0);
+  for (size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng.NextBounded(i)]);
+  }
+  std::vector<std::array<uint32_t, 10>> via_ranges;
+  FourCliqueScratch scratch(dag);
+  auto collect = [&via_ranges](const FourClique& q) {
+    via_ranges.push_back(Fields(q));
+  };
+  for (VertexId u : order) {
+    const uint32_t d = dag.OutDegree(u);
+    uint32_t lo = 0;
+    while (lo < d) {
+      const uint32_t hi = lo + 1 + static_cast<uint32_t>(rng.NextBounded(4));
+      // The last range runs past the out-degree, which is clamped.
+      ForEach4CliqueOfVertex(dag, u, &scratch, collect, ArcRange{lo, hi});
+      lo = hi;
+    }
+  }
+  std::sort(full.begin(), full.end());
+  std::sort(via_ranges.begin(), via_ranges.end());
+  EXPECT_EQ(via_ranges, full);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <numeric>
 #include <set>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "gen/erdos_renyi.h"
 #include "graph/builder.h"
 #include "graph/connectivity.h"
 #include "graph/core_decomposition.h"
@@ -206,6 +210,71 @@ TEST(DagTest, MaxOutDegreeSmallOnClique) {
   uint32_t total = 0;
   for (VertexId v = 0; v < 6; ++v) total += dag.OutDegree(v);
   EXPECT_EQ(total, g.NumEdges());
+}
+
+// The comparator-sorted construction the counting sort replaced: ranks
+// from std::sort on (degree, id), each out-list sorted by (id, edge id).
+void ExpectMatchesSortedReference(const Graph& g) {
+  const VertexId n = g.NumVertices();
+  std::vector<VertexId> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&g](VertexId a, VertexId b) {
+    if (g.Degree(a) != g.Degree(b)) return g.Degree(a) < g.Degree(b);
+    return a < b;
+  });
+  std::vector<uint32_t> rank(n);
+  for (uint32_t i = 0; i < n; ++i) rank[order[i]] = i;
+  std::vector<std::vector<std::pair<VertexId, EdgeId>>> out(n);
+  for (EdgeId e = 0; e < g.NumEdges(); ++e) {
+    const Edge& uv = g.EdgeAt(e);
+    if (rank[uv.u] < rank[uv.v]) {
+      out[uv.u].emplace_back(uv.v, e);
+    } else {
+      out[uv.v].emplace_back(uv.u, e);
+    }
+  }
+  DegreeOrderedDag dag(g);
+  ASSERT_EQ(dag.NumVertices(), n);
+  ASSERT_EQ(dag.NumEdges(), g.NumEdges());
+  uint32_t max_out = 0;
+  for (VertexId u = 0; u < n; ++u) {
+    EXPECT_EQ(dag.Rank(u), rank[u]) << "vertex " << u;
+    std::sort(out[u].begin(), out[u].end());
+    max_out = std::max<uint32_t>(max_out, out[u].size());
+    std::vector<std::pair<VertexId, EdgeId>> got;
+    auto nu = dag.OutNeighbors(u);
+    auto eu = dag.OutEdges(u);
+    for (size_t i = 0; i < nu.size(); ++i) got.emplace_back(nu[i], eu[i]);
+    EXPECT_EQ(got, out[u]) << "vertex " << u;
+    EXPECT_EQ(dag.ArcOffsets()[u + 1] - dag.ArcOffsets()[u], out[u].size());
+  }
+  EXPECT_EQ(dag.MaxOutDegree(), max_out);
+}
+
+TEST(DagTest, CountingSortMatchesSortedReferenceOnRandomGraphs) {
+  for (auto [n, p, seed] : {std::make_tuple(12u, 0.3, 1ull),
+                            std::make_tuple(25u, 0.25, 5ull),
+                            std::make_tuple(30u, 0.2, 8ull),
+                            std::make_tuple(300u, 0.05, 9ull)}) {
+    SCOPED_TRACE(seed);
+    ExpectMatchesSortedReference(gen::ErdosRenyiGnp(n, p, seed));
+  }
+}
+
+TEST(DagTest, CountingSortMatchesSortedReferenceOnTiedDegrees) {
+  // A 12-cycle (all degree 2), two K4s (all degree 3), a star and isolated
+  // vertices: most ranks are decided by the id tie-break.
+  GraphBuilder b(30);
+  for (VertexId i = 0; i < 12; ++i) b.AddEdge(i, (i + 1) % 12);
+  for (VertexId base : {12u, 16u}) {
+    for (VertexId i = 0; i < 4; ++i) {
+      for (VertexId j = i + 1; j < 4; ++j) b.AddEdge(base + i, base + j);
+    }
+  }
+  for (VertexId leaf = 21; leaf < 25; ++leaf) b.AddEdge(20, leaf);
+  ExpectMatchesSortedReference(b.Build());
+  ExpectMatchesSortedReference(CompleteGraph(7));
+  ExpectMatchesSortedReference(Graph());
 }
 
 // ---------------------------------------------------------------------------
