@@ -5,11 +5,15 @@
 //   * ESDIndex+ is 2-10x faster than ESDIndex, with the gap largest on
 //     small-degeneracy graphs.
 
+#include <algorithm>
 #include <cstdio>
+#include <string>
 
 #include "bench/bench_common.h"
+#include "core/edge_dsu_arena.h"
 #include "core/index_builder.h"
 #include "graph/core_decomposition.h"
+#include "graph/orientation.h"
 
 int main() {
   using namespace esd;
@@ -32,8 +36,8 @@ int main() {
   }
 
   std::printf("\nFig 6(b) — construction time\n");
-  std::printf("%-15s %6s %16s %16s %9s\n", "dataset", "delta",
-              "ESDIndex (ms)", "ESDIndex+ (ms)", "speedup");
+  std::printf("%-15s %6s %16s %16s %9s %13s\n", "dataset", "delta",
+              "ESDIndex (ms)", "ESDIndex+ (ms)", "speedup", "arena");
   for (const gen::Dataset& d : datasets) {
     uint32_t delta = graph::ComputeCores(d.graph).degeneracy;
     // Bracketing the per-phase gauges isolates each builder's breakdown
@@ -45,14 +49,28 @@ int main() {
     double t_clique =
         bench::TimeOnce([&] { core::BuildIndex(d.graph); });
     const std::vector<double> after_clique = bench::SnapBuildPhaseSeconds();
-    std::printf("%-15s %6u %16.1f %16.1f %8.2fx\n", d.name.c_str(), delta,
-                t_basic * 1e3, t_clique * 1e3, t_basic / t_clique);
+    // The memory side of ESDIndex+: the arena's tables per triangle (its
+    // members, parents and triangle slots are 36 B of that).
+    const graph::DegreeOrderedDag dag(d.graph);
+    const core::EdgeDsuArena arena(dag);
+    const double arena_bytes_per_triangle =
+        static_cast<double>(arena.MemoryBytes()) /
+        static_cast<double>(std::max<size_t>(1, arena.NumTriangles()));
+    std::printf("%-15s %6u %16.1f %16.1f %8.2fx %9.1f B/tri\n",
+                d.name.c_str(), delta, t_basic * 1e3, t_clique * 1e3,
+                t_basic / t_clique, arena_bytes_per_triangle);
     bench::EmitJson("fig6_index_construction", "basic", d.name, "build",
                     t_basic * 1e3, 0,
                     bench::PhaseJsonFields(at_start, after_basic));
+    std::string fields = bench::PhaseJsonFields(after_basic, after_clique);
+    char arena_field[64];
+    std::snprintf(arena_field, sizeof(arena_field),
+                  "\"arena_bytes_per_triangle\":%.3f",
+                  arena_bytes_per_triangle);
+    if (!fields.empty()) fields += ',';
+    fields += arena_field;
     bench::EmitJson("fig6_index_construction", "clique", d.name, "build",
-                    t_clique * 1e3, 0,
-                    bench::PhaseJsonFields(after_basic, after_clique));
+                    t_clique * 1e3, 0, fields);
   }
   bench::MaybeWriteTrace("fig6_index_construction");
   if (!bench::WriteBenchArtifact("fig6_index_construction")) return 1;

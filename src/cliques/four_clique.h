@@ -13,12 +13,18 @@
 namespace esd::cliques {
 
 /// A 4-clique {u, v, w1, w2} with the ids of all six edges. The guarantees
-/// are u ≺ v, and {w1, w2} ⊆ N+(u) ∩ N+(v) with w1 ≺ w2; every 4-clique of
-/// the graph is emitted exactly once (Observation 1 of the paper maps each
-/// such clique to one edge of one edge ego-network).
+/// are u ≺ v ≺ w1 ≺ w2, and every 4-clique of the graph is emitted exactly
+/// once (Observation 1 of the paper maps each such clique to one edge of one
+/// edge ego-network).
+///
+/// `uvw1`, `uvw2` and `uw1w2` are the indices of the triangles (u, v, w1),
+/// (u, v, w2) and (u, w1, w2) in u's triangle listing
+/// (ForEachTriangleOfVertex), which lists them in the kernel's local arc
+/// order.
 struct FourClique {
   graph::VertexId u, v, w1, w2;
   graph::EdgeId uv, uw1, uw2, vw1, vw2, w1w2;
+  uint32_t uvw1, uvw2, uw1w2;
 };
 
 /// Scratch for ForEach4CliqueOfVertex, sized once from the DAG so the
@@ -64,9 +70,11 @@ struct ArcRange {
 /// Enumerates the 4-cliques whose two lowest-ranked vertices are u and an
 /// out-neighbor v = OutNeighbors(u)[i], for every i in `arcs` (kClist,
 /// specialised to k = 4). The sub-DAG induced on N+(u) is listed once —
-/// exactly u's triangle listing, O(d+(u) + Σ_{v∈N+(u)} d+(v)) — and every
-/// triangle (v, w1, w2) of that local DAG is one 4-clique {u, v, w1, w2}.
-/// The six edge ids come from OutEdges(u) and the local CSR.
+/// exactly u's triangle listing, O(d+(u) + Σ_{v∈N+(u)} d+(v)), local arc p
+/// being u's p-th triangle — and every triangle (v, w1, w2) of that local
+/// DAG is one 4-clique {u, v, w1, w2}. The six edge ids come from
+/// OutEdges(u) and the local CSR, the three triangle indices are the local
+/// arcs v→w1, v→w2 and w1→w2.
 ///
 /// Cliques come out arc by arc in id order of v, then of w1, then of w2.
 /// The union over all vertices (or over any cover of each vertex's arcs by
@@ -120,8 +128,11 @@ void ForEach4CliqueOfVertex(const graph::DegreeOrderedDag& dag,
         const uint32_t w2 = local[q].w;
         const uint32_t s = in_w[w2];
         if (s == 0) continue;
+        const uint64_t p2 = vlo + s - 1;
         fn(FourClique{u, nu[vi], nu[w1], nu[w2], eu[vi], eu[w1], eu[w2],
-                      local[p].e, local[vlo + s - 1].e, local[q].e});
+                      local[p].e, local[p2].e, local[q].e,
+                      static_cast<uint32_t>(p), static_cast<uint32_t>(p2),
+                      static_cast<uint32_t>(q)});
       }
     }
     for (uint64_t p = vlo; p < vhi; ++p) in_w[local[p].w] = 0;

@@ -4,6 +4,9 @@
 #include <atomic>
 #include <cassert>
 #include <numeric>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "cliques/triangle.h"
 
@@ -14,112 +17,208 @@ using graph::EdgeId;
 using graph::VertexId;
 using util::ForRange;
 
+void EdgeDsuArena::CheckSlotCount(uint64_t total) {
+  if (total > kMaxSlots) {
+    throw std::length_error(
+        "EdgeDsuArena: " + std::to_string(total) +
+        " common-neighbour memberships exceed the 31-bit slot width");
+  }
+}
+
 EdgeDsuArena::EdgeDsuArena(const DegreeOrderedDag& dag,
                            util::ThreadPool* pool) {
   const EdgeId m = dag.NumEdges();
   const VertexId n = dag.NumVertices();
   offsets_.assign(m + 1, 0);
+  upper_.assign(m, 0);
+  first_.assign(m, 0);
 
-  // Each chunk of the vertex range lists with its own n-sized scratch, so
-  // the parallel listing runs in a few chunks per thread.
+  // Each chunk of the vertex range lists with its own scratch (n-sized
+  // stamps plus the scatter's middle cursors), so the parallel listing runs
+  // in a few chunks per thread. `per_vertex(u, scratch)` lists u's
+  // triangles.
+  struct Scratch {
+    explicit Scratch(const DegreeOrderedDag& dag)
+        : tri(dag), mid(dag.MaxOutDegree(), 0) {}
+    cliques::TriangleScratch tri;
+    std::vector<uint32_t> mid;
+  };
   const unsigned threads = pool == nullptr ? 1 : pool->num_threads();
   const uint64_t grain = std::max<uint64_t>(64, n / (16 * threads));
-  auto list = [&](auto&& fn) {
+  auto list = [&](auto&& per_vertex) {
     ForRange(pool, n, grain, [&](uint64_t lo, uint64_t hi) {
-      cliques::TriangleScratch scratch(dag);
+      Scratch scratch(dag);
       for (uint64_t u = lo; u < hi; ++u) {
-        cliques::ForEachTriangleOfVertex(dag, static_cast<VertexId>(u),
-                                         &scratch, fn);
+        per_vertex(static_cast<VertexId>(u), scratch);
       }
     });
   };
-  // offsets_[e + 1] is edge e's cursor throughout the fill; `bump` advances
-  // it and returns the old value. Threads of the parallel fill may bump the
-  // same edge, so they go through an atomic_ref.
-  auto fill = [&](auto bump) {
-    // Count pass: |N(uv)| per edge is its triangle support.
-    list([&](const cliques::Triangle& t) {
-      bump(t.uv);
-      bump(t.uw);
-      bump(t.vw);
-    });
-    // Shifted exclusive prefix sum: offsets_[e + 1] becomes the start of
-    // e's slice, so the scatter's bumps leave it at the end of e's slice —
-    // the start of e + 1's. No separate cursor array is needed.
-    uint64_t total = 0;
-    for (EdgeId e = 0; e < m; ++e) {
-      const uint64_t support = offsets_[e + 1];
-      offsets_[e + 1] = total;
-      total += support;
-    }
-    members_.resize(total);
-    // Scatter pass: each triangle's third vertex joins each edge's slice.
-    list([&](const cliques::Triangle& t) {
-      members_[bump(t.uv)] = t.w;
-      members_[bump(t.uw)] = t.v;
-      members_[bump(t.vw)] = t.u;
-    });
+  // Only lower sections are written from several vertices' listings: the
+  // upper and middle sections of a→b, and their counts, belong to a's. In
+  // the parallel fill the lower bumps go through an atomic_ref.
+  auto atomic_add = [](uint32_t& x, int32_t d) {
+    return std::atomic_ref<uint32_t>(x).fetch_add(static_cast<uint32_t>(d),
+                                                  std::memory_order_relaxed);
   };
-  if (pool != nullptr) {
-    fill([this](EdgeId e) {
-      return std::atomic_ref<uint64_t>(offsets_[e + 1])
-          .fetch_add(1, std::memory_order_relaxed);
-    });
-  } else {
-    fill([this](EdgeId e) { return offsets_[e + 1]++; });
-  }
 
-  // Sort each slice so SlotOf can binary-search it; every slot starts as
-  // its own singleton component.
-  parent_.resize(members_.size());
-  count_.assign(members_.size(), 1);
-  ForRange(pool, m, 512, [this](uint64_t lo, uint64_t hi) {
-    for (uint64_t e = lo; e < hi; ++e) {
-      std::sort(members_.begin() + offsets_[e],
-                members_.begin() + offsets_[e + 1]);
-      std::iota(parent_.begin() + offsets_[e],
-                parent_.begin() + offsets_[e + 1],
-                static_cast<uint32_t>(offsets_[e]));
+  // Count pass. first_[e] holds e's middle count until the prefix sum,
+  // offsets_[e + 1] its lower count.
+  list([&](VertexId u, Scratch& scratch) {
+    cliques::ForEachTriangleOfVertex(
+        dag, u, &scratch.tri, [&](const cliques::Triangle& t) {
+          ++upper_[t.uv];
+          ++first_[t.uw];
+          if (pool != nullptr) {
+            atomic_add(offsets_[t.vw + 1], 1);
+          } else {
+            ++offsets_[t.vw + 1];
+          }
+        });
+  });
+  // Prefix sum. first_[e] becomes e's lower-section cursor: its start for
+  // the serial fill, which writes upwards, and its end for the parallel
+  // fill, which writes downwards and so leaves the cursor at the start.
+  uint64_t total = 0;
+  for (EdgeId e = 0; e < m; ++e) {
+    const uint64_t start = total;
+    const uint64_t lower_start = start + upper_[e] + first_[e];
+    total = lower_start + offsets_[e + 1];
+    first_[e] = static_cast<uint32_t>(pool != nullptr ? total : lower_start);
+    offsets_[e + 1] = static_cast<uint32_t>(total);
+  }
+  CheckSlotCount(total);
+  // Triangle ids: u's triangles start at base[u].
+  std::vector<uint32_t> base(n + 1, 0);
+  for (VertexId u = 0; u < n; ++u) {
+    uint32_t t = base[u];
+    for (EdgeId e : dag.OutEdges(u)) t += upper_[e];
+    base[u + 1] = t;
+  }
+  assert(uint64_t{base[n]} * 3 == total);
+
+  members_.resize(total);
+  parent_.assign(total, kRoot | 1);
+  tri_.resize(base[n]);
+
+  // Scatter pass. Each section receives its vertices in ascending id:
+  // triangle (u, v, w) puts w in upper(u→v), in N+(v) order; v in
+  // middle(u→w), in N+(u) order; u in lower(v→w), in listing order. While
+  // u is listed, scratch.tri.slot[w] - 1 is w's index in N+(u), which keys
+  // the middle cursor of edge u→w.
+  const uint32_t kNoEdge = m;
+  list([&](VertexId u, Scratch& scratch) {
+    uint32_t id = base[u];
+    EdgeId upper_edge = kNoEdge;
+    uint32_t upper_slot = 0;
+    cliques::ForEachTriangleOfVertex(
+        dag, u, &scratch.tri, [&](const cliques::Triangle& t) {
+          if (t.uv != upper_edge) {
+            upper_edge = t.uv;
+            upper_slot = offsets_[t.uv];
+          }
+          TriangleSlots& s = tri_[id];
+          s.uv = upper_slot++;
+          s.uw = offsets_[t.uw] + upper_[t.uw] +
+                 scratch.mid[scratch.tri.slot[t.w] - 1]++;
+          if (pool != nullptr) {
+            s.vw = atomic_add(first_[t.vw], -1) - 1;
+            parent_[s.vw] = id;  // parked for the repair below
+          } else {
+            s.vw = first_[t.vw]++;
+          }
+          members_[s.uv] = t.w;
+          members_[s.uw] = t.v;
+          members_[s.vw] = t.u;
+          ++id;
+        });
+    std::fill_n(scratch.mid.begin(), dag.OutDegree(u), 0);
+  });
+
+  // The parallel fill's lower sections hold their vertices in thread
+  // order. Sorting each by vertex id sorts it by triangle id (both are the
+  // listing vertex's order), and the parked ids say whose slot moved.
+  if (pool != nullptr) {
+    ForRange(pool, m, 512, [this](uint64_t lo, uint64_t hi) {
+      std::vector<std::pair<VertexId, uint32_t>> lower;
+      for (uint64_t e = lo; e < hi; ++e) {
+        const uint32_t begin = first_[e], end = offsets_[e + 1];
+        lower.clear();
+        for (uint32_t s = begin; s < end; ++s) {
+          lower.emplace_back(members_[s], parent_[s]);
+        }
+        std::sort(lower.begin(), lower.end());
+        for (uint32_t s = begin; s < end; ++s) {
+          members_[s] = lower[s - begin].first;
+          tri_[lower[s - begin].second].vw = s;
+          parent_[s] = kRoot | 1;
+        }
+      }
+    });
+  }
+  // first_[e] of arc e = a→b: a's triangle base plus the upper sections of
+  // a's earlier arcs.
+  ForRange(pool, n, grain, [&](uint64_t lo, uint64_t hi) {
+    for (uint64_t u = lo; u < hi; ++u) {
+      uint32_t t = base[u];
+      for (EdgeId e : dag.OutEdges(static_cast<VertexId>(u))) {
+        first_[e] = t;
+        t += upper_[e];
+      }
     }
   });
 }
 
-uint32_t EdgeDsuArena::SlotOf(EdgeId e, VertexId w) const {
-  auto slice = Members(e);
-  auto it = std::lower_bound(slice.begin(), slice.end(), w);
-  assert(it != slice.end() && *it == w);
-  return static_cast<uint32_t>(offsets_[e] + (it - slice.begin()));
+uint32_t EdgeDsuArena::UpperTriangle(EdgeId e, VertexId w,
+                                     uint32_t* cursor) const {
+  const VertexId* upper = members_.data() + offsets_[e];
+  const uint32_t size = upper_[e];
+  // Gallop while upper[i] <= w, then binary-search the last step.
+  uint32_t i = *cursor;
+  uint32_t step = 1;
+  while (i + step < size && upper[i + step] <= w) {
+    i += step;
+    step <<= 1;
+  }
+  const VertexId* end = upper + std::min<uint64_t>(uint64_t{i} + step, size);
+  const auto r = static_cast<uint32_t>(std::lower_bound(upper + i, end, w) -
+                                       upper);
+  assert(r < size && upper[r] == w);
+  *cursor = r;
+  return first_[e] + r;
 }
 
 uint32_t EdgeDsuArena::FindSlot(uint32_t s) {
-  while (parent_[s] != s) {
-    parent_[s] = parent_[parent_[s]];  // path halving
-    s = parent_[s];
+  uint32_t p;
+  while (((p = parent_[s]) & kRoot) == 0) {
+    const uint32_t gp = parent_[p];
+    if ((gp & kRoot) != 0) return p;
+    parent_[s] = gp;  // path halving
+    s = gp;
   }
   return s;
 }
 
-void EdgeDsuArena::Union(EdgeId e, VertexId a, VertexId b) {
-  uint32_t ra = FindSlot(SlotOf(e, a));
-  uint32_t rb = FindSlot(SlotOf(e, b));
+void EdgeDsuArena::Union(uint32_t a, uint32_t b) {
+  uint32_t ra = FindSlot(a);
+  uint32_t rb = FindSlot(b);
   if (ra == rb) return;
-  if (count_[ra] < count_[rb]) std::swap(ra, rb);
+  if (parent_[ra] < parent_[rb]) std::swap(ra, rb);  // kRoot | size
+  parent_[ra] += parent_[rb] & ~kRoot;
   parent_[rb] = ra;
-  count_[ra] += count_[rb];
 }
 
 uint32_t EdgeDsuArena::NumComponents(EdgeId e) const {
   uint32_t roots = 0;
-  for (uint64_t s = offsets_[e]; s < offsets_[e + 1]; ++s) {
-    roots += parent_[s] == s ? 1 : 0;
+  for (uint32_t s = offsets_[e]; s < offsets_[e + 1]; ++s) {
+    roots += (parent_[s] & kRoot) != 0 ? 1 : 0;
   }
   return roots;
 }
 
 void EdgeDsuArena::WriteComponentSizes(EdgeId e, uint32_t* out) const {
   uint32_t* end = out;
-  for (uint64_t s = offsets_[e]; s < offsets_[e + 1]; ++s) {
-    if (parent_[s] == s) *end++ = count_[s];
+  for (uint32_t s = offsets_[e]; s < offsets_[e + 1]; ++s) {
+    if ((parent_[s] & kRoot) != 0) *end++ = parent_[s] & ~kRoot;
   }
   std::sort(out, end);
 }
@@ -151,15 +250,40 @@ EdgeSizePool EdgeDsuArena::ComponentSizePool(util::ThreadPool* pool) const {
 }
 
 util::KeyedDsu EdgeDsuArena::ToKeyedDsu(EdgeId e) {
+  // Slots in ascending member id: merge the three sections. The middle
+  // and lower sections are each ascending, so the first descent after the
+  // upper section (if any) is where the lower one starts.
+  const uint32_t lo = offsets_[e], mid = lo + upper_[e], hi = offsets_[e + 1];
+  uint32_t lower = mid;
+  while (lower + 1 < hi && members_[lower] < members_[lower + 1]) ++lower;
+  lower = std::min(lower + 1, hi);
+  std::vector<uint32_t> slots(hi - lo);
+  std::iota(slots.begin(), slots.end(), lo);
+  auto by_member = [this](uint32_t a, uint32_t b) {
+    return members_[a] < members_[b];
+  };
+  std::inplace_merge(slots.begin() + (mid - lo), slots.begin() + (lower - lo),
+                     slots.end(), by_member);
+  std::inplace_merge(slots.begin(), slots.begin() + (mid - lo), slots.end(),
+                     by_member);
+
   util::KeyedDsu out;
-  auto slice = Members(e);
-  out.Reserve(slice.size());
-  for (VertexId w : slice) out.AddMember(w);
-  for (uint64_t s = offsets_[e]; s < offsets_[e + 1]; ++s) {
-    uint32_t root = FindSlot(static_cast<uint32_t>(s));
+  out.Reserve(slots.size());
+  for (uint32_t s : slots) out.AddMember(members_[s]);
+  for (uint32_t s : slots) {
+    const uint32_t root = FindSlot(s);
     if (root != s) out.Union(members_[s], members_[root]);
   }
   return out;
+}
+
+size_t EdgeDsuArena::MemoryBytes() const {
+  return offsets_.capacity() * sizeof(uint32_t) +
+         upper_.capacity() * sizeof(uint32_t) +
+         first_.capacity() * sizeof(uint32_t) +
+         members_.capacity() * sizeof(VertexId) +
+         parent_.capacity() * sizeof(uint32_t) +
+         tri_.capacity() * sizeof(TriangleSlots);
 }
 
 }  // namespace esd::core

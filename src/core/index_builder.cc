@@ -1,6 +1,7 @@
 #include "core/index_builder.h"
 
 #include <algorithm>
+#include <limits>
 #include <span>
 #include <utility>
 
@@ -22,15 +23,49 @@ namespace {
 
 // Lines 5-15 of Algorithm 3: each 4-clique {u, v, w1, w2} merges, in the
 // structure of every one of its six edges, the opposite pair of vertices.
-template <typename Unite>
-void UniteOppositePairs(const cliques::FourClique& q, Unite&& unite) {
-  unite(q.uv, q.w1, q.w2);
-  unite(q.uw1, q.v, q.w2);
-  unite(q.uw2, q.v, q.w1);
-  unite(q.vw1, q.u, q.w2);
-  unite(q.vw2, q.u, q.w1);
-  unite(q.w1w2, q.u, q.v);
-}
+// The twelve slots come from the clique's four triangles: (u, v, w1),
+// (u, v, w2) and (u, w1, w2) are u's triangles, numbered by the kernel;
+// (v, w1, w2) is found in vw1's upper section by a galloping cursor that
+// the cliques of one (u, v, w1) share, as their w2 ascend. One instance per
+// thread.
+class OppositePairs {
+ public:
+  OppositePairs(const graph::DegreeOrderedDag& dag, const EdgeDsuArena& dsu)
+      : dag_(dag), dsu_(dsu) {}
+
+  // Calls unite(e, slot, slot) for each of the clique's six edges.
+  template <typename Fn>
+  void Unite(const cliques::FourClique& q, Fn&& unite) {
+    if (q.u != u_) {
+      u_ = q.u;
+      base_ = dsu_.FirstTriangle(dag_.OutEdges(q.u)[0]);
+    }
+    const uint32_t t1 = base_ + q.uvw1;
+    if (t1 != cursor_tri_) {
+      cursor_tri_ = t1;
+      cursor_ = 0;
+    }
+    const EdgeDsuArena::TriangleSlots& a = dsu_.SlotsOf(t1);
+    const EdgeDsuArena::TriangleSlots& b = dsu_.SlotsOf(base_ + q.uvw2);
+    const EdgeDsuArena::TriangleSlots& c = dsu_.SlotsOf(base_ + q.uw1w2);
+    const EdgeDsuArena::TriangleSlots& d =
+        dsu_.SlotsOf(dsu_.UpperTriangle(q.vw1, q.w2, &cursor_));
+    unite(q.uv, a.uv, b.uv);    // w1, w2
+    unite(q.uw1, a.uw, c.uv);   // v, w2
+    unite(q.uw2, b.uw, c.uw);   // v, w1
+    unite(q.vw1, a.vw, d.uv);   // u, w2
+    unite(q.vw2, b.vw, d.uw);   // u, w1
+    unite(q.w1w2, c.vw, d.vw);  // u, v
+  }
+
+ private:
+  const graph::DegreeOrderedDag& dag_;
+  const EdgeDsuArena& dsu_;
+  VertexId u_ = std::numeric_limits<VertexId>::max();
+  uint32_t base_ = 0;
+  uint32_t cursor_tri_ = EdgeDsuArena::kRoot;  // no triangle id
+  uint32_t cursor_ = 0;
+};
 
 // The 4-clique stage on a pool: chunks of arcs (the paper's choice, whose
 // work distribution is much flatter) or of vertices, with the unions on
@@ -42,11 +77,9 @@ void PooledCliqueUnions(const graph::DegreeOrderedDag& dag,
                         util::ThreadPool& pool, ParallelMode mode,
                         EdgeDsuArena* dsu) {
   util::StripedLocks locks(4096);
-  auto on_clique = [&](const cliques::FourClique& q) {
-    UniteOppositePairs(q, [&](EdgeId e, VertexId a, VertexId b) {
-      util::SpinLockGuard guard(locks.ForKey(e));
-      dsu->Union(e, a, b);
-    });
+  auto unite = [&](EdgeId e, uint32_t a, uint32_t b) {
+    util::SpinLockGuard guard(locks.ForKey(e));
+    dsu->Union(a, b);
   };
   const uint64_t units = mode == ParallelMode::kVertexParallel
                              ? dag.NumVertices()
@@ -57,6 +90,10 @@ void PooledCliqueUnions(const graph::DegreeOrderedDag& dag,
     pool.ParallelForChunked(0, units, grain, [&](uint64_t lo, uint64_t hi) {
       ESD_TRACE_SPAN("build.clique_enum.chunk");
       cliques::FourCliqueScratch scratch(dag);
+      OppositePairs pairs(dag, *dsu);
+      auto on_clique = [&](const cliques::FourClique& q) {
+        pairs.Unite(q, unite);
+      };
       for (uint64_t u = lo; u < hi; ++u) {
         cliques::ForEach4CliqueOfVertex(dag, static_cast<VertexId>(u),
                                         &scratch, on_clique);
@@ -69,6 +106,10 @@ void PooledCliqueUnions(const graph::DegreeOrderedDag& dag,
   pool.ParallelForChunked(0, units, grain, [&](uint64_t lo, uint64_t hi) {
     ESD_TRACE_SPAN("build.clique_enum.chunk");
     cliques::FourCliqueScratch scratch(dag);
+    OppositePairs pairs(dag, *dsu);
+    auto on_clique = [&](const cliques::FourClique& q) {
+      pairs.Unite(q, unite);
+    };
     // The vertex whose out-arcs hold arc `lo`.
     auto u = static_cast<VertexId>(
         std::upper_bound(first.begin(), first.end(), lo) - first.begin() - 1);
@@ -126,14 +167,18 @@ EdgeSizePool CliqueComponentSizes(const Graph& g, util::ThreadPool* pool,
 
   phases.Begin("build.clique_enum");
   if (pool == nullptr) {
-    cliques::ForEach4Clique(dag, [&dsu](const cliques::FourClique& q) {
-      UniteOppositePairs(q, [&dsu](EdgeId e, VertexId a, VertexId b) {
-        dsu.Union(e, a, b);
-      });
+    OppositePairs pairs(dag, dsu);
+    cliques::ForEach4Clique(dag, [&](const cliques::FourClique& q) {
+      pairs.Unite(q,
+                  [&dsu](EdgeId, uint32_t a, uint32_t b) { dsu.Union(a, b); });
     });
   } else {
     PooledCliqueUnions(dag, *pool, mode, &dsu);
   }
+  // Nothing reads the DAG after the clique stage. Dropping it here takes it
+  // out of the build's peak of live memory, which falls at the size
+  // extraction.
+  dag = graph::DegreeOrderedDag();
 
   // Lines 16-23 (first half): read component sizes off the disjoint sets.
   // Slices of different edges are disjoint, so no synchronization is

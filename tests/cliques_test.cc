@@ -167,7 +167,7 @@ std::vector<FourClique> PerArcMergeOracle(const graph::DegreeOrderedDag& dag) {
           } else {
             const CommonOut& c2 = common[q];
             out.push_back(FourClique{u, nu[vi], c1.w, c2.w, eu[vi], c1.uw,
-                                     c2.uw, c1.vw, c2.vw, ew[p]});
+                                     c2.uw, c1.vw, c2.vw, ew[p], 0, 0, 0});
             ++p;
             ++q;
           }
@@ -183,14 +183,31 @@ std::array<uint32_t, 10> Fields(const FourClique& q) {
 }
 
 // ForEach4Clique emits the oracle's sequence: all ten fields, in order.
+// Its three triangle indices name (u, v, w1), (u, v, w2) and (u, w1, w2) in
+// u's ForEachTriangleOfVertex listing.
 void ExpectOracleSequence(const Graph& g) {
   graph::DegreeOrderedDag dag(g);
   std::vector<FourClique> expected = PerArcMergeOracle(dag);
+  TriangleScratch scratch(dag);
+  std::vector<std::array<VertexId, 3>> listing;
+  VertexId listed = dag.NumVertices();
   size_t i = 0;
   ForEach4Clique(dag, [&](const FourClique& q) {
     ASSERT_LT(i, expected.size()) << "extra clique";
     EXPECT_EQ(Fields(q), Fields(expected[i])) << "clique " << i;
     ++i;
+    if (q.u != listed) {
+      listed = q.u;
+      listing.clear();
+      ForEachTriangleOfVertex(dag, q.u, &scratch, [&](const Triangle& t) {
+        listing.push_back({t.u, t.v, t.w});
+      });
+    }
+    ASSERT_LT(std::max({q.uvw1, q.uvw2, q.uw1w2}), listing.size());
+    using Tri = std::array<VertexId, 3>;
+    EXPECT_EQ(listing[q.uvw1], (Tri{q.u, q.v, q.w1})) << "clique " << i;
+    EXPECT_EQ(listing[q.uvw2], (Tri{q.u, q.v, q.w2})) << "clique " << i;
+    EXPECT_EQ(listing[q.uw1w2], (Tri{q.u, q.w1, q.w2})) << "clique " << i;
   });
   EXPECT_EQ(i, expected.size());
 }

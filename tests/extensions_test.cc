@@ -38,11 +38,12 @@ TEST(EdgeDsuArenaTest, MembersAreCommonNeighborhoods) {
   core::EdgeDsuArena arena(dag);
   ASSERT_EQ(arena.NumEdges(), g.NumEdges());
   for (EdgeId e = 0; e < g.NumEdges(); ++e) {
-    const Edge& uv = g.EdgeAt(e);
-    auto want = graph::CommonNeighbors(g, uv.u, uv.v);
+    // Upper, middle and lower sections, each exactly, in ascending id.
+    const test::RankSections want = test::RankSectionsOf(g, dag, e);
     auto got = arena.Members(e);
-    ASSERT_EQ(got.size(), want.size());
-    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin()));
+    EXPECT_EQ(std::vector<VertexId>(got.begin(), got.end()),
+              want.Concatenated());
+    EXPECT_EQ(arena.UpperSize(e), want.upper.size());
   }
 }
 
@@ -54,10 +55,10 @@ TEST(EdgeDsuArenaTest, UnionsMatchEgoComponents) {
   // the BFS ground truth.
   for (EdgeId e = 0; e < g.NumEdges(); ++e) {
     auto members = arena.Members(e);
-    for (size_t i = 0; i < members.size(); ++i) {
-      for (size_t j = i + 1; j < members.size(); ++j) {
+    for (uint32_t i = 0; i < members.size(); ++i) {
+      for (uint32_t j = i + 1; j < members.size(); ++j) {
         if (g.HasEdge(members[i], members[j])) {
-          arena.Union(e, members[i], members[j]);
+          arena.Union(arena.Slot(e, i), arena.Slot(e, j));
         }
       }
     }
@@ -74,8 +75,8 @@ TEST(EdgeDsuArenaTest, ToKeyedDsuPreservesComponents) {
   core::EdgeDsuArena arena(dag);
   for (EdgeId e = 0; e < g.NumEdges(); ++e) {
     auto members = arena.Members(e);
-    for (size_t i = 0; i + 1 < members.size(); i += 2) {
-      arena.Union(e, members[i], members[i + 1]);
+    for (uint32_t i = 0; i + 1 < members.size(); i += 2) {
+      arena.Union(arena.Slot(e, i), arena.Slot(e, i + 1));
     }
   }
   for (EdgeId e = 0; e < g.NumEdges(); ++e) {

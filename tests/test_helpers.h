@@ -24,6 +24,7 @@
 #include "gen/holme_kim.h"
 #include "graph/builder.h"
 #include "graph/graph.h"
+#include "graph/orientation.h"
 #include "util/rng.h"
 
 namespace esd::test {
@@ -359,6 +360,38 @@ inline std::vector<std::pair<std::string, graph::Graph>> Zoo() {
   return zoo;
 }
 
+/// Edge e's common neighbourhood split by rank, as EdgeDsuArena lays out
+/// e's slice: with e = a→b in the DAG, `upper` holds the w with b ≺ w,
+/// `middle` those with a ≺ w ≺ b, `lower` those with w ≺ a; each ascends by
+/// vertex id.
+struct RankSections {
+  std::vector<graph::VertexId> upper, middle, lower;
+
+  std::vector<graph::VertexId> Concatenated() const {
+    std::vector<graph::VertexId> out = upper;
+    out.insert(out.end(), middle.begin(), middle.end());
+    out.insert(out.end(), lower.begin(), lower.end());
+    return out;
+  }
+};
+
+inline RankSections RankSectionsOf(const graph::Graph& g,
+                                   const graph::DegreeOrderedDag& dag,
+                                   graph::EdgeId e) {
+  graph::Edge ab = g.EdgeAt(e);
+  if (dag.Less(ab.v, ab.u)) std::swap(ab.u, ab.v);
+  RankSections out;
+  for (graph::VertexId w : graph::CommonNeighbors(g, ab.u, ab.v)) {
+    if (dag.Less(ab.v, w)) {
+      out.upper.push_back(w);
+    } else if (dag.Less(ab.u, w)) {
+      out.middle.push_back(w);
+    } else {
+      out.lower.push_back(w);
+    }
+  }
+  return out;
+}
 
 }  // namespace esd::test
 
