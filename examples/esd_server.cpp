@@ -57,7 +57,7 @@
 //   esd_server --dataset pokec-s [--scale 0.2] [--threads 4] [--clients 8]
 //              [--requests 5000] [--max-queue 1024] [--deadline-us 0]
 //              [--engine frozen] [--scorer esd|truss|egobw]
-//              [--live-dir <dir>] [--refreeze-every N]
+//              [--live-dir <dir>] [--refreeze-every N (default 64)]
 //              [--slowlog N] [--history-interval-ms M] [--history-samples S]
 //   esd_server --file <edge_list> [--load-index <path>] ...
 //
@@ -103,13 +103,16 @@ namespace {
                "                  [--clients C] [--requests R]\n"
                "                  [--max-queue Q] [--deadline-us D]\n"
                "                  [--load-index P] [--cache-bytes B]\n"
-               "                  [--live-dir DIR] [--refreeze-every N]\n"
+               "                  [--live-dir DIR]\n"
+               "                  [--refreeze-every N (default %llu)]\n"
                "                  [--shards N]\n"
                "                  [--slowlog N] [--history-interval-ms M]\n"
                "                  [--history-samples S]\n"
                "                  [--listen PORT] [--bind ADDR]\n"
                "                  [--force-poll] [--drain-timeout-ms D]\n",
-               esd::kVersionString);
+               esd::kVersionString,
+               static_cast<unsigned long long>(
+                   esd::app::ServerConfig{}.refreeze_every));
   std::exit(2);
 }
 

@@ -7,6 +7,7 @@
 #include <memory>
 #include <string>
 
+#include "live/live_index.h"
 #include "net/server.h"
 #include "serve/query_service.h"
 
@@ -22,7 +23,7 @@ struct ServerConfig {
   std::string scorer = "esd";
   std::string load_index;
   std::string live_dir;  ///< non-empty: live (or sharded-live) serving
-  uint64_t refreeze_every = 256;
+  uint64_t refreeze_every = live::LiveOptions{}.refreeze_every;
   uint32_t shards = 1;  ///< >= 2: sharded serving
   unsigned threads = 0;  ///< 0 = util::ThreadPool::DefaultThreadCount()
   size_t max_queue = 1024;

@@ -17,7 +17,9 @@ namespace esd::core {
 /// Edge ids are dense; freed ids are reused. EsdIndex derives from this
 /// table and moves its H(c) lists inside its own SetEdgeSizes/BulkLoad, so
 /// write an EsdIndex through the EsdIndex, never through a reference to
-/// this base. The live writer keeps the table alone.
+/// this base. The live writer keeps the table alone, with its change log
+/// on: the record of which slots were written since a given epoch, so
+/// that epoch's successor is rebuilt from those slots alone.
 class EdgeSizeTable {
  public:
   /// Registers an edge and returns its dense id (freed ids are reused).
@@ -63,12 +65,38 @@ class EdgeSizeTable {
   /// the stored multisets).
   void SetScorerKind(ScorerKind kind) { scorer_kind_ = kind; }
 
+  // ---- Change log ------------------------------------------------------------
+  // Off by default. Once enabled, every slot written by RegisterEdge,
+  // UnregisterEdge or a SetEdgeSizes that changes the multiset is appended;
+  // positions are a monotone write count. The log never holds more entries
+  // than the table has slots: past that it is dropped, and every position
+  // before the drop reads as unavailable.
+
+  /// Starts logging at position ChangeLogEnd().
+  void EnableChangeLog() { log_enabled_ = true; }
+
+  /// Position just past the newest logged write.
+  uint64_t ChangeLogEnd() const { return log_end_; }
+
+  /// Appends the slots written at positions [from, ChangeLogEnd()) to
+  /// *slots (in write order, repeats included) and returns true, or
+  /// returns false when part of that range was trimmed or dropped.
+  bool ChangedSince(uint64_t from, std::vector<graph::EdgeId>* slots) const;
+
+  /// Forgets the writes before position `upto`.
+  void TrimChangeLog(uint64_t upto);
+
  private:
+  void LogWrite(graph::EdgeId e);
+
   std::vector<std::vector<uint32_t>> edge_sizes_;  // by EdgeId
   std::vector<graph::Edge> edges_;                 // by EdgeId
   std::vector<graph::EdgeId> free_ids_;
   std::vector<uint8_t> live_;  // by EdgeId
   ScorerKind scorer_kind_ = ScorerKind::kEsd;
+  bool log_enabled_ = false;
+  std::vector<graph::EdgeId> log_;  // positions [log_end_ - size, log_end_)
+  uint64_t log_end_ = 0;
 };
 
 }  // namespace esd::core

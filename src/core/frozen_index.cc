@@ -28,6 +28,33 @@ uint32_t ScoreAt(std::span<const uint32_t> sizes, uint32_t c) {
       sizes.end() - std::lower_bound(sizes.begin(), sizes.end(), c));
 }
 
+/// The distinct size set C of `pool` (largest value `max_value`),
+/// ascending, into *sizes. It marks the values present in a pool-bounded
+/// array and then returns true, with (*rank)[v] = the index of v in C. A
+/// full ESD image always fits the bound (a size-c component puts a value
+/// in the multisets of at least 2c other edges); a filtered shard or a
+/// loaded file may not, and falls back to sorting a copy of the pool
+/// (returns false, *rank untouched).
+bool MarkDistinctSizes(const std::vector<uint32_t>& pool, uint32_t max_value,
+                       std::vector<uint32_t>* sizes,
+                       std::vector<uint32_t>* rank) {
+  sizes->clear();
+  if (max_value > pool.size()) {
+    *sizes = pool;
+    std::sort(sizes->begin(), sizes->end());
+    sizes->erase(std::unique(sizes->begin(), sizes->end()), sizes->end());
+    return false;
+  }
+  rank->assign(static_cast<size_t>(max_value) + 1, 0);
+  for (uint32_t v : pool) (*rank)[v] = 1;
+  for (uint32_t v = 0; v <= max_value; ++v) {
+    if ((*rank)[v] == 0) continue;
+    (*rank)[v] = static_cast<uint32_t>(sizes->size());
+    sizes->push_back(v);
+  }
+  return true;
+}
+
 }  // namespace
 
 FrozenEsdIndex FrozenEsdIndex::FromSizePool(std::vector<Edge> edges,
@@ -58,27 +85,9 @@ FrozenEsdIndex FrozenEsdIndex::FromSizePool(std::vector<Edge> edges,
     max_len = std::max<uint64_t>(max_len, s.size());
   }
 
-  // The distinct size set C, ascending, and slot_of(v) = the index of v in
-  // C, from marking the values present in a pool-bounded array. A full ESD
-  // image always fits the bound (a size-c component puts a value in the
-  // multisets of at least 2c other edges); a filtered shard or a loaded
-  // file may not, and falls back to sorting a copy of the pool.
-  const bool dense = max_value <= out.size_pool_.size();
   std::vector<uint32_t> rank;
-  if (dense) {
-    rank.assign(static_cast<size_t>(max_value) + 1, 0);
-    for (uint32_t v : out.size_pool_) rank[v] = 1;
-    for (uint32_t v = 0; v <= max_value; ++v) {
-      if (rank[v] == 0) continue;
-      rank[v] = static_cast<uint32_t>(out.sizes_.size());
-      out.sizes_.push_back(v);
-    }
-  } else {
-    out.sizes_ = out.size_pool_;
-    std::sort(out.sizes_.begin(), out.sizes_.end());
-    out.sizes_.erase(std::unique(out.sizes_.begin(), out.sizes_.end()),
-                     out.sizes_.end());
-  }
+  const bool dense =
+      MarkDistinctSizes(out.size_pool_, max_value, &out.sizes_, &rank);
   auto slot_of = [&](uint32_t v) -> size_t {
     if (dense) return rank[v];
     return static_cast<size_t>(
@@ -157,6 +166,173 @@ FrozenEsdIndex FrozenEsdIndex::FromSizePool(std::vector<Edge> edges,
     for (size_t j = 0; j < active.size(); ++j) {
       slab[start[score[j]]++] = Entry{score[j], active[j]};
     }
+  }
+  return out;
+}
+
+FrozenEsdIndex FrozenEsdIndex::FromDelta(const FrozenEsdIndex& base,
+                                         const SlotPatch& patch) {
+  const size_t n = patch.slot_count;
+  const size_t base_n = base.edges_.size();
+  const size_t np = patch.ids.size();
+  assert(n >= base_n && patch.edges.size() == np && patch.live.size() == np &&
+         patch.sizes.offsets.size() == np + 1);
+  auto patched_sizes = [&](size_t i) -> std::span<const uint32_t> {
+    return {patch.sizes.values.data() + patch.sizes.offsets[i],
+            patch.sizes.values.data() + patch.sizes.offsets[i + 1]};
+  };
+  FrozenEsdIndex out;
+  out.scorer_ = base.scorer_;
+
+  // Registry: the base's arrays, grown to the table's slot count, with the
+  // patched slots overwritten.
+  out.edges_.reserve(n);
+  out.edges_.assign(base.edges_.begin(), base.edges_.end());
+  out.edges_.resize(n);
+  out.live_.reserve(n);
+  out.live_.assign(base.live_.begin(), base.live_.end());
+  out.live_.resize(n, 0);
+  out.num_live_ = base.num_live_;
+  for (size_t i = 0; i < np; ++i) {
+    const EdgeId e = patch.ids[i];
+    assert(e < n && (i == 0 || patch.ids[i - 1] < e));
+    if (e < base_n) out.num_live_ -= base.live_[e];
+    out.num_live_ += patch.live[i];
+    out.edges_[e] = patch.edges[i];
+    out.live_[e] = patch.live[i];
+  }
+
+  // Size pool: each run of unpatched slots is one block copy of the base's
+  // pool, its offsets shifted; each patched slot takes the patch's values.
+  out.size_offsets_.resize(n + 1);
+  out.size_pool_.reserve(base.size_pool_.size() + patch.sizes.values.size());
+  auto copy_run = [&](size_t from, size_t to) {
+    assert(from == to || to <= base_n);  // slots past the base are patched
+    if (from == to) return;
+    const uint64_t lo = base.size_offsets_[from];
+    const uint64_t at = out.size_pool_.size();
+    for (size_t e = from; e < to; ++e) {
+      out.size_offsets_[e] = base.size_offsets_[e] - lo + at;
+    }
+    out.size_pool_.insert(out.size_pool_.end(), base.size_pool_.begin() + lo,
+                          base.size_pool_.begin() + base.size_offsets_[to]);
+  };
+  size_t next = 0;
+  for (size_t i = 0; i < np; ++i) {
+    const EdgeId e = patch.ids[i];
+    copy_run(next, e);
+    out.size_offsets_[e] = out.size_pool_.size();
+    std::span<const uint32_t> values = patched_sizes(i);
+    assert(std::is_sorted(values.begin(), values.end()));
+    assert(patch.live[i] || values.empty());
+    out.size_pool_.insert(out.size_pool_.end(), values.begin(), values.end());
+    next = e + 1;
+  }
+  copy_run(next, n);
+  out.size_offsets_[n] = out.size_pool_.size();
+
+  std::vector<uint32_t> rank;
+  const uint32_t max_value =
+      out.size_pool_.empty()
+          ? 0
+          : *std::max_element(out.size_pool_.begin(), out.size_pool_.end());
+  MarkDistinctSizes(out.size_pool_, max_value, &out.sizes_, &rank);
+  const size_t num_c = out.sizes_.size();
+
+  // The patched slots entering the new slabs (`fresh`, by their new
+  // maximum) and leaving the base slabs (`gone`, by their base maximum),
+  // each sorted by that maximum descending, so the slots in the slab of a
+  // size c are a prefix.
+  struct Ranked {
+    uint32_t max;
+    EdgeId e;
+    std::span<const uint32_t> sizes;
+  };
+  auto by_max_desc = [](const Ranked& a, const Ranked& b) {
+    return a.max > b.max;
+  };
+  std::vector<Ranked> fresh, gone;
+  for (size_t i = 0; i < np; ++i) {
+    const EdgeId e = patch.ids[i];
+    std::span<const uint32_t> now = patched_sizes(i);
+    if (!now.empty()) fresh.push_back({now.back(), e, now});
+    if (e < base_n) {
+      std::span<const uint32_t> was = base.EdgeSizes(e);
+      if (!was.empty()) gone.push_back({was.back(), e, was});
+    }
+  }
+  std::sort(fresh.begin(), fresh.end(), by_max_desc);
+  std::sort(gone.begin(), gone.end(), by_max_desc);
+  auto prefix = [](const std::vector<Ranked>& v, uint32_t c) {
+    return static_cast<size_t>(
+        std::partition_point(v.begin(), v.end(),
+                             [c](const Ranked& r) { return r.max >= c; }) -
+        v.begin());
+  };
+  // For each new size, its base slab (kNoSlab when c exceeds every base
+  // size) and slab lengths: |base slab| - |gone prefix| + |fresh prefix|.
+  std::vector<size_t> from(num_c);
+  out.offsets_.assign(num_c + 1, 0);
+  for (size_t i = 0; i < num_c; ++i) {
+    const uint32_t c = out.sizes_[i];
+    const auto it =
+        std::lower_bound(base.sizes_.begin(), base.sizes_.end(), c);
+    from[i] = it == base.sizes_.end()
+                  ? kNoSlab
+                  : static_cast<size_t>(it - base.sizes_.begin());
+    const uint64_t kept =
+        from[i] == kNoSlab
+            ? 0
+            : base.ListAt(from[i]).size() - prefix(gone, *it);
+    out.offsets_[i + 1] = out.offsets_[i] + kept + prefix(fresh, c);
+  }
+  out.entries_.reserve(out.offsets_[num_c]);
+
+  std::vector<Entry> add;
+  std::vector<size_t> drop;
+  for (size_t i = 0; i < num_c; ++i) {
+    const uint32_t c = out.sizes_[i];
+    add.clear();
+    for (size_t j = 0, p = prefix(fresh, c); j < p; ++j) {
+      add.push_back(Entry{ScoreAt(fresh[j].sizes, c), fresh[j].e});
+    }
+    std::sort(add.begin(), add.end(), EntryBefore);
+    std::span<const Entry> old;
+    drop.clear();
+    if (from[i] != kNoSlab) {
+      old = base.ListAt(from[i]);
+      const uint32_t c_old = base.sizes_[from[i]];
+      for (size_t j = 0, p = prefix(gone, c_old); j < p; ++j) {
+        const Entry was{ScoreAt(gone[j].sizes, c_old), gone[j].e};
+        const auto at = std::lower_bound(old.begin(), old.end(), was,
+                                         EntryBefore);
+        assert(at != old.end() && *at == was);
+        drop.push_back(static_cast<size_t>(at - old.begin()));
+      }
+      std::sort(drop.begin(), drop.end());
+    }
+    // Copies old[lo, hi) minus the dropped positions, in blocks.
+    size_t d = 0;
+    auto copy_old = [&](size_t lo, size_t hi) {
+      for (; d < drop.size() && drop[d] < hi; ++d) {
+        out.entries_.insert(out.entries_.end(), old.begin() + lo,
+                            old.begin() + drop[d]);
+        lo = drop[d] + 1;
+      }
+      out.entries_.insert(out.entries_.end(), old.begin() + lo,
+                          old.begin() + hi);
+    };
+    size_t pos = 0;
+    for (const Entry& x : add) {
+      const size_t at = static_cast<size_t>(
+          std::lower_bound(old.begin() + pos, old.end(), x, EntryBefore) -
+          old.begin());
+      copy_old(pos, at);
+      out.entries_.push_back(x);
+      pos = at;
+    }
+    copy_old(pos, old.size());
+    assert(out.entries_.size() == out.offsets_[i + 1]);
   }
   return out;
 }
@@ -387,6 +563,25 @@ FrozenEsdIndex Freeze(const EdgeSizeTable& table) {
       });
   return FrozenEsdIndex::FromSizePool(std::move(edges), std::move(sizes),
                                       std::move(live), table.Scorer());
+}
+
+SlotPatch CopySlots(const EdgeSizeTable& table, std::vector<EdgeId> slots) {
+  std::sort(slots.begin(), slots.end());
+  slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
+  SlotPatch patch;
+  patch.slot_count = table.EdgeSlotCount();
+  patch.edges.reserve(slots.size());
+  patch.live.reserve(slots.size());
+  for (EdgeId e : slots) {
+    patch.edges.push_back(table.EdgeAt(e));
+    patch.live.push_back(table.IsLive(e) ? 1 : 0);
+  }
+  patch.sizes = EdgeSizePool::Pack(
+      slots.size(), [&](size_t i) -> const std::vector<uint32_t>& {
+        return table.EdgeSizes(slots[i]);
+      });
+  patch.ids = std::move(slots);
+  return patch;
 }
 
 EsdIndex Thaw(const FrozenEsdIndex& frozen) {

@@ -16,6 +16,18 @@ namespace esd::core {
 class EdgeSizeTable;
 class EsdIndex;
 
+/// Some slots of an edge table, copied out with their current contents:
+/// what a delta refreeze carries out of the writer lock. `ids` ascend
+/// without repeats; patched slot i's multiset is sizes.values[
+/// sizes.offsets[i] .. sizes.offsets[i+1]).
+struct SlotPatch {
+  size_t slot_count = 0;  ///< the table's EdgeSlotCount()
+  std::vector<graph::EdgeId> ids;
+  std::vector<graph::Edge> edges;
+  std::vector<uint8_t> live;
+  EdgeSizePool sizes;
+};
+
 /// Read-optimized, immutable image of the ESDIndex (Section IV-A) — the
 /// serving layer.
 ///
@@ -76,6 +88,17 @@ class FrozenEsdIndex final : public EsdQueryEngine {
                                      EdgeSizePool sizes,
                                      std::vector<uint8_t> live = {},
                                      ScorerKind scorer = ScorerKind::kEsd);
+
+  /// The delta builder: the image FromSizePool (and so Freeze) would build
+  /// of a table that matches `base` everywhere but the slots in `patch`.
+  /// Every slot past the base's must be patched. Unpatched slots are
+  /// copied in blocks and C is recomputed by marking. The slab of each
+  /// size c is the base slab at lower_bound(C_old, c) minus the patched
+  /// edges, merged with their new entries: an unpatched edge holds no
+  /// value in [c, that size), so it keeps its membership and its score.
+  /// O(pool + entries + |C| · |patch| log) with no per-entry scoring.
+  static FrozenEsdIndex FromDelta(const FrozenEsdIndex& base,
+                                  const SlotPatch& patch);
 
   /// Validates `parts` (offset monotonicity, sorted multisets and slabs,
   /// edge ids in range, slab membership/scores consistent with the
@@ -191,6 +214,11 @@ class FrozenEsdIndex final : public EsdQueryEngine {
 /// bare table — through FromSizePool. Freed slots are preserved (live mask
 /// + empty multiset), so Thaw(Freeze(x)) reproduces x's exact id layout.
 FrozenEsdIndex Freeze(const EdgeSizeTable& table);
+
+/// Copies `slots` of `table` (any order, repeats allowed) into a patch for
+/// FrozenEsdIndex::FromDelta.
+SlotPatch CopySlots(const EdgeSizeTable& table,
+                    std::vector<graph::EdgeId> slots);
 
 /// Reconstructs a mutable EsdIndex from a frozen image: the H(c) treaps are
 /// rebuilt from the stored multisets, keeping the image's edge-id layout,

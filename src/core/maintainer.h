@@ -89,6 +89,11 @@ class Maintainer {
   /// The maintained edge table.
   const Table& table() const { return table_; }
 
+  /// The maintained edge table, for the bookkeeping that leaves C_e alone
+  /// (EdgeSizeTable's change log). Writing C_e through it would bypass
+  /// the maintenance.
+  Table& mutable_table() { return table_; }
+
   /// Number of edges whose multisets were refreshed by the last update —
   /// the locality measure reported by the maintenance bench.
   size_t LastUpdateTouchedEdges() const { return last_touched_; }

@@ -64,10 +64,19 @@ LiveEsdIndex::LiveEsdIndex(const LiveOptions& options, RecoveredState recovered)
       next_seq_(recovered_.applied_seq + 1),
       writer_(recovered_.graph.Snapshot(), core::ScorerForKind(options_.scorer),
               core::DeletionStrategy::kTargeted),
-      writer_seq_(recovered_.applied_seq) {
+      writer_seq_(recovered_.applied_seq),
+      freeze_us_(Registry(options_).GetHistogram(
+          "esd_live_stage_freeze_us",
+          "Write path: building an epoch from the previous one plus the "
+          "changed slots, outside the writer lock, us")),
+      changed_slots_(Registry(options_).GetCounter(
+          "esd_live_refreeze_changed_slots_total",
+          "Slots patched into delta-built epochs")) {
   // The recovered graph lives on inside the writer; drop the copy.
   recovered_.graph = graph::DynamicGraph();
-  Publish(core::Freeze(writer_.table()), writer_seq_);
+  core::EdgeSizeTable& table = writer_.mutable_table();
+  table.EnableChangeLog();
+  Publish(core::Freeze(table), writer_seq_, table.ChangeLogEnd());
   Registry(options_)
       .GetCounter("esd_live_replayed_total",
                   "WAL records folded in during recovery")
@@ -221,11 +230,7 @@ ApplyResult LiveEsdIndex::ApplyBatchTyped(std::span<const LiveUpdate> updates) {
       c_noops.Inc();
     }
     ++result.processed;
-    if (options_.refreeze_every != 0 &&
-        ++since_refreeze_ >= options_.refreeze_every) {
-      since_refreeze_ = 0;
-      ScheduleRefreeze();
-    }
+    ++since_refreeze_;
   }
   // One durability point per batch: the records are acknowledged together.
   // An fsync that fails through its retries degrades exactly like a failed
@@ -250,6 +255,14 @@ ApplyResult LiveEsdIndex::ApplyBatchTyped(std::span<const LiveUpdate> updates) {
                        " attempts (" + sync_error +
                        "); live index is now read-only";
     }
+  }
+  // Durability before visibility: only a batch that reached its fsync may
+  // trigger the refreeze that publishes it.
+  if (result.status != ApplyStatus::kWalError &&
+      options_.refreeze_every != 0 &&
+      since_refreeze_ >= options_.refreeze_every) {
+    since_refreeze_ %= options_.refreeze_every;  // keep the cadence's phase
+    ScheduleRefreeze();
   }
   return result;
 }
@@ -300,13 +313,30 @@ bool LiveEsdIndex::Checkpoint(std::string* error) {
 
 bool LiveEsdIndex::RefreezeNow() {
   ESD_TRACE_SPAN("live.refreeze");
+  std::shared_ptr<const EpochSnapshot> base;
+  core::SlotPatch patch;
   core::FrozenEsdIndex frozen;
+  bool full = false;
   uint64_t seq = 0;
+  uint64_t log_pos = 0;
   {
+    // O(change) under the lock. The base is pinned here, not before, so
+    // the trim below can never drop a slot some refreeze still needs:
+    // every later base is at or past this one.
     std::lock_guard<std::mutex> lock(writer_mu_);
     refreeze_queued_ = false;
-    frozen = core::Freeze(writer_.table());
+    base = CurrentSnapshot();
+    core::EdgeSizeTable& table = writer_.mutable_table();
+    std::vector<graph::EdgeId> changed;
+    if (table.ChangedSince(base->change_log_pos, &changed)) {
+      patch = core::CopySlots(table, std::move(changed));
+    } else {
+      frozen = core::Freeze(table);  // the log was dropped
+      full = true;
+    }
     seq = writer_seq_;
+    log_pos = table.ChangeLogEnd();
+    table.TrimChangeLog(base->change_log_pos);
   }
   // The freeze-to-publish window: writer_mu_ is released, so newer updates
   // can be applied — and refrozen by another thread — before this image
@@ -324,12 +354,22 @@ bool LiveEsdIndex::RefreezeNow() {
     }
     return false;
   }
+  if (!full) {
+    const auto t0 = std::chrono::steady_clock::now();
+    frozen = core::FrozenEsdIndex::FromDelta(base->index, patch);
+    freeze_us_.RecordNanos(static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count()));
+    changed_slots_.Inc(patch.ids.size());
+  }
+  base.reset();  // unpin before publishing, so the old epoch can go
   {
     std::lock_guard<std::mutex> lock(writer_mu_);
     consecutive_failures_ = 0;
     breaker_open_.store(false, std::memory_order_relaxed);
   }
-  Publish(std::move(frozen), seq);
+  Publish(std::move(frozen), seq, log_pos);
   return true;
 }
 
@@ -360,10 +400,12 @@ void LiveEsdIndex::SetEpochListener(EpochListener listener) {
   listener_ = std::move(listener);
 }
 
-void LiveEsdIndex::Publish(core::FrozenEsdIndex frozen, uint64_t seq) {
+void LiveEsdIndex::Publish(core::FrozenEsdIndex frozen, uint64_t seq,
+                           uint64_t log_pos) {
   auto snap = std::make_shared<EpochSnapshot>();
   snap->index = std::move(frozen);
   snap->applied_seq = seq;
+  snap->change_log_pos = log_pos;
   snap->published_at = std::chrono::steady_clock::now();
   {
     std::lock_guard<std::mutex> lock(published_mu_);

@@ -36,7 +36,10 @@ struct LiveOptions {
   core::ScorerKind scorer = core::ScorerKind::kEsd;
   /// Re-freeze (publish a new read epoch) every this many applied updates;
   /// 0 disables automatic refreezes (callers drive RefreezeNow/Checkpoint).
-  uint64_t refreeze_every = 256;
+  /// A refreeze costs O(change), so the default trades a few publishes'
+  /// CPU for visibility: each epoch also starts a new result-cache
+  /// generation and copies the whole image.
+  uint64_t refreeze_every = 64;
   /// Hard bound on vertex ids accepted by inserts (auto-grow limit).
   graph::VertexId max_vertex_id = (1u << 22);
   /// Metrics home; null = obs::MetricRegistry::Global().
@@ -124,8 +127,20 @@ struct LiveStats {
 ///      per-edge disjoint sets M_e and multisets C_e (Section V,
 ///      Algorithms 4-5 up to line 19); no H lists are kept, because
 ///      epochs are frozen straight from C_e,
-///   3. every `refreeze_every` applied updates, queue a background
-///      re-freeze that publishes a fresh immutable FrozenEsdIndex epoch.
+///   3. every `refreeze_every` applied updates, once the batch is durable,
+///      queue a background re-freeze that publishes a fresh immutable
+///      FrozenEsdIndex epoch.
+///
+/// Refreeze (RefreezeNow): each epoch is the previous one plus the slots
+/// that changed. The writer table logs every slot it writes and each epoch
+/// records its log position. Under writer_mu_ a refreeze only pins the
+/// published epoch as its base, copies the slots logged since the base's
+/// position into a flat patch, reads the watermark and trims the log to
+/// the base's position; FrozenEsdIndex::FromDelta then builds the image
+/// outside the lock. The patch holds every slot written after the base
+/// was frozen, so a refreeze that fails or loses the publish race drops
+/// nothing. When the log was dropped (it never outgrows the slot count),
+/// the refreeze falls back to a full Freeze under the lock.
 ///
 /// Read path: CurrentSnapshot()/CurrentEngine() — one O(1) shared_ptr
 /// copy; readers keep serving their pinned epoch while newer ones publish
@@ -186,10 +201,11 @@ class LiveEsdIndex {
   bool Checkpoint(std::string* error);
 
   /// Synchronous epoch publish (also available through the background
-  /// refreeze schedule): freezes the maintenance state under the writer
-  /// lock and publishes it. False when the rebuild failed (only possible
-  /// via the live.refreeze fail point today): the previous epoch stays
-  /// published and the circuit breaker counts the failure — after
+  /// refreeze schedule): builds the next epoch from the published one and
+  /// the slots changed since (see the class comment) and publishes it.
+  /// False when the rebuild failed (only possible via the live.refreeze
+  /// fail point today): the previous epoch stays published and the
+  /// circuit breaker counts the failure — after
   /// options.refreeze_breaker_threshold consecutive failures it opens and
   /// scheduled refreezes are skipped until the cooldown has passed, when
   /// the next schedule is the retry. A success closes the breaker.
@@ -243,9 +259,10 @@ class LiveEsdIndex {
   /// breaker is open and still cooling down.
   void ScheduleRefreeze();
 
-  /// Publishes `frozen` as the next epoch unless an image with a newer
-  /// watermark is already published, then fires the listener.
-  void Publish(core::FrozenEsdIndex frozen, uint64_t seq);
+  /// Publishes `frozen` (reflecting `seq` and change-log position
+  /// `log_pos`) as the next epoch unless an image with a newer watermark
+  /// is already published, then fires the listener.
+  void Publish(core::FrozenEsdIndex frozen, uint64_t seq, uint64_t log_pos);
 
   LiveOptions options_;
   RecoveredState recovered_;
@@ -272,8 +289,9 @@ class LiveEsdIndex {
   uint64_t heals_ = 0;
   uint64_t checkpoint_failures_ = 0;
 
-  // Guards the maintenance state, its watermark and the refreeze breaker
-  // (the breaker atomics are also read lock-free by Stats and Health).
+  // Guards the maintenance state (its table's change log included), its
+  // watermark and the refreeze breaker (the breaker atomics are also read
+  // lock-free by Stats and Health).
   mutable std::mutex writer_mu_;
   core::Maintainer<core::EdgeSizeTable> writer_;
   uint64_t writer_seq_ = 0;  ///< last WAL seq folded into writer_
@@ -292,6 +310,9 @@ class LiveEsdIndex {
   mutable std::mutex published_mu_;
   std::shared_ptr<const EpochSnapshot> published_;
   uint64_t publish_races_ = 0;  ///< stale publishes discarded by the guard
+
+  obs::Histogram& freeze_us_;    ///< delta builds, outside the lock
+  obs::Counter& changed_slots_;  ///< slots patched into epochs
 
   // Held across each listener call as well as by SetEpochListener, which
   // therefore waits out a running call.

@@ -22,6 +22,9 @@ struct EpochSnapshot {
   core::FrozenEsdIndex index;
   uint64_t epoch = 0;        ///< 0 for the boot snapshot, +1 per publish
   uint64_t applied_seq = 0;  ///< last WAL seq folded into `index`
+  /// Position in the writer table's change log that `index` reflects: the
+  /// next epoch is this one plus the slots logged from here on.
+  uint64_t change_log_pos = 0;
   std::chrono::steady_clock::time_point published_at{};
 
   /// Age of this epoch (now - publish time), the serving-staleness signal.

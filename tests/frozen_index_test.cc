@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "core/binary_format.h"
+#include "core/edge_size_table.h"
 #include "core/esd_index.h"
 #include "core/frozen_index.h"
 #include "core/index_builder.h"
@@ -31,6 +32,7 @@
 #include "gen/erdos_renyi.h"
 #include "graph/builder.h"
 #include "tests/test_helpers.h"
+#include "util/rng.h"
 
 namespace esd {
 namespace {
@@ -280,6 +282,178 @@ TEST(FrozenIndexTest, AdoptRejectsMalformedParts) {
     p.offsets.back() = cut;
     expect_rejected(std::move(p));
   }
+}
+
+// ---- Delta builder -----------------------------------------------------------
+
+/// A table loaded from `g`'s ESD multisets, logging from the start.
+core::EdgeSizeTable TableOf(const graph::Graph& g) {
+  core::EdgeSizeTable table;
+  table.BulkLoad(g.Edges(), core::CliqueComponentSizes(g).ToVectors());
+  table.EnableChangeLog();
+  return table;
+}
+
+/// The delta of `base` by every slot `table` logged since `pos`.
+FrozenEsdIndex DeltaSince(const FrozenEsdIndex& base,
+                          const core::EdgeSizeTable& table, uint64_t pos) {
+  std::vector<graph::EdgeId> slots;
+  EXPECT_TRUE(table.ChangedSince(pos, &slots));
+  return FrozenEsdIndex::FromDelta(base, core::CopySlots(table, slots));
+}
+
+TEST(FrozenDeltaTest, EachKindOfChangeMatchesFreeze) {
+  core::EdgeSizeTable table = TableOf(gen::BarabasiAlbert(40, 3, 5));
+  FrozenEsdIndex base = core::Freeze(table);
+  const std::vector<uint32_t> c_old = base.DistinctSizes();
+  ASSERT_GE(c_old.size(), 2u);
+  const uint32_t top = c_old.back();
+  // Applies `change` to the table, then checks the delta against Freeze
+  // and makes it the next base.
+  auto step = [&](const char* what, auto change) {
+    const uint64_t pos = table.ChangeLogEnd();
+    change();
+    const FrozenEsdIndex delta = DeltaSince(base, table, pos);
+    EXPECT_TRUE(delta == core::Freeze(table)) << what;
+    table.TrimChangeLog(pos);
+    base = delta;
+  };
+
+  step("empty patch", [] {});
+  EXPECT_TRUE(base == core::Freeze(table));
+  step("a size enters C", [&] { table.SetEdgeSizes(3, {1, top + 5}); });
+  EXPECT_EQ(base.DistinctSizes().back(), top + 5);
+  step("a size leaves C", [&] { table.SetEdgeSizes(3, {2}); });
+  EXPECT_EQ(base.DistinctSizes().back(), top);
+  step("the top size leaves C", [&] {
+    for (graph::EdgeId e = 0; e < table.EdgeSlotCount(); ++e) {
+      const std::vector<uint32_t>& now = table.EdgeSizes(e);
+      if (now.empty() || now.back() != top) continue;
+      table.SetEdgeSizes(
+          e, {now.begin(), std::lower_bound(now.begin(), now.end(), top)});
+    }
+  });
+  EXPECT_LT(base.DistinctSizes().back(), top);
+  step("slots grow", [&] {
+    for (graph::VertexId v = 50; v < 54; ++v) {
+      const graph::EdgeId e = table.RegisterEdge(graph::MakeEdge(v, v + 1));
+      table.SetEdgeSizes(e, {1, 1, v - 48});
+    }
+  });
+  step("slots freed", [&] {
+    for (graph::EdgeId e : {0u, 7u, 8u}) {
+      table.SetEdgeSizes(e, {});
+      table.UnregisterEdge(e);
+    }
+  });
+  EXPECT_FALSE(base.IsLive(7));
+  step("freed slots reused", [&] {
+    const graph::EdgeId e = table.RegisterEdge(graph::MakeEdge(60, 61));
+    EXPECT_LT(e, 9u);
+    table.SetEdgeSizes(e, {4, 4});
+  });
+  EXPECT_EQ(base.NumRegisteredEdges(), table.NumRegisteredEdges());
+}
+
+TEST(FrozenDeltaTest, AllSlotsPatchIsFromSizePool) {
+  for (const graph::Graph& g : RandomGraphs()) {
+    const core::EdgeSizeTable table = TableOf(g);
+    std::vector<graph::EdgeId> all(table.EdgeSlotCount());
+    for (graph::EdgeId e = 0; e < all.size(); ++e) all[e] = e;
+    const FrozenEsdIndex want = FrozenEsdIndex::FromSizePool(
+        g.Edges(), core::CliqueComponentSizes(g));
+    EXPECT_TRUE(FrozenEsdIndex::FromDelta(FrozenEsdIndex(),
+                                          core::CopySlots(table, all)) ==
+                want);
+    EXPECT_TRUE(FrozenEsdIndex::FromDelta(want, core::CopySlots(table, all)) ==
+                want);
+  }
+}
+
+// Chains of deltas over random edits (arbitrary multisets, so sizes enter
+// and leave C, scores tie, and slots are freed, reused and appended) stay
+// equal to a full Freeze at every link.
+TEST(FrozenDeltaTest, RandomDeltaChainsMatchFreeze) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    util::Rng rng(seed);
+    core::EdgeSizeTable table = TableOf(gen::ErdosRenyiGnm(24, 60, seed));
+    auto random_sizes = [&] {
+      std::vector<uint32_t> sizes(rng.NextBounded(5));
+      for (uint32_t& c : sizes) c = 1 + static_cast<uint32_t>(rng.NextBounded(12));
+      std::sort(sizes.begin(), sizes.end());
+      return sizes;
+    };
+    FrozenEsdIndex base = core::Freeze(table);
+    for (int round = 0; round < 40; ++round) {
+      const uint64_t pos = table.ChangeLogEnd();
+      for (uint64_t op = rng.NextBounded(6); op-- > 0;) {
+        const auto e =
+            static_cast<graph::EdgeId>(rng.NextBounded(table.EdgeSlotCount()));
+        const uint64_t kind = rng.NextBounded(4);
+        if (kind == 0) {
+          const auto u = static_cast<graph::VertexId>(rng.NextBounded(40));
+          const graph::EdgeId added =
+              table.RegisterEdge(graph::MakeEdge(u, u + 1));
+          table.SetEdgeSizes(added, random_sizes());
+        } else if (!table.IsLive(e)) {
+          continue;
+        } else if (kind == 1) {
+          table.SetEdgeSizes(e, {});
+          table.UnregisterEdge(e);
+        } else {
+          table.SetEdgeSizes(e, random_sizes());
+        }
+      }
+      const FrozenEsdIndex delta = DeltaSince(base, table, pos);
+      ASSERT_TRUE(delta == core::Freeze(table))
+          << "seed " << seed << " round " << round;
+      table.TrimChangeLog(pos);
+      base = delta;
+    }
+  }
+}
+
+TEST(EdgeSizeTableTest, ChangeLogIsOptInTrimmedAndBounded) {
+  const graph::Graph g = gen::BarabasiAlbert(20, 2, 3);
+  core::EdgeSizeTable table;
+  table.BulkLoad(g.Edges(), core::CliqueComponentSizes(g).ToVectors());
+  std::vector<graph::EdgeId> slots;
+  table.SetEdgeSizes(1, {9});
+  EXPECT_FALSE(table.ChangedSince(0, &slots)) << "off by default";
+  EXPECT_EQ(table.ChangeLogEnd(), 0u);
+
+  table.EnableChangeLog();
+  table.SetEdgeSizes(1, {9});  // unchanged: not logged
+  EXPECT_EQ(table.ChangeLogEnd(), 0u);
+  table.SetEdgeSizes(4, {7});
+  table.SetEdgeSizes(2, {7});
+  table.SetEdgeSizes(4, {8});
+  ASSERT_TRUE(table.ChangedSince(0, &slots));
+  EXPECT_EQ(slots, (std::vector<graph::EdgeId>{4, 2, 4}));
+  slots.clear();
+  ASSERT_TRUE(table.ChangedSince(2, &slots));
+  EXPECT_EQ(slots, (std::vector<graph::EdgeId>{4}));
+
+  table.TrimChangeLog(2);
+  slots.clear();
+  EXPECT_FALSE(table.ChangedSince(1, &slots));
+  ASSERT_TRUE(table.ChangedSince(2, &slots));
+  EXPECT_EQ(slots, (std::vector<graph::EdgeId>{4}));
+
+  // More writes than slots drop the log: old positions read unavailable.
+  const uint64_t before = table.ChangeLogEnd();
+  for (size_t i = 0; i <= table.EdgeSlotCount(); ++i) {
+    table.SetEdgeSizes(0, {static_cast<uint32_t>(i + 1)});
+  }
+  EXPECT_FALSE(table.ChangedSince(before, &slots));
+  const uint64_t after = table.ChangeLogEnd();
+  slots.clear();
+  EXPECT_TRUE(table.ChangedSince(after, &slots));
+  EXPECT_TRUE(slots.empty());
+
+  // A bulk load rewrites every slot: no position before it can patch.
+  table.BulkLoad(g.Edges(), core::CliqueComponentSizes(g).ToVectors());
+  EXPECT_FALSE(table.ChangedSince(after, &slots));
 }
 
 TEST(IndexIoV2Test, FrozenRoundTripV2) {

@@ -34,6 +34,7 @@
 #include "live/recovery.h"
 #include "live/snapshot.h"
 #include "live/wal.h"
+#include "obs/metrics.h"
 #include "serve/query_service.h"
 #include "tests/test_helpers.h"
 #include "util/rng.h"
@@ -552,6 +553,17 @@ void ExpectEngineParity(const core::EsdQueryEngine& engine,
   }
 }
 
+/// Applies `u` to the dynamic engine the way the live writer does; true
+/// when the graph changed.
+bool ApplyToDynamic(core::DynamicEsdIndex* dyn, const LiveUpdate& u) {
+  const graph::VertexId hi = std::max(u.u, u.v);
+  if (u.kind == UpdateKind::kInsert) {
+    while (dyn->CurrentGraph().NumVertices() <= hi) dyn->AddVertex();
+    return dyn->InsertEdge(u.u, u.v);
+  }
+  return hi < dyn->CurrentGraph().NumVertices() && dyn->DeleteEdge(u.u, u.v);
+}
+
 // The headline property: after N random updates — across refreezes and a
 // checkpoint boundary — the live index answers exactly like a from-scratch
 // build on the final graph, both before and after a close/reopen.
@@ -646,19 +658,12 @@ TEST(LiveIndexTest, EpochsAreByteIdenticalToDynamicEngineFreeze) {
         } while (u.v == u.u);
       }
       ASSERT_TRUE(live->Apply(u, &error)) << name << " i=" << i << error;
-      const graph::VertexId hi = std::max(u.u, u.v);
-      if (u.kind == UpdateKind::kInsert) {
-        while (dyn.CurrentGraph().NumVertices() <= hi) dyn.AddVertex();
-        inserted += dyn.InsertEdge(u.u, u.v);
-      } else {
-        freed += dyn.DeleteEdge(u.u, u.v);
-      }
-      if (i == 149 || i == 299) {
-        ASSERT_TRUE(live->RefreezeNow());
-        EXPECT_TRUE(live->CurrentSnapshot()->index ==
-                    core::Freeze(dyn.Index()))
-            << name << " after update " << i;
-      }
+      const bool effective = ApplyToDynamic(&dyn, u);
+      (u.kind == UpdateKind::kInsert ? inserted : freed) += effective;
+      // Every epoch is a delta of the one before it.
+      ASSERT_TRUE(live->RefreezeNow());
+      ASSERT_TRUE(live->CurrentSnapshot()->index == core::Freeze(dyn.Index()))
+          << name << " after update " << i;
     }
     EXPECT_EQ(freed, 100u) << name;
     // Fewer slots than edges ever registered: inserts reused freed ids.
@@ -666,6 +671,180 @@ TEST(LiveIndexTest, EpochsAreByteIdenticalToDynamicEngineFreeze) {
         << name;
     EXPECT_GT(dyn.CurrentGraph().NumVertices(), bootstrap.NumVertices());
   }
+}
+
+/// Counts the slots of delta-built epochs; a full Freeze adds none.
+constexpr const char* kPatchedSlots = "esd_live_refreeze_changed_slots_total";
+
+/// A live index over BarabasiAlbert(60, 3, 5) with manual refreezes, and
+/// the dynamic engine it must match slot for slot.
+struct LiveAndOracle {
+  explicit LiveAndOracle(const std::string& tag,
+                         obs::MetricRegistry* registry = nullptr)
+      : dir(tag),
+        bootstrap(gen::BarabasiAlbert(60, 3, 5)),
+        dyn(graph::DynamicGraph(bootstrap).Snapshot(),
+            core::DeletionStrategy::kTargeted) {
+    LiveOptions options;
+    options.wal_path = dir.Path("wal.bin");
+    options.refreeze_every = 0;
+    options.max_vertex_id = 79;
+    options.registry = registry;
+    std::string error;
+    live = LiveEsdIndex::Open(bootstrap, options, &error);
+    EXPECT_NE(live, nullptr) << error;
+  }
+
+  /// Applies updates [from, to) of a fixed stream to both.
+  void Apply(size_t from, size_t to) {
+    static const std::vector<LiveUpdate> updates =
+        RandomUpdates(400, 75, 0xDE17A);
+    std::string error;
+    for (size_t i = from; i < to; ++i) {
+      ASSERT_TRUE(live->Apply(updates[i], &error)) << "i=" << i << error;
+      ApplyToDynamic(&dyn, updates[i]);
+    }
+  }
+
+  bool EpochMatches() const {
+    return live->CurrentSnapshot()->index == core::Freeze(dyn.Index());
+  }
+
+  ScratchDir dir;
+  graph::Graph bootstrap;
+  core::DynamicEsdIndex dyn;
+  std::unique_ptr<LiveEsdIndex> live;
+};
+
+// A refreeze that fails at the live.refreeze fail point has already copied
+// its patch and trimmed the log; the next one must still carry every slot
+// written since the published epoch.
+TEST(LiveIndexTest, FailedRefreezeKeepsEveryChangedSlot) {
+  if (!fault::kFailPointsCompiledIn) {
+    GTEST_SKIP() << "ESD_FAULT=OFF: the live.refreeze fail point compiles out";
+  }
+  obs::MetricRegistry registry;
+  LiveAndOracle t("live_refreeze_fail", &registry);
+  ASSERT_NE(t.live, nullptr);
+  t.Apply(0, 60);
+  fault::FailPointRegistry& fp = fault::FailPointRegistry::Global();
+  std::string error;
+  ASSERT_TRUE(fp.Set("live.refreeze", "1*error(EIO)", &error)) << error;
+  EXPECT_FALSE(t.live->RefreezeNow());
+  fp.Clear("live.refreeze");
+  EXPECT_EQ(t.live->CurrentSnapshot()->epoch, 0u);
+  t.Apply(60, 120);
+  ASSERT_TRUE(t.live->RefreezeNow());
+  EXPECT_EQ(t.live->CurrentSnapshot()->epoch, 1u);
+  EXPECT_TRUE(t.EpochMatches());
+  EXPECT_EQ(t.live->Stats().refreeze_failures, 1u);
+  // ... and it was a delta: the failed refreeze left the log intact.
+  EXPECT_GT(registry.CounterValue(kPatchedSlots), 0u);
+}
+
+// Two refreezes from the same base: the slower one, parked in the
+// freeze-to-publish window, loses to the seq guard, and the epoch after
+// both still carries every slot written since the winner's base.
+TEST(LiveIndexTest, RacingRefreezesKeepEveryChangedSlot) {
+  if (!fault::kFailPointsCompiledIn) {
+    GTEST_SKIP() << "ESD_FAULT=OFF: the live.refreeze fail point compiles out";
+  }
+  obs::MetricRegistry registry;
+  LiveAndOracle t("live_refreeze_race", &registry);
+  ASSERT_NE(t.live, nullptr);
+  t.Apply(0, 50);
+  fault::FailPointRegistry& fp = fault::FailPointRegistry::Global();
+  std::string error;
+  ASSERT_TRUE(fp.Set("live.refreeze", "nth(1)*delay(200)", &error)) << error;
+  std::thread slow([&] { EXPECT_TRUE(t.live->RefreezeNow()); });
+  while (fp.FireCount("live.refreeze") < 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  t.Apply(50, 100);
+  ASSERT_TRUE(t.live->RefreezeNow());
+  EXPECT_TRUE(t.EpochMatches());
+  // A delta from the base the parked refreeze also pinned: its trim left
+  // that base's log suffix alone.
+  EXPECT_GT(registry.CounterValue(kPatchedSlots), 0u);
+  slow.join();
+  fp.Clear("live.refreeze");
+  EXPECT_EQ(t.live->Stats().publish_races, 1u);
+  t.Apply(100, 150);
+  ASSERT_TRUE(t.live->RefreezeNow());
+  EXPECT_TRUE(t.EpochMatches());
+}
+
+// The change log never outgrows the table's slot count: past that it is
+// dropped, the next refreeze is a full Freeze (no slots counted as
+// patched), and the one after is a delta again.
+TEST(LiveIndexTest, OverflowedChangeLogFallsBackToFullFreeze) {
+  obs::MetricRegistry registry;
+  LiveAndOracle t("live_log_overflow", &registry);
+  ASSERT_NE(t.live, nullptr);
+  t.Apply(0, 20);
+  ASSERT_TRUE(t.live->RefreezeNow());
+  EXPECT_TRUE(t.EpochMatches());
+  const uint64_t patched = registry.CounterValue(kPatchedSlots);
+  EXPECT_GT(patched, 0u);
+
+  // Far more slot writes than slots, with no refreeze to trim the log.
+  t.Apply(20, 380);
+  ASSERT_TRUE(t.live->RefreezeNow());
+  EXPECT_TRUE(t.EpochMatches());
+  EXPECT_EQ(registry.CounterValue(kPatchedSlots), patched);
+
+  t.Apply(380, 400);
+  ASSERT_TRUE(t.live->RefreezeNow());
+  EXPECT_TRUE(t.EpochMatches());
+  EXPECT_GT(registry.CounterValue(kPatchedSlots), patched);
+}
+
+// Durability before visibility: a batch that reaches the refreeze cadence
+// is published only after its fsync returns, never while it is held.
+TEST(LiveIndexTest, NoEpochCoversABatchBeforeItsFsync) {
+  if (!fault::kFailPointsCompiledIn) {
+    GTEST_SKIP() << "ESD_FAULT=OFF: the wal.fsync fail point compiles out";
+  }
+  ScratchDir dir("live_fsync_first");
+  LiveOptions options;
+  options.wal_path = dir.Path("wal.bin");
+  options.refreeze_every = 4;
+  std::string error;
+  auto live =
+      LiveEsdIndex::Open(gen::BarabasiAlbert(40, 2, 3), options, &error);
+  ASSERT_NE(live, nullptr) << error;
+
+  const std::vector<LiveUpdate> batch = RandomUpdates(4, 40, 0xF5);
+  fault::FailPointRegistry& fp = fault::FailPointRegistry::Global();
+  constexpr int kHoldMs = 300;
+  ASSERT_TRUE(fp.Set("wal.fsync", "1*delay(" + std::to_string(kHoldMs) + ")",
+                     &error))
+      << error;
+  std::thread writer([&] {
+    std::string werror;
+    EXPECT_EQ(live->ApplyBatch(batch, &werror), batch.size()) << werror;
+  });
+  // FireCount bumps before the sleep: from here the fsync is held for
+  // kHoldMs. Watch the published epoch for most of that window.
+  while (fp.FireCount("wal.fsync") < 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const auto held_until = std::chrono::steady_clock::now() +
+                          std::chrono::milliseconds(kHoldMs - 100);
+  while (std::chrono::steady_clock::now() < held_until) {
+    EXPECT_EQ(live->CurrentSnapshot()->applied_seq, 0u)
+        << "an epoch covered the batch before its fsync returned";
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  writer.join();
+  fp.Clear("wal.fsync");
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (live->CurrentSnapshot()->applied_seq < batch.size() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(live->CurrentSnapshot()->applied_seq, batch.size());
 }
 
 TEST(LiveIndexTest, CheckpointCompactsTheLog) {

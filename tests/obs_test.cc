@@ -7,11 +7,14 @@
 // counters, and the serve metrics now hosted on the registry. Suites are
 // prefixed Obs* so the TSan CI job picks up the concurrent ones by name.
 
+#include <unistd.h>
+
 #include <atomic>
 #include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <limits>
 #include <map>
 #include <memory>
@@ -32,6 +35,7 @@
 #include "core/online_topk.h"
 #include "core/query_engine.h"
 #include "gen/barabasi_albert.h"
+#include "live/live_index.h"
 #include "obs/histogram.h"
 #include "obs/metrics.h"
 #include "obs/search_stats.h"
@@ -705,6 +709,45 @@ TEST(ObsServeMetricsTest, EmbeddedRegistriesAreIndependent) {
   // the serve_load sweep relies on between configurations.
   EXPECT_EQ(b.Snap().accepted, 0u);
   EXPECT_EQ(b.Snap().completed, 0u);
+}
+
+// The refreeze's write-path metrics are registered (with help text) when a
+// live index opens, so a scrape shows them before the first epoch; a delta
+// refreeze then records its build time and its patched slots.
+TEST(ObsLiveMetricsTest, RefreezeMetricsAreRegisteredAtOpen) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("esd_obs_live_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  MetricRegistry reg;
+  live::LiveOptions options;
+  options.wal_path = (dir / "wal.bin").string();
+  options.refreeze_every = 0;
+  options.registry = &reg;
+  std::string error;
+  auto index = live::LiveEsdIndex::Open(gen::BarabasiAlbert(30, 2, 1),
+                                        options, &error);
+  ASSERT_NE(index, nullptr) << error;
+
+  const std::string text = reg.PrometheusText();
+  EXPECT_NE(text.find("# HELP esd_live_stage_freeze_us "), std::string::npos);
+  EXPECT_NE(text.find("# TYPE esd_live_stage_freeze_us summary"),
+            std::string::npos);
+  EXPECT_NE(text.find("# HELP esd_live_refreeze_changed_slots_total "),
+            std::string::npos);
+  EXPECT_NE(text.find("# TYPE esd_live_refreeze_changed_slots_total counter"),
+            std::string::npos);
+
+  // An insert to a new vertex: effective, so some slots change.
+  ASSERT_TRUE(index->Apply(live::LiveUpdate{live::UpdateKind::kInsert, 0, 35},
+                           &error))
+      << error;
+  ASSERT_TRUE(index->RefreezeNow());
+  EXPECT_GT(reg.CounterValue("esd_live_refreeze_changed_slots_total"), 0u);
+  EXPECT_EQ(reg.GetHistogram("esd_live_stage_freeze_us").Snap().count, 1u);
+  index.reset();
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
