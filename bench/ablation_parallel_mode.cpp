@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "core/edge_dsu_arena.h"
 #include "core/index_builder.h"
 #include "graph/orientation.h"
 
@@ -26,40 +27,33 @@ int main() {
               "edge-par (ms)");
   for (const gen::Dataset& d : bench::LoadAll()) {
     graph::DegreeOrderedDag dag(d.graph);
-    // Work model of ForEach4CliqueOfVertex. Listing u's local DAG (the
-    // sub-DAG induced on N+(u)) stamps N+(u) and scans N+(v) for every v
-    // in it: d+(u) + Σ_{v∈N+(u)} d+(v) slots. Closing arc (u,v) stamps
-    // L(v) = N+(v) ∩ N+(u) and walks L(w1) for each w1 in L(v): |L(v)| +
-    // Σ_{w1∈L(v)} |L(w1)| slots. A vertex's unit is its listing plus all
-    // its arcs; an arc's unit is its closing plus an even share of u's
-    // listing (a run holding all of u's arcs lists it once).
+    const core::EdgeDsuArena arena(dag);
+    // Work model of EdgeDsuArena::ForEach4CliqueOfVertex. A call stamps
+    // N+(u): d+(u) slots. Closing arc (u,v) stamps L(v) = upper(u→v) and
+    // walks L(w1) = upper(u→w1) for each w1 in it: |L(v)| +
+    // Σ_{w1∈L(v)} |L(w1)| slots. A vertex's unit is its stamps plus all its
+    // arcs; an arc's unit is its closing plus its share of u's stamps (a
+    // run holding all of u's arcs stamps once).
     std::vector<uint64_t> per_vertex(d.graph.NumVertices(), 0);
     std::vector<uint64_t> per_arc;
     per_arc.reserve(d.graph.NumEdges());
     uint64_t total = 0;
-    std::vector<uint32_t> slot(d.graph.NumVertices(), 0);
-    std::vector<std::vector<uint32_t>> local;
+    std::vector<uint32_t> arc_of(d.graph.NumVertices(), 0);
     for (graph::VertexId u = 0; u < d.graph.NumVertices(); ++u) {
       auto nu = dag.OutNeighbors(u);
+      auto eu = dag.OutEdges(u);
       if (nu.empty()) continue;
       for (size_t i = 0; i < nu.size(); ++i) {
-        slot[nu[i]] = static_cast<uint32_t>(i + 1);
+        arc_of[nu[i]] = static_cast<uint32_t>(i);
       }
-      uint64_t listing = nu.size();
-      local.assign(nu.size(), {});
-      for (size_t i = 0; i < nu.size(); ++i) {
-        auto nv = dag.OutNeighbors(nu[i]);
-        listing += nv.size();
-        for (graph::VertexId w : nv) {
-          if (slot[w] != 0) local[i].push_back(slot[w] - 1);
+      per_vertex[u] = nu.size();
+      for (graph::EdgeId uv : eu) {
+        auto lv = arena.Members(uv).first(arena.UpperSize(uv));
+        uint64_t closing = lv.size();
+        for (graph::VertexId w1 : lv) {
+          closing += arena.UpperSize(eu[arc_of[w1]]);
         }
-      }
-      for (graph::VertexId w : nu) slot[w] = 0;
-      per_vertex[u] = listing;
-      for (size_t i = 0; i < nu.size(); ++i) {
-        uint64_t closing = local[i].size();
-        for (uint32_t w1 : local[i]) closing += local[w1].size();
-        per_arc.push_back(closing + listing / nu.size());
+        per_arc.push_back(closing + 1);
         per_vertex[u] += closing;
       }
       total += per_vertex[u];

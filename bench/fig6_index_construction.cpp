@@ -50,7 +50,8 @@ int main() {
         bench::TimeOnce([&] { core::BuildIndex(d.graph); });
     const std::vector<double> after_clique = bench::SnapBuildPhaseSeconds();
     // The memory side of ESDIndex+: the arena's tables per triangle (its
-    // members, parents and triangle slots are 36 B of that).
+    // members, parents, triangle slots and the triangles' v→w edges, which
+    // the 4-clique stage reads, are 40 B of that).
     const graph::DegreeOrderedDag dag(d.graph);
     const core::EdgeDsuArena arena(dag);
     const double arena_bytes_per_triangle =

@@ -12,9 +12,11 @@ namespace esd::cliques {
 
 /// A triangle {u, v, w} with the ids of its three edges. Vertices satisfy
 /// u ≺ v ≺ w in the degree ordering of the DAG used for enumeration.
+/// `vi` and `wi` are the indices of v and w in N+(u).
 struct Triangle {
   graph::VertexId u, v, w;
   graph::EdgeId uv, uw, vw;
+  uint32_t vi, wi;
 };
 
 /// Scratch for ForEachTriangleOfVertex: slot[w] is 1 + the index of w in
@@ -34,7 +36,7 @@ struct TriangleScratch {
 ///
 /// `fn` is a callable taking (const Triangle&); it is a template parameter
 /// so the per-triangle dispatch inlines (the index builder's arena fill
-/// lists every triangle twice).
+/// lists every triangle of the graph through it once).
 template <typename Fn>
 void ForEachTriangleOfVertex(const graph::DegreeOrderedDag& dag,
                              graph::VertexId u, TriangleScratch* scratch,
@@ -52,7 +54,10 @@ void ForEachTriangleOfVertex(const graph::DegreeOrderedDag& dag,
     for (size_t j = 0; j < nv.size(); ++j) {
       const uint32_t s = slot[nv[j]];
       // Orientation of (u,v,w): u precedes v and w; v precedes w.
-      if (s != 0) fn(Triangle{u, v, nv[j], eu[vi], eu[s - 1], ev[j]});
+      if (s != 0) {
+        fn(Triangle{u, v, nv[j], eu[vi], eu[s - 1], ev[j],
+                    static_cast<uint32_t>(vi), s - 1});
+      }
     }
   }
   for (graph::VertexId w : nu) slot[w] = 0;

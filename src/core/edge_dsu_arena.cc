@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <cstring>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -33,51 +34,89 @@ EdgeDsuArena::EdgeDsuArena(const DegreeOrderedDag& dag,
   upper_.assign(m, 0);
   first_.assign(m, 0);
 
-  // Each chunk of the vertex range lists with its own scratch (n-sized
-  // stamps plus the scatter's middle cursors), so the parallel listing runs
-  // in a few chunks per thread. `per_vertex(u, scratch)` lists u's
-  // triangles.
-  struct Scratch {
-    explicit Scratch(const DegreeOrderedDag& dag)
-        : tri(dag), mid(dag.MaxOutDegree(), 0) {}
-    cliques::TriangleScratch tri;
-    std::vector<uint32_t> mid;
-  };
+  // The vertex range splits into chunks: one serially, a few per thread on
+  // a pool. Chunk c lists its vertices once, in order, into its own region
+  // of the triangle table, and the sweep later walks the same chunk's
+  // triangles. Triangle ids follow chunk order, which is u-major order.
   const unsigned threads = pool == nullptr ? 1 : pool->num_threads();
-  const uint64_t grain = std::max<uint64_t>(64, n / (16 * threads));
-  auto list = [&](auto&& per_vertex) {
-    ForRange(pool, n, grain, [&](uint64_t lo, uint64_t hi) {
-      Scratch scratch(dag);
-      for (uint64_t u = lo; u < hi; ++u) {
-        per_vertex(static_cast<VertexId>(u), scratch);
-      }
-    });
+  const uint64_t grain =
+      pool == nullptr ? std::max<uint64_t>(1, n)
+                      : std::max<uint64_t>(64, n / (16 * threads));
+  const uint64_t num_chunks = (uint64_t{n} + grain - 1) / grain;
+  auto chunk_range = [&](uint64_t c) {
+    return std::pair<VertexId, VertexId>(
+        static_cast<VertexId>(c * grain),
+        static_cast<VertexId>(std::min<uint64_t>(n, (c + 1) * grain)));
   };
-  // Only lower sections are written from several vertices' listings: the
-  // upper and middle sections of a→b, and their counts, belong to a's. In
-  // the parallel fill the lower bumps go through an atomic_ref.
+  // Only lower sections are written from several chunks: the upper and
+  // middle sections of a→b, and their counts, belong to a's. On a pool the
+  // lower bumps go through an atomic_ref.
   auto atomic_add = [](uint32_t& x, int32_t d) {
     return std::atomic_ref<uint32_t>(x).fetch_add(static_cast<uint32_t>(d),
                                                   std::memory_order_relaxed);
   };
 
-  // Count pass. first_[e] holds e's middle count until the prefix sum,
-  // offsets_[e + 1] its lower count.
-  list([&](VertexId u, Scratch& scratch) {
-    cliques::ForEachTriangleOfVertex(
-        dag, u, &scratch.tri, [&](const cliques::Triangle& t) {
-          ++upper_[t.uv];
-          ++first_[t.uw];
-          if (pool != nullptr) {
-            atomic_add(offsets_[t.vw + 1], 1);
-          } else {
-            ++offsets_[t.vw + 1];
-          }
-        });
+  // The listing. first_[e] holds e's middle count until the prefix sum,
+  // offsets_[e + 1] its lower count. Each triangle's record is (index of v
+  // in N+(u), index of w in N+(u), edge v→w). Chunk c writes its records
+  // into its own region of the triangle table, sized by a bound on its
+  // triangles, Σ_u C(d+(u), 2); the table is page-mapped, so only the
+  // pages written are paged in. A region stops one record past what the
+  // slot width holds; a chunk that fills it records no more, and the check
+  // below refuses the build. No triangle id exists before it.
+  constexpr uint64_t kMaxTriangles = kMaxSlots / 3;
+  std::vector<uint64_t> region(num_chunks + 1, 0);
+  for (uint64_t c = 0; c < num_chunks; ++c) {
+    const auto [lo, hi] = chunk_range(c);
+    uint64_t bound = 0;
+    for (VertexId u = lo; u < hi; ++u) {
+      const uint64_t d = dag.OutDegree(u);
+      bound += d * (d - 1) / 2;  // 0 for d = 0: unsigned wrap times 0
+    }
+    region[c + 1] = region[c] + std::min(bound, kMaxTriangles + 1);
+  }
+  tri_.resize(region[num_chunks]);
+  std::vector<uint64_t> listed(num_chunks, 0);
+  ForRange(pool, num_chunks, 1, [&](uint64_t c_lo, uint64_t c_hi) {
+    cliques::TriangleScratch scratch(dag);
+    for (uint64_t c = c_lo; c < c_hi; ++c) {
+      const auto [lo, hi] = chunk_range(c);
+      TriangleSlots* out = tri_.data() + region[c];
+      const uint64_t cap = region[c + 1] - region[c];
+      uint64_t k = 0;
+      for (VertexId u = lo; u < hi; ++u) {
+        cliques::ForEachTriangleOfVertex(
+            dag, u, &scratch, [&](const cliques::Triangle& t) {
+              if (k == cap) return;
+              out[k++] = {t.vi, t.wi, t.vw};
+              ++upper_[t.uv];
+              ++first_[t.uw];
+              if (pool != nullptr) {
+                atomic_add(offsets_[t.vw + 1], 1);
+              } else {
+                ++offsets_[t.vw + 1];
+              }
+            });
+      }
+      listed[c] = k;
+    }
   });
+  uint64_t num_triangles = 0;
+  for (uint64_t k : listed) num_triangles += k;
+  // Before any slot-sized table exists.
+  CheckSlotCount(3 * num_triangles);
+  // Close the gaps between the regions, in chunk order. A lone chunk's
+  // records are already in place.
+  for (uint64_t c = 0, end = 0; c < num_chunks; end += listed[c++]) {
+    if (region[c] == end) continue;
+    std::memmove(tri_.data() + end, tri_.data() + region[c],
+                 listed[c] * sizeof(TriangleSlots));
+  }
+  tri_.resize(num_triangles);
+
   // Prefix sum. first_[e] becomes e's lower-section cursor: its start for
-  // the serial fill, which writes upwards, and its end for the parallel
-  // fill, which writes downwards and so leaves the cursor at the start.
+  // the serial sweep, which writes upwards, and its end for the pooled
+  // sweep, which writes downwards and so leaves the cursor at the start.
   uint64_t total = 0;
   for (EdgeId e = 0; e < m; ++e) {
     const uint64_t start = total;
@@ -86,7 +125,7 @@ EdgeDsuArena::EdgeDsuArena(const DegreeOrderedDag& dag,
     first_[e] = static_cast<uint32_t>(pool != nullptr ? total : lower_start);
     offsets_[e + 1] = static_cast<uint32_t>(total);
   }
-  CheckSlotCount(total);
+  assert(total == 3 * num_triangles);
   // Triangle ids: u's triangles start at base[u].
   std::vector<uint32_t> base(n + 1, 0);
   for (VertexId u = 0; u < n; ++u) {
@@ -94,47 +133,52 @@ EdgeDsuArena::EdgeDsuArena(const DegreeOrderedDag& dag,
     for (EdgeId e : dag.OutEdges(u)) t += upper_[e];
     base[u + 1] = t;
   }
-  assert(uint64_t{base[n]} * 3 == total);
 
   members_.resize(total);
   parent_.assign(total, kRoot | 1);
-  tri_.resize(base[n]);
+  tri_vw_.resize(num_triangles);
 
-  // Scatter pass. Each section receives its vertices in ascending id:
-  // triangle (u, v, w) puts w in upper(u→v), in N+(v) order; v in
-  // middle(u→w), in N+(u) order; u in lower(v→w), in listing order. While
-  // u is listed, scratch.tri.slot[w] - 1 is w's index in N+(u), which keys
-  // the middle cursor of edge u→w.
-  const uint32_t kNoEdge = m;
-  list([&](VertexId u, Scratch& scratch) {
-    uint32_t id = base[u];
-    EdgeId upper_edge = kNoEdge;
-    uint32_t upper_slot = 0;
-    cliques::ForEachTriangleOfVertex(
-        dag, u, &scratch.tri, [&](const cliques::Triangle& t) {
-          if (t.uv != upper_edge) {
-            upper_edge = t.uv;
-            upper_slot = offsets_[t.uv];
+  // The sweep turns each record into the triangle's slots in place. Each
+  // section receives its vertices in ascending id: triangle (u, v, w) puts
+  // w in upper(u→v), in N+(v) order; v in middle(u→w), in N+(u) order; u
+  // in lower(v→w), in listing order. The middle cursor of edge u→w is
+  // keyed by w's index in N+(u).
+  ForRange(pool, num_chunks, 1, [&](uint64_t c_lo, uint64_t c_hi) {
+    std::vector<uint32_t> mid(dag.MaxOutDegree(), 0);
+    for (uint64_t c = c_lo; c < c_hi; ++c) {
+      const auto [lo, hi] = chunk_range(c);
+      for (VertexId u = lo; u < hi; ++u) {
+        auto nu = dag.OutNeighbors(u);
+        auto eu = dag.OutEdges(u);
+        uint32_t upper_slot = 0;
+        uint32_t upper_index = UINT32_MAX;
+        for (uint32_t id = base[u]; id < base[u + 1]; ++id) {
+          const TriangleSlots r = tri_[id];  // (v's index, w's index, v→w)
+          const EdgeId uv = eu[r.uv], uw = eu[r.uw], vw = r.vw;
+          if (r.uv != upper_index) {
+            upper_index = r.uv;
+            upper_slot = offsets_[uv];
           }
           TriangleSlots& s = tri_[id];
           s.uv = upper_slot++;
-          s.uw = offsets_[t.uw] + upper_[t.uw] +
-                 scratch.mid[scratch.tri.slot[t.w] - 1]++;
+          s.uw = offsets_[uw] + upper_[uw] + mid[r.uw]++;
           if (pool != nullptr) {
-            s.vw = atomic_add(first_[t.vw], -1) - 1;
+            s.vw = atomic_add(first_[vw], -1) - 1;
             parent_[s.vw] = id;  // parked for the repair below
           } else {
-            s.vw = first_[t.vw]++;
+            s.vw = first_[vw]++;
           }
-          members_[s.uv] = t.w;
-          members_[s.uw] = t.v;
-          members_[s.vw] = t.u;
-          ++id;
-        });
-    std::fill_n(scratch.mid.begin(), dag.OutDegree(u), 0);
+          tri_vw_[id] = vw;
+          members_[s.uv] = nu[r.uw];
+          members_[s.uw] = nu[r.uv];
+          members_[s.vw] = u;
+        }
+        std::fill_n(mid.begin(), nu.size(), 0);
+      }
+    }
   });
 
-  // The parallel fill's lower sections hold their vertices in thread
+  // The pooled sweep's lower sections hold their vertices in thread
   // order. Sorting each by vertex id sorts it by triangle id (both are the
   // listing vertex's order), and the parked ids say whose slot moved.
   if (pool != nullptr) {
@@ -283,7 +327,8 @@ size_t EdgeDsuArena::MemoryBytes() const {
          first_.capacity() * sizeof(uint32_t) +
          members_.capacity() * sizeof(VertexId) +
          parent_.capacity() * sizeof(uint32_t) +
-         tri_.capacity() * sizeof(TriangleSlots);
+         tri_.size() * sizeof(TriangleSlots) +
+         tri_vw_.capacity() * sizeof(EdgeId);
 }
 
 }  // namespace esd::core

@@ -1,11 +1,9 @@
 #include "core/index_builder.h"
 
 #include <algorithm>
-#include <limits>
 #include <span>
 #include <utility>
 
-#include "cliques/four_clique.h"
 #include "core/edge_dsu_arena.h"
 #include "core/ego_network.h"
 #include "graph/orientation.h"
@@ -24,30 +22,23 @@ namespace {
 // Lines 5-15 of Algorithm 3: each 4-clique {u, v, w1, w2} merges, in the
 // structure of every one of its six edges, the opposite pair of vertices.
 // The twelve slots come from the clique's four triangles: (u, v, w1),
-// (u, v, w2) and (u, w1, w2) are u's triangles, numbered by the kernel;
-// (v, w1, w2) is found in vw1's upper section by a galloping cursor that
-// the cliques of one (u, v, w1) share, as their w2 ascend. One instance per
-// thread.
+// (u, v, w2) and (u, w1, w2) are named by the enumerator; (v, w1, w2) is
+// found in vw1's upper section by a galloping cursor that the cliques of
+// one (u, v, w1) share, as their w2 ascend. One instance per thread.
 class OppositePairs {
  public:
-  OppositePairs(const graph::DegreeOrderedDag& dag, const EdgeDsuArena& dsu)
-      : dag_(dag), dsu_(dsu) {}
+  explicit OppositePairs(const EdgeDsuArena& dsu) : dsu_(dsu) {}
 
   // Calls unite(e, slot, slot) for each of the clique's six edges.
   template <typename Fn>
-  void Unite(const cliques::FourClique& q, Fn&& unite) {
-    if (q.u != u_) {
-      u_ = q.u;
-      base_ = dsu_.FirstTriangle(dag_.OutEdges(q.u)[0]);
-    }
-    const uint32_t t1 = base_ + q.uvw1;
-    if (t1 != cursor_tri_) {
-      cursor_tri_ = t1;
+  void Unite(const FourClique& q, Fn&& unite) {
+    if (q.uvw1 != cursor_tri_) {
+      cursor_tri_ = q.uvw1;
       cursor_ = 0;
     }
-    const EdgeDsuArena::TriangleSlots& a = dsu_.SlotsOf(t1);
-    const EdgeDsuArena::TriangleSlots& b = dsu_.SlotsOf(base_ + q.uvw2);
-    const EdgeDsuArena::TriangleSlots& c = dsu_.SlotsOf(base_ + q.uw1w2);
+    const EdgeDsuArena::TriangleSlots& a = dsu_.SlotsOf(q.uvw1);
+    const EdgeDsuArena::TriangleSlots& b = dsu_.SlotsOf(q.uvw2);
+    const EdgeDsuArena::TriangleSlots& c = dsu_.SlotsOf(q.uw1w2);
     const EdgeDsuArena::TriangleSlots& d =
         dsu_.SlotsOf(dsu_.UpperTriangle(q.vw1, q.w2, &cursor_));
     unite(q.uv, a.uv, b.uv);    // w1, w2
@@ -59,20 +50,17 @@ class OppositePairs {
   }
 
  private:
-  const graph::DegreeOrderedDag& dag_;
   const EdgeDsuArena& dsu_;
-  VertexId u_ = std::numeric_limits<VertexId>::max();
-  uint32_t base_ = 0;
   uint32_t cursor_tri_ = EdgeDsuArena::kRoot;  // no triangle id
   uint32_t cursor_ = 0;
 };
 
 // The 4-clique stage on a pool: chunks of arcs (the paper's choice, whose
 // work distribution is much flatter) or of vertices, with the unions on
-// each M_e serialized by a striped lock keyed by e. Each chunk lists with
-// its own n-sized scratch, so chunks take the arena fill's grain (a few per
-// thread). An arc chunk is cut at vertex boundaries into (u, arc range)
-// runs; each run lists u's local DAG once.
+// each M_e serialized by a striped lock keyed by e. Each chunk enumerates
+// with its own n-sized scratch, so chunks take the arena fill's grain (a
+// few per thread). An arc chunk is cut at vertex boundaries into (u, arc
+// range) runs; each run stamps N+(u) once.
 void PooledCliqueUnions(const graph::DegreeOrderedDag& dag,
                         util::ThreadPool& pool, ParallelMode mode,
                         EdgeDsuArena* dsu) {
@@ -89,14 +77,12 @@ void PooledCliqueUnions(const graph::DegreeOrderedDag& dag,
   if (mode == ParallelMode::kVertexParallel) {
     pool.ParallelForChunked(0, units, grain, [&](uint64_t lo, uint64_t hi) {
       ESD_TRACE_SPAN("build.clique_enum.chunk");
-      cliques::FourCliqueScratch scratch(dag);
-      OppositePairs pairs(dag, *dsu);
-      auto on_clique = [&](const cliques::FourClique& q) {
-        pairs.Unite(q, unite);
-      };
+      EdgeDsuArena::CliqueScratch scratch(dag);
+      OppositePairs pairs(*dsu);
+      auto on_clique = [&](const FourClique& q) { pairs.Unite(q, unite); };
       for (uint64_t u = lo; u < hi; ++u) {
-        cliques::ForEach4CliqueOfVertex(dag, static_cast<VertexId>(u),
-                                        &scratch, on_clique);
+        dsu->ForEach4CliqueOfVertex(dag, static_cast<VertexId>(u), &scratch,
+                                    on_clique);
       }
     });
     return;
@@ -105,20 +91,17 @@ void PooledCliqueUnions(const graph::DegreeOrderedDag& dag,
   std::span<const uint64_t> first = dag.ArcOffsets();
   pool.ParallelForChunked(0, units, grain, [&](uint64_t lo, uint64_t hi) {
     ESD_TRACE_SPAN("build.clique_enum.chunk");
-    cliques::FourCliqueScratch scratch(dag);
-    OppositePairs pairs(dag, *dsu);
-    auto on_clique = [&](const cliques::FourClique& q) {
-      pairs.Unite(q, unite);
-    };
+    EdgeDsuArena::CliqueScratch scratch(dag);
+    OppositePairs pairs(*dsu);
+    auto on_clique = [&](const FourClique& q) { pairs.Unite(q, unite); };
     // The vertex whose out-arcs hold arc `lo`.
     auto u = static_cast<VertexId>(
         std::upper_bound(first.begin(), first.end(), lo) - first.begin() - 1);
     for (; lo < hi; ++u) {
       const uint64_t end = std::min(hi, first[u + 1]);
-      cliques::ForEach4CliqueOfVertex(
-          dag, u, &scratch, on_clique,
-          {static_cast<uint32_t>(lo - first[u]),
-           static_cast<uint32_t>(end - first[u])});
+      dsu->ForEach4CliqueOfVertex(dag, u, &scratch, on_clique,
+                                  static_cast<uint32_t>(lo - first[u]),
+                                  static_cast<uint32_t>(end - first[u]));
       lo = end;
     }
   });
@@ -161,24 +144,31 @@ EdgeSizePool CliqueComponentSizes(const Graph& g, util::ThreadPool* pool,
   graph::DegreeOrderedDag dag(g);
 
   // Lines 1-4: one disjoint-set structure per edge, seeded with the common
-  // neighborhood as singletons (arena-packed).
+  // neighborhood as singletons (arena-packed), from the build's one
+  // triangle listing.
   phases.Begin("build.dsu_init");
   EdgeDsuArena dsu(dag, pool);
 
+  // Lines 5-15, off the arena's upper sections.
   phases.Begin("build.clique_enum");
   if (pool == nullptr) {
-    OppositePairs pairs(dag, dsu);
-    cliques::ForEach4Clique(dag, [&](const cliques::FourClique& q) {
+    EdgeDsuArena::CliqueScratch scratch(dag);
+    OppositePairs pairs(dsu);
+    auto on_clique = [&](const FourClique& q) {
       pairs.Unite(q,
                   [&dsu](EdgeId, uint32_t a, uint32_t b) { dsu.Union(a, b); });
-    });
+    };
+    for (VertexId u = 0; u < dag.NumVertices(); ++u) {
+      dsu.ForEach4CliqueOfVertex(dag, u, &scratch, on_clique);
+    }
   } else {
     PooledCliqueUnions(dag, *pool, mode, &dsu);
   }
-  // Nothing reads the DAG after the clique stage. Dropping it here takes it
-  // out of the build's peak of live memory, which falls at the size
-  // extraction.
+  // Nothing reads the DAG or the triangles' v→w edges after the clique
+  // stage. Dropping them here takes them out of the build's peak of live
+  // memory, which falls at the size extraction.
   dag = graph::DegreeOrderedDag();
+  dsu.ReleaseCliqueTables();
 
   // Lines 16-23 (first half): read component sizes off the disjoint sets.
   // Slices of different edges are disjoint, so no synchronization is

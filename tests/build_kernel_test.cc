@@ -1,6 +1,7 @@
-// The ESDIndex+ build kernel: the triangle-scatter arena fill, the CSR
-// size hand-off into the slab builder, and the counting-sort slabs, checked
-// against independent references over a zoo of graph shapes.
+// The ESDIndex+ build kernel: the one-listing arena fill, the 4-clique
+// enumerator over the arena's upper sections, the CSR size hand-off into
+// the slab builder, and the counting-sort slabs, checked against
+// independent references over a zoo of graph shapes.
 
 #include <algorithm>
 #include <numeric>
@@ -13,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include "cliques/four_clique.h"
 #include "cliques/triangle.h"
 #include "core/edge_dsu_arena.h"
 #include "core/esd_index.h"
@@ -22,6 +22,7 @@
 #include "gen/datasets.h"
 #include "gen/erdos_renyi.h"
 #include "graph/orientation.h"
+#include "tests/four_clique_oracle.h"
 #include "tests/test_helpers.h"
 #include "util/dsu.h"
 #include "util/rng.h"
@@ -67,8 +68,8 @@ void ExpectAdopted(const FrozenEsdIndex& frozen, const std::string& what) {
   EXPECT_TRUE(out == frozen) << what;
 }
 
-// The zoo, the 4-clique tests' Erdős–Rényi sweep, K_8 and three dataset
-// shapes at scale 0.05.
+// The zoo, the 4-clique tests' Erdős–Rényi sweep, K_8 and the five
+// dataset shapes at scale 0.05.
 const std::vector<std::pair<std::string, Graph>>& ArenaGraphs() {
   static const std::vector<std::pair<std::string, Graph>> graphs = [] {
     std::vector<std::pair<std::string, Graph>> out = test::Zoo();
@@ -80,7 +81,8 @@ const std::vector<std::pair<std::string, Graph>>& ArenaGraphs() {
                         gen::ErdosRenyiGnp(n, p, seed));
     }
     out.emplace_back("K8", test::Complete(8));
-    for (const char* name : {"pokec-s", "wikitalk-s", "dblp-s"}) {
+    for (const char* name :
+         {"pokec-s", "wikitalk-s", "dblp-s", "youtube-s", "livejournal-s"}) {
       out.emplace_back(name, gen::LoadStandardDataset(name, 0.05).graph);
     }
     return out;
@@ -175,8 +177,34 @@ TEST(BuildKernelTest, ParallelArenaFillMatchesSerialSlotForSlot) {
         const auto& b = pooled.SlotsOf(t);
         ASSERT_TRUE(a.uv == b.uv && a.uw == b.uw && a.vw == b.vw)
             << name << " t=" << threads << " triangle " << t;
+        ASSERT_EQ(pooled.TriangleEdgeVW(t), serial.TriangleEdgeVW(t))
+            << name << " t=" << threads << " triangle " << t;
       }
     }
+  }
+}
+
+// The arena enumerator emits the DAG oracle's cliques in its order, all
+// thirteen fields, and the same set from random arc ranges in shuffled
+// vertex order; the pooled fill's arena gives the same sequence.
+TEST(BuildKernelTest, ArenaEnumeratorMatchesDagOracle) {
+  for (const auto& [name, g] : ArenaGraphs()) {
+    graph::DegreeOrderedDag dag(g);
+    const core::EdgeDsuArena arena(dag);
+    std::vector<test::CliqueFields> expected = test::OracleFields(dag, arena);
+    const std::vector<test::CliqueFields> got = test::ArenaFields(dag, arena);
+    ASSERT_EQ(got.size(), expected.size()) << name;
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i], expected[i]) << name << " clique " << i;
+    }
+    util::ThreadPool pool(3);
+    EXPECT_EQ(test::ArenaFields(dag, core::EdgeDsuArena(dag, &pool)), got)
+        << name;
+    std::vector<test::CliqueFields> via_ranges =
+        test::ArenaFieldsByRandomRanges(dag, arena, 29);
+    std::sort(expected.begin(), expected.end());
+    std::sort(via_ranges.begin(), via_ranges.end());
+    EXPECT_EQ(via_ranges, expected) << name;
   }
 }
 
@@ -270,7 +298,7 @@ TEST(BuildKernelTest, TriangleSlotSweepMatchesSlotOfOracle) {
   for (const auto& [name, g] : ArenaGraphs()) {
     graph::DegreeOrderedDag dag(g);
     SlotOfOracle oracle(g);
-    cliques::ForEach4Clique(dag, [&](const cliques::FourClique& q) {
+    test::ForEach4Clique(dag, [&](const test::DagFourClique& q) {
       oracle.Union(q.uv, q.w1, q.w2);
       oracle.Union(q.uw1, q.v, q.w2);
       oracle.Union(q.uw2, q.v, q.w1);

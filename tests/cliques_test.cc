@@ -1,30 +1,33 @@
 #include <algorithm>
 #include <array>
 #include <functional>
-#include <numeric>
+#include <iterator>
+#include <span>
 #include <tuple>
 #include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "cliques/four_clique.h"
-#include "cliques/kclique.h"
 #include "cliques/triangle.h"
+#include "core/edge_dsu_arena.h"
 #include "gen/datasets.h"
 #include "gen/erdos_renyi.h"
 #include "graph/builder.h"
 #include "graph/graph.h"
 #include "graph/orientation.h"
-#include "util/rng.h"
+#include "tests/four_clique_oracle.h"
 
 namespace esd::cliques {
 namespace {
 
+using core::EdgeDsuArena;
+using core::FourClique;
 using graph::Edge;
 using graph::Graph;
 using graph::GraphBuilder;
 using graph::VertexId;
+using test::CliqueFields;
 
 Graph CompleteGraph(VertexId n) {
   GraphBuilder b(n);
@@ -128,94 +131,82 @@ TEST(TriangleTest, ClusteringCoefficientBounds) {
 // 4-cliques
 // ---------------------------------------------------------------------------
 
-// The per-arc merge enumerator the kernel replaced, kept as the oracle for
-// its emission sequence: for each arc (u, v) in id order of u, then of v,
-// W = N+(u) ∩ N+(v) by merge, then each w1 of W merged against N+(w1).
-std::vector<FourClique> PerArcMergeOracle(const graph::DegreeOrderedDag& dag) {
-  struct CommonOut {
-    VertexId w;
-    graph::EdgeId uw, vw;
-  };
-  std::vector<FourClique> out;
-  std::vector<CommonOut> common;
-  for (VertexId u = 0; u < dag.NumVertices(); ++u) {
-    auto nu = dag.OutNeighbors(u);
-    auto eu = dag.OutEdges(u);
-    for (size_t vi = 0; vi < nu.size(); ++vi) {
-      auto nv = dag.OutNeighbors(nu[vi]);
-      auto ev = dag.OutEdges(nu[vi]);
-      common.clear();
-      for (size_t i = 0, j = 0; i < nu.size() && j < nv.size();) {
-        if (nu[i] < nv[j]) {
-          ++i;
-        } else if (nu[i] > nv[j]) {
-          ++j;
-        } else {
-          common.push_back({nu[i], eu[i], ev[j]});
-          ++i;
-          ++j;
-        }
-      }
-      for (const CommonOut& c1 : common) {
-        auto nw = dag.OutNeighbors(c1.w);
-        auto ew = dag.OutEdges(c1.w);
-        for (size_t p = 0, q = 0; p < nw.size() && q < common.size();) {
-          if (nw[p] < common[q].w) {
-            ++p;
-          } else if (nw[p] > common[q].w) {
-            ++q;
-          } else {
-            const CommonOut& c2 = common[q];
-            out.push_back(FourClique{u, nu[vi], c1.w, c2.w, eu[vi], c1.uw,
-                                     c2.uw, c1.vw, c2.vw, ew[p], 0, 0, 0});
-            ++p;
-            ++q;
-          }
-        }
-      }
-    }
-  }
-  return out;
+// Number of 4-cliques by the arena enumerator.
+uint64_t ArenaCount4Cliques(const Graph& g) {
+  graph::DegreeOrderedDag dag(g);
+  return test::ArenaFields(dag, EdgeDsuArena(dag)).size();
 }
 
-std::array<uint32_t, 10> Fields(const FourClique& q) {
-  return {q.u, q.v, q.w1, q.w2, q.uv, q.uw1, q.uw2, q.vw1, q.vw2, q.w1w2};
+// Member of edge e at absolute slot `slot`.
+VertexId MemberAt(const EdgeDsuArena& arena, graph::EdgeId e, uint32_t slot) {
+  const uint32_t i = slot - arena.Slot(e, 0);
+  EXPECT_LT(i, arena.Members(e).size()) << "edge " << e;
+  return i < arena.Members(e).size() ? arena.Members(e)[i] : 0;
 }
 
-// ForEach4Clique emits the oracle's sequence: all ten fields, in order.
-// Its three triangle indices name (u, v, w1), (u, v, w2) and (u, w1, w2) in
-// u's ForEachTriangleOfVertex listing.
+// The arena enumerator emits the DAG oracle's sequence: all thirteen
+// fields, in order, and the same set from random arc ranges. Each named
+// triangle's slots hold its opposite vertices in its three edges, and the
+// oracle's triangle indices name the right triangles of u's
+// ForEachTriangleOfVertex listing.
 void ExpectOracleSequence(const Graph& g) {
   graph::DegreeOrderedDag dag(g);
-  std::vector<FourClique> expected = PerArcMergeOracle(dag);
-  TriangleScratch scratch(dag);
+  const EdgeDsuArena arena(dag);
+  const std::vector<CliqueFields> expected = test::OracleFields(dag, arena);
+  const std::vector<CliqueFields> got = test::ArenaFields(dag, arena);
+  ASSERT_EQ(got.size(), expected.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i], expected[i]) << "clique " << i;
+  }
+  // The same cliques from random arc ranges in shuffled vertex order.
+  std::vector<CliqueFields> sorted = expected;
+  std::vector<CliqueFields> via_ranges =
+      test::ArenaFieldsByRandomRanges(dag, arena, 23);
+  std::sort(sorted.begin(), sorted.end());
+  std::sort(via_ranges.begin(), via_ranges.end());
+  EXPECT_EQ(via_ranges, sorted);
+
+  EdgeDsuArena::CliqueScratch scratch(dag);
+  for (VertexId u = 0; u < dag.NumVertices(); ++u) {
+    arena.ForEach4CliqueOfVertex(dag, u, &scratch, [&](const FourClique& q) {
+      auto expect_triangle = [&](uint32_t t, graph::EdgeId ab,
+                                 graph::EdgeId ac, graph::EdgeId bc,
+                                 VertexId a, VertexId b, VertexId c) {
+        const EdgeDsuArena::TriangleSlots& s = arena.SlotsOf(t);
+        EXPECT_EQ(MemberAt(arena, ab, s.uv), c) << "triangle " << t;
+        EXPECT_EQ(MemberAt(arena, ac, s.uw), b) << "triangle " << t;
+        EXPECT_EQ(MemberAt(arena, bc, s.vw), a) << "triangle " << t;
+        EXPECT_EQ(arena.TriangleEdgeVW(t), bc) << "triangle " << t;
+      };
+      expect_triangle(q.uvw1, q.uv, q.uw1, q.vw1, q.u, q.v, q.w1);
+      expect_triangle(q.uvw2, q.uv, q.uw2, q.vw2, q.u, q.v, q.w2);
+      expect_triangle(q.uw1w2, q.uw1, q.uw2, q.w1w2, q.u, q.w1, q.w2);
+    });
+  }
+
+  TriangleScratch tri_scratch(dag);
   std::vector<std::array<VertexId, 3>> listing;
   VertexId listed = dag.NumVertices();
-  size_t i = 0;
-  ForEach4Clique(dag, [&](const FourClique& q) {
-    ASSERT_LT(i, expected.size()) << "extra clique";
-    EXPECT_EQ(Fields(q), Fields(expected[i])) << "clique " << i;
-    ++i;
+  test::ForEach4Clique(dag, [&](const test::DagFourClique& q) {
     if (q.u != listed) {
       listed = q.u;
       listing.clear();
-      ForEachTriangleOfVertex(dag, q.u, &scratch, [&](const Triangle& t) {
+      ForEachTriangleOfVertex(dag, q.u, &tri_scratch, [&](const Triangle& t) {
         listing.push_back({t.u, t.v, t.w});
       });
     }
     ASSERT_LT(std::max({q.uvw1, q.uvw2, q.uw1w2}), listing.size());
     using Tri = std::array<VertexId, 3>;
-    EXPECT_EQ(listing[q.uvw1], (Tri{q.u, q.v, q.w1})) << "clique " << i;
-    EXPECT_EQ(listing[q.uvw2], (Tri{q.u, q.v, q.w2})) << "clique " << i;
-    EXPECT_EQ(listing[q.uw1w2], (Tri{q.u, q.w1, q.w2})) << "clique " << i;
+    EXPECT_EQ(listing[q.uvw1], (Tri{q.u, q.v, q.w1}));
+    EXPECT_EQ(listing[q.uvw2], (Tri{q.u, q.v, q.w2}));
+    EXPECT_EQ(listing[q.uw1w2], (Tri{q.u, q.w1, q.w2}));
   });
-  EXPECT_EQ(i, expected.size());
 }
 
 TEST(FourCliqueTest, CountsOnKnownGraphs) {
-  EXPECT_EQ(Count4Cliques(CompleteGraph(4)), 1u);
-  EXPECT_EQ(Count4Cliques(CompleteGraph(6)), Choose(6, 4));
-  EXPECT_EQ(Count4Cliques(CompleteGraph(3)), 0u);
+  EXPECT_EQ(ArenaCount4Cliques(CompleteGraph(4)), 1u);
+  EXPECT_EQ(ArenaCount4Cliques(CompleteGraph(6)), Choose(6, 4));
+  EXPECT_EQ(ArenaCount4Cliques(CompleteGraph(3)), 0u);
   // Two K4's sharing a triangle: {0,1,2,3} and {0,1,2,4}.
   GraphBuilder b(5);
   for (VertexId i = 0; i < 3; ++i) {
@@ -223,14 +214,16 @@ TEST(FourCliqueTest, CountsOnKnownGraphs) {
     b.AddEdge(i, 3);
     b.AddEdge(i, 4);
   }
-  EXPECT_EQ(Count4Cliques(b.Build()), 2u);
+  EXPECT_EQ(ArenaCount4Cliques(b.Build()), 2u);
 }
 
 TEST(FourCliqueTest, AllSixEdgeIdsValid) {
   Graph g = CompleteGraph(6);
   graph::DegreeOrderedDag dag(g);
+  const EdgeDsuArena arena(dag);
+  EdgeDsuArena::CliqueScratch scratch(dag);
   uint64_t count = 0;
-  ForEach4Clique(dag, [&](const FourClique& q) {
+  auto check = [&](const FourClique& q) {
     ++count;
     EXPECT_EQ(g.EdgeAt(q.uv), graph::MakeEdge(q.u, q.v));
     EXPECT_EQ(g.EdgeAt(q.uw1), graph::MakeEdge(q.u, q.w1));
@@ -241,7 +234,10 @@ TEST(FourCliqueTest, AllSixEdgeIdsValid) {
     // All four vertices distinct.
     std::set<VertexId> verts{q.u, q.v, q.w1, q.w2};
     EXPECT_EQ(verts.size(), 4u);
-  });
+  };
+  for (VertexId u = 0; u < g.NumVertices(); ++u) {
+    arena.ForEach4CliqueOfVertex(dag, u, &scratch, check);
+  }
   EXPECT_EQ(count, Choose(6, 4));
 }
 
@@ -253,12 +249,13 @@ TEST_P(FourCliqueRandomTest, MatchesBruteForceOnce) {
   Graph g = gen::ErdosRenyiGnp(n, p, seed);
   graph::DegreeOrderedDag dag(g);
   std::set<std::array<VertexId, 4>> seen;
-  ForEach4Clique(dag, [&seen](const FourClique& q) {
-    std::array<VertexId, 4> key{q.u, q.v, q.w1, q.w2};
+  for (const CliqueFields& q : test::ArenaFields(dag, EdgeDsuArena(dag))) {
+    std::array<VertexId, 4> key{q[0], q[1], q[2], q[3]};
     std::sort(key.begin(), key.end());
     EXPECT_TRUE(seen.insert(key).second) << "duplicate 4-clique";
-  });
+  }
   EXPECT_EQ(seen.size(), BruteKCliques(g, 4));
+  EXPECT_EQ(test::Count4Cliques(g), seen.size());
   ExpectOracleSequence(g);
 }
 
@@ -278,13 +275,13 @@ TEST(FourCliqueTest, EmitsPerArcMergeSequenceOnDenseCliques) {
   // complete.
   ExpectOracleSequence(CompleteGraph(8));
   ExpectOracleSequence(CompleteGraph(30));
-  EXPECT_EQ(Count4Cliques(CompleteGraph(30)), Choose(30, 4));
+  EXPECT_EQ(ArenaCount4Cliques(CompleteGraph(30)), Choose(30, 4));
 }
 
 TEST(FourCliqueTest, EmitsPerArcMergeSequenceOnHubCliqueSocialGraph) {
   // The pokec-s recipe: Holme–Kim plus a clique of 15 celebrity hubs.
   Graph g = gen::LoadStandardDataset("pokec-s", 0.05).graph;
-  ASSERT_GT(Count4Cliques(g), 0u);
+  ASSERT_GT(ArenaCount4Cliques(g), 0u);
   ExpectOracleSequence(g);
 }
 
@@ -303,7 +300,7 @@ TEST(FourCliqueTest, EmitsPerArcMergeSequenceWithIsolatedAndLeafVertices) {
   b.AddEdge(8, 9);
   b.AddEdge(2, 10);
   Graph g = b.Build();
-  EXPECT_EQ(Count4Cliques(g), 2 * Choose(5, 4));
+  EXPECT_EQ(ArenaCount4Cliques(g), 2 * Choose(5, 4));
   ExpectOracleSequence(g);
   ExpectOracleSequence(Graph::FromEdges(4, {}));
   ExpectOracleSequence(Graph());
@@ -312,35 +309,11 @@ TEST(FourCliqueTest, EmitsPerArcMergeSequenceWithIsolatedAndLeafVertices) {
 TEST(FourCliqueTest, ArcVariantAggregatesToFull) {
   Graph g = gen::ErdosRenyiGnp(40, 0.4, 17);
   graph::DegreeOrderedDag dag(g);
-  std::vector<std::array<uint32_t, 10>> full;
-  ForEach4Clique(dag, [&full](const FourClique& q) {
-    full.push_back(Fields(q));
-  });
+  const EdgeDsuArena arena(dag);
+  std::vector<CliqueFields> full = test::OracleFields(dag, arena);
   ASSERT_FALSE(full.empty());
-
-  // Each vertex's arcs split into ranges at random cuts, vertices visited
-  // in shuffled order, one scratch reused throughout.
-  util::Rng rng(23);
-  std::vector<VertexId> order(g.NumVertices());
-  std::iota(order.begin(), order.end(), 0);
-  for (size_t i = order.size(); i > 1; --i) {
-    std::swap(order[i - 1], order[rng.NextBounded(i)]);
-  }
-  std::vector<std::array<uint32_t, 10>> via_ranges;
-  FourCliqueScratch scratch(dag);
-  auto collect = [&via_ranges](const FourClique& q) {
-    via_ranges.push_back(Fields(q));
-  };
-  for (VertexId u : order) {
-    const uint32_t d = dag.OutDegree(u);
-    uint32_t lo = 0;
-    while (lo < d) {
-      const uint32_t hi = lo + 1 + static_cast<uint32_t>(rng.NextBounded(4));
-      // The last range runs past the out-degree, which is clamped.
-      ForEach4CliqueOfVertex(dag, u, &scratch, collect, ArcRange{lo, hi});
-      lo = hi;
-    }
-  }
+  std::vector<CliqueFields> via_ranges =
+      test::ArenaFieldsByRandomRanges(dag, arena, 23);
   std::sort(full.begin(), full.end());
   std::sort(via_ranges.begin(), via_ranges.end());
   EXPECT_EQ(via_ranges, full);
@@ -349,6 +322,55 @@ TEST(FourCliqueTest, ArcVariantAggregatesToFull) {
 // ---------------------------------------------------------------------------
 // k-cliques
 // ---------------------------------------------------------------------------
+
+// k-clique lister, the oracle for the 4-clique counts: recurses over the
+// degree-ordered DAG, intersecting out-neighborhoods. For k == 1 it lists
+// vertices, for k == 2 edges; the span passed to `fn` is only valid during
+// the call.
+void ForEachKClique(const Graph& g, int k,
+                    const std::function<void(std::span<const VertexId>)>& fn) {
+  if (k < 1) return;
+  graph::DegreeOrderedDag dag(g);
+  std::vector<VertexId> clique;
+  // clique holds the members so far; `cands` extend it, all ranked above
+  // every member.
+  std::function<void(const std::vector<VertexId>&)> extend =
+      [&](const std::vector<VertexId>& cands) {
+        if (static_cast<int>(clique.size()) == k - 1) {
+          for (VertexId w : cands) {
+            clique.push_back(w);
+            fn(clique);
+            clique.pop_back();
+          }
+          return;
+        }
+        for (VertexId w : cands) {
+          auto out = dag.OutNeighbors(w);
+          std::vector<VertexId> next;
+          std::set_intersection(cands.begin(), cands.end(), out.begin(),
+                                out.end(), std::back_inserter(next));
+          if (next.empty()) continue;
+          clique.push_back(w);
+          extend(next);
+          clique.pop_back();
+        }
+      };
+  for (VertexId u = 0; u < dag.NumVertices(); ++u) {
+    clique.assign(1, u);
+    if (k == 1) {
+      fn(clique);
+      continue;
+    }
+    auto out = dag.OutNeighbors(u);
+    extend(std::vector<VertexId>(out.begin(), out.end()));
+  }
+}
+
+uint64_t CountKCliques(const Graph& g, int k) {
+  uint64_t count = 0;
+  ForEachKClique(g, k, [&count](std::span<const VertexId>) { ++count; });
+  return count;
+}
 
 TEST(KCliqueTest, DegenerateCases) {
   Graph g = CompleteGraph(5);
@@ -389,7 +411,7 @@ TEST(KCliqueTest, MembersFormActualCliques) {
 TEST(KCliqueTest, FourCliqueAgreesWithKClique) {
   for (uint64_t seed : {41ull, 42ull, 43ull}) {
     Graph g = gen::ErdosRenyiGnp(24, 0.3, seed);
-    EXPECT_EQ(Count4Cliques(g), CountKCliques(g, 4));
+    EXPECT_EQ(ArenaCount4Cliques(g), CountKCliques(g, 4));
   }
 }
 

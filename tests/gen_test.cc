@@ -12,7 +12,6 @@
 #include "gen/datasets.h"
 #include "gen/erdos_renyi.h"
 #include "gen/holme_kim.h"
-#include "gen/planted_partition.h"
 #include "gen/rmat.h"
 #include "gen/watts_strogatz.h"
 #include "gen/word_association.h"
@@ -131,24 +130,6 @@ TEST(RmatTest, DeterministicBySeed) {
   RmatParams p;
   p.scale = 10;
   EXPECT_EQ(Rmat(p, 5).Edges(), Rmat(p, 5).Edges());
-}
-
-// ---------------------------------------------------------------------------
-// Planted partition
-// ---------------------------------------------------------------------------
-
-TEST(PlantedPartitionTest, CommunityLabelsAndDensities) {
-  PlantedPartitionResult r = PlantedPartition(4, 30, 0.5, 0.01, 41);
-  EXPECT_EQ(r.graph.NumVertices(), 120u);
-  EXPECT_EQ(r.community[0], 0u);
-  EXPECT_EQ(r.community[119], 3u);
-  uint64_t intra = 0, inter = 0;
-  for (const Edge& e : r.graph.Edges()) {
-    (r.community[e.u] == r.community[e.v] ? intra : inter) += 1;
-  }
-  // 4 * C(30,2) * 0.5 ≈ 870 intra; C(120,2)-pairs inter * 0.01 ≈ 54.
-  EXPECT_GT(intra, 700u);
-  EXPECT_LT(inter, 150u);
 }
 
 // ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@
 #include <functional>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,7 +23,6 @@
 #include "gen/collaboration.h"
 #include "gen/erdos_renyi.h"
 #include "gen/holme_kim.h"
-#include "gen/planted_partition.h"
 #include "gen/rmat.h"
 #include "gen/watts_strogatz.h"
 #include "gen/word_association.h"
@@ -45,6 +45,24 @@ struct Family {
   std::function<Graph(uint64_t)> make;
 };
 
+// Planted partition (stochastic block model): `blocks` communities of
+// `size` vertices, each intra-community pair an edge with probability
+// p_in, each other pair with probability p_out.
+Graph PlantedPartition(uint32_t blocks, uint32_t size, double p_in,
+                       double p_out, uint64_t seed) {
+  util::Rng rng(seed);
+  const VertexId n = blocks * size;
+  std::vector<graph::Edge> edges;
+  for (VertexId u = 0; u < n; ++u) {
+    for (VertexId v = u + 1; v < n; ++v) {
+      if (rng.NextBool(u / size == v / size ? p_in : p_out)) {
+        edges.push_back(graph::Edge{u, v});
+      }
+    }
+  }
+  return Graph::FromEdges(n, std::move(edges));
+}
+
 std::vector<Family> Families() {
   return {
       {"er_sparse",
@@ -64,7 +82,7 @@ std::vector<Family> Families() {
        }},
       {"planted_partition",
        [](uint64_t s) {
-         return gen::PlantedPartition(4, 20, 0.35, 0.02, s).graph;
+         return PlantedPartition(4, 20, 0.35, 0.02, s);
        }},
       {"collaboration",
        [](uint64_t s) {
