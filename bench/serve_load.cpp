@@ -54,7 +54,6 @@
 #include "obs/trace.h"
 #include "serve/metrics.h"
 #include "serve/query_service.h"
-#include "shard/sharded_engine.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -276,7 +275,6 @@ bool RunLiveMixed(const esd::graph::Graph& g, const Workload& mix,
   esd::live::LiveOptions lopts;
   lopts.wal_path = (dir / "wal.bin").string();
   lopts.snapshot_path = (dir / "snapshot.bin").string();
-  lopts.refreeze_every = 256;
   lopts.scorer = g_scorer->Kind();
   std::string error;
   std::unique_ptr<esd::live::LiveEsdIndex> live =
@@ -740,118 +738,6 @@ int main(int argc, char** argv) {
                 "qps)\n",
                 uncached_qps > 0 ? cached_qps / uncached_qps : 0.0,
                 cached_qps, uncached_qps);
-  }
-
-  // Sharded serving: the same closed-loop mix against a fleet partitioning
-  // one static image (ESD_SHARDS shards, default 4; 1 disables). Every
-  // query probes every healthy shard, so per-shard query counts are
-  // uniform by construction — the imbalance that matters is *work*: answer
-  // entries per shard, which follows how the hash partition split the hot
-  // slabs. The JSON line carries both vectors plus max/mean skew
-  // ratios so regressions in partition balance show up in the artifact.
-  {
-    uint32_t num_shards = 4;
-    if (const char* env = std::getenv("ESD_SHARDS")) {
-      const long v = std::atol(env);
-      num_shards = v < 1 ? 1 : static_cast<uint32_t>(v);
-    }
-    if (num_shards >= 2) {
-      shard::ShardedOptions sopts;
-      sopts.num_shards = num_shards;
-      auto sharded = std::make_unique<shard::ShardedQueryEngine>(
-          std::make_shared<const core::FrozenEsdIndex>(
-              core::BuildFrozenIndex(d.graph, *g_scorer)),
-          sopts);
-      EsdQueryService::Options opts;
-      opts.num_threads = 2;
-      opts.max_queue = 1 << 15;
-      EsdQueryService service(*sharded, opts);
-      const unsigned clients = 4;
-      std::atomic<int64_t> remaining{static_cast<int64_t>(closed_total)};
-      util::Timer wall;
-      std::vector<std::thread> threads;
-      threads.reserve(clients);
-      for (unsigned c = 0; c < clients; ++c) {
-        threads.emplace_back([&, c] {
-          util::Rng rng(0x54A2D + c);
-          while (remaining.fetch_sub(1, std::memory_order_relaxed) > 0) {
-            (void)service.Query(mix.Draw(rng));
-          }
-        });
-      }
-      for (std::thread& t : threads) t.join();
-      const double wall_s = wall.ElapsedSeconds();
-      service.Stop();
-      const MetricsSnapshot snap = service.metrics().Snap();
-      const double qps =
-          wall_s > 0 ? static_cast<double>(closed_total) / wall_s : 0.0;
-
-      const std::vector<shard::ShardStatus> status = sharded->Status();
-      uint64_t q_max = 0, q_sum = 0, d_max = 0, d_sum = 0;
-      std::string q_json = "[", d_json = "[";
-      for (const shard::ShardStatus& st : status) {
-        q_max = std::max(q_max, st.queries);
-        q_sum += st.queries;
-        d_max = std::max(d_max, st.drained);
-        d_sum += st.drained;
-        char elem[48];
-        std::snprintf(elem, sizeof(elem), "%s%llu",
-                      st.id == 0 ? "" : ",",
-                      static_cast<unsigned long long>(st.queries));
-        q_json += elem;
-        std::snprintf(elem, sizeof(elem), "%s%llu",
-                      st.id == 0 ? "" : ",",
-                      static_cast<unsigned long long>(st.drained));
-        d_json += elem;
-      }
-      q_json += "]";
-      d_json += "]";
-      const double q_mean =
-          static_cast<double>(q_sum) / static_cast<double>(status.size());
-      const double d_mean =
-          static_cast<double>(d_sum) / static_cast<double>(status.size());
-      const double q_skew =
-          q_mean > 0 ? static_cast<double>(q_max) / q_mean : 0.0;
-      const double d_skew =
-          d_mean > 0 ? static_cast<double>(d_max) / d_mean : 0.0;
-
-      std::printf("\nsharded serving: %u shards, 2 workers, "
-                  "%u clients\n",
-                  num_shards, clients);
-      std::printf("%-8s %12s %12s %8s\n", "shard", "queries", "drained",
-                  "share");
-      for (const shard::ShardStatus& st : status) {
-        std::printf("%-8u %12llu %12llu %7.1f%%\n", st.id,
-                    static_cast<unsigned long long>(st.queries),
-                    static_cast<unsigned long long>(st.drained),
-                    d_sum > 0 ? 100.0 * static_cast<double>(st.drained) /
-                                    static_cast<double>(d_sum)
-                              : 0.0);
-      }
-      std::printf("  %10.0f qps; skew (max/mean): drained %.3f, "
-                  "queries %.3f\n",
-                  qps, d_skew, q_skew);
-
-      char op[32];
-      std::snprintf(op, sizeof(op), "sharded-n%u", num_shards);
-      char head[256], tail[256];
-      std::snprintf(
-          head, sizeof(head),
-          "{\"bench\":\"serve_load\",\"engine\":\"sharded\","
-          "\"scorer\":\"%s\",\"dataset\":\"%s\",\"op\":\"%s\","
-          "\"wall_ms\":%.6f,\"qps\":%.1f,\"shards\":%u,",
-          std::string(g_scorer->Name()).c_str(), d.name.c_str(), op,
-          wall_s * 1e3, qps, num_shards);
-      std::snprintf(tail, sizeof(tail),
-                    ",\"shard_queries\":%s,\"shard_drained\":%s,"
-                    "\"queries_skew_max_over_mean\":%.4f,"
-                    "\"drained_skew_max_over_mean\":%.4f}",
-                    q_json.c_str(), d_json.c_str(), q_skew, d_skew);
-      bench::EmitJsonLine(std::string(head) +
-                          ConfigJsonFields(2, clients, closed_total) + "," +
-                          serve::MetricsJsonFields(snap) + "," +
-                          serve::StageJsonFields(snap) + tail);
-    }
   }
 
   std::printf(

@@ -6,9 +6,7 @@
 // misses.
 //
 // After the burst the server reads commands from stdin until EOF/QUIT:
-//   QUERY <k> <tau> [STRICT]  run one query through the service, print the
-//                     edges (STRICT: fail typed instead of answering
-//                     partially when any shard is down)
+//   QUERY <k> <tau>   run one query through the service, print the edges
 //   INSERT <u> <v>    (live mode) durably insert an edge
 //   DELETE <u> <v>    (live mode) durably delete an edge
 //   CHECKPOINT        (live mode) persist a snapshot + compact the WAL
@@ -30,8 +28,6 @@
 //                     FAILPOINT LIST enumerates every compiled-in site with
 //                     live hit/fire counts; FAILPOINT clearall disarms all
 //   REFREEZE          (live mode) synchronously publish a fresh epoch
-//   SHARDS            (--shards) fleet tally and epoch, then per-shard
-//                     state, queries, drained entries and stall trips
 //   TRACE <path>      write collected spans as Chrome trace JSON
 //   QUIT              shut down
 // (With stdin at EOF — e.g. the smoke test — the loop exits immediately,
@@ -105,7 +101,6 @@ namespace {
                "                  [--load-index P] [--cache-bytes B]\n"
                "                  [--live-dir DIR]\n"
                "                  [--refreeze-every N (default %llu)]\n"
-               "                  [--shards N]\n"
                "                  [--slowlog N] [--history-interval-ms M]\n"
                "                  [--history-samples S]\n"
                "                  [--listen PORT] [--bind ADDR]\n"
@@ -147,7 +142,6 @@ int main(int argc, char** argv) {
       {"--load-index", Into(&cfg.load_index)},
       {"--live-dir", Into(&cfg.live_dir)},
       {"--refreeze-every", Into(&cfg.refreeze_every)},
-      {"--shards", Into(&cfg.shards)},
       {"--cache-bytes", Into(&cfg.cache_bytes)},
       {"--slowlog", Into(&cfg.slowlog_capacity)},
       {"--history-interval-ms", Into(&cfg.history_interval_ms)},

@@ -82,86 +82,4 @@ printf 'STATS\nQUIT\n' | "$SERVER" --dataset youtube-s --scale 0.1 \
   || fail "recovery lost the accepted writes (server exited non-zero)"
 grep -q 'live_seq=2 ' "$LOG" || fail "recovery lost the accepted writes"
 
-# ---------------------------------------------------------------------------
-# Shard-outage drill: fail shard 0's query probe in a 3-shard fleet that
-# serves one writer's epochs, and check that
-#   * a write made during the outage still lands (OK seq=): writes never
-#     depend on the read-side shards,
-#   * partial queries answer with shard 0 left out (shards=2/0/1),
-#   * strict queries bounce typed (shards-unavailable),
-#   * after clearall and the stall-breaker cooldown the fleet is whole
-#     (3/0/0),
-#   * a restarted sharded fleet answers byte-identically to an unsharded
-#     server that applied the same update history (exact-parity phase).
-FLEET="$DIR/fleet"
-rm -rf "$FLEET"
-mkdir -p "$FLEET"
-LOG="$DIR/chaos3.log"
-
-feed_shards() {
-  printf 'INSERT 1 2\n'
-  printf 'FAILPOINT shard.query.0 error(EIO)\n'
-  printf 'INSERT 2 3\n'
-  printf 'QUERY 5 2\n'
-  printf 'QUERY 5 2 STRICT\n'
-  printf 'SHARDS\n'
-  printf 'FAILPOINT clearall\n'
-  # The server may lag stdin (the pipe buffers the whole script while it
-  # is still starting up), so one sleep before one QUERY can execute
-  # before the breaker's 500ms cooldown has elapsed. Spreading repeated
-  # queries over several seconds of feed time makes the late ones land
-  # after the cooldown no matter how slow startup was; the first of them
-  # past it closes the breaker.
-  i=0
-  while [ "$i" -lt 16 ]; do
-    sleep 0.5
-    printf 'QUERY 5 2\n'
-    i=$((i + 1))
-  done
-  printf 'SHARDS\n'
-  printf 'QUIT\n'
-}
-
-feed_shards | "$SERVER" --dataset youtube-s --scale 0.1 --requests 50 \
-  --clients 1 --threads 2 --shards 3 --live-dir "$FLEET" > "$LOG" 2>&1 \
-  || fail "sharded server exited non-zero"
-
-grep -q 'OK seq=1 ' "$LOG" || fail "pre-fault insert did not land"
-grep -q 'OK seq=2 ' "$LOG" || fail "insert during the shard outage did not land"
-grep -q 'shards=2/0/1' "$LOG" || fail "partial query did not leave out shard 0"
-grep -q 'OK shards-unavailable 0 edges' "$LOG" \
-  || fail "strict query was not rejected typed"
-grep -q 'shard 0 state=down' "$LOG" || fail "SHARDS did not show shard 0 down"
-grep -q 'OK shards=3 ok=3 degraded=0 down=0' "$LOG" \
-  || fail "fleet did not heal to 3/0/0"
-grep -q 'shards=3/0/0' "$LOG" || fail "post-heal query not whole-fleet"
-test -f "$FLEET/wal.bin" || fail "sharded fleet did not write one wal.bin"
-test -z "$(find "$FLEET" -mindepth 1 -type d)" \
-  || fail "sharded fleet created per-shard directories"
-
-# Exact-parity phase: the restarted fleet vs an unsharded server that
-# applied the same history must print identical top-k edge lines.
-LOG="$DIR/chaos4.log"
-printf 'QUERY 5 2\nQUIT\n' | "$SERVER" --dataset youtube-s --scale 0.1 \
-  --requests 50 --clients 1 --threads 2 --shards 3 --live-dir "$FLEET" \
-  > "$LOG" 2>&1 || fail "restarted sharded server exited non-zero"
-grep '^  [0-9][0-9]* (' "$LOG" > "$DIR/parity_sharded.txt"
-test -s "$DIR/parity_sharded.txt" || fail "restarted fleet returned no edges"
-
-REFLOG="$DIR/chaos5.log"
-REFDIR="$DIR/unsharded_ref"
-rm -rf "$REFDIR"
-printf 'INSERT 1 2\nINSERT 2 3\nREFREEZE\nQUERY 5 2\nQUIT\n' | \
-  "$SERVER" --dataset youtube-s --scale 0.1 --requests 50 --clients 1 \
-  --threads 2 --live-dir "$REFDIR" > "$REFLOG" 2>&1 \
-  || fail "unsharded reference server exited non-zero"
-grep '^  [0-9][0-9]* (' "$REFLOG" > "$DIR/parity_unsharded.txt"
-
-diff "$DIR/parity_sharded.txt" "$DIR/parity_unsharded.txt" > /dev/null || {
-  echo "FAIL: healed fleet diverged from the unsharded reference" >&2
-  diff "$DIR/parity_sharded.txt" "$DIR/parity_unsharded.txt" >&2 || true
-  exit 1
-}
-
-echo "PASS: chaos smoke (outage typed, reads survived, heal + recovery clean," \
-     "shard drill partial/strict/heal/parity clean)"
+echo "PASS: chaos smoke (outage typed, reads survived, heal + recovery clean)"

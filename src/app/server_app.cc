@@ -31,7 +31,6 @@
 #include "obs/request_context.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
-#include "shard/sharded_engine.h"
 #include "util/timer.h"
 
 namespace esd::app {
@@ -75,25 +74,25 @@ void HandleShutdownSignal(int) {
 }
 
 /// The admin seam: everything the commands and startup do differently in
-/// static and live serving, sharded or not. The command table calls only
-/// this, so no handler asks which mode is running. Reply methods append
-/// one complete reply; the caller serializes calls. The defaults are the
-/// replies of a mode that cannot do the thing.
+/// static and live serving. The command table calls only this, so no
+/// handler asks which mode is running. Reply methods append one complete
+/// reply; the caller serializes calls. The base class is static serving:
+/// one immutable engine, built at startup or loaded from an index file,
+/// and its replies are those of a mode that cannot write.
 class ServingAdmin {
  public:
+  ServingAdmin(std::string name, serve::EpochEngineProvider provider)
+      : name_(std::move(name)), provider_(std::move(provider)) {}
   virtual ~ServingAdmin() = default;
 
   /// What the query service serves from.
-  serve::ServingBackend& Backend() { return *backend_; }
-  std::string EngineName() const {
-    return fleet_ != nullptr ? "sharded-" + name_ : name_;
-  }
-  virtual uint64_t MemoryBytes() const = 0;
-  /// Pushes this mode's pull-style metrics (live lag, shard state) into the
-  /// global registry.
-  virtual void ExportMetrics() {
-    if (fleet_ != nullptr) fleet_->ExportMetrics();
-  }
+  const serve::EpochEngineProvider& Provider() const { return provider_; }
+  const std::string& EngineName() const { return name_; }
+  /// Bytes of the image being served.
+  uint64_t MemoryBytes() const { return provider_().engine->MemoryBytes(); }
+  /// Pushes this mode's pull-style metrics (live lag) into the global
+  /// registry.
+  virtual void ExportMetrics() {}
   /// Upstream health folded into the query service's Health().
   virtual obs::HealthState Health() const { return obs::HealthState::kOk; }
   /// Routes epoch publishes into `service`'s result cache; null detaches,
@@ -109,91 +108,33 @@ class ServingAdmin {
   virtual void Refreeze(std::string* out) {
     AppendF(out, "ERR refreeze needs --live-dir\n");
   }
-  void Shards(std::string* out) {
-    if (fleet_ == nullptr) {
-      AppendF(out, "ERR not running sharded (--shards N)\n");
-      return;
-    }
-    const serve::ShardCounts counts = fleet_->Counts();
-    AppendF(out,
-            "OK shards=%u ok=%u degraded=%u down=%u generation=%llu "
-            "epoch=%llu\n",
-            fleet_->num_shards(), counts.ok, counts.degraded, counts.down,
-            static_cast<ull>(fleet_->Generation()),
-            static_cast<ull>(fleet_->epoch()));
-    for (const shard::ShardStatus& st : fleet_->Status()) {
-      AppendF(out, "shard %u state=%s queries=%llu drained=%llu "
-                   "stall_trips=%llu\n",
-              st.id, st.state.c_str(), static_cast<ull>(st.queries),
-              static_cast<ull>(st.drained), static_cast<ull>(st.stall_trips));
-    }
-  }
   /// Mode-specific STATS fields, appended after the service's own.
-  virtual void AppendStats(std::string* out) {
-    if (fleet_ == nullptr) return;
-    const serve::ShardCounts counts = fleet_->Counts();
-    AppendF(out,
-            " shards=%u shards_ok=%u shards_degraded=%u shards_down=%u "
-            "shard_generation=%llu",
-            fleet_->num_shards(), counts.ok, counts.degraded, counts.down,
-            static_cast<ull>(fleet_->Generation()));
-  }
-
- protected:
-  bool sharded() const { return fleet_ != nullptr; }
-
-  /// `backend` is a shard::ShardedQueryEngine when serving sharded.
-  ServingAdmin(std::string name, std::unique_ptr<serve::ServingBackend> backend)
-      : name_(std::move(name)),
-        backend_(std::move(backend)),
-        fleet_(dynamic_cast<shard::ShardedQueryEngine*>(backend_.get())) {}
+  virtual void AppendStats(std::string* /*out*/) {}
 
  private:
   const std::string name_;
-  const std::unique_ptr<serve::ServingBackend> backend_;
-  shard::ShardedQueryEngine* const fleet_;  ///< backend_, when sharded
-};
-
-/// One immutable engine, built at startup or loaded from an index file.
-class StaticAdmin final : public ServingAdmin {
- public:
-  StaticAdmin(std::shared_ptr<const core::EsdQueryEngine> engine,
-              std::string name, std::unique_ptr<serve::ServingBackend> backend)
-      : ServingAdmin(std::move(name), std::move(backend)),
-        engine_(std::move(engine)) {}
-
-  uint64_t MemoryBytes() const override { return engine_->MemoryBytes(); }
-
- private:
-  const std::shared_ptr<const core::EsdQueryEngine> engine_;
+  const serve::EpochEngineProvider provider_;
 };
 
 /// A LiveEsdIndex: WAL-durable updates, served as immutable epochs. The
-/// index is the one writer whether or not the epochs are served sharded.
-/// The backend reads the index, and as a base member it is destroyed
-/// after it; neither backend touches its source on destruction.
+/// provider reads the index, and as a base member it is destroyed after
+/// it; it does not touch the index on destruction.
 class LiveAdmin final : public ServingAdmin {
  public:
-  LiveAdmin(std::unique_ptr<live::LiveEsdIndex> live,
-            std::unique_ptr<serve::ServingBackend> backend)
-      : ServingAdmin("live", std::move(backend)), live_(std::move(live)) {}
+  explicit LiveAdmin(std::unique_ptr<live::LiveEsdIndex> live)
+      : ServingAdmin("live",
+                     serve::SnapshotProvider([index = live.get()] {
+                       return index->CurrentSnapshot();
+                     })),
+        live_(std::move(live)) {}
 
-  uint64_t MemoryBytes() const override {
-    return live_->CurrentEngine()->MemoryBytes();
-  }
-  void ExportMetrics() override {
-    live_->ExportMetrics();
-    ServingAdmin::ExportMetrics();
-  }
+  void ExportMetrics() override { live_->ExportMetrics(); }
   obs::HealthState Health() const override { return live_->Health(); }
   void AttachService(serve::EsdQueryService* service) override {
     if (service == nullptr) {
       live_->SetEpochListener({});
       return;
     }
-    // A fleet keys the cache on its own generation, which follows the
-    // epoch as soon as a batch pins it.
-    if (sharded()) return;
     // Rotate the cache generation the moment an epoch publishes rather
     // than lazily on the first post-swap lookup.
     service->NotifyEpoch(live_->CurrentSnapshot()->epoch);
@@ -240,7 +181,6 @@ class LiveAdmin final : public ServingAdmin {
             static_cast<ull>(ls.wal_append_failures),
             static_cast<ull>(ls.degraded_rejections),
             static_cast<ull>(ls.heals), ls.breaker_open ? 1 : 0);
-    ServingAdmin::AppendStats(out);
   }
 
  private:
@@ -279,10 +219,6 @@ std::unique_ptr<ServingAdmin> OpenAdmin(const ServerConfig& config,
                                         std::string* error, int* exit_code) {
   util::Timer timer;
   *exit_code = 1;
-  shard::ShardedOptions shard_options;
-  shard_options.num_shards = config.shards;
-  shard_options.registry = &Registry();
-  const bool sharded = config.shards >= 2;
   if (!config.live_dir.empty()) {
     const std::filesystem::path dir(config.live_dir);
     if (HoldsRetiredShardLayout(dir)) {
@@ -310,18 +246,8 @@ std::unique_ptr<ServingAdmin> OpenAdmin(const ServerConfig& config,
         static_cast<ull>(rec.replay_applied),
         live::WalTailStatusName(rec.wal.tail),
         static_cast<ull>(live->Stats().applied_seq));
-    std::unique_ptr<serve::ServingBackend> backend;
-    if (sharded) {
-      backend = std::make_unique<shard::ShardedQueryEngine>(*live,
-                                                            shard_options);
-    } else {
-      backend = std::make_unique<serve::EngineBackend>(serve::SnapshotProvider(
-          [index = live.get()] { return index->CurrentSnapshot(); }));
-    }
-    return std::make_unique<LiveAdmin>(std::move(live), std::move(backend));
+    return std::make_unique<LiveAdmin>(std::move(live));
   }
-  // A fleet serves slices of one frozen image, whatever --engine says.
-  const std::string name = sharded ? "frozen" : config.engine;
   std::shared_ptr<const core::EsdQueryEngine> engine;
   if (!config.load_index.empty()) {
     auto index = std::make_shared<core::FrozenEsdIndex>();
@@ -335,24 +261,18 @@ std::unique_ptr<ServingAdmin> OpenAdmin(const ServerConfig& config,
                 config.load_index.c_str(), timer.ElapsedMillis());
     engine = std::move(index);
   } else {
-    engine = core::BuildQueryEngine(g, name, scorer, error);
+    engine = core::BuildQueryEngine(g, config.engine, scorer, error);
     if (engine == nullptr) {
       *exit_code = 2;
       return nullptr;
     }
-    std::printf("%s engine build (%s scorer): %.1f ms\n", name.c_str(),
-                std::string(scorer.Name()).c_str(), timer.ElapsedMillis());
+    std::printf("%s engine build (%s scorer): %.1f ms\n",
+                config.engine.c_str(), std::string(scorer.Name()).c_str(),
+                timer.ElapsedMillis());
   }
-  std::unique_ptr<serve::ServingBackend> backend;
-  if (sharded) {
-    backend = std::make_unique<shard::ShardedQueryEngine>(
-        std::dynamic_pointer_cast<const core::FrozenEsdIndex>(engine),
-        shard_options);
-  } else {
-    backend = std::make_unique<serve::EngineBackend>(*engine);
-  }
-  return std::make_unique<StaticAdmin>(std::move(engine), name,
-                                       std::move(backend));
+  return std::make_unique<ServingAdmin>(
+      config.engine,
+      [engine = std::move(engine)] { return serve::PinnedEngine{engine, 0}; });
 }
 
 }  // namespace
@@ -386,7 +306,7 @@ namespace {
 std::string MetricsTextLocked(ServerState& s) {
   s.admin->ExportMetrics();
   // A scrape also reports the work counters of the image being served.
-  core::ExportEngineCounters(*s.admin->Backend().Pin().engine, &Registry());
+  core::ExportEngineCounters(*s.admin->Provider()().engine, &Registry());
   // The combined (service + live) health beats the live-only view
   // ExportMetrics just wrote.
   obs::ExportHealth(Registry(), s.service->Health());
@@ -500,8 +420,8 @@ void FailPoint(ServerState&, Args& args, std::string* out) {
                  "FAILPOINT clearall\n");
   } else if (name == "LIST" || name == "list") {
     // Operator discovery: every compiled-in site with its live hit/fire
-    // counters, then armed names outside the curated table (numbered
-    // shard.query.<i> instances and test-only points).
+    // counters, then armed names outside the curated table (test-only
+    // points).
     const std::vector<fault::FailPointSite> sites =
         fault::BuiltinFailPointSites();
     const std::vector<std::string> active = fpr.ActiveNames();
@@ -583,8 +503,6 @@ constexpr Command kCommands[] = {
      [](ServerState& s, Args&, std::string* out) { s.admin->Checkpoint(out); }},
     {"REFREEZE", true,
      [](ServerState& s, Args&, std::string* out) { s.admin->Refreeze(out); }},
-    {"SHARDS", true,
-     [](ServerState& s, Args&, std::string* out) { s.admin->Shards(out); }},
     {"STATS", true, Stats},
     {"METRICS", true,
      [](ServerState& s, Args&, std::string* out) {
@@ -651,9 +569,6 @@ std::unique_ptr<ServerApp> ServerApp::Open(const ServerConfig& config,
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return nullptr;
   }
-  if (config.shards >= 2) {
-    std::printf("sharded serving: %u shards over one image\n", config.shards);
-  }
 
   serve::EsdQueryService::Options opts;
   opts.num_threads = config.threads;
@@ -668,7 +583,8 @@ std::unique_ptr<ServerApp> ServerApp::Open(const ServerConfig& config,
   // combined state.
   ServingAdmin* admin = s->admin.get();
   opts.health_source = [admin] { return admin->Health(); };
-  s->service = std::make_unique<serve::EsdQueryService>(admin->Backend(), opts);
+  s->service =
+      std::make_unique<serve::EsdQueryService>(admin->Provider(), opts);
   serve::EsdQueryService* service = s->service.get();
   admin->AttachService(service);
   std::printf("service up: %u worker threads, queue bound %zu%s\n\n",
@@ -717,8 +633,8 @@ bool ServerApp::Execute(const std::string& line, std::string* out) {
     return true;
   }
   AppendF(out, "ERR unknown command (QUERY/INSERT/DELETE/CHECKPOINT/"
-               "REFREEZE/SHARDS/STATS/METRICS/SLOWLOG/HISTORY/FAILPOINT/"
-               "TRACE/QUIT)\n");
+               "REFREEZE/STATS/METRICS/SLOWLOG/HISTORY/FAILPOINT/TRACE/"
+               "QUIT)\n");
   return true;
 }
 
@@ -738,10 +654,6 @@ std::string ServerApp::FormatQuery(const serve::QueryResponse& resp) {
           static_cast<ull>(resp.ctx.request_id),
           static_cast<ull>(resp.ctx.epoch),
           obs::CacheOutcomeName(resp.ctx.cache));
-  if (resp.shards_ok + resp.shards_degraded + resp.shards_down > 0) {
-    AppendF(&out, " shards=%u/%u/%u", resp.shards_ok, resp.shards_degraded,
-            resp.shards_down);
-  }
   AppendF(&out, " stages[us]:");
   for (size_t s = 0; s < obs::kNumStages; ++s) {
     AppendF(&out, " %s=%.1f", obs::StageName(static_cast<obs::Stage>(s)),

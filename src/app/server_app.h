@@ -22,9 +22,8 @@ struct ServerConfig {
   std::string engine = "frozen";
   std::string scorer = "esd";
   std::string load_index;
-  std::string live_dir;  ///< non-empty: live (or sharded-live) serving
+  std::string live_dir;  ///< non-empty: live serving
   uint64_t refreeze_every = live::LiveOptions{}.refreeze_every;
-  uint32_t shards = 1;  ///< >= 2: sharded serving
   unsigned threads = 0;  ///< 0 = util::ThreadPool::DefaultThreadCount()
   size_t max_queue = 1024;
   uint64_t deadline_us = 0;  ///< deadline of text-mode queries; 0 = none
@@ -43,11 +42,11 @@ struct ServerConfig {
 struct ServerState;
 
 /// The server behind esd_server: a query service over the serving mode
-/// the config selects (a static engine or a live index, either one
-/// optionally read through a shard fleet), a metric history, and the text
-/// command set, served from stdin and — with ServerConfig::listen — over
-/// TCP. Commands dispatch through one table; handlers see the serving
-/// mode only through an admin seam with one implementation per mode.
+/// the config selects (a static engine or a live index), a metric
+/// history, and the text command set, served from stdin and — with
+/// ServerConfig::listen — over TCP. Commands dispatch through one table;
+/// handlers see the serving mode only through an admin seam with one
+/// implementation per mode.
 class ServerApp {
  public:
   /// Prints the startup lines, loads the graph, opens the serving mode and
@@ -60,15 +59,15 @@ class ServerApp {
   /// Tears down in dependency order, whatever path led here: drain the
   /// listener, detach the epoch listener (the refreeze pool can publish
   /// after the service is gone), stop the history sampler, stop the
-  /// service, then drop the backends.
+  /// service, then drop the serving mode.
   ~ServerApp();
   ServerApp(const ServerApp&) = delete;
   ServerApp& operator=(const ServerApp&) = delete;
 
   serve::EsdQueryService& service();
-  /// Engine label of the burst report ("frozen", "live", "sharded-live").
+  /// Engine label of the burst report ("frozen", "live", ...).
   std::string EngineName() const;
-  /// Bytes of the currently served image(s).
+  /// Bytes of the currently served image.
   uint64_t MemoryBytes() const;
 
   /// Runs one text command line into *out. Returns false to end the

@@ -32,9 +32,9 @@ uint32_t ScoreAt(std::span<const uint32_t> sizes, uint32_t c) {
 /// ascending, into *sizes. It marks the values present in a pool-bounded
 /// array and then returns true, with (*rank)[v] = the index of v in C. A
 /// full ESD image always fits the bound (a size-c component puts a value
-/// in the multisets of at least 2c other edges); a filtered shard or a
-/// loaded file may not, and falls back to sorting a copy of the pool
-/// (returns false, *rank untouched).
+/// in the multisets of at least 2c other edges); a loaded file may not,
+/// and falls back to sorting a copy of the pool (returns false, *rank
+/// untouched).
 bool MarkDistinctSizes(const std::vector<uint32_t>& pool, uint32_t max_value,
                        std::vector<uint32_t>* sizes,
                        std::vector<uint32_t>* rank) {

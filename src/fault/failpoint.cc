@@ -300,8 +300,7 @@ FaultHit EvaluateSlow(std::string_view name) {
 }
 
 std::vector<FailPointSite> BuiltinFailPointSites() {
-  // Keep sorted by name; one entry per site. The per-shard query probes
-  // ("shard.query.0", ...) are listed once as shard.query.<i>.
+  // Keep sorted by name; one entry per site.
   return {
       {"index_io.dir_fsync", "index directory fsync fails (save succeeds)"},
       {"index_io.fsync", "index temp-file fsync fails; old file kept"},
@@ -321,10 +320,6 @@ std::vector<FailPointSite> BuiltinFailPointSites() {
       {"recovery.replay", "WAL replay record fails -> torn-tail handling"},
       {"serve.admission", "admission sheds the request (typed rejection)"},
       {"serve.worker", "serving worker stalls (delay) before batch pickup"},
-      {"shard.query.<i>",
-       "query probe of shard i errors (its edges left out of the answer, "
-       "stall breaker trips) or stalls (delay; consecutive slow probes "
-       "trip)"},
       {"snapshot.dir_fsync", "snapshot directory fsync fails"},
       {"snapshot.fsync", "snapshot data fsync fails"},
       {"snapshot.open", "snapshot temp-file open fails"},

@@ -51,11 +51,9 @@ struct FailPointSite {
   std::string_view description;
 };
 
-/// The curated registry of compiled-in call sites, sorted by name. The
-/// per-shard query probes ("shard.query.2") are listed once as
-/// "shard.query.<i>" — the live hit counts of the numbered instances
-/// still show up in FAILPOINT LIST because the registry tracks any
-/// evaluated name.
+/// The curated registry of compiled-in call sites, sorted by name. Names
+/// outside it (test-only points) still show up in FAILPOINT LIST because
+/// the registry tracks any evaluated name.
 std::vector<FailPointSite> BuiltinFailPointSites();
 
 /// What one ESD_FAILPOINT evaluation injected. `fired` is true only for

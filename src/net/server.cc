@@ -72,12 +72,8 @@ bool ParseQueryArgs(std::string_view args, serve::QueryRequest* request) {
     const auto [ptr, ec] = std::from_chars(token.data(), end, *out);
     return ec == std::errc() && ptr == end;
   };
-  if (!number(next(), &request->k) || !number(next(), &request->tau)) {
-    return false;
-  }
-  const std::string_view flag = next();
-  request->strict = flag == "STRICT";
-  return (flag.empty() || request->strict) && next().empty();
+  return number(next(), &request->k) && number(next(), &request->tau) &&
+         next().empty();
 }
 
 /// Per-connection state machine. The loop thread owns fd/mode/input; the
@@ -508,7 +504,6 @@ void NetServer::ProcessBinary(const std::shared_ptr<Conn>& conn) {
         rq.tau = q.tau;
         rq.pad_with_zero_edges = q.pad_with_zero_edges != 0;
         rq.deadline_us = q.deadline_us;
-        rq.strict = q.strict != 0;
         rq.arrival_ns = obs::MonotonicNanos();
         SubmitQuery(conn, rq, q.cid, /*binary=*/true);
         break;
@@ -632,9 +627,6 @@ void NetServer::SubmitQuery(const std::shared_ptr<Conn>& conn,
       result.status = static_cast<uint8_t>(resp.status);
       result.rid = resp.ctx.request_id;
       result.epoch = resp.ctx.epoch;
-      result.shards_ok = resp.shards_ok;
-      result.shards_degraded = resp.shards_degraded;
-      result.shards_down = resp.shards_down;
       result.edges.reserve(resp.result.size());
       for (const auto& scored : resp.result) {
         result.edges.push_back(ResultEdge{scored.edge.u, scored.edge.v,

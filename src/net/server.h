@@ -24,9 +24,9 @@ namespace esd::net {
 
 /// Usage reply to a malformed text-mode QUERY line.
 inline constexpr std::string_view kQueryUsage =
-    "ERR usage: QUERY <k> <tau> [STRICT]\n";
+    "ERR usage: QUERY <k> <tau>\n";
 
-/// Parses the arguments of a text-mode `QUERY <k> <tau> [STRICT]` line
+/// Parses the arguments of a text-mode `QUERY <k> <tau>` line
 /// (everything after the verb) into *request: the one parser behind the
 /// socket text mode and esd_server's stdin executor. k and tau are
 /// unsigned 32-bit decimals. False on a negative, overflowing, non-numeric

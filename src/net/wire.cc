@@ -55,10 +55,10 @@ bool KnownType(uint8_t t) {
   return false;
 }
 
-// cid, k, tau, pad, deadline, strict
-constexpr size_t kQueryPayloadBytes = 8 + 4 + 4 + 1 + 8 + 1;  // 26
-// cid, status, rid, epoch, three shard counts, edge count
-constexpr size_t kQueryResultPrefixBytes = 8 + 1 + 8 + 8 + 3 * 2 + 4;  // 35
+// cid, k, tau, pad, deadline
+constexpr size_t kQueryPayloadBytes = 8 + 4 + 4 + 1 + 8;  // 25
+// cid, status, rid, epoch, edge count
+constexpr size_t kQueryResultPrefixBytes = 8 + 1 + 8 + 8 + 4;  // 29
 constexpr size_t kResultEdgeBytes = 12;
 
 }  // namespace
@@ -105,7 +105,6 @@ std::string EncodeQuery(const QueryFrame& q) {
   PutU32(&payload, q.tau);
   payload.push_back(static_cast<char>(q.pad_with_zero_edges));
   PutU64(&payload, q.deadline_us);
-  payload.push_back(static_cast<char>(q.strict));
   return EncodeFrame(FrameType::kQuery, payload);
 }
 
@@ -116,9 +115,6 @@ std::string EncodeQueryResult(const QueryResultFrame& r) {
   payload.push_back(static_cast<char>(r.status));
   PutU64(&payload, r.rid);
   PutU64(&payload, r.epoch);
-  PutU16(&payload, r.shards_ok);
-  PutU16(&payload, r.shards_degraded);
-  PutU16(&payload, r.shards_down);
   PutU32(&payload, static_cast<uint32_t>(r.edges.size()));
   for (const ResultEdge& e : r.edges) {
     PutU32(&payload, e.u);
@@ -145,8 +141,6 @@ WireStatus DecodeQuery(std::string_view payload, QueryFrame* out) {
   out->pad_with_zero_edges = static_cast<uint8_t>(p[16]);
   if (out->pad_with_zero_edges > 1) return WireStatus::kBadPayload;
   out->deadline_us = GetU64(p + 17);
-  out->strict = static_cast<uint8_t>(p[25]);
-  if (out->strict > 1) return WireStatus::kBadPayload;
   return WireStatus::kOk;
 }
 
@@ -159,10 +153,7 @@ WireStatus DecodeQueryResult(std::string_view payload, QueryResultFrame* out) {
   out->status = static_cast<uint8_t>(p[8]);
   out->rid = GetU64(p + 9);
   out->epoch = GetU64(p + 17);
-  out->shards_ok = GetU16(p + 25);
-  out->shards_degraded = GetU16(p + 27);
-  out->shards_down = GetU16(p + 29);
-  const uint32_t count = GetU32(p + 31);
+  const uint32_t count = GetU32(p + 25);
   // The count is validated against the bytes actually present before the
   // vector is sized — a hostile count cannot drive an allocation.
   const size_t remaining = payload.size() - kQueryResultPrefixBytes;

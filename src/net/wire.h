@@ -20,7 +20,7 @@ namespace esd::net {
 ///   offset  size  field
 ///   0       1     magic    0xE5 (also the binary-mode detection byte:
 ///                          never a printable ASCII command or 'G' of GET)
-///   1       1     version  kWireVersion (2); any other value is kBadVersion
+///   1       1     version  kWireVersion (3); any other value is kBadVersion
 ///   2       1     type     FrameType
 ///   3       1     flags    reserved, must be 0
 ///   4       4     length   payload bytes, <= max_frame_bytes
@@ -35,7 +35,7 @@ namespace esd::net {
 /// kError frame before closing.
 
 inline constexpr uint8_t kFrameMagic = 0xE5;
-inline constexpr uint8_t kWireVersion = 2;
+inline constexpr uint8_t kWireVersion = 3;
 inline constexpr size_t kFrameHeaderBytes = 8;
 /// Hard cap a decoder enforces on the length prefix before allocating or
 /// waiting for payload bytes. Responses are sized by the server itself
@@ -84,16 +84,13 @@ struct Frame {
   std::string payload;
 };
 
-/// Payload of kQuery: exactly 26 bytes.
+/// Payload of kQuery: exactly 25 bytes.
 struct QueryFrame {
   uint64_t cid = 0;  ///< client correlation id, echoed in the response
   uint32_t k = 10;
   uint32_t tau = 2;
   uint8_t pad_with_zero_edges = 1;
   uint64_t deadline_us = 0;
-  /// Sharded serving: 1 = fail typed (kShardsUnavailable) unless every
-  /// shard contributed; 0 = accept a partial answer over healthy shards.
-  uint8_t strict = 0;
 };
 
 struct ResultEdge {
@@ -102,17 +99,13 @@ struct ResultEdge {
   uint32_t score = 0;
 };
 
-/// Payload of kQueryResult: a 35-byte prefix + 12 bytes per edge. The edge
+/// Payload of kQueryResult: a 29-byte prefix + 12 bytes per edge. The edge
 /// count is validated against the payload length before allocation.
 struct QueryResultFrame {
   uint64_t cid = 0;
   uint8_t status = 0;  ///< serve::ResponseStatus numeric value
   uint64_t rid = 0;    ///< server-minted request id (telemetry join key)
   uint64_t epoch = 0;  ///< serving epoch the answer came from
-  /// Fleet tally of the serving batch (all zero from unsharded servers).
-  uint16_t shards_ok = 0;
-  uint16_t shards_degraded = 0;
-  uint16_t shards_down = 0;
   std::vector<ResultEdge> edges;
 };
 

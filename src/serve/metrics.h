@@ -23,8 +23,6 @@ struct MetricsSnapshot {
   uint64_t rejected = 0;         ///< bounced by bounded admission (or stop)
   uint64_t completed = 0;        ///< served with an engine answer
   uint64_t deadline_missed = 0;  ///< expired in the queue, never executed
-  uint64_t shards_unavailable = 0;  ///< strict requests typed-failed on a
-                                    ///< degraded fleet (sharded mode only)
   uint64_t batches = 0;          ///< worker wakeups that drained >= 1 request
   uint64_t slab_searches_saved = 0;  ///< tau-batching: binary searches elided
   uint64_t queue_depth = 0;      ///< requests waiting at snapshot time
@@ -60,9 +58,6 @@ class ServiceMetrics {
         deadline_missed_(
             reg_.GetCounter("esd_serve_deadline_missed_total",
                             "Requests expired in the queue, never executed")),
-        shards_unavailable_(reg_.GetCounter(
-            "esd_serve_shards_unavailable_total",
-            "Strict requests typed-failed because >= 1 shard was sick")),
         batches_(reg_.GetCounter("esd_serve_batches_total",
                                  "Worker wakeups that drained >= 1 request")),
         slab_searches_saved_(
@@ -113,10 +108,6 @@ class ServiceMetrics {
     deadline_missed_.Inc();
     queue_wait_.RecordMicros(queue_us);
   }
-  void RecordShardsUnavailable(double queue_us) {
-    shards_unavailable_.Inc();
-    queue_wait_.RecordMicros(queue_us);
-  }
   void RecordCompleted(double queue_us, double exec_us) {
     completed_.Inc();
     queue_wait_.RecordMicros(queue_us);
@@ -146,7 +137,6 @@ class ServiceMetrics {
     s.rejected = rejected_.Value();
     s.completed = completed_.Value();
     s.deadline_missed = deadline_missed_.Value();
-    s.shards_unavailable = shards_unavailable_.Value();
     s.batches = batches_.Value();
     s.slab_searches_saved = slab_searches_saved_.Value();
     s.queue_depth = static_cast<uint64_t>(queue_depth_.Value());
@@ -166,7 +156,6 @@ class ServiceMetrics {
   obs::Counter& rejected_;
   obs::Counter& completed_;
   obs::Counter& deadline_missed_;
-  obs::Counter& shards_unavailable_;
   obs::Counter& batches_;
   obs::Counter& slab_searches_saved_;
   obs::Gauge& queue_depth_;

@@ -1,8 +1,11 @@
 #include "serve/query_service.h"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 
+#include "core/frozen_index.h"
+#include "core/scorer.h"
 #include "fault/failpoint.h"
 #include "obs/trace.h"
 
@@ -21,6 +24,65 @@ uint64_t Nanos(std::chrono::steady_clock::time_point t) {
           .count());
 }
 
+/// One batch's pinned engine. The pin keeps the served image alive until
+/// the batch ends, even if the provider publishes a newer one meanwhile.
+/// Owns the FrozenEsdIndex fast path: the slab binary search runs once per
+/// distinct tau in a batch, and slab scan and zero-edge padding run under
+/// separate clocks.
+struct BatchEngine {
+  explicit BatchEngine(PinnedEngine pinned)
+      : engine(std::move(pinned.engine)),
+        epoch(pinned.epoch),
+        scorer(engine->Scorer()),
+        frozen(dynamic_cast<const core::FrozenEsdIndex*>(engine.get())) {}
+
+  /// Miss path: answers one query. Sets *scan_end_ns to
+  /// obs::MonotonicNanos() when the slab scan ended and zero-edge padding
+  /// began; leaves it 0 when the call ran no separate padding phase (the
+  /// whole call is then attributed to slab_scan).
+  core::TopKResult Execute(uint32_t k, uint32_t tau, bool pad_with_zero_edges,
+                           uint64_t* scan_end_ns) {
+    if (frozen == nullptr || k == 0 || tau == 0) {
+      // Degenerate (k or tau 0) or non-frozen engine: per-request path,
+      // attributed wholly to slab_scan.
+      return engine->Query(k, tau, pad_with_zero_edges);
+    }
+    if (slab_tau != tau) {
+      slab = frozen->FindSlab(tau);
+      slab_tau = tau;
+    }
+    // Scan and padding run under separate clocks (identical answer to
+    // QueryAtSlab(slab, k, pad)): deep-k padding dominates misses under
+    // skew, and this is where that shows up.
+    core::TopKResult result = frozen->QueryAtSlab(slab, k, false);
+    if (pad_with_zero_edges) {
+      *scan_end_ns = obs::MonotonicNanos();
+      frozen->PadQueryResult(slab, k, &result);
+    }
+    return result;
+  }
+
+  const std::shared_ptr<const core::EsdQueryEngine> engine;
+  /// Result-cache key: two pins with the same epoch answer every query
+  /// identically.
+  const uint64_t epoch;
+  const core::ScorerKind scorer;
+  /// engine as a FrozenEsdIndex, when it is one.
+  const core::FrozenEsdIndex* const frozen;
+  /// The last slab looked up in this batch and the tau it was found for
+  /// (0 = none yet).
+  size_t slab = core::FrozenEsdIndex::kNoSlab;
+  uint32_t slab_tau = 0;
+};
+
+/// A provider of one fixed engine, pinned without ownership at epoch 0:
+/// aliasing an empty owner, so copies of the pin touch no reference count.
+EpochEngineProvider FixedEngine(const core::EsdQueryEngine& engine) {
+  return [pin = PinnedEngine{std::shared_ptr<const core::EsdQueryEngine>(
+                                 std::shared_ptr<const void>(), &engine),
+                             0}] { return pin; };
+}
+
 }  // namespace
 
 const char* ResponseStatusName(ResponseStatus status) {
@@ -33,8 +95,6 @@ const char* ResponseStatusName(ResponseStatus status) {
       return "deadline-missed";
     case ResponseStatus::kShutdown:
       return "shutdown";
-    case ResponseStatus::kShardsUnavailable:
-      return "shards-unavailable";
   }
   return "?";
 }
@@ -55,25 +115,13 @@ std::unique_ptr<ResultCache> EsdQueryService::MakeCache(
   return std::make_unique<ResultCache>(copts, metrics.registry());
 }
 
-EsdQueryService::EsdQueryService(ServingBackend& backend,
-                                 const Options& options)
-    : backend_(&backend), options_(options) {
-  if (!options.start_paused) Start();
-}
-
 EsdQueryService::EsdQueryService(const core::EsdQueryEngine& engine,
                                  const Options& options)
-    : owned_backend_(std::make_unique<EngineBackend>(engine)),
-      backend_(owned_backend_.get()),
-      options_(options) {
-  if (!options.start_paused) Start();
-}
+    : EsdQueryService(FixedEngine(engine), options) {}
 
 EsdQueryService::EsdQueryService(EpochEngineProvider provider,
                                  const Options& options)
-    : owned_backend_(std::make_unique<EngineBackend>(std::move(provider))),
-      backend_(owned_backend_.get()),
-      options_(options) {
+    : provider_(std::move(provider)), options_(options) {
   if (!options.start_paused) Start();
 }
 
@@ -229,7 +277,6 @@ obs::HealthState EsdQueryService::Health() const {
     std::lock_guard<std::mutex> lock(mu_);
     if (stop_) own = obs::HealthState::kReadOnly;
   }
-  own = obs::WorseHealth(own, backend_->Health());
   if (options_.health_source) {
     return obs::WorseHealth(own, options_.health_source());
   }
@@ -245,11 +292,10 @@ void EsdQueryService::ServeBatch(std::vector<Pending> batch) {
   // time between it and a request's own turn is batch_formation (their sum
   // is the classic queue_us).
   const uint64_t batch_start_ns = obs::MonotonicNanos();
-  // Pin once per batch: the view's generation keys the cache, its shard
-  // tally is stamped into every response that doesn't execute (hits,
-  // dedups, strict bounces), and its pin keeps this batch's image alive
-  // even while the backend publishes newer ones (RCU read-side).
-  ServingView view = backend_->Pin();
+  // Pin once per batch: the epoch keys the cache, and the pin keeps this
+  // batch's image alive even while the provider publishes newer ones (RCU
+  // read-side).
+  BatchEngine pinned(provider_());
   // Per-batch forensic stamps: upstream health is polled here (not per
   // request) and published for future admissions to pick up.
   if (options_.health_source) {
@@ -257,7 +303,7 @@ void EsdQueryService::ServeBatch(std::vector<Pending> batch) {
                        std::memory_order_relaxed);
   }
   // Group by (tau, k, pad) (stable: FIFO preserved among identical
-  // requests) so the backend's per-tau setup runs once per distinct tau in
+  // requests) so the engine's per-tau setup runs once per distinct tau in
   // the batch — one ascending-tau sweep — and identical requests land
   // adjacent, where the dedup below answers them once.
   std::stable_sort(batch.begin(), batch.end(),
@@ -276,7 +322,7 @@ void EsdQueryService::ServeBatch(std::vector<Pending> batch) {
   size_t executed = 0;
   size_t distinct_taus = 0;
   // A tau counts once per batch no matter how many requests carry it or
-  // which backend path serves them.
+  // which engine path serves them.
   uint32_t last_tau = 0;
   bool have_tau = false;
   // Intra-batch dedup: the previous executed request's (tau, k, pad) and
@@ -296,12 +342,9 @@ void EsdQueryService::ServeBatch(std::vector<Pending> batch) {
     rec.k = p.request.k;
     rec.pad_with_zero_edges = p.request.pad_with_zero_edges;
     rec.deadline_missed = missed;
-    rec.scorer = view.scorer;
+    rec.scorer = pinned.scorer;
     rec.cache = r.ctx.cache;
     rec.health = p.admit_health;
-    rec.shards_ok = r.shards_ok;
-    rec.shards_degraded = r.shards_degraded;
-    rec.shards_down = r.shards_down;
     rec.queue_us = r.queue_us;
     rec.exec_us = r.exec_us;
     rec.total_us = r.queue_us + r.exec_us;
@@ -317,10 +360,7 @@ void EsdQueryService::ServeBatch(std::vector<Pending> batch) {
     QueryResponse& response = responses[i];
     response.ctx = p.ctx;
     obs::RequestContext& ctx = response.ctx;
-    ctx.epoch = view.generation;
-    response.shards_ok = view.shards.ok;
-    response.shards_degraded = view.shards.degraded;
-    response.shards_down = view.shards.down;
+    ctx.epoch = pinned.epoch;
     response.queue_us = Micros(picked_up - p.enqueued);
     // queue_wait ends where the batch began; everything since is
     // batch_formation (sort, engine pin, earlier batchmates). Together
@@ -336,15 +376,6 @@ void EsdQueryService::ServeBatch(std::vector<Pending> batch) {
       // Missed deadlines are forensic gold: they enter the slow log with
       // their queue-side attribution even though the engine never ran.
       record_slow(p, response, /*missed=*/true, t0);
-    } else if (p.request.strict && !view.shards.all_ok()) {
-      // Strict partial-result policy: the caller asked to fail fast rather
-      // than accept a narrowed answer, and the fleet is not whole. Decided
-      // before the cache so a stale full answer can never mask a sick
-      // shard — and without touching the backend, so it stays instant no
-      // matter what the sick shard is doing (heal probe, stall, recovery).
-      response.status = ResponseStatus::kShardsUnavailable;
-      metrics_.RecordShardsUnavailable(response.queue_us);
-      record_slow(p, response, /*missed=*/false, t0);
     } else {
       const QueryRequest& rq = p.request;
       if (!have_tau || last_tau != rq.tau) {
@@ -358,7 +389,6 @@ void EsdQueryService::ServeBatch(std::vector<Pending> batch) {
       uint64_t t1 = t0;
       uint64_t t2 = t0;
       uint64_t t3 = t0;
-      bool narrowed = false;
       if (prev_rq != nullptr && prev_rq->tau == rq.tau &&
           prev_rq->k == rq.k &&
           prev_rq->pad_with_zero_edges == rq.pad_with_zero_edges) {
@@ -368,7 +398,7 @@ void EsdQueryService::ServeBatch(std::vector<Pending> batch) {
         ctx.cache = obs::CacheOutcome::kDedup;
         response.result = *prev_result;
       } else if (cache_ != nullptr &&
-                 cache_->Lookup(view.generation, rq.tau, rq.k,
+                 cache_->Lookup(pinned.epoch, rq.tau, rq.k,
                                 rq.pad_with_zero_edges, &response.result)) {
         // Cache hit: answered without touching the engine.
         t1 = t2 = t3 = obs::MonotonicNanos();
@@ -379,40 +409,17 @@ void EsdQueryService::ServeBatch(std::vector<Pending> batch) {
         // Without a cache there was no lookup to time: cache_lookup is
         // identically zero and the clock read would only measure itself.
         t1 = cache_ != nullptr ? obs::MonotonicNanos() : t0;
-        // A sharded walk runs wholly inside Execute and is attributed to
-        // slab_scan and padding_scan; the per-shard split lives in the
-        // esd_shard_* metrics rather than the six-stage enum.
-        ExecuteOutcome out = view.Execute(rq.k, rq.tau,
-                                          rq.pad_with_zero_edges, p.deadline);
+        uint64_t scan_end_ns = 0;
+        response.result = pinned.Execute(rq.k, rq.tau, rq.pad_with_zero_edges,
+                                         &scan_end_ns);
         t3 = obs::MonotonicNanos();
-        t2 = out.scan_end_ns != 0 ? out.scan_end_ns : t3;
-        response.shards_ok = out.shards.ok;
-        response.shards_degraded = out.shards.degraded;
-        response.shards_down = out.shards.down;
-        if (out.deadline_expired) {
-          response.status = ResponseStatus::kDeadlineMissed;
-          metrics_.RecordDeadlineMissed(response.queue_us);
-          record_slow(p, response, /*missed=*/true, t3);
-          continue;  // never dedup-copied, never cached
-        }
-        if (rq.strict && !out.shards.all_ok()) {
-          // A shard failed inside this execution although the batch pin
-          // saw the fleet whole: the strict policy still holds.
-          response.status = ResponseStatus::kShardsUnavailable;
-          metrics_.RecordShardsUnavailable(response.queue_us);
-          record_slow(p, response, /*missed=*/false, t3);
-          continue;
-        }
-        response.result = std::move(out.result);
-        // An answer narrowed by a mid-batch shard failure is not what the
-        // generation promises: it is neither cached nor dedup-copied.
-        narrowed = out.shards != view.shards;
-        if (cache_ != nullptr && !narrowed) {
-          cache_->Insert(view.generation, rq.tau, rq.k,
-                         rq.pad_with_zero_edges, response.result);
+        t2 = scan_end_ns != 0 ? scan_end_ns : t3;
+        if (cache_ != nullptr) {
+          cache_->Insert(pinned.epoch, rq.tau, rq.k, rq.pad_with_zero_edges,
+                         response.result);
         }
       }
-      prev_rq = narrowed ? nullptr : &rq;
+      prev_rq = &rq;
       prev_result = &response.result;
       const uint64_t t4 = obs::MonotonicNanos();
       ctx.Charge(obs::Stage::kCacheLookup, t1 - t0);

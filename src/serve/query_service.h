@@ -20,11 +20,35 @@
 #include "obs/request_context.h"
 #include "serve/metrics.h"
 #include "serve/result_cache.h"
-#include "serve/serving_backend.h"
 #include "serve/slowlog.h"
 #include "util/thread_pool.h"
 
 namespace esd::serve {
+
+/// An engine pinned together with the epoch id it serves. Two pins with
+/// the same epoch MUST carry the same immutable engine image — the epoch
+/// keys the result cache. LiveEsdIndex's seq-guarded publish provides this
+/// (epoch ids are monotone in applied_seq).
+struct PinnedEngine {
+  std::shared_ptr<const core::EsdQueryEngine> engine;
+  uint64_t epoch = 0;
+};
+/// Returns the engine a batch should serve from; called once per batch
+/// from any worker thread, and must never return a null engine.
+using EpochEngineProvider = std::function<PinnedEngine()>;
+
+/// Provider over a source of shared epoch snapshots exposing `index` and
+/// `epoch` — e.g. [&live] { return live.CurrentSnapshot(); }. The pinned
+/// engine aliases the snapshot, so it lives exactly as long as the pin.
+template <typename CurrentSnapshotFn>
+EpochEngineProvider SnapshotProvider(CurrentSnapshotFn current) {
+  return [current = std::move(current)] {
+    auto snap = current();
+    return PinnedEngine{
+        std::shared_ptr<const core::EsdQueryEngine>(snap, &snap->index),
+        snap->epoch};
+  };
+}
 
 /// One top-k query as submitted by a client.
 struct QueryRequest {
@@ -42,13 +66,6 @@ struct QueryRequest {
   /// arrival, so time a request spends in socket buffers and the event
   /// loop is attributed to it rather than silently dropped.
   uint64_t arrival_ns = 0;
-  /// Partial-result policy for sharded serving. false (partial, the
-  /// default): answer from whatever shards are healthy, with the fleet
-  /// tally in QueryResponse::shards_*. true (strict): any degraded or down
-  /// shard fails the request typed (kShardsUnavailable) without executing
-  /// — fail fast instead of silently narrowing the answer. Ignored by
-  /// unsharded services (a single engine is always "all shards ok").
-  bool strict = false;
 };
 
 enum class ResponseStatus : uint8_t {
@@ -56,7 +73,6 @@ enum class ResponseStatus : uint8_t {
   kRejectedQueueFull,   ///< bounced by bounded admission, never queued
   kDeadlineMissed,      ///< expired while queued, engine never ran
   kShutdown,            ///< submitted after Stop(), or unserved at teardown
-  kShardsUnavailable,   ///< strict query, but >= 1 shard degraded or down
 };
 
 /// Stable name of `status` ("ok", "rejected", "deadline-missed", ...).
@@ -73,36 +89,28 @@ struct QueryResponse {
   /// (queue_wait + batch_formation == queue_us; the remaining stages
   /// partition exec_us). Zeroed for rejected/shutdown responses.
   obs::RequestContext ctx;
-  /// Fleet tally (sharded serving only; all zero on unsharded services):
-  /// shards that contributed to this answer, shards alive but excluded
-  /// (always 0 — see serve::ShardCounts), and shards down (their edges are
-  /// missing from the result). A partial answer is exactly one with
-  /// shards_degraded + shards_down > 0.
-  uint16_t shards_ok = 0;
-  uint16_t shards_degraded = 0;
-  uint16_t shards_down = 0;
 };
 
-/// Concurrent query service over one ServingBackend — the paper's
+/// Concurrent query service over one EpochEngineProvider — the paper's
 /// build-once / query-forever workload as an actual server loop. The
-/// backend is a single engine (EngineBackend: static, or a live index's
-/// epoch of the moment) or a sharded fleet; the service never asks which.
+/// provider yields a fixed engine (static serving, generation 0 forever)
+/// or a live index's epoch of the moment; the service never asks which.
 ///
 /// Shape: Submit() pushes into one bounded FIFO (admission control: a full
 /// queue rejects instead of blocking, so overload degrades by shedding, not
 /// by unbounded memory). Worker loops — run on the existing
 /// util::ThreadPool via one long-lived ParallelFor, one loop per pool
 /// thread — drain up to max_batch requests per wakeup and serve them
-/// batched: each batch pins one ServingView, and is sorted by tau so the
-/// backend pays its per-tau setup (the frozen slab binary search) once per
+/// batched: each batch pins one engine, and is sorted by tau so a
+/// FrozenEsdIndex pays its per-tau setup (the slab binary search) once per
 /// distinct tau in the batch rather than once per query. Under low load
 /// batches degenerate to size 1 and the service behaves like a plain
 /// thread-per-request executor; under load batching kicks in naturally.
 ///
 /// Ahead of the miss path sits an optional ResultCache
-/// (Options::cache_bytes) keyed by the view's generation: repeated
-/// (tau, k, pad) traffic within one generation is answered from the cache
-/// without touching the backend, and a generation change invalidates the
+/// (Options::cache_bytes) keyed by the pinned epoch: repeated
+/// (tau, k, pad) traffic within one epoch is answered from the cache
+/// without touching the engine, and an epoch change invalidates the
 /// cache in O(1). Batches are additionally sorted by (tau, k, pad) so
 /// identical requests inside one batch are answered once and copied.
 ///
@@ -137,8 +145,8 @@ class EsdQueryService {
     /// degraded/read-only state). Called from any thread; empty = the
     /// service reports only its own state.
     std::function<obs::HealthState()> health_source;
-    /// Byte budget of the result cache, keyed by the backend's serving
-    /// generation (a generation change rotates the cache); 0 (default)
+    /// Byte budget of the result cache, keyed by the pinned epoch (an
+    /// epoch change rotates the cache); 0 (default)
     /// disables caching entirely.
     size_t cache_bytes = 0;
     /// Entry budget of the result cache (split across its shards).
@@ -151,19 +159,16 @@ class EsdQueryService {
     size_t slowlog_capacity = 32;
   };
 
-  /// The provider types of the epoch-provider constructor
-  /// (serving_backend.h), also reachable as members.
+  /// The provider types of the epoch-provider constructor, also reachable
+  /// as members.
   using PinnedEngine = serve::PinnedEngine;
   using EpochEngineProvider = serve::EpochEngineProvider;
 
-  /// Serves every batch from `backend`'s pin of the moment; the backend
-  /// must outlive the service.
-  EsdQueryService(ServingBackend& backend, const Options& options);
-  /// Serves one fixed engine (generation 0 forever) through an
-  /// EngineBackend the service owns; the engine must outlive the service.
+  /// Serves one fixed engine: a non-owning pin at epoch 0 forever. The
+  /// engine must outlive the service.
   EsdQueryService(const core::EsdQueryEngine& engine, const Options& options);
-  /// Serves the provider's engine of the moment through an EngineBackend
-  /// the service owns (e.g. a LiveEsdIndex's current epoch).
+  /// Serves the provider's engine of the moment (e.g. a LiveEsdIndex's
+  /// current epoch), pinned once per batch.
   EsdQueryService(EpochEngineProvider provider, const Options& options);
   ~EsdQueryService();
 
@@ -218,8 +223,7 @@ class EsdQueryService {
 
   /// Combined serving health: the worst of this service's own state (a
   /// stopped service is read-only — admitted work still drains but nothing
-  /// new is accepted), the backend's Health(), and the
-  /// Options::health_source feed.
+  /// new is accepted) and the Options::health_source feed.
   obs::HealthState Health() const;
 
  private:
@@ -257,11 +261,10 @@ class EsdQueryService {
                                                 ServiceMetrics& metrics);
   static SlowQueryLog::Options SlowLogOptions(const Options& options);
 
-  /// Set by the engine constructors, which wrap their engine themselves.
-  std::unique_ptr<ServingBackend> owned_backend_;
-  ServingBackend* const backend_;
+  /// What every batch serves from, called once per batch.
+  const EpochEngineProvider provider_;
   const Options options_;
-  // The constructors initialize only the three members above; the rest
+  // The constructors initialize only the two members above; the rest
   // derive from options_.
   const unsigned num_threads_ = options_.num_threads == 0
                                     ? util::ThreadPool::DefaultThreadCount()

@@ -129,11 +129,6 @@ std::string SlowQueryLog::ToJson(const SlowQueryRecord& r, uint64_t now_ns) {
   out.append(obs::HealthStateName(r.health));
   out.append("\",\"deadline_missed\":");
   out.append(r.deadline_missed ? "true" : "false");
-  if (r.shards_ok + r.shards_degraded + r.shards_down > 0) {
-    out.append(",\"shards_ok\":" + std::to_string(r.shards_ok));
-    out.append(",\"shards_degraded\":" + std::to_string(r.shards_degraded));
-    out.append(",\"shards_down\":" + std::to_string(r.shards_down));
-  }
   out.append(",\"age_s\":");
   AppendDouble(&out, now_ns >= r.recorded_ns
                          ? static_cast<double>(now_ns - r.recorded_ns) * 1e-9

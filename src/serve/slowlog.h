@@ -44,12 +44,6 @@ struct SlowQueryRecord {
   core::ScorerKind scorer = core::ScorerKind::kEsd;
   obs::CacheOutcome cache = obs::CacheOutcome::kNone;
   obs::HealthState health = obs::HealthState::kOk;
-  /// Fleet tally at serve time (sharded services only; all zero — and
-  /// omitted from the JSON — on unsharded ones). A slow partial answer is
-  /// distinguishable from a slow full one in the forensic record.
-  uint16_t shards_ok = 0;
-  uint16_t shards_degraded = 0;
-  uint16_t shards_down = 0;
   double queue_us = 0;
   double exec_us = 0;
   double total_us = 0;

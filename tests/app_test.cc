@@ -1,6 +1,5 @@
-// Server command table tests: every verb in static, live, sharded and
-// sharded-live serving, pinning the reply bytes the smoke scripts grep
-// for, plus the ordered teardown when the listener cannot start. Suites
+// Server command table tests: every verb in static and live serving,
+// pinning the reply bytes the smoke scripts grep for, plus the ordered teardown when the listener cannot start. Suites
 // are named ServeNet* so the CI TSan and chaos -R filters pick them up.
 
 #include <arpa/inet.h>
@@ -24,10 +23,12 @@ namespace {
 
 using test::ScratchServer;
 
-constexpr const char* kQueryUsage = "ERR usage: QUERY <k> <tau> [STRICT]\n";
+constexpr const char* kQueryUsage = "ERR usage: QUERY <k> <tau>\n";
 constexpr const char* kNotLive = "ERR updates need --live-dir\n";
-constexpr const char* kNotSharded = "ERR not running sharded (--shards N)\n";
 constexpr const char* kNoRefreeze = "ERR refreeze needs --live-dir\n";
+constexpr const char* kUnknownCommand =
+    "ERR unknown command (QUERY/INSERT/DELETE/CHECKPOINT/REFREEZE/"
+    "STATS/METRICS/SLOWLOG/HISTORY/FAILPOINT/TRACE/QUIT)\n";
 
 bool StartsWith(const std::string& s, const std::string& prefix) {
   return s.rfind(prefix, 0) == 0;
@@ -48,13 +49,12 @@ void ExpectModeIndependentVerbs(ScratchServer& server) {
   EXPECT_TRUE(StartsWith(query, "OK ok 3 edges, queue ")) << query;
   EXPECT_TRUE(Contains(query, "\n  rid=")) << query;
   EXPECT_TRUE(Contains(query, " stages[us]: queue_wait=")) << query;
-  EXPECT_TRUE(StartsWith(server.Run("QUERY 3 2 STRICT"), "OK ok 3 edges"));
   // One parser on both front ends: negative, overflowing, non-numeric or
   // missing values and stray tokens are usage errors.
-  for (const char* bad : {"QUERY", "QUERY 3", "QUERY -1 2", "QUERY 3 -2",
-                          "QUERY 4294967296 2", "QUERY +3 2", "QUERY 3 2x",
-                          "QUERY abc 2", "QUERY 3 2 LOOSE",
-                          "QUERY 3 2 STRICT extra"}) {
+  for (const char* bad :
+       {"QUERY", "QUERY 3", "QUERY -1 2", "QUERY 3 -2", "QUERY 4294967296 2",
+        "QUERY +3 2", "QUERY 3 2x", "QUERY abc 2", "QUERY 3 2 LOOSE",
+        "QUERY 3 2 STRICT", "QUERY 3 2 STRICT extra"}) {
     EXPECT_EQ(server.Run(bad), kQueryUsage) << bad;
   }
   const std::string stats = server.Run("STATS");
@@ -62,8 +62,7 @@ void ExpectModeIndependentVerbs(ScratchServer& server) {
   EXPECT_TRUE(EndsWith(stats, " scorer=esd health=ok\n")) << stats;
   const std::string metrics = server.Run("METRICS");
   EXPECT_TRUE(Contains(metrics, "# TYPE esd_serve_completed_total counter"));
-  EXPECT_TRUE(Contains(metrics, "esd_engine_queries") ||
-              server.app().EngineName().rfind("sharded", 0) == 0);
+  EXPECT_TRUE(Contains(metrics, "esd_engine_queries"));
   EXPECT_TRUE(EndsWith(metrics, "# EOF\n"));
   // GET /metrics renders through the same function.
   const std::string scrape = server.app().MetricsText();
@@ -90,9 +89,8 @@ void ExpectModeIndependentVerbs(ScratchServer& server) {
   EXPECT_EQ(server.Run("TRACE " + trace_path),
             ESD_OBS_TRACING ? "OK trace written to " + trace_path + "\n"
                             : "ERR tracing compiled out (ESD_OBS=OFF)\n");
-  EXPECT_EQ(server.Run("NOPE"),
-            "ERR unknown command (QUERY/INSERT/DELETE/CHECKPOINT/REFREEZE/"
-            "SHARDS/STATS/METRICS/SLOWLOG/HISTORY/FAILPOINT/TRACE/QUIT)\n");
+  EXPECT_EQ(server.Run("NOPE"), kUnknownCommand);
+  EXPECT_EQ(server.Run("SHARDS"), kUnknownCommand);
   EXPECT_EQ(server.Run(""), "");
   EXPECT_EQ(server.Run(" \t\r"), "");
   std::string out;
@@ -106,13 +104,11 @@ TEST(ServeNetCommandTest, StaticModeVerbs) {
   ASSERT_TRUE(server.Open());
   EXPECT_EQ(server.app().EngineName(), "frozen");
   ExpectModeIndependentVerbs(server);
-  EXPECT_FALSE(Contains(server.Run("QUERY 3 2"), " shards="));
   EXPECT_EQ(server.Run("INSERT 1 2"), kNotLive);
   EXPECT_EQ(server.Run("DELETE 1 2"), kNotLive);
   EXPECT_EQ(server.Run("INSERT"), kNotLive);  // mode checked before args
   EXPECT_EQ(server.Run("CHECKPOINT"), "ERR checkpoint needs --live-dir\n");
   EXPECT_EQ(server.Run("REFREEZE"), kNoRefreeze);
-  EXPECT_EQ(server.Run("SHARDS"), kNotSharded);
 }
 
 TEST(ServeNetCommandTest, LiveModeVerbs) {
@@ -130,62 +126,8 @@ TEST(ServeNetCommandTest, LiveModeVerbs) {
   EXPECT_TRUE(StartsWith(server.Run("CHECKPOINT"),
                          "OK seq=2 wal_bytes=12 epoch="));
   EXPECT_EQ(server.Run("REFREEZE"), "OK refrozen\n");
-  EXPECT_EQ(server.Run("SHARDS"), kNotSharded);
   EXPECT_TRUE(Contains(server.Run("STATS"), " live_seq=2 "));
   EXPECT_TRUE(Contains(server.Run("METRICS"), "esd_live_"));
-}
-
-TEST(ServeNetCommandTest, ShardedModeVerbs) {
-  ScratchServer server("sharded");
-  server.config.shards = 3;
-  ASSERT_TRUE(server.Open());
-  EXPECT_EQ(server.app().EngineName(), "sharded-frozen");
-  ExpectModeIndependentVerbs(server);
-  EXPECT_TRUE(Contains(server.Run("QUERY 3 2"), " shards=3/0/0 "));
-  EXPECT_EQ(server.Run("INSERT 1 2"), kNotLive);
-  EXPECT_EQ(server.Run("CHECKPOINT"), "ERR checkpoint needs --live-dir\n");
-  EXPECT_EQ(server.Run("REFREEZE"), kNoRefreeze);
-  const std::string shards = server.Run("SHARDS");
-  EXPECT_TRUE(
-      StartsWith(shards, "OK shards=3 ok=3 degraded=0 down=0 generation="))
-      << shards;
-  EXPECT_TRUE(Contains(shards, " epoch=0\nshard 0 state=ok queries="))
-      << shards;
-  EXPECT_TRUE(Contains(shards, "\nshard 2 state=ok queries=")) << shards;
-  EXPECT_TRUE(Contains(server.Run("STATS"),
-                       " shards=3 shards_ok=3 shards_degraded=0 "
-                       "shards_down=0 shard_generation="));
-}
-
-TEST(ServeNetCommandTest, ShardedLiveModeVerbs) {
-  ScratchServer server("sharded_live");
-  server.config.shards = 3;
-  server.config.live_dir = server.Path("fleet");
-  ASSERT_TRUE(server.Open());
-  EXPECT_EQ(server.app().EngineName(), "sharded-live");
-  ExpectModeIndependentVerbs(server);
-  // One writer: the same replies as unsharded live serving.
-  EXPECT_TRUE(StartsWith(server.Run("INSERT 1 2"), "OK seq=1 wal_bytes="));
-  EXPECT_TRUE(StartsWith(server.Run("DELETE 1 2"), "OK seq=2 wal_bytes="));
-  EXPECT_EQ(server.Run("INSERT 1"), "ERR usage: INSERT <u> <v>\n");
-  EXPECT_TRUE(StartsWith(server.Run("INSERT 1 99999999"), "ERR bounds "));
-  EXPECT_TRUE(StartsWith(server.Run("CHECKPOINT"),
-                         "OK seq=2 wal_bytes=12 epoch="));
-  EXPECT_EQ(server.Run("REFREEZE"), "OK refrozen\n");
-  EXPECT_TRUE(Contains(server.Run("QUERY 3 2"), " shards=3/0/0 "));
-  EXPECT_TRUE(StartsWith(server.Run("SHARDS"), "OK shards=3 ok=3 "));
-  const std::string stats = server.Run("STATS");
-  EXPECT_TRUE(Contains(stats, " live_seq=2 ")) << stats;
-  EXPECT_TRUE(Contains(stats, " shards=3 shards_ok=3 ")) << stats;
-  EXPECT_TRUE(Contains(server.Run("METRICS"), "esd_shard_count 3"));
-  // One WAL for the whole fleet, and no per-shard directories.
-  size_t wals = 0;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(server.Path("fleet"))) {
-    EXPECT_FALSE(entry.is_directory()) << entry.path();
-    wals += entry.path().filename() == "wal.bin" ? 1 : 0;
-  }
-  EXPECT_EQ(wals, 1u);
 }
 
 // A live dir in the retired layout (one WAL per shard under shard-<i>/,
@@ -196,7 +138,6 @@ TEST(ServeNetCommandTest, RetiredShardLayoutIsRefused) {
   const std::filesystem::path fleet = server.Path("fleet");
   std::filesystem::create_directories(fleet / "shard-0");
   std::ofstream(fleet / "shard-0" / "wal.log") << "acknowledged writes";
-  server.config.shards = 3;
   server.config.live_dir = fleet.string();
   testing::internal::CaptureStderr();
   EXPECT_EQ(server.TryOpen(), 1);

@@ -34,8 +34,6 @@
 #include "obs/health.h"
 #include "obs/metrics.h"
 #include "serve/query_service.h"
-#include "shard/partition.h"
-#include "shard/sharded_engine.h"
 #include "util/rng.h"
 
 namespace esd {
@@ -587,292 +585,6 @@ TEST_F(ChaosTest, RandomizedFaultScheduleKeepsInvariants) {
     auto engine = reopened->CurrentEngine();
     ExpectEngineParity(*engine, final_graph, "post-chaos reopen");
   }
-}
-
-// ---- Sharded fleet under fault schedules -----------------------------------
-
-/// ShardedOptions tuned like ChaosOptions: a fast stall breaker so
-/// schedules stay deterministic.
-shard::ShardedOptions ShardChaosOptions(uint32_t num_shards) {
-  shard::ShardedOptions options;
-  options.num_shards = num_shards;
-  options.stall_threshold = std::chrono::microseconds(5000);
-  options.stall_breaker_trips = 1;
-  // Long enough that assertions made right after a trip can't race the
-  // lazy re-close; the heal phase sleeps past it explicitly.
-  options.stall_breaker_cooldown = std::chrono::milliseconds(300);
-  return options;
-}
-
-constexpr auto kFarDeadline = std::chrono::steady_clock::time_point::max();
-
-// The acceptance scenario. Shard 0's query probe errors and shard 1's
-// stalls until the stall breaker takes it down, while the one writer keeps
-// accepting writes. Strict queries must fail typed, partial queries must
-// answer the current epoch restricted to the healthy shard's edges, and
-// once the faults clear the whole fleet must hold exact edge-for-edge
-// parity with an unsharded live index that applied the identical history.
-TEST_F(ChaosTest, ShardOutageServesPartialThenHealsToExactParity) {
-  ScratchDir dir("shard_outage");
-  graph::Graph bootstrap = gen::BarabasiAlbert(60, 3, 11);
-  const uint32_t num_shards = 3;
-  std::string error;
-  LiveOptions writer_options = ChaosOptions(dir);
-  writer_options.wal_path = dir.Path("fleet_wal.bin");
-  writer_options.snapshot_path = dir.Path("fleet_snap.bin");
-  auto writer = LiveEsdIndex::Open(bootstrap, writer_options, &error);
-  ASSERT_NE(writer, nullptr) << error;
-  shard::ShardedQueryEngine fleet(*writer, ShardChaosOptions(num_shards));
-
-  // The unsharded reference follows the same update history, so edge-id
-  // slots — and therefore the exact canonical answers — line up.
-  auto reference = LiveEsdIndex::Open(bootstrap, ChaosOptions(dir), &error);
-  ASSERT_NE(reference, nullptr) << error;
-  const std::vector<LiveUpdate> updates = RandomUpdates(30, 100, 0x5A4D);
-  auto apply_both = [&](size_t from, size_t n) {
-    const std::span<const LiveUpdate> batch(updates.data() + from, n);
-    ASSERT_EQ(writer->ApplyBatch(batch, &error), n) << error;
-    ASSERT_EQ(reference->ApplyBatch(batch, &error), n) << error;
-    ASSERT_TRUE(writer->RefreezeNow());
-    ASSERT_TRUE(reference->RefreezeNow());
-  };
-  apply_both(0, 10);
-  {
-    const serve::ShardedOutcome all_ok = fleet.Execute(64, 2, true,
-                                                       kFarDeadline);
-    EXPECT_EQ(all_ok.result, reference->CurrentEngine()->Query(64, 2));
-    EXPECT_EQ(all_ok.shards.ok, num_shards);
-  }
-
-  // Fault 1: shard 0's query probe errors — it is left out of the round
-  // and its breaker opens. Fault 2: shard 1's probe stalls 30ms; the
-  // first query pays the delay (the cost is already sunk) and the stall
-  // breaker trips, so from the next round shard 1 is down too.
-  Arm("shard.query.0", "error(EIO)");
-  Arm("shard.query.1", "delay(30)");
-  (void)fleet.Execute(8, 2, true, kFarDeadline);
-  {
-    const serve::ShardCounts counts = fleet.Counts();
-    EXPECT_EQ(counts.degraded, 0u);  // every shard serves the last epoch
-    EXPECT_EQ(counts.down, 2u);
-    EXPECT_EQ(counts.ok, 1u);  // shard 2 carries the fleet
-  }
-
-  // The read-side outage does not touch the writer: it keeps accepting,
-  // and the fleet serves the epoch it publishes.
-  apply_both(10, 10);
-
-  serve::EsdQueryService::Options sopts;
-  sopts.num_threads = 1;
-  serve::EsdQueryService service(fleet, sopts);
-
-  // Strict: typed rejection, no partial answer smuggled through.
-  serve::QueryRequest rq;
-  rq.k = 64;
-  rq.tau = 2;
-  rq.strict = true;
-  rq.deadline_us = 200000;
-  EXPECT_EQ(service.Query(rq).status,
-            serve::ResponseStatus::kShardsUnavailable);
-
-  // Partial: the reference's current answer restricted to shard 2's
-  // edges, edge for edge. (Padding is off here; the healed phase below
-  // checks it.)
-  rq.strict = false;
-  rq.pad_with_zero_edges = false;
-  const serve::QueryResponse partial = service.Query(rq);
-  ASSERT_EQ(partial.status, serve::ResponseStatus::kOk);
-  EXPECT_EQ(partial.shards_ok, 1u);
-  EXPECT_EQ(partial.shards_degraded, 0u);
-  EXPECT_EQ(partial.shards_down, 2u);
-  {
-    const serve::ShardedOutcome got =
-        fleet.Execute(64, 2, /*pad_with_zero_edges=*/false, kFarDeadline);
-    const auto owns2 = shard::OwnsFilter(2, num_shards);
-    core::TopKResult want;
-    for (const core::ScoredEdge& se :
-         reference->CurrentEngine()->Query(1u << 20, 2, false)) {
-      if (owns2(se.edge) && want.size() < 64) want.push_back(se);
-    }
-    EXPECT_EQ(got.result, want);
-    EXPECT_EQ(partial.result, want);
-  }
-
-  // Heal: clear the faults, let the breaker cooldowns elapse, write on.
-  FailPointRegistry::Global().ClearAll();
-  std::this_thread::sleep_for(std::chrono::milliseconds(350));
-  apply_both(20, 10);
-
-  EXPECT_EQ(fleet.Counts().ok, num_shards);
-  EXPECT_EQ(fleet.Health(), HealthState::kOk);
-  for (const shard::ShardStatus& st : fleet.Status()) {
-    EXPECT_EQ(st.state, "ok") << "shard " << st.id;
-    EXPECT_EQ(st.stall_trips > 0, st.id < 2) << "shard " << st.id;
-  }
-
-  // Exact parity with the unsharded reference, padding included.
-  const auto healed_ref = reference->CurrentEngine();
-  for (uint32_t tau : {1u, 2u, 3u, 5u}) {
-    for (uint32_t k : {1u, 8u, 64u, 256u}) {
-      const serve::ShardedOutcome got = fleet.Execute(k, tau, true,
-                                                      kFarDeadline);
-      EXPECT_EQ(got.result, healed_ref->Query(k, tau))
-          << "healed fleet diverged at k=" << k << " tau=" << tau;
-    }
-  }
-  rq.strict = true;
-  rq.pad_with_zero_edges = true;
-  EXPECT_EQ(service.Query(rq).status, serve::ResponseStatus::kOk);
-}
-
-// The stall breaker re-admits a shard after its cooldown: trip it, verify
-// queries skip it (fail point no longer evaluated), then — fault cleared,
-// cooldown elapsed — the shard rejoins with full-fleet parity.
-TEST_F(ChaosTest, ShardStallBreakerCoolsDownAndRejoins) {
-  graph::Graph g = gen::BarabasiAlbert(80, 3, 41);
-  shard::ShardedOptions options;
-  options.num_shards = 3;
-  options.stall_threshold = std::chrono::microseconds(5000);
-  options.stall_breaker_trips = 1;
-  options.stall_breaker_cooldown = std::chrono::milliseconds(200);
-  auto fleet = shard::ShardedQueryEngine::BuildStatic(g, options);
-  ASSERT_NE(fleet, nullptr);
-  const FrozenEsdIndex full = core::BuildFrozenIndex(g);
-
-  Arm("shard.query.2", "delay(20)");
-  (void)fleet->Execute(8, 2, true, kFarDeadline);  // pays the delay, trips
-  EXPECT_EQ(fleet->Counts().down, 1u);
-
-  // Tripped: the shard is skipped without evaluating its fail point, so
-  // this query is fast even though the delay is still armed.
-  const auto t0 = std::chrono::steady_clock::now();
-  const serve::ShardedOutcome skipped = fleet->Execute(8, 2, true,
-                                                       kFarDeadline);
-  const auto elapsed = std::chrono::steady_clock::now() - t0;
-  EXPECT_EQ(skipped.shards.down, 1u);
-  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
-                .count(),
-            15);
-  const uint64_t hits_while_tripped =
-      FailPointRegistry::Global().HitCount("shard.query.2");
-  (void)fleet->Execute(8, 2, true, kFarDeadline);
-  EXPECT_EQ(FailPointRegistry::Global().HitCount("shard.query.2"),
-            hits_while_tripped);
-
-  FailPointRegistry::Global().ClearAll();
-  std::this_thread::sleep_for(options.stall_breaker_cooldown +
-                              std::chrono::milliseconds(10));
-  const serve::ShardedOutcome healed = fleet->Execute(64, 2, true,
-                                                      kFarDeadline);
-  EXPECT_EQ(healed.shards.ok, 3u);
-  EXPECT_EQ(healed.result, full.Query(64, 2));
-}
-
-// A shard probe that fails inside a batch's execution, with no earlier
-// query to open its breaker: the batch pin still sees the fleet whole. A
-// strict request must still be refused, and the narrowed answer the
-// partial request got must be neither dedup-copied nor cached under the
-// pin's generation, so the healed fleet answers in full.
-TEST_F(ChaosTest, ShardProbeFailingMidBatchFailsStrictAndIsNotCached) {
-  graph::Graph g = gen::BarabasiAlbert(60, 3, 11);
-  auto fleet = shard::ShardedQueryEngine::BuildStatic(g, ShardChaosOptions(3));
-  ASSERT_NE(fleet, nullptr);
-  const FrozenEsdIndex full = core::BuildFrozenIndex(g);
-
-  Arm("shard.query.0", "error(EIO)");
-  serve::EsdQueryService::Options sopts;
-  sopts.num_threads = 1;
-  sopts.start_paused = true;
-  sopts.cache_bytes = 1 << 20;
-  serve::EsdQueryService service(*fleet, sopts);
-  serve::QueryRequest rq;
-  rq.k = 64;
-  rq.tau = 2;
-  auto partial = service.Submit(rq);
-  rq.strict = true;
-  auto strict = service.Submit(rq);
-  service.Start();
-
-  const serve::QueryResponse partial_resp = partial.get();
-  ASSERT_EQ(partial_resp.status, serve::ResponseStatus::kOk);
-  EXPECT_EQ(partial_resp.shards_down, 1u);
-  EXPECT_NE(partial_resp.result, full.Query(64, 2));
-  EXPECT_EQ(strict.get().status, serve::ResponseStatus::kShardsUnavailable);
-
-  // Heal: past the breaker cooldown the pin is back to the generation the
-  // failing batch pinned, so a cached narrowed answer would be served.
-  FailPointRegistry::Global().ClearAll();
-  std::this_thread::sleep_for(std::chrono::milliseconds(350));
-  const serve::QueryResponse healed = service.Query(rq);
-  ASSERT_EQ(healed.status, serve::ResponseStatus::kOk);
-  EXPECT_EQ(healed.shards_ok, 3u);
-  EXPECT_EQ(healed.result, full.Query(64, 2));
-}
-
-// A query admitted while the one writer is stalled inside a WAL append
-// must get its typed answer at once: the fleet pins published epochs and
-// never waits on the write path.
-TEST_F(ChaosTest, ShardQueryDuringStalledWriteAnswersTypedNotStalls) {
-  ScratchDir dir("stalled_write");
-  graph::Graph bootstrap = gen::BarabasiAlbert(50, 3, 53);
-  std::string error;
-  auto writer = LiveEsdIndex::Open(bootstrap, ChaosOptions(dir), &error);
-  ASSERT_NE(writer, nullptr) << error;
-  shard::ShardedQueryEngine fleet(*writer, ShardChaosOptions(2));
-
-  // Shard 0 down (one probe error opens its breaker), so strict queries
-  // have something to refuse; then park the writer 150ms in every WAL
-  // append, holding the write path.
-  Arm("shard.query.0", "error(EIO)");
-  (void)fleet.Execute(8, 2, true, kFarDeadline);
-  ASSERT_EQ(fleet.Counts().down, 1u);
-  Arm("wal.append", "delay(150)");
-  const std::vector<LiveUpdate> updates = RandomUpdates(3, 90, 0x9EA1);
-  ApplyResult write_result;
-  std::thread write([&] {
-    write_result = writer->ApplyBatchTyped({updates.data(), updates.size()});
-  });
-  while (FailPointRegistry::Global().FireCount("wal.append") < 1) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-
-  serve::EsdQueryService::Options sopts;
-  sopts.num_threads = 1;
-  serve::EsdQueryService service(fleet, sopts);
-  serve::QueryRequest rq;
-  rq.k = 8;
-  rq.tau = 2;
-  rq.deadline_us = 50000;
-
-  // Strict: the typed rejection comes back well inside the stall.
-  rq.strict = true;
-  const auto t0 = std::chrono::steady_clock::now();
-  const serve::QueryResponse strict_resp = service.Query(rq);
-  const auto strict_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-      std::chrono::steady_clock::now() - t0);
-  EXPECT_EQ(strict_resp.status, serve::ResponseStatus::kShardsUnavailable);
-  EXPECT_LT(strict_ms.count(), 150) << "strict rejection stalled on the write";
-
-  // Partial: served from shard 1 inside the deadline, same guarantee.
-  rq.strict = false;
-  const auto t1 = std::chrono::steady_clock::now();
-  const serve::QueryResponse partial = service.Query(rq);
-  const auto partial_ms =
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now() - t1);
-  EXPECT_EQ(partial.status, serve::ResponseStatus::kOk);
-  EXPECT_EQ(partial.shards_ok, 1u);
-  EXPECT_EQ(partial.shards_down, 1u);
-  EXPECT_LT(partial_ms.count(), 150) << "partial answer stalled on the write";
-
-  write.join();
-  EXPECT_EQ(write_result.status, ApplyStatus::kOk) << write_result.message;
-  EXPECT_EQ(write_result.processed, updates.size());
-  FailPointRegistry::Global().ClearAll();
-  std::this_thread::sleep_for(std::chrono::milliseconds(350));
-  EXPECT_EQ(fleet.Counts().ok, 2u);
-  rq.strict = true;
-  EXPECT_EQ(service.Query(rq).status, serve::ResponseStatus::kOk);
 }
 
 }  // namespace

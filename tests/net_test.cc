@@ -66,7 +66,7 @@ using serve::QueryResponse;
 using serve::ResponseStatus;
 
 /// A query as a client of the retired protocol version 1 sent it: version
-/// byte 1 and a 25-byte payload (no strict byte).
+/// byte 1 and a 25-byte payload.
 std::string V1QueryFrame() {
   QueryFrame q;
   q.cid = 11;
@@ -74,9 +74,21 @@ std::string V1QueryFrame() {
   q.tau = 2;
   std::string frame = EncodeQuery(q);
   frame[1] = 1;
-  frame.pop_back();
-  const uint32_t v1_len = 25;
-  std::memcpy(&frame[4], &v1_len, sizeof(v1_len));
+  return frame;
+}
+
+/// A query as a client of the retired protocol version 2 sent it: version
+/// byte 2 and a 26-byte payload (the current one plus one trailing byte).
+std::string V2QueryFrame() {
+  QueryFrame q;
+  q.cid = 12;
+  q.k = 3;
+  q.tau = 2;
+  std::string frame = EncodeQuery(q);
+  frame[1] = 2;
+  frame.push_back(0);
+  const uint32_t v2_len = 26;
+  std::memcpy(&frame[4], &v2_len, sizeof(v2_len));
   return frame;
 }
 
@@ -209,7 +221,8 @@ TEST(NetWireTest, BadVersionAndFlagsRejected) {
   std::string v1_ping = net::EncodeFrame(FrameType::kPing, "");
   v1_ping[1] = 1;
   Frame out;
-  for (const std::string& frame : {hostile, v1_ping, V1QueryFrame()}) {
+  for (const std::string& frame :
+       {hostile, v1_ping, V1QueryFrame(), V2QueryFrame()}) {
     FrameDecoder dec;
     dec.Feed(frame);
     EXPECT_EQ(dec.Next(&out), WireStatus::kBadVersion);
@@ -224,22 +237,22 @@ TEST(NetWireTest, BadVersionAndFlagsRejected) {
 
 // The surviving header and payload sizes, byte for byte.
 TEST(NetWireTest, HeaderBytesArePinned) {
-  EXPECT_EQ(net::kWireVersion, 2);
+  EXPECT_EQ(net::kWireVersion, 3);
   QueryFrame q;
   const std::string query = EncodeQuery(q);
-  ASSERT_EQ(query.size(), net::kFrameHeaderBytes + 26);
+  ASSERT_EQ(query.size(), net::kFrameHeaderBytes + 25);
   EXPECT_EQ(static_cast<uint8_t>(query[0]), 0xE5);
-  EXPECT_EQ(static_cast<uint8_t>(query[1]), 0x02);
+  EXPECT_EQ(static_cast<uint8_t>(query[1]), 0x03);
   EXPECT_EQ(static_cast<uint8_t>(query[2]),
             static_cast<uint8_t>(FrameType::kQuery));
   EXPECT_EQ(query[3], 0);
   QueryResultFrame r;
   r.edges = {{1, 2, 3}};
   const std::string result = EncodeQueryResult(r);
-  ASSERT_EQ(result.size(), net::kFrameHeaderBytes + 35 + 12);
-  EXPECT_EQ(result.substr(0, 2), std::string("\xE5\x02", 2));
+  ASSERT_EQ(result.size(), net::kFrameHeaderBytes + 29 + 12);
+  EXPECT_EQ(result.substr(0, 2), std::string("\xE5\x03", 2));
   EXPECT_EQ(EncodeFrame(FrameType::kPing, "").substr(0, 2),
-            std::string("\xE5\x02", 2));
+            std::string("\xE5\x03", 2));
 }
 
 TEST(NetWireTest, UnknownTypeRejected) {
@@ -279,13 +292,20 @@ TEST(NetWireTest, TruncatedPayloadNeedsMore) {
 }
 
 TEST(NetWireTest, QueryPayloadWrongSizeIsBadPayload) {
-  const std::string frame = net::EncodeFrame(FrameType::kQuery, "short");
-  FrameDecoder dec;
-  dec.Feed(frame);
-  Frame out;
-  ASSERT_EQ(dec.Next(&out), WireStatus::kOk);
-  QueryFrame got;
-  EXPECT_EQ(net::DecodeQuery(out.payload, &got), WireStatus::kBadPayload);
+  // The second payload is a retired v2 query's 26 bytes: one byte longer
+  // than v3's, so not a query even under a v3 header.
+  const std::string v2_payload = V2QueryFrame().substr(net::kFrameHeaderBytes);
+  ASSERT_EQ(v2_payload.size(), 26u);
+  for (const std::string& payload : {std::string("short"), v2_payload}) {
+    const std::string frame = net::EncodeFrame(FrameType::kQuery, payload);
+    FrameDecoder dec;
+    dec.Feed(frame);
+    Frame out;
+    ASSERT_EQ(dec.Next(&out), WireStatus::kOk);
+    QueryFrame got;
+    EXPECT_EQ(net::DecodeQuery(out.payload, &got), WireStatus::kBadPayload)
+        << payload.size();
+  }
 }
 
 TEST(NetWireTest, QueryResultCountValidatedAgainstPayload) {
@@ -293,10 +313,9 @@ TEST(NetWireTest, QueryResultCountValidatedAgainstPayload) {
   r.edges = {{1, 2, 3}};
   std::string frame = EncodeQueryResult(r);
   // Inflate the declared edge count without supplying the bytes. The count
-  // lives in the payload (after the v2 prefix: cid,status,rid,epoch + the
-  // 3 u16 shard tallies); corrupting it must yield kBadPayload, not a huge
-  // allocation.
-  const size_t count_off = net::kFrameHeaderBytes + 8 + 1 + 8 + 8 + 6;
+  // ends the payload's 29-byte prefix (after cid, status, rid, epoch);
+  // corrupting it must yield kBadPayload, not a huge allocation.
+  const size_t count_off = net::kFrameHeaderBytes + 8 + 1 + 8 + 8;
   ASSERT_LT(count_off + 4, frame.size());
   const uint32_t bogus = 1000000;
   std::memcpy(&frame[count_off], &bogus, 4);
@@ -450,7 +469,7 @@ TEST(NetTextFuzzTest, ExecutorAndTextModeAnswerIdentically) {
   // no files written).
   const std::vector<std::string> verbs = {
       "QUERY", "QUERY", "QUERY", "INSERT", "DELETE", "CHECKPOINT",
-      "REFREEZE", "SHARDS", "query", "NOPE"};
+      "REFREEZE", "query", "NOPE"};
   const std::vector<std::string> args = {
       "3", "2", "0", "17", "-1", "+4", "4294967295", "4294967296",
       "18446744073709551616", "abc", "2x", "STRICT", "strict"};
@@ -675,13 +694,13 @@ TEST_F(NetServerTest, MalformedFrameGetsTypedErrorAndClose) {
   NetServer* srv = StartServer();
 
   // Valid magic, then a version byte the server does not speak — a
-  // hostile 77, or a query from a client of the retired version 1: binary
-  // mode engages, then the decoder reports kBadVersion — the server must
-  // answer a kError frame and close, never hang or answer in a layout the
-  // client cannot parse.
+  // hostile 77, or a query from a client of the retired versions 1 and 2:
+  // binary mode engages, then the decoder reports kBadVersion — the server
+  // must answer a kError frame and close, never hang or answer in a layout
+  // the client cannot parse.
   std::string hostile = EncodeFrame(FrameType::kPing, "");
   hostile[1] = 77;
-  for (const std::string& bad : {hostile, V1QueryFrame()}) {
+  for (const std::string& bad : {hostile, V1QueryFrame(), V2QueryFrame()}) {
     BlockingClient client;
     std::string error;
     ASSERT_TRUE(client.Connect("127.0.0.1", srv->port(), &error)) << error;
@@ -696,7 +715,7 @@ TEST_F(NetServerTest, MalformedFrameGetsTypedErrorAndClose) {
     // Peer must close after the error frame.
     EXPECT_EQ(client.RecvFrame(&frame), WireStatus::kNeedMore);
   }
-  EXPECT_GE(srv->SnapStats().parse_errors, 2u);
+  EXPECT_GE(srv->SnapStats().parse_errors, 3u);
 }
 
 TEST_F(NetServerTest, OversizedPrefixRejectedWithoutPayload) {
