@@ -26,6 +26,9 @@
 // Reports throughput plus p50/p95/p99 end-to-end latency and the per-stage
 // (queue wait vs execute) tails from the serve metrics layer, as human
 // tables and as the machine-readable JSON lines bench_common.h emits.
+// Closed-loop rows also carry the cost of one request to the whole
+// process, clients included: allocs_per_request (this binary counts
+// operator new) and cpu_ns_per_request (process CPU time).
 
 #include <algorithm>
 #include <atomic>
@@ -44,6 +47,8 @@
 #include <utility>
 #include <vector>
 
+#include <time.h>
+
 #include "bench/bench_common.h"
 #include "core/frozen_index.h"
 #include "core/index_builder.h"
@@ -54,10 +59,26 @@
 #include "obs/trace.h"
 #include "serve/metrics.h"
 #include "serve/query_service.h"
+#include "util/alloc_count.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace {
+
+/// CPU time of the whole process (every thread), in nanoseconds.
+uint64_t ProcessCpuNanos() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<uint64_t>(ts.tv_sec) * 1000000000ull +
+         static_cast<uint64_t>(ts.tv_nsec);
+}
+
+/// What one closed-loop request cost the process: clients, admission,
+/// workers and completion together.
+struct RequestCosts {
+  double allocs_per_request = 0;
+  double cpu_ns_per_request = 0;
+};
 
 using esd::core::DiversityScorer;
 using esd::core::FrozenEsdIndex;
@@ -145,10 +166,21 @@ std::string ConfigJsonFields(unsigned workers, unsigned clients,
   return buf;
 }
 
+/// The closed-loop cost fields, with their leading comma.
+std::string CostJsonFields(const RequestCosts& costs) {
+  char buf[96];
+  std::snprintf(buf, sizeof(buf),
+                ",\"allocs_per_request\":%.3f,\"cpu_ns_per_request\":%.1f",
+                costs.allocs_per_request, costs.cpu_ns_per_request);
+  return buf;
+}
+
+/// One serve_load JSON line; `costs` is set on closed-loop rows only.
 void EmitServeJson(const std::string& dataset, const std::string& op,
                    double wall_ms, uint64_t bytes,
                    const MetricsSnapshot& snap, double qps, unsigned workers,
-                   unsigned clients, uint64_t requests) {
+                   unsigned clients, uint64_t requests,
+                   const RequestCosts* costs = nullptr) {
   char buf[512];
   std::snprintf(
       buf, sizeof(buf),
@@ -164,19 +196,23 @@ void EmitServeJson(const std::string& dataset, const std::string& op,
                 snap.queue_wait.p50_us, snap.execute.p50_us,
                 snap.total.mean_us);
   esd::bench::EmitJsonLine(
-      std::string(buf) + ConfigJsonFields(workers, clients, requests) + "," +
+      std::string(buf) + ConfigJsonFields(workers, clients, requests) +
+      (costs != nullptr ? CostJsonFields(*costs) : std::string()) + "," +
       esd::serve::MetricsJsonFields(snap) + "," +
       esd::serve::StageJsonFields(snap) + tail);
 }
 
 /// Closed loop: `clients` threads submit-and-wait until `total` requests
-/// have been answered. Returns achieved qps. cache_bytes > 0 turns on the
-/// service's result cache (capacity `cache_entries`, one shard so the
-/// capacity semantics are exact) and fills *out_cache.
+/// have been answered. Returns achieved qps and fills *out_costs from the
+/// allocations and process CPU time between the clients' start and their
+/// join. cache_bytes > 0 turns on the service's result cache (capacity
+/// `cache_entries`, one shard so the capacity semantics are exact) and
+/// fills *out_cache.
 double RunClosedLoop(const FrozenEsdIndex& frozen, const Workload& mix,
                      unsigned workers, unsigned clients, uint64_t total,
                      MetricsSnapshot* out_snap, double* out_wall_ms,
-                     size_t cache_bytes = 0, size_t cache_entries = 16,
+                     RequestCosts* out_costs, size_t cache_bytes = 0,
+                     size_t cache_entries = 16,
                      esd::serve::ResultCache::Stats* out_cache = nullptr) {
   EsdQueryService::Options opts;
   opts.num_threads = workers;
@@ -188,9 +224,11 @@ double RunClosedLoop(const FrozenEsdIndex& frozen, const Workload& mix,
   // Signed: fetch_sub may legitimately run the shared ticket counter below
   // zero (one overshoot per client); unsigned would wrap and never stop.
   std::atomic<int64_t> remaining{static_cast<int64_t>(total)};
-  esd::util::Timer wall;
   std::vector<std::thread> threads;
   threads.reserve(clients);
+  const uint64_t allocs0 = esd::util::AllocCount();
+  const uint64_t cpu0 = ProcessCpuNanos();
+  esd::util::Timer wall;
   for (unsigned c = 0; c < clients; ++c) {
     threads.emplace_back([&, c] {
       esd::util::Rng rng(0x5E41 + c);
@@ -201,6 +239,11 @@ double RunClosedLoop(const FrozenEsdIndex& frozen, const Workload& mix,
   }
   for (std::thread& t : threads) t.join();
   const double wall_s = wall.ElapsedSeconds();
+  const double n = static_cast<double>(total);
+  out_costs->cpu_ns_per_request =
+      static_cast<double>(ProcessCpuNanos() - cpu0) / n;
+  out_costs->allocs_per_request =
+      static_cast<double>(esd::util::AllocCount() - allocs0) / n;
   service.Stop();
   *out_snap = service.metrics().Snap();
   if (out_cache != nullptr && service.cache() != nullptr) {
@@ -590,15 +633,16 @@ int main(int argc, char** argv) {
     const unsigned clients = std::max(2u, 2 * workers);
     MetricsSnapshot snap;
     double wall_ms = 0;
+    RequestCosts costs;
     const double qps = RunClosedLoop(frozen, mix, workers, clients,
-                                     closed_total, &snap, &wall_ms);
+                                     closed_total, &snap, &wall_ms, &costs);
     if (workers == 1) single_thread_qps = qps;
     if (workers > 1) best_multi_qps = std::max(best_multi_qps, qps);
     char op[32];
     std::snprintf(op, sizeof(op), "closed-w%u", workers);
     PrintRow("closed", workers, clients, qps, snap);
     EmitServeJson(d.name, op, wall_ms, frozen.MemoryBytes(), snap, qps,
-                  workers, clients, closed_total);
+                  workers, clients, closed_total, &costs);
   }
 
   // Open loop at ~60% of the measured closed-loop capacity, with a
@@ -700,9 +744,10 @@ int main(int argc, char** argv) {
       MetricsSnapshot snap;
       double wall_ms = 0;
       serve::ResultCache::Stats cstats;
+      RequestCosts costs;
       const double qps = RunClosedLoop(
           frozen, skew, workers, clients, sweep_total, &snap, &wall_ms,
-          cfg.cache ? kCacheBytes : 0, kCacheEntries, &cstats);
+          &costs, cfg.cache ? kCacheBytes : 0, kCacheEntries, &cstats);
       if (cfg.cache && cfg.s == 1.5) cached_qps = qps;
       if (!cfg.cache) uncached_qps = qps;
       char op[40];
@@ -731,7 +776,8 @@ int main(int argc, char** argv) {
                     cstats.hit_rate);
       bench::EmitJsonLine(std::string(head) +
                           ConfigJsonFields(workers, clients, sweep_total) +
-                          "," + serve::MetricsJsonFields(snap) + "," +
+                          CostJsonFields(costs) + "," +
+                          serve::MetricsJsonFields(snap) + "," +
                           serve::StageJsonFields(snap) + tail);
     }
     std::printf("  cache speedup at s=1.5: %.2fx (on %.0f qps / off %.0f "

@@ -6,7 +6,6 @@
 
 #include "core/esd_index.h"
 #include "obs/trace.h"
-#include "util/flat_map.h"
 
 namespace esd::core {
 
@@ -477,18 +476,18 @@ void FrozenEsdIndex::PadQueryResult(size_t slab_index, uint32_t k,
                                     TopKResult* inout) const {
   TopKResult& out = *inout;
   if (out.size() >= k) return;
-  std::span<const Entry> slab;
-  if (slab_index != kNoSlab) slab = ListAt(slab_index);
-  // The entries already in `out` are exactly the slab's first out.size()
-  // (the unpadded-answer precondition), so the dedup set rebuilds from the
-  // slab prefix rather than from the endpoint pairs.
-  const size_t take = std::min<size_t>(out.size(), slab.size());
-  util::FlatSet<EdgeId> included(take);
-  for (size_t i = 0; i < take; ++i) included.Insert(slab[i].e);
+  // `out` is the unpadded answer and holds fewer than k entries, so it is
+  // the whole slab. An edge is in slab i exactly when its multiset is
+  // non-empty and its largest value (the last, ascending) reaches sizes_[i];
+  // kNoSlab holds no edge. So membership is a per-edge test, no set.
+  const bool has_slab = slab_index != kNoSlab;
+  const uint32_t c = has_slab ? sizes_[slab_index] : 0;
+  auto in_slab = [&](EdgeId e) {
+    const uint64_t hi = size_offsets_[e + 1];
+    return has_slab && hi != size_offsets_[e] && size_pool_[hi - 1] >= c;
+  };
   for (EdgeId e = 0; e < edges_.size() && out.size() < k; ++e) {
-    if (live_[e] && !included.Contains(e)) {
-      out.push_back(ScoredEdge{edges_[e], 0});
-    }
+    if (live_[e] && !in_slab(e)) out.push_back(ScoredEdge{edges_[e], 0});
   }
 }
 

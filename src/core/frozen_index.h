@@ -135,7 +135,8 @@ class FrozenEsdIndex final : public EsdQueryEngine {
   /// can run scan and padding under distinct clocks. Requires *inout to be
   /// the unpadded answer QueryAtSlab(slab, k, false) for the same slab and
   /// k; afterwards *inout equals QueryAtSlab(slab, k, true) exactly (same
-  /// ascending-edge-id fill, same dedup against the slab prefix).
+  /// ascending-edge-id fill, skipping the slab's edges). Allocates only
+  /// what the padded entries need.
   void PadQueryResult(size_t slab, uint32_t k, TopKResult* inout) const;
 
   uint32_t ScoreOf(graph::EdgeId e, uint32_t tau) const override;

@@ -71,7 +71,25 @@ LiveEsdIndex::LiveEsdIndex(const LiveOptions& options, RecoveredState recovered)
           "changed slots, outside the writer lock, us")),
       changed_slots_(Registry(options_).GetCounter(
           "esd_live_refreeze_changed_slots_total",
-          "Slots patched into delta-built epochs")) {
+          "Slots patched into delta-built epochs")),
+      inserts_total_(Registry(options_).GetCounter("esd_live_inserts_total",
+                                                   "effective edge inserts")),
+      deletes_total_(Registry(options_).GetCounter("esd_live_deletes_total",
+                                                   "effective edge deletes")),
+      noops_total_(Registry(options_).GetCounter(
+          "esd_live_noops_total", "updates that changed nothing")),
+      wal_retries_total_(Registry(options_).GetCounter(
+          "esd_live_wal_retries_total",
+          "extra WAL attempts beyond the first (backoff retries that ran)")),
+      wal_failures_total_(Registry(options_).GetCounter(
+          "esd_live_wal_append_failures_total",
+          "WAL operations that exhausted their retry budget")),
+      degraded_total_(Registry(options_).GetCounter(
+          "esd_live_degraded_rejections_total",
+          "writes rejected because the index was read-only")),
+      heals_total_(Registry(options_).GetCounter(
+          "esd_live_heals_total",
+          "read-only -> ok transitions after WAL recovery")) {
   // The recovered graph lives on inside the writer; drop the copy.
   recovered_.graph = graph::DynamicGraph();
   core::EdgeSizeTable& table = writer_.mutable_table();
@@ -106,25 +124,6 @@ void LiveEsdIndex::EnterReadOnlyLocked() {
 ApplyResult LiveEsdIndex::ApplyBatchTyped(std::span<const LiveUpdate> updates) {
   ApplyResult result;
   std::lock_guard<std::mutex> lock(live_mu_);
-  obs::MetricRegistry& reg = Registry(options_);
-  obs::Counter& c_inserts =
-      reg.GetCounter("esd_live_inserts_total", "effective edge inserts");
-  obs::Counter& c_deletes =
-      reg.GetCounter("esd_live_deletes_total", "effective edge deletes");
-  obs::Counter& c_noops =
-      reg.GetCounter("esd_live_noops_total", "updates that changed nothing");
-  obs::Counter& c_retries = reg.GetCounter(
-      "esd_live_wal_retries_total",
-      "extra WAL attempts beyond the first (backoff retries that ran)");
-  obs::Counter& c_wal_failures = reg.GetCounter(
-      "esd_live_wal_append_failures_total",
-      "WAL operations that exhausted their retry budget");
-  obs::Counter& c_degraded = reg.GetCounter(
-      "esd_live_degraded_rejections_total",
-      "writes rejected because the index was read-only");
-  obs::Counter& c_heals = reg.GetCounter(
-      "esd_live_heals_total", "read-only -> ok transitions after WAL recovery");
-
   // Read-only gate: reject instantly unless a heal probe is due. The probe
   // gives the first WAL append below exactly one attempt (no retry storm
   // against a dead disk); success heals the index mid-call.
@@ -132,7 +131,7 @@ ApplyResult LiveEsdIndex::ApplyBatchTyped(std::span<const LiveUpdate> updates) {
   if (read_only_) {
     if (std::chrono::steady_clock::now() < next_probe_) {
       ++degraded_rejections_;
-      c_degraded.Inc();
+      degraded_total_.Inc();
       result.status = ApplyStatus::kDegraded;
       result.message =
           "live index is read-only (WAL unavailable); writes rejected until "
@@ -169,12 +168,12 @@ ApplyResult LiveEsdIndex::ApplyBatchTyped(std::span<const LiveUpdate> updates) {
         read_only_ = false;
         probing = false;
         ++heals_;
-        c_heals.Inc();
+        heals_total_.Inc();
       } else {
         next_probe_ = std::chrono::steady_clock::now() +
                       options_.heal_retry_interval;
         ++degraded_rejections_;
-        c_degraded.Inc();
+        degraded_total_.Inc();
         result.status = ApplyStatus::kDegraded;
         result.message = "live index heal probe failed: " + append_error;
         return result;
@@ -187,13 +186,13 @@ ApplyResult LiveEsdIndex::ApplyBatchTyped(std::span<const LiveUpdate> updates) {
       if (out.attempts > 1) {
         const uint64_t extra = static_cast<uint64_t>(out.attempts) - 1;
         wal_retries_ += extra;
-        c_retries.Inc(extra);
+        wal_retries_total_.Inc(extra);
       }
       ok = out.ok;
     }
     if (!ok) {
       ++wal_append_failures_;
-      c_wal_failures.Inc();
+      wal_failures_total_.Inc();
       EnterReadOnlyLocked();
       result.status = ApplyStatus::kWalError;
       result.message = "wal append failed after " +
@@ -220,14 +219,14 @@ ApplyResult LiveEsdIndex::ApplyBatchTyped(std::span<const LiveUpdate> updates) {
     if (effective) {
       if (u.kind == UpdateKind::kInsert) {
         ++inserts_;
-        c_inserts.Inc();
+        inserts_total_.Inc();
       } else {
         ++deletes_;
-        c_deletes.Inc();
+        deletes_total_.Inc();
       }
     } else {
       ++noops_;
-      c_noops.Inc();
+      noops_total_.Inc();
     }
     ++result.processed;
     ++since_refreeze_;
@@ -243,11 +242,11 @@ ApplyResult LiveEsdIndex::ApplyBatchTyped(std::span<const LiveUpdate> updates) {
     if (out.attempts > 1) {
       const uint64_t extra = static_cast<uint64_t>(out.attempts) - 1;
       wal_retries_ += extra;
-      c_retries.Inc(extra);
+      wal_retries_total_.Inc(extra);
     }
     if (!out.ok) {
       ++wal_append_failures_;
-      c_wal_failures.Inc();
+      wal_failures_total_.Inc();
       EnterReadOnlyLocked();
       result.status = ApplyStatus::kWalError;
       result.message = "wal fsync failed after " +

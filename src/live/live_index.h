@@ -313,6 +313,15 @@ class LiveEsdIndex {
 
   obs::Histogram& freeze_us_;    ///< delta builds, outside the lock
   obs::Counter& changed_slots_;  ///< slots patched into epochs
+  // The esd_live_* mirrors of the write tallies above, resolved once here
+  // rather than looked up by name on every ApplyBatchTyped.
+  obs::Counter& inserts_total_;
+  obs::Counter& deletes_total_;
+  obs::Counter& noops_total_;
+  obs::Counter& wal_retries_total_;
+  obs::Counter& wal_failures_total_;
+  obs::Counter& degraded_total_;
+  obs::Counter& heals_total_;
 
   // Held across each listener call as well as by SetEpochListener, which
   // therefore waits out a running call.

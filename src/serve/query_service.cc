@@ -168,18 +168,44 @@ EsdQueryService::Pending EsdQueryService::MakePending(
 }
 
 void EsdQueryService::Resolve(Pending& p, QueryResponse response) {
-  if (p.callback) {
-    p.callback(std::move(response));
-  } else {
-    p.promise.set_value(std::move(response));
+  // An empty callback asked for no answer.
+  if (p.callback) p.callback(std::move(response));
+}
+
+void EsdQueryService::PendingRing::Push(Pending&& p, size_t limit) {
+  if (size_ == slots_.size()) {
+    // Full: re-lay the queued requests, oldest first, into a ring twice
+    // the size (at most `limit`). Grown storage is kept for reuse.
+    constexpr size_t kMinSlots = 16;
+    std::vector<Pending> grown(
+        std::min(limit, std::max(kMinSlots, 2 * slots_.size())));
+    for (size_t i = 0; i < size_; ++i) {
+      grown[i] = std::move(slots_[(head_ + i) % slots_.size()]);
+    }
+    slots_.swap(grown);
+    head_ = 0;
   }
+  size_t tail = head_ + size_;
+  if (tail >= slots_.size()) tail -= slots_.size();
+  slots_[tail] = std::move(p);
+  ++size_;
+}
+
+EsdQueryService::Pending EsdQueryService::PendingRing::Pop() {
+  Pending p = std::move(slots_[head_]);
+  if (++head_ == slots_.size()) head_ = 0;
+  --size_;
+  return p;
 }
 
 std::future<QueryResponse> EsdQueryService::Submit(
     const QueryRequest& request) {
-  Pending p = MakePending(request);
-  std::future<QueryResponse> future = p.promise.get_future();
-  Enqueue(std::move(p));
+  // The callback owns the promise: Resolve runs it exactly once.
+  auto promise = std::make_shared<std::promise<QueryResponse>>();
+  std::future<QueryResponse> future = promise->get_future();
+  SubmitAsync(request, [promise](QueryResponse response) {
+    promise->set_value(std::move(response));
+  });
   return future;
 }
 
@@ -190,13 +216,14 @@ void EsdQueryService::SubmitAsync(const QueryRequest& request,
   Enqueue(std::move(p));
 }
 
-void EsdQueryService::Enqueue(Pending p) {
+void EsdQueryService::Enqueue(Pending&& p) {
   ResponseStatus bounce = ResponseStatus::kOk;
   // Admission fail point: a fired error action sheds this request exactly
   // like a full queue would (same typed status, same metrics), letting
   // tests and drills exercise the shedding path under any load.
   const bool shed_injected = ESD_FAILPOINT("serve.admission").fired;
   size_t depth = 0;
+  bool wake = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stop_) {
@@ -204,7 +231,10 @@ void EsdQueryService::Enqueue(Pending p) {
     } else if (shed_injected || queue_.size() >= max_queue_) {
       bounce = ResponseStatus::kRejectedQueueFull;
     } else {
-      queue_.push_back(std::move(p));
+      queue_.Push(std::move(p), max_queue_);
+      // A busy worker re-checks the queue before it waits again, so only
+      // an idle one needs a wake-up.
+      wake = idle_workers_ > 0;
     }
     depth = queue_.size();
   }
@@ -218,12 +248,29 @@ void EsdQueryService::Enqueue(Pending p) {
     Resolve(p, std::move(response));
   } else {
     metrics_.RecordAccepted();
-    queue_ready_.notify_one();
+    if (wake) queue_ready_.notify_one();
   }
 }
 
 QueryResponse EsdQueryService::Query(const QueryRequest& request) {
-  return Submit(request).get();
+  // The callback captures one pointer to this frame, which std::function
+  // stores inline, and fills it under the lock: no promise, no allocation.
+  // The frame outlives the callback's last touch, its unlock.
+  struct Waiter {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool done = false;
+    QueryResponse response;
+  } w;
+  SubmitAsync(request, [&w](QueryResponse response) {
+    std::lock_guard<std::mutex> lock(w.mu);
+    w.response = std::move(response);
+    w.done = true;
+    w.cv.notify_one();
+  });
+  std::unique_lock<std::mutex> lock(w.mu);
+  w.cv.wait(lock, [&w] { return w.done; });
+  return std::move(w.response);
 }
 
 void EsdQueryService::Stop() {
@@ -233,10 +280,9 @@ void EsdQueryService::Stop() {
     stop_ = true;
     if (!started_) {
       // Paused service: no worker will ever drain the queue; answer the
-      // backlog here instead of leaving promises unsatisfied.
-      orphans.assign(std::make_move_iterator(queue_.begin()),
-                     std::make_move_iterator(queue_.end()));
-      queue_.clear();
+      // backlog here instead of leaving callbacks unrun.
+      orphans.reserve(queue_.size());
+      while (!queue_.empty()) orphans.push_back(queue_.Pop());
     }
   }
   queue_ready_.notify_all();
@@ -249,25 +295,31 @@ void EsdQueryService::Stop() {
 }
 
 void EsdQueryService::WorkerLoop() {
+  // This worker's buffers, reused across batches: once they have grown to
+  // the largest batch seen, serving a batch allocates nothing here.
+  std::vector<Pending> batch;
+  std::vector<QueryResponse> responses;
   while (true) {
-    std::vector<Pending> batch;
     size_t depth = 0;
+    bool wake = false;
     {
       std::unique_lock<std::mutex> lock(mu_);
+      ++idle_workers_;
       queue_ready_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+      --idle_workers_;
       if (queue_.empty()) return;  // stop_ set and backlog drained
       const size_t take = std::min(max_batch_, queue_.size());
-      batch.reserve(take);
-      for (size_t i = 0; i < take; ++i) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
+      for (size_t i = 0; i < take; ++i) batch.push_back(queue_.Pop());
       depth = queue_.size();
-      // More work may remain for the other workers.
-      if (!queue_.empty()) queue_ready_.notify_one();
+      // More work remains: hand it to an idle worker, if there is one.
+      wake = depth > 0 && idle_workers_ > 0;
     }
+    if (wake) queue_ready_.notify_one();
     metrics_.SetQueueDepth(depth);
-    ServeBatch(std::move(batch));
+    ServeBatch(batch, responses);
+    // Drops the resolved callbacks (and whatever they captured) now, not
+    // at the next batch.
+    batch.clear();
   }
 }
 
@@ -283,7 +335,8 @@ obs::HealthState EsdQueryService::Health() const {
   return own;
 }
 
-void EsdQueryService::ServeBatch(std::vector<Pending> batch) {
+void EsdQueryService::ServeBatch(std::vector<Pending>& batch,
+                                 std::vector<QueryResponse>& responses) {
   ESD_TRACE_SPAN("serve.batch");
   // Worker-stall fail point: a delay() spec here holds the whole batch
   // after pickup, the knob the deadline-expiry and queue-full tests turn.
@@ -302,23 +355,31 @@ void EsdQueryService::ServeBatch(std::vector<Pending> batch) {
     last_health_.store(static_cast<uint8_t>(options_.health_source()),
                        std::memory_order_relaxed);
   }
-  // Group by (tau, k, pad) (stable: FIFO preserved among identical
-  // requests) so the engine's per-tau setup runs once per distinct tau in
-  // the batch — one ascending-tau sweep — and identical requests land
-  // adjacent, where the dedup below answers them once.
-  std::stable_sort(batch.begin(), batch.end(),
-                   [](const Pending& a, const Pending& b) {
-                     if (a.request.tau != b.request.tau)
-                       return a.request.tau < b.request.tau;
-                     if (a.request.k != b.request.k)
-                       return a.request.k < b.request.k;
-                     return a.request.pad_with_zero_edges <
-                            b.request.pad_with_zero_edges;
-                   });
+  // Group by (tau, k, pad) so the engine's per-tau setup runs once per
+  // distinct tau in the batch — one ascending-tau sweep — and identical
+  // requests land adjacent, where the dedup below answers them once. An
+  // in-place insertion sort: stable (FIFO kept among identical requests),
+  // allocation-free, and quadratic only in max_batch.
+  auto before = [](const Pending& a, const Pending& b) {
+    if (a.request.tau != b.request.tau) return a.request.tau < b.request.tau;
+    if (a.request.k != b.request.k) return a.request.k < b.request.k;
+    return a.request.pad_with_zero_edges < b.request.pad_with_zero_edges;
+  };
+  for (size_t i = 1; i < batch.size(); ++i) {
+    if (!before(batch[i], batch[i - 1])) continue;
+    Pending moving = std::move(batch[i]);
+    size_t j = i;
+    do {
+      batch[j] = std::move(batch[j - 1]);
+      --j;
+    } while (j > 0 && before(moving, batch[j - 1]));
+    batch[j] = std::move(moving);
+  }
   // Two passes — serve everything (recording per-request and per-batch
-  // metrics), then resolve the promises — so by the time any client
+  // metrics), then resolve the callbacks — so by the time any client
   // observes a response, every metric for this batch is already visible.
-  std::vector<QueryResponse> responses(batch.size());
+  responses.clear();
+  responses.resize(batch.size());
   size_t executed = 0;
   size_t distinct_taus = 0;
   // A tau counts once per batch no matter how many requests carry it or

@@ -7,7 +7,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <future>
 #include <memory>
@@ -96,33 +95,35 @@ struct QueryResponse {
 /// provider yields a fixed engine (static serving, generation 0 forever)
 /// or a live index's epoch of the moment; the service never asks which.
 ///
-/// Shape: Submit() pushes into one bounded FIFO (admission control: a full
-/// queue rejects instead of blocking, so overload degrades by shedding, not
-/// by unbounded memory). Worker loops — run on the existing
+/// Shape: admission moves a request into a bounded ring of reused slots (a
+/// full ring rejects instead of blocking, so overload degrades by shedding,
+/// not by unbounded memory). Worker loops — run on the existing
 /// util::ThreadPool via one long-lived ParallelFor, one loop per pool
-/// thread — drain up to max_batch requests per wakeup and serve them
-/// batched: each batch pins one engine, and is sorted by tau so a
-/// FrozenEsdIndex pays its per-tau setup (the slab binary search) once per
-/// distinct tau in the batch rather than once per query. Under low load
-/// batches degenerate to size 1 and the service behaves like a plain
+/// thread — drain up to max_batch requests per wakeup into a reused batch
+/// buffer and serve them batched: each batch pins one engine, and is
+/// grouped in place by tau so a FrozenEsdIndex pays its per-tau setup (the
+/// slab binary search) once per distinct tau in the batch rather than once
+/// per query. Admission wakes a worker only when one is idle. Under low
+/// load batches degenerate to size 1 and the service behaves like a plain
 /// thread-per-request executor; under load batching kicks in naturally.
 ///
 /// Ahead of the miss path sits an optional ResultCache
 /// (Options::cache_bytes) keyed by the pinned epoch: repeated
 /// (tau, k, pad) traffic within one epoch is answered from the cache
 /// without touching the engine, and an epoch change invalidates the
-/// cache in O(1). Batches are additionally sorted by (tau, k, pad) so
-/// identical requests inside one batch are answered once and copied.
+/// cache in O(1). Batches are grouped by (tau, k, pad) so identical
+/// requests inside one batch are answered once and copied.
 ///
 /// Engines are shared by const reference across all workers, relying on
 /// the EsdQueryEngine thread-safety contract: the caller must not mutate
 /// an engine (or an online adapter's borrowed graph) while it is served.
 /// FrozenEsdIndex, immutable by construction, is the intended engine.
 ///
-/// Responses are delivered through std::future. Stop() (also run by the
-/// destructor) drains gracefully: every admitted request is still served;
-/// only requests submitted after Stop() — or left queued when a paused
-/// service is torn down — see kShutdown.
+/// Every request completes through one channel, its callback: SubmitAsync
+/// takes it from the caller, Submit's callback fulfils the future it
+/// returned, and Query's fills a waiter on Query's own stack. Stop() (also run by the destructor) drains gracefully: every
+/// admitted request is still served; only requests submitted after Stop()
+/// — or left queued when a paused service is torn down — see kShutdown.
 class EsdQueryService {
  public:
   struct Options {
@@ -190,12 +191,14 @@ class EsdQueryService {
   /// telemetry semantics as Submit. The network front end uses this to
   /// fan responses back into its event loop without a blocking future wait
   /// per connection; callers must therefore not hold locks the callback
-  /// also takes.
+  /// also takes. An empty `done` drops the response. std::function keeps
+  /// a `done` that captures at most a pointer inline, with no allocation.
   void SubmitAsync(const QueryRequest& request,
                    std::function<void(QueryResponse)> done);
 
-  /// Blocking convenience wrapper: Submit + wait. Deadlocks on a paused
-  /// service (nothing serves the queue) — call Start() first.
+  /// Blocking convenience wrapper: SubmitAsync + wait, with no future.
+  /// Deadlocks on a paused service (nothing serves the queue) — call
+  /// Start() first.
   QueryResponse Query(const QueryRequest& request);
 
   /// Stops accepting work, serves everything already admitted, joins the
@@ -231,9 +234,8 @@ class EsdQueryService {
 
   struct Pending {
     QueryRequest request;
-    std::promise<QueryResponse> promise;
-    /// Set for SubmitAsync requests; when present the response goes through
-    /// it (Resolve) and the promise is never touched.
+    /// The request's one completion channel, invoked exactly once by
+    /// Resolve.
     std::function<void(QueryResponse)> callback;
     Clock::time_point enqueued;
     Clock::time_point deadline;  // time_point::max() when none
@@ -245,16 +247,40 @@ class EsdQueryService {
     obs::HealthState admit_health = obs::HealthState::kOk;
   };
 
+  /// The admission FIFO: a ring of Pending slots that admission moves
+  /// requests into and workers move them out of. Its storage grows
+  /// geometrically to the high-water mark (never beyond the admission
+  /// bound) and is then reused, so a steady-state hand-off allocates
+  /// nothing. Not synchronized: guarded by mu_.
+  class PendingRing {
+   public:
+    size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    /// Appends `p`, growing the storage up to `limit` slots. Requires
+    /// size() < limit.
+    void Push(Pending&& p, size_t limit);
+    /// Removes and returns the oldest request. Requires !empty().
+    Pending Pop();
+
+   private:
+    std::vector<Pending> slots_;
+    size_t head_ = 0;  ///< slot of the oldest request
+    size_t size_ = 0;
+  };
+
   void WorkerLoop();
-  void ServeBatch(std::vector<Pending> batch);
+  /// Serves and resolves `batch`, using `responses` as scratch; both are
+  /// the calling worker's buffers, reused across batches.
+  void ServeBatch(std::vector<Pending>& batch,
+                  std::vector<QueryResponse>& responses);
   /// Builds a Pending (timestamps, telemetry context, admit health),
   /// honoring QueryRequest::arrival_ns as the enqueue instant when set.
   Pending MakePending(const QueryRequest& request);
   /// Shared admission bottom half of Submit/SubmitAsync.
-  void Enqueue(Pending p);
-  /// Delivers a response through whichever completion channel the request
-  /// carries (callback or promise). Every Pending passes through here
-  /// exactly once — admission bounce, Stop orphan, or served batch.
+  void Enqueue(Pending&& p);
+  /// Delivers a response through the request's callback. Every Pending
+  /// passes through here exactly once — admission bounce, Stop orphan, or
+  /// served batch.
   static void Resolve(Pending& p, QueryResponse response);
 
   static std::unique_ptr<ResultCache> MakeCache(const Options& options,
@@ -285,7 +311,10 @@ class EsdQueryService {
 
   mutable std::mutex mu_;
   std::condition_variable queue_ready_;
-  std::deque<Pending> queue_;
+  PendingRing queue_;
+  /// Workers blocked on (or about to re-check) queue_ready_; admission
+  /// notifies only when this is nonzero.
+  size_t idle_workers_ = 0;
   bool stop_ = false;
   bool started_ = false;
 

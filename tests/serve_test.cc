@@ -6,9 +6,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -560,6 +562,230 @@ TEST(ServeTest, DegenerateBatchCountsDistinctTausOnce) {
   EXPECT_EQ(snap.completed, 6u);
   EXPECT_EQ(snap.batches, 1u);
   EXPECT_EQ(snap.slab_searches_saved, 5u);  // 6 requests, 1 distinct tau
+}
+
+// The admission ring: FIFO order must survive the ring's head wrapping
+// past its last slot and a growth that re-lays the queued requests. One
+// worker with max_batch = 1 serves (and calls back) strictly in admission
+// order; a callback that blocks the worker lets the test queue behind it.
+TEST(ServeTest, RingKeepsFifoAcrossWrapAndGrowth) {
+  graph::Graph g = gen::ErdosRenyiGnm(25, 80, 13);
+  FrozenEsdIndex frozen = core::BuildFrozenIndex(g);
+  EsdQueryService::Options opts;
+  opts.num_threads = 1;
+  opts.max_batch = 1;
+  opts.max_queue = 1024;
+  opts.start_paused = true;
+  EsdQueryService service(frozen, opts);
+
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<int> order;
+  bool blocked = false;
+  bool release = false;
+  constexpr int kGate = 9;
+  auto submit = [&](int id) {
+    service.SubmitAsync({}, [&, id](QueryResponse resp) {
+      EXPECT_EQ(resp.status, ResponseStatus::kOk);
+      std::unique_lock<std::mutex> lock(mu);
+      order.push_back(id);
+      if (id == kGate) {
+        blocked = true;
+        cv.notify_all();
+        cv.wait(lock, [&] { return release; });
+      }
+    });
+  };
+  // The ring starts at 16 slots. Twelve queued, then the worker serves
+  // ids 0..9 and blocks in id 9's callback: the head sits at slot 10.
+  int next = 0;
+  for (; next < 12; ++next) submit(next);
+  service.Start();
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return blocked; });
+  }
+  // Ten more wrap the tail past slot 15; the next ten fill the ring and
+  // grow it, re-laying a wrapped ring.
+  for (; next < 32; ++next) submit(next);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  service.Stop();
+  std::vector<int> want(32);
+  for (int i = 0; i < 32; ++i) want[i] = i;
+  EXPECT_EQ(order, want);
+  EXPECT_EQ(service.metrics().Snap().rejected, 0u);
+}
+
+TEST(ServeTest, RejectsExactlyAtMaxQueueAfterRingGrowth) {
+  graph::Graph g = gen::ErdosRenyiGnm(20, 60, 14);
+  FrozenEsdIndex frozen = core::BuildFrozenIndex(g);
+  EsdQueryService::Options opts;
+  opts.num_threads = 1;
+  // Not a power of two: the ring grows 16 -> 32 -> 40, capped here.
+  opts.max_queue = 40;
+  opts.start_paused = true;
+  EsdQueryService service(frozen, opts);
+
+  std::vector<std::future<QueryResponse>> admitted;
+  for (int i = 0; i < 40; ++i) admitted.push_back(service.Submit({}));
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(service.Submit({}).get().status,
+              ResponseStatus::kRejectedQueueFull);
+  }
+  MetricsSnapshot snap = service.metrics().Snap();
+  EXPECT_EQ(snap.accepted, 40u);
+  EXPECT_EQ(snap.rejected, 3u);
+
+  service.Start();
+  for (auto& f : admitted) EXPECT_EQ(f.get().status, ResponseStatus::kOk);
+  snap = service.metrics().Snap();
+  EXPECT_EQ(snap.completed, 40u);
+}
+
+// A paused service never takes from its ring, so teardown finds the
+// requests in admission order, in a ring grown past its first 16 slots:
+// each orphan is answered exactly once, with kShutdown.
+TEST(ServeTest, PausedTeardownOfGrownRingAnswersEachOrphanOnce) {
+  graph::Graph g = gen::ErdosRenyiGnm(25, 80, 15);
+  FrozenEsdIndex frozen = core::BuildFrozenIndex(g);
+  constexpr int kOrphans = 37;
+  std::vector<int> calls(kOrphans, 0);
+  std::vector<int> order;
+  std::vector<std::future<QueryResponse>> futures;
+  {
+    EsdQueryService::Options opts;
+    opts.start_paused = true;
+    EsdQueryService service(frozen, opts);
+    for (int i = 0; i < kOrphans; ++i) {
+      if (i % 3 == 0) {
+        futures.push_back(service.Submit({}));
+        continue;
+      }
+      service.SubmitAsync({}, [&, i](QueryResponse resp) {
+        EXPECT_EQ(resp.status, ResponseStatus::kShutdown);
+        EXPECT_TRUE(resp.result.empty());
+        ++calls[i];
+        order.push_back(i);
+      });
+    }
+  }
+  std::vector<int> want;
+  for (int i = 0; i < kOrphans; ++i) {
+    if (i % 3 == 0) continue;
+    EXPECT_EQ(calls[i], 1) << "i=" << i;
+    want.push_back(i);
+  }
+  EXPECT_EQ(order, want);
+  for (auto& f : futures) {
+    EXPECT_EQ(f.get().status, ResponseStatus::kShutdown);
+  }
+}
+
+// A draining Stop of a wrapped ring: every admitted request is served and
+// called back exactly once.
+TEST(ServeTest, DrainingStopOfWrappedRingResolvesEachOnce) {
+  graph::Graph g = gen::ErdosRenyiGnm(25, 80, 16);
+  FrozenEsdIndex frozen = core::BuildFrozenIndex(g);
+  EsdQueryService::Options opts;
+  opts.num_threads = 1;
+  opts.max_batch = 4;
+  opts.start_paused = true;
+  EsdQueryService service(frozen, opts);
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool blocked = false;
+  bool release = false;
+  constexpr int kTotal = 40;
+  std::vector<std::atomic<int>> calls(kTotal);
+  for (int i = 0; i < kTotal; ++i) {
+    if (i == 14) {
+      // The worker serves ids 0..11 in batches of four and blocks in id
+      // 11's callback, with its head at slot 12 of the 16-slot ring: the
+      // ids queued from here on wrap the ring, then grow it.
+      service.Start();
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return blocked; });
+    }
+    service.SubmitAsync({}, [&, i](QueryResponse resp) {
+      EXPECT_EQ(resp.status, ResponseStatus::kOk);
+      calls[i].fetch_add(1);
+      if (i == 11) {
+        std::unique_lock<std::mutex> lock(mu);
+        blocked = true;
+        cv.notify_all();
+        cv.wait(lock, [&] { return release; });
+      }
+    });
+  }
+  std::thread stopper([&] { service.Stop(); });
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  stopper.join();
+  for (int i = 0; i < kTotal; ++i) EXPECT_EQ(calls[i].load(), 1) << "i=" << i;
+  EXPECT_EQ(service.metrics().Snap().completed,
+            static_cast<uint64_t>(kTotal));
+}
+
+// Submit (a future) and SubmitAsync (a callback) share one completion
+// channel; mixed in one batch, each request resolves exactly once with its
+// own answer.
+TEST(ServeTest, SubmitAndSubmitAsyncMixedInOneBatchResolveOnce) {
+  graph::Graph g = gen::BarabasiAlbert(60, 3, 17);
+  FrozenEsdIndex frozen = core::BuildFrozenIndex(g);
+  EsdQueryService::Options opts;
+  opts.num_threads = 1;
+  opts.max_batch = 64;
+  opts.start_paused = true;
+  EsdQueryService service(frozen, opts);
+
+  constexpr int kRequests = 24;
+  std::vector<QueryRequest> requests;
+  for (int i = 0; i < kRequests; ++i) {
+    QueryRequest rq;
+    rq.tau = 1 + static_cast<uint32_t>((i * 5) % 4);
+    rq.k = 1 + static_cast<uint32_t>((i * 7) % 6);
+    rq.pad_with_zero_edges = i % 5 != 0;
+    requests.push_back(rq);
+  }
+  std::vector<std::future<QueryResponse>> futures(kRequests);
+  std::vector<std::atomic<int>> calls(kRequests);
+  std::vector<TopKResult> got(kRequests);
+  for (int i = 0; i < kRequests; ++i) {
+    if (i % 2 == 0) {
+      futures[i] = service.Submit(requests[i]);
+    } else {
+      service.SubmitAsync(requests[i], [&, i](QueryResponse resp) {
+        EXPECT_EQ(resp.status, ResponseStatus::kOk);
+        got[i] = std::move(resp.result);
+        calls[i].fetch_add(1);
+      });
+    }
+  }
+  service.Start();
+  service.Stop();
+  for (int i = 0; i < kRequests; ++i) {
+    const QueryRequest& rq = requests[i];
+    const TopKResult want = frozen.Query(rq.k, rq.tau, rq.pad_with_zero_edges);
+    if (i % 2 == 0) {
+      QueryResponse resp = futures[i].get();
+      EXPECT_EQ(resp.status, ResponseStatus::kOk);
+      EXPECT_EQ(resp.result, want) << "i=" << i;
+    } else {
+      EXPECT_EQ(calls[i].load(), 1) << "i=" << i;
+      EXPECT_EQ(got[i], want) << "i=" << i;
+    }
+  }
+  const MetricsSnapshot snap = service.metrics().Snap();
+  EXPECT_EQ(snap.batches, 1u);
+  EXPECT_EQ(snap.completed, static_cast<uint64_t>(kRequests));
 }
 
 }  // namespace
