@@ -14,9 +14,19 @@
 // slots (the patch is copied outside the timed region). One JSON row per
 // dataset gives both medians and the changed slots per batch; every delta
 // image is checked equal to the full one.
+//
+// A third table times the live writer's boot: constructing its
+// maintenance state (Maintainer<EdgeSizeTable>) from the graph, against
+// the plain CliqueComponentSizes inside it. The difference is the
+// hand-over of the build's per-edge M_e to the writer, plus the graph
+// copy and the edge table's load, which is what LiveEsdIndex::Open and
+// every recovery pay beyond the build. The row also gives M_e's bytes per
+// member: each edge's KeyedDsu object plus its MemoryBytes(), allocator
+// overhead not counted.
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -25,6 +35,7 @@
 #include "core/frozen_index.h"
 #include "core/index_builder.h"
 #include "core/maintainer.h"
+#include "util/dsu.h"
 #include "util/flat_map.h"
 #include "util/rng.h"
 
@@ -94,6 +105,42 @@ bool RefreezeRow(const gen::Dataset& d) {
   return true;
 }
 
+/// The boot row of one dataset: medians of 5 interleaved runs each.
+void BootRow(const gen::Dataset& d) {
+  constexpr int kRuns = 5;
+  using Writer = core::Maintainer<core::EdgeSizeTable>;
+  std::vector<double> boot_ms, build_ms;
+  size_t bytes = 0, members = 0;
+  for (int r = 0; r < kRuns; ++r) {
+    build_ms.push_back(
+        bench::TimeOnce([&] { core::CliqueComponentSizes(d.graph); }) * 1e3);
+    std::optional<Writer> writer;
+    boot_ms.push_back(bench::TimeOnce([&] {
+                        writer.emplace(d.graph, core::EsdScorer(),
+                                       core::DeletionStrategy::kTargeted);
+                      }) *
+                      1e3);
+    bytes = writer->EdgeDsus().size() * sizeof(util::KeyedDsu);
+    members = 0;
+    for (const util::KeyedDsu& m : writer->EdgeDsus()) {
+      bytes += m.MemoryBytes();
+      members += m.NumMembers();
+    }
+  }
+  const double boot = Median(boot_ms), handover = boot - Median(build_ms);
+  const double per_member =
+      members == 0 ? 0 : static_cast<double>(bytes) / members;
+  std::printf("%-15s %12.2f %14.2f %12zu %18.2f\n", d.name.c_str(), boot,
+              handover, members, per_member);
+  char fields[160];
+  std::snprintf(fields, sizeof(fields),
+                "\"boot_ms\":%.4f,\"handover_ms\":%.4f,"
+                "\"me_bytes_per_member\":%.3f",
+                boot, handover, per_member);
+  bench::EmitJson("fig11_maintenance", "live", d.name, "boot", boot, bytes,
+                  fields);
+}
+
 }  // namespace
 
 int main() {
@@ -153,6 +200,11 @@ int main() {
       return 1;
     }
   }
+
+  std::printf("\nLive writer boot (medians)\n");
+  std::printf("%-15s %12s %14s %12s %18s\n", "dataset", "boot (ms)",
+              "hand-over (ms)", "M_e members", "M_e bytes/member");
+  for (const gen::Dataset& d : bench::LoadAll()) BootRow(d);
   if (!bench::WriteBenchArtifact("fig11_maintenance")) return 1;
   return 0;
 }

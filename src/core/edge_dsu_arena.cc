@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cassert>
 #include <cstring>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -231,24 +230,8 @@ uint32_t EdgeDsuArena::UpperTriangle(EdgeId e, VertexId w,
   return first_[e] + r;
 }
 
-uint32_t EdgeDsuArena::FindSlot(uint32_t s) {
-  uint32_t p;
-  while (((p = parent_[s]) & kRoot) == 0) {
-    const uint32_t gp = parent_[p];
-    if ((gp & kRoot) != 0) return p;
-    parent_[s] = gp;  // path halving
-    s = gp;
-  }
-  return s;
-}
-
 void EdgeDsuArena::Union(uint32_t a, uint32_t b) {
-  uint32_t ra = FindSlot(a);
-  uint32_t rb = FindSlot(b);
-  if (ra == rb) return;
-  if (parent_[ra] < parent_[rb]) std::swap(ra, rb);  // kRoot | size
-  parent_[ra] += parent_[rb] & ~kRoot;
-  parent_[rb] = ra;
+  util::DsuUnion(parent_, a, b);
 }
 
 uint32_t EdgeDsuArena::NumComponents(EdgeId e) const {
@@ -294,31 +277,36 @@ EdgeSizePool EdgeDsuArena::ComponentSizePool(util::ThreadPool* pool) const {
 }
 
 util::KeyedDsu EdgeDsuArena::ToKeyedDsu(EdgeId e) {
-  // Slots in ascending member id: merge the three sections. The middle
-  // and lower sections are each ascending, so the first descent after the
-  // upper section (if any) is where the lower one starts.
+  using Slot = util::KeyedDsu::Slot;
+  // The slice's members with their roots, then in ascending member id:
+  // merge the three sections. The middle and lower sections are each
+  // ascending, so the first descent after the upper section (if any) is
+  // where the lower one starts. A word holds the root's arena slot for now.
   const uint32_t lo = offsets_[e], mid = lo + upper_[e], hi = offsets_[e + 1];
   uint32_t lower = mid;
   while (lower + 1 < hi && members_[lower] < members_[lower + 1]) ++lower;
   lower = std::min(lower + 1, hi);
-  std::vector<uint32_t> slots(hi - lo);
-  std::iota(slots.begin(), slots.end(), lo);
-  auto by_member = [this](uint32_t a, uint32_t b) {
-    return members_[a] < members_[b];
+  std::vector<Slot> slots(hi - lo);
+  for (uint32_t s = lo; s < hi; ++s) {
+    const uint32_t root = util::DsuFind(parent_, s);
+    slots[s - lo] = {members_[s], root == s ? parent_[s] : root};
+  }
+  auto by_vertex = [](const Slot& a, const Slot& b) {
+    return a.vertex < b.vertex;
   };
   std::inplace_merge(slots.begin() + (mid - lo), slots.begin() + (lower - lo),
-                     slots.end(), by_member);
+                     slots.end(), by_vertex);
   std::inplace_merge(slots.begin(), slots.begin() + (mid - lo), slots.end(),
-                     by_member);
-
-  util::KeyedDsu out;
-  out.Reserve(slots.size());
-  for (uint32_t s : slots) out.AddMember(members_[s]);
-  for (uint32_t s : slots) {
-    const uint32_t root = FindSlot(s);
-    if (root != s) out.Union(members_[s], members_[root]);
+                     by_vertex);
+  // Each root's arena slot becomes its position in member order.
+  for (Slot& s : slots) {
+    if ((s.parent & kRoot) != 0) continue;
+    const Slot key{members_[s.parent], 0};
+    s.parent = static_cast<uint32_t>(
+        std::lower_bound(slots.begin(), slots.end(), key, by_vertex) -
+        slots.begin());
   }
-  return out;
+  return util::KeyedDsu(std::move(slots));
 }
 
 size_t EdgeDsuArena::MemoryBytes() const {

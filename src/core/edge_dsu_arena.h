@@ -27,12 +27,12 @@ struct FourClique {
 /// All per-edge disjoint-set structures M_uv of Algorithm 3, packed into
 /// one arena.
 ///
-/// A per-edge hash-map DSU (util::KeyedDsu) costs several allocations per
-/// edge — measurably the dominant cost of index construction at laptop
-/// scale. This arena lays every edge's member list (its common
-/// neighborhood) in one CSR-style buffer with a parallel parent array.
-/// Union and Find use path halving + union by size, exactly like KeyedDsu;
-/// a root's parent entry holds kRoot | its component size.
+/// One allocation per table instead of one per edge: this arena lays every
+/// edge's member list (its common neighborhood) in one CSR-style buffer
+/// with a parallel parent array, whose words index the whole buffer. Union
+/// and Find are util/dsu.h's DsuUnion and DsuFind, the kernel the live
+/// writer's util::KeyedDsu runs too; a root's parent word holds kRoot | its
+/// component size.
 ///
 /// The slice of an edge a→b of the degree-ordered DAG has three sections,
 /// each in ascending vertex id:
@@ -62,7 +62,7 @@ class EdgeDsuArena {
 
   /// Root flag in the parent array; slots, triangle ids and component sizes
   /// all stay below it.
-  static constexpr uint32_t kRoot = 1u << 31;
+  static constexpr uint32_t kRoot = util::kDsuRoot;
 
   /// Largest total membership (3 × triangles) the slot width holds.
   static constexpr uint64_t kMaxSlots = kRoot - 1;
@@ -180,9 +180,10 @@ class EdgeDsuArena {
   /// half). If `pool` is non-null the per-edge extraction runs on it.
   EdgeSizePool ComponentSizePool(util::ThreadPool* pool = nullptr) const;
 
-  /// Converts edge e's structure to a standalone KeyedDsu with the same
-  /// components (used to bootstrap the dynamic index). Members are added,
-  /// then united with their roots, in ascending id order.
+  /// Copies edge e's slice into a standalone KeyedDsu with the same
+  /// components and the same roots (used to bootstrap the live writer and
+  /// the dynamic index): the sections merged into member order, each
+  /// member's word pointing straight at its root's new position.
   util::KeyedDsu ToKeyedDsu(graph::EdgeId e);
 
   /// Bytes of the arena's tables. Of the triangle table only the
@@ -190,7 +191,6 @@ class EdgeDsuArena {
   size_t MemoryBytes() const;
 
  private:
-  uint32_t FindSlot(uint32_t s);
   /// Number of components (roots) in edge e's slice.
   uint32_t NumComponents(graph::EdgeId e) const;
   /// Writes edge e's component sizes, ascending, to out[0..NumComponents).

@@ -45,7 +45,9 @@ enum class ParallelMode {
 /// pool, or a 1-thread one, the 4-clique stage is one lock-free sweep.
 ///
 /// If `m_out` is non-null it receives the per-edge disjoint-set structures
-/// (indexed by EdgeId), which the dynamic index maintains incrementally.
+/// (indexed by EdgeId), copied slice by slice off the arena: the M_e that
+/// the Maintainer under both the live writer and the dynamic engine
+/// maintains incrementally.
 EdgeSizePool CliqueComponentSizes(
     const graph::Graph& g, util::ThreadPool* pool = nullptr,
     std::vector<util::KeyedDsu>* m_out = nullptr,

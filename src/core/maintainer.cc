@@ -135,12 +135,11 @@ bool Maintainer<Table>::InsertEdge(VertexId u, VertexId v) {
   ego_.BuildCommon(graph_, u, v);
   const std::span<const VertexId> common = ego_.Members();
   affected_.assign(1, e);
-  if (use_dsu_) dsu_[e].Reserve(common.size());
+  if (use_dsu_) dsu_[e].AddMembers(common);
   for (VertexId w : common) {
     EdgeId euw = IdOf(u, w);
     EdgeId evw = IdOf(v, w);
     if (use_dsu_) {
-      dsu_[e].AddMember(w);
       dsu_[euw].AddMember(v);
       dsu_[evw].AddMember(u);
     }
@@ -251,7 +250,6 @@ void Maintainer<Table>::RebuildDsu(EdgeId e) {
   const Edge xy = table_.EdgeAt(e);
   ego_.BuildCommon(graph_, xy.u, xy.v);
   KeyedDsu fresh;
-  fresh.Reserve(ego_.NumMembers());
   AddEgoTo(&fresh);
   dsu_[e] = std::move(fresh);
 }
@@ -261,26 +259,30 @@ void Maintainer<Table>::TargetedRepair(EdgeId e, VertexId z) {
   KeyedDsu& m = dsu_[e];
   if (!m.Contains(z)) return;
   const Edge xy = table_.EdgeAt(e);
-  std::vector<VertexId> keep = m.ComponentMembers(z);
+  m.ComponentMembers(z, &component_);
   m.RemoveComponent(z);
   // Re-admit members still in N(xy) as singletons (lines 28-30), then
   // re-union along surviving ego-network edges (lines 31-33). Deletions
   // only split components, so edges leaving the old component's vertex set
   // cannot exist.
-  std::erase_if(keep, [this, &xy](VertexId w) {
+  std::erase_if(component_, [this, &xy](VertexId w) {
     return !graph_.HasEdge(xy.u, w) || !graph_.HasEdge(xy.v, w);
   });
-  std::sort(keep.begin(), keep.end());
-  ego_.Build(graph_, keep);
+  ego_.Build(graph_, component_);
   AddEgoTo(&m);
 }
 
 template <class Table>
-void Maintainer<Table>::AddEgoTo(KeyedDsu* m) const {
+void Maintainer<Table>::AddEgoTo(KeyedDsu* m) {
   const std::span<const VertexId> members = ego_.Members();
-  for (VertexId w : members) m->AddMember(w);
-  ego_.ForEachEdge(
-      [&](uint32_t i, uint32_t j) { m->Union(members[i], members[j]); });
+  m->AddMembers(members);
+  // One search per member, not two per edge: an ego-network is often far
+  // denser than it is large.
+  ego_slots_.clear();
+  for (VertexId w : members) ego_slots_.push_back(m->SlotOf(w));
+  ego_.ForEachEdge([&](uint32_t i, uint32_t j) {
+    m->UnionSlots(ego_slots_[i], ego_slots_[j]);
+  });
 }
 
 template class Maintainer<EdgeSizeTable>;

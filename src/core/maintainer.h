@@ -94,6 +94,10 @@ class Maintainer {
   /// the maintenance.
   Table& mutable_table() { return table_; }
 
+  /// The per-edge disjoint sets M_e, by EdgeId; empty unless the scorer is
+  /// ESD.
+  std::span<const util::KeyedDsu> EdgeDsus() const { return dsu_; }
+
   /// Number of edges whose multisets were refreshed by the last update —
   /// the locality measure reported by the maintenance bench.
   size_t LastUpdateTouchedEdges() const { return last_touched_; }
@@ -112,9 +116,9 @@ class Maintainer {
   /// pairwise adjacency unions).
   void RebuildDsu(graph::EdgeId e);
 
-  /// Adds ego_'s members to `*m` as singletons, then unions them along
-  /// ego_'s edges.
-  void AddEgoTo(util::KeyedDsu* m) const;
+  /// Adds ego_'s members, none of them in `*m`, to `*m` as singletons,
+  /// then unions them along ego_'s edges.
+  void AddEgoTo(util::KeyedDsu* m);
 
   /// Paper's Update: in M_e, rebuild only the component containing z.
   /// `z` need not be a member (then this is a no-op).
@@ -142,6 +146,8 @@ class Maintainer {
   // Per-update working state, reused so a warm writer does not allocate.
   graph::EgoScratch ego_;
   std::vector<graph::EdgeId> affected_;
+  std::vector<graph::VertexId> component_;  // TargetedRepair, ascending
+  std::vector<uint32_t> ego_slots_;  // AddEgoTo: ego member -> M_e slot
 };
 
 }  // namespace esd::core

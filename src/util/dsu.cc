@@ -5,151 +5,137 @@
 
 namespace esd::util {
 
-Dsu::Dsu(size_t n) { Reset(n); }
+namespace {
 
-void Dsu::Reset(size_t n) {
-  parent_.resize(n);
-  count_.assign(n, 1);
-  for (size_t i = 0; i < n; ++i) parent_[i] = static_cast<uint32_t>(i);
-  num_components_ = n;
+bool IsRoot(uint32_t word) { return (word & kDsuRoot) != 0; }
+
+}  // namespace
+
+size_t KeyedDsu::LowerBound(uint32_t v) const {
+  return static_cast<size_t>(
+      std::lower_bound(
+          slots_.begin(), slots_.end(), v,
+          [](const Slot& s, uint32_t key) { return s.vertex < key; }) -
+      slots_.begin());
 }
 
-uint32_t Dsu::Find(uint32_t x) {
-  while (parent_[x] != x) {
-    parent_[x] = parent_[parent_[x]];  // path halving
-    x = parent_[x];
-  }
-  return x;
-}
-
-bool Dsu::Union(uint32_t a, uint32_t b) {
-  a = Find(a);
-  b = Find(b);
-  if (a == b) return false;
-  if (count_[a] < count_[b]) std::swap(a, b);
-  parent_[b] = a;
-  count_[a] += count_[b];
-  --num_components_;
-  return true;
-}
-
-uint32_t Dsu::ComponentSize(uint32_t x) { return count_[Find(x)]; }
-
-void KeyedDsu::Reserve(size_t n) {
-  slots_.reserve(n);
-  index_.Reserve(n);
+uint32_t KeyedDsu::SlotOf(uint32_t v) const {
+  const size_t i = LowerBound(v);
+  assert(i < slots_.size() && slots_[i].vertex == v);
+  return static_cast<uint32_t>(i);
 }
 
 bool KeyedDsu::AddMember(uint32_t v) {
-  auto [slot_ptr, inserted] =
-      index_.Insert(v, static_cast<int32_t>(slots_.size()));
-  if (!inserted) {
-    // Resurrect a previously removed member in place.
-    Slot& s = slots_[static_cast<size_t>(*slot_ptr)];
-    if (s.alive) return false;
-    s.parent = *slot_ptr;
-    s.count = 1;
-    s.alive = 1;
-    ++num_members_;
-    ++num_components_;
-    return true;
-  }
-  Slot s;
-  s.vertex = v;
-  s.parent = static_cast<int32_t>(slots_.size());
-  s.count = 1;
-  s.alive = 1;
-  slots_.push_back(s);
-  ++num_members_;
-  ++num_components_;
+  if (Contains(v)) return false;
+  AddMembers({&v, 1});
   return true;
+}
+
+void KeyedDsu::AddMembers(std::span<const uint32_t> vs) {
+  assert(slots_.size() + vs.size() < kDsuRoot);
+  if (vs.empty()) return;
+  // A slot moves up by the number of new members below it, and so does
+  // every word that points at it; an append moves none.
+  if (!slots_.empty() && vs.front() < slots_.back().vertex) {
+    for (Slot& s : slots_) {
+      if (IsRoot(s.parent)) continue;
+      const uint32_t parent = slots_[s.parent].vertex;
+      s.parent += static_cast<uint32_t>(
+          std::lower_bound(vs.begin(), vs.end(), parent) - vs.begin());
+    }
+  }
+  // Merge from the back, in place.
+  size_t old = slots_.size(), add = vs.size();
+  slots_.resize(old + add);
+  for (size_t k = slots_.size(); add > 0;) {
+    --k;
+    if (old > 0 && slots_[old - 1].vertex > vs[add - 1]) {
+      slots_[k] = slots_[--old];
+    } else {
+      assert(old == 0 || slots_[old - 1].vertex != vs[add - 1]);
+      slots_[k] = {vs[--add], kDsuRoot | 1};
+    }
+  }
 }
 
 bool KeyedDsu::Contains(uint32_t v) const {
-  const int32_t* i = index_.Find(v);
-  return i != nullptr && slots_[static_cast<size_t>(*i)].alive;
-}
-
-int32_t KeyedDsu::FindSlot(int32_t i) {
-  while (slots_[static_cast<size_t>(i)].parent != i) {
-    Slot& s = slots_[static_cast<size_t>(i)];
-    s.parent = slots_[static_cast<size_t>(s.parent)].parent;  // path halving
-    i = s.parent;
-  }
-  return i;
+  const size_t i = LowerBound(v);
+  return i < slots_.size() && slots_[i].vertex == v;
 }
 
 uint32_t KeyedDsu::Find(uint32_t v) {
-  const int32_t* i = index_.Find(v);
-  assert(i != nullptr && slots_[static_cast<size_t>(*i)].alive);
-  return slots_[static_cast<size_t>(FindSlot(*i))].vertex;
-}
-
-bool KeyedDsu::Union(uint32_t a, uint32_t b) {
-  const int32_t* ia = index_.Find(a);
-  const int32_t* ib = index_.Find(b);
-  assert(ia != nullptr && ib != nullptr);
-  int32_t ra = FindSlot(*ia);
-  int32_t rb = FindSlot(*ib);
-  if (ra == rb) return false;
-  if (slots_[static_cast<size_t>(ra)].count <
-      slots_[static_cast<size_t>(rb)].count) {
-    std::swap(ra, rb);
-  }
-  slots_[static_cast<size_t>(rb)].parent = ra;
-  slots_[static_cast<size_t>(ra)].count +=
-      slots_[static_cast<size_t>(rb)].count;
-  --num_components_;
-  return true;
+  return slots_[FindSlot(SlotOf(v))].vertex;
 }
 
 uint32_t KeyedDsu::ComponentSize(uint32_t v) {
-  const int32_t* i = index_.Find(v);
-  assert(i != nullptr);
-  return slots_[static_cast<size_t>(FindSlot(*i))].count;
+  return slots_[FindSlot(SlotOf(v))].parent & ~kDsuRoot;
+}
+
+size_t KeyedDsu::NumComponents() const {
+  return static_cast<size_t>(std::count_if(
+      slots_.begin(), slots_.end(),
+      [](const Slot& s) { return IsRoot(s.parent); }));
 }
 
 bool KeyedDsu::RemoveSingleton(uint32_t v) {
-  const int32_t* i = index_.Find(v);
-  if (i == nullptr) return false;
-  Slot& s = slots_[static_cast<size_t>(*i)];
-  if (!s.alive || s.parent != *i || s.count != 1) return false;
-  s.alive = 0;
-  --num_members_;
-  --num_components_;
+  const size_t pos = LowerBound(v);
+  if (pos == slots_.size() || slots_[pos].vertex != v ||
+      slots_[pos].parent != (kDsuRoot | 1)) {
+    return false;
+  }
+  slots_.erase(slots_.begin() + static_cast<ptrdiff_t>(pos));
+  // A singleton is no member's parent: words past it move down one slot.
+  for (Slot& s : slots_) {
+    if (!IsRoot(s.parent) && s.parent > pos) --s.parent;
+  }
   return true;
 }
 
-std::vector<uint32_t> KeyedDsu::ComponentMembers(uint32_t v) {
-  const int32_t* iv = index_.Find(v);
-  assert(iv != nullptr);
-  int32_t root = FindSlot(*iv);
-  std::vector<uint32_t> members;
-  for (size_t i = 0; i < slots_.size(); ++i) {
-    if (slots_[i].alive && FindSlot(static_cast<int32_t>(i)) == root) {
-      members.push_back(slots_[i].vertex);
-    }
+void KeyedDsu::ComponentMembers(uint32_t v, std::vector<uint32_t>* out) {
+  const uint32_t root = FindSlot(SlotOf(v));
+  out->clear();
+  for (uint32_t i = 0; i < slots_.size(); ++i) {
+    if (FindSlot(i) == root) out->push_back(slots_[i].vertex);
   }
-  return members;
 }
 
 void KeyedDsu::RemoveComponent(uint32_t v) {
-  const int32_t* iv = index_.Find(v);
-  assert(iv != nullptr);
-  int32_t root = FindSlot(*iv);
-  for (size_t i = 0; i < slots_.size(); ++i) {
-    if (slots_[i].alive && FindSlot(static_cast<int32_t>(i)) == root) {
-      slots_[i].alive = 0;
-      --num_members_;
+  const uint32_t root = FindSlot(SlotOf(v));
+  const auto n = static_cast<uint32_t>(slots_.size());
+  // Every member points straight at its root.
+  for (uint32_t i = 0; i < n; ++i) {
+    const uint32_t r = FindSlot(i);
+    if (r != i) slots_[i].parent = r;
+  }
+  // Mark v's component kGone; every other root's word becomes kDsuRoot |
+  // its index once the component is gone. Both lie above any slot index.
+  constexpr uint32_t kGone = ~0u;
+  uint32_t gone = 0;
+  for (uint32_t i = 0; i < n; ++i) {
+    uint32_t& word = slots_[i].parent;
+    if (i == root || word == root) {
+      word = kGone;
+      ++gone;
+    } else if (IsRoot(word)) {
+      word = kDsuRoot | (i - gone);
     }
   }
-  --num_components_;
+  for (Slot& s : slots_) {
+    if (!IsRoot(s.parent)) s.parent = slots_[s.parent].parent & ~kDsuRoot;
+  }
+  std::erase_if(slots_, [](const Slot& s) { return s.parent == kGone; });
+  // Recount the sizes the new indices displaced.
+  for (Slot& s : slots_) {
+    if (IsRoot(s.parent)) s.parent = kDsuRoot | 1;
+  }
+  for (Slot& s : slots_) {
+    if (!IsRoot(s.parent)) ++slots_[s.parent].parent;
+  }
 }
 
-std::vector<uint32_t> KeyedDsu::ComponentSizes() {
+std::vector<uint32_t> KeyedDsu::ComponentSizes() const {
   std::vector<uint32_t> sizes;
-  sizes.reserve(num_components_);
-  ForEachComponent([&](uint32_t, uint32_t count) { sizes.push_back(count); });
+  ForEachComponent([&](uint32_t, uint32_t size) { sizes.push_back(size); });
   std::sort(sizes.begin(), sizes.end());
   return sizes;
 }

@@ -3,53 +3,55 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
-
-#include "util/flat_map.h"
 
 namespace esd::util {
 
-/// Classic disjoint-set union over a fixed index range [0, n).
-///
-/// Union by size with path halving; amortized cost per operation is
-/// O(gamma(n)), the inverse Ackermann function referenced throughout the
-/// paper's complexity analysis.
-class Dsu {
- public:
-  /// Creates n singleton sets {0}, {1}, ..., {n-1}.
-  explicit Dsu(size_t n = 0);
+/// Root flag of a disjoint-set parent word. A member's word is its parent's
+/// slot index, or kDsuRoot | component size at a root; slot indices and
+/// sizes stay below the flag.
+inline constexpr uint32_t kDsuRoot = 1u << 31;
 
-  /// Resets to n singleton sets.
-  void Reset(size_t n);
+/// Root slot of slot s, with path halving. `words[i]` is slot i's parent
+/// word: a uint32_t array, or a view that yields each slot's word.
+template <typename Words>
+inline uint32_t DsuFind(Words&& words, uint32_t s) {
+  uint32_t p;
+  while (((p = words[s]) & kDsuRoot) == 0) {
+    const uint32_t gp = words[p];
+    if ((gp & kDsuRoot) != 0) return p;
+    words[s] = gp;  // path halving
+    s = gp;
+  }
+  return s;
+}
 
-  /// Number of elements.
-  size_t size() const { return parent_.size(); }
-
-  /// Number of disjoint sets.
-  size_t NumComponents() const { return num_components_; }
-
-  /// Representative of x's set.
-  uint32_t Find(uint32_t x);
-
-  /// Merges the sets of a and b; returns true if they were distinct.
-  bool Union(uint32_t a, uint32_t b);
-
-  /// Size of the set containing x.
-  uint32_t ComponentSize(uint32_t x);
-
-  /// True if a and b are in the same set.
-  bool Same(uint32_t a, uint32_t b) { return Find(a) == Find(b); }
-
- private:
-  std::vector<uint32_t> parent_;
-  std::vector<uint32_t> count_;
-  size_t num_components_ = 0;
-};
+/// Merges the sets of slots a and b, union by size (on a tie a's root stays
+/// the root); returns true if they differed. O(γ(n)) amortized, the inverse
+/// Ackermann function of the paper's complexity analysis.
+template <typename Words>
+inline bool DsuUnion(Words&& words, uint32_t a, uint32_t b) {
+  uint32_t ra = DsuFind(words, a);
+  uint32_t rb = DsuFind(words, b);
+  if (ra == rb) return false;
+  if (words[ra] < words[rb]) std::swap(ra, rb);  // kDsuRoot | size
+  words[ra] += words[rb] & ~kDsuRoot;
+  words[rb] = ra;
+  return true;
+}
 
 /// Disjoint-set union keyed by sparse vertex ids — the paper's per-edge
 /// structure `M_uv` (Algorithm 3, lines 1-4): each common neighbor of the
 /// edge's endpoints is a member, each set is one connected component of the
 /// edge ego-network, and every root carries the component's size ("count").
+///
+/// One vector of 8-byte slots, sorted by vertex: a member is found by
+/// binary search, and its parent word indexes the vector (DsuFind /
+/// DsuUnion). Adding or removing a member renumbers the words of this one
+/// vector, O(members); a removed member leaves nothing behind, so the
+/// memory follows the members present, not every vertex ever added.
 ///
 /// Members can be added and removed dynamically, which the maintenance
 /// algorithms (Algorithms 4 and 5) rely on. Removal is restricted to
@@ -57,13 +59,25 @@ class Dsu {
 /// algorithm rebuilds affected components.
 class KeyedDsu {
  public:
+  /// A member and its parent word.
+  struct Slot {
+    uint32_t vertex;
+    uint32_t parent;  // slot index, or kDsuRoot | size at a root
+  };
+
   KeyedDsu() = default;
 
-  /// Pre-sizes internal tables for n members.
-  void Reserve(size_t n);
+  /// Adopts `slots`: sorted by vertex, no vertex twice, and each word a
+  /// slot index into `slots` or kDsuRoot | size, forming a valid forest.
+  explicit KeyedDsu(std::vector<Slot> slots) : slots_(std::move(slots)) {}
 
   /// Adds `v` as a new singleton component; returns false if already present.
   bool AddMember(uint32_t v);
+
+  /// Adds each vertex of `vs` as a new singleton component. `vs` is
+  /// ascending and holds no member. One pass over the slots, so
+  /// O(members · log |vs| + |vs|) in all.
+  void AddMembers(std::span<const uint32_t> vs);
 
   /// True if `v` is a member.
   bool Contains(uint32_t v) const;
@@ -73,7 +87,18 @@ class KeyedDsu {
 
   /// Merges the components of `a` and `b`; returns true if they differed.
   /// Both must be members.
-  bool Union(uint32_t a, uint32_t b);
+  bool Union(uint32_t a, uint32_t b) {
+    return UnionSlots(SlotOf(a), SlotOf(b));
+  }
+
+  /// Index of member v's slot. Slot indices hold until a member is added
+  /// or removed; Find and Union keep them.
+  uint32_t SlotOf(uint32_t v) const;
+
+  /// Union of the members in slots a and b: Union without the searches.
+  bool UnionSlots(uint32_t a, uint32_t b) {
+    return DsuUnion(Words{slots_.data()}, a, b);
+  }
 
   /// Size of the component containing `v`. `v` must be a member.
   uint32_t ComponentSize(uint32_t v);
@@ -82,57 +107,56 @@ class KeyedDsu {
   bool Same(uint32_t a, uint32_t b) { return Find(a) == Find(b); }
 
   /// Total members across all components.
-  size_t NumMembers() const { return num_members_; }
+  size_t NumMembers() const { return slots_.size(); }
 
   /// Number of components.
-  size_t NumComponents() const { return num_components_; }
+  size_t NumComponents() const;
 
   /// Removes `v` if it is a singleton component; returns false otherwise
   /// (including when `v` is not a member).
   bool RemoveSingleton(uint32_t v);
 
-  /// All member vertices of v's component.
-  std::vector<uint32_t> ComponentMembers(uint32_t v);
+  /// Replaces `*out` with the member vertices of v's component, ascending.
+  /// `v` must be a member.
+  void ComponentMembers(uint32_t v, std::vector<uint32_t>* out);
 
-  /// Removes v's entire component (all its members).
+  /// Removes v's entire component (all its members). `v` must be a member.
   void RemoveComponent(uint32_t v);
 
-  /// Invokes fn(root_vertex, component_size) for every component.
+  /// Invokes fn(root_vertex, component_size) for every component, in
+  /// vertex order of the roots.
   template <typename Fn>
-  void ForEachComponent(Fn&& fn) {
-    for (size_t i = 0; i < slots_.size(); ++i) {
-      if (slots_[i].alive && slots_[i].parent == static_cast<int32_t>(i)) {
-        fn(slots_[i].vertex, slots_[i].count);
-      }
+  void ForEachComponent(Fn&& fn) const {
+    for (const Slot& s : slots_) {
+      if ((s.parent & kDsuRoot) != 0) fn(s.vertex, s.parent & ~kDsuRoot);
     }
   }
 
-  /// Invokes fn(vertex) for every member.
+  /// Invokes fn(vertex) for every member, ascending.
   template <typename Fn>
   void ForEachMember(Fn&& fn) const {
-    for (const Slot& s : slots_) {
-      if (s.alive) fn(s.vertex);
-    }
+    for (const Slot& s : slots_) fn(s.vertex);
   }
 
   /// Sorted (ascending) list of component sizes — the paper's `C_uv`
   /// with multiplicities.
-  std::vector<uint32_t> ComponentSizes();
+  std::vector<uint32_t> ComponentSizes() const;
+
+  /// Bytes of the slot vector's allocation.
+  size_t MemoryBytes() const { return slots_.capacity() * sizeof(Slot); }
 
  private:
-  struct Slot {
-    uint32_t vertex = 0;
-    int32_t parent = -1;  // slot index; == own index for roots
-    uint32_t count = 0;   // component size, valid at roots
-    uint8_t alive = 0;
+  // The slots' parent words, as DsuFind and DsuUnion index them.
+  struct Words {
+    Slot* slots;
+    uint32_t& operator[](uint32_t i) const { return slots[i].parent; }
   };
 
-  int32_t FindSlot(int32_t i);
+  /// Index of the first slot whose vertex is not below v.
+  size_t LowerBound(uint32_t v) const;
+  uint32_t FindSlot(uint32_t i) { return DsuFind(Words{slots_.data()}, i); }
 
-  std::vector<Slot> slots_;
-  FlatMap<uint32_t, int32_t> index_;  // vertex -> slot
-  size_t num_members_ = 0;
-  size_t num_components_ = 0;
+  std::vector<Slot> slots_;  // sorted by vertex
 };
 
 }  // namespace esd::util

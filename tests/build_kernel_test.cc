@@ -243,16 +243,18 @@ class SlotOfOracle {
     return out;
   }
 
+  // The slice as KeyedDsu slots: it is already in member order, and each
+  // member's word points at its root, so the export must keep the
+  // oracle's roots, not only its partition.
   util::KeyedDsu ToKeyedDsu(EdgeId e) {
-    util::KeyedDsu out;
-    for (size_t s = offsets_[e]; s < offsets_[e + 1]; ++s) {
-      out.AddMember(members_[s]);
-    }
+    std::vector<util::KeyedDsu::Slot> slots;
     for (size_t s = offsets_[e]; s < offsets_[e + 1]; ++s) {
       const uint32_t root = Find(static_cast<uint32_t>(s));
-      if (root != s) out.Union(members_[s], members_[root]);
+      slots.push_back(
+          {members_[s], root == s ? util::kDsuRoot | count_[s]
+                                  : static_cast<uint32_t>(root - offsets_[e])});
     }
-    return out;
+    return util::KeyedDsu(std::move(slots));
   }
 
  private:

@@ -19,6 +19,7 @@
 #include "graph/builder.h"
 #include "graph/dynamic_graph.h"
 #include "graph/graph.h"
+#include "tests/dsu_oracle.h"
 #include "tests/test_helpers.h"
 #include "util/dsu.h"
 #include "util/rng.h"
@@ -135,7 +136,7 @@ std::vector<uint32_t> ReferenceEgoSizes(const G& g, VertexId u, VertexId v) {
   std::vector<VertexId> common;
   std::set_intersection(nu.begin(), nu.end(), nv.begin(), nv.end(),
                         std::back_inserter(common));
-  util::Dsu dsu(common.size());
+  test::Dsu dsu(common.size());
   for (uint32_t i = 0; i < common.size(); ++i) {
     for (uint32_t j = i + 1; j < common.size(); ++j) {
       if (g.HasEdge(common[i], common[j])) dsu.Union(i, j);

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/dsu_oracle.h"
 #include "util/binary_heap.h"
 #include "util/dsu.h"
 #include "util/flag_parse.h"
@@ -252,7 +253,7 @@ TEST(FlatSetTest, BasicOps) {
 // ---------------------------------------------------------------------------
 
 TEST(DsuTest, SingletonsInitially) {
-  Dsu d(5);
+  test::Dsu d(5);
   EXPECT_EQ(d.NumComponents(), 5u);
   for (uint32_t i = 0; i < 5; ++i) {
     EXPECT_EQ(d.Find(i), i);
@@ -261,7 +262,7 @@ TEST(DsuTest, SingletonsInitially) {
 }
 
 TEST(DsuTest, UnionMergesAndCounts) {
-  Dsu d(4);
+  test::Dsu d(4);
   EXPECT_TRUE(d.Union(0, 1));
   EXPECT_FALSE(d.Union(1, 0));
   EXPECT_TRUE(d.Union(2, 3));
@@ -275,7 +276,7 @@ TEST(DsuTest, UnionMergesAndCounts) {
 TEST(DsuTest, RandomizedAgainstNaive) {
   Rng rng(55);
   constexpr uint32_t kN = 200;
-  Dsu d(kN);
+  test::Dsu d(kN);
   std::vector<uint32_t> label(kN);
   std::iota(label.begin(), label.end(), 0);
   auto naive_union = [&label](uint32_t a, uint32_t b) {
@@ -345,8 +346,8 @@ TEST(KeyedDsuTest, ComponentMembersAndRemoveComponent) {
   for (uint32_t v : {10u, 20u, 30u, 40u}) d.AddMember(v);
   d.Union(10, 20);
   d.Union(20, 30);
-  std::vector<uint32_t> members = d.ComponentMembers(30);
-  std::sort(members.begin(), members.end());
+  std::vector<uint32_t> members = {99};
+  d.ComponentMembers(30, &members);
   EXPECT_EQ(members, (std::vector<uint32_t>{10, 20, 30}));
   d.RemoveComponent(10);
   EXPECT_FALSE(d.Contains(10));
@@ -370,7 +371,7 @@ TEST(KeyedDsuTest, RandomizedUnionsMatchDsu) {
   Rng rng(77);
   constexpr uint32_t kN = 150;
   KeyedDsu keyed;
-  Dsu flat(kN);
+  test::Dsu flat(kN);
   // Keys are sparse: vertex i maps to i * 1000003.
   auto key = [](uint32_t i) { return i * 1000003u; };
   for (uint32_t i = 0; i < kN; ++i) keyed.AddMember(key(i));
@@ -382,6 +383,91 @@ TEST(KeyedDsuTest, RandomizedUnionsMatchDsu) {
     uint32_t x = static_cast<uint32_t>(rng.NextBounded(kN));
     EXPECT_EQ(keyed.ComponentSize(key(x)), flat.ComponentSize(x));
   }
+}
+
+// Cycles `vertices` distinct vertices through one KeyedDsu, at most
+// `max_live` members at a time: batches of one to three enter by AddMember
+// or AddMembers, each is united with a random member, and whole components
+// leave by RemoveSingleton or RemoveComponent. The partition is checked
+// against a label model after every batch. Vertex ids are scattered, so
+// members enter and leave the middle of the slot vector. Returns the
+// largest MemoryBytes() seen.
+size_t ChurnAgainstModel(uint32_t vertices, size_t max_live, uint64_t seed) {
+  Rng rng(seed);
+  KeyedDsu d;
+  std::map<uint32_t, uint32_t> label;  // member -> component label
+  auto component = [&label](uint32_t l) {
+    std::vector<uint32_t> out;
+    for (const auto& [v, lv] : label) {
+      if (lv == l) out.push_back(v);
+    }
+    return out;
+  };
+  auto any_member = [&] {
+    auto it = label.begin();
+    std::advance(it, rng.NextBounded(label.size()));
+    return it->first;
+  };
+  size_t peak = 0;
+  std::vector<uint32_t> batch;
+  for (uint32_t i = 0; i < vertices;) {
+    batch.clear();
+    for (uint64_t k = 1 + rng.NextBounded(3); k > 0 && i < vertices; --k) {
+      batch.push_back(static_cast<uint32_t>((uint64_t{i++} * 7919) % 1000003));
+    }
+    std::sort(batch.begin(), batch.end());
+    while (label.size() + batch.size() > max_live) {
+      const uint32_t w = any_member();
+      const std::vector<uint32_t> comp = component(label[w]);
+      if (comp.size() == 1) {
+        EXPECT_TRUE(d.RemoveSingleton(w));
+      } else {
+        EXPECT_FALSE(d.RemoveSingleton(w));
+        d.RemoveComponent(w);
+      }
+      for (uint32_t x : comp) label.erase(x);
+    }
+    if (batch.size() == 1) {
+      EXPECT_TRUE(d.AddMember(batch[0]));
+    } else {
+      d.AddMembers(batch);
+    }
+    for (uint32_t v : batch) {
+      EXPECT_FALSE(d.AddMember(v));
+      label[v] = v;
+    }
+    for (uint32_t v : batch) {
+      const uint32_t w = any_member();
+      EXPECT_EQ(d.Union(v, w), label[v] != label[w]);
+      const uint32_t from = label[w], to = label[v];
+      for (auto& [x, l] : label) {
+        if (l == from) l = to;
+      }
+    }
+    EXPECT_EQ(d.NumMembers(), label.size());
+    for (const auto& [x, l] : label) {
+      EXPECT_TRUE(d.Contains(x));
+      EXPECT_EQ(d.ComponentSize(x), component(l).size());
+      EXPECT_EQ(label.at(d.Find(x)), l);
+    }
+    std::vector<uint32_t> members;
+    d.ComponentMembers(batch[0], &members);
+    EXPECT_EQ(members, component(label[batch[0]]));
+    peak = std::max(peak, d.MemoryBytes());
+  }
+  return peak;
+}
+
+// Memory follows the members present: a removed member leaves no slot
+// behind, however many distinct vertices have passed through.
+TEST(KeyedDsuTest, ChurnMemoryFollowsLiveMembers) {
+  const size_t peak = ChurnAgainstModel(10000, 4, 17);
+  EXPECT_GT(peak, 0u);
+  EXPECT_LE(peak, 8 * sizeof(KeyedDsu::Slot));
+}
+
+TEST(KeyedDsuTest, RandomChurnMatchesModel) {
+  ChurnAgainstModel(2000, 48, 29);
 }
 
 // ---------------------------------------------------------------------------
