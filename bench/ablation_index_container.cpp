@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -110,8 +111,9 @@ void CompareEngines() {
   std::printf("== engine comparison: Query(k=%u, tau=%u)\n", k, tau);
   std::printf("%-12s %14s %14s %12s %12s\n", "dataset", "treap (ms)",
               "frozen (ms)", "treap MiB", "frozen MiB");
-  for (const char* name : {"dblp-s", "youtube-s"}) {
-    esd::gen::Dataset d = esd::bench::Load(name);
+  for (const std::string& ds : esd::gen::StandardDatasetNames()) {
+    const char* name = ds.c_str();
+    esd::gen::Dataset d = esd::bench::Load(ds);
     esd::core::EsdIndex treap = esd::core::BuildIndex(d.graph);
     esd::core::FrozenEsdIndex frozen = esd::core::Freeze(treap);
     double treap_ms =

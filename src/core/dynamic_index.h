@@ -52,14 +52,6 @@ class DynamicEsdIndex final : public EsdQueryEngine,
   uint32_t ScoreOf(graph::EdgeId e, uint32_t tau) const override {
     return table().ScoreOf(e, tau);
   }
-  uint64_t CountWithScoreAtLeast(uint32_t tau,
-                                 uint32_t min_score) const override {
-    return table().CountWithScoreAtLeast(tau, min_score);
-  }
-  TopKResult QueryWithScoreAtLeast(uint32_t tau, uint32_t min_score,
-                                   size_t limit = 0) const override {
-    return table().QueryWithScoreAtLeast(tau, min_score, limit);
-  }
   /// Bytes of the maintained index payload (the serving structure; the
   /// per-edge DSU maintenance state is not counted).
   uint64_t MemoryBytes() const override { return table().MemoryBytes(); }

@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "obs/trace.h"
-#include "util/flat_map.h"
 
 namespace esd::core {
 
@@ -141,55 +140,32 @@ TopKResult EsdIndex::Query(uint32_t k, uint32_t tau,
   counters_.AddQuery();
   counters_.AddSlabSearch();
   auto it = lists_.lower_bound(tau);
-  std::vector<EdgeId> taken;
   if (it != lists_.end()) {
     it->second.ForEachInOrder([&](const Entry& entry) {
       if (out.size() >= k) return false;
       out.push_back(ScoredEdge{EdgeAt(entry.e), entry.score});
-      taken.push_back(entry.e);
       return true;
     });
   }
+  // Only the H-list entries walked count: zero-padded filler never touches
+  // a list (FrozenEsdIndex counts its slab prefix the same way).
+  counters_.AddEntriesScanned(out.size());
   if (pad_with_zero_edges && out.size() < k) {
     // Documented deterministic padding order: lowest-id live edges first,
     // skipping edges already reported (FrozenEsdIndex pads identically).
-    util::FlatSet<EdgeId> included(taken.size());
-    for (EdgeId e : taken) included.Insert(e);
+    // The answer is short, so it holds all of H(c*): an edge was reported
+    // exactly when its multiset is non-empty and its largest value (the
+    // last, ascending) reaches c*; no list means no edge was.
+    const bool has_list = it != lists_.end();
+    const uint32_t c = has_list ? it->first : 0;
+    auto in_list = [&](EdgeId e) {
+      const auto& sizes = EdgeSizes(e);
+      return has_list && !sizes.empty() && sizes.back() >= c;
+    };
     for (EdgeId e = 0; e < EdgeSlotCount() && out.size() < k; ++e) {
-      if (IsLive(e) && !included.Contains(e)) {
-        out.push_back(ScoredEdge{EdgeAt(e), 0});
-      }
+      if (IsLive(e) && !in_list(e)) out.push_back(ScoredEdge{EdgeAt(e), 0});
     }
   }
-  // Only the H-list entries walked count: zero-padded filler never touches
-  // a list (FrozenEsdIndex counts its slab prefix the same way).
-  counters_.AddEntriesScanned(taken.size());
-  return out;
-}
-
-uint64_t EsdIndex::CountWithScoreAtLeast(uint32_t tau,
-                                         uint32_t min_score) const {
-  if (min_score == 0) return NumRegisteredEdges();
-  if (tau == 0) return 0;
-  auto it = lists_.lower_bound(tau);
-  if (it == lists_.end()) return 0;
-  // Entries are ordered by score descending; everything ranked before the
-  // probe (min_score - 1, edge 0) has score >= min_score.
-  return it->second.Rank(Entry{min_score - 1, 0});
-}
-
-TopKResult EsdIndex::QueryWithScoreAtLeast(uint32_t tau, uint32_t min_score,
-                                           size_t limit) const {
-  TopKResult out;
-  if (tau == 0 || min_score == 0) return out;
-  auto it = lists_.lower_bound(tau);
-  if (it == lists_.end()) return out;
-  it->second.ForEachInOrder([&](const Entry& entry) {
-    if (entry.score < min_score) return false;
-    if (limit > 0 && out.size() >= limit) return false;
-    out.push_back(ScoredEdge{EdgeAt(entry.e), entry.score});
-    return true;
-  });
   return out;
 }
 
@@ -207,8 +183,8 @@ std::vector<uint32_t> EsdIndex::DistinctSizes() const {
 }
 
 uint64_t EsdIndex::MemoryBytes() const {
-  // Treap node: Entry (8) + priority/left/right/size (16).
-  uint64_t bytes = num_entries_ * 24;
+  // Treap node: Entry (8) + priority/left/right (12).
+  uint64_t bytes = num_entries_ * 20;
   for (EdgeId e = 0; e < EdgeSlotCount(); ++e) {
     bytes += EdgeSizes(e).size() * sizeof(uint32_t);
   }

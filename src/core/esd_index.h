@@ -19,8 +19,8 @@ namespace esd::core {
 /// For every component size c occurring in some edge ego-network (the set
 /// C), the index keeps a list H(c) of all edges whose ego-network has a
 /// component of size >= c, ordered by the structural diversity computed at
-/// threshold c (descending). Each H(c) is an order-statistics treap, the
-/// paper's "self-balance binary search tree".
+/// threshold c (descending). Each H(c) is a treap, the paper's
+/// "self-balance binary search tree".
 ///
 /// The class is also the mutation substrate of the dynamic engine's
 /// maintenance (Section V, lines 20-22 of Algorithms 4-5): on top of the
@@ -89,17 +89,6 @@ class EsdIndex : public EsdQueryEngine, public EdgeSizeTable {
 
   /// Score of edge `e` at threshold tau, from the stored multiset. O(log).
   uint32_t ScoreOf(graph::EdgeId e, uint32_t tau) const override;
-
-  /// Number of edges whose structural diversity at threshold tau is
-  /// >= min_score. O(log m) via the order statistics of H(c*). A
-  /// min_score of 0 counts every registered edge.
-  uint64_t CountWithScoreAtLeast(uint32_t tau,
-                                 uint32_t min_score) const override;
-
-  /// All edges with score >= min_score at threshold tau (at most `limit`,
-  /// 0 = unlimited), descending score. min_score must be >= 1.
-  TopKResult QueryWithScoreAtLeast(uint32_t tau, uint32_t min_score,
-                                   size_t limit = 0) const override;
 
   // ---- Introspection -------------------------------------------------------
 

@@ -495,39 +495,6 @@ uint32_t FrozenEsdIndex::ScoreOf(EdgeId e, uint32_t tau) const {
   return ScoreAt(EdgeSizes(e), tau);
 }
 
-uint64_t FrozenEsdIndex::CountWithScoreAtLeast(uint32_t tau,
-                                               uint32_t min_score) const {
-  if (min_score == 0) return num_live_;
-  if (tau == 0) return 0;
-  counters_.AddSlabSearch();
-  auto it = std::lower_bound(sizes_.begin(), sizes_.end(), tau);
-  if (it == sizes_.end()) return 0;
-  std::span<const Entry> slab =
-      ListAt(static_cast<size_t>(it - sizes_.begin()));
-  // Scores are descending, so the >= min_score prefix is a partition point.
-  auto pos = std::partition_point(
-      slab.begin(), slab.end(),
-      [min_score](const Entry& x) { return x.score >= min_score; });
-  return static_cast<uint64_t>(pos - slab.begin());
-}
-
-TopKResult FrozenEsdIndex::QueryWithScoreAtLeast(uint32_t tau,
-                                                 uint32_t min_score,
-                                                 size_t limit) const {
-  TopKResult out;
-  if (tau == 0 || min_score == 0) return out;
-  counters_.AddSlabSearch();
-  auto it = std::lower_bound(sizes_.begin(), sizes_.end(), tau);
-  if (it == sizes_.end()) return out;
-  for (const Entry& entry : ListAt(static_cast<size_t>(it - sizes_.begin()))) {
-    if (entry.score < min_score) break;
-    if (limit > 0 && out.size() >= limit) break;
-    out.push_back(ScoredEdge{edges_[entry.e], entry.score});
-  }
-  counters_.AddEntriesScanned(out.size());
-  return out;
-}
-
 uint64_t FrozenEsdIndex::MemoryBytes() const {
   return entries_.size() * sizeof(Entry) +
          size_pool_.size() * sizeof(uint32_t) +

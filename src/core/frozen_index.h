@@ -31,9 +31,9 @@ struct SlotPatch {
 /// Read-optimized, immutable image of the ESDIndex (Section IV-A) — the
 /// serving layer.
 ///
-/// Where EsdIndex keeps every H(c) list as an order-statistics treap (the
-/// mutation substrate the maintenance algorithms need), FrozenEsdIndex lays
-/// the same logical content out flat:
+/// Where EsdIndex keeps every H(c) list as a treap (the mutation substrate
+/// the maintenance algorithms need), FrozenEsdIndex lays the same logical
+/// content out flat:
 ///
 ///   sizes_    [c_0 < c_1 < ...]            the distinct size set C, sorted
 ///   offsets_  [o_0, o_1, ..., o_|C|]       prefix sums, o_0 = 0
@@ -42,10 +42,10 @@ struct SlotPatch {
 /// Slab i holds H(sizes_[i]) as contiguous (score, edge) pairs in the
 /// canonical order (score desc, edge id asc). Query(k, tau) is one binary
 /// search over sizes_ plus a linear scan of a slab prefix — no pointer
-/// chasing, no per-node allocation — and CountWithScoreAtLeast is two
-/// binary searches. The per-edge size multisets are packed the same way
-/// (size_offsets_ / size_pool_), so ScoreOf stays O(log) and the structure
-/// round-trips losslessly to/from EsdIndex (Freeze / Thaw below).
+/// chasing, no per-node allocation. The per-edge size multisets are packed
+/// the same way (size_offsets_ / size_pool_), so ScoreOf stays O(log) and
+/// the structure round-trips losslessly to/from EsdIndex (Freeze / Thaw
+/// below).
 ///
 /// Every array is a straight contiguous allocation, which is what makes the
 /// index file format a plain sequence of array writes (mmap-friendly) and
@@ -140,12 +140,6 @@ class FrozenEsdIndex final : public EsdQueryEngine {
   void PadQueryResult(size_t slab, uint32_t k, TopKResult* inout) const;
 
   uint32_t ScoreOf(graph::EdgeId e, uint32_t tau) const override;
-  /// Two binary searches: one over sizes_, one over the slab (entries are
-  /// score-descending, so the >= min_score prefix is a partition point).
-  uint64_t CountWithScoreAtLeast(uint32_t tau,
-                                 uint32_t min_score) const override;
-  TopKResult QueryWithScoreAtLeast(uint32_t tau, uint32_t min_score,
-                                   size_t limit = 0) const override;
   uint64_t MemoryBytes() const override;
   std::string_view EngineName() const override { return "frozen"; }
 

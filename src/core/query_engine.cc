@@ -7,7 +7,6 @@
 #include "core/esd_index.h"
 #include "core/frozen_index.h"
 #include "core/index_builder.h"
-#include "core/naive_topk.h"
 #include "obs/metrics.h"
 
 namespace esd::core {
@@ -28,36 +27,6 @@ TopKResult OnlineQueryEngine::Query(uint32_t k, uint32_t tau,
 uint32_t OnlineQueryEngine::ScoreOf(graph::EdgeId e, uint32_t tau) const {
   const graph::Edge& uv = graph_.EdgeAt(e);
   return EdgeScore(graph_, uv.u, uv.v, tau);
-}
-
-uint64_t OnlineQueryEngine::CountWithScoreAtLeast(uint32_t tau,
-                                                  uint32_t min_score) const {
-  if (min_score == 0) return graph_.NumEdges();
-  if (tau == 0) return 0;
-  uint64_t count = 0;
-  for (uint32_t score : AllEdgeScores(graph_, tau)) {
-    count += score >= min_score ? 1 : 0;
-  }
-  return count;
-}
-
-TopKResult OnlineQueryEngine::QueryWithScoreAtLeast(uint32_t tau,
-                                                    uint32_t min_score,
-                                                    size_t limit) const {
-  TopKResult out;
-  if (tau == 0 || min_score == 0) return out;
-  std::vector<uint32_t> scores = AllEdgeScores(graph_, tau);
-  for (graph::EdgeId e = 0; e < scores.size(); ++e) {
-    if (scores[e] >= min_score) {
-      out.push_back(ScoredEdge{graph_.EdgeAt(e), scores[e]});
-    }
-  }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const ScoredEdge& a, const ScoredEdge& b) {
-                     return a.score > b.score;
-                   });
-  if (limit > 0 && out.size() > limit) out.resize(limit);
-  return out;
 }
 
 std::vector<uint32_t> ScorerOnlineEngine::AllScores(uint32_t tau) const {
@@ -103,34 +72,6 @@ TopKResult ScorerOnlineEngine::Query(uint32_t k, uint32_t tau,
 uint32_t ScorerOnlineEngine::ScoreOf(graph::EdgeId e, uint32_t tau) const {
   const graph::Edge& uv = graph_.EdgeAt(e);
   return ScoreFromSizes(scorer_.EdgeValues(graph_, uv.u, uv.v), tau);
-}
-
-uint64_t ScorerOnlineEngine::CountWithScoreAtLeast(uint32_t tau,
-                                                   uint32_t min_score) const {
-  if (min_score == 0) return graph_.NumEdges();
-  if (tau == 0) return 0;
-  uint64_t count = 0;
-  for (uint32_t score : AllScores(tau)) count += score >= min_score ? 1 : 0;
-  return count;
-}
-
-TopKResult ScorerOnlineEngine::QueryWithScoreAtLeast(uint32_t tau,
-                                                     uint32_t min_score,
-                                                     size_t limit) const {
-  TopKResult out;
-  if (tau == 0 || min_score == 0) return out;
-  const std::vector<uint32_t> scores = AllScores(tau);
-  for (graph::EdgeId e = 0; e < scores.size(); ++e) {
-    if (scores[e] >= min_score) {
-      out.push_back(ScoredEdge{graph_.EdgeAt(e), scores[e]});
-    }
-  }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const ScoredEdge& a, const ScoredEdge& b) {
-                     return a.score > b.score;
-                   });
-  if (limit > 0 && out.size() > limit) out.resize(limit);
-  return out;
 }
 
 std::vector<std::string> QueryEngineNames() {

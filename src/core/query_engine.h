@@ -113,9 +113,9 @@ class EngineCounterBlock {
 ///   * When fewer than k edges have positive score and padding is on, the
 ///     remainder is filled with zero-score live edges in ascending edge-id
 ///     order, skipping edges already reported — a documented deterministic
-///     order, identical across the index-backed engines.
-///   * CountWithScoreAtLeast(tau, 0) counts every live edge;
-///     QueryWithScoreAtLeast requires min_score >= 1 (else empty).
+///     order, identical across the index-backed engines. So
+///     Query(UINT32_MAX, tau) returns every live edge exactly once, with
+///     its score.
 ///
 /// Thread safety: every method of this interface is const and must be safe
 /// to call concurrently from any number of threads as long as no thread
@@ -136,15 +136,6 @@ class EsdQueryEngine {
 
   /// Score of edge `e` (a dense id of this engine's snapshot) at `tau`.
   virtual uint32_t ScoreOf(graph::EdgeId e, uint32_t tau) const = 0;
-
-  /// Number of edges whose score at `tau` is >= min_score.
-  virtual uint64_t CountWithScoreAtLeast(uint32_t tau,
-                                         uint32_t min_score) const = 0;
-
-  /// All edges with score >= min_score at `tau` (at most `limit`,
-  /// 0 = unlimited), descending score.
-  virtual TopKResult QueryWithScoreAtLeast(uint32_t tau, uint32_t min_score,
-                                           size_t limit = 0) const = 0;
 
   /// Approximate resident bytes of the serving structure (0 for the
   /// index-free online adapter).
@@ -173,8 +164,7 @@ class EsdQueryEngine {
 
 /// Index-free engine: answers every call by running the online algorithms
 /// against a borrowed graph (which must outlive the adapter). Query is the
-/// dequeue-twice OnlineTopK; the threshold calls score every edge — they
-/// exist for interface completeness, not for serving traffic.
+/// dequeue-twice OnlineTopK.
 class OnlineQueryEngine final : public EsdQueryEngine {
  public:
   explicit OnlineQueryEngine(
@@ -185,10 +175,6 @@ class OnlineQueryEngine final : public EsdQueryEngine {
   TopKResult Query(uint32_t k, uint32_t tau,
                    bool pad_with_zero_edges = true) const override;
   uint32_t ScoreOf(graph::EdgeId e, uint32_t tau) const override;
-  uint64_t CountWithScoreAtLeast(uint32_t tau,
-                                 uint32_t min_score) const override;
-  TopKResult QueryWithScoreAtLeast(uint32_t tau, uint32_t min_score,
-                                   size_t limit = 0) const override;
   uint64_t MemoryBytes() const override { return 0; }
   std::string_view EngineName() const override {
     return rule_ == UpperBoundRule::kCommonNeighbor ? "online"
@@ -212,7 +198,7 @@ class OnlineQueryEngine final : public EsdQueryEngine {
 /// scorer parity tests compare the indexed engines against; full-scan, so
 /// meant for correctness work and one-shot workloads, not serving. Follows
 /// the shared engine semantics exactly (zero-padding order, empty Query on
-/// k == 0 or tau == 0, CountWithScoreAtLeast(tau, 0) == m).
+/// k == 0 or tau == 0).
 class ScorerOnlineEngine final : public EsdQueryEngine {
  public:
   ScorerOnlineEngine(const graph::Graph& g, const DiversityScorer& scorer)
@@ -223,10 +209,6 @@ class ScorerOnlineEngine final : public EsdQueryEngine {
   TopKResult Query(uint32_t k, uint32_t tau,
                    bool pad_with_zero_edges = true) const override;
   uint32_t ScoreOf(graph::EdgeId e, uint32_t tau) const override;
-  uint64_t CountWithScoreAtLeast(uint32_t tau,
-                                 uint32_t min_score) const override;
-  TopKResult QueryWithScoreAtLeast(uint32_t tau, uint32_t min_score,
-                                   size_t limit = 0) const override;
   uint64_t MemoryBytes() const override { return 0; }
   std::string_view EngineName() const override { return name_; }
   ScorerKind Scorer() const override { return scorer_.Kind(); }

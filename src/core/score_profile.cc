@@ -8,18 +8,16 @@ namespace esd::core {
 ScoreHistogram ComputeScoreHistogram(const EsdQueryEngine& engine,
                                      uint32_t tau) {
   ScoreHistogram out;
-  out.total_edges = engine.CountWithScoreAtLeast(tau, 0);
-  // Every edge in H(c*) contributes its stored score; every other edge
-  // scores zero (Theorem 4 argument: no component size lies in [tau, c*)).
-  TopKResult scored = engine.QueryWithScoreAtLeast(tau, 1);
-  out.max_score = scored.empty() ? 0 : scored.front().score;
+  const TopKResult all = engine.Query(UINT32_MAX, tau, /*pad=*/true);
+  out.total_edges = all.size();
+  // The answer is in descending score order, so its first entry is the max.
+  out.max_score = all.empty() ? 0 : all.front().score;
   out.count.assign(out.max_score + 1, 0);
   uint64_t sum = 0;
-  for (const ScoredEdge& se : scored) {
+  for (const ScoredEdge& se : all) {
     ++out.count[se.score];
     sum += se.score;
   }
-  out.count[0] = out.total_edges - scored.size();
   out.mean = out.total_edges == 0
                  ? 0.0
                  : static_cast<double>(sum) /

@@ -11,8 +11,9 @@ namespace esd::core {
 /// Distribution of diversity scores over all edges at a fixed threshold
 /// tau — the analytics view the paper's case studies eyeball ("when
 /// tau >= 3, the structural diversity scores of most edges in DBLP are no
-/// larger than 3"). Computed straight off the engine in one in-order walk
-/// of H(c*); scorer-generic (works for any EsdQueryEngine, any scorer).
+/// larger than 3"). Computed straight off the engine from one padded Query
+/// over every live edge; scorer-generic (works for any EsdQueryEngine, any
+/// scorer).
 struct ScoreHistogram {
   /// count[s] = number of edges with score exactly s (index 0 included).
   std::vector<uint64_t> count;
@@ -21,9 +22,10 @@ struct ScoreHistogram {
   double mean = 0.0;
 };
 
-/// Builds the histogram for threshold tau. O(|H(c*)| + max_score) on the
-/// index engines (one QueryWithScoreAtLeast walk); a full scan on the
-/// online adapters.
+/// Builds the histogram for threshold tau >= 1 from
+/// Query(UINT32_MAX, tau, /*pad=*/true), which returns every live edge
+/// exactly once with its score. O(live edges + max_score) on the index
+/// engines; the online adapters score every edge.
 ScoreHistogram ComputeScoreHistogram(const EsdQueryEngine& engine,
                                      uint32_t tau);
 

@@ -28,9 +28,6 @@ class GraphBuilder {
     }
   }
 
-  /// Number of queued (not yet deduplicated) edges.
-  size_t NumQueuedEdges() const { return edges_.size(); }
-
   /// Current vertex count.
   VertexId NumVertices() const { return num_vertices_; }
 

@@ -1,7 +1,6 @@
 #ifndef ESD_GRAPH_GRAPH_H_
 #define ESD_GRAPH_GRAPH_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -90,12 +89,6 @@ class Graph {
 
   /// The full edge list, sorted lexicographically; EdgeAt(i) == Edges()[i].
   const std::vector<Edge>& Edges() const { return edges_; }
-
-  /// min{d(u), d(v)} for edge `e` — the paper's min-degree bound base.
-  uint32_t MinDegree(EdgeId e) const {
-    const Edge& uv = edges_[e];
-    return std::min(Degree(uv.u), Degree(uv.v));
-  }
 
  private:
   std::vector<uint64_t> offsets_;     // size n+1

@@ -104,8 +104,8 @@ struct RequestContext {
   uint64_t request_id = 0;
   /// Steady-clock nanos at admission (MonotonicNanos basis).
   uint64_t admit_ns = 0;
-  /// Engine epoch the request was served from (0 for static engines and
-  /// legacy provider mode) — the refreeze stamp for live serving.
+  /// Engine epoch the request was served from (0 for static engines) —
+  /// the refreeze stamp for live serving.
   uint64_t epoch = 0;
   CacheOutcome cache = CacheOutcome::kNone;
   /// Wall nanos attributed to each stage; see Stage for semantics.

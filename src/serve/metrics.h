@@ -13,10 +13,6 @@
 
 namespace esd::serve {
 
-/// The HDR-style histogram now lives in obs/ (shared by the registry);
-/// this alias keeps the serve-layer spelling that predates the move.
-using LatencyHistogram = obs::LatencyHistogram;
-
 /// One coherent read of a service's counters and latency distributions.
 struct MetricsSnapshot {
   uint64_t accepted = 0;         ///< requests admitted to the queue
@@ -26,13 +22,13 @@ struct MetricsSnapshot {
   uint64_t batches = 0;          ///< worker wakeups that drained >= 1 request
   uint64_t slab_searches_saved = 0;  ///< tau-batching: binary searches elided
   uint64_t queue_depth = 0;      ///< requests waiting at snapshot time
-  LatencyHistogram::Snapshot queue_wait;  ///< admission -> worker pickup
-  LatencyHistogram::Snapshot execute;     ///< engine time per served query
-  LatencyHistogram::Snapshot total;       ///< admission -> response ready
+  obs::LatencyHistogram::Snapshot queue_wait;  ///< admission -> worker pickup
+  obs::LatencyHistogram::Snapshot execute;     ///< engine time per served query
+  obs::LatencyHistogram::Snapshot total;       ///< admission -> response ready
   /// Per-stage attribution distributions, indexed by obs::Stage. Every
   /// completed request records all six (zeros included), so _count matches
   /// `completed` and sums partition the end-to-end time.
-  std::array<LatencyHistogram::Snapshot, obs::kNumStages> stages;
+  std::array<obs::LatencyHistogram::Snapshot, obs::kNumStages> stages;
 };
 
 /// The instrumentation an EsdQueryService carries, hosted on an

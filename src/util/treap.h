@@ -10,12 +10,13 @@
 
 namespace esd::util {
 
-/// Order-statistics treap: the "self-balance binary search tree" the paper
-/// uses for every sorted list H(c) of the ESDIndex (Section IV-A).
+/// Treap: the "self-balance binary search tree" the paper uses for every
+/// sorted list H(c) of the ESDIndex (Section IV-A).
 ///
-/// Supports O(log n) expected insert/erase/contains/rank/k-th, an O(n)
-/// bulk build from sorted input (used by the index builders), and in-order
-/// traversal with early termination (the O(k log n) top-k scan).
+/// Supports O(log n) expected insert/erase/contains, an O(n) bulk build
+/// from sorted input (used by the index builders), and in-order traversal
+/// with early termination (the O(k log n) top-k scan) — all that a list
+/// walked for its first k entries and repaired by insert and erase needs.
 ///
 /// Nodes live in a contiguous pool with a free list, so the treap is
 /// trivially copyable — index maintenance exploits this to clone an H(c')
@@ -67,55 +68,11 @@ class Treap {
     return false;
   }
 
-  /// Pointer to the i-th smallest key (0-based), or nullptr if out of range.
-  const Key* Kth(size_t i) const {
-    if (i >= count_) return nullptr;
-    uint32_t n = root_;
-    while (true) {
-      size_t ls = SubtreeSize(nodes_[n].left);
-      if (i < ls) {
-        n = nodes_[n].left;
-      } else if (i == ls) {
-        return &nodes_[n].key;
-      } else {
-        i -= ls + 1;
-        n = nodes_[n].right;
-      }
-    }
-  }
-
-  /// Number of keys strictly less than `key`.
-  size_t Rank(const Key& key) const {
-    size_t rank = 0;
-    uint32_t n = root_;
-    while (n != kNil) {
-      if (less_(nodes_[n].key, key)) {
-        rank += SubtreeSize(nodes_[n].left) + 1;
-        n = nodes_[n].right;
-      } else {
-        n = nodes_[n].left;
-      }
-    }
-    return rank;
-  }
-
   /// In-order traversal; `fn(key)` returns false to stop early. Returns
   /// false if the traversal was stopped.
   template <typename Fn>
   bool ForEachInOrder(Fn&& fn) const {
     return Walk(root_, fn);
-  }
-
-  /// Collects the first k keys in sorted order.
-  std::vector<Key> TopK(size_t k) const {
-    std::vector<Key> out;
-    out.reserve(std::min(k, count_));
-    ForEachInOrder([&](const Key& key) {
-      if (out.size() >= k) return false;
-      out.push_back(key);
-      return true;
-    });
-    return out;
   }
 
   /// Rebuilds the treap from strictly-increasing sorted keys in O(n),
@@ -140,15 +97,11 @@ class Treap {
       }
       spine.push_back(n);
     }
-    // Fix subtree sizes bottom-up along the spine and recursively; a single
-    // post-order pass over the pool suffices because children were created
-    // before parents only along left links. Do an explicit recomputation.
-    RecomputeSizes(root_);
     count_ = sorted.size();
   }
 
   /// Structural self-check (tests/debug): verifies the BST order, the
-  /// max-heap priority invariant, and subtree-size bookkeeping. O(n).
+  /// max-heap priority invariant, and the key count. O(n).
   bool ValidateStructure() const {
     size_t visited = 0;
     bool ok = ValidateRec(root_, nullptr, nullptr, &visited);
@@ -168,9 +121,6 @@ class Treap {
     if (node.right != kNil && nodes_[node.right].prio > node.prio) {
       return false;
     }
-    if (node.size != 1 + SubtreeSize(node.left) + SubtreeSize(node.right)) {
-      return false;
-    }
     *visited += 1;
     return ValidateRec(node.left, lo, &node.key, visited) &&
            ValidateRec(node.right, &node.key, hi, visited);
@@ -181,25 +131,17 @@ class Treap {
     uint32_t prio;
     uint32_t left = kNil;
     uint32_t right = kNil;
-    uint32_t size = 1;
   };
-
-  size_t SubtreeSize(uint32_t n) const { return n == kNil ? 0 : nodes_[n].size; }
-
-  void Pull(uint32_t n) {
-    nodes_[n].size = static_cast<uint32_t>(
-        1 + SubtreeSize(nodes_[n].left) + SubtreeSize(nodes_[n].right));
-  }
 
   uint32_t NewNode(const Key& key) {
     uint32_t prio = static_cast<uint32_t>(rng_.Next());
     if (!free_.empty()) {
       uint32_t n = free_.back();
       free_.pop_back();
-      nodes_[n] = Node{key, prio, kNil, kNil, 1};
+      nodes_[n] = Node{key, prio, kNil, kNil};
       return n;
     }
-    nodes_.push_back(Node{key, prio, kNil, kNil, 1});
+    nodes_.push_back(Node{key, prio, kNil, kNil});
     return static_cast<uint32_t>(nodes_.size() - 1);
   }
 
@@ -207,8 +149,6 @@ class Treap {
     uint32_t l = nodes_[n].left;
     nodes_[n].left = nodes_[l].right;
     nodes_[l].right = n;
-    Pull(n);
-    Pull(l);
     return l;
   }
 
@@ -216,8 +156,6 @@ class Treap {
     uint32_t r = nodes_[n].right;
     nodes_[n].right = nodes_[r].left;
     nodes_[r].left = n;
-    Pull(n);
-    Pull(r);
     return r;
   }
 
@@ -228,11 +166,9 @@ class Treap {
     }
     if (less_(key, nodes_[n].key)) {
       nodes_[n].left = InsertRec(nodes_[n].left, key, inserted);
-      Pull(n);
       if (nodes_[nodes_[n].left].prio > nodes_[n].prio) n = RotateRight(n);
     } else if (less_(nodes_[n].key, key)) {
       nodes_[n].right = InsertRec(nodes_[n].right, key, inserted);
-      Pull(n);
       if (nodes_[nodes_[n].right].prio > nodes_[n].prio) n = RotateLeft(n);
     }
     return n;
@@ -242,10 +178,8 @@ class Treap {
     if (n == kNil) return kNil;
     if (less_(key, nodes_[n].key)) {
       nodes_[n].left = EraseRec(nodes_[n].left, key, erased);
-      Pull(n);
     } else if (less_(nodes_[n].key, key)) {
       nodes_[n].right = EraseRec(nodes_[n].right, key, erased);
-      Pull(n);
     } else {
       *erased = true;
       if (nodes_[n].left == kNil) {
@@ -265,7 +199,6 @@ class Treap {
         n = RotateLeft(n);
         nodes_[n].left = EraseRec(nodes_[n].left, key, erased);
       }
-      Pull(n);
     }
     return n;
   }
@@ -276,13 +209,6 @@ class Treap {
     if (!Walk(nodes_[n].left, fn)) return false;
     if (!fn(nodes_[n].key)) return false;
     return Walk(nodes_[n].right, fn);
-  }
-
-  uint32_t RecomputeSizes(uint32_t n) {
-    if (n == kNil) return 0;
-    nodes_[n].size =
-        1 + RecomputeSizes(nodes_[n].left) + RecomputeSizes(nodes_[n].right);
-    return nodes_[n].size;
   }
 
   Less less_;

@@ -83,7 +83,7 @@ TEST(EdgeCasesTest, KAndTauExtremes) {
   EXPECT_EQ(r.size(), 5u);
   for (const auto& se : r) EXPECT_EQ(se.score, 0u);
   // k == exact list size boundary (no padding needed).
-  size_t positive = index.QueryWithScoreAtLeast(1, 1).size();
+  size_t positive = index.Query(UINT32_MAX, 1, false).size();
   EXPECT_EQ(index.Query(static_cast<uint32_t>(positive), 1, false).size(),
             positive);
 }

@@ -80,16 +80,6 @@ void ExpectEngineParity(const EsdIndex& index, const FrozenEsdIndex& frozen) {
       EXPECT_EQ(frozen.Query(k, tau, false), index.Query(k, tau, false))
           << "k=" << k << " tau=" << tau << " (no padding)";
     }
-    for (uint32_t min_score : {0u, 1u, 2u, 5u}) {
-      EXPECT_EQ(frozen.CountWithScoreAtLeast(tau, min_score),
-                index.CountWithScoreAtLeast(tau, min_score))
-          << "tau=" << tau << " min_score=" << min_score;
-      for (size_t limit : {size_t{0}, size_t{3}}) {
-        EXPECT_EQ(frozen.QueryWithScoreAtLeast(tau, min_score, limit),
-                  index.QueryWithScoreAtLeast(tau, min_score, limit))
-            << "tau=" << tau << " min_score=" << min_score;
-      }
-    }
     for (graph::EdgeId e = 0; e < index.EdgeSlotCount(); ++e) {
       if (!index.IsLive(e)) continue;
       EXPECT_EQ(frozen.ScoreOf(e, tau), index.ScoreOf(e, tau))
@@ -187,7 +177,6 @@ TEST(FrozenIndexTest, QueriesAgainstNaiveGroundTruth) {
 TEST(FrozenIndexTest, EmptyAndDefaultImages) {
   FrozenEsdIndex def;
   EXPECT_EQ(def.Query(5, 2), TopKResult{});
-  EXPECT_EQ(def.CountWithScoreAtLeast(2, 1), 0u);
   EXPECT_EQ(def.MemoryBytes(), 0u);
 
   FrozenEsdIndex empty =
@@ -730,10 +719,6 @@ TEST(QueryEngineTest, FactoryCoversAllEnginesWithEqualAnswers) {
       // is still the same.
       EXPECT_EQ(core::Scores(got), core::Scores(want)) << name;
     }
-    EXPECT_EQ(engine->CountWithScoreAtLeast(2, 1),
-              core::BuildQueryEngine(g, "treap", core::EsdScorer(), &error)
-                  ->CountWithScoreAtLeast(2, 1))
-        << name;
   }
   std::string error;
   EXPECT_EQ(core::BuildQueryEngine(g, "no-such-engine", core::EsdScorer(),

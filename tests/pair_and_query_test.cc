@@ -127,53 +127,6 @@ TEST(PairDiversityTest, EmptyAndTinyGraphs) {
 }
 
 // ---------------------------------------------------------------------------
-// Threshold queries on the index
-// ---------------------------------------------------------------------------
-
-TEST(ThresholdQueryTest, CountMatchesNaive) {
-  Graph g = gen::ErdosRenyiGnp(40, 0.3, 31);
-  EsdIndex index = BuildIndex(g);
-  for (uint32_t tau : {1u, 2u, 3u}) {
-    std::vector<uint32_t> scores = AllEdgeScores(g, tau);
-    for (uint32_t min_score : {1u, 2u, 3u, 5u}) {
-      uint64_t want = 0;
-      for (uint32_t s : scores) want += s >= min_score;
-      EXPECT_EQ(index.CountWithScoreAtLeast(tau, min_score), want)
-          << "tau=" << tau << " min=" << min_score;
-    }
-    EXPECT_EQ(index.CountWithScoreAtLeast(tau, 0), g.NumEdges());
-  }
-}
-
-TEST(ThresholdQueryTest, QueryReturnsAllQualifyingEdges) {
-  Graph g = gen::HolmeKim(100, 5, 0.6, 33);
-  EsdIndex index = BuildIndex(g);
-  const uint32_t tau = 2, min_score = 2;
-  TopKResult r = index.QueryWithScoreAtLeast(tau, min_score);
-  EXPECT_EQ(r.size(), index.CountWithScoreAtLeast(tau, min_score));
-  for (const ScoredEdge& se : r) {
-    EXPECT_GE(se.score, min_score);
-    EXPECT_EQ(se.score, EdgeScore(g, se.edge.u, se.edge.v, tau));
-  }
-  EXPECT_TRUE(std::is_sorted(r.begin(), r.end(),
-                             [](const ScoredEdge& a, const ScoredEdge& b) {
-                               return a.score > b.score;
-                             }));
-  // Limit applies.
-  EXPECT_EQ(index.QueryWithScoreAtLeast(tau, min_score, 3).size(),
-            std::min<size_t>(3, r.size()));
-}
-
-TEST(ThresholdQueryTest, DegenerateInputs) {
-  Graph g = gen::ErdosRenyiGnp(20, 0.3, 37);
-  EsdIndex index = BuildIndex(g);
-  EXPECT_TRUE(index.QueryWithScoreAtLeast(0, 1).empty());
-  EXPECT_TRUE(index.QueryWithScoreAtLeast(2, 0).empty());
-  EXPECT_EQ(index.CountWithScoreAtLeast(1000, 1), 0u);
-  EXPECT_TRUE(index.QueryWithScoreAtLeast(1000, 1).empty());
-}
-
-// ---------------------------------------------------------------------------
 // Vertex-level updates
 // ---------------------------------------------------------------------------
 

@@ -98,7 +98,7 @@ TEST(PaperExampleTest, Fig2bExcludedFromH2) {
         << "(" << x << "," << y << ")";
   }
   EsdIndex index = BuildIndexBasic(g);
-  TopKResult h2 = index.QueryWithScoreAtLeast(2, 1);
+  TopKResult h2 = index.Query(UINT32_MAX, 2, false);
   std::set<Edge> h2_edges;
   for (const ScoredEdge& se : h2) h2_edges.insert(se.edge);
   for (auto [x, y] : {std::pair{A, B}, {A, C}, {B, C}, {B, D}, {B, E},
@@ -112,7 +112,7 @@ TEST(PaperExampleTest, Fig2cH4IsTheFifteenCliqueEdges) {
   // (u,v),(u,p),(u,q),(v,p),(v,q),(p,q),(j,p),(j,q),(k,p),(k,q)}".
   Graph g = PaperGraph();
   EsdIndex index = BuildIndex(g);
-  TopKResult h4 = index.QueryWithScoreAtLeast(4, 1);
+  TopKResult h4 = index.Query(UINT32_MAX, 4, false);
   ASSERT_EQ(h4.size(), 15u);
   std::set<Edge> got;
   for (const ScoredEdge& se : h4) {
@@ -134,7 +134,7 @@ TEST(PaperExampleTest, Fig2dH5AndExample3Tau5) {
   // answer for k=3, tau=5 (Example 3).
   Graph g = PaperGraph();
   EsdIndex index = BuildIndex(g);
-  TopKResult h5 = index.QueryWithScoreAtLeast(5, 1);
+  TopKResult h5 = index.Query(UINT32_MAX, 5, false);
   ASSERT_EQ(h5.size(), 3u);
   std::set<Edge> got;
   for (const ScoredEdge& se : h5) {
@@ -183,7 +183,7 @@ TEST(PaperExampleTest, Example7DeletionSplitsAndCreatesH3) {
   EXPECT_EQ(dyn.ScoreOf(J, K, 3), 1u);
   std::vector<uint32_t> c = dyn.Index().DistinctSizes();
   EXPECT_TRUE(std::find(c.begin(), c.end(), 3u) != c.end());
-  TopKResult h3 = dyn.Index().QueryWithScoreAtLeast(3, 1);
+  TopKResult h3 = dyn.Index().Query(UINT32_MAX, 3, false);
   bool found = false;
   for (const ScoredEdge& se : h3) found |= se.edge == graph::MakeEdge(J, K);
   EXPECT_TRUE(found);

@@ -47,9 +47,13 @@ TEST(TreapRobustnessTest, AscendingAndDescendingInsertions) {
   for (int probe = 0; probe < 1000; ++probe) {
     int x = static_cast<int>(rng.NextBounded(kN));
     EXPECT_TRUE(asc.Contains(x));
-    ASSERT_NE(asc.Kth(static_cast<size_t>(x)), nullptr);
-    EXPECT_EQ(*asc.Kth(static_cast<size_t>(x)), x);
-    EXPECT_EQ(*desc.Kth(static_cast<size_t>(x)), x);
+    EXPECT_TRUE(desc.Contains(x));
+  }
+  // Both orders walk back as 0..kN-1.
+  for (const util::Treap<int>* t : {&asc, &desc}) {
+    int want = 0;
+    EXPECT_TRUE(t->ForEachInOrder([&](int x) { return x == want++; }));
+    EXPECT_EQ(want, kN);
   }
 }
 
@@ -61,7 +65,12 @@ TEST(TreapRobustnessTest, EraseEverythingThenReuse) {
     EXPECT_TRUE(t.empty());
   }
   EXPECT_TRUE(t.Insert(42));
-  EXPECT_EQ(*t.Kth(0), 42);
+  std::vector<int> keys;
+  t.ForEachInOrder([&](int x) {
+    keys.push_back(x);
+    return true;
+  });
+  EXPECT_EQ(keys, std::vector<int>{42});
 }
 
 TEST(TreapRobustnessTest, BuildFromSortedEmptyAndSingle) {

@@ -1,10 +1,15 @@
+#include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/frozen_index.h"
 #include "core/index_builder.h"
 #include "core/naive_topk.h"
+#include "core/query_engine.h"
 #include "core/score_profile.h"
+#include "core/scorer.h"
 #include "gen/erdos_renyi.h"
 #include "gen/holme_kim.h"
 #include "graph/builder.h"
@@ -40,6 +45,54 @@ TEST(ScoreProfileTest, MatchesNaiveHistogram) {
                       ? 0.0
                       : static_cast<double>(sum) / scores.size());
     }
+  }
+}
+
+/// Expects ComputeScoreHistogram(engine, tau) to be the histogram of
+/// `scores` (one per edge).
+void ExpectHistogramOf(const EsdQueryEngine& engine, uint32_t tau,
+                       const std::vector<uint32_t>& scores) {
+  const ScoreHistogram h = ComputeScoreHistogram(engine, tau);
+  std::vector<uint64_t> want;
+  uint64_t sum = 0;
+  for (uint32_t s : scores) {
+    if (s >= want.size()) want.resize(s + 1, 0);
+    ++want[s];
+    sum += s;
+  }
+  const std::string where =
+      std::string(engine.EngineName()) + " tau=" + std::to_string(tau);
+  EXPECT_EQ(h.count, want) << where;
+  EXPECT_EQ(h.total_edges, scores.size()) << where;
+  EXPECT_EQ(h.max_score, want.empty() ? 0 : want.size() - 1) << where;
+  EXPECT_DOUBLE_EQ(h.mean, scores.empty()
+                               ? 0.0
+                               : static_cast<double>(sum) / scores.size())
+      << where;
+}
+
+TEST(ScoreProfileTest, EveryEngineMatchesNaive) {
+  const Graph g = gen::HolmeKim(80, 4, 0.6, 3);
+  for (const std::string& name : QueryEngineNames()) {
+    std::string error;
+    const std::unique_ptr<EsdQueryEngine> engine =
+        BuildQueryEngine(g, name, EsdScorer(), &error);
+    ASSERT_NE(engine, nullptr) << error;
+    for (uint32_t tau : {1u, 2u, 3u}) {
+      ExpectHistogramOf(*engine, tau, AllEdgeScores(g, tau));
+    }
+  }
+  // A scorer other than ESD: the full-scan adapter and a frozen index,
+  // both against the scorer's single-edge reference.
+  const ScorerOnlineEngine ref(g, TrussScorer());
+  const FrozenEsdIndex frozen = BuildFrozenIndex(g, TrussScorer());
+  for (uint32_t tau : {1u, 2u, 3u}) {
+    std::vector<uint32_t> scores;
+    for (graph::EdgeId e = 0; e < g.NumEdges(); ++e) {
+      scores.push_back(ref.ScoreOf(e, tau));
+    }
+    ExpectHistogramOf(ref, tau, scores);
+    ExpectHistogramOf(frozen, tau, scores);
   }
 }
 

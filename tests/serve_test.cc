@@ -35,8 +35,8 @@ namespace {
 
 using core::FrozenEsdIndex;
 using core::TopKResult;
+using obs::LatencyHistogram;
 using serve::EsdQueryService;
-using serve::LatencyHistogram;
 using serve::MetricsSnapshot;
 using serve::QueryRequest;
 using serve::QueryResponse;
