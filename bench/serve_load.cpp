@@ -28,7 +28,9 @@
 // tables and as the machine-readable JSON lines bench_common.h emits.
 // Closed-loop rows also carry the cost of one request to the whole
 // process, clients included: allocs_per_request (this binary counts
-// operator new) and cpu_ns_per_request (process CPU time).
+// operator new) and cpu_ns_per_request (process CPU time). Every row that
+// carries the service's counters has inline_hits: the cache hits answered
+// on the client's own thread, with no queue or worker.
 
 #include <algorithm>
 #include <atomic>
@@ -730,8 +732,8 @@ int main(int argc, char** argv) {
     std::printf(
         "\nskew sweep: %zu-entry result cache, %zux%zu (tau,k) ladder\n",
         kCacheEntries, skew_taus.size(), skew_ks.size());
-    std::printf("%-20s %8s %10s %10s %10s %9s\n", "op", "zipf_s", "qps",
-                "p99(us)", "hits", "hit_rate");
+    std::printf("%-20s %8s %10s %10s %10s %9s %10s\n", "op", "zipf_s", "qps",
+                "p99(us)", "hits", "hit_rate", "inline");
     double cached_qps = 0;
     double uncached_qps = 0;
     struct SkewCfg {
@@ -753,10 +755,11 @@ int main(int argc, char** argv) {
       char op[40];
       std::snprintf(op, sizeof(op), "skew-s%.2f-%s", cfg.s,
                     cfg.cache ? "cache" : "nocache");
-      std::printf("%-20s %8.2f %10.0f %10.1f %10llu %8.1f%%\n", op, cfg.s,
-                  qps, snap.total.p99_us,
+      std::printf("%-20s %8.2f %10.0f %10.1f %10llu %8.1f%% %10llu\n", op,
+                  cfg.s, qps, snap.total.p99_us,
                   static_cast<unsigned long long>(cstats.hits),
-                  100.0 * cstats.hit_rate);
+                  100.0 * cstats.hit_rate,
+                  static_cast<unsigned long long>(snap.inline_hits));
       char head[256], tail[256];
       std::snprintf(
           head, sizeof(head),

@@ -344,11 +344,12 @@ void Stats(ServerState& s, Args&, std::string* out) {
   const serve::MetricsSnapshot m = s.service->metrics().Snap();
   AppendF(out,
           "OK accepted=%llu completed=%llu rejected=%llu "
-          "deadline_missed=%llu batches=%llu queue_depth=%llu "
-          "p50_us=%.1f p95_us=%.1f p99_us=%.1f",
+          "deadline_missed=%llu batches=%llu inline_hits=%llu "
+          "queue_depth=%llu p50_us=%.1f p95_us=%.1f p99_us=%.1f",
           static_cast<ull>(m.accepted), static_cast<ull>(m.completed),
           static_cast<ull>(m.rejected), static_cast<ull>(m.deadline_missed),
-          static_cast<ull>(m.batches), static_cast<ull>(m.queue_depth),
+          static_cast<ull>(m.batches), static_cast<ull>(m.inline_hits),
+          static_cast<ull>(m.queue_depth),
           m.total.p50_us, m.total.p95_us, m.total.p99_us);
   s.admin->AppendStats(out);
   if (const serve::ResultCache* cache = s.service->cache()) {

@@ -15,11 +15,12 @@ namespace esd::serve {
 
 /// One coherent read of a service's counters and latency distributions.
 struct MetricsSnapshot {
-  uint64_t accepted = 0;         ///< requests admitted to the queue
+  uint64_t accepted = 0;         ///< requests admitted (queued or inline hits)
   uint64_t rejected = 0;         ///< bounced by bounded admission (or stop)
   uint64_t completed = 0;        ///< served with an engine answer
   uint64_t deadline_missed = 0;  ///< expired in the queue, never executed
   uint64_t batches = 0;          ///< worker wakeups that drained >= 1 request
+  uint64_t inline_hits = 0;      ///< cache hits answered on the caller's thread
   uint64_t slab_searches_saved = 0;  ///< tau-batching: binary searches elided
   uint64_t queue_depth = 0;      ///< requests waiting at snapshot time
   obs::LatencyHistogram::Snapshot queue_wait;  ///< admission -> worker pickup
@@ -45,8 +46,9 @@ class ServiceMetrics {
       : owned_(registry == nullptr ? std::make_unique<obs::MetricRegistry>()
                                    : nullptr),
         reg_(registry != nullptr ? *registry : *owned_),
-        accepted_(reg_.GetCounter("esd_serve_accepted_total",
-                                  "Requests admitted to the queue")),
+        accepted_(reg_.GetCounter(
+            "esd_serve_accepted_total",
+            "Requests admitted (queued, or answered inline from the cache)")),
         rejected_(reg_.GetCounter("esd_serve_rejected_total",
                                   "Requests bounced by bounded admission")),
         completed_(reg_.GetCounter("esd_serve_completed_total",
@@ -56,6 +58,10 @@ class ServiceMetrics {
                             "Requests expired in the queue, never executed")),
         batches_(reg_.GetCounter("esd_serve_batches_total",
                                  "Worker wakeups that drained >= 1 request")),
+        inline_hits_(reg_.GetCounter(
+            "esd_serve_inline_hits_total",
+            "Result-cache hits answered on the submitting thread, with no "
+            "queue or worker")),
         slab_searches_saved_(
             reg_.GetCounter("esd_serve_slab_searches_saved_total",
                             "Slab binary searches elided by tau-batching")),
@@ -96,6 +102,7 @@ class ServiceMetrics {
 
   void RecordAccepted() { accepted_.Inc(); }
   void RecordRejected() { rejected_.Inc(); }
+  void RecordInlineHit() { inline_hits_.Inc(); }
   void RecordBatch(size_t distinct_taus, size_t batched_queries) {
     batches_.Inc();
     slab_searches_saved_.Inc(batched_queries - distinct_taus);
@@ -134,6 +141,7 @@ class ServiceMetrics {
     s.completed = completed_.Value();
     s.deadline_missed = deadline_missed_.Value();
     s.batches = batches_.Value();
+    s.inline_hits = inline_hits_.Value();
     s.slab_searches_saved = slab_searches_saved_.Value();
     s.queue_depth = static_cast<uint64_t>(queue_depth_.Value());
     s.queue_wait = queue_wait_.Snap();
@@ -153,6 +161,7 @@ class ServiceMetrics {
   obs::Counter& completed_;
   obs::Counter& deadline_missed_;
   obs::Counter& batches_;
+  obs::Counter& inline_hits_;
   obs::Counter& slab_searches_saved_;
   obs::Gauge& queue_depth_;
   obs::Histogram& queue_wait_;
@@ -169,7 +178,7 @@ inline std::string MetricsJsonFields(const MetricsSnapshot& s) {
   std::snprintf(
       buf, sizeof(buf),
       "\"accepted\":%llu,\"rejected\":%llu,\"completed\":%llu,"
-      "\"deadline_missed\":%llu,\"batches\":%llu,"
+      "\"deadline_missed\":%llu,\"batches\":%llu,\"inline_hits\":%llu,"
       "\"slab_searches_saved\":%llu,"
       "\"p50_us\":%.3f,\"p95_us\":%.3f,\"p99_us\":%.3f,"
       "\"queue_p95_us\":%.3f,\"exec_p95_us\":%.3f",
@@ -178,6 +187,7 @@ inline std::string MetricsJsonFields(const MetricsSnapshot& s) {
       static_cast<unsigned long long>(s.completed),
       static_cast<unsigned long long>(s.deadline_missed),
       static_cast<unsigned long long>(s.batches),
+      static_cast<unsigned long long>(s.inline_hits),
       static_cast<unsigned long long>(s.slab_searches_saved),
       s.total.p50_us, s.total.p95_us, s.total.p99_us, s.queue_wait.p95_us,
       s.execute.p95_us);

@@ -132,6 +132,8 @@ void EsdQueryService::Start() {
     std::lock_guard<std::mutex> lock(mu_);
     if (started_ || stop_) return;
     started_ = true;
+    // Cache hits may now be answered on callers' threads.
+    inline_gate_.fetch_and(~kInlineClosed);
   }
   runner_ = std::thread([this] {
     // The runner participates in its own ParallelFor, so it is worker 0;
@@ -213,15 +215,78 @@ void EsdQueryService::SubmitAsync(const QueryRequest& request,
                                   std::function<void(QueryResponse)> done) {
   Pending p = MakePending(request);
   p.callback = std::move(done);
-  Enqueue(std::move(p));
-}
-
-void EsdQueryService::Enqueue(Pending&& p) {
-  ResponseStatus bounce = ResponseStatus::kOk;
   // Admission fail point: a fired error action sheds this request exactly
   // like a full queue would (same typed status, same metrics), letting
   // tests and drills exercise the shedding path under any load.
   const bool shed_injected = ESD_FAILPOINT("serve.admission").fired;
+  if (!shed_injected && cache_ != nullptr && ServeInlineHit(p)) return;
+  Enqueue(std::move(p), shed_injected);
+}
+
+bool EsdQueryService::ServeInlineHit(Pending& p) {
+  // Enter the gate unless it is closed (paused or stopped service: the
+  // request goes to the ring, which stages it or bounces it).
+  uint64_t gate = inline_gate_.load();
+  do {
+    if ((gate & kInlineClosed) != 0) return false;
+  } while (!inline_gate_.compare_exchange_weak(gate, gate + kInlineOne));
+
+  // In-process requests start their probe at the admission clock read, so
+  // their queue_wait is exactly 0; a wire-stamped one keeps its socket and
+  // event-loop leg as queue_wait.
+  const bool wire = p.request.arrival_ns != 0;
+  const Clock::time_point picked_up = wire ? Clock::now() : p.enqueued;
+  bool served = false;
+  // An expired request goes to the ring, whose worker answers
+  // kDeadlineMissed.
+  if (picked_up <= p.deadline) {
+    const uint64_t t0 = wire ? Nanos(picked_up) : p.ctx.admit_ns;
+    const PinnedEngine pinned = provider_();
+    QueryResponse response;
+    const QueryRequest& rq = p.request;
+    if (cache_->Lookup(pinned.epoch, rq.tau, rq.k, rq.pad_with_zero_edges,
+                       &response.result)) {
+      const uint64_t t1 = obs::MonotonicNanos();
+      response.ctx = p.ctx;
+      obs::RequestContext& ctx = response.ctx;
+      ctx.epoch = pinned.epoch;
+      ctx.cache = obs::CacheOutcome::kHit;
+      ctx.Charge(obs::Stage::kQueueWait,
+                 t0 > ctx.admit_ns ? t0 - ctx.admit_ns : 0);
+      ctx.Charge(obs::Stage::kCacheLookup, t1 - t0);
+      response.queue_us = Micros(picked_up - p.enqueued);
+      response.exec_us = static_cast<double>(t1 - t0) * 1e-3;
+      response.status = ResponseStatus::kOk;
+      metrics_.RecordAccepted();
+      metrics_.RecordInlineHit();
+      RecordAnswered(p, response, pinned.engine->Scorer(), t1);
+      Resolve(p, std::move(response));
+      served = true;
+    } else {
+      // The lookup counted this request's miss; the worker that serves it
+      // sees kMiss and does not look it up again.
+      p.ctx.cache = obs::CacheOutcome::kMiss;
+    }
+  }
+
+  // Leave the gate. While it is open that is one atomic; once Stop() has
+  // closed it, under mu_, so Stop() cannot see the count reach 0 and
+  // return before this thread is done touching the service.
+  gate = inline_gate_.load();
+  do {
+    if ((gate & kInlineClosed) != 0) {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (inline_gate_.fetch_sub(kInlineOne) == kInlineClosed + kInlineOne) {
+        inline_drained_.notify_all();
+      }
+      break;
+    }
+  } while (!inline_gate_.compare_exchange_weak(gate, gate - kInlineOne));
+  return served;
+}
+
+void EsdQueryService::Enqueue(Pending&& p, bool shed_injected) {
+  ResponseStatus bounce = ResponseStatus::kOk;
   size_t depth = 0;
   bool wake = false;
   {
@@ -278,6 +343,7 @@ void EsdQueryService::Stop() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
+    inline_gate_.fetch_or(kInlineClosed);
     if (!started_) {
       // Paused service: no worker will ever drain the queue; answer the
       // backlog here instead of leaving callbacks unrun.
@@ -292,6 +358,11 @@ void EsdQueryService::Stop() {
     Resolve(p, std::move(response));
   }
   if (runner_.joinable()) runner_.join();
+  // Cache hits answered on callers' threads finish too, as the workers
+  // just did.
+  std::unique_lock<std::mutex> lock(mu_);
+  inline_drained_.wait(
+      lock, [this] { return inline_gate_.load() == kInlineClosed; });
 }
 
 void EsdQueryService::WorkerLoop() {
@@ -320,6 +391,60 @@ void EsdQueryService::WorkerLoop() {
     // Drops the resolved callbacks (and whatever they captured) now, not
     // at the next batch.
     batch.clear();
+  }
+}
+
+void EsdQueryService::RecordAnswered(const Pending& p,
+                                     const QueryResponse& response,
+                                     core::ScorerKind scorer,
+                                     uint64_t now_ns) {
+  const obs::RequestContext& ctx = response.ctx;
+  const bool missed = response.status == ResponseStatus::kDeadlineMissed;
+  if (missed) {
+    metrics_.RecordDeadlineMissed(response.queue_us);
+  } else {
+    metrics_.RecordCompleted(response.queue_us, response.exec_us);
+    metrics_.RecordStages(ctx);
+  }
+  // Missed deadlines are forensic gold: they enter the slow log with their
+  // queue-side attribution even though the engine never ran.
+  SlowQueryRecord rec;
+  rec.request_id = ctx.request_id;
+  rec.epoch = ctx.epoch;
+  // Stamped from a timestamp the caller already took, so the slow log
+  // never reads the clock itself on the hot path.
+  rec.recorded_ns = now_ns;
+  rec.tau = p.request.tau;
+  rec.k = p.request.k;
+  rec.pad_with_zero_edges = p.request.pad_with_zero_edges;
+  rec.deadline_missed = missed;
+  rec.scorer = scorer;
+  rec.cache = ctx.cache;
+  rec.health = p.admit_health;
+  rec.queue_us = response.queue_us;
+  rec.exec_us = response.exec_us;
+  rec.total_us = response.queue_us + response.exec_us;
+  for (size_t s = 0; s < obs::kNumStages; ++s) {
+    rec.stage_us[s] = static_cast<double>(ctx.stage_ns[s]) * 1e-3;
+  }
+  slow_log_.Record(std::move(rec));
+  obs::Tracer& tracer = obs::Tracer::Global();
+  if (!missed && tracer.enabled()) {
+    // One span per stage (execution stages only when nonzero), all joined
+    // by args.rid — a filtered Perfetto view reassembles this request's
+    // admission -> batch -> slab timeline even though it shared a batch and
+    // a worker track. The stages are contiguous from admission on, so each
+    // starts where the one before it ended.
+    uint64_t start = ctx.admit_ns;
+    for (size_t s = 0; s < obs::kNumStages; ++s) {
+      const auto stage = static_cast<obs::Stage>(s);
+      const uint64_t ns = ctx.StageNanos(stage);
+      if (stage <= obs::Stage::kBatchFormation || ns > 0) {
+        tracer.RecordComplete(obs::StageSpanName(stage), start, ns,
+                              ctx.request_id);
+      }
+      start += ns;
+    }
   }
 }
 
@@ -390,30 +515,6 @@ void EsdQueryService::ServeBatch(std::vector<Pending>& batch,
   // its answer (stable pointer into `responses`).
   const QueryRequest* prev_rq = nullptr;
   const core::TopKResult* prev_result = nullptr;
-  obs::Tracer& tracer = obs::Tracer::Global();
-  auto record_slow = [&](const Pending& p, const QueryResponse& r,
-                         bool missed, uint64_t now_ns) {
-    SlowQueryRecord rec;
-    rec.request_id = r.ctx.request_id;
-    rec.epoch = r.ctx.epoch;
-    // Stamped from a timestamp the serving loop already took, so the slow
-    // log never reads the clock itself on the hot path.
-    rec.recorded_ns = now_ns;
-    rec.tau = p.request.tau;
-    rec.k = p.request.k;
-    rec.pad_with_zero_edges = p.request.pad_with_zero_edges;
-    rec.deadline_missed = missed;
-    rec.scorer = pinned.scorer;
-    rec.cache = r.ctx.cache;
-    rec.health = p.admit_health;
-    rec.queue_us = r.queue_us;
-    rec.exec_us = r.exec_us;
-    rec.total_us = r.queue_us + r.exec_us;
-    for (size_t s = 0; s < obs::kNumStages; ++s) {
-      rec.stage_us[s] = static_cast<double>(r.ctx.stage_ns[s]) * 1e-3;
-    }
-    slow_log_.Record(std::move(rec));
-  };
   for (size_t i = 0; i < batch.size(); ++i) {
     const Pending& p = batch[i];
     const Clock::time_point picked_up = Clock::now();
@@ -433,10 +534,7 @@ void EsdQueryService::ServeBatch(std::vector<Pending>& batch,
                t0 > batch_start_ns ? t0 - batch_start_ns : 0);
     if (picked_up > p.deadline) {
       response.status = ResponseStatus::kDeadlineMissed;
-      metrics_.RecordDeadlineMissed(response.queue_us);
-      // Missed deadlines are forensic gold: they enter the slow log with
-      // their queue-side attribution even though the engine never ran.
-      record_slow(p, response, /*missed=*/true, t0);
+      RecordAnswered(p, response, pinned.scorer, t0);
     } else {
       const QueryRequest& rq = p.request;
       if (!have_tau || last_tau != rq.tau) {
@@ -450,6 +548,10 @@ void EsdQueryService::ServeBatch(std::vector<Pending>& batch,
       uint64_t t1 = t0;
       uint64_t t2 = t0;
       uint64_t t3 = t0;
+      // A request that missed the cache at admission has had its one
+      // lookup (and its one counted outcome): it is not looked up again.
+      const bool look_up =
+          cache_ != nullptr && ctx.cache != obs::CacheOutcome::kMiss;
       if (prev_rq != nullptr && prev_rq->tau == rq.tau &&
           prev_rq->k == rq.k &&
           prev_rq->pad_with_zero_edges == rq.pad_with_zero_edges) {
@@ -458,7 +560,7 @@ void EsdQueryService::ServeBatch(std::vector<Pending>& batch,
         t1 = t2 = t3 = obs::MonotonicNanos();
         ctx.cache = obs::CacheOutcome::kDedup;
         response.result = *prev_result;
-      } else if (cache_ != nullptr &&
+      } else if (look_up &&
                  cache_->Lookup(pinned.epoch, rq.tau, rq.k,
                                 rq.pad_with_zero_edges, &response.result)) {
         // Cache hit: answered without touching the engine.
@@ -467,9 +569,9 @@ void EsdQueryService::ServeBatch(std::vector<Pending>& batch,
       } else {
         ctx.cache = cache_ != nullptr ? obs::CacheOutcome::kMiss
                                       : obs::CacheOutcome::kNone;
-        // Without a cache there was no lookup to time: cache_lookup is
-        // identically zero and the clock read would only measure itself.
-        t1 = cache_ != nullptr ? obs::MonotonicNanos() : t0;
+        // Without a lookup here there is nothing to time: cache_lookup is
+        // zero and the clock read would only measure itself.
+        t1 = look_up ? obs::MonotonicNanos() : t0;
         uint64_t scan_end_ns = 0;
         response.result = pinned.Execute(rq.k, rq.tau, rq.pad_with_zero_edges,
                                          &scan_end_ns);
@@ -489,26 +591,8 @@ void EsdQueryService::ServeBatch(std::vector<Pending>& batch,
       ctx.Charge(obs::Stage::kMerge, t4 - t3);
       response.exec_us = static_cast<double>(t4 - t0) * 1e-3;
       response.status = ResponseStatus::kOk;
-      metrics_.RecordCompleted(response.queue_us, response.exec_us);
-      metrics_.RecordStages(ctx);
       ++executed;
-      record_slow(p, response, /*missed=*/false, t4);
-      if (tracer.enabled()) {
-        // One span per stage (execution stages only when nonzero), all
-        // joined by args.rid — a filtered Perfetto view reassembles this
-        // request's admission -> batch -> slab timeline even though it
-        // shared a batch and a worker track.
-        const uint64_t starts[obs::kNumStages] = {ctx.admit_ns, batch_start_ns,
-                                                  t0, t1, t2, t3};
-        for (size_t s = 0; s < obs::kNumStages; ++s) {
-          const auto stage = static_cast<obs::Stage>(s);
-          const uint64_t ns = ctx.StageNanos(stage);
-          if (stage <= obs::Stage::kBatchFormation || ns > 0) {
-            tracer.RecordComplete(obs::StageSpanName(stage), starts[s], ns,
-                                  ctx.request_id);
-          }
-        }
-      }
+      RecordAnswered(p, response, pinned.scorer, t4);
     }
   }
   if (executed > 0) metrics_.RecordBatch(distinct_taus, executed);

@@ -107,12 +107,16 @@ struct QueryResponse {
 /// load batches degenerate to size 1 and the service behaves like a plain
 /// thread-per-request executor; under load batching kicks in naturally.
 ///
-/// Ahead of the miss path sits an optional ResultCache
-/// (Options::cache_bytes) keyed by the pinned epoch: repeated
-/// (tau, k, pad) traffic within one epoch is answered from the cache
-/// without touching the engine, and an epoch change invalidates the
-/// cache in O(1). Batches are grouped by (tau, k, pad) so identical
-/// requests inside one batch are answered once and copied.
+/// Ahead of the ring sits an optional ResultCache (Options::cache_bytes)
+/// keyed by the pinned epoch. On a started service, admission pins the
+/// provider's current epoch and probes the cache on the caller's thread: a
+/// hit is answered there and then, with no ring slot, worker wake-up or
+/// hand-off (queue_wait and batch_formation 0, cache_lookup timed), and
+/// only misses enter the ring. The probe is the request's one cache
+/// outcome: a worker serving a request that missed at admission does not
+/// look it up again. An epoch change invalidates the cache in O(1).
+/// Batches are grouped by (tau, k, pad) so identical requests inside one
+/// batch are answered once and copied.
 ///
 /// Engines are shared by const reference across all workers, relying on
 /// the EsdQueryEngine thread-safety contract: the caller must not mutate
@@ -121,9 +125,11 @@ struct QueryResponse {
 ///
 /// Every request completes through one channel, its callback: SubmitAsync
 /// takes it from the caller, Submit's callback fulfils the future it
-/// returned, and Query's fills a waiter on Query's own stack. Stop() (also run by the destructor) drains gracefully: every
-/// admitted request is still served; only requests submitted after Stop()
-/// — or left queued when a paused service is torn down — see kShutdown.
+/// returned, and Query's fills a waiter on Query's own stack. Stop() (also
+/// run by the destructor) drains gracefully: every admitted request is
+/// still served, and callbacks running inline on callers' threads finish
+/// before it returns; only requests submitted after Stop() — or left
+/// queued when a paused service is torn down — see kShutdown.
 class EsdQueryService {
  public:
   struct Options {
@@ -185,24 +191,27 @@ class EsdQueryService {
   std::future<QueryResponse> Submit(const QueryRequest& request);
 
   /// Callback-completion admission: `done` is invoked exactly once with the
-  /// response — from a worker thread on the normal path, or synchronously
-  /// on the calling thread when the request bounces at admission (queue
-  /// full, post-Stop). Same admission, deadline, batching, cache, and
+  /// response — from a worker thread when the request is served from the
+  /// ring, or synchronously on the calling thread, before SubmitAsync
+  /// returns, when it bounces at admission (queue full, post-Stop) or is a
+  /// result-cache hit. Same admission, deadline, batching, cache, and
   /// telemetry semantics as Submit. The network front end uses this to
   /// fan responses back into its event loop without a blocking future wait
-  /// per connection; callers must therefore not hold locks the callback
-  /// also takes. An empty `done` drops the response. std::function keeps
+  /// per connection. Because a hit completes on the calling thread, callers
+  /// must not hold locks the callback also takes, and a callback must not
+  /// call Stop(). An empty `done` drops the response. std::function keeps
   /// a `done` that captures at most a pointer inline, with no allocation.
   void SubmitAsync(const QueryRequest& request,
                    std::function<void(QueryResponse)> done);
 
   /// Blocking convenience wrapper: SubmitAsync + wait, with no future.
-  /// Deadlocks on a paused service (nothing serves the queue) — call
-  /// Start() first.
+  /// Deadlocks on a paused service (nothing serves the queue, and a paused
+  /// service answers nothing inline) — call Start() first.
   QueryResponse Query(const QueryRequest& request);
 
   /// Stops accepting work, serves everything already admitted, joins the
-  /// workers. Idempotent; called by the destructor.
+  /// workers and waits for callbacks of cache hits still running on
+  /// callers' threads. Idempotent; called by the destructor.
   void Stop();
 
   const ServiceMetrics& metrics() const { return metrics_; }
@@ -273,14 +282,26 @@ class EsdQueryService {
   /// the calling worker's buffers, reused across batches.
   void ServeBatch(std::vector<Pending>& batch,
                   std::vector<QueryResponse>& responses);
+  /// Answers `p` on the calling thread when the service is started and the
+  /// cache holds its answer for the provider's current epoch; returns false
+  /// (with p untouched but for a kMiss outcome once the cache was probed)
+  /// when the request must go to the ring instead.
+  bool ServeInlineHit(Pending& p);
+  /// Bookkeeping of one answered request (served or deadline-missed):
+  /// metrics, stage histograms, slow log and trace spans. The one routine
+  /// behind both the worker's batches and inline hits; `now_ns` is a clock
+  /// read the caller already took.
+  void RecordAnswered(const Pending& p, const QueryResponse& response,
+                      core::ScorerKind scorer, uint64_t now_ns);
   /// Builds a Pending (timestamps, telemetry context, admit health),
   /// honoring QueryRequest::arrival_ns as the enqueue instant when set.
   Pending MakePending(const QueryRequest& request);
-  /// Shared admission bottom half of Submit/SubmitAsync.
-  void Enqueue(Pending&& p);
+  /// Admission bottom half of SubmitAsync: queues `p`, or bounces it
+  /// (stopped, `shed_injected`, queue full) on the caller's thread.
+  void Enqueue(Pending&& p, bool shed_injected);
   /// Delivers a response through the request's callback. Every Pending
-  /// passes through here exactly once — admission bounce, Stop orphan, or
-  /// served batch.
+  /// passes through here exactly once — admission bounce, inline hit, Stop
+  /// orphan, or served batch.
   static void Resolve(Pending& p, QueryResponse response);
 
   static std::unique_ptr<ResultCache> MakeCache(const Options& options,
@@ -317,6 +338,16 @@ class EsdQueryService {
   size_t idle_workers_ = 0;
   bool stop_ = false;
   bool started_ = false;
+
+  /// Gate of the inline hit path: kInlineClosed is set until Start() and
+  /// again from Stop() on; the rest counts inline hits in flight, in units
+  /// of kInlineOne. An open gate is entered and left with one atomic each,
+  /// without mu_; a hit that leaves a closed gate does so under mu_ and
+  /// wakes Stop(), which waits on inline_drained_ for the count to reach 0.
+  static constexpr uint64_t kInlineClosed = 1;
+  static constexpr uint64_t kInlineOne = 2;
+  std::atomic<uint64_t> inline_gate_{kInlineClosed};
+  std::condition_variable inline_drained_;
 
   /// Drives pool_.ParallelFor(0, num_threads_, ...) with one WorkerLoop per
   /// iteration; exists so construction returns while workers run.

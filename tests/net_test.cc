@@ -570,6 +570,16 @@ class NetServerTest : public ::testing::Test {
     service_.reset();
   }
 
+  // Swaps in a service with a result cache (call before StartServer): its
+  // hits complete on the loop thread, inside SubmitQuery.
+  void UseCachedService() {
+    EsdQueryService::Options sopts;
+    sopts.num_threads = 2;
+    sopts.max_queue = 1 << 14;
+    sopts.cache_bytes = 1 << 20;
+    service_ = std::make_unique<EsdQueryService>(*frozen_, sopts);
+  }
+
   NetServer* StartServer(NetServer::Options nopts = {}) {
     nopts.registry = &registry_;
     NetServer::Handlers h;
@@ -688,6 +698,74 @@ TEST_F(NetServerTest, PipelinedResponsesArriveInRequestOrder) {
     ASSERT_EQ(net::DecodeQueryResult(frame.payload, &r), WireStatus::kOk);
     EXPECT_EQ(r.cid, 1000 + i) << "out-of-order response at position " << i;
   }
+}
+
+TEST_F(NetServerTest, CachedPipelineMixesInlineHitsAndMissesInOrder) {
+  UseCachedService();
+  NetServer* srv = StartServer();
+  BlockingClient client;
+  std::string error;
+  ASSERT_TRUE(client.Connect("127.0.0.1", srv->port(), &error)) << error;
+
+  // Six keys; the first three are warmed, so a burst over all six mixes
+  // hits answered on the loop thread with misses served by the workers.
+  auto frame_for = [](uint64_t i) {
+    QueryFrame q;
+    q.cid = 5000 + i;
+    q.k = 3 + static_cast<uint32_t>(i % 6);
+    q.tau = 1 + static_cast<uint32_t>(i % 6) / 2;
+    q.pad_with_zero_edges = 1;
+    return q;
+  };
+  for (uint64_t i = 0; i < 3; ++i) {
+    QueryResultFrame warm;
+    ASSERT_TRUE(client.Query(frame_for(i), &warm));
+  }
+  auto read_in_order = [&](uint64_t n) {
+    for (uint64_t i = 0; i < n; ++i) {
+      Frame frame;
+      ASSERT_EQ(client.RecvFrame(&frame), WireStatus::kOk) << "response " << i;
+      ASSERT_EQ(frame.type, FrameType::kQueryResult);
+      QueryResultFrame r;
+      ASSERT_EQ(net::DecodeQueryResult(frame.payload, &r), WireStatus::kOk);
+      const QueryFrame q = frame_for(i);
+      EXPECT_EQ(r.cid, q.cid) << "out-of-order response at position " << i;
+      EXPECT_EQ(r.status, static_cast<uint8_t>(ResponseStatus::kOk));
+      const core::TopKResult want = frozen_->Query(q.k, q.tau);
+      ASSERT_EQ(r.edges.size(), want.size()) << "position " << i;
+      for (size_t e = 0; e < want.size(); ++e) {
+        EXPECT_EQ(r.edges[e].u, want[e].edge.u);
+        EXPECT_EQ(r.edges[e].v, want[e].edge.v);
+        EXPECT_EQ(r.edges[e].score, want[e].score);
+      }
+    }
+  };
+  constexpr uint64_t kN = 48;
+  std::string burst;
+  for (uint64_t i = 0; i < kN; ++i) burst += EncodeQuery(frame_for(i));
+  ASSERT_TRUE(client.SendRaw(burst));
+  read_in_order(kN);
+  const uint64_t inline_hits = service_->metrics().Snap().inline_hits;
+  EXPECT_GE(inline_hits, kN / 2);  // the warm half at least
+  EXPECT_LT(inline_hits, kN + 3);  // the cold keys missed first
+
+  // A second burst, then a graceful shutdown: every answer still arrives
+  // and nothing is left in flight.
+  burst.clear();
+  for (uint64_t i = 0; i < kN; ++i) burst += EncodeQuery(frame_for(i));
+  ASSERT_TRUE(client.SendRaw(burst));
+  for (int i = 0; i < 200 && srv->SnapStats().queries < 2 * kN + 3; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(srv->SnapStats().queries, 2 * kN + 3);
+  srv->RequestShutdown();
+  read_in_order(kN);
+  Frame tail;
+  EXPECT_NE(client.RecvFrame(&tail), WireStatus::kOk);  // closed after drain
+  server_->Shutdown();
+  const NetServer::Stats stats = server_->SnapStats();
+  EXPECT_EQ(stats.inflight, 0u);
+  EXPECT_EQ(stats.open_connections, 0u);
 }
 
 TEST_F(NetServerTest, MalformedFrameGetsTypedErrorAndClose) {

@@ -25,6 +25,7 @@
 #include "gen/erdos_renyi.h"
 #include "graph/graph.h"
 #include "obs/metrics.h"
+#include "obs/request_context.h"
 #include "serve/metrics.h"
 #include "serve/query_service.h"
 #include "serve/result_cache.h"
@@ -216,6 +217,147 @@ TEST(ServeTest, StopDrainsAdmittedAndBouncesLate) {
     EXPECT_EQ(f.get().status, ResponseStatus::kOk);  // graceful drain
   }
   EXPECT_EQ(service.Submit({}).get().status, ResponseStatus::kShutdown);
+}
+
+TEST(ServeTest, CacheHitsAnswerInlineWithOneOutcomeEach) {
+  graph::Graph g = gen::BarabasiAlbert(60, 3, 19);
+  FrozenEsdIndex frozen = core::BuildFrozenIndex(g);
+  EsdQueryService::Options opts;
+  opts.num_threads = 1;
+  opts.cache_bytes = 1 << 20;
+  EsdQueryService service(frozen, opts);
+  QueryRequest rq;
+  rq.k = 7;
+  rq.tau = 2;
+  const TopKResult want = frozen.Query(rq.k, rq.tau);
+
+  // A miss at admission goes to the ring, and the worker does not count a
+  // second miss for it.
+  EXPECT_EQ(service.Query(rq).result, want);
+  serve::ResultCache::Stats cache = service.cache()->Snap();
+  EXPECT_EQ(cache.misses, 1u);
+  EXPECT_EQ(cache.hits, 0u);
+
+  // Hits complete on the submitting thread.
+  const std::thread::id caller = std::this_thread::get_id();
+  for (int i = 0; i < 3; ++i) {
+    std::thread::id ran_on;
+    TopKResult got;
+    service.SubmitAsync(rq, [&](QueryResponse resp) {
+      ran_on = std::this_thread::get_id();
+      got = std::move(resp.result);
+    });
+    EXPECT_EQ(ran_on, caller);
+    EXPECT_EQ(got, want);
+  }
+  cache = service.cache()->Snap();
+  EXPECT_EQ(cache.misses, 1u);
+  EXPECT_EQ(cache.hits, 3u);
+  MetricsSnapshot snap = service.metrics().Snap();
+  EXPECT_EQ(snap.inline_hits, 3u);
+  EXPECT_EQ(snap.accepted, 4u);
+  EXPECT_EQ(snap.completed, 4u);
+  EXPECT_EQ(snap.batches, 1u);  // only the miss reached a worker
+
+  // After Stop() a cached key bounces like any other request.
+  service.Stop();
+  EXPECT_EQ(service.Submit(rq).get().status, ResponseStatus::kShutdown);
+  EXPECT_EQ(service.metrics().Snap().inline_hits, 3u);
+}
+
+TEST(ServeTest, StopWaitsForInlineHitCallback) {
+  graph::Graph g = gen::BarabasiAlbert(60, 3, 23);
+  FrozenEsdIndex frozen = core::BuildFrozenIndex(g);
+  EsdQueryService::Options opts;
+  opts.num_threads = 1;
+  opts.cache_bytes = 1 << 20;
+  EsdQueryService service(frozen, opts);
+  QueryRequest rq;
+  rq.k = 5;
+  rq.tau = 1;
+  ASSERT_EQ(service.Query(rq).status, ResponseStatus::kOk);  // warms the key
+
+  std::promise<void> latch;
+  std::shared_future<void> released = latch.get_future().share();
+  std::atomic<bool> entered{false};
+  std::atomic<bool> stopped{false};
+  obs::CacheOutcome outcome = obs::CacheOutcome::kNone;
+  std::thread submitter([&] {
+    service.SubmitAsync(rq, [&](QueryResponse resp) {
+      outcome = resp.ctx.cache;
+      entered.store(true);
+      released.wait();
+    });
+  });
+  while (!entered.load()) std::this_thread::yield();
+  std::thread stopper([&] {
+    service.Stop();
+    stopped.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(stopped.load()) << "Stop() returned under a running callback";
+  latch.set_value();
+  stopper.join();
+  EXPECT_TRUE(stopped.load());
+  submitter.join();
+  EXPECT_EQ(outcome, obs::CacheOutcome::kHit);
+}
+
+TEST(ServeTest, InlineHitsRaceEpochPublishes) {
+  // Three distinct images; epoch e serves images[e % 3].
+  std::vector<std::shared_ptr<const FrozenEsdIndex>> images;
+  for (uint64_t seed : {31u, 32u, 33u}) {
+    images.push_back(std::make_shared<const FrozenEsdIndex>(
+        core::BuildFrozenIndex(gen::BarabasiAlbert(70, 3, seed))));
+  }
+  std::atomic<uint64_t> epoch{0};
+  EsdQueryService::Options opts;
+  opts.num_threads = 2;
+  opts.cache_bytes = 1 << 20;
+  EsdQueryService service(
+      EsdQueryService::EpochEngineProvider(
+          [&]() -> EsdQueryService::PinnedEngine {
+            const uint64_t e = epoch.load();
+            return {images[e % images.size()], e};
+          }),
+      opts);
+
+  std::atomic<bool> done{false};
+  std::thread publisher([&] {
+    for (uint64_t e = 1; !done.load(); ++e) {
+      std::this_thread::sleep_for(std::chrono::microseconds(300));
+      epoch.store(e);
+      if (e % 2 == 0) service.NotifyEpoch(e);  // half rotate eagerly
+    }
+  });
+  constexpr int kReaders = 3;
+  constexpr int kPerReader = 1500;
+  std::atomic<int> wrong{0};
+  std::atomic<int> not_ok{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      for (int i = 0; i < kPerReader; ++i) {
+        QueryRequest rq;
+        rq.tau = 1 + static_cast<uint32_t>((r + i) % 3);
+        rq.k = 3 + 5 * static_cast<uint32_t>(i % 2);
+        const QueryResponse resp = service.Query(rq);
+        if (resp.status != ResponseStatus::kOk) {
+          not_ok.fetch_add(1);
+          continue;
+        }
+        const FrozenEsdIndex& image = *images[resp.ctx.epoch % images.size()];
+        if (resp.result != image.Query(rq.k, rq.tau)) wrong.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : readers) t.join();
+  done.store(true);
+  publisher.join();
+  service.Stop();
+  EXPECT_EQ(not_ok.load(), 0);
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_GT(service.metrics().Snap().inline_hits, 0u);
 }
 
 TEST(ServeTest, PausedTeardownAnswersBacklogWithShutdown) {

@@ -202,6 +202,68 @@ TEST(TelemetryPropagationTest, CacheOutcomeIsHitAfterMiss) {
   EXPECT_EQ(second.ctx.StageNanos(Stage::kSlabScan), 0u);
 }
 
+TEST(TelemetryPropagationTest, InlineHitIsAttributedLoggedAndTraced) {
+  obs::Tracer& tracer = obs::Tracer::Global();
+  tracer.Clear();
+  graph::Graph g = gen::BarabasiAlbert(80, 3, 5);
+  FrozenEsdIndex frozen = core::BuildFrozenIndex(g);
+  EsdQueryService::Options opts;
+  opts.num_threads = 1;
+  opts.cache_bytes = 1 << 20;
+  EsdQueryService service(frozen, opts);
+
+  QueryRequest rq;
+  rq.k = 6;
+  rq.tau = 2;
+  ASSERT_EQ(service.Query(rq).ctx.cache, CacheOutcome::kMiss);
+  // The hit completes on this thread, before SubmitAsync returns.
+  QueryResponse hit;
+  bool answered = false;
+  service.SubmitAsync(rq, [&](QueryResponse resp) {
+    hit = std::move(resp);
+    answered = true;
+  });
+  ASSERT_TRUE(answered);
+  ASSERT_EQ(hit.status, ResponseStatus::kOk);
+  EXPECT_EQ(hit.ctx.cache, CacheOutcome::kHit);
+  EXPECT_EQ(hit.result, frozen.Query(rq.k, rq.tau));
+  EXPECT_EQ(hit.ctx.StageNanos(Stage::kQueueWait), 0u);
+  EXPECT_EQ(hit.ctx.StageNanos(Stage::kBatchFormation), 0u);
+  EXPECT_EQ(hit.queue_us, 0.0);
+  EXPECT_DOUBLE_EQ(hit.ctx.StageMicros(Stage::kCacheLookup), hit.exec_us);
+  ExpectAttributionPartitions(hit);
+  EXPECT_EQ(service.metrics().Snap().inline_hits, 1u);
+  service.Stop();
+
+  // The slow log holds the hit under its rid, with its outcome.
+  bool logged = false;
+  for (const SlowQueryRecord& rec : service.slow_log().Worst()) {
+    if (rec.request_id != hit.ctx.request_id) continue;
+    logged = true;
+    EXPECT_EQ(rec.cache, CacheOutcome::kHit);
+    EXPECT_EQ(rec.queue_us, 0.0);
+    EXPECT_DOUBLE_EQ(rec.exec_us, hit.exec_us);
+  }
+  EXPECT_TRUE(logged);
+
+  if (!tracer.enabled()) return;  // tracing compiled out
+  JsonValue trace;
+  ASSERT_TRUE(JsonParser(tracer.ChromeTraceJson()).Parse(&trace));
+  const JsonValue* events = trace.Find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  std::set<std::string> joined;
+  for (const JsonValue& ev : events->array) {
+    const JsonValue* args = ev.Find("args");
+    if (args == nullptr || args->Find("rid") == nullptr) continue;
+    if (static_cast<uint64_t>(args->Find("rid")->number) ==
+        hit.ctx.request_id) {
+      joined.insert(ev.Find("name")->str);
+    }
+  }
+  EXPECT_TRUE(joined.count("req.cache_lookup")) << joined.size();
+  EXPECT_FALSE(joined.count("req.slab_scan"));
+}
+
 TEST(TelemetryPropagationTest, UncachedServiceReportsOutcomeNone) {
   graph::Graph g = gen::BarabasiAlbert(80, 3, 7);
   FrozenEsdIndex frozen = core::BuildFrozenIndex(g);
