@@ -26,7 +26,7 @@
 namespace {
 
 using Entry = esd::core::EsdIndex::Entry;
-using Less = esd::core::EsdIndex::EntryLess;
+using Less = esd::core::ListOrder;
 using Treap = esd::util::Treap<Entry, Less>;
 
 std::vector<Entry> MakeEntries(size_t n, uint64_t seed) {

@@ -4,7 +4,6 @@
 
 #include "graph/ego_net.h"
 #include "util/binary_heap.h"
-#include "util/flat_map.h"
 #include "util/timer.h"
 
 namespace esd::baselines {
@@ -63,78 +62,41 @@ std::vector<ScoredVertex> OnlineVertexTopK(const Graph& g, uint32_t k,
   return result;
 }
 
-VsdIndex::VsdIndex(const Graph& g) : n_(g.NumVertices()) {
-  // Group vertices by max component size, sweep sizes descending, build
-  // each list from one sorted run (mirrors EsdIndex::BulkLoad).
-  std::vector<std::vector<uint32_t>> sizes(n_);
-  std::map<uint32_t, uint32_t> owner_count;
-  for (VertexId v = 0; v < n_; ++v) {
-    sizes[v] = NeighborhoodComponentSizes(g, v);
-    for (size_t i = 0; i < sizes[v].size(); ++i) {
-      if (i > 0 && sizes[v][i] == sizes[v][i - 1]) continue;
-      ++owner_count[sizes[v][i]];
-    }
+VsdIndex::VsdIndex(const Graph& g) : max_size_(g.NumVertices(), 0) {
+  std::vector<uint64_t> offsets{0};
+  std::vector<uint32_t> values;
+  offsets.reserve(g.NumVertices() + 1);
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    const std::vector<uint32_t> sizes = NeighborhoodComponentSizes(g, v);
+    if (!sizes.empty()) max_size_[v] = sizes.back();
+    values.insert(values.end(), sizes.begin(), sizes.end());
+    offsets.push_back(values.size());
   }
-  std::map<uint32_t, std::vector<VertexId>, std::greater<>> by_max;
-  for (VertexId v = 0; v < n_; ++v) {
-    if (!sizes[v].empty()) by_max[sizes[v].back()].push_back(v);
-  }
-  std::vector<uint32_t> all_c;
-  for (const auto& [c, cnt] : owner_count) all_c.push_back(c);
-
-  std::vector<VertexId> active;
-  auto max_it = by_max.begin();
-  std::vector<Entry> run;
-  for (auto it = all_c.rbegin(); it != all_c.rend(); ++it) {
-    uint32_t c = *it;
-    while (max_it != by_max.end() && max_it->first >= c) {
-      active.insert(active.end(), max_it->second.begin(),
-                    max_it->second.end());
-      ++max_it;
-    }
-    run.clear();
-    for (VertexId v : active) {
-      const auto& s = sizes[v];
-      uint32_t score = static_cast<uint32_t>(
-          s.end() - std::lower_bound(s.begin(), s.end(), c));
-      run.push_back(Entry{score, v});
-    }
-    std::sort(run.begin(), run.end(),
-              [](const Entry& a, const Entry& b) { return EntryLess()(a, b); });
-    List list;
-    list.BuildFromSorted(run);
-    num_entries_ += list.size();
-    lists_.emplace(c, std::move(list));
-  }
+  lists_ = core::LayOutLists(offsets, values);
 }
 
 std::vector<ScoredVertex> VsdIndex::Query(uint32_t k, uint32_t tau,
                                           bool pad_with_zero_vertices) const {
   std::vector<ScoredVertex> out;
   if (k == 0 || tau == 0) return out;
-  auto it = lists_.lower_bound(tau);
-  std::vector<VertexId> taken;
-  if (it != lists_.end()) {
-    it->second.ForEachInOrder([&](const Entry& entry) {
-      if (out.size() >= k) return false;
-      out.push_back(ScoredVertex{entry.v, entry.score});
-      taken.push_back(entry.v);
-      return true;
-    });
-  }
-  if (pad_with_zero_vertices && out.size() < k) {
-    util::FlatSet<VertexId> included(taken.size());
-    for (VertexId v : taken) included.Insert(v);
-    for (VertexId v = 0; v < n_ && out.size() < k; ++v) {
-      if (!included.Contains(v)) out.push_back(ScoredVertex{v, 0});
+  const auto it =
+      std::lower_bound(lists_.sizes.begin(), lists_.sizes.end(), tau);
+  // A vertex is in H(c) exactly when its largest size reaches c. A tau
+  // above every size has no list (c = 0), and every vertex pads.
+  const uint32_t c = it == lists_.sizes.end() ? 0 : *it;
+  if (c != 0) {
+    const size_t i = static_cast<size_t>(it - lists_.sizes.begin());
+    const uint64_t end = std::min<uint64_t>(lists_.offsets[i] + k,
+                                            lists_.offsets[i + 1]);
+    for (uint64_t j = lists_.offsets[i]; j < end; ++j) {
+      out.push_back(ScoredVertex{lists_.entries[j].e, lists_.entries[j].score});
     }
   }
-  return out;
-}
-
-std::vector<uint32_t> VsdIndex::DistinctSizes() const {
-  std::vector<uint32_t> out;
-  for (const auto& [c, list] : lists_) out.push_back(c);
+  if (pad_with_zero_vertices) {
+    for (VertexId v = 0; v < max_size_.size() && out.size() < k; ++v) {
+      if (c == 0 || max_size_[v] < c) out.push_back(ScoredVertex{v, 0});
+    }
+  }
   return out;
 }
 

@@ -2,13 +2,12 @@
 #define ESD_BASELINES_VERTEX_DIVERSITY_INDEX_H_
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "baselines/vertex_diversity.h"
+#include "core/frozen_index.h"
 #include "graph/graph.h"
 #include "obs/search_stats.h"
-#include "util/treap.h"
 
 namespace esd::baselines {
 
@@ -28,41 +27,33 @@ std::vector<ScoredVertex> OnlineVertexTopK(const graph::Graph& g, uint32_t k,
 /// The vertex analogue of the ESDIndex: for every component size c
 /// occurring in some vertex ego-network, a list H(c) of the vertices whose
 /// neighborhood has a component of size >= c, ordered by the structural
-/// diversity computed at threshold c. Queries run in O(k log n + log n);
-/// the same Theorem-4 argument makes snapping tau up to the next occurring
-/// size exact. (The paper leaves vertex indexing as context; we provide it
-/// to show the ESDIndex design generalizes.)
+/// diversity computed at threshold c. The index never changes after the
+/// build, so it keeps the lists as flat slabs, like FrozenEsdIndex: a
+/// query is one binary search plus a slab prefix, and the same Theorem-4
+/// argument makes snapping tau up to the next occurring size exact. (The
+/// paper leaves vertex indexing as context; we provide it to show the
+/// ESDIndex design generalizes.)
 class VsdIndex {
  public:
-  struct Entry {
-    uint32_t score = 0;
-    graph::VertexId v = 0;
-  };
-  struct EntryLess {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.score != b.score) return a.score > b.score;
-      return a.v < b.v;
-    }
-  };
-  using List = util::Treap<Entry, EntryLess>;
-
-  /// Builds the index by computing every vertex's neighborhood components.
+  /// Builds the index by computing every vertex's neighborhood components,
+  /// laid out as flat H(c) slabs by core::LayOutLists (an entry's id field
+  /// holds the vertex).
   explicit VsdIndex(const graph::Graph& g);
 
-  /// Top-k vertex structural diversity query.
+  /// Top-k vertex structural diversity query. Padding appends the vertices
+  /// outside the answered list, ascending.
   std::vector<ScoredVertex> Query(uint32_t k, uint32_t tau,
                                   bool pad_with_zero_vertices = true) const;
 
   /// Distinct component sizes, ascending.
-  std::vector<uint32_t> DistinctSizes() const;
+  std::vector<uint32_t> DistinctSizes() const { return lists_.sizes; }
 
   /// Total entries across all lists.
-  uint64_t NumEntries() const { return num_entries_; }
+  uint64_t NumEntries() const { return lists_.entries.size(); }
 
  private:
-  std::map<uint32_t, List> lists_;
-  graph::VertexId n_ = 0;
-  uint64_t num_entries_ = 0;
+  core::ListLayout lists_;
+  std::vector<uint32_t> max_size_;  // by vertex; 0 when N(v) is empty
 };
 
 }  // namespace esd::baselines

@@ -41,14 +41,24 @@ void EdgeSizeTable::SetEdgeSizes(EdgeId e, std::vector<uint32_t> sorted_sizes) {
   edge_sizes_[e] = std::move(sorted_sizes);
 }
 
-void EdgeSizeTable::BulkLoad(
-    std::vector<Edge> edges,
-    std::vector<std::vector<uint32_t>> sizes_per_edge) {
-  assert(edges.size() == sizes_per_edge.size());
+void EdgeSizeTable::BulkLoad(std::vector<Edge> edges,
+                             std::span<const uint64_t> size_offsets,
+                             std::span<const uint32_t> size_pool,
+                             std::vector<uint8_t> live) {
+  const size_t n = edges.size();
+  // A default-constructed frozen image has no offsets at all.
+  assert(size_offsets.size() == n + 1 || n == 0);
+  assert(live.empty() || live.size() == n);
   edges_ = std::move(edges);
-  edge_sizes_ = std::move(sizes_per_edge);
-  live_.assign(edges_.size(), 1);
+  live_ = live.empty() ? std::vector<uint8_t>(n, 1) : std::move(live);
+  edge_sizes_.resize(n);
   free_ids_.clear();
+  for (EdgeId e = 0; e < n; ++e) {
+    edge_sizes_[e].assign(size_pool.begin() + size_offsets[e],
+                          size_pool.begin() + size_offsets[e + 1]);
+    assert(live_[e] || edge_sizes_[e].empty());
+    if (!live_[e]) free_ids_.push_back(e);
+  }
   if (log_enabled_) {
     // Every slot changed: no earlier position can be patched forward.
     log_.clear();

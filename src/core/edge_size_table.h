@@ -3,6 +3,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "core/scorer.h"
@@ -45,10 +47,18 @@ class EdgeSizeTable {
   /// (ascending).
   void SetEdgeSizes(graph::EdgeId e, std::vector<uint32_t> sorted_sizes);
 
-  /// Edge ids 0..sizes.size()-1 are registered with the given endpoints and
-  /// multisets (each ascending). Replaces current contents.
+  /// Replaces the contents with slots 0..edges.size()-1: their endpoints,
+  /// their multisets (CSR: slot e's, ascending, is size_pool[
+  /// size_offsets[e] .. size_offsets[e+1])) and, unless `live` is empty,
+  /// which slots are in use (a freed slot's multiset is empty). Freed ids
+  /// are left ascending, so RegisterEdge reuses the highest first.
   void BulkLoad(std::vector<graph::Edge> edges,
-                std::vector<std::vector<uint32_t>> sizes_per_edge);
+                std::span<const uint64_t> size_offsets,
+                std::span<const uint32_t> size_pool,
+                std::vector<uint8_t> live = {});
+  void BulkLoad(std::vector<graph::Edge> edges, const EdgeSizePool& sizes) {
+    BulkLoad(std::move(edges), sizes.offsets, sizes.values);
+  }
 
   /// Component-size multiset of edge e (ascending).
   const std::vector<uint32_t>& EdgeSizes(graph::EdgeId e) const {

@@ -25,13 +25,6 @@ std::vector<std::vector<VertexId>> EgoComponents(const Graph& g, VertexId u,
   return components;
 }
 
-uint32_t ScoreFromSizes(const std::vector<uint32_t>& sorted_sizes,
-                        uint32_t tau) {
-  auto it =
-      std::lower_bound(sorted_sizes.begin(), sorted_sizes.end(), tau);
-  return static_cast<uint32_t>(sorted_sizes.end() - it);
-}
-
 uint32_t EdgeScore(const Graph& g, VertexId u, VertexId v, uint32_t tau) {
   graph::EgoScratch& ego = graph::ThreadEgoScratch();
   ego.BuildCommon(g, u, v);

@@ -1,7 +1,9 @@
 #ifndef ESD_CORE_EGO_NETWORK_H_
 #define ESD_CORE_EGO_NETWORK_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/ego_net.h"
@@ -37,9 +39,14 @@ std::vector<std::vector<graph::VertexId>> EgoComponents(const graph::Graph& g,
 uint32_t EdgeScore(const graph::Graph& g, graph::VertexId u, graph::VertexId v,
                    uint32_t tau);
 
-/// Score derived from a (sorted ascending) component-size list.
-uint32_t ScoreFromSizes(const std::vector<uint32_t>& sorted_sizes,
-                        uint32_t tau);
+/// Score derived from a (sorted ascending) component-size list: the
+/// number of its values >= tau, one binary search.
+inline uint32_t ScoreFromSizes(std::span<const uint32_t> sorted_sizes,
+                               uint32_t tau) {
+  return static_cast<uint32_t>(
+      sorted_sizes.end() -
+      std::lower_bound(sorted_sizes.begin(), sorted_sizes.end(), tau));
+}
 
 }  // namespace esd::core
 

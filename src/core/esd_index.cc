@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "core/ego_network.h"
 #include "obs/trace.h"
 
 namespace esd::core {
@@ -15,9 +16,7 @@ void EsdIndex::RemoveEntries(EdgeId e, const std::vector<uint32_t>& sizes) {
   const uint32_t max_size = sizes.back();
   for (auto it = lists_.begin();
        it != lists_.end() && it->first <= max_size; ++it) {
-    uint32_t score = static_cast<uint32_t>(
-        sizes.end() - std::lower_bound(sizes.begin(), sizes.end(), it->first));
-    bool erased = it->second.Erase(Entry{score, e});
+    bool erased = it->second.Erase(Entry{ScoreFromSizes(sizes, it->first), e});
     assert(erased);
     (void)erased;
     --num_entries_;
@@ -59,9 +58,7 @@ void EsdIndex::InsertEntries(EdgeId e, const std::vector<uint32_t>& sizes) {
   const uint32_t max_size = sizes.back();
   for (auto it = lists_.begin();
        it != lists_.end() && it->first <= max_size; ++it) {
-    uint32_t score = static_cast<uint32_t>(
-        sizes.end() - std::lower_bound(sizes.begin(), sizes.end(), it->first));
-    bool ok = it->second.Insert(Entry{score, e});
+    bool ok = it->second.Insert(Entry{ScoreFromSizes(sizes, it->first), e});
     assert(ok);
     (void)ok;
     ++num_entries_;
@@ -75,61 +72,39 @@ void EsdIndex::SetEdgeSizes(EdgeId e, std::vector<uint32_t> sorted_sizes) {
   EdgeSizeTable::SetEdgeSizes(e, std::move(sorted_sizes));
 }
 
-void EsdIndex::BulkLoad(std::vector<Edge> edges,
-                        std::vector<std::vector<uint32_t>> sizes_per_edge) {
+void EsdIndex::BulkLoad(std::vector<Edge> edges, const EdgeSizePool& sizes) {
+  const ListLayout lists = LayOutLists(sizes.offsets, sizes.values);
   obs::PhaseSeries phases;
   phases.Begin("build.hlist_build");
-  EdgeSizeTable::BulkLoad(std::move(edges), std::move(sizes_per_edge));
+  EdgeSizeTable::BulkLoad(std::move(edges), sizes);
+  BuildLists(lists.sizes, lists.offsets, lists.entries);
+}
+
+void EsdIndex::BuildLists(std::span<const uint32_t> sizes,
+                          std::span<const uint64_t> offsets,
+                          std::span<const ListEntry> entries) {
   lists_.clear();
-  size_owner_count_.clear();
-  num_entries_ = 0;
-  const EdgeId slots = static_cast<EdgeId>(EdgeSlotCount());
-
-  // Owner counts and the distinct size set C.
-  for (EdgeId e = 0; e < slots; ++e) {
-    const auto& sizes = EdgeSizes(e);
-    assert(std::is_sorted(sizes.begin(), sizes.end()));
-    for (size_t i = 0; i < sizes.size(); ++i) {
-      if (i > 0 && sizes[i] == sizes[i - 1]) continue;
-      ++size_owner_count_[sizes[i]];
-    }
-  }
-  std::vector<uint32_t> all_c;
-  all_c.reserve(size_owner_count_.size());
-  for (const auto& [c, cnt] : size_owner_count_) all_c.push_back(c);
-
-  // Group edges by the maximum component size of their ego-network, then
-  // sweep c from largest to smallest, keeping the set of edges with
-  // max >= c "active" and emitting one sorted run per list.
-  std::map<uint32_t, std::vector<EdgeId>, std::greater<>> by_max;
-  for (EdgeId e = 0; e < slots; ++e) {
-    if (!EdgeSizes(e).empty()) by_max[EdgeSizes(e).back()].push_back(e);
-  }
-  std::vector<EdgeId> active;
-  auto max_it = by_max.begin();
-  std::vector<Entry> run;
-  for (auto c_it = all_c.rbegin(); c_it != all_c.rend(); ++c_it) {
-    uint32_t c = *c_it;
-    while (max_it != by_max.end() && max_it->first >= c) {
-      active.insert(active.end(), max_it->second.begin(),
-                    max_it->second.end());
-      ++max_it;
-    }
-    run.clear();
-    run.reserve(active.size());
-    for (EdgeId e : active) {
-      const auto& sizes = EdgeSizes(e);
-      uint32_t score = static_cast<uint32_t>(
-          sizes.end() - std::lower_bound(sizes.begin(), sizes.end(), c));
-      run.push_back(Entry{score, e});
-    }
-    std::sort(run.begin(), run.end(), [](const Entry& a, const Entry& b) {
-      return EntryLess()(a, b);
-    });
+  for (size_t i = 0; i < sizes.size(); ++i) {
     List list;
-    list.BuildFromSorted(run);
-    num_entries_ += list.size();
-    lists_.emplace(c, std::move(list));
+    list.BuildFromSorted(
+        entries.subspan(offsets[i], offsets[i + 1] - offsets[i]));
+    lists_.emplace_hint(lists_.end(), sizes[i], std::move(list));
+  }
+  num_entries_ = entries.size();
+  // Owner counts: each edge's distinct values, ranked in C.
+  std::vector<uint32_t> owners(sizes.size(), 0);
+  for (EdgeId e = 0; e < EdgeSlotCount(); ++e) {
+    const std::vector<uint32_t>& s = EdgeSizes(e);
+    for (size_t i = 0; i < s.size(); ++i) {
+      if (i > 0 && s[i] == s[i - 1]) continue;
+      ++owners[std::lower_bound(sizes.begin(), sizes.end(), s[i]) -
+               sizes.begin()];
+    }
+  }
+  size_owner_count_.clear();
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    size_owner_count_.emplace_hint(size_owner_count_.end(), sizes[i],
+                                   owners[i]);
   }
 }
 
@@ -170,9 +145,7 @@ TopKResult EsdIndex::Query(uint32_t k, uint32_t tau,
 }
 
 uint32_t EsdIndex::ScoreOf(EdgeId e, uint32_t tau) const {
-  const auto& sizes = EdgeSizes(e);
-  return static_cast<uint32_t>(
-      sizes.end() - std::lower_bound(sizes.begin(), sizes.end(), tau));
+  return ScoreFromSizes(EdgeSizes(e), tau);
 }
 
 std::vector<uint32_t> EsdIndex::DistinctSizes() const {

@@ -4,9 +4,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "core/edge_size_table.h"
+#include "core/frozen_index.h"
 #include "core/query_engine.h"
 #include "core/topk_result.h"
 #include "graph/graph.h"
@@ -40,19 +42,8 @@ namespace esd::core {
 /// implement the EsdQueryEngine interface with identical query semantics.
 class EsdIndex : public EsdQueryEngine, public EdgeSizeTable {
  public:
-  /// An entry of a sorted list H(c): ordered by score descending, then edge
-  /// id ascending.
-  struct Entry {
-    uint32_t score = 0;
-    graph::EdgeId e = 0;
-  };
-  struct EntryLess {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.score != b.score) return a.score > b.score;
-      return a.e < b.e;
-    }
-  };
-  using List = util::Treap<Entry, EntryLess>;
+  using Entry = ListEntry;
+  using List = util::Treap<ListEntry, ListOrder>;
 
   EsdIndex() = default;
 
@@ -65,12 +56,11 @@ class EsdIndex : public EsdQueryEngine, public EdgeSizeTable {
   /// amortized, plus clone cost when a never-before-seen size appears.
   void SetEdgeSizes(graph::EdgeId e, std::vector<uint32_t> sorted_sizes);
 
-  /// Bulk construction: edge ids 0..sizes.size()-1 are registered with the
-  /// given endpoints and every H(c) list is built from sorted runs in
-  /// O(total entries). Replaces current contents. Used by the builders
-  /// (Algorithms 2 and 3, lines building H).
-  void BulkLoad(std::vector<graph::Edge> edges,
-                std::vector<std::vector<uint32_t>> sizes_per_edge);
+  /// Bulk construction: edge ids 0..edges.size()-1 are registered with the
+  /// given endpoints and multisets, and each H(c) treap is built in O(|H(c)|)
+  /// from its slab in LayOutLists' layout. Replaces current contents. The
+  /// dynamic engine's bootstrap; the builders go through Thaw.
+  void BulkLoad(std::vector<graph::Edge> edges, const EdgeSizePool& sizes);
 
   // ---- Query ---------------------------------------------------------------
 
@@ -121,6 +111,14 @@ class EsdIndex : public EsdQueryEngine, public EdgeSizeTable {
   }
 
  private:
+  friend EsdIndex Thaw(const FrozenEsdIndex& frozen);
+
+  /// Builds every H(c) treap from its slab of a layout of the table's
+  /// multisets (C, slab offsets, canonical entries) and counts each size's
+  /// owners in one pass over the multisets.
+  void BuildLists(std::span<const uint32_t> sizes,
+                  std::span<const uint64_t> offsets,
+                  std::span<const ListEntry> entries);
   void RemoveEntries(graph::EdgeId e, const std::vector<uint32_t>& sizes);
   void InsertEntries(graph::EdgeId e, const std::vector<uint32_t>& sizes);
 

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <utility>
 
+#include "core/ego_network.h"
 #include "core/esd_index.h"
 #include "obs/trace.h"
 
@@ -14,19 +15,6 @@ using graph::EdgeId;
 
 namespace {
 
-/// Canonical slab order: score descending, then edge id ascending — the
-/// same total order EsdIndex::EntryLess imposes on the treaps.
-bool EntryBefore(const FrozenEsdIndex::Entry& a,
-                 const FrozenEsdIndex::Entry& b) {
-  if (a.score != b.score) return a.score > b.score;
-  return a.e < b.e;
-}
-
-uint32_t ScoreAt(std::span<const uint32_t> sizes, uint32_t c) {
-  return static_cast<uint32_t>(
-      sizes.end() - std::lower_bound(sizes.begin(), sizes.end(), c));
-}
-
 /// The distinct size set C of `pool` (largest value `max_value`),
 /// ascending, into *sizes. It marks the values present in a pool-bounded
 /// array and then returns true, with (*rank)[v] = the index of v in C. A
@@ -34,12 +22,12 @@ uint32_t ScoreAt(std::span<const uint32_t> sizes, uint32_t c) {
 /// in the multisets of at least 2c other edges); a loaded file may not,
 /// and falls back to sorting a copy of the pool (returns false, *rank
 /// untouched).
-bool MarkDistinctSizes(const std::vector<uint32_t>& pool, uint32_t max_value,
+bool MarkDistinctSizes(std::span<const uint32_t> pool, uint32_t max_value,
                        std::vector<uint32_t>* sizes,
                        std::vector<uint32_t>* rank) {
   sizes->clear();
   if (max_value > pool.size()) {
-    *sizes = pool;
+    sizes->assign(pool.begin(), pool.end());
     std::sort(sizes->begin(), sizes->end());
     sizes->erase(std::unique(sizes->begin(), sizes->end()), sizes->end());
     return false;
@@ -56,54 +44,41 @@ bool MarkDistinctSizes(const std::vector<uint32_t>& pool, uint32_t max_value,
 
 }  // namespace
 
-FrozenEsdIndex FrozenEsdIndex::FromSizePool(std::vector<Edge> edges,
-                                            EdgeSizePool sizes,
-                                            std::vector<uint8_t> live,
-                                            ScorerKind scorer) {
+ListLayout LayOutLists(std::span<const uint64_t> offsets,
+                       std::span<const uint32_t> values) {
   obs::PhaseSeries phases;
   phases.Begin("build.slab_sort");
-  FrozenEsdIndex out;
-  out.scorer_ = scorer;
-  const size_t n = edges.size();
-  assert(sizes.offsets.size() == n + 1 &&
-         sizes.offsets[n] == sizes.values.size());
-  out.edges_ = std::move(edges);
-  out.live_ = live.empty() ? std::vector<uint8_t>(n, 1) : std::move(live);
-  assert(out.live_.size() == n);
-  out.size_offsets_ = std::move(sizes.offsets);
-  out.size_pool_ = std::move(sizes.values);
+  const size_t n = offsets.size() - 1;
+  assert(offsets[n] == values.size());
+  auto sizes_of = [&](size_t e) {
+    return values.subspan(offsets[e], offsets[e + 1] - offsets[e]);
+  };
   uint32_t max_value = 0;
   uint64_t max_len = 0;
   for (size_t e = 0; e < n; ++e) {
-    std::span<const uint32_t> s = out.EdgeSizes(static_cast<EdgeId>(e));
+    std::span<const uint32_t> s = sizes_of(e);
     assert(std::is_sorted(s.begin(), s.end()));
-    assert(out.live_[e] || s.empty());
-    if (out.live_[e]) ++out.num_live_;
     if (s.empty()) continue;
     max_value = std::max(max_value, s.back());
     max_len = std::max<uint64_t>(max_len, s.size());
   }
 
+  ListLayout out;
   std::vector<uint32_t> rank;
-  const bool dense =
-      MarkDistinctSizes(out.size_pool_, max_value, &out.sizes_, &rank);
+  const bool dense = MarkDistinctSizes(values, max_value, &out.sizes, &rank);
   auto slot_of = [&](uint32_t v) -> size_t {
     if (dense) return rank[v];
     return static_cast<size_t>(
-        std::lower_bound(out.sizes_.begin(), out.sizes_.end(), v) -
-        out.sizes_.begin());
+        std::lower_bound(out.sizes.begin(), out.sizes.end(), v) -
+        out.sizes.begin());
   };
-  const size_t num_c = out.sizes_.size();
+  const size_t num_c = out.sizes.size();
 
-  // |H(c_i)| = #{edges with max(C_e) >= c_i}: bucket edges by the index of
-  // their maximum size (CSR, each bucket in ascending edge id), then
+  // |H(c_i)| = #{slots with max(C_e) >= c_i}: bucket slots by the index of
+  // their maximum size (CSR, each bucket in ascending id), then
   // suffix-sum.
-  auto has_sizes = [&](size_t e) {
-    return out.size_offsets_[e] != out.size_offsets_[e + 1];
-  };
-  auto max_slot = [&](size_t e) {
-    return slot_of(out.size_pool_[out.size_offsets_[e + 1] - 1]);
-  };
+  auto has_sizes = [&](size_t e) { return offsets[e] != offsets[e + 1]; };
+  auto max_slot = [&](size_t e) { return slot_of(values[offsets[e + 1] - 1]); };
   std::vector<uint64_t> bucket(num_c + 1, 0);
   for (size_t e = 0; e < n; ++e) {
     if (has_sizes(e)) ++bucket[max_slot(e) + 1];
@@ -116,18 +91,18 @@ FrozenEsdIndex FrozenEsdIndex::FromSizePool(std::vector<Edge> edges,
       if (has_sizes(e)) by_max[cursor[max_slot(e)]++] = static_cast<EdgeId>(e);
     }
   }
-  out.offsets_.assign(num_c + 1, 0);
+  out.offsets.assign(num_c + 1, 0);
   for (size_t i = 0; i < num_c; ++i) {
-    out.offsets_[i + 1] = out.offsets_[i] + (by_max.size() - bucket[i]);
+    out.offsets[i + 1] = out.offsets[i] + (by_max.size() - bucket[i]);
   }
-  out.entries_.resize(out.offsets_[num_c]);
+  out.entries.resize(out.offsets[num_c]);
 
-  // Sweep c from largest to smallest keeping the active set (edges with
-  // max >= c) in edge-id order by merging each bucket into it, then emit
-  // each slab with a stable counting sort on score, descending: the
-  // canonical (score desc, edge asc) order in O(|slab| + max score). A
-  // slab whose top score dwarfs its length (a pathological scorer) takes a
-  // comparison sort instead, so the sweep stays O(entries log) overall.
+  // Sweep c from largest to smallest keeping the active set (slots with
+  // max >= c) in id order by merging each bucket into it, then emit each
+  // slab with a stable counting sort on score, descending: the canonical
+  // (score desc, id asc) order in O(|slab| + max score). A slab whose top
+  // score dwarfs its length (a pathological scorer) takes a comparison
+  // sort instead, so the sweep stays O(entries log) overall.
   std::vector<EdgeId> active, merged;
   active.reserve(by_max.size());
   merged.reserve(by_max.size());
@@ -138,19 +113,19 @@ FrozenEsdIndex FrozenEsdIndex::FromSizePool(std::vector<Edge> edges,
     std::merge(active.begin(), active.end(), by_max.begin() + bucket[i],
                by_max.begin() + bucket[i + 1], merged.begin());
     active.swap(merged);
-    const uint32_t c = out.sizes_[i];
+    const uint32_t c = out.sizes[i];
     uint32_t top = 0;
     for (size_t j = 0; j < active.size(); ++j) {
-      score[j] = ScoreAt(out.EdgeSizes(active[j]), c);
+      score[j] = ScoreFromSizes(sizes_of(active[j]), c);
       top = std::max(top, score[j]);
     }
-    Entry* slab = out.entries_.data() + out.offsets_[i];
-    assert(active.size() == out.offsets_[i + 1] - out.offsets_[i]);
+    ListEntry* slab = out.entries.data() + out.offsets[i];
+    assert(active.size() == out.offsets[i + 1] - out.offsets[i]);
     if (top > active.size()) {
       for (size_t j = 0; j < active.size(); ++j) {
-        slab[j] = Entry{score[j], active[j]};
+        slab[j] = ListEntry{score[j], active[j]};
       }
-      std::sort(slab, slab + active.size(), EntryBefore);
+      std::sort(slab, slab + active.size(), ListOrder());
       continue;
     }
     // start[s] = number of entries scoring above s.
@@ -163,9 +138,33 @@ FrozenEsdIndex FrozenEsdIndex::FromSizePool(std::vector<Edge> edges,
       above += count;
     }
     for (size_t j = 0; j < active.size(); ++j) {
-      slab[start[score[j]]++] = Entry{score[j], active[j]};
+      slab[start[score[j]]++] = ListEntry{score[j], active[j]};
     }
   }
+  return out;
+}
+
+FrozenEsdIndex FrozenEsdIndex::FromSizePool(std::vector<Edge> edges,
+                                            EdgeSizePool sizes,
+                                            std::vector<uint8_t> live,
+                                            ScorerKind scorer) {
+  FrozenEsdIndex out;
+  out.scorer_ = scorer;
+  const size_t n = edges.size();
+  assert(sizes.offsets.size() == n + 1);
+  out.edges_ = std::move(edges);
+  out.live_ = live.empty() ? std::vector<uint8_t>(n, 1) : std::move(live);
+  assert(out.live_.size() == n);
+  out.size_offsets_ = std::move(sizes.offsets);
+  out.size_pool_ = std::move(sizes.values);
+  for (size_t e = 0; e < n; ++e) {
+    assert(out.live_[e] || out.EdgeSizes(static_cast<EdgeId>(e)).empty());
+    out.num_live_ += out.live_[e] != 0;
+  }
+  ListLayout lists = LayOutLists(out.size_offsets_, out.size_pool_);
+  out.sizes_ = std::move(lists.sizes);
+  out.offsets_ = std::move(lists.offsets);
+  out.entries_ = std::move(lists.entries);
   return out;
 }
 
@@ -293,18 +292,18 @@ FrozenEsdIndex FrozenEsdIndex::FromDelta(const FrozenEsdIndex& base,
     const uint32_t c = out.sizes_[i];
     add.clear();
     for (size_t j = 0, p = prefix(fresh, c); j < p; ++j) {
-      add.push_back(Entry{ScoreAt(fresh[j].sizes, c), fresh[j].e});
+      add.push_back(Entry{ScoreFromSizes(fresh[j].sizes, c), fresh[j].e});
     }
-    std::sort(add.begin(), add.end(), EntryBefore);
+    std::sort(add.begin(), add.end(), ListOrder());
     std::span<const Entry> old;
     drop.clear();
     if (from[i] != kNoSlab) {
       old = base.ListAt(from[i]);
       const uint32_t c_old = base.sizes_[from[i]];
       for (size_t j = 0, p = prefix(gone, c_old); j < p; ++j) {
-        const Entry was{ScoreAt(gone[j].sizes, c_old), gone[j].e};
-        const auto at = std::lower_bound(old.begin(), old.end(), was,
-                                         EntryBefore);
+        const Entry was{ScoreFromSizes(gone[j].sizes, c_old), gone[j].e};
+        const auto at =
+            std::lower_bound(old.begin(), old.end(), was, ListOrder());
         assert(at != old.end() && *at == was);
         drop.push_back(static_cast<size_t>(at - old.begin()));
       }
@@ -324,7 +323,7 @@ FrozenEsdIndex FrozenEsdIndex::FromDelta(const FrozenEsdIndex& base,
     size_t pos = 0;
     for (const Entry& x : add) {
       const size_t at = static_cast<size_t>(
-          std::lower_bound(old.begin() + pos, old.end(), x, EntryBefore) -
+          std::lower_bound(old.begin() + pos, old.end(), x, ListOrder()) -
           old.begin());
       copy_old(pos, at);
       out.entries_.push_back(x);
@@ -413,7 +412,7 @@ bool FrozenEsdIndex::Adopt(Parts parts, FrozenEsdIndex* out,
     }
     for (uint64_t j = lo; j < hi; ++j) {
       const Entry& entry = parts.entries[j];
-      if (j > lo && !EntryBefore(parts.entries[j - 1], entry)) {
+      if (j > lo && !ListOrder()(parts.entries[j - 1], entry)) {
         return fail("frozen index: slab not in canonical order");
       }
       if (entry.e >= n || parts.live[entry.e] == 0) {
@@ -422,7 +421,7 @@ bool FrozenEsdIndex::Adopt(Parts parts, FrozenEsdIndex* out,
       std::span<const uint32_t> sizes{
           parts.size_pool.data() + parts.size_offsets[entry.e],
           parts.size_pool.data() + parts.size_offsets[entry.e + 1]};
-      if (entry.score != ScoreAt(sizes, c) || entry.score == 0) {
+      if (entry.score != ScoreFromSizes(sizes, c) || entry.score == 0) {
         return fail("frozen index: slab score inconsistent with multiset");
       }
     }
@@ -492,7 +491,7 @@ void FrozenEsdIndex::PadQueryResult(size_t slab_index, uint32_t k,
 }
 
 uint32_t FrozenEsdIndex::ScoreOf(EdgeId e, uint32_t tau) const {
-  return ScoreAt(EdgeSizes(e), tau);
+  return ScoreFromSizes(EdgeSizes(e), tau);
 }
 
 uint64_t FrozenEsdIndex::MemoryBytes() const {
@@ -551,35 +550,14 @@ SlotPatch CopySlots(const EdgeSizeTable& table, std::vector<EdgeId> slots) {
 }
 
 EsdIndex Thaw(const FrozenEsdIndex& frozen) {
-  const size_t slots = frozen.EdgeSlotCount();
-  bool all_live = frozen.NumRegisteredEdges() == slots;
+  obs::PhaseSeries phases;
+  phases.Begin("build.hlist_build");
   EsdIndex out;
-  if (all_live) {
-    std::vector<Edge> edges(frozen.Edges().begin(), frozen.Edges().end());
-    std::vector<std::vector<uint32_t>> sizes;
-    sizes.reserve(slots);
-    for (EdgeId e = 0; e < slots; ++e) {
-      std::span<const uint32_t> s = frozen.EdgeSizes(e);
-      sizes.emplace_back(s.begin(), s.end());
-    }
-    out.BulkLoad(std::move(edges), std::move(sizes));
-  } else {
-    // Register every slot first so ids stay sequential (RegisterEdge would
-    // otherwise recycle freed ids mid-replay), then free the dead ones.
-    for (EdgeId e = 0; e < slots; ++e) {
-      EdgeId got = out.RegisterEdge(frozen.EdgeAt(e));
-      assert(got == e);
-      (void)got;
-      if (frozen.IsLive(e)) {
-        std::span<const uint32_t> s = frozen.EdgeSizes(e);
-        out.SetEdgeSizes(e, std::vector<uint32_t>(s.begin(), s.end()));
-      }
-    }
-    for (EdgeId e = 0; e < slots; ++e) {
-      if (!frozen.IsLive(e)) out.UnregisterEdge(e);
-    }
-  }
+  out.EdgeSizeTable::BulkLoad(
+      {frozen.Edges().begin(), frozen.Edges().end()}, frozen.SizeOffsets(),
+      frozen.SizePool(), {frozen.LiveMask().begin(), frozen.LiveMask().end()});
   out.SetScorerKind(frozen.Scorer());
+  out.BuildLists(frozen.Sizes(), frozen.SlabOffsets(), frozen.Entries());
   return out;
 }
 

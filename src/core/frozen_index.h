@@ -16,6 +16,42 @@ namespace esd::core {
 class EdgeSizeTable;
 class EsdIndex;
 
+/// An entry of a sorted list H(c) (Section IV-A): the score at threshold c
+/// of edge `e` (in the vertex index, of vertex `e`). 8 bytes, the slab and
+/// the treap node key alike.
+struct ListEntry {
+  uint32_t score = 0;
+  graph::EdgeId e = 0;
+
+  friend bool operator==(const ListEntry&, const ListEntry&) = default;
+};
+
+/// The canonical H(c) order: score descending, then id ascending.
+struct ListOrder {
+  bool operator()(const ListEntry& a, const ListEntry& b) const {
+    if (a.score != b.score) return a.score > b.score;
+    return a.e < b.e;
+  }
+};
+
+/// Every list H(c) of a set of multisets, laid out flat: C ascending, the
+/// slab offsets (|C| + 1, from 0) and the slabs, H(sizes[i]) at
+/// entries[offsets[i] .. offsets[i+1]) in canonical order.
+struct ListLayout {
+  std::vector<uint32_t> sizes;
+  std::vector<uint64_t> offsets;
+  std::vector<ListEntry> entries;
+};
+
+/// Algorithm 3's H build, the one routine behind every H(c) structure:
+/// lays out the lists of the multisets packed as CSR (slot e's, ascending,
+/// is values[offsets[e] .. offsets[e+1])). O(pool + entries + |C| + max
+/// multiset length): C comes from marking the values present, and each
+/// slab is emitted from an id-ordered active set by a stable counting sort
+/// on score.
+ListLayout LayOutLists(std::span<const uint64_t> offsets,
+                       std::span<const uint32_t> values);
+
 /// Some slots of an edge table, copied out with their current contents:
 /// what a delta refreeze carries out of the writer lock. `ids` ascend
 /// without repeats; patched slot i's multiset is sizes.values[
@@ -52,13 +88,7 @@ struct SlotPatch {
 /// lets a loaded file serve queries with no rebuild step.
 class FrozenEsdIndex final : public EsdQueryEngine {
  public:
-  /// An entry of a slab: same 8-byte POD as EsdIndex::Entry.
-  struct Entry {
-    uint32_t score = 0;
-    graph::EdgeId e = 0;
-
-    friend bool operator==(const Entry&, const Entry&) = default;
-  };
+  using Entry = ListEntry;
 
   /// The raw arrays of a frozen index — the unit of (de)serialization.
   /// Adopt() validates every structural invariant before accepting one.
@@ -77,13 +107,9 @@ class FrozenEsdIndex final : public EsdQueryEngine {
 
   /// The slab builder: adopts per-slot component-size multisets already
   /// packed as CSR (each ascending; freed slots empty) as the image's size
-  /// pool and lays out the H(c) slabs from it, skipping treap construction
-  /// entirely — BuildFrozenIndex's output path and Freeze. An empty
-  /// `live` means every slot is live.
-  ///
-  /// O(pool + entries + |C| + max multiset length): the size set C comes
-  /// from marking the values present, and each slab is emitted from an
-  /// id-ordered active set by a stable counting sort on score.
+  /// pool and lays out the H(c) slabs from it with LayOutLists —
+  /// BuildFrozenIndex's output path and Freeze. An empty `live` means
+  /// every slot is live.
   static FrozenEsdIndex FromSizePool(std::vector<graph::Edge> edges,
                                      EdgeSizePool sizes,
                                      std::vector<uint8_t> live = {},
@@ -215,10 +241,11 @@ FrozenEsdIndex Freeze(const EdgeSizeTable& table);
 SlotPatch CopySlots(const EdgeSizeTable& table,
                     std::vector<graph::EdgeId> slots);
 
-/// Reconstructs a mutable EsdIndex from a frozen image: the H(c) treaps are
-/// rebuilt from the stored multisets, keeping the image's edge-id layout,
-/// freed slots and scorer. This is how the treap engine loads an index
-/// file (Thaw of LoadFrozenIndex's result).
+/// Reconstructs a mutable EsdIndex from a frozen image: the table adopts
+/// the image's edges, live mask and multisets (freed ids left ascending,
+/// so the highest is reused first), and each H(c) treap is built straight
+/// from its slab. This is how the treap engine loads an index file (Thaw
+/// of LoadFrozenIndex's result) and how BuildIndex builds one.
 EsdIndex Thaw(const FrozenEsdIndex& frozen);
 
 }  // namespace esd::core

@@ -119,18 +119,20 @@ EdgeSizePool BulkValues(const Graph& g, const DiversityScorer& scorer,
 }  // namespace
 
 EsdIndex BuildIndexBasic(const Graph& g, graph::EgoProbe probe) {
-  std::vector<std::vector<uint32_t>> sizes(g.NumEdges());
+  EdgeSizePool sizes;
   {
     obs::PhaseSeries phases;
     phases.Begin("build.ego_bfs");
+    sizes.offsets.reserve(g.NumEdges() + 1);
+    sizes.offsets.push_back(0);
     for (EdgeId e = 0; e < g.NumEdges(); ++e) {
       const graph::Edge& uv = g.EdgeAt(e);
-      sizes[e] = EgoComponentSizes(g, uv.u, uv.v, probe);
+      const std::vector<uint32_t> s = EgoComponentSizes(g, uv.u, uv.v, probe);
+      sizes.values.insert(sizes.values.end(), s.begin(), s.end());
+      sizes.offsets.push_back(sizes.values.size());
     }
   }
-  EsdIndex index;
-  index.BulkLoad(g.Edges(), std::move(sizes));
-  return index;
+  return Thaw(FrozenEsdIndex::FromSizePool(g.Edges(), std::move(sizes)));
 }
 
 EdgeSizePool CliqueComponentSizes(const Graph& g, util::ThreadPool* pool,
@@ -189,10 +191,7 @@ EdgeSizePool CliqueComponentSizes(const Graph& g, util::ThreadPool* pool,
 
 EsdIndex BuildIndex(const Graph& g, const DiversityScorer& scorer,
                     unsigned num_threads) {
-  EsdIndex index;
-  index.BulkLoad(g.Edges(), BulkValues(g, scorer, num_threads).ToVectors());
-  index.SetScorerKind(scorer.Kind());
-  return index;
+  return Thaw(BuildFrozenIndex(g, scorer, num_threads));
 }
 
 FrozenEsdIndex BuildFrozenIndex(const Graph& g, const DiversityScorer& scorer,

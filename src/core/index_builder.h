@@ -53,9 +53,9 @@ EdgeSizePool CliqueComponentSizes(
     std::vector<util::KeyedDsu>* m_out = nullptr,
     ParallelMode mode = ParallelMode::kEdgeParallel);
 
-/// Treap index of `g` under `scorer`: the scorer's bulk hook (on a pool of
-/// `num_threads` if more than one) bulk-loaded into H. The default is the
-/// paper's ESDIndex+, and PESDIndex+ with num_threads > 1.
+/// Treap index of `g` under `scorer`: Thaw of BuildFrozenIndex, so each
+/// H(c) treap is built from its slab. The default is the paper's
+/// ESDIndex+, and PESDIndex+ with num_threads > 1.
 EsdIndex BuildIndex(const graph::Graph& g,
                     const DiversityScorer& scorer = EsdScorer(),
                     unsigned num_threads = 1);

@@ -54,7 +54,7 @@ Maintainer<Table>::Maintainer(const graph::Graph& g,
   const EdgeSizePool values = use_dsu_
                                   ? CliqueComponentSizes(g, nullptr, &dsu_)
                                   : scorer.BuildAllEdgeValues(g);
-  table_.BulkLoad(g.Edges(), values.ToVectors());
+  table_.BulkLoad(g.Edges(), values);
   table_.SetScorerKind(scorer.Kind());
   ids_.Reserve(g.NumEdges());
   for (EdgeId e = 0; e < g.NumEdges(); ++e) {

@@ -104,14 +104,6 @@ class EgoBetweennessScorerImpl final : public DiversityScorer {
 
 }  // namespace
 
-std::vector<std::vector<uint32_t>> EdgeSizePool::ToVectors() const {
-  std::vector<std::vector<uint32_t>> out(offsets.size() - 1);
-  for (size_t e = 0; e < out.size(); ++e) {
-    out[e].assign(values.begin() + offsets[e], values.begin() + offsets[e + 1]);
-  }
-  return out;
-}
-
 EdgeSizePool DiversityScorer::BuildAllEdgeValues(
     const Graph& g, util::ThreadPool* pool) const {
   obs::PhaseSeries phases;

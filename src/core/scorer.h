@@ -56,9 +56,6 @@ struct EdgeSizePool {
     }
     return out;
   }
-
-  /// One vector per slot, for the treap index and the maintenance table.
-  std::vector<std::vector<uint32_t>> ToVectors() const;
 };
 
 /// A pluggable per-edge score definition over the generic index substrate.

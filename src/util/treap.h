@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "util/rng.h"
@@ -78,7 +79,7 @@ class Treap {
   /// Rebuilds the treap from strictly-increasing sorted keys in O(n),
   /// replacing current contents. Uses the right-spine Cartesian-tree
   /// construction with random priorities.
-  void BuildFromSorted(const std::vector<Key>& sorted) {
+  void BuildFromSorted(std::span<const Key> sorted) {
     Clear();
     nodes_.reserve(sorted.size());
     std::vector<uint32_t> spine;  // rightmost path, top to bottom

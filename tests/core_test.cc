@@ -539,8 +539,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, BuilderEquivalenceTest,
 EsdIndex PooledCliqueIndex(const Graph& g, ParallelMode mode) {
   util::ThreadPool pool(4);
   EsdIndex index;
-  index.BulkLoad(g.Edges(),
-                 CliqueComponentSizes(g, &pool, nullptr, mode).ToVectors());
+  index.BulkLoad(g.Edges(), CliqueComponentSizes(g, &pool, nullptr, mode));
   return index;
 }
 

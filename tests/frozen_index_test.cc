@@ -143,6 +143,12 @@ TEST(FrozenIndexTest, FreedSlotsRoundTrip) {
     EXPECT_EQ(thawed.IsLive(e), index.IsLive(e));
   }
   EXPECT_TRUE(core::Freeze(thawed) == frozen);
+
+  // The thawed table hands the freed ids out in the original's order.
+  for (uint32_t i = 0; i < 4; ++i) {
+    const graph::Edge uv{100 + i, 200 + i};
+    EXPECT_EQ(thawed.RegisterEdge(uv), index.RegisterEdge(uv)) << i;
+  }
 }
 
 TEST(FrozenIndexTest, PaddingOrderIsAscendingEdgeId) {
@@ -278,7 +284,7 @@ TEST(FrozenIndexTest, AdoptRejectsMalformedParts) {
 /// A table loaded from `g`'s ESD multisets, logging from the start.
 core::EdgeSizeTable TableOf(const graph::Graph& g) {
   core::EdgeSizeTable table;
-  table.BulkLoad(g.Edges(), core::CliqueComponentSizes(g).ToVectors());
+  table.BulkLoad(g.Edges(), core::CliqueComponentSizes(g));
   table.EnableChangeLog();
   return table;
 }
@@ -405,7 +411,7 @@ TEST(FrozenDeltaTest, RandomDeltaChainsMatchFreeze) {
 TEST(EdgeSizeTableTest, ChangeLogIsOptInTrimmedAndBounded) {
   const graph::Graph g = gen::BarabasiAlbert(20, 2, 3);
   core::EdgeSizeTable table;
-  table.BulkLoad(g.Edges(), core::CliqueComponentSizes(g).ToVectors());
+  table.BulkLoad(g.Edges(), core::CliqueComponentSizes(g));
   std::vector<graph::EdgeId> slots;
   table.SetEdgeSizes(1, {9});
   EXPECT_FALSE(table.ChangedSince(0, &slots)) << "off by default";
@@ -441,7 +447,7 @@ TEST(EdgeSizeTableTest, ChangeLogIsOptInTrimmedAndBounded) {
   EXPECT_TRUE(slots.empty());
 
   // A bulk load rewrites every slot: no position before it can patch.
-  table.BulkLoad(g.Edges(), core::CliqueComponentSizes(g).ToVectors());
+  table.BulkLoad(g.Edges(), core::CliqueComponentSizes(g));
   EXPECT_FALSE(table.ChangedSince(after, &slots));
 }
 

@@ -77,11 +77,11 @@ TEST(TreapRobustnessTest, BuildFromSortedEmptyAndSingle) {
   util::Treap<int> t;
   t.BuildFromSorted({});
   EXPECT_TRUE(t.empty());
-  t.BuildFromSorted({7});
+  t.BuildFromSorted(std::vector<int>{7});
   EXPECT_EQ(t.size(), 1u);
   EXPECT_TRUE(t.Contains(7));
   // Rebuild replaces content.
-  t.BuildFromSorted({1, 2, 3});
+  t.BuildFromSorted(std::vector<int>{1, 2, 3});
   EXPECT_FALSE(t.Contains(7));
   EXPECT_EQ(t.size(), 3u);
 }
