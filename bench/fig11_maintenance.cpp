@@ -15,18 +15,21 @@
 // dataset gives both medians and the changed slots per batch; every delta
 // image is checked equal to the full one.
 //
-// A third table times the live writer's boot: constructing its
-// maintenance state (Maintainer<EdgeSizeTable>) from the graph, against
-// the plain CliqueComponentSizes inside it. The difference is the
-// hand-over of the build's per-edge M_e to the writer, plus the graph
-// copy and the edge table's load, which is what LiveEsdIndex::Open and
-// every recovery pay beyond the build. The row also gives M_e's bytes per
-// member: each edge's KeyedDsu object plus its MemoryBytes(), allocator
-// overhead not counted.
+// A third table times the live writer's boot: the whole LiveEsdIndex::Open
+// on an empty WAL directory, split by its phases. `recover` reads the
+// (empty) durable state, `build` is the ESDIndex+ build of every C_e and
+// M_e, `handover` adopts them into the maintenance state (with the graph
+// copy), and `freeze` publishes the boot epoch. The row also counts the
+// heap allocations of one Open, and gives M_e's bytes per member: the
+// slot pool's buffer and run table over its members.
+
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
-#include <optional>
+#include <filesystem>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -35,7 +38,9 @@
 #include "core/frozen_index.h"
 #include "core/index_builder.h"
 #include "core/maintainer.h"
-#include "util/dsu.h"
+#include "live/live_index.h"
+#include "obs/metrics.h"
+#include "util/alloc_count.h"
 #include "util/flat_map.h"
 #include "util/rng.h"
 
@@ -105,40 +110,73 @@ bool RefreezeRow(const gen::Dataset& d) {
   return true;
 }
 
-/// The boot row of one dataset: medians of 5 interleaved runs each.
-void BootRow(const gen::Dataset& d) {
+/// The boot row of one dataset: medians of 5 runs of LiveEsdIndex::Open,
+/// each on a fresh WAL directory; false if an Open failed.
+bool BootRow(const gen::Dataset& d) {
   constexpr int kRuns = 5;
-  using Writer = core::Maintainer<core::EdgeSizeTable>;
-  std::vector<double> boot_ms, build_ms;
-  size_t bytes = 0, members = 0;
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("esd-fig11-boot-" + std::to_string(getpid()));
+  std::vector<double> boot_ms, recover_ms, build_ms, handover_ms, freeze_ms;
+  uint64_t allocs = 0;
   for (int r = 0; r < kRuns; ++r) {
-    build_ms.push_back(
-        bench::TimeOnce([&] { core::CliqueComponentSizes(d.graph); }) * 1e3);
-    std::optional<Writer> writer;
+    std::error_code ec;
+    fs::remove_all(dir, ec);
+    fs::create_directories(dir, ec);
+    obs::MetricRegistry registry;
+    live::LiveOptions options;
+    options.wal_path = (dir / "wal.bin").string();
+    options.registry = &registry;
+    std::string error;
+    std::unique_ptr<live::LiveEsdIndex> index;
+    const uint64_t before = util::AllocCount();
     boot_ms.push_back(bench::TimeOnce([&] {
-                        writer.emplace(d.graph, core::EsdScorer(),
-                                       core::DeletionStrategy::kTargeted);
+                        index = live::LiveEsdIndex::Open(d.graph, options,
+                                                         &error);
                       }) *
                       1e3);
-    bytes = writer->EdgeDsus().size() * sizeof(util::KeyedDsu);
-    members = 0;
-    for (const util::KeyedDsu& m : writer->EdgeDsus()) {
-      bytes += m.MemoryBytes();
-      members += m.NumMembers();
+    allocs = util::AllocCount() - before;
+    if (index == nullptr) {
+      std::fprintf(stderr, "%s: open failed: %s\n", d.name.c_str(),
+                   error.c_str());
+      return false;
     }
+    auto phase_ms = [&registry](const char* phase) {
+      return registry.GaugeValue(std::string("esd_phase_live_open_") + phase +
+                                 "_seconds") *
+             1e3;
+    };
+    recover_ms.push_back(phase_ms("recover"));
+    build_ms.push_back(phase_ms("build"));
+    handover_ms.push_back(phase_ms("handover"));
+    freeze_ms.push_back(phase_ms("freeze"));
   }
-  const double boot = Median(boot_ms), handover = boot - Median(build_ms);
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+  const core::Maintainer<core::EdgeSizeTable> writer(
+      d.graph, core::EsdScorer(), core::DeletionStrategy::kTargeted);
+  const util::KeyedDsuPool& dsus = writer.EdgeDsus();
+  const size_t members = dsus.TotalMembers();
   const double per_member =
-      members == 0 ? 0 : static_cast<double>(bytes) / members;
-  std::printf("%-15s %12.2f %14.2f %12zu %18.2f\n", d.name.c_str(), boot,
-              handover, members, per_member);
-  char fields[160];
+      members == 0 ? 0
+                   : static_cast<double>(dsus.MemoryBytes()) /
+                         static_cast<double>(members);
+  const double boot = Median(boot_ms);
+  std::printf("%-15s %10.2f %10.2f %10.2f %10.2f %10.2f %10llu %12zu %10.2f\n",
+              d.name.c_str(), boot, Median(recover_ms), Median(build_ms),
+              Median(handover_ms), Median(freeze_ms),
+              static_cast<unsigned long long>(allocs), members, per_member);
+  char fields[320];
   std::snprintf(fields, sizeof(fields),
-                "\"boot_ms\":%.4f,\"handover_ms\":%.4f,"
-                "\"me_bytes_per_member\":%.3f",
-                boot, handover, per_member);
-  bench::EmitJson("fig11_maintenance", "live", d.name, "boot", boot, bytes,
-                  fields);
+                "\"boot_ms\":%.4f,\"recover_ms\":%.4f,\"build_ms\":%.4f,"
+                "\"handover_ms\":%.4f,\"freeze_ms\":%.4f,"
+                "\"allocs_per_boot\":%llu,\"me_bytes_per_member\":%.3f",
+                boot, Median(recover_ms), Median(build_ms), Median(handover_ms),
+                Median(freeze_ms), static_cast<unsigned long long>(allocs),
+                per_member);
+  bench::EmitJson("fig11_maintenance", "live", d.name, "boot", boot,
+                  dsus.MemoryBytes(), fields);
+  return true;
 }
 
 }  // namespace
@@ -201,10 +239,13 @@ int main() {
     }
   }
 
-  std::printf("\nLive writer boot (medians)\n");
-  std::printf("%-15s %12s %14s %12s %18s\n", "dataset", "boot (ms)",
-              "hand-over (ms)", "M_e members", "M_e bytes/member");
-  for (const gen::Dataset& d : bench::LoadAll()) BootRow(d);
+  std::printf("\nLive writer boot: LiveEsdIndex::Open by phase (medians, ms)\n");
+  std::printf("%-15s %10s %10s %10s %10s %10s %10s %12s %10s\n", "dataset",
+              "boot", "recover", "build", "hand-over", "freeze", "allocs",
+              "M_e members", "B/member");
+  for (const gen::Dataset& d : bench::LoadAll()) {
+    if (!BootRow(d)) return 1;
+  }
   if (!bench::WriteBenchArtifact("fig11_maintenance")) return 1;
   return 0;
 }

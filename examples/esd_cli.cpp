@@ -201,7 +201,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(state.replay_applied),
                 live::WalTailStatusName(state.wal.tail),
                 static_cast<unsigned long long>(state.applied_seq));
-    g = state.graph.Snapshot();
+    if (state.graph_changed) g = std::move(state.graph);
   }
   std::printf("graph: n=%u m=%u dmax=%u\n", g.NumVertices(), g.NumEdges(),
               g.MaxDegree());

@@ -276,37 +276,43 @@ EdgeSizePool EdgeDsuArena::ComponentSizePool(util::ThreadPool* pool) const {
   return out;
 }
 
-util::KeyedDsu EdgeDsuArena::ToKeyedDsu(EdgeId e) {
+void EdgeDsuArena::ExportDsus(util::KeyedDsuPool* out,
+                              util::ThreadPool* pool) {
   using Slot = util::KeyedDsu::Slot;
-  // The slice's members with their roots, then in ascending member id:
-  // merge the three sections. The middle and lower sections are each
-  // ascending, so the first descent after the upper section (if any) is
-  // where the lower one starts. A word holds the root's arena slot for now.
-  const uint32_t lo = offsets_[e], mid = lo + upper_[e], hi = offsets_[e + 1];
-  uint32_t lower = mid;
-  while (lower + 1 < hi && members_[lower] < members_[lower + 1]) ++lower;
-  lower = std::min(lower + 1, hi);
-  std::vector<Slot> slots(hi - lo);
-  for (uint32_t s = lo; s < hi; ++s) {
-    const uint32_t root = util::DsuFind(parent_, s);
-    slots[s - lo] = {members_[s], root == s ? parent_[s] : root};
-  }
-  auto by_vertex = [](const Slot& a, const Slot& b) {
-    return a.vertex < b.vertex;
-  };
-  std::inplace_merge(slots.begin() + (mid - lo), slots.begin() + (lower - lo),
-                     slots.end(), by_vertex);
-  std::inplace_merge(slots.begin(), slots.begin() + (mid - lo), slots.end(),
-                     by_vertex);
-  // Each root's arena slot becomes its position in member order.
-  for (Slot& s : slots) {
-    if ((s.parent & kRoot) != 0) continue;
-    const Slot key{members_[s.parent], 0};
-    s.parent = static_cast<uint32_t>(
-        std::lower_bound(slots.begin(), slots.end(), key, by_vertex) -
-        slots.begin());
-  }
-  return util::KeyedDsu(std::move(slots));
+  constexpr VertexId kNone = UINT32_MAX;
+  std::vector<Slot> slots(members_.size());
+  ForRange(pool, NumEdges(), 512, [&](uint64_t e_lo, uint64_t e_hi) {
+    std::vector<uint32_t> pos;  // arena slot - lo -> position in the run
+    for (uint64_t e = e_lo; e < e_hi; ++e) {
+      // The middle and lower sections are each ascending, so the first
+      // descent after the upper section (if any) is where the lower one
+      // starts.
+      const uint32_t lo = offsets_[e], mid = lo + upper_[e];
+      const uint32_t hi = offsets_[e + 1];
+      uint32_t lower = mid;
+      while (lower + 1 < hi && members_[lower] < members_[lower + 1]) ++lower;
+      lower = std::min(lower + 1, hi);
+      // Merge the three sections by vertex. A word holds its root's arena
+      // slot for now.
+      pos.resize(hi - lo);
+      Slot* run = slots.data() + lo;
+      uint32_t a = lo, b = mid, c = lower;
+      for (uint32_t k = 0; k < hi - lo; ++k) {
+        const VertexId x = a < mid ? members_[a] : kNone;
+        const VertexId y = b < lower ? members_[b] : kNone;
+        const VertexId z = c < hi ? members_[c] : kNone;
+        const uint32_t s = x < y && x < z ? a++ : y < z ? b++ : c++;
+        pos[s - lo] = k;
+        const uint32_t root = util::DsuFind(parent_, s);
+        run[k] = {members_[s], root == s ? parent_[s] : root};
+      }
+      // Each root's arena slot becomes its position in member order.
+      for (uint32_t k = 0; k < hi - lo; ++k) {
+        if ((run[k].parent & kRoot) == 0) run[k].parent = pos[run[k].parent - lo];
+      }
+    }
+  });
+  out->Adopt(std::span<const uint32_t>(offsets_), std::move(slots));
 }
 
 size_t EdgeDsuArena::MemoryBytes() const {

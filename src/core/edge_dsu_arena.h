@@ -31,8 +31,8 @@ struct FourClique {
 /// edge's member list (its common neighborhood) in one CSR-style buffer
 /// with a parallel parent array, whose words index the whole buffer. Union
 /// and Find are util/dsu.h's DsuUnion and DsuFind, the kernel the live
-/// writer's util::KeyedDsu runs too; a root's parent word holds kRoot | its
-/// component size.
+/// writer's util::KeyedDsuPool runs too; a root's parent word holds
+/// kRoot | its component size.
 ///
 /// The slice of an edge a→b of the degree-ordered DAG has three sections,
 /// each in ascending vertex id:
@@ -180,11 +180,13 @@ class EdgeDsuArena {
   /// half). If `pool` is non-null the per-edge extraction runs on it.
   EdgeSizePool ComponentSizePool(util::ThreadPool* pool = nullptr) const;
 
-  /// Copies edge e's slice into a standalone KeyedDsu with the same
-  /// components and the same roots (used to bootstrap the live writer and
-  /// the dynamic index): the sections merged into member order, each
-  /// member's word pointing straight at its root's new position.
-  util::KeyedDsu ToKeyedDsu(graph::EdgeId e);
+  /// Replaces *out with every edge's slice as its M_e, with the same
+  /// components and the same roots (how the live writer and the dynamic
+  /// index boot): one pass over the slices, each one's three sections
+  /// merged into member order and each member's word pointing straight at
+  /// its root's new position. The pool's runs take the arena's offsets. If
+  /// `pool` is non-null the slices are split over it.
+  void ExportDsus(util::KeyedDsuPool* out, util::ThreadPool* pool = nullptr);
 
   /// Bytes of the arena's tables. Of the triangle table only the
   /// triangles count, not the rest of the listing's reservation.

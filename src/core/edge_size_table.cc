@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <span>
 #include <utility>
 
 namespace esd::core {
@@ -15,48 +16,50 @@ EdgeId EdgeSizeTable::RegisterEdge(Edge uv) {
     free_ids_.pop_back();
     edges_[e] = uv;
     live_[e] = 1;
-    edge_sizes_[e].clear();
     LogWrite(e);
     return e;
   }
   EdgeId e = static_cast<EdgeId>(edges_.size());
   edges_.push_back(uv);
-  edge_sizes_.emplace_back();
+  sizes_.AddRun();
   live_.push_back(1);
   LogWrite(e);
   return e;
 }
 
 void EdgeSizeTable::UnregisterEdge(EdgeId e) {
-  assert(live_[e] && edge_sizes_[e].empty());
+  assert(live_[e] && EdgeSizes(e).empty());
   live_[e] = 0;
   free_ids_.push_back(e);
   LogWrite(e);
 }
 
-void EdgeSizeTable::SetEdgeSizes(EdgeId e, std::vector<uint32_t> sorted_sizes) {
-  assert(e < edge_sizes_.size() && live_[e]);
+void EdgeSizeTable::SetEdgeSizes(EdgeId e,
+                                 std::span<const uint32_t> sorted_sizes) {
+  assert(e < edges_.size() && live_[e]);
   assert(std::is_sorted(sorted_sizes.begin(), sorted_sizes.end()));
-  if (log_enabled_ && edge_sizes_[e] != sorted_sizes) LogWrite(e);
-  edge_sizes_[e] = std::move(sorted_sizes);
+  const std::span<const uint32_t> was = EdgeSizes(e);
+  if (std::equal(was.begin(), was.end(), sorted_sizes.begin(),
+                 sorted_sizes.end())) {
+    return;
+  }
+  LogWrite(e);
+  sizes_.Assign(e, sorted_sizes);
 }
 
-void EdgeSizeTable::BulkLoad(std::vector<Edge> edges,
-                             std::span<const uint64_t> size_offsets,
-                             std::span<const uint32_t> size_pool,
+void EdgeSizeTable::BulkLoad(std::vector<Edge> edges, EdgeSizePool sizes,
                              std::vector<uint8_t> live) {
   const size_t n = edges.size();
   // A default-constructed frozen image has no offsets at all.
-  assert(size_offsets.size() == n + 1 || n == 0);
+  assert(sizes.offsets.size() == n + 1 || n == 0);
   assert(live.empty() || live.size() == n);
   edges_ = std::move(edges);
   live_ = live.empty() ? std::vector<uint8_t>(n, 1) : std::move(live);
-  edge_sizes_.resize(n);
+  sizes_.Adopt(std::span<const uint64_t>(sizes.offsets),
+               std::move(sizes.values));
   free_ids_.clear();
   for (EdgeId e = 0; e < n; ++e) {
-    edge_sizes_[e].assign(size_pool.begin() + size_offsets[e],
-                          size_pool.begin() + size_offsets[e + 1]);
-    assert(live_[e] || edge_sizes_[e].empty());
+    assert(live_[e] || EdgeSizes(e).empty());
     if (!live_[e]) free_ids_.push_back(e);
   }
   if (log_enabled_) {

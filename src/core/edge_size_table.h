@@ -9,6 +9,7 @@
 
 #include "core/scorer.h"
 #include "graph/graph.h"
+#include "util/run_pool.h"
 
 namespace esd::core {
 
@@ -16,7 +17,10 @@ namespace esd::core {
 /// part of the ESDIndex that Section V's maintenance repairs (Algorithms
 /// 4-5 up to line 19), and everything Freeze (core/frozen_index.h) reads.
 ///
-/// Edge ids are dense; freed ids are reused. EsdIndex derives from this
+/// Edge ids are dense; freed ids are reused. The multisets share one
+/// util::RunPool, one run per slot, so a bulk load adopts a CSR size pool
+/// (a build's, or a frozen image's) in a block, and a rewrite allocates
+/// nothing per edge. EsdIndex derives from this
 /// table and moves its H(c) lists inside its own SetEdgeSizes/BulkLoad, so
 /// write an EsdIndex through the EsdIndex, never through a reference to
 /// this base. The live writer keeps the table alone, with its change log
@@ -43,27 +47,44 @@ class EdgeSizeTable {
   /// True if edge id `e` is currently registered.
   bool IsLive(graph::EdgeId e) const { return e < live_.size() && live_[e]; }
 
+  /// Every slot's endpoints and whether it is in use, by EdgeId.
+  std::span<const graph::Edge> Edges() const { return edges_; }
+  std::span<const uint8_t> LiveMask() const { return live_; }
+
   /// Replaces edge e's component-size multiset with `sorted_sizes`
-  /// (ascending).
-  void SetEdgeSizes(graph::EdgeId e, std::vector<uint32_t> sorted_sizes);
+  /// (ascending), which must not point into the table.
+  void SetEdgeSizes(graph::EdgeId e, std::span<const uint32_t> sorted_sizes);
 
   /// Replaces the contents with slots 0..edges.size()-1: their endpoints,
-  /// their multisets (CSR: slot e's, ascending, is size_pool[
-  /// size_offsets[e] .. size_offsets[e+1])) and, unless `live` is empty,
-  /// which slots are in use (a freed slot's multiset is empty). Freed ids
-  /// are left ascending, so RegisterEdge reuses the highest first.
+  /// their multisets (CSR: slot e's, ascending, is sizes.values[
+  /// sizes.offsets[e] .. sizes.offsets[e+1]), taken over as the table's
+  /// pool) and, unless `live` is empty, which slots are in use (a freed
+  /// slot's multiset is empty). Freed ids are left ascending, so
+  /// RegisterEdge reuses the highest first.
+  void BulkLoad(std::vector<graph::Edge> edges, EdgeSizePool sizes,
+                std::vector<uint8_t> live = {});
+
+  /// BulkLoad from a pool held elsewhere (a frozen image's): one block
+  /// copy of each array.
   void BulkLoad(std::vector<graph::Edge> edges,
                 std::span<const uint64_t> size_offsets,
                 std::span<const uint32_t> size_pool,
-                std::vector<uint8_t> live = {});
-  void BulkLoad(std::vector<graph::Edge> edges, const EdgeSizePool& sizes) {
-    BulkLoad(std::move(edges), sizes.offsets, sizes.values);
+                std::vector<uint8_t> live = {}) {
+    BulkLoad(std::move(edges),
+             EdgeSizePool{{size_offsets.begin(), size_offsets.end()},
+                          {size_pool.begin(), size_pool.end()}},
+             std::move(live));
   }
 
-  /// Component-size multiset of edge e (ascending).
-  const std::vector<uint32_t>& EdgeSizes(graph::EdgeId e) const {
-    return edge_sizes_[e];
+  /// Component-size multiset of edge e (ascending). Invalidated by the
+  /// next write to the table.
+  std::span<const uint32_t> EdgeSizes(graph::EdgeId e) const {
+    return sizes_.Run(e);
   }
+
+  /// The multisets' pool (introspection: live and dead entries,
+  /// compactions, bytes).
+  const util::RunPool<uint32_t>& SizePool() const { return sizes_; }
 
   /// Which diversity definition the stored value multisets follow. The
   /// table itself is scorer-agnostic (any sorted multiset per edge); the
@@ -99,8 +120,8 @@ class EdgeSizeTable {
  private:
   void LogWrite(graph::EdgeId e);
 
-  std::vector<std::vector<uint32_t>> edge_sizes_;  // by EdgeId
-  std::vector<graph::Edge> edges_;                 // by EdgeId
+  util::RunPool<uint32_t> sizes_;   // C_e, one run per EdgeId
+  std::vector<graph::Edge> edges_;  // by EdgeId
   std::vector<graph::EdgeId> free_ids_;
   std::vector<uint8_t> live_;  // by EdgeId
   ScorerKind scorer_kind_ = ScorerKind::kEsd;

@@ -11,7 +11,7 @@ namespace esd::core {
 using graph::Edge;
 using graph::EdgeId;
 
-void EsdIndex::RemoveEntries(EdgeId e, const std::vector<uint32_t>& sizes) {
+void EsdIndex::RemoveEntries(EdgeId e, std::span<const uint32_t> sizes) {
   if (sizes.empty()) return;
   const uint32_t max_size = sizes.back();
   for (auto it = lists_.begin();
@@ -38,7 +38,7 @@ void EsdIndex::RemoveEntries(EdgeId e, const std::vector<uint32_t>& sizes) {
   }
 }
 
-void EsdIndex::InsertEntries(EdgeId e, const std::vector<uint32_t>& sizes) {
+void EsdIndex::InsertEntries(EdgeId e, std::span<const uint32_t> sizes) {
   if (sizes.empty()) return;
   // First materialize lists for never-before-seen sizes by cloning the next
   // larger list: exact because no edge currently owns a component size in
@@ -65,18 +65,22 @@ void EsdIndex::InsertEntries(EdgeId e, const std::vector<uint32_t>& sizes) {
   }
 }
 
-void EsdIndex::SetEdgeSizes(EdgeId e, std::vector<uint32_t> sorted_sizes) {
-  if (EdgeSizes(e) == sorted_sizes) return;
-  RemoveEntries(e, EdgeSizes(e));
+void EsdIndex::SetEdgeSizes(EdgeId e, std::span<const uint32_t> sorted_sizes) {
+  const std::span<const uint32_t> was = EdgeSizes(e);
+  if (std::equal(was.begin(), was.end(), sorted_sizes.begin(),
+                 sorted_sizes.end())) {
+    return;
+  }
+  RemoveEntries(e, was);
   InsertEntries(e, sorted_sizes);
-  EdgeSizeTable::SetEdgeSizes(e, std::move(sorted_sizes));
+  EdgeSizeTable::SetEdgeSizes(e, sorted_sizes);
 }
 
-void EsdIndex::BulkLoad(std::vector<Edge> edges, const EdgeSizePool& sizes) {
+void EsdIndex::BulkLoad(std::vector<Edge> edges, EdgeSizePool sizes) {
   const ListLayout lists = LayOutLists(sizes.offsets, sizes.values);
   obs::PhaseSeries phases;
   phases.Begin("build.hlist_build");
-  EdgeSizeTable::BulkLoad(std::move(edges), sizes);
+  EdgeSizeTable::BulkLoad(std::move(edges), std::move(sizes));
   BuildLists(lists.sizes, lists.offsets, lists.entries);
 }
 
@@ -94,7 +98,7 @@ void EsdIndex::BuildLists(std::span<const uint32_t> sizes,
   // Owner counts: each edge's distinct values, ranked in C.
   std::vector<uint32_t> owners(sizes.size(), 0);
   for (EdgeId e = 0; e < EdgeSlotCount(); ++e) {
-    const std::vector<uint32_t>& s = EdgeSizes(e);
+    const std::span<const uint32_t> s = EdgeSizes(e);
     for (size_t i = 0; i < s.size(); ++i) {
       if (i > 0 && s[i] == s[i - 1]) continue;
       ++owners[std::lower_bound(sizes.begin(), sizes.end(), s[i]) -
@@ -134,7 +138,7 @@ TopKResult EsdIndex::Query(uint32_t k, uint32_t tau,
     const bool has_list = it != lists_.end();
     const uint32_t c = has_list ? it->first : 0;
     auto in_list = [&](EdgeId e) {
-      const auto& sizes = EdgeSizes(e);
+      const std::span<const uint32_t> sizes = EdgeSizes(e);
       return has_list && !sizes.empty() && sizes.back() >= c;
     };
     for (EdgeId e = 0; e < EdgeSlotCount() && out.size() < k; ++e) {

@@ -54,13 +54,13 @@ class EsdIndex : public EsdQueryEngine, public EdgeSizeTable {
   /// Replaces edge e's component-size multiset with `sorted_sizes`
   /// (ascending) and updates every affected H(c) list. O(|C_e| log m)
   /// amortized, plus clone cost when a never-before-seen size appears.
-  void SetEdgeSizes(graph::EdgeId e, std::vector<uint32_t> sorted_sizes);
+  void SetEdgeSizes(graph::EdgeId e, std::span<const uint32_t> sorted_sizes);
 
   /// Bulk construction: edge ids 0..edges.size()-1 are registered with the
   /// given endpoints and multisets, and each H(c) treap is built in O(|H(c)|)
   /// from its slab in LayOutLists' layout. Replaces current contents. The
   /// dynamic engine's bootstrap; the builders go through Thaw.
-  void BulkLoad(std::vector<graph::Edge> edges, const EdgeSizePool& sizes);
+  void BulkLoad(std::vector<graph::Edge> edges, EdgeSizePool sizes);
 
   // ---- Query ---------------------------------------------------------------
 
@@ -119,8 +119,8 @@ class EsdIndex : public EsdQueryEngine, public EdgeSizeTable {
   void BuildLists(std::span<const uint32_t> sizes,
                   std::span<const uint64_t> offsets,
                   std::span<const ListEntry> entries);
-  void RemoveEntries(graph::EdgeId e, const std::vector<uint32_t>& sizes);
-  void InsertEntries(graph::EdgeId e, const std::vector<uint32_t>& sizes);
+  void RemoveEntries(graph::EdgeId e, std::span<const uint32_t> sizes);
+  void InsertEntries(graph::EdgeId e, std::span<const uint32_t> sizes);
 
   std::map<uint32_t, List> lists_;
   // Number of edges owning at least one component of size c; a list lives

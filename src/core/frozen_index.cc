@@ -511,23 +511,15 @@ bool operator==(const FrozenEsdIndex& a, const FrozenEsdIndex& b) {
 }
 
 FrozenEsdIndex Freeze(const EdgeSizeTable& table) {
-  const size_t slots = table.EdgeSlotCount();
-  std::vector<Edge> edges;
-  std::vector<uint8_t> live;
-  edges.reserve(slots);
-  live.reserve(slots);
-  for (EdgeId e = 0; e < slots; ++e) {
-    edges.push_back(table.EdgeAt(e));
-    live.push_back(table.IsLive(e) ? 1 : 0);
-  }
   // Freed slots carry empty multisets, so packing every slot keeps them
   // empty in the pool.
-  EdgeSizePool sizes = EdgeSizePool::Pack(
-      slots, [&](size_t e) -> const std::vector<uint32_t>& {
+  EdgeSizePool sizes =
+      EdgeSizePool::Pack(table.EdgeSlotCount(), [&](size_t e) {
         return table.EdgeSizes(static_cast<EdgeId>(e));
       });
-  return FrozenEsdIndex::FromSizePool(std::move(edges), std::move(sizes),
-                                      std::move(live), table.Scorer());
+  return FrozenEsdIndex::FromSizePool(
+      {table.Edges().begin(), table.Edges().end()}, std::move(sizes),
+      {table.LiveMask().begin(), table.LiveMask().end()}, table.Scorer());
 }
 
 SlotPatch CopySlots(const EdgeSizeTable& table, std::vector<EdgeId> slots) {
@@ -542,9 +534,7 @@ SlotPatch CopySlots(const EdgeSizeTable& table, std::vector<EdgeId> slots) {
     patch.live.push_back(table.IsLive(e) ? 1 : 0);
   }
   patch.sizes = EdgeSizePool::Pack(
-      slots.size(), [&](size_t i) -> const std::vector<uint32_t>& {
-        return table.EdgeSizes(slots[i]);
-      });
+      slots.size(), [&](size_t i) { return table.EdgeSizes(slots[i]); });
   patch.ids = std::move(slots);
   return patch;
 }

@@ -15,7 +15,6 @@ namespace esd::core {
 using graph::EdgeId;
 using graph::Graph;
 using graph::VertexId;
-using util::KeyedDsu;
 
 namespace {
 
@@ -136,7 +135,7 @@ EsdIndex BuildIndexBasic(const Graph& g, graph::EgoProbe probe) {
 }
 
 EdgeSizePool CliqueComponentSizes(const Graph& g, util::ThreadPool* pool,
-                                  std::vector<KeyedDsu>* m_out,
+                                  util::KeyedDsuPool* m_out,
                                   ParallelMode mode) {
   if (pool != nullptr && pool->num_threads() <= 1) pool = nullptr;
   obs::PhaseSeries phases;
@@ -177,15 +176,7 @@ EdgeSizePool CliqueComponentSizes(const Graph& g, util::ThreadPool* pool,
   // needed.
   phases.Begin("build.extract_sizes");
   EdgeSizePool sizes = dsu.ComponentSizePool(pool);
-  if (m_out != nullptr) {
-    m_out->clear();
-    m_out->resize(g.NumEdges());
-    util::ForRange(pool, g.NumEdges(), 512, [&](uint64_t lo, uint64_t hi) {
-      for (uint64_t e = lo; e < hi; ++e) {
-        (*m_out)[e] = dsu.ToKeyedDsu(static_cast<EdgeId>(e));
-      }
-    });
-  }
+  if (m_out != nullptr) dsu.ExportDsus(m_out, pool);
   return sizes;
 }
 

@@ -45,12 +45,12 @@ enum class ParallelMode {
 /// pool, or a 1-thread one, the 4-clique stage is one lock-free sweep.
 ///
 /// If `m_out` is non-null it receives the per-edge disjoint-set structures
-/// (indexed by EdgeId), copied slice by slice off the arena: the M_e that
-/// the Maintainer under both the live writer and the dynamic engine
-/// maintains incrementally.
+/// (indexed by EdgeId) in one pass over the arena's slices
+/// (EdgeDsuArena::ExportDsus): the M_e that the Maintainer under both the
+/// live writer and the dynamic engine maintains incrementally.
 EdgeSizePool CliqueComponentSizes(
     const graph::Graph& g, util::ThreadPool* pool = nullptr,
-    std::vector<util::KeyedDsu>* m_out = nullptr,
+    util::KeyedDsuPool* m_out = nullptr,
     ParallelMode mode = ParallelMode::kEdgeParallel);
 
 /// Treap index of `g` under `scorer`: Thaw of BuildFrozenIndex, so each

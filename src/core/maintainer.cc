@@ -43,45 +43,46 @@ void SortUnique(std::vector<EdgeId>* ids) {
 
 }  // namespace
 
+MaintainerBootstrap BuildMaintainerBootstrap(const graph::Graph& g,
+                                             const DiversityScorer& scorer) {
+  MaintainerBootstrap out;
+  out.values = scorer.Kind() == ScorerKind::kEsd
+                   ? CliqueComponentSizes(g, nullptr, &out.dsus)
+                   : scorer.BuildAllEdgeValues(g);
+  return out;
+}
+
 template <class Table>
 Maintainer<Table>::Maintainer(const graph::Graph& g,
                               const DiversityScorer& scorer,
-                              DeletionStrategy strategy)
+                              DeletionStrategy strategy,
+                              MaintainerBootstrap built)
     : graph_(g),
       scorer_(&scorer),
       use_dsu_(scorer.Kind() == ScorerKind::kEsd),
+      dsu_(std::move(built.dsus)),
       strategy_(strategy) {
-  const EdgeSizePool values = use_dsu_
-                                  ? CliqueComponentSizes(g, nullptr, &dsu_)
-                                  : scorer.BuildAllEdgeValues(g);
-  table_.BulkLoad(g.Edges(), values);
+  assert(built.values.offsets.size() == g.NumEdges() + 1);
+  assert(!use_dsu_ || dsu_.size() == g.NumEdges());
+  table_.BulkLoad(g.Edges(), std::move(built.values));
   table_.SetScorerKind(scorer.Kind());
-  ids_.Reserve(g.NumEdges());
-  for (EdgeId e = 0; e < g.NumEdges(); ++e) {
-    const Edge& uv = g.EdgeAt(e);
-    ids_.Insert(Key(uv.u, uv.v), e);
+}
+
+template <class Table>
+std::span<const uint32_t> Maintainer<Table>::ValuesFor(EdgeId e) {
+  if (use_dsu_) {
+    dsu_[e].ComponentSizes(&values_);
+  } else {
+    const Edge uv = table_.EdgeAt(e);
+    values_ = scorer_->EdgeValues(graph_, uv.u, uv.v);
   }
-}
-
-template <class Table>
-EdgeId Maintainer<Table>::IdOf(VertexId u, VertexId v) const {
-  const EdgeId* e = ids_.Find(Key(u, v));
-  assert(e != nullptr);
-  return *e;
-}
-
-template <class Table>
-std::vector<uint32_t> Maintainer<Table>::ValuesFor(EdgeId e) {
-  if (use_dsu_) return dsu_[e].ComponentSizes();
-  const Edge uv = table_.EdgeAt(e);
-  return scorer_->EdgeValues(graph_, uv.u, uv.v);
+  return values_;
 }
 
 template <class Table>
 void Maintainer<Table>::RefreshScores(EdgeId e) {
   if (batch_mode_) {
-    const Edge uv = table_.EdgeAt(e);
-    pending_refresh_.Insert(Key(uv.u, uv.v));
+    pending_refresh_.Insert(e);
     return;
   }
   table_.SetEdgeSizes(e, ValuesFor(e));
@@ -99,10 +100,11 @@ size_t Maintainer<Table>::ApplyBatch(std::span<const EdgeUpdate> updates) {
   }
   batch_mode_ = false;
   size_t touched = 0;
-  pending_refresh_.ForEach([this, &touched](uint64_t key) {
-    const EdgeId* e = ids_.Find(key);
-    if (e != nullptr) {  // skip edges deleted later in the batch
-      table_.SetEdgeSizes(*e, ValuesFor(*e));
+  pending_refresh_.ForEach([this, &touched](EdgeId e) {
+    // Skip ids freed later in the batch; a freed id reused by a later
+    // insert is live again and due a refresh anyway.
+    if (table_.IsLive(e)) {
+      table_.SetEdgeSizes(e, ValuesFor(e));
       ++touched;
     }
   });
@@ -112,33 +114,54 @@ size_t Maintainer<Table>::ApplyBatch(std::span<const EdgeUpdate> updates) {
 }
 
 template <class Table>
-bool Maintainer<Table>::InsertEdge(VertexId u, VertexId v) {
-  ESD_TRACE_SPAN("maintain.insert");
-  if (!graph_.InsertEdge(u, v)) return false;
-  InsertCounter().Inc();
-  const Edge uv = graph::MakeEdge(u, v);
-  const EdgeId e = table_.RegisterEdge(uv);
-  if (use_dsu_) {
-    if (e >= dsu_.size()) {
-      dsu_.resize(e + 1);
+void Maintainer<Table>::BuildCommonWithIds(VertexId u, VertexId v) {
+  const std::span<const VertexId> nu = graph_.Neighbors(u);
+  const std::span<const VertexId> nv = graph_.Neighbors(v);
+  const std::span<const EdgeId> eu = graph_.IncidentEdges(u);
+  const std::span<const EdgeId> ev = graph_.IncidentEdges(v);
+  common_.clear();
+  wedge_ids_.clear();
+  for (size_t i = 0, j = 0; i < nu.size() && j < nv.size();) {
+    if (nu[i] < nv[j]) {
+      ++i;
+    } else if (nu[i] > nv[j]) {
+      ++j;
     } else {
-      dsu_[e] = KeyedDsu();
+      common_.push_back(nu[i]);
+      wedge_ids_.push_back(eu[i++]);
+      wedge_ids_.push_back(ev[j++]);
     }
   }
-  ids_[Key(u, v)] = e;
+  ego_.Build(graph_, common_);
+}
+
+template <class Table>
+bool Maintainer<Table>::InsertEdge(VertexId u, VertexId v) {
+  ESD_TRACE_SPAN("maintain.insert");
+  if (u == v || std::max(u, v) >= graph_.NumVertices() ||
+      graph_.HasEdge(u, v)) {
+    return false;
+  }
+  InsertCounter().Inc();
+  const EdgeId e = table_.RegisterEdge(graph::MakeEdge(u, v));
+  graph_.InsertEdge(u, v, e);
+  if (use_dsu_) {
+    // A freed id's structure was emptied by its deletion.
+    if (e >= dsu_.size()) dsu_.Resize(e + 1);
+    assert(dsu_[e].NumMembers() == 0);
+  }
 
   // Lines 2-9 of Algorithm 4: the common neighborhood seeds M_uv, and the
   // new edge makes v a common neighbor of every (u, w) — and u of every
   // (v, w) — for w in N(uv). The affected-edge enumeration is the same for
   // every scorer; only the DSU repairs are ESD-specific (non-ESD scorers
   // recompute each affected edge through the scorer hook instead).
-  ego_.BuildCommon(graph_, u, v);
+  BuildCommonWithIds(u, v);
   const std::span<const VertexId> common = ego_.Members();
   affected_.assign(1, e);
   if (use_dsu_) dsu_[e].AddMembers(common);
-  for (VertexId w : common) {
-    EdgeId euw = IdOf(u, w);
-    EdgeId evw = IdOf(v, w);
+  for (size_t i = 0; i < common.size(); ++i) {
+    const EdgeId euw = wedge_ids_[2 * i], evw = wedge_ids_[2 * i + 1];
     if (use_dsu_) {
       dsu_[euw].AddMember(v);
       dsu_[evw].AddMember(u);
@@ -151,13 +174,13 @@ bool Maintainer<Table>::InsertEdge(VertexId u, VertexId v) {
   // {u, v, w1, w2}; merge the opposite pair in all six structures.
   ego_.ForEachEdge([&](uint32_t i, uint32_t j) {
     const VertexId w1 = common[i], w2 = common[j];
-    EdgeId e12 = IdOf(w1, w2);
+    const EdgeId e12 = IdOf(w1, w2);
     if (use_dsu_) {
       dsu_[e].Union(w1, w2);
-      dsu_[IdOf(u, w1)].Union(v, w2);
-      dsu_[IdOf(u, w2)].Union(v, w1);
-      dsu_[IdOf(v, w1)].Union(u, w2);
-      dsu_[IdOf(v, w2)].Union(u, w1);
+      dsu_[wedge_ids_[2 * i]].Union(v, w2);      // (u, w1)
+      dsu_[wedge_ids_[2 * j]].Union(v, w1);      // (u, w2)
+      dsu_[wedge_ids_[2 * i + 1]].Union(u, w2);  // (v, w1)
+      dsu_[wedge_ids_[2 * j + 1]].Union(u, w1);  // (v, w2)
       dsu_[e12].Union(u, v);
     }
     affected_.push_back(e12);
@@ -175,23 +198,17 @@ bool Maintainer<Table>::InsertEdge(VertexId u, VertexId v) {
 template <class Table>
 bool Maintainer<Table>::DeleteEdge(VertexId u, VertexId v) {
   ESD_TRACE_SPAN("maintain.delete");
-  const uint64_t key = Key(u, v);
-  const EdgeId* pe = ids_.Find(key);
-  if (pe == nullptr) return false;
-  const EdgeId e = *pe;
+  const EdgeId e = IdOf(u, v);
+  if (e == graph::kNoEdge) return false;
   DeleteCounter().Inc();
 
   // Snapshot the affected subgraph G̃_{N(uv)} before mutating the graph: the
   // wedge edges (u, w), (v, w) for each w in N(uv), then every edge inside
   // N(uv). The snapshot is held as edge ids because the repairs below
   // rebuild ego_.
-  ego_.BuildCommon(graph_, u, v);
+  BuildCommonWithIds(u, v);
   const std::span<const VertexId> common = ego_.Members();
-  affected_.clear();
-  for (VertexId w : common) {
-    affected_.push_back(IdOf(u, w));
-    affected_.push_back(IdOf(v, w));
-  }
+  affected_.assign(wedge_ids_.begin(), wedge_ids_.end());
   const size_t num_wedge = affected_.size();
   ego_.ForEachEdge([&](uint32_t i, uint32_t j) {
     affected_.push_back(IdOf(common[i], common[j]));
@@ -226,8 +243,7 @@ bool Maintainer<Table>::DeleteEdge(VertexId u, VertexId v) {
   // Lines 22-23: drop the deleted edge itself.
   table_.SetEdgeSizes(e, {});
   table_.UnregisterEdge(e);
-  if (use_dsu_) dsu_[e] = KeyedDsu();
-  ids_.Erase(key);
+  if (use_dsu_) dsu_[e].Clear();
   last_touched_ = affected_.size() + 1;
   TouchedCounter().Inc(last_touched_);
   return true;
@@ -249,14 +265,13 @@ template <class Table>
 void Maintainer<Table>::RebuildDsu(EdgeId e) {
   const Edge xy = table_.EdgeAt(e);
   ego_.BuildCommon(graph_, xy.u, xy.v);
-  KeyedDsu fresh;
-  AddEgoTo(&fresh);
-  dsu_[e] = std::move(fresh);
+  dsu_[e].Clear();
+  AddEgoTo(dsu_[e]);
 }
 
 template <class Table>
 void Maintainer<Table>::TargetedRepair(EdgeId e, VertexId z) {
-  KeyedDsu& m = dsu_[e];
+  KeyedDsu m = dsu_[e];
   if (!m.Contains(z)) return;
   const Edge xy = table_.EdgeAt(e);
   m.ComponentMembers(z, &component_);
@@ -269,19 +284,19 @@ void Maintainer<Table>::TargetedRepair(EdgeId e, VertexId z) {
     return !graph_.HasEdge(xy.u, w) || !graph_.HasEdge(xy.v, w);
   });
   ego_.Build(graph_, component_);
-  AddEgoTo(&m);
+  AddEgoTo(m);
 }
 
 template <class Table>
-void Maintainer<Table>::AddEgoTo(KeyedDsu* m) {
+void Maintainer<Table>::AddEgoTo(KeyedDsu m) {
   const std::span<const VertexId> members = ego_.Members();
-  m->AddMembers(members);
+  m.AddMembers(members);
   // One search per member, not two per edge: an ego-network is often far
   // denser than it is large.
   ego_slots_.clear();
-  for (VertexId w : members) ego_slots_.push_back(m->SlotOf(w));
+  for (VertexId w : members) ego_slots_.push_back(m.SlotOf(w));
   ego_.ForEachEdge([&](uint32_t i, uint32_t j) {
-    m->UnionSlots(ego_slots_[i], ego_slots_[j]);
+    m.UnionSlots(ego_slots_[i], ego_slots_[j]);
   });
 }
 

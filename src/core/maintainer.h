@@ -24,11 +24,28 @@ enum class DeletionStrategy {
   kTargeted,
 };
 
+/// What a Maintainer boots from: every edge's value multiset C_e and, for
+/// the ESD scorer, every edge's M_e, both as flat pools indexed by the
+/// graph's edge ids.
+struct MaintainerBootstrap {
+  EdgeSizePool values;
+  util::KeyedDsuPool dsus;  // empty unless the scorer is ESD
+};
+
+/// The build half of a Maintainer's boot: the scorer's bulk hook, and for
+/// the ESD scorer the 4-clique build with its M_e export
+/// (CliqueComponentSizes).
+MaintainerBootstrap BuildMaintainerBootstrap(const graph::Graph& g,
+                                             const DiversityScorer& scorer);
+
 /// Section V's maintenance state: the evolving graph, the edge table (edge
 /// registry plus each edge's value multiset C_e), and the per-edge
-/// disjoint-set structures M_e. InsertEdge implements Algorithm 4 and
-/// DeleteEdge Algorithm 5; each writes the new C_e of every touched edge
-/// through Table::SetEdgeSizes.
+/// disjoint-set structures M_e. C_e and M_e each live in one flat pool
+/// (util::RunPool), and the graph keeps each edge's id beside the
+/// neighbour, so a boot hands over a few blocks and no update hashes an
+/// edge. InsertEdge implements Algorithm 4 and DeleteEdge Algorithm 5;
+/// each writes the new C_e of every touched edge through
+/// Table::SetEdgeSizes.
 ///
 /// `Table` is EdgeSizeTable (the live writer, which freezes straight from
 /// C_e) or EsdIndex (the dynamic engine, whose SetEdgeSizes also moves the
@@ -49,7 +66,13 @@ class Maintainer {
   /// recomputed through the scorer's single-edge hook. `scorer` must
   /// outlive the maintainer (the built-ins are singletons).
   Maintainer(const graph::Graph& g, const DiversityScorer& scorer,
-             DeletionStrategy strategy);
+             DeletionStrategy strategy)
+      : Maintainer(g, scorer, strategy, BuildMaintainerBootstrap(g, scorer)) {}
+
+  /// The hand-over half: adopts `built` (BuildMaintainerBootstrap of the
+  /// same graph and scorer) by move, and copies the graph.
+  Maintainer(const graph::Graph& g, const DiversityScorer& scorer,
+             DeletionStrategy strategy, MaintainerBootstrap built);
 
   /// Inserts edge {u, v} and repairs the table (Algorithm 4).
   /// Returns false (no-op) if the edge exists or u == v.
@@ -96,7 +119,7 @@ class Maintainer {
 
   /// The per-edge disjoint sets M_e, by EdgeId; empty unless the scorer is
   /// ESD.
-  std::span<const util::KeyedDsu> EdgeDsus() const { return dsu_; }
+  const util::KeyedDsuPool& EdgeDsus() const { return dsu_; }
 
   /// Number of edges whose multisets were refreshed by the last update —
   /// the locality measure reported by the maintenance bench.
@@ -104,13 +127,14 @@ class Maintainer {
 
  protected:
   /// Dense id of the existing edge {u, v}.
-  graph::EdgeId IdOf(graph::VertexId u, graph::VertexId v) const;
+  graph::EdgeId IdOf(graph::VertexId u, graph::VertexId v) const {
+    return graph_.FindEdge(u, v);
+  }
 
  private:
-  static uint64_t Key(graph::VertexId u, graph::VertexId v) {
-    graph::Edge e = graph::MakeEdge(u, v);
-    return (static_cast<uint64_t>(e.u) << 32) | e.v;
-  }
+  /// Sets ego_ to the ego-network of {u, v}, and wedge_ids_ to the ids of
+  /// (u, w) and (v, w) for each member w in turn, read off the same merge.
+  void BuildCommonWithIds(graph::VertexId u, graph::VertexId v);
 
   /// Rebuilds dsu_[e] from the current graph (common neighborhood +
   /// pairwise adjacency unions).
@@ -118,7 +142,7 @@ class Maintainer {
 
   /// Adds ego_'s members, none of them in `*m`, to `*m` as singletons,
   /// then unions them along ego_'s edges.
-  void AddEgoTo(util::KeyedDsu* m);
+  void AddEgoTo(util::KeyedDsu m);
 
   /// Paper's Update: in M_e, rebuild only the component containing z.
   /// `z` need not be a member (then this is a no-op).
@@ -127,25 +151,28 @@ class Maintainer {
   /// Pushes edge e's current value multiset into the table.
   void RefreshScores(graph::EdgeId e);
 
-  /// Edge e's value multiset right now: M_e's component sizes on the DSU
-  /// fast path, otherwise a scorer recompute from the current graph.
-  std::vector<uint32_t> ValuesFor(graph::EdgeId e);
+  /// Edge e's value multiset right now, in a scratch buffer the next call
+  /// reuses: M_e's component sizes on the DSU fast path, otherwise a scorer
+  /// recompute from the current graph.
+  std::span<const uint32_t> ValuesFor(graph::EdgeId e);
 
   graph::DynamicGraph graph_;
   Table table_;
   const DiversityScorer* scorer_;               // never null
   bool use_dsu_;  // ESD only: maintain per-edge DSUs incrementally
-  std::vector<util::KeyedDsu> dsu_;             // by EdgeId (DSU path only)
-  util::FlatMap<uint64_t, graph::EdgeId> ids_;  // (u,v) -> EdgeId
+  util::KeyedDsuPool dsu_;  // by EdgeId (DSU path only)
   DeletionStrategy strategy_;
   size_t last_touched_ = 0;
-  // Batch mode: RefreshScores records edge keys here instead of updating
+  // Batch mode: RefreshScores records edge ids here instead of updating
   // the table.
   bool batch_mode_ = false;
-  util::FlatSet<uint64_t> pending_refresh_;
+  util::FlatSet<graph::EdgeId> pending_refresh_;
   // Per-update working state, reused so a warm writer does not allocate.
   graph::EgoScratch ego_;
+  std::vector<graph::VertexId> common_;   // N(uv), ascending
+  std::vector<graph::EdgeId> wedge_ids_;  // (u, w), (v, w) per w in common_
   std::vector<graph::EdgeId> affected_;
+  std::vector<uint32_t> values_;  // ValuesFor's result
   std::vector<graph::VertexId> component_;  // TargetedRepair, ascending
   std::vector<uint32_t> ego_slots_;  // AddEgoTo: ego member -> M_e slot
 };

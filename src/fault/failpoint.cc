@@ -165,6 +165,8 @@ bool FailPointRegistry::ParseSpec(std::string_view spec, Point* out,
                       "bad fail-point delay: '" + std::string(arg) + "'");
     }
     p.delay_ms = static_cast<uint32_t>(ms);
+  } else if (rest == "park") {
+    p.action = Action::kPark;
   } else if (!have_freq && parse_freq(rest)) {
     p.action = Action::kError;  // bare frequency: "1in5", "nth(3)", "2"
     p.error_code = EIO;
@@ -189,6 +191,8 @@ bool FailPointRegistry::Set(std::string_view name, std::string_view spec,
   auto [it, inserted] = points_.insert_or_assign(std::string(name), p);
   (void)it;
   if (inserted) g_active_points.fetch_add(1, std::memory_order_relaxed);
+  ++resets_;
+  parked_.notify_all();
   return true;
 }
 
@@ -217,6 +221,8 @@ void FailPointRegistry::Clear(std::string_view name) {
     points_.erase(it);
     g_active_points.fetch_sub(1, std::memory_order_relaxed);
   }
+  ++resets_;
+  parked_.notify_all();
 }
 
 void FailPointRegistry::ClearAll() {
@@ -224,6 +230,16 @@ void FailPointRegistry::ClearAll() {
   g_active_points.fetch_sub(static_cast<int>(points_.size()),
                             std::memory_order_relaxed);
   points_.clear();
+  ++resets_;
+  parked_.notify_all();
+}
+
+void FailPointRegistry::Release(std::string_view name) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = points_.find(name);
+  if (it == points_.end()) return;
+  ++it->second.releases;
+  parked_.notify_all();
 }
 
 void FailPointRegistry::SetSeed(uint64_t seed) {
@@ -237,7 +253,7 @@ FaultHit FailPointRegistry::Evaluate(std::string_view name) {
   uint32_t delay_ms = 0;
   FaultHit hit;
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::unique_lock<std::mutex> lock(mu_);
     auto it = points_.find(name);
     if (it == points_.end()) return hit;
     Point& p = it->second;
@@ -262,11 +278,25 @@ FaultHit FailPointRegistry::Evaluate(std::string_view name) {
     }
     if (!fire) return hit;
     ++p.fires;
-    if (p.action == Action::kError) {
-      hit.fired = true;
-      hit.error_code = p.error_code;
-    } else {
-      delay_ms = p.delay_ms;  // sleep outside the lock
+    switch (p.action) {
+      case Action::kError:
+        hit.fired = true;
+        hit.error_code = p.error_code;
+        break;
+      case Action::kDelay:
+        delay_ms = p.delay_ms;  // sleep outside the lock
+        break;
+      case Action::kPark: {
+        // Wait for a Release of this point or any reset; `p` may be gone
+        // by then.
+        const uint64_t resets = resets_, releases = p.releases;
+        parked_.wait(lock, [&] {
+          const auto at = points_.find(name);
+          return resets_ != resets || at == points_.end() ||
+                 at->second.releases != releases;
+        });
+        break;
+      }
     }
   }
   if (delay_ms > 0) {

@@ -2,6 +2,7 @@
 #define ESD_FAULT_FAILPOINT_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -27,7 +28,14 @@
 ///   action := 'error' ['(' code ')']   inject errno `code` (default EIO;
 ///                                      symbolic like ENOSPC, or numeric)
 ///           | 'delay(' MS ')'          sleep MS milliseconds, then proceed
+///           | 'park'                   block until Release(name) or until
+///                                      the point is cleared or reset
 /// A bare freq defaults to error(EIO): "1in5" == "1in5*error(EIO)".
+///
+/// `park` makes race tests deterministic: a test parks one side at a
+/// point, waits for FireCount to show it arrived, drives the other side,
+/// then releases it. Clearing the point (Clear, ClearAll, or Set again)
+/// releases every thread parked there, so a failing test cannot hang.
 ///
 /// Cost model: compiled out entirely under -DESD_FAULT=OFF (the macro
 /// expands to an empty constexpr hit); compiled in but unconfigured, a
@@ -57,9 +65,9 @@ struct FailPointSite {
 std::vector<FailPointSite> BuiltinFailPointSites();
 
 /// What one ESD_FAILPOINT evaluation injected. `fired` is true only for
-/// error actions — the call site must fail with `error_code`. Delay
-/// actions sleep inside Evaluate and return fired == false, so call sites
-/// need no delay handling of their own.
+/// error actions — the call site must fail with `error_code`. Delay and
+/// park actions wait inside Evaluate and return fired == false, so call
+/// sites need no handling of their own.
 struct FaultHit {
   bool fired = false;
   int error_code = 0;  ///< errno value; meaningful only when fired
@@ -93,12 +101,15 @@ class FailPointRegistry {
   void Clear(std::string_view name);
   void ClearAll();
 
+  /// Lets every thread parked at `name` proceed. Later hits park again.
+  void Release(std::string_view name);
+
   /// Reseeds the probabilistic-trigger RNG (also resets the stream).
   void SetSeed(uint64_t seed);
 
   /// Evaluates one point: counts the hit, decides whether the trigger
-  /// fires, executes delay actions, and returns error actions to the call
-  /// site. Unconfigured names return an empty hit.
+  /// fires, executes delay and park actions, and returns error actions to
+  /// the call site. Unconfigured names return an empty hit.
   FaultHit Evaluate(std::string_view name);
 
   /// Introspection: total evaluations / fires of a point (0 if unknown).
@@ -110,7 +121,7 @@ class FailPointRegistry {
 
  private:
   enum class Freq : uint8_t { kAlways, kProb, kNth, kAfter, kTimes };
-  enum class Action : uint8_t { kError, kDelay };
+  enum class Action : uint8_t { kError, kDelay, kPark };
 
   struct Point {
     Freq freq = Freq::kAlways;
@@ -121,6 +132,7 @@ class FailPointRegistry {
     uint32_t delay_ms = 0;
     uint64_t hits = 0;
     uint64_t fires = 0;
+    uint64_t releases = 0;  ///< Release calls; a parked hit waits for one
   };
 
   static bool ParseSpec(std::string_view spec, Point* out,
@@ -128,6 +140,8 @@ class FailPointRegistry {
   uint64_t NextRandom();  // splitmix64; caller holds mu_
 
   mutable std::mutex mu_;
+  std::condition_variable parked_;  ///< signalled by Release and clears
+  uint64_t resets_ = 0;  ///< Set, Clear and ClearAll calls; wake parked hits
   std::map<std::string, Point, std::less<>> points_;
   uint64_t rng_state_ = 0x9E3779B97F4A7C15ull;
 };

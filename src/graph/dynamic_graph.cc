@@ -1,43 +1,69 @@
 #include "graph/dynamic_graph.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace esd::graph {
 
-DynamicGraph::DynamicGraph(const Graph& g) : adj_(g.NumVertices()) {
+DynamicGraph::DynamicGraph(const Graph& g) : rows_(g.NumVertices()) {
   for (VertexId u = 0; u < g.NumVertices(); ++u) {
-    auto nbrs = g.Neighbors(u);
-    adj_[u].assign(nbrs.begin(), nbrs.end());
+    const auto nbrs = g.Neighbors(u);
+    const auto ids = g.IncidentEdges(u);
+    std::vector<uint32_t>& row = rows_[u];
+    row.reserve(2 * nbrs.size());
+    row.insert(row.end(), nbrs.begin(), nbrs.end());
+    row.insert(row.end(), ids.begin(), ids.end());
   }
   num_edges_ = g.NumEdges();
 }
 
-bool DynamicGraph::HasEdge(VertexId u, VertexId v) const {
-  if (u >= NumVertices() || v >= NumVertices() || u == v) return false;
-  const std::vector<VertexId>& shorter =
-      adj_[u].size() <= adj_[v].size() ? adj_[u] : adj_[v];
-  VertexId target = adj_[u].size() <= adj_[v].size() ? v : u;
-  return std::binary_search(shorter.begin(), shorter.end(), target);
+uint32_t DynamicGraph::IndexOf(VertexId u, VertexId v) const {
+  const std::span<const VertexId> nbrs = Neighbors(u);
+  const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), v);
+  return it != nbrs.end() && *it == v ? static_cast<uint32_t>(it - nbrs.begin())
+                                      : Degree(u);
 }
 
-bool DynamicGraph::InsertEdge(VertexId u, VertexId v) {
+bool DynamicGraph::HasEdge(VertexId u, VertexId v) const {
+  if (u >= NumVertices() || v >= NumVertices() || u == v) return false;
+  if (Degree(u) > Degree(v)) std::swap(u, v);
+  return IndexOf(u, v) < Degree(u);
+}
+
+EdgeId DynamicGraph::FindEdge(VertexId u, VertexId v) const {
+  if (u >= NumVertices() || v >= NumVertices() || u == v) return kNoEdge;
+  if (Degree(u) > Degree(v)) std::swap(u, v);
+  const uint32_t i = IndexOf(u, v);
+  return i < Degree(u) ? IncidentEdges(u)[i] : kNoEdge;
+}
+
+bool DynamicGraph::InsertEdge(VertexId u, VertexId v, EdgeId e) {
   if (u == v || u >= NumVertices() || v >= NumVertices()) return false;
-  auto it = std::lower_bound(adj_[u].begin(), adj_[u].end(), v);
-  if (it != adj_[u].end() && *it == v) return false;
-  adj_[u].insert(it, v);
-  auto it2 = std::lower_bound(adj_[v].begin(), adj_[v].end(), u);
-  adj_[v].insert(it2, u);
+  const uint32_t i = IndexOf(u, v);
+  if (i < Degree(u)) return false;
+  for (const auto& [a, b] : {std::pair(u, v), std::pair(v, u)}) {
+    std::vector<uint32_t>& row = rows_[a];
+    const size_t d = row.size() / 2;
+    const size_t at = static_cast<size_t>(
+        std::lower_bound(row.begin(), row.begin() + d, b) - row.begin());
+    // The id first: inserting the neighbour then shifts it into place.
+    row.insert(row.begin() + static_cast<ptrdiff_t>(d + at), e);
+    row.insert(row.begin() + static_cast<ptrdiff_t>(at), b);
+  }
   ++num_edges_;
   return true;
 }
 
 bool DynamicGraph::EraseEdge(VertexId u, VertexId v) {
   if (u == v || u >= NumVertices() || v >= NumVertices()) return false;
-  auto it = std::lower_bound(adj_[u].begin(), adj_[u].end(), v);
-  if (it == adj_[u].end() || *it != v) return false;
-  adj_[u].erase(it);
-  auto it2 = std::lower_bound(adj_[v].begin(), adj_[v].end(), u);
-  adj_[v].erase(it2);
+  if (IndexOf(u, v) == Degree(u)) return false;
+  for (const auto& [a, b] : {std::pair(u, v), std::pair(v, u)}) {
+    std::vector<uint32_t>& row = rows_[a];
+    const size_t d = row.size() / 2;
+    const size_t at = IndexOf(a, b);
+    row.erase(row.begin() + static_cast<ptrdiff_t>(d + at));
+    row.erase(row.begin() + static_cast<ptrdiff_t>(at));
+  }
   --num_edges_;
   return true;
 }
@@ -45,7 +71,7 @@ bool DynamicGraph::EraseEdge(VertexId u, VertexId v) {
 std::vector<VertexId> DynamicGraph::CommonNeighbors(VertexId u,
                                                     VertexId v) const {
   std::vector<VertexId> out;
-  IntersectSorted(adj_[u], adj_[v], &out);
+  IntersectSorted(Neighbors(u), Neighbors(v), &out);
   return out;
 }
 
@@ -53,11 +79,11 @@ Graph DynamicGraph::Snapshot() const {
   std::vector<Edge> edges;
   edges.reserve(num_edges_);
   for (VertexId u = 0; u < NumVertices(); ++u) {
-    for (VertexId v : adj_[u]) {
+    for (VertexId v : Neighbors(u)) {
       if (u < v) edges.push_back(Edge{u, v});
     }
   }
-  return Graph::FromEdges(NumVertices(), std::move(edges));
+  return Graph::FromSortedEdges(NumVertices(), std::move(edges));
 }
 
 }  // namespace esd::graph

@@ -16,7 +16,14 @@ Graph Graph::FromEdges(VertexId num_vertices, std::vector<Edge> edges) {
   edges.resize(out);
   std::sort(edges.begin(), edges.end());
   edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  return FromSortedEdges(num_vertices, std::move(edges));
+}
 
+Graph Graph::FromSortedEdges(VertexId num_vertices, std::vector<Edge> edges) {
+  assert(std::adjacent_find(edges.begin(), edges.end(),
+                            [](const Edge& a, const Edge& b) {
+                              return !(a < b);
+                            }) == edges.end());
   Graph g;
   g.edges_ = std::move(edges);
   const size_t n = num_vertices;
@@ -24,7 +31,7 @@ Graph Graph::FromEdges(VertexId num_vertices, std::vector<Edge> edges) {
 
   std::vector<uint32_t> deg(n, 0);
   for (const Edge& e : g.edges_) {
-    assert(e.u < num_vertices && e.v < num_vertices);
+    assert(e.u < e.v && e.v < num_vertices);
     ++deg[e.u];
     ++deg[e.v];
   }
@@ -33,6 +40,9 @@ Graph Graph::FromEdges(VertexId num_vertices, std::vector<Edge> edges) {
     g.offsets_[u + 1] = g.offsets_[u] + deg[u];
     g.max_degree_ = std::max(g.max_degree_, deg[u]);
   }
+  // The edges ascend, so each vertex x receives first its lower neighbours
+  // w (from the edges (w, x), ascending in w) and then its higher ones y
+  // (from (x, y), ascending in y): every adjacency comes out sorted.
   g.adj_vertex_.resize(2 * m);
   g.adj_edge_.resize(2 * m);
   std::vector<uint64_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
@@ -42,26 +52,6 @@ Graph Graph::FromEdges(VertexId num_vertices, std::vector<Edge> edges) {
     g.adj_edge_[cursor[uv.u]++] = e;
     g.adj_vertex_[cursor[uv.v]] = uv.u;
     g.adj_edge_[cursor[uv.v]++] = e;
-  }
-  // Edge list is sorted lexicographically, and we appended in edge order, so
-  // each vertex's higher-endpoint neighbors are already ascending; the
-  // lower-endpoint entries (u as the larger endpoint) are also appended in
-  // ascending first-endpoint order. The two runs interleave, so sort each
-  // adjacency slice by neighbor id (stable small sort).
-  for (size_t u = 0; u < n; ++u) {
-    uint64_t lo = g.offsets_[u];
-    uint64_t hi = g.offsets_[u + 1];
-    // Sort (vertex, edge) jointly.
-    std::vector<std::pair<VertexId, EdgeId>> tmp;
-    tmp.reserve(hi - lo);
-    for (uint64_t i = lo; i < hi; ++i) {
-      tmp.emplace_back(g.adj_vertex_[i], g.adj_edge_[i]);
-    }
-    std::sort(tmp.begin(), tmp.end());
-    for (uint64_t i = lo; i < hi; ++i) {
-      g.adj_vertex_[i] = tmp[i - lo].first;
-      g.adj_edge_[i] = tmp[i - lo].second;
-    }
   }
   return g;
 }

@@ -50,6 +50,11 @@ class Graph {
   /// < num_vertices.
   static Graph FromEdges(VertexId num_vertices, std::vector<Edge> edges);
 
+  /// FromEdges for a list that is already normalized (u < v), sorted and
+  /// duplicate-free, such as a DynamicGraph's edges read in vertex order:
+  /// one linear pass, no sort.
+  static Graph FromSortedEdges(VertexId num_vertices, std::vector<Edge> edges);
+
   /// Number of vertices.
   VertexId NumVertices() const { return static_cast<VertexId>(offsets_.empty() ? 0 : offsets_.size() - 1); }
 

@@ -20,6 +20,19 @@ obs::MetricRegistry& Registry(const LiveOptions& options) {
                                      : obs::MetricRegistry::Global();
 }
 
+/// The writer's boot in two phases: the ESDIndex+ build of `g` (C_e and
+/// M_e as flat pools), then their hand-over to the maintenance state.
+core::Maintainer<core::EdgeSizeTable> BootWriter(const graph::Graph& g,
+                                                 core::ScorerKind kind,
+                                                 obs::PhaseSeries* phases) {
+  const core::DiversityScorer& scorer = core::ScorerForKind(kind);
+  phases->Begin("live.open.build");
+  core::MaintainerBootstrap built = core::BuildMaintainerBootstrap(g, scorer);
+  phases->Begin("live.open.handover");
+  return core::Maintainer<core::EdgeSizeTable>(
+      g, scorer, core::DeletionStrategy::kTargeted, std::move(built));
+}
+
 }  // namespace
 
 const char* ApplyStatusName(ApplyStatus status) {
@@ -47,23 +60,30 @@ std::unique_ptr<LiveEsdIndex> LiveEsdIndex::Open(const graph::Graph& bootstrap,
   rec_options.wal_path = options.wal_path;
   rec_options.snapshot_path = options.snapshot_path;
   rec_options.expected_scorer = options.scorer;
+  obs::PhaseSeries phases(&Registry(options));
+  phases.Begin("live.open.recover");
   RecoveredState state;
   if (!Recover(bootstrap, rec_options, &state, error)) return nullptr;
 
   std::unique_ptr<LiveEsdIndex> live(
-      new LiveEsdIndex(options, std::move(state)));
+      new LiveEsdIndex(options, std::move(state), bootstrap, &phases));
+  phases.End();
   if (!live->wal_.Open(options.wal_path, error, options.scorer)) {
     return nullptr;
   }
   return live;
 }
 
-LiveEsdIndex::LiveEsdIndex(const LiveOptions& options, RecoveredState recovered)
+LiveEsdIndex::LiveEsdIndex(const LiveOptions& options, RecoveredState recovered,
+                           const graph::Graph& bootstrap,
+                           obs::PhaseSeries* phases)
     : options_(options),
       recovered_(std::move(recovered)),
       next_seq_(recovered_.applied_seq + 1),
-      writer_(recovered_.graph.Snapshot(), core::ScorerForKind(options_.scorer),
-              core::DeletionStrategy::kTargeted),
+      // Unless recovery changed it, the build runs on the caller's graph.
+      writer_(BootWriter(
+          recovered_.graph_changed ? recovered_.graph : bootstrap,
+          options_.scorer, phases)),
       writer_seq_(recovered_.applied_seq),
       freeze_us_(Registry(options_).GetHistogram(
           "esd_live_stage_freeze_us",
@@ -91,7 +111,8 @@ LiveEsdIndex::LiveEsdIndex(const LiveOptions& options, RecoveredState recovered)
           "esd_live_heals_total",
           "read-only -> ok transitions after WAL recovery")) {
   // The recovered graph lives on inside the writer; drop the copy.
-  recovered_.graph = graph::DynamicGraph();
+  recovered_.graph = graph::Graph();
+  phases->Begin("live.open.freeze");
   core::EdgeSizeTable& table = writer_.mutable_table();
   table.EnableChangeLog();
   Publish(core::Freeze(table), writer_seq_, table.ChangeLogEnd());

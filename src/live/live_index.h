@@ -22,6 +22,7 @@
 #include "live/wal.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/thread_pool.h"
 
 namespace esd::live {
@@ -161,7 +162,11 @@ class LiveEsdIndex {
   /// Recovers durable state (snapshot + WAL suffix; falls back to
   /// `bootstrap` when neither exists), truncates any torn WAL tail, opens
   /// the log for appending, and publishes the boot epoch. Returns null
-  /// with *error set on unrecoverable state.
+  /// with *error set on unrecoverable state. When no snapshot or WAL
+  /// record changed `bootstrap`, the build reads it as given. The boot is
+  /// recorded as the phases live.open.recover, live.open.build (the
+  /// ESDIndex+ build of C_e and M_e), live.open.handover (adopting them
+  /// into the writer) and live.open.freeze (the boot epoch).
   static std::unique_ptr<LiveEsdIndex> Open(const graph::Graph& bootstrap,
                                             const LiveOptions& options,
                                             std::string* error);
@@ -250,7 +255,8 @@ class LiveEsdIndex {
   const LiveOptions& options() const { return options_; }
 
  private:
-  LiveEsdIndex(const LiveOptions& options, RecoveredState recovered);
+  LiveEsdIndex(const LiveOptions& options, RecoveredState recovered,
+               const graph::Graph& bootstrap, obs::PhaseSeries* phases);
 
   /// Flips into read-only mode and arms the next heal probe. live_mu_ held.
   void EnterReadOnlyLocked();

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "fault/failpoint.h"
+#include "graph/dynamic_graph.h"
 #include "live/snapshot.h"
 #include "obs/trace.h"
 
@@ -47,7 +48,9 @@ bool Recover(const graph::Graph& bootstrap, const RecoveryOptions& options,
   }
 
   // 1. Base state: the checkpoint snapshot if one was persisted, otherwise
-  //    the caller's bootstrap graph at watermark 0.
+  //    the caller's bootstrap graph at watermark 0, copied only once a
+  //    record changes it.
+  graph::DynamicGraph replayed;
   std::error_code ec;
   if (!options.snapshot_path.empty() &&
       std::filesystem::exists(options.snapshot_path, ec)) {
@@ -65,12 +68,11 @@ bool Recover(const graph::Graph& bootstrap, const RecoveryOptions& options,
               std::string(core::ScorerKindName(options.expected_scorer)) +
               "'");
     }
-    state->graph = graph::DynamicGraph(snap.num_vertices);
-    for (const graph::Edge& e : snap.edges) state->graph.InsertEdge(e.u, e.v);
+    replayed = graph::DynamicGraph(snap.num_vertices);
+    for (const graph::Edge& e : snap.edges) replayed.InsertEdge(e.u, e.v);
     state->snapshot_seq = snap.applied_seq;
     state->snapshot_loaded = true;
-  } else {
-    state->graph = graph::DynamicGraph(bootstrap);
+    state->graph_changed = true;
   }
 
   // 2. WAL suffix: records at or below the snapshot watermark were already
@@ -81,9 +83,13 @@ bool Recover(const graph::Graph& bootstrap, const RecoveryOptions& options,
   if (!options.wal_path.empty()) {
     const bool ok = ReplayWal(
         options.wal_path,
-        [state, skip_through](const WalRecord& rec) {
+        [&](const WalRecord& rec) {
           if (rec.seq <= skip_through) return;
-          ApplyToGraph(&state->graph, rec);
+          if (!state->graph_changed) {
+            replayed = graph::DynamicGraph(bootstrap);
+            state->graph_changed = true;
+          }
+          ApplyToGraph(&replayed, rec);
           ++state->replay_applied;
         },
         &state->wal, error);
@@ -116,6 +122,7 @@ bool Recover(const graph::Graph& bootstrap, const RecoveryOptions& options,
     }
   }
 
+  if (state->graph_changed) state->graph = replayed.Snapshot();
   state->applied_seq = std::max(state->snapshot_seq, state->wal.last_seq);
   return true;
 }

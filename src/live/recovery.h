@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <string>
 
-#include "graph/dynamic_graph.h"
 #include "graph/graph.h"
 #include "live/wal.h"
 
@@ -25,8 +24,12 @@ struct RecoveryOptions {
 
 /// What Recover() reconstructed.
 struct RecoveredState {
-  graph::DynamicGraph graph;   ///< snapshot (or bootstrap) + WAL suffix
-  uint64_t applied_seq = 0;    ///< watermark of `graph`
+  /// True when a snapshot or a replayed WAL record stood in for the
+  /// bootstrap graph. Otherwise the durable state is `bootstrap` as given,
+  /// and `graph` stays empty: no copy is made.
+  bool graph_changed = false;
+  graph::Graph graph;          ///< snapshot (or bootstrap) + WAL suffix
+  uint64_t applied_seq = 0;    ///< watermark of the recovered graph
   uint64_t snapshot_seq = 0;   ///< watermark of the loaded snapshot (0 if none)
   bool snapshot_loaded = false;
   WalReplayResult wal;         ///< replay outcome, incl. typed tail status
@@ -36,7 +39,8 @@ struct RecoveredState {
 
 /// Rebuilds the last durable graph state: load the checkpoint snapshot if
 /// one exists (else start from `bootstrap`), then replay the WAL suffix,
-/// skipping records already covered by the snapshot's watermark. Torn WAL
+/// skipping records already covered by the snapshot's watermark. A changed
+/// graph is laid out as CSR in one linear pass (DynamicGraph::Snapshot). Torn WAL
 /// tails are tolerated (replay stops at the last valid record; the tail is
 /// truncated when options.truncate_torn_tail). Returns false — with *error
 /// set — only on unrecoverable states: a corrupt snapshot file, a foreign

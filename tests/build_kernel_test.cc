@@ -243,18 +243,22 @@ class SlotOfOracle {
     return out;
   }
 
-  // The slice as KeyedDsu slots: it is already in member order, and each
-  // member's word points at its root, so the export must keep the
+  // Every slice as KeyedDsu slots: each is already in member order, and
+  // each member's word points at its root, so the export must keep the
   // oracle's roots, not only its partition.
-  util::KeyedDsu ToKeyedDsu(EdgeId e) {
+  util::KeyedDsuPool ToKeyedDsuPool() {
     std::vector<util::KeyedDsu::Slot> slots;
-    for (size_t s = offsets_[e]; s < offsets_[e + 1]; ++s) {
-      const uint32_t root = Find(static_cast<uint32_t>(s));
-      slots.push_back(
-          {members_[s], root == s ? util::kDsuRoot | count_[s]
-                                  : static_cast<uint32_t>(root - offsets_[e])});
+    for (size_t e = 0; e + 1 < offsets_.size(); ++e) {
+      for (size_t s = offsets_[e]; s < offsets_[e + 1]; ++s) {
+        const uint32_t root = Find(static_cast<uint32_t>(s));
+        slots.push_back({members_[s],
+                         root == s ? util::kDsuRoot | count_[s]
+                                   : static_cast<uint32_t>(root - offsets_[e])});
+      }
     }
-    return util::KeyedDsu(std::move(slots));
+    util::KeyedDsuPool pool;
+    pool.Adopt(std::span<const size_t>(offsets_), std::move(slots));
+    return pool;
   }
 
  private:
@@ -281,7 +285,7 @@ class SlotOfOracle {
 
 // Everything observable about a KeyedDsu: each member's root and
 // component size, and the components in storage order.
-std::vector<uint32_t> KeyedDump(util::KeyedDsu& dsu,
+std::vector<uint32_t> KeyedDump(util::KeyedDsu dsu,
                                 std::span<const VertexId> members) {
   std::vector<uint32_t> out;
   for (VertexId w : members) {
@@ -308,10 +312,11 @@ TEST(BuildKernelTest, TriangleSlotSweepMatchesSlotOfOracle) {
       oracle.Union(q.vw2, q.u, q.w1);
       oracle.Union(q.w1w2, q.u, q.v);
     });
-    std::vector<util::KeyedDsu> exported;
+    util::KeyedDsuPool exported;
     const core::EdgeSizePool sizes =
         core::CliqueComponentSizes(g, nullptr, &exported);
     ASSERT_EQ(exported.size(), g.NumEdges()) << name;
+    util::KeyedDsuPool want = oracle.ToKeyedDsuPool();
     for (EdgeId e = 0; e < g.NumEdges(); ++e) {
       const std::vector<uint32_t> got(
           sizes.values.begin() + sizes.offsets[e],
@@ -319,8 +324,7 @@ TEST(BuildKernelTest, TriangleSlotSweepMatchesSlotOfOracle) {
       ASSERT_EQ(got, oracle.ComponentSizes(e)) << name << " edge " << e;
       const std::vector<VertexId> members =
           MergeCommonNeighbors(g, g.EdgeAt(e));
-      util::KeyedDsu want = oracle.ToKeyedDsu(e);
-      ASSERT_EQ(KeyedDump(exported[e], members), KeyedDump(want, members))
+      ASSERT_EQ(KeyedDump(exported[e], members), KeyedDump(want[e], members))
           << name << " edge " << e;
     }
   }

@@ -413,7 +413,7 @@ TEST(EsdIndexTest, InvariantHoldsAfterBulkLoad) {
   EsdIndex index = BuildIndexBasic(g);
   std::vector<EdgeId> ids(g.NumEdges());
   std::iota(ids.begin(), ids.end(), 0);
-  test::ExpectIndexInvariant(index, ids, [&index](EdgeId e) -> const auto& {
+  test::ExpectIndexInvariant(index, ids, [&index](EdgeId e) {
     return index.EdgeSizes(e);
   });
 }
@@ -433,13 +433,13 @@ TEST(EsdIndexTest, SetEdgeSizesMovesEntriesAcrossLists) {
   EsdIndex index;
   EdgeId e0 = index.RegisterEdge({0, 1});
   EdgeId e1 = index.RegisterEdge({0, 2});
-  index.SetEdgeSizes(e0, {1, 3});
-  index.SetEdgeSizes(e1, {3, 3});
+  index.SetEdgeSizes(e0, std::vector<uint32_t>{1, 3});
+  index.SetEdgeSizes(e1, std::vector<uint32_t>{3, 3});
   EXPECT_EQ(index.DistinctSizes(), (std::vector<uint32_t>{1, 3}));
   // H(1): e0 score 2, e1 score 2. H(3): e0 score 1, e1 score 2.
   EXPECT_EQ(index.Query(1, 3, false)[0].score, 2u);
   // Shrink e1: drops out of H(3)... and size 3 still owned by e0.
-  index.SetEdgeSizes(e1, {2});
+  index.SetEdgeSizes(e1, std::vector<uint32_t>{2});
   EXPECT_EQ(index.DistinctSizes(), (std::vector<uint32_t>{1, 2, 3}));
   TopKResult top3 = index.Query(5, 3, false);
   ASSERT_EQ(top3.size(), 1u);
@@ -455,14 +455,14 @@ TEST(EsdIndexTest, NewSizeClonesNextLargerList) {
   EsdIndex index;
   EdgeId e0 = index.RegisterEdge({0, 1});
   EdgeId e1 = index.RegisterEdge({0, 2});
-  index.SetEdgeSizes(e0, {5});
-  index.SetEdgeSizes(e1, {7});
+  index.SetEdgeSizes(e0, std::vector<uint32_t>{5});
+  index.SetEdgeSizes(e1, std::vector<uint32_t>{7});
   // Introduce size 6 on e0: H(6) must contain e1 (max 7 >= 6) too.
-  index.SetEdgeSizes(e0, {6});
+  index.SetEdgeSizes(e0, std::vector<uint32_t>{6});
   TopKResult r = index.Query(10, 6, false);
   EXPECT_EQ(r.size(), 2u);
   // And a size below everything.
-  index.SetEdgeSizes(e1, {2, 7});
+  index.SetEdgeSizes(e1, std::vector<uint32_t>{2, 7});
   r = index.Query(10, 2, false);
   EXPECT_EQ(r.size(), 2u);
   r = index.Query(10, 7, false);
@@ -472,7 +472,7 @@ TEST(EsdIndexTest, NewSizeClonesNextLargerList) {
 TEST(EsdIndexTest, RegisterUnregisterReusesIds) {
   EsdIndex index;
   EdgeId a = index.RegisterEdge({0, 1});
-  index.SetEdgeSizes(a, {2});
+  index.SetEdgeSizes(a, std::vector<uint32_t>{2});
   index.SetEdgeSizes(a, {});
   index.UnregisterEdge(a);
   EXPECT_EQ(index.NumRegisteredEdges(), 0u);
@@ -562,12 +562,14 @@ TEST(BuilderTest, CliqueBuilderOnStructuredGraphs) {
 
 TEST(BuilderTest, CliqueBuilderExportsDsu) {
   Graph g = PaperGraph();
-  std::vector<util::KeyedDsu> dsu;
+  util::KeyedDsuPool dsu;
   CliqueComponentSizes(g, nullptr, &dsu);
   ASSERT_EQ(dsu.size(), g.NumEdges());
+  std::vector<uint32_t> sizes;
   for (EdgeId e = 0; e < g.NumEdges(); ++e) {
     const Edge& uv = g.EdgeAt(e);
-    EXPECT_EQ(dsu[e].ComponentSizes(), EgoComponentSizes(g, uv.u, uv.v));
+    dsu[e].ComponentSizes(&sizes);
+    EXPECT_EQ(sizes, EgoComponentSizes(g, uv.u, uv.v));
   }
 }
 

@@ -1,9 +1,13 @@
 #include <algorithm>
+#include <map>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/dynamic_index.h"
+#include "core/edge_size_table.h"
+#include "core/frozen_index.h"
+#include "core/maintainer.h"
 #include "core/ego_network.h"
 #include "core/index_builder.h"
 #include "core/naive_topk.h"
@@ -13,6 +17,7 @@
 #include "gen/watts_strogatz.h"
 #include "graph/builder.h"
 #include "graph/graph.h"
+#include "tests/dsu_oracle.h"
 #include "tests/test_helpers.h"
 #include "util/rng.h"
 
@@ -310,6 +315,105 @@ TEST(MaintenanceDenseTest, CollaborationChurnMatchesRebuild) {
   }
   ExpectEqualsFreshRebuild(dyn);
 }
+
+// The writer's pools under seeded churn: inserts that grow multisets and
+// M_e runs past their extents, deletes that shrink and free them, and
+// freed ids reused. After every update each live edge's C_e equals its
+// ego-network's component sizes (one std::vector per edge), its M_e holds
+// exactly N(uv) with the partition a tests/dsu_oracle.h Dsu finds over
+// the ego-network, and Freeze equals the image packed from those vectors.
+// Both pools must compact along the way, so the checks straddle it.
+class PoolChurnTest : public ::testing::TestWithParam<DeletionStrategy> {};
+
+// Smallest member of each member's component, in member order: the
+// partition of one M_e, independent of its roots and layout.
+std::vector<VertexId> PartitionOf(util::KeyedDsu m) {
+  std::vector<VertexId> members, out;
+  m.ForEachMember([&](VertexId w) { members.push_back(w); });
+  std::map<VertexId, VertexId> smallest;  // root -> smallest member
+  for (VertexId w : members) smallest.emplace(m.Find(w), w);
+  for (VertexId w : members) out.push_back(smallest.at(m.Find(w)));
+  return out;
+}
+
+// The same through the oracle, over N(uv) of the current graph.
+std::vector<VertexId> OraclePartition(const graph::DynamicGraph& g,
+                                      const Edge& uv) {
+  const std::vector<VertexId> members = g.CommonNeighbors(uv.u, uv.v);
+  test::Dsu dsu(members.size());
+  for (uint32_t i = 0; i < members.size(); ++i) {
+    for (uint32_t j = i + 1; j < members.size(); ++j) {
+      if (g.HasEdge(members[i], members[j])) dsu.Union(i, j);
+    }
+  }
+  std::vector<VertexId> smallest(members.size()), out;
+  for (uint32_t i = members.size(); i-- > 0;) smallest[dsu.Find(i)] = i;
+  for (uint32_t i = 0; i < members.size(); ++i) {
+    out.push_back(members[smallest[dsu.Find(i)]]);
+  }
+  return out;
+}
+
+TEST_P(PoolChurnTest, PoolsMatchOraclesAcrossCompactions) {
+  using Writer = Maintainer<EdgeSizeTable>;
+  Writer writer(gen::HolmeKim(60, 3, 0.5, 5), EsdScorer(), GetParam());
+  util::Rng rng(0xC0117AC7);
+  uint64_t checks_after_c = 0, checks_after_m = 0;
+  uint64_t last_c = 0, last_m = 0;
+  for (int step = 0; step < 1500; ++step) {
+    const graph::DynamicGraph& g = writer.CurrentGraph();
+    const auto u = static_cast<VertexId>(rng.NextBounded(60));
+    const auto v = static_cast<VertexId>(rng.NextBounded(60));
+    if (u == v) continue;
+    // Keep the density oscillating: grow to ~40% of all pairs, then thin.
+    const bool grow = (step / 300) % 2 == 0;
+    if (grow ? rng.NextBool(0.8) : rng.NextBool(0.2)) {
+      writer.InsertEdge(u, v);
+    } else if (g.NumEdges() > 0) {
+      // Delete an existing edge: a random neighbour of u, if any.
+      auto nbrs = g.Neighbors(u);
+      if (!nbrs.empty()) writer.DeleteEdge(u, nbrs[rng.NextBounded(nbrs.size())]);
+    }
+    const EdgeSizeTable& table = writer.table();
+    const uint64_t c = table.SizePool().Compactions();
+    const uint64_t m = writer.EdgeDsus().Compactions();
+    if (step % 25 != 0 && c == last_c && m == last_m) continue;
+    checks_after_c += c != last_c;
+    checks_after_m += m != last_m;
+    last_c = c;
+    last_m = m;
+    util::KeyedDsuPool dsus = writer.EdgeDsus();
+    std::vector<std::vector<uint32_t>> want(table.EdgeSlotCount());
+    for (graph::EdgeId e = 0; e < table.EdgeSlotCount(); ++e) {
+      if (!table.IsLive(e)) {
+        ASSERT_TRUE(table.EdgeSizes(e).empty());
+        ASSERT_EQ(dsus[e].NumMembers(), 0u);
+        continue;
+      }
+      const Edge uv = table.EdgeAt(e);
+      ASSERT_EQ(g.FindEdge(uv.u, uv.v), e);
+      want[e] = EgoComponentSizes(g, uv.u, uv.v);
+      ASSERT_EQ(test::Values(table.EdgeSizes(e)), want[e])
+          << "step " << step << " edge " << e;
+      ASSERT_EQ(PartitionOf(dsus[e]), OraclePartition(g, uv))
+          << "step " << step << " edge " << e;
+    }
+    const FrozenEsdIndex packed = FrozenEsdIndex::FromSizePool(
+        {table.Edges().begin(), table.Edges().end()},
+        EdgeSizePool::Pack(want.size(),
+                           [&](size_t e) -> const std::vector<uint32_t>& {
+                             return want[e];
+                           }),
+        {table.LiveMask().begin(), table.LiveMask().end()});
+    ASSERT_TRUE(Freeze(table) == packed) << "step " << step;
+  }
+  EXPECT_GT(checks_after_c, 0u) << "the C_e pool never compacted";
+  EXPECT_GT(checks_after_m, 0u) << "the M_e pool never compacted";
+}
+
+INSTANTIATE_TEST_SUITE_P(BothStrategies, PoolChurnTest,
+                         ::testing::Values(DeletionStrategy::kRebuildLocal,
+                                           DeletionStrategy::kTargeted));
 
 }  // namespace
 }  // namespace esd::core

@@ -69,7 +69,7 @@ TEST(EdgeDsuArenaTest, UnionsMatchEgoComponents) {
   }
 }
 
-TEST(EdgeDsuArenaTest, ToKeyedDsuPreservesComponents) {
+TEST(EdgeDsuArenaTest, ExportDsusPreservesComponents) {
   Graph g = gen::HolmeKim(60, 4, 0.5, 3);
   graph::DegreeOrderedDag dag(g);
   core::EdgeDsuArena arena(dag);
@@ -79,13 +79,31 @@ TEST(EdgeDsuArenaTest, ToKeyedDsuPreservesComponents) {
       arena.Union(arena.Slot(e, i), arena.Slot(e, i + 1));
     }
   }
+  util::KeyedDsuPool pool;
+  arena.ExportDsus(&pool);
+  ASSERT_EQ(pool.size(), g.NumEdges());
+  EXPECT_EQ(pool.TotalMembers(), arena.TotalMembers());
+  std::vector<uint32_t> sizes;
   for (EdgeId e = 0; e < g.NumEdges(); ++e) {
-    util::KeyedDsu k = arena.ToKeyedDsu(e);
-    EXPECT_EQ(k.ComponentSizes(), arena.ComponentSizes(e));
+    util::KeyedDsu k = pool[e];
+    k.ComponentSizes(&sizes);
+    EXPECT_EQ(sizes, arena.ComponentSizes(e));
     // Same partition, not only same sizes.
     auto members = arena.Members(e);
     for (size_t i = 0; i + 1 < members.size(); i += 2) {
       EXPECT_TRUE(k.Same(members[i], members[i + 1]));
+    }
+  }
+  // Split over a thread pool, the export writes the same slots.
+  util::ThreadPool threads(3);
+  util::KeyedDsuPool pooled;
+  arena.ExportDsus(&pooled, &threads);
+  for (EdgeId e = 0; e < g.NumEdges(); ++e) {
+    const auto a = pool.Slots(e), b = pooled.Slots(e);
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].vertex, b[i].vertex);
+      EXPECT_EQ(a[i].parent, b[i].parent);
     }
   }
 }
@@ -131,9 +149,9 @@ TEST(IndexIoTest, RoundTripWithFreedSlots) {
   EdgeId a = index.RegisterEdge({0, 1});
   EdgeId b = index.RegisterEdge({1, 2});
   EdgeId c = index.RegisterEdge({2, 3});
-  index.SetEdgeSizes(a, {1, 2});
-  index.SetEdgeSizes(b, {3});
-  index.SetEdgeSizes(c, {2, 2});
+  index.SetEdgeSizes(a, std::vector<uint32_t>{1, 2});
+  index.SetEdgeSizes(b, std::vector<uint32_t>{3});
+  index.SetEdgeSizes(c, std::vector<uint32_t>{2, 2});
   index.SetEdgeSizes(b, {});
   index.UnregisterEdge(b);
   core::EsdIndex loaded = test::TreapFileRoundTrip(index);
@@ -142,7 +160,7 @@ TEST(IndexIoTest, RoundTripWithFreedSlots) {
   EXPECT_FALSE(loaded.IsLive(b));
   EXPECT_TRUE(loaded.IsLive(a));
   EXPECT_EQ(loaded.EdgeAt(c), index.EdgeAt(c));
-  EXPECT_EQ(loaded.EdgeSizes(c), (std::vector<uint32_t>{2, 2}));
+  EXPECT_EQ(test::Values(loaded.EdgeSizes(c)), (std::vector<uint32_t>{2, 2}));
 }
 
 TEST(IndexIoTest, FileRoundTrip) {

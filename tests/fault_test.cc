@@ -1,6 +1,6 @@
 // Unit tests of the deterministic fail-point framework: spec parsing,
 // trigger semantics (always / probabilistic / nth / after / times), seeded
-// determinism, delay actions, the retry/backoff helper, the shared health
+// determinism, delay and park actions, the retry/backoff helper, the shared health
 // vocabulary, and the hardened WriteFully loop. These run against a local
 // (non-Global) registry where possible; tests that arm the global registry
 // clear it on exit so they compose with the chaos suite.
@@ -8,11 +8,13 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -123,6 +125,55 @@ TEST(FailPointSpecTest, DelayActionSleepsAndDoesNotFire) {
             25);
 }
 
+// A parked hit waits for Release; FireCount is the rendezvous that says it
+// arrived. Later hits park again, and hits the frequency skips never park.
+TEST(FailPointSpecTest, ParkBlocksUntilRelease) {
+  FailPointRegistry reg;
+  std::string error;
+  ASSERT_TRUE(reg.Set("p", "nth(1)*park", &error)) << error;
+  std::atomic<bool> passed{false};
+  std::thread parked([&] {
+    EXPECT_FALSE(reg.Evaluate("p").fired);  // parks never fail the call site
+    passed = true;
+  });
+  while (reg.FireCount("p") < 1) std::this_thread::yield();
+  EXPECT_FALSE(reg.Evaluate("p").fired);  // hit 2: not parked
+  EXPECT_FALSE(passed.load());
+  reg.Release("p");
+  parked.join();
+  EXPECT_TRUE(passed.load());
+  EXPECT_EQ(reg.HitCount("p"), 2u);
+
+  // Every hit parks under a bare `park`; each Release lets the parked
+  // ones go, and a release with nothing parked does not pre-release.
+  ASSERT_TRUE(reg.Set("p", "park", &error)) << error;
+  reg.Release("p");
+  std::thread again([&] { reg.Evaluate("p"); });
+  while (reg.FireCount("p") < 1) std::this_thread::yield();
+  reg.Release("p");
+  again.join();
+  EXPECT_EQ(reg.FireCount("p"), 1u);
+}
+
+// Clearing the point, clearing everything or reconfiguring it lets every
+// thread parked there go, so a failing test cannot leave one hanging.
+TEST(FailPointSpecTest, ParkIsReleasedByEveryReset) {
+  FailPointRegistry reg;
+  std::string error;
+  for (int how = 0; how < 3; ++how) {
+    ASSERT_TRUE(reg.Set("p", "park", &error)) << error;
+    std::thread parked([&] { reg.Evaluate("p"); });
+    while (reg.FireCount("p") < 1) std::this_thread::yield();
+    if (how == 0) reg.Clear("p");
+    if (how == 1) reg.ClearAll();
+    if (how == 2) {
+      EXPECT_TRUE(reg.Set("p", "nth(9)*park", &error)) << error;
+    }
+    parked.join();
+  }
+  EXPECT_EQ(reg.FireCount("p"), 0u);  // reconfigured: counts start over
+}
+
 TEST(FailPointSpecTest, OffClearsAndBadSpecsAreRejected) {
   FailPointRegistry reg;
   std::string error;
@@ -135,7 +186,7 @@ TEST(FailPointSpecTest, OffClearsAndBadSpecsAreRejected) {
        {"", "bogus", "error(EWHAT)", "0in5", "6in5", "delay(99999999)",
         "nth(0)", "0", "*error", "delay()", "error(4294967297)",
         "nth(99999999999999999999)", "1in99999999999999999999",
-        "delay(18446744073709551617)"}) {
+        "delay(18446744073709551617)", "park(1)", "parked"}) {
     EXPECT_FALSE(reg.Set("p", bad, &error)) << "spec accepted: " << bad;
   }
 }

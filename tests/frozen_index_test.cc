@@ -316,23 +316,26 @@ TEST(FrozenDeltaTest, EachKindOfChangeMatchesFreeze) {
 
   step("empty patch", [] {});
   EXPECT_TRUE(base == core::Freeze(table));
-  step("a size enters C", [&] { table.SetEdgeSizes(3, {1, top + 5}); });
+  step("a size enters C", [&] {
+    table.SetEdgeSizes(3, std::vector<uint32_t>{1, top + 5});
+  });
   EXPECT_EQ(base.DistinctSizes().back(), top + 5);
-  step("a size leaves C", [&] { table.SetEdgeSizes(3, {2}); });
+  step("a size leaves C", [&] { table.SetEdgeSizes(3, std::vector<uint32_t>{2}); });
   EXPECT_EQ(base.DistinctSizes().back(), top);
   step("the top size leaves C", [&] {
     for (graph::EdgeId e = 0; e < table.EdgeSlotCount(); ++e) {
-      const std::vector<uint32_t>& now = table.EdgeSizes(e);
+      const std::span<const uint32_t> now = table.EdgeSizes(e);
       if (now.empty() || now.back() != top) continue;
       table.SetEdgeSizes(
-          e, {now.begin(), std::lower_bound(now.begin(), now.end(), top)});
+          e, std::vector<uint32_t>(
+                 now.begin(), std::lower_bound(now.begin(), now.end(), top)));
     }
   });
   EXPECT_LT(base.DistinctSizes().back(), top);
   step("slots grow", [&] {
     for (graph::VertexId v = 50; v < 54; ++v) {
       const graph::EdgeId e = table.RegisterEdge(graph::MakeEdge(v, v + 1));
-      table.SetEdgeSizes(e, {1, 1, v - 48});
+      table.SetEdgeSizes(e, std::vector<uint32_t>{1, 1, v - 48});
     }
   });
   step("slots freed", [&] {
@@ -345,7 +348,7 @@ TEST(FrozenDeltaTest, EachKindOfChangeMatchesFreeze) {
   step("freed slots reused", [&] {
     const graph::EdgeId e = table.RegisterEdge(graph::MakeEdge(60, 61));
     EXPECT_LT(e, 9u);
-    table.SetEdgeSizes(e, {4, 4});
+    table.SetEdgeSizes(e, std::vector<uint32_t>{4, 4});
   });
   EXPECT_EQ(base.NumRegisteredEdges(), table.NumRegisteredEdges());
 }
@@ -413,16 +416,16 @@ TEST(EdgeSizeTableTest, ChangeLogIsOptInTrimmedAndBounded) {
   core::EdgeSizeTable table;
   table.BulkLoad(g.Edges(), core::CliqueComponentSizes(g));
   std::vector<graph::EdgeId> slots;
-  table.SetEdgeSizes(1, {9});
+  table.SetEdgeSizes(1, std::vector<uint32_t>{9});
   EXPECT_FALSE(table.ChangedSince(0, &slots)) << "off by default";
   EXPECT_EQ(table.ChangeLogEnd(), 0u);
 
   table.EnableChangeLog();
-  table.SetEdgeSizes(1, {9});  // unchanged: not logged
+  table.SetEdgeSizes(1, std::vector<uint32_t>{9});  // unchanged: not logged
   EXPECT_EQ(table.ChangeLogEnd(), 0u);
-  table.SetEdgeSizes(4, {7});
-  table.SetEdgeSizes(2, {7});
-  table.SetEdgeSizes(4, {8});
+  table.SetEdgeSizes(4, std::vector<uint32_t>{7});
+  table.SetEdgeSizes(2, std::vector<uint32_t>{7});
+  table.SetEdgeSizes(4, std::vector<uint32_t>{8});
   ASSERT_TRUE(table.ChangedSince(0, &slots));
   EXPECT_EQ(slots, (std::vector<graph::EdgeId>{4, 2, 4}));
   slots.clear();
@@ -438,7 +441,7 @@ TEST(EdgeSizeTableTest, ChangeLogIsOptInTrimmedAndBounded) {
   // More writes than slots drop the log: old positions read unavailable.
   const uint64_t before = table.ChangeLogEnd();
   for (size_t i = 0; i <= table.EdgeSlotCount(); ++i) {
-    table.SetEdgeSizes(0, {static_cast<uint32_t>(i + 1)});
+    table.SetEdgeSizes(0, std::vector<uint32_t>{static_cast<uint32_t>(i + 1)});
   }
   EXPECT_FALSE(table.ChangedSince(before, &slots));
   const uint64_t after = table.ChangeLogEnd();
@@ -640,7 +643,7 @@ std::vector<std::pair<uint32_t, std::string>> RetiredVersionStreams(
     w.Put(static_cast<uint64_t>(index.EdgeSlotCount()));
     for (graph::EdgeId e = 0; e < index.EdgeSlotCount(); ++e) {
       const graph::Edge edge = index.EdgeAt(e);
-      const std::vector<uint32_t>& sizes = index.EdgeSizes(e);
+      const std::span<const uint32_t> sizes = index.EdgeSizes(e);
       w.Put(edge.u);
       w.Put(edge.v);
       w.Put(static_cast<uint8_t>(index.IsLive(e) ? 1 : 0));

@@ -36,13 +36,14 @@ void CheckEverything(const DynamicEsdIndex& dyn) {
     live.push_back(e);
     Edge uv = index.EdgeAt(e);
     ASSERT_TRUE(g.HasEdge(uv.u, uv.v));
-    EXPECT_EQ(index.EdgeSizes(e), EgoComponentSizes(g, uv.u, uv.v))
+    EXPECT_EQ(test::Values(index.EdgeSizes(e)),
+              EgoComponentSizes(g, uv.u, uv.v))
         << "edge (" << uv.u << "," << uv.v << ")";
   }
   EXPECT_EQ(live.size(), g.NumEdges());
 
   // 2. H lists are exactly what the multisets dictate.
-  test::ExpectIndexInvariant(index, live, [&index](EdgeId e) -> const auto& {
+  test::ExpectIndexInvariant(index, live, [&index](EdgeId e) {
     return index.EdgeSizes(e);
   });
 

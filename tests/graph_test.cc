@@ -441,6 +441,20 @@ TEST(DynamicGraphTest, FromStaticAndSnapshotRoundTrip) {
   EXPECT_EQ(d.NumEdges(), g.NumEdges());
   Graph snap = d.Snapshot();
   EXPECT_EQ(snap.Edges(), g.Edges());
+  // The copy keeps the Graph's edge ids beside the neighbours, and the
+  // snapshot's one linear pass lays out the same sorted adjacency.
+  for (VertexId u = 0; u < 25; ++u) {
+    auto want = g.Neighbors(u);
+    auto want_ids = g.IncidentEdges(u);
+    EXPECT_TRUE(std::is_sorted(want.begin(), want.end()));
+    for (const auto& got : {d.Neighbors(u), snap.Neighbors(u)}) {
+      EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()));
+    }
+    for (const auto& got : {d.IncidentEdges(u), snap.IncidentEdges(u)}) {
+      EXPECT_TRUE(
+          std::equal(got.begin(), got.end(), want_ids.begin(), want_ids.end()));
+    }
+  }
 }
 
 TEST(DynamicGraphTest, CommonNeighborsMatchesStatic) {
@@ -460,16 +474,29 @@ TEST(DynamicGraphTest, CommonNeighborsMatchesStatic) {
 TEST(DynamicGraphTest, NeighborsStaySorted) {
   util::Rng rng(57);
   DynamicGraph g(20);
+  // Each edge's id names its endpoints, so the ids beside the neighbours
+  // can be checked against them.
+  auto id_of = [](VertexId a, VertexId b) {
+    const Edge e = MakeEdge(a, b);
+    return e.u * 20 + e.v;
+  };
   for (int i = 0; i < 300; ++i) {
     VertexId a = static_cast<VertexId>(rng.NextBounded(20));
     VertexId b = static_cast<VertexId>(rng.NextBounded(20));
     if (rng.NextBool(0.3)) {
       g.EraseEdge(a, b);
+      EXPECT_EQ(g.FindEdge(a, b), kNoEdge);
     } else if (a != b) {
-      g.InsertEdge(a, b);
+      g.InsertEdge(a, b, id_of(a, b));
+      EXPECT_EQ(g.FindEdge(b, a), id_of(a, b));
     }
     auto nbrs = g.Neighbors(a);
     EXPECT_TRUE(std::is_sorted(nbrs.begin(), nbrs.end()));
+    auto ids = g.IncidentEdges(a);
+    ASSERT_EQ(ids.size(), nbrs.size());
+    for (size_t k = 0; k < nbrs.size(); ++k) {
+      EXPECT_EQ(ids[k], id_of(a, nbrs[k]));
+    }
   }
 }
 

@@ -742,9 +742,10 @@ TEST(LiveIndexTest, FailedRefreezeKeepsEveryChangedSlot) {
   EXPECT_GT(registry.CounterValue(kPatchedSlots), 0u);
 }
 
-// Two refreezes from the same base: the slower one, parked in the
-// freeze-to-publish window, loses to the seq guard, and the epoch after
-// both still carries every slot written since the winner's base.
+// Two refreezes from the same base: the first, parked in the
+// freeze-to-publish window until the second has published, loses to the
+// seq guard, and the epoch after both still carries every slot written
+// since the winner's base.
 TEST(LiveIndexTest, RacingRefreezesKeepEveryChangedSlot) {
   if (!fault::kFailPointsCompiledIn) {
     GTEST_SKIP() << "ESD_FAULT=OFF: the live.refreeze fail point compiles out";
@@ -755,8 +756,16 @@ TEST(LiveIndexTest, RacingRefreezesKeepEveryChangedSlot) {
   t.Apply(0, 50);
   fault::FailPointRegistry& fp = fault::FailPointRegistry::Global();
   std::string error;
-  ASSERT_TRUE(fp.Set("live.refreeze", "nth(1)*delay(200)", &error)) << error;
+  ASSERT_TRUE(fp.Set("live.refreeze", "nth(1)*park", &error)) << error;
   std::thread slow([&] { EXPECT_TRUE(t.live->RefreezeNow()); });
+  // Whatever fails below, the parked refreeze is let go and joined.
+  struct Unpark {
+    std::thread& slow;
+    ~Unpark() {
+      fault::FailPointRegistry::Global().Clear("live.refreeze");
+      if (slow.joinable()) slow.join();
+    }
+  } unpark{slow};
   while (fp.FireCount("live.refreeze") < 1) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -766,6 +775,7 @@ TEST(LiveIndexTest, RacingRefreezesKeepEveryChangedSlot) {
   // A delta from the base the parked refreeze also pinned: its trim left
   // that base's log suffix alone.
   EXPECT_GT(registry.CounterValue(kPatchedSlots), 0u);
+  fp.Release("live.refreeze");
   slow.join();
   fp.Clear("live.refreeze");
   EXPECT_EQ(t.live->Stats().publish_races, 1u);
@@ -1336,7 +1346,8 @@ TEST(LiveKillRecoverTest, SigkillMidStreamRecoversToExactParity) {
   ASSERT_NE(live, nullptr) << open_error;
   EXPECT_EQ(live->Stats().applied_seq, state.applied_seq);
   auto engine = live->CurrentEngine();
-  ExpectEngineParity(*engine, state.graph.Snapshot(), "post-SIGKILL engine");
+  ASSERT_TRUE(state.graph_changed);
+  ExpectEngineParity(*engine, state.graph, "post-SIGKILL engine");
 }
 
 }  // namespace

@@ -750,5 +750,46 @@ TEST(ObsLiveMetricsTest, RefreezeMetricsAreRegisteredAtOpen) {
   std::filesystem::remove_all(dir);
 }
 
+// LiveEsdIndex::Open records its boot as four phases, each a gauge with
+// help text in the index's registry and, with tracing compiled in, a span:
+// where a boot's time goes, build against hand-over.
+TEST(ObsLiveMetricsTest, OpenRecordsItsBootPhases) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("esd_obs_boot_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  MetricRegistry reg;
+  live::LiveOptions options;
+  options.wal_path = (dir / "wal.bin").string();
+  options.registry = &reg;
+  std::string error;
+#if ESD_OBS_TRACING
+  Tracer::Global().Clear();
+#endif
+  auto index = live::LiveEsdIndex::Open(gen::BarabasiAlbert(300, 5, 2),
+                                        options, &error);
+  ASSERT_NE(index, nullptr) << error;
+  const std::string text = reg.PrometheusText();
+  for (const char* phase : {"recover", "build", "handover", "freeze"}) {
+    const std::string gauge =
+        std::string("esd_phase_live_open_") + phase + "_seconds";
+    EXPECT_NE(text.find("# HELP " + gauge + " "), std::string::npos) << gauge;
+    EXPECT_NE(text.find("# TYPE " + gauge + " gauge"), std::string::npos)
+        << gauge;
+    EXPECT_GE(reg.GaugeValue(gauge), 0.0) << gauge;
+  }
+  EXPECT_GT(reg.GaugeValue("esd_phase_live_open_build_seconds"), 0.0);
+#if ESD_OBS_TRACING
+  const std::string trace = Tracer::Global().ChromeTraceJson();
+  for (const char* span : {"\"live.open.recover\"", "\"live.open.build\"",
+                           "\"live.open.handover\"", "\"live.open.freeze\""}) {
+    EXPECT_NE(trace.find(span), std::string::npos) << span;
+  }
+#endif
+  index.reset();
+  std::filesystem::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace esd

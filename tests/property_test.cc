@@ -135,7 +135,7 @@ TEST_P(FamilyTest, BuildersAgreeAndInvariantHolds) {
   test::ExpectIndexesEqual(basic, par);
   std::vector<graph::EdgeId> ids(g.NumEdges());
   std::iota(ids.begin(), ids.end(), 0);
-  test::ExpectIndexInvariant(clique, ids, [&clique](graph::EdgeId e) -> const auto& {
+  test::ExpectIndexInvariant(clique, ids, [&clique](graph::EdgeId e) {
     return clique.EdgeSizes(e);
   });
 }

@@ -153,7 +153,8 @@ TEST(BinaryHeapRobustnessTest, NegativePriorities) {
 // ---------------------------------------------------------------------------
 
 TEST(KeyedDsuRobustnessTest, RemoveComponentsThenRebuild) {
-  util::KeyedDsu d;
+  util::KeyedDsuPool pool(1);
+  util::KeyedDsu d = pool[0];
   util::Rng rng(3);
   for (int round = 0; round < 20; ++round) {
     for (uint32_t v = 0; v < 60; ++v) d.AddMember(v * 7 + 1);

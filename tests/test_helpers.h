@@ -8,6 +8,7 @@
 #include <map>
 #include <numeric>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -28,6 +29,11 @@
 #include "util/rng.h"
 
 namespace esd::test {
+
+/// A multiset view (EdgeSizeTable::EdgeSizes) as a vector, for EXPECT_EQ.
+inline std::vector<uint32_t> Values(std::span<const uint32_t> values) {
+  return {values.begin(), values.end()};
+}
 
 /// Flattened image of an EsdIndex: c -> ordered (score, edge) entries.
 using IndexImage =
@@ -87,13 +93,13 @@ void ExpectIndexInvariant(const core::EsdIndex& index,
   std::map<uint32_t, std::vector<std::pair<uint32_t, graph::EdgeId>>> want;
   std::set<uint32_t> all_sizes;
   for (graph::EdgeId e : edge_ids) {
-    const std::vector<uint32_t>& sizes = sizes_of(e);
+    const auto& sizes = sizes_of(e);
     for (uint32_t s : sizes) all_sizes.insert(s);
   }
   for (uint32_t c : all_sizes) {
     auto& list = want[c];
     for (graph::EdgeId e : edge_ids) {
-      const std::vector<uint32_t>& sizes = sizes_of(e);
+      const auto& sizes = sizes_of(e);
       if (sizes.empty() || sizes.back() < c) continue;
       uint32_t score = static_cast<uint32_t>(
           sizes.end() - std::lower_bound(sizes.begin(), sizes.end(), c));

@@ -5,6 +5,7 @@
 #include <numeric>
 #include <queue>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -18,6 +19,7 @@
 #include "util/flag_parse.h"
 #include "util/flat_map.h"
 #include "util/rng.h"
+#include "util/run_pool.h"
 #include "util/spinlock.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -301,11 +303,83 @@ TEST(DsuTest, RandomizedAgainstNaive) {
 }
 
 // ---------------------------------------------------------------------------
+// RunPool
+// ---------------------------------------------------------------------------
+
+// Seeded rewrite, grow, shrink and delete sequences against one
+// std::vector per run. Every run must read back its model after every
+// write, the live count must match, the dead entries must stay within the
+// compaction bound, and compaction must actually fire.
+TEST(RunPoolTest, RandomRewritesMatchPerRunVectors) {
+  Rng rng(0x9001);
+  std::vector<std::vector<uint32_t>> model(40);
+  std::vector<uint64_t> offsets{0};
+  std::vector<uint32_t> values;
+  for (auto& run : model) {
+    run.resize(rng.NextBounded(6));
+    for (uint32_t& x : run) x = static_cast<uint32_t>(rng.NextBounded(1000));
+    values.insert(values.end(), run.begin(), run.end());
+    offsets.push_back(values.size());
+  }
+  RunPool<uint32_t> pool;
+  pool.Adopt(std::span<const uint64_t>(offsets), values);
+  std::vector<uint32_t> fresh;
+  for (int step = 0; step < 4000; ++step) {
+    const size_t r = rng.NextBounded(model.size());
+    const size_t was = model[r].size();
+    size_t n = was;
+    switch (rng.NextBounded(5)) {
+      case 0:  // rewrite, same length
+        break;
+      case 1:  // grow
+        n = was + 1 + rng.NextBounded(8);
+        break;
+      case 2:  // shrink
+        n = was == 0 ? 0 : rng.NextBounded(was);
+        break;
+      case 3:  // delete
+        n = 0;
+        break;
+      case 4:  // a new run
+        pool.AddRun();
+        model.emplace_back();
+        continue;
+    }
+    fresh.resize(n);
+    for (uint32_t& x : fresh) x = static_cast<uint32_t>(rng.NextBounded(1000));
+    if (rng.NextBool(0.5)) {
+      pool.Assign(r, fresh);
+    } else {
+      // Resize keeps the run's prefix; the tail is then written in place.
+      const std::span<uint32_t> run = pool.Resize(r, n);
+      for (size_t i = 0; i < std::min(was, n); ++i) {
+        ASSERT_EQ(run[i], model[r][i]) << "step " << step;
+      }
+      std::copy(fresh.begin(), fresh.end(), run.begin());
+    }
+    model[r] = fresh;
+    size_t live = 0;
+    ASSERT_EQ(pool.NumRuns(), model.size());
+    for (size_t i = 0; i < model.size(); ++i) {
+      const std::span<const uint32_t> got = pool.Run(i);
+      ASSERT_TRUE(std::equal(got.begin(), got.end(), model[i].begin(),
+                             model[i].end()))
+          << "run " << i << " at step " << step;
+      live += model[i].size();
+    }
+    ASSERT_EQ(pool.LiveEntries(), live);
+    ASSERT_LE(pool.DeadEntries(), live + model.size());
+  }
+  EXPECT_GT(pool.Compactions(), 0u);
+}
+
+// ---------------------------------------------------------------------------
 // KeyedDsu
 // ---------------------------------------------------------------------------
 
 TEST(KeyedDsuTest, AddFindUnion) {
-  KeyedDsu d;
+  KeyedDsuPool pool(1);
+  KeyedDsu d = pool[0];
   EXPECT_TRUE(d.AddMember(100));
   EXPECT_TRUE(d.AddMember(7));
   EXPECT_FALSE(d.AddMember(100));
@@ -319,17 +393,20 @@ TEST(KeyedDsuTest, AddFindUnion) {
 }
 
 TEST(KeyedDsuTest, ComponentSizesSorted) {
-  KeyedDsu d;
+  KeyedDsuPool pool(1);
+  KeyedDsu d = pool[0];
   for (uint32_t v : {1u, 2u, 3u, 4u, 5u, 6u}) d.AddMember(v);
   d.Union(1, 2);
   d.Union(2, 3);
   d.Union(4, 5);
-  std::vector<uint32_t> sizes = d.ComponentSizes();
+  std::vector<uint32_t> sizes = {99};
+  d.ComponentSizes(&sizes);
   EXPECT_EQ(sizes, (std::vector<uint32_t>{1, 2, 3}));
 }
 
 TEST(KeyedDsuTest, RemoveSingletonRules) {
-  KeyedDsu d;
+  KeyedDsuPool pool(1);
+  KeyedDsu d = pool[0];
   d.AddMember(1);
   d.AddMember(2);
   d.Union(1, 2);
@@ -342,7 +419,8 @@ TEST(KeyedDsuTest, RemoveSingletonRules) {
 }
 
 TEST(KeyedDsuTest, ComponentMembersAndRemoveComponent) {
-  KeyedDsu d;
+  KeyedDsuPool pool(1);
+  KeyedDsu d = pool[0];
   for (uint32_t v : {10u, 20u, 30u, 40u}) d.AddMember(v);
   d.Union(10, 20);
   d.Union(20, 30);
@@ -359,7 +437,8 @@ TEST(KeyedDsuTest, ComponentMembersAndRemoveComponent) {
 }
 
 TEST(KeyedDsuTest, ResurrectAfterRemove) {
-  KeyedDsu d;
+  KeyedDsuPool pool(1);
+  KeyedDsu d = pool[0];
   d.AddMember(5);
   EXPECT_TRUE(d.RemoveSingleton(5));
   EXPECT_TRUE(d.AddMember(5));
@@ -370,7 +449,8 @@ TEST(KeyedDsuTest, ResurrectAfterRemove) {
 TEST(KeyedDsuTest, RandomizedUnionsMatchDsu) {
   Rng rng(77);
   constexpr uint32_t kN = 150;
-  KeyedDsu keyed;
+  KeyedDsuPool pool(1);
+  KeyedDsu keyed = pool[0];
   test::Dsu flat(kN);
   // Keys are sparse: vertex i maps to i * 1000003.
   auto key = [](uint32_t i) { return i * 1000003u; };
@@ -390,11 +470,12 @@ TEST(KeyedDsuTest, RandomizedUnionsMatchDsu) {
 // or AddMembers, each is united with a random member, and whole components
 // leave by RemoveSingleton or RemoveComponent. The partition is checked
 // against a label model after every batch. Vertex ids are scattered, so
-// members enter and leave the middle of the slot vector. Returns the
-// largest MemoryBytes() seen.
+// members enter and leave the middle of the slot run. Returns the largest
+// MemoryBytes() of the one-structure pool seen.
 size_t ChurnAgainstModel(uint32_t vertices, size_t max_live, uint64_t seed) {
   Rng rng(seed);
-  KeyedDsu d;
+  KeyedDsuPool pool(1);
+  KeyedDsu d = pool[0];
   std::map<uint32_t, uint32_t> label;  // member -> component label
   auto component = [&label](uint32_t l) {
     std::vector<uint32_t> out;
@@ -453,17 +534,21 @@ size_t ChurnAgainstModel(uint32_t vertices, size_t max_live, uint64_t seed) {
     std::vector<uint32_t> members;
     d.ComponentMembers(batch[0], &members);
     EXPECT_EQ(members, component(label[batch[0]]));
-    peak = std::max(peak, d.MemoryBytes());
+    peak = std::max(peak, pool.MemoryBytes());
   }
   return peak;
 }
 
-// Memory follows the members present: a removed member leaves no slot
-// behind, however many distinct vertices have passed through.
+// Memory follows the members present, however many distinct vertices have
+// passed through: a removed member's slot is dead until the pool compacts,
+// which it does once the dead slots outnumber the live ones and the run.
+// With at most 4 members live, the buffer holds under 16 slots (up to 4
+// live, 5 dead and one 4-slot relocation), and its capacity at most twice
+// that.
 TEST(KeyedDsuTest, ChurnMemoryFollowsLiveMembers) {
   const size_t peak = ChurnAgainstModel(10000, 4, 17);
   EXPECT_GT(peak, 0u);
-  EXPECT_LE(peak, 8 * sizeof(KeyedDsu::Slot));
+  EXPECT_LE(peak, 32 * sizeof(KeyedDsu::Slot) + 16);
 }
 
 TEST(KeyedDsuTest, RandomChurnMatchesModel) {
