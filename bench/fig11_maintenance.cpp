@@ -12,8 +12,9 @@
 // state, and each batch's epoch is built twice — by a full Freeze and by
 // FrozenEsdIndex::FromDelta from the previous epoch plus the changed
 // slots (the patch is copied outside the timed region). One JSON row per
-// dataset gives both medians and the changed slots per batch; every delta
-// image is checked equal to the full one.
+// dataset gives both medians, the changed slots and the slot chunks the
+// delta rebuilt (rather than shared with its base) per batch, and the
+// final image's size; every delta image is checked equal to the full one.
 //
 // A third table times the live writer's boot: the whole LiveEsdIndex::Open
 // on an empty WAL directory, split by its phases. `recover` reads the
@@ -68,6 +69,7 @@ bool RefreezeRow(const gen::Dataset& d) {
   util::Rng rng(0xF11);
   std::vector<double> full_ms, delta_ms;
   uint64_t changed = 0;
+  uint64_t rebuilt = 0;
   std::vector<graph::EdgeId> slots;
   for (int b = 0; b < kBatches; ++b) {
     for (int i = 0; i < kBatch; ++i) {
@@ -92,19 +94,24 @@ bool RefreezeRow(const gen::Dataset& d) {
     full_ms.push_back(
         bench::TimeOnce([&] { full = core::Freeze(table); }) * 1e3);
     if (!(delta == full)) return false;
+    rebuilt += delta.NumChunks() - delta.ChunksSharedWith(base);
     table.TrimChangeLog(base_pos);
     base = std::move(delta);
     base_pos = table.ChangeLogEnd();
   }
   const double full_med = Median(full_ms), delta_med = Median(delta_ms);
   const double per_batch = static_cast<double>(changed) / kBatches;
-  std::printf("%-15s %16.3f %16.3f %8.1fx %16.1f\n", d.name.c_str(),
-              full_med, delta_med, full_med / delta_med, per_batch);
-  char fields[160];
+  const double chunks_per_batch = static_cast<double>(rebuilt) / kBatches;
+  const double image_mb = static_cast<double>(base.MemoryBytes()) / 1e6;
+  std::printf("%-15s %16.3f %16.3f %8.1fx %16.1f %10.1f/%-5zu %10.2f\n",
+              d.name.c_str(), full_med, delta_med, full_med / delta_med,
+              per_batch, chunks_per_batch, base.NumChunks(), image_mb);
+  char fields[256];
   std::snprintf(fields, sizeof(fields),
                 "\"full_freeze_ms\":%.4f,\"delta_ms\":%.4f,"
-                "\"changed_slots_per_batch\":%.2f",
-                full_med, delta_med, per_batch);
+                "\"changed_slots_per_batch\":%.2f,\"image_mb\":%.3f,"
+                "\"chunks_rebuilt_per_batch\":%.2f",
+                full_med, delta_med, per_batch, image_mb, chunks_per_batch);
   bench::EmitJson("fig11_maintenance", "live", d.name, "refreeze", delta_med,
                   base.MemoryBytes(), fields);
   return true;
@@ -229,8 +236,9 @@ int main() {
       " the locality that Observations 2 and 3 promise.)\n");
 
   std::printf("\nRefreeze of one 16-update batch (medians)\n");
-  std::printf("%-15s %16s %16s %9s %16s\n", "dataset", "Freeze (ms)",
-              "delta (ms)", "speedup", "changed slots");
+  std::printf("%-15s %16s %16s %9s %16s %16s %10s\n", "dataset",
+              "Freeze (ms)", "delta (ms)", "speedup", "changed slots",
+              "chunks rebuilt", "image (MB)");
   for (const gen::Dataset& d : bench::LoadAll()) {
     if (!RefreezeRow(d)) {
       std::fprintf(stderr, "%s: delta epoch differs from Freeze\n",

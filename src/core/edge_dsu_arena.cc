@@ -276,13 +276,23 @@ EdgeSizePool EdgeDsuArena::ComponentSizePool(util::ThreadPool* pool) const {
   return out;
 }
 
-void EdgeDsuArena::ExportDsus(util::KeyedDsuPool* out,
-                              util::ThreadPool* pool) {
+EdgeSizePool EdgeDsuArena::ExportDsus(util::KeyedDsuPool* out,
+                                      util::ThreadPool* pool) {
   using Slot = util::KeyedDsu::Slot;
   constexpr VertexId kNone = UINT32_MAX;
+  constexpr uint64_t kGrain = 512;
+  const uint64_t m = NumEdges();
   std::vector<Slot> slots(members_.size());
-  ForRange(pool, NumEdges(), 512, [&](uint64_t e_lo, uint64_t e_hi) {
+  // Each range's component sizes, in edge order. A range starts at a
+  // multiple of the grain (the one unpooled range at 0), which keys it.
+  EdgeSizePool sizes;
+  sizes.offsets.assign(m + 1, 0);
+  std::vector<std::vector<uint32_t>> found(
+      pool != nullptr ? std::max<uint64_t>(1, (m + kGrain - 1) / kGrain) : 1);
+  ForRange(pool, m, kGrain, [&](uint64_t e_lo, uint64_t e_hi) {
     std::vector<uint32_t> pos;  // arena slot - lo -> position in the run
+    std::vector<uint32_t>& values = found[e_lo / kGrain];
+    values.reserve(e_hi - e_lo);
     for (uint64_t e = e_lo; e < e_hi; ++e) {
       // The middle and lower sections are each ascending, so the first
       // descent after the upper section (if any) is where the lower one
@@ -306,13 +316,31 @@ void EdgeDsuArena::ExportDsus(util::KeyedDsuPool* out,
         const uint32_t root = util::DsuFind(parent_, s);
         run[k] = {members_[s], root == s ? parent_[s] : root};
       }
-      // Each root's arena slot becomes its position in member order.
+      // Each root's arena slot becomes its position in member order, and
+      // each root's size joins C_e.
+      const size_t first = values.size();
       for (uint32_t k = 0; k < hi - lo; ++k) {
-        if ((run[k].parent & kRoot) == 0) run[k].parent = pos[run[k].parent - lo];
+        if ((run[k].parent & kRoot) == 0) {
+          run[k].parent = pos[run[k].parent - lo];
+        } else {
+          values.push_back(run[k].parent & ~kRoot);
+        }
       }
+      std::sort(values.begin() + first, values.end());
+      sizes.offsets[e + 1] = values.size() - first;
     }
   });
   out->Adopt(std::span<const uint32_t>(offsets_), std::move(slots));
+  for (uint64_t e = 0; e < m; ++e) sizes.offsets[e + 1] += sizes.offsets[e];
+  if (found.size() == 1) {
+    sizes.values = std::move(found[0]);
+  } else {
+    sizes.values.reserve(sizes.offsets[m]);
+    for (const std::vector<uint32_t>& values : found) {
+      sizes.values.insert(sizes.values.end(), values.begin(), values.end());
+    }
+  }
+  return sizes;
 }
 
 size_t EdgeDsuArena::MemoryBytes() const {

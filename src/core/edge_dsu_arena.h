@@ -182,11 +182,13 @@ class EdgeDsuArena {
 
   /// Replaces *out with every edge's slice as its M_e, with the same
   /// components and the same roots (how the live writer and the dynamic
-  /// index boot): one pass over the slices, each one's three sections
-  /// merged into member order and each member's word pointing straight at
-  /// its root's new position. The pool's runs take the arena's offsets. If
-  /// `pool` is non-null the slices are split over it.
-  void ExportDsus(util::KeyedDsuPool* out, util::ThreadPool* pool = nullptr);
+  /// index boot), and returns what ComponentSizePool would: one pass over
+  /// the slices, each one's three sections merged into member order, each
+  /// member's word pointing straight at its root's new position, and each
+  /// root's size written to C_e. The pool's runs take the arena's offsets.
+  /// If `pool` is non-null the slices are split over it.
+  EdgeSizePool ExportDsus(util::KeyedDsuPool* out,
+                          util::ThreadPool* pool = nullptr);
 
   /// Bytes of the arena's tables. Of the triangle table only the
   /// triangles count, not the rest of the listing's reservation.

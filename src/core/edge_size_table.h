@@ -64,18 +64,6 @@ class EdgeSizeTable {
   void BulkLoad(std::vector<graph::Edge> edges, EdgeSizePool sizes,
                 std::vector<uint8_t> live = {});
 
-  /// BulkLoad from a pool held elsewhere (a frozen image's): one block
-  /// copy of each array.
-  void BulkLoad(std::vector<graph::Edge> edges,
-                std::span<const uint64_t> size_offsets,
-                std::span<const uint32_t> size_pool,
-                std::vector<uint8_t> live = {}) {
-    BulkLoad(std::move(edges),
-             EdgeSizePool{{size_offsets.begin(), size_offsets.end()},
-                          {size_pool.begin(), size_pool.end()}},
-             std::move(live));
-  }
-
   /// Component-size multiset of edge e (ascending). Invalidated by the
   /// next write to the table.
   std::span<const uint32_t> EdgeSizes(graph::EdgeId e) const {

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstddef>
+#include <memory>
+#include <stdexcept>
 #include <utility>
 
 #include "core/ego_network.h"
@@ -16,26 +19,36 @@ using graph::EdgeId;
 namespace {
 
 /// The distinct size set C of `pool` (largest value `max_value`),
-/// ascending, into *sizes. It marks the values present in a pool-bounded
-/// array and then returns true, with (*rank)[v] = the index of v in C. A
-/// full ESD image always fits the bound (a size-c component puts a value
-/// in the multisets of at least 2c other edges); a loaded file may not,
-/// and falls back to sorting a copy of the pool (returns false, *rank
-/// untouched).
-bool MarkDistinctSizes(std::span<const uint32_t> pool, uint32_t max_value,
-                       std::vector<uint32_t>* sizes,
-                       std::vector<uint32_t>* rank) {
+/// ascending, into *sizes, and how many values equal each into *counts. It
+/// tallies the values in a pool-bounded array and then returns true, with
+/// (*rank)[v] = the index of v in C. A full ESD image always fits the
+/// bound (a size-c component puts a value in the multisets of at least 2c
+/// other edges); a loaded file may not, and falls back to sorting a copy
+/// of the pool (returns false, *rank untouched).
+bool TallyDistinctSizes(std::span<const uint32_t> pool, uint32_t max_value,
+                        std::vector<uint32_t>* sizes,
+                        std::vector<uint64_t>* counts,
+                        std::vector<uint32_t>* rank) {
   sizes->clear();
+  counts->clear();
   if (max_value > pool.size()) {
-    sizes->assign(pool.begin(), pool.end());
-    std::sort(sizes->begin(), sizes->end());
-    sizes->erase(std::unique(sizes->begin(), sizes->end()), sizes->end());
+    std::vector<uint32_t> sorted(pool.begin(), pool.end());
+    std::sort(sorted.begin(), sorted.end());
+    for (size_t i = 0; i < sorted.size();) {
+      const size_t j = static_cast<size_t>(
+          std::upper_bound(sorted.begin() + i, sorted.end(), sorted[i]) -
+          sorted.begin());
+      sizes->push_back(sorted[i]);
+      counts->push_back(j - i);
+      i = j;
+    }
     return false;
   }
   rank->assign(static_cast<size_t>(max_value) + 1, 0);
-  for (uint32_t v : pool) (*rank)[v] = 1;
+  for (uint32_t v : pool) ++(*rank)[v];
   for (uint32_t v = 0; v <= max_value; ++v) {
     if ((*rank)[v] == 0) continue;
+    counts->push_back((*rank)[v]);
     (*rank)[v] = static_cast<uint32_t>(sizes->size());
     sizes->push_back(v);
   }
@@ -65,7 +78,8 @@ ListLayout LayOutLists(std::span<const uint64_t> offsets,
 
   ListLayout out;
   std::vector<uint32_t> rank;
-  const bool dense = MarkDistinctSizes(values, max_value, &out.sizes, &rank);
+  const bool dense =
+      TallyDistinctSizes(values, max_value, &out.sizes, &out.counts, &rank);
   auto slot_of = [&](uint32_t v) -> size_t {
     if (dense) return rank[v];
     return static_cast<size_t>(
@@ -144,6 +158,174 @@ ListLayout LayOutLists(std::span<const uint64_t> offsets,
   return out;
 }
 
+namespace {
+
+size_t ChunkCount(size_t slots) {
+  return (slots + kSlotChunk - 1) / kSlotChunk;
+}
+
+/// Whether each chunk's values, under global CSR `offsets`, fit its 32-bit
+/// offsets.
+bool ChunkPoolsFit(std::span<const uint64_t> offsets) {
+  const size_t n = offsets.size() - 1;
+  for (size_t lo = 0; lo < n; lo += kSlotChunk) {
+    const size_t hi = std::min(n, lo + kSlotChunk);
+    if (offsets[hi] - offsets[lo] > UINT32_MAX) return false;
+  }
+  return true;
+}
+
+constexpr const char* kChunkOverflow =
+    "frozen index: a slot chunk's values overflow its 32-bit offsets";
+
+/// The per-slot arrays of an image built whole, one block each, and the
+/// chunk views into them. Every chunk of such an image aliases this one
+/// object, so a later delta that shares any of them keeps it all alive.
+struct SlotBlock {
+  std::vector<Edge> edges;
+  std::vector<uint8_t> live;
+  std::vector<uint32_t> offsets;  // per chunk: its slots + 1, from 0
+  std::vector<uint32_t> pool;
+  std::vector<SlotChunk> chunks;
+};
+
+/// Chunk `c` of a delta image, rebuilt in one allocation: the base's chunk
+/// `old` (null past the base) grown to `count` slots, with patched slots
+/// [first, last) of `patch`, all in this chunk, overwritten. Each run of
+/// unpatched slots is one block copy of the old pool, its offsets shifted.
+std::shared_ptr<const SlotChunk> RebuildChunk(const SlotChunk* old, size_t c,
+                                              size_t count,
+                                              const SlotPatch& patch,
+                                              size_t first, size_t last) {
+  const size_t lo = c * kSlotChunk;
+  const size_t old_count = old != nullptr ? old->edges.size() : 0;
+  auto patched_sizes = [&](size_t i) -> std::span<const uint32_t> {
+    return {patch.sizes.values.data() + patch.sizes.offsets[i],
+            patch.sizes.values.data() + patch.sizes.offsets[i + 1]};
+  };
+  uint64_t values = old != nullptr ? old->pool.size() : 0;
+  for (size_t i = first; i < last; ++i) {
+    const size_t j = patch.ids[i] - lo;
+    if (j < old_count) values -= old->Sizes(j).size();
+    values += patched_sizes(i).size();
+  }
+  if (values > UINT32_MAX) throw std::length_error(kChunkOverflow);
+
+  // One buffer: the chunk header, then its edges, offsets, pool and live
+  // flags, each at an offset aligned for its type.
+  static_assert(sizeof(SlotChunk) % alignof(Edge) == 0 &&
+                alignof(SlotChunk) <= alignof(uint64_t));
+  const size_t bytes = sizeof(SlotChunk) + count * sizeof(Edge) +
+                       (count + 1 + values) * sizeof(uint32_t) + count;
+  std::shared_ptr<uint64_t[]> buffer =
+      std::make_shared_for_overwrite<uint64_t[]>((bytes + 7) / 8);
+  auto* at = reinterpret_cast<std::byte*>(buffer.get()) + sizeof(SlotChunk);
+  auto* edges = reinterpret_cast<Edge*>(at);
+  auto* offsets = reinterpret_cast<uint32_t*>(edges + count);
+  uint32_t* pool = offsets + count + 1;
+  auto* live = reinterpret_cast<uint8_t*>(pool + values);
+  if (old != nullptr) {
+    std::uninitialized_copy(old->edges.begin(), old->edges.end(), edges);
+    std::uninitialized_copy(old->live.begin(), old->live.end(), live);
+  }
+  std::uninitialized_value_construct_n(edges + old_count, count - old_count);
+  std::uninitialized_fill_n(live + old_count, count - old_count, uint8_t{0});
+
+  uint32_t end = 0;
+  auto copy_run = [&](size_t from, size_t to) {
+    assert(from == to || to <= old_count);  // slots past the base are patched
+    if (from == to) return;
+    const uint32_t base = old->offsets[from];
+    for (size_t j = from; j < to; ++j) {
+      std::construct_at(offsets + j, old->offsets[j] - base + end);
+    }
+    const uint32_t n = old->offsets[to] - base;
+    std::uninitialized_copy_n(old->pool.data() + base, n, pool + end);
+    end += n;
+  };
+  size_t next = 0;
+  for (size_t i = first; i < last; ++i) {
+    const size_t j = patch.ids[i] - lo;
+    copy_run(next, j);
+    std::construct_at(offsets + j, end);
+    std::span<const uint32_t> now = patched_sizes(i);
+    assert(std::is_sorted(now.begin(), now.end()));
+    assert(patch.live[i] || now.empty());
+    std::uninitialized_copy(now.begin(), now.end(), pool + end);
+    end += static_cast<uint32_t>(now.size());
+    edges[j] = patch.edges[i];
+    live[j] = patch.live[i];
+    next = j + 1;
+  }
+  copy_run(next, count);
+  std::construct_at(offsets + count, end);
+  assert(end == values);
+
+  SlotChunk* chunk = std::construct_at(
+      reinterpret_cast<SlotChunk*>(buffer.get()),
+      SlotChunk{{edges, count}, {live, count}, {offsets, count + 1},
+                {pool, values}});
+  return std::shared_ptr<const SlotChunk>(std::move(buffer), chunk);
+}
+
+/// The per-slot arrays of `image`, flat: the first four arrays of Parts.
+void FlattenSlots(const FrozenEsdIndex& image, FrozenEsdIndex::Parts* out) {
+  out->edges.reserve(image.EdgeSlotCount());
+  out->live.reserve(image.EdgeSlotCount());
+  out->size_offsets.reserve(image.EdgeSlotCount() + 1);
+  out->size_offsets.push_back(0);
+  out->size_pool.reserve(image.SizePool().size());
+  for (size_t c = 0; c < image.NumChunks(); ++c) {
+    const SlotChunk& chunk = *image.Chunk(c);
+    out->edges.insert(out->edges.end(), chunk.edges.begin(),
+                      chunk.edges.end());
+    out->live.insert(out->live.end(), chunk.live.begin(), chunk.live.end());
+    const uint64_t at = out->size_pool.size();
+    for (size_t j = 1; j < chunk.offsets.size(); ++j) {
+      out->size_offsets.push_back(at + chunk.offsets[j]);
+    }
+    out->size_pool.insert(out->size_pool.end(), chunk.pool.begin(),
+                          chunk.pool.end());
+  }
+}
+
+}  // namespace
+
+void FrozenEsdIndex::AdoptSlots(std::vector<Edge> edges,
+                                std::vector<uint8_t> live,
+                                std::span<const uint64_t> offsets,
+                                std::vector<uint32_t> pool) {
+  const size_t n = edges.size();
+  assert(live.size() == n && offsets.size() == n + 1 &&
+         offsets[n] == pool.size() && ChunkPoolsFit(offsets));
+  const size_t num_chunks = ChunkCount(n);
+  auto block = std::make_shared<SlotBlock>();
+  block->edges = std::move(edges);
+  block->live = std::move(live);
+  block->pool = std::move(pool);
+  block->offsets.resize(n + num_chunks);
+  block->chunks.resize(num_chunks);
+  chunks_.clear();
+  chunks_.reserve(num_chunks);
+  for (size_t c = 0; c < num_chunks; ++c) {
+    const size_t lo = c * kSlotChunk, hi = std::min(n, lo + kSlotChunk);
+    const uint64_t at = offsets[lo];
+    uint32_t* local = block->offsets.data() + lo + c;
+    for (size_t e = lo; e <= hi; ++e) {
+      local[e - lo] = static_cast<uint32_t>(offsets[e] - at);
+    }
+    SlotChunk& chunk = block->chunks[c];
+    chunk.edges = std::span<const Edge>(block->edges).subspan(lo, hi - lo);
+    chunk.live = std::span<const uint8_t>(block->live).subspan(lo, hi - lo);
+    chunk.offsets = {local, hi - lo + 1};
+    chunk.pool = std::span<const uint32_t>(block->pool)
+                     .subspan(at, offsets[hi] - at);
+    chunks_.emplace_back(block, &chunk);
+  }
+  num_slots_ = n;
+  pool_size_ = offsets[n];
+}
+
 FrozenEsdIndex FrozenEsdIndex::FromSizePool(std::vector<Edge> edges,
                                             EdgeSizePool sizes,
                                             std::vector<uint8_t> live,
@@ -152,26 +334,27 @@ FrozenEsdIndex FrozenEsdIndex::FromSizePool(std::vector<Edge> edges,
   out.scorer_ = scorer;
   const size_t n = edges.size();
   assert(sizes.offsets.size() == n + 1);
-  out.edges_ = std::move(edges);
-  out.live_ = live.empty() ? std::vector<uint8_t>(n, 1) : std::move(live);
-  assert(out.live_.size() == n);
-  out.size_offsets_ = std::move(sizes.offsets);
-  out.size_pool_ = std::move(sizes.values);
+  if (live.empty()) live.assign(n, 1);
+  assert(live.size() == n);
   for (size_t e = 0; e < n; ++e) {
-    assert(out.live_[e] || out.EdgeSizes(static_cast<EdgeId>(e)).empty());
-    out.num_live_ += out.live_[e] != 0;
+    assert(live[e] || sizes.offsets[e] == sizes.offsets[e + 1]);
+    out.num_live_ += live[e] != 0;
   }
-  ListLayout lists = LayOutLists(out.size_offsets_, out.size_pool_);
+  if (!ChunkPoolsFit(sizes.offsets)) throw std::length_error(kChunkOverflow);
+  ListLayout lists = LayOutLists(sizes.offsets, sizes.values);
   out.sizes_ = std::move(lists.sizes);
+  out.counts_ = std::move(lists.counts);
   out.offsets_ = std::move(lists.offsets);
   out.entries_ = std::move(lists.entries);
+  out.AdoptSlots(std::move(edges), std::move(live), sizes.offsets,
+                 std::move(sizes.values));
   return out;
 }
 
 FrozenEsdIndex FrozenEsdIndex::FromDelta(const FrozenEsdIndex& base,
                                          const SlotPatch& patch) {
   const size_t n = patch.slot_count;
-  const size_t base_n = base.edges_.size();
+  const size_t base_n = base.num_slots_;
   const size_t np = patch.ids.size();
   assert(n >= base_n && patch.edges.size() == np && patch.live.size() == np &&
          patch.sizes.offsets.size() == np + 1);
@@ -181,60 +364,70 @@ FrozenEsdIndex FrozenEsdIndex::FromDelta(const FrozenEsdIndex& base,
   };
   FrozenEsdIndex out;
   out.scorer_ = base.scorer_;
-
-  // Registry: the base's arrays, grown to the table's slot count, with the
-  // patched slots overwritten.
-  out.edges_.reserve(n);
-  out.edges_.assign(base.edges_.begin(), base.edges_.end());
-  out.edges_.resize(n);
-  out.live_.reserve(n);
-  out.live_.assign(base.live_.begin(), base.live_.end());
-  out.live_.resize(n, 0);
+  out.num_slots_ = n;
   out.num_live_ = base.num_live_;
-  for (size_t i = 0; i < np; ++i) {
-    const EdgeId e = patch.ids[i];
-    assert(e < n && (i == 0 || patch.ids[i - 1] < e));
-    if (e < base_n) out.num_live_ -= base.live_[e];
-    out.num_live_ += patch.live[i];
-    out.edges_[e] = patch.edges[i];
-    out.live_[e] = patch.live[i];
-  }
+  out.pool_size_ = base.pool_size_;
 
-  // Size pool: each run of unpatched slots is one block copy of the base's
-  // pool, its offsets shifted; each patched slot takes the patch's values.
-  out.size_offsets_.resize(n + 1);
-  out.size_pool_.reserve(base.size_pool_.size() + patch.sizes.values.size());
-  auto copy_run = [&](size_t from, size_t to) {
-    assert(from == to || to <= base_n);  // slots past the base are patched
-    if (from == to) return;
-    const uint64_t lo = base.size_offsets_[from];
-    const uint64_t at = out.size_pool_.size();
-    for (size_t e = from; e < to; ++e) {
-      out.size_offsets_[e] = base.size_offsets_[e] - lo + at;
+  // Chunks: the base's table, grown to the table's slot count, with each
+  // chunk that holds a patched slot rebuilt. Every chunk past the base's
+  // holds one, since every slot past the base's is patched.
+  out.chunks_.reserve(ChunkCount(n));
+  out.chunks_.assign(base.chunks_.begin(), base.chunks_.end());
+  out.chunks_.resize(ChunkCount(n));
+  for (size_t first = 0, last = 0; first < np; first = last) {
+    const size_t c = patch.ids[first] / kSlotChunk;
+    for (; last < np && patch.ids[last] / kSlotChunk == c; ++last) {
+      const EdgeId e = patch.ids[last];
+      assert(e < n && (last == 0 || patch.ids[last - 1] < e));
+      if (e < base_n) out.num_live_ -= base.IsLive(e) ? 1 : 0;
+      out.num_live_ += patch.live[last];
     }
-    out.size_pool_.insert(out.size_pool_.end(), base.size_pool_.begin() + lo,
-                          base.size_pool_.begin() + base.size_offsets_[to]);
-  };
-  size_t next = 0;
-  for (size_t i = 0; i < np; ++i) {
-    const EdgeId e = patch.ids[i];
-    copy_run(next, e);
-    out.size_offsets_[e] = out.size_pool_.size();
-    std::span<const uint32_t> values = patched_sizes(i);
-    assert(std::is_sorted(values.begin(), values.end()));
-    assert(patch.live[i] || values.empty());
-    out.size_pool_.insert(out.size_pool_.end(), values.begin(), values.end());
-    next = e + 1;
+    const SlotChunk* old =
+        c < base.chunks_.size() ? base.chunks_[c].get() : nullptr;
+    out.chunks_[c] =
+        RebuildChunk(old, c, std::min(kSlotChunk, n - c * kSlotChunk), patch,
+                     first, last);
+    out.pool_size_ = out.pool_size_ - (old != nullptr ? old->pool.size() : 0) +
+                     out.chunks_[c]->pool.size();
   }
-  copy_run(next, n);
-  out.size_offsets_[n] = out.size_pool_.size();
+  assert(std::all_of(out.chunks_.begin(), out.chunks_.end(),
+                     [](const auto& chunk) { return chunk != nullptr; }));
 
-  std::vector<uint32_t> rank;
-  const uint32_t max_value =
-      out.size_pool_.empty()
-          ? 0
-          : *std::max_element(out.size_pool_.begin(), out.size_pool_.end());
-  MarkDistinctSizes(out.size_pool_, max_value, &out.sizes_, &rank);
+  // C by counts: the base's, minus each value of a gone multiset, plus
+  // each value of a fresh one; a size whose count reaches 0 leaves C.
+  std::vector<std::pair<uint32_t, int32_t>> tally;
+  size_t tally_len = patch.sizes.values.size();
+  for (EdgeId e : patch.ids) {
+    if (e < base_n) tally_len += base.EdgeSizes(e).size();
+  }
+  tally.reserve(tally_len);
+  for (size_t i = 0; i < np; ++i) {
+    if (patch.ids[i] < base_n) {
+      for (uint32_t v : base.EdgeSizes(patch.ids[i])) tally.push_back({v, -1});
+    }
+    for (uint32_t v : patched_sizes(i)) tally.push_back({v, 1});
+  }
+  std::sort(tally.begin(), tally.end());
+  const size_t base_c = base.sizes_.size();
+  out.sizes_.reserve(base_c + tally.size());
+  out.counts_.reserve(base_c + tally.size());
+  for (size_t b = 0, t = 0; b < base_c || t < tally.size();) {
+    const uint32_t v = t == tally.size() ? base.sizes_[b]
+                       : b == base_c
+                           ? tally[t].first
+                           : std::min(base.sizes_[b], tally[t].first);
+    int64_t count = 0;
+    if (b < base_c && base.sizes_[b] == v) {
+      count = static_cast<int64_t>(base.counts_[b++]);
+    }
+    for (; t < tally.size() && tally[t].first == v; ++t) {
+      count += tally[t].second;
+    }
+    assert(count >= 0);
+    if (count == 0) continue;
+    out.sizes_.push_back(v);
+    out.counts_.push_back(static_cast<uint64_t>(count));
+  }
   const size_t num_c = out.sizes_.size();
 
   // The patched slots entering the new slabs (`fresh`, by their new
@@ -250,6 +443,8 @@ FrozenEsdIndex FrozenEsdIndex::FromDelta(const FrozenEsdIndex& base,
     return a.max > b.max;
   };
   std::vector<Ranked> fresh, gone;
+  fresh.reserve(np);
+  gone.reserve(np);
   for (size_t i = 0; i < np; ++i) {
     const EdgeId e = patch.ids[i];
     std::span<const uint32_t> now = patched_sizes(i);
@@ -288,6 +483,8 @@ FrozenEsdIndex FrozenEsdIndex::FromDelta(const FrozenEsdIndex& base,
 
   std::vector<Entry> add;
   std::vector<size_t> drop;
+  add.reserve(fresh.size());
+  drop.reserve(gone.size());
   for (size_t i = 0; i < num_c; ++i) {
     const uint32_t c = out.sizes_[i];
     add.clear();
@@ -370,14 +567,18 @@ bool FrozenEsdIndex::Adopt(Parts parts, FrozenEsdIndex* out,
       prev = parts.size_pool[i];
     }
   }
+  if (!ChunkPoolsFit(parts.size_offsets)) return fail(kChunkOverflow);
   // C must be exactly the distinct sizes occurring in the pool.
-  {
-    std::vector<uint32_t> want = parts.size_pool;
-    std::sort(want.begin(), want.end());
-    want.erase(std::unique(want.begin(), want.end()), want.end());
-    if (want != parts.sizes) {
-      return fail("frozen index: size set C does not match multisets");
-    }
+  std::vector<uint32_t> want, rank;
+  std::vector<uint64_t> counts;
+  TallyDistinctSizes(parts.size_pool,
+                     parts.size_pool.empty()
+                         ? 0
+                         : *std::max_element(parts.size_pool.begin(),
+                                             parts.size_pool.end()),
+                     &want, &counts, &rank);
+  if (want != parts.sizes) {
+    return fail("frozen index: size set C does not match multisets");
   }
   const size_t num_c = parts.sizes.size();
   if (parts.offsets.size() != num_c + 1 || parts.offsets[0] != 0 ||
@@ -426,11 +627,10 @@ bool FrozenEsdIndex::Adopt(Parts parts, FrozenEsdIndex* out,
       }
     }
   }
-  out->edges_ = std::move(parts.edges);
-  out->live_ = std::move(parts.live);
-  out->size_offsets_ = std::move(parts.size_offsets);
-  out->size_pool_ = std::move(parts.size_pool);
+  out->AdoptSlots(std::move(parts.edges), std::move(parts.live),
+                  parts.size_offsets, std::move(parts.size_pool));
   out->sizes_ = std::move(parts.sizes);
+  out->counts_ = std::move(counts);
   out->offsets_ = std::move(parts.offsets);
   out->entries_ = std::move(parts.entries);
   out->num_live_ = num_live;
@@ -461,7 +661,7 @@ TopKResult FrozenEsdIndex::QueryAtSlab(size_t slab_index, uint32_t k,
   const size_t take = std::min<size_t>(k, slab.size());
   out.reserve(take);
   for (size_t i = 0; i < take; ++i) {
-    out.push_back(ScoredEdge{edges_[slab[i].e], slab[i].score});
+    out.push_back(ScoredEdge{EdgeAt(slab[i].e), slab[i].score});
   }
   if (pad_with_zero_edges) PadQueryResult(slab_index, k, &out);
   // Only the real slab prefix counts as entries scanned: zero-padded filler
@@ -481,12 +681,16 @@ void FrozenEsdIndex::PadQueryResult(size_t slab_index, uint32_t k,
   // kNoSlab holds no edge. So membership is a per-edge test, no set.
   const bool has_slab = slab_index != kNoSlab;
   const uint32_t c = has_slab ? sizes_[slab_index] : 0;
-  auto in_slab = [&](EdgeId e) {
-    const uint64_t hi = size_offsets_[e + 1];
-    return has_slab && hi != size_offsets_[e] && size_pool_[hi - 1] >= c;
-  };
-  for (EdgeId e = 0; e < edges_.size() && out.size() < k; ++e) {
-    if (live_[e] && !in_slab(e)) out.push_back(ScoredEdge{edges_[e], 0});
+  for (size_t i = 0; i < chunks_.size() && out.size() < k; ++i) {
+    const SlotChunk& chunk = *chunks_[i];
+    for (size_t j = 0; j < chunk.edges.size() && out.size() < k; ++j) {
+      const uint32_t hi = chunk.offsets[j + 1];
+      const bool in_slab =
+          has_slab && hi != chunk.offsets[j] && chunk.pool[hi - 1] >= c;
+      if (chunk.live[j] && !in_slab) {
+        out.push_back(ScoredEdge{chunk.edges[j], 0});
+      }
+    }
   }
 }
 
@@ -495,19 +699,54 @@ uint32_t FrozenEsdIndex::ScoreOf(EdgeId e, uint32_t tau) const {
 }
 
 uint64_t FrozenEsdIndex::MemoryBytes() const {
-  return entries_.size() * sizeof(Entry) +
-         size_pool_.size() * sizeof(uint32_t) +
-         sizes_.size() * sizeof(uint32_t) +
-         offsets_.size() * sizeof(uint64_t) +
-         size_offsets_.size() * sizeof(uint64_t) +
-         edges_.size() * sizeof(Edge) + live_.size() * sizeof(uint8_t);
+  uint64_t bytes =
+      entries_.size() * sizeof(Entry) + sizes_.size() * sizeof(uint32_t) +
+      counts_.size() * sizeof(uint64_t) + offsets_.size() * sizeof(uint64_t) +
+      chunks_.size() *
+          (sizeof(std::shared_ptr<const SlotChunk>) + sizeof(SlotChunk));
+  for (const auto& chunk : chunks_) {
+    bytes += chunk->edges.size_bytes() + chunk->live.size_bytes() +
+             chunk->offsets.size_bytes() + chunk->pool.size_bytes();
+  }
+  return bytes;
+}
+
+size_t FrozenEsdIndex::ChunksSharedWith(const FrozenEsdIndex& other) const {
+  size_t shared = 0;
+  for (size_t i = 0; i < std::min(chunks_.size(), other.chunks_.size()); ++i) {
+    shared += chunks_[i] == other.chunks_[i] ? 1 : 0;
+  }
+  return shared;
+}
+
+FrozenEsdIndex::Parts FrozenEsdIndex::ToParts() const {
+  Parts parts;
+  parts.scorer = scorer_;
+  FlattenSlots(*this, &parts);
+  parts.sizes = sizes_;
+  parts.offsets = offsets_.empty() ? std::vector<uint64_t>{0} : offsets_;
+  parts.entries = entries_;
+  return parts;
 }
 
 bool operator==(const FrozenEsdIndex& a, const FrozenEsdIndex& b) {
-  return a.scorer_ == b.scorer_ && a.edges_ == b.edges_ &&
-         a.live_ == b.live_ && a.size_offsets_ == b.size_offsets_ &&
-         a.size_pool_ == b.size_pool_ && a.sizes_ == b.sizes_ &&
-         a.offsets_ == b.offsets_ && a.entries_ == b.entries_;
+  if (a.scorer_ != b.scorer_ || a.num_slots_ != b.num_slots_ ||
+      a.sizes_ != b.sizes_ || a.counts_ != b.counts_ ||
+      a.offsets_ != b.offsets_ || a.entries_ != b.entries_) {
+    return false;
+  }
+  for (size_t i = 0; i < a.chunks_.size(); ++i) {
+    const SlotChunk& x = *a.chunks_[i];
+    const SlotChunk& y = *b.chunks_[i];
+    if (&x == &y) continue;
+    if (!std::ranges::equal(x.edges, y.edges) ||
+        !std::ranges::equal(x.live, y.live) ||
+        !std::ranges::equal(x.offsets, y.offsets) ||
+        !std::ranges::equal(x.pool, y.pool)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 FrozenEsdIndex Freeze(const EdgeSizeTable& table) {
@@ -542,10 +781,13 @@ SlotPatch CopySlots(const EdgeSizeTable& table, std::vector<EdgeId> slots) {
 EsdIndex Thaw(const FrozenEsdIndex& frozen) {
   obs::PhaseSeries phases;
   phases.Begin("build.hlist_build");
+  FrozenEsdIndex::Parts slots;
+  FlattenSlots(frozen, &slots);
   EsdIndex out;
   out.EdgeSizeTable::BulkLoad(
-      {frozen.Edges().begin(), frozen.Edges().end()}, frozen.SizeOffsets(),
-      frozen.SizePool(), {frozen.LiveMask().begin(), frozen.LiveMask().end()});
+      std::move(slots.edges),
+      EdgeSizePool{std::move(slots.size_offsets), std::move(slots.size_pool)},
+      std::move(slots.live));
   out.SetScorerKind(frozen.Scorer());
   out.BuildLists(frozen.Sizes(), frozen.SlabOffsets(), frozen.Entries());
   return out;

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -34,11 +35,13 @@ struct ListOrder {
   }
 };
 
-/// Every list H(c) of a set of multisets, laid out flat: C ascending, the
-/// slab offsets (|C| + 1, from 0) and the slabs, H(sizes[i]) at
+/// Every list H(c) of a set of multisets, laid out flat: C ascending, how
+/// many values equal each size (counts[i] for sizes[i]), the slab offsets
+/// (|C| + 1, from 0) and the slabs, H(sizes[i]) at
 /// entries[offsets[i] .. offsets[i+1]) in canonical order.
 struct ListLayout {
   std::vector<uint32_t> sizes;
+  std::vector<uint64_t> counts;
   std::vector<uint64_t> offsets;
   std::vector<ListEntry> entries;
 };
@@ -46,9 +49,9 @@ struct ListLayout {
 /// Algorithm 3's H build, the one routine behind every H(c) structure:
 /// lays out the lists of the multisets packed as CSR (slot e's, ascending,
 /// is values[offsets[e] .. offsets[e+1])). O(pool + entries + |C| + max
-/// multiset length): C comes from marking the values present, and each
-/// slab is emitted from an id-ordered active set by a stable counting sort
-/// on score.
+/// multiset length): C and its counts come from tallying the values, and
+/// each slab is emitted from an id-ordered active set by a stable counting
+/// sort on score.
 ListLayout LayOutLists(std::span<const uint64_t> offsets,
                        std::span<const uint32_t> values);
 
@@ -64,6 +67,26 @@ struct SlotPatch {
   EdgeSizePool sizes;
 };
 
+/// Slots per chunk of a frozen image's per-slot arrays. A delta refreeze
+/// rebuilds the chunks that hold a changed slot and shares the rest with
+/// its base.
+inline constexpr size_t kSlotChunk = 1024;
+
+/// Slots [i * kSlotChunk, i * kSlotChunk + edges.size()) of a frozen image:
+/// their endpoints, live flags and multisets. Immutable, and shared by
+/// every image (epoch) that holds it. Slot j's multiset is pool[offsets[j]
+/// .. offsets[j + 1]); the offsets are relative to the chunk's own pool.
+struct SlotChunk {
+  std::span<const graph::Edge> edges;
+  std::span<const uint8_t> live;
+  std::span<const uint32_t> offsets;  // edges.size() + 1, from 0
+  std::span<const uint32_t> pool;
+
+  std::span<const uint32_t> Sizes(size_t j) const {
+    return pool.subspan(offsets[j], offsets[j + 1] - offsets[j]);
+  }
+};
+
 /// Read-optimized, immutable image of the ESDIndex (Section IV-A) — the
 /// serving layer.
 ///
@@ -72,20 +95,22 @@ struct SlotPatch {
 /// content out flat:
 ///
 ///   sizes_    [c_0 < c_1 < ...]            the distinct size set C, sorted
+///   counts_   [#c_0, #c_1, ...]            pool values equal to each c_i
 ///   offsets_  [o_0, o_1, ..., o_|C|]       prefix sums, o_0 = 0
 ///   entries_  [ ..H(c_0).. | ..H(c_1).. | ... ]   one CSR slab per list
 ///
 /// Slab i holds H(sizes_[i]) as contiguous (score, edge) pairs in the
 /// canonical order (score desc, edge id asc). Query(k, tau) is one binary
 /// search over sizes_ plus a linear scan of a slab prefix — no pointer
-/// chasing, no per-node allocation. The per-edge size multisets are packed
-/// the same way (size_offsets_ / size_pool_), so ScoreOf stays O(log) and
-/// the structure round-trips losslessly to/from EsdIndex (Freeze / Thaw
-/// below).
+/// chasing, no per-node allocation.
 ///
-/// Every array is a straight contiguous allocation, which is what makes the
-/// index file format a plain sequence of array writes (mmap-friendly) and
-/// lets a loaded file serve queries with no rebuild step.
+/// The per-slot data (endpoints, live flags, size multisets) sits in
+/// SlotChunks of kSlotChunk slots, held through shared_ptr: an image built
+/// whole (FromSizePool, Adopt) keeps one block per array and its chunks
+/// are views into it, while a delta image (FromDelta) shares every chunk
+/// its patch left alone with its base. ScoreOf stays O(log), and the
+/// structure round-trips losslessly to/from EsdIndex (Freeze / Thaw below)
+/// and to the index file, whose arrays are the flat ones of Parts.
 class FrozenEsdIndex final : public EsdQueryEngine {
  public:
   using Entry = ListEntry;
@@ -103,13 +128,26 @@ class FrozenEsdIndex final : public EsdQueryEngine {
     std::vector<Entry> entries;          // slabs, canonical order
   };
 
+  /// The size pool's extent. The values sit in the chunks (SlotChunk::pool);
+  /// the image keeps only their total.
+  class PoolExtent {
+   public:
+    explicit PoolExtent(uint64_t size) : size_(size) {}
+    uint64_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+
+   private:
+    uint64_t size_;
+  };
+
   FrozenEsdIndex() = default;
 
   /// The slab builder: adopts per-slot component-size multisets already
   /// packed as CSR (each ascending; freed slots empty) as the image's size
   /// pool and lays out the H(c) slabs from it with LayOutLists —
   /// BuildFrozenIndex's output path and Freeze. An empty `live` means
-  /// every slot is live.
+  /// every slot is live. Throws std::length_error if one chunk's values
+  /// overflow its 32-bit offsets.
   static FrozenEsdIndex FromSizePool(std::vector<graph::Edge> edges,
                                      EdgeSizePool sizes,
                                      std::vector<uint8_t> live = {},
@@ -117,20 +155,26 @@ class FrozenEsdIndex final : public EsdQueryEngine {
 
   /// The delta builder: the image FromSizePool (and so Freeze) would build
   /// of a table that matches `base` everywhere but the slots in `patch`.
-  /// Every slot past the base's must be patched. Unpatched slots are
-  /// copied in blocks and C is recomputed by marking. The slab of each
-  /// size c is the base slab at lower_bound(C_old, c) minus the patched
-  /// edges, merged with their new entries: an unpatched edge holds no
-  /// value in [c, that size), so it keeps its membership and its score.
-  /// O(pool + entries + |C| · |patch| log) with no per-entry scoring.
+  /// Every slot past the base's must be patched. The chunks that hold no
+  /// patched slot are shared with the base; each other chunk is rebuilt in
+  /// one allocation. C and its counts are the base's minus the gone
+  /// multisets plus the fresh ones. The slab of each size c is the base
+  /// slab at lower_bound(C_old, c) minus the patched edges, merged with
+  /// their new entries: an unpatched edge holds no value in [c, that
+  /// size), so it keeps its membership and its score. O(rebuilt chunks +
+  /// entries + |C| · |patch| log) with no per-entry scoring.
   static FrozenEsdIndex FromDelta(const FrozenEsdIndex& base,
                                   const SlotPatch& patch);
 
   /// Validates `parts` (offset monotonicity, sorted multisets and slabs,
   /// edge ids in range, slab membership/scores consistent with the
-  /// multisets) and adopts them into *out. On failure returns false, sets
-  /// *error, and leaves *out untouched.
+  /// multisets, each chunk's values within 32-bit offsets) and adopts them
+  /// into *out. On failure returns false, sets *error, and leaves *out
+  /// untouched.
   static bool Adopt(Parts parts, FrozenEsdIndex* out, std::string* error);
+
+  /// The image as flat arrays, Adopt's input: Adopt(ToParts()) == *this.
+  Parts ToParts() const;
 
   // ---- EsdQueryEngine ------------------------------------------------------
 
@@ -166,6 +210,8 @@ class FrozenEsdIndex final : public EsdQueryEngine {
   void PadQueryResult(size_t slab, uint32_t k, TopKResult* inout) const;
 
   uint32_t ScoreOf(graph::EdgeId e, uint32_t tau) const override;
+  /// Bytes of the image's arrays and chunk table. A chunk shared with
+  /// another image counts in both.
   uint64_t MemoryBytes() const override;
   std::string_view EngineName() const override { return "frozen"; }
 
@@ -180,16 +226,19 @@ class FrozenEsdIndex final : public EsdQueryEngine {
 
   // ---- Edge registry (read-only mirror of EsdIndex) ------------------------
 
-  graph::Edge EdgeAt(graph::EdgeId e) const { return edges_[e]; }
-  size_t EdgeSlotCount() const { return edges_.size(); }
+  graph::Edge EdgeAt(graph::EdgeId e) const {
+    return ChunkOf(e).edges[e % kSlotChunk];
+  }
+  size_t EdgeSlotCount() const { return num_slots_; }
   size_t NumRegisteredEdges() const { return num_live_; }
-  bool IsLive(graph::EdgeId e) const { return e < live_.size() && live_[e]; }
+  bool IsLive(graph::EdgeId e) const {
+    return e < num_slots_ && ChunkOf(e).live[e % kSlotChunk] != 0;
+  }
 
-  /// Component-size multiset of slot `e` (ascending), as a view into the
-  /// packed pool.
+  /// Component-size multiset of slot `e` (ascending), as a view into its
+  /// chunk's pool.
   std::span<const uint32_t> EdgeSizes(graph::EdgeId e) const {
-    return {size_pool_.data() + size_offsets_[e],
-            size_pool_.data() + size_offsets_[e + 1]};
+    return ChunkOf(e).Sizes(e % kSlotChunk);
   }
 
   // ---- Introspection / raw views -------------------------------------------
@@ -204,11 +253,16 @@ class FrozenEsdIndex final : public EsdQueryEngine {
     return {entries_.data() + offsets_[i], entries_.data() + offsets_[i + 1]};
   }
 
-  /// Raw array views, in v2 serialization order.
-  std::span<const graph::Edge> Edges() const { return edges_; }
-  std::span<const uint8_t> LiveMask() const { return live_; }
-  std::span<const uint64_t> SizeOffsets() const { return size_offsets_; }
-  std::span<const uint32_t> SizePool() const { return size_pool_; }
+  /// The per-slot chunks: chunk i holds slots [i * kSlotChunk, ...).
+  size_t NumChunks() const { return chunks_.size(); }
+  const std::shared_ptr<const SlotChunk>& Chunk(size_t i) const {
+    return chunks_[i];
+  }
+  /// How many chunk positions hold the very same chunk in both images.
+  size_t ChunksSharedWith(const FrozenEsdIndex& other) const;
+
+  /// Raw views.
+  PoolExtent SizePool() const { return PoolExtent(pool_size_); }
   std::span<const uint32_t> Sizes() const { return sizes_; }
   std::span<const uint64_t> SlabOffsets() const { return offsets_; }
   std::span<const Entry> Entries() const { return entries_; }
@@ -216,11 +270,21 @@ class FrozenEsdIndex final : public EsdQueryEngine {
   friend bool operator==(const FrozenEsdIndex& a, const FrozenEsdIndex& b);
 
  private:
-  std::vector<graph::Edge> edges_;
-  std::vector<uint8_t> live_;
-  std::vector<uint64_t> size_offsets_;
-  std::vector<uint32_t> size_pool_;
+  const SlotChunk& ChunkOf(graph::EdgeId e) const {
+    return *chunks_[e / kSlotChunk];
+  }
+  /// Takes whole per-slot arrays (`offsets` global, n + 1) as one block
+  /// each and points one chunk view per kSlotChunk slots into them.
+  /// Requires each chunk's values to fit 32-bit offsets.
+  void AdoptSlots(std::vector<graph::Edge> edges, std::vector<uint8_t> live,
+                  std::span<const uint64_t> offsets,
+                  std::vector<uint32_t> pool);
+
+  std::vector<std::shared_ptr<const SlotChunk>> chunks_;
+  size_t num_slots_ = 0;
+  uint64_t pool_size_ = 0;
   std::vector<uint32_t> sizes_;
+  std::vector<uint64_t> counts_;
   std::vector<uint64_t> offsets_;
   std::vector<Entry> entries_;
   uint64_t num_live_ = 0;

@@ -175,9 +175,9 @@ EdgeSizePool CliqueComponentSizes(const Graph& g, util::ThreadPool* pool,
   // Slices of different edges are disjoint, so no synchronization is
   // needed.
   phases.Begin("build.extract_sizes");
-  EdgeSizePool sizes = dsu.ComponentSizePool(pool);
-  if (m_out != nullptr) dsu.ExportDsus(m_out, pool);
-  return sizes;
+  // With M_e wanted, its export reads C_e off the roots it finds.
+  return m_out != nullptr ? dsu.ExportDsus(m_out, pool)
+                          : dsu.ComponentSizePool(pool);
 }
 
 EsdIndex BuildIndex(const Graph& g, const DiversityScorer& scorer,

@@ -47,7 +47,8 @@ enum class ParallelMode {
 /// If `m_out` is non-null it receives the per-edge disjoint-set structures
 /// (indexed by EdgeId) in one pass over the arena's slices
 /// (EdgeDsuArena::ExportDsus): the M_e that the Maintainer under both the
-/// live writer and the dynamic engine maintains incrementally.
+/// live writer and the dynamic engine maintains incrementally. That same
+/// pass writes the returned C_e.
 EdgeSizePool CliqueComponentSizes(
     const graph::Graph& g, util::ThreadPool* pool = nullptr,
     util::KeyedDsuPool* m_out = nullptr,

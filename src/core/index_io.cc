@@ -8,6 +8,7 @@
 #include <sstream>
 #include <span>
 #include <utility>
+#include <vector>
 
 #include "core/binary_format.h"
 #include "fault/failpoint.h"
@@ -126,21 +127,45 @@ bool SerializeFrozenIndex(const FrozenEsdIndex& index, std::ostream& out,
   uint32_t version = kIndexFormatVersion;
   out.write(reinterpret_cast<const char*>(&version), sizeof(version));
 
-  // A default-constructed index has empty offset arrays; serialize the
-  // canonical single-zero tables so the file always round-trips through
+  // A default-constructed index has an empty slab-offset array; serialize
+  // the canonical single zero so the file always round-trips through
   // Adopt's invariants.
   static constexpr uint64_t kZeroOffset = 0;
-  std::span<const uint64_t> size_offsets = index.SizeOffsets();
-  if (size_offsets.empty()) size_offsets = std::span(&kZeroOffset, 1);
   std::span<const uint64_t> slab_offsets = index.SlabOffsets();
   if (slab_offsets.empty()) slab_offsets = std::span(&kZeroOffset, 1);
 
+  // The per-slot arrays go out chunk by chunk, each array under one length
+  // prefix, with the chunk-local offsets widened back to global ones.
+  const size_t n = index.EdgeSlotCount();
+  auto chunks = [&index](auto&& write) {
+    for (size_t i = 0; i < index.NumChunks(); ++i) write(*index.Chunk(i));
+  };
   Writer w(out);
   w.Put(static_cast<uint32_t>(index.Scorer()));
-  w.PutArray(index.Edges());
-  w.PutArray(index.LiveMask());
-  w.PutArray(size_offsets);
-  w.PutArray(index.SizePool());
+  w.Put(static_cast<uint64_t>(n));
+  chunks([&w](const SlotChunk& c) {
+    w.PutRaw(c.edges.data(), c.edges.size_bytes());
+  });
+  w.Put(static_cast<uint64_t>(n));
+  chunks([&w](const SlotChunk& c) {
+    w.PutRaw(c.live.data(), c.live.size_bytes());
+  });
+  w.Put(static_cast<uint64_t>(n + 1));
+  w.Put(uint64_t{0});
+  uint64_t at = 0;
+  std::vector<uint64_t> wide;
+  chunks([&](const SlotChunk& c) {
+    wide.clear();
+    for (size_t j = 1; j < c.offsets.size(); ++j) {
+      wide.push_back(at + c.offsets[j]);
+    }
+    w.PutRaw(wide.data(), wide.size() * sizeof(uint64_t));
+    at += c.pool.size();
+  });
+  w.Put(static_cast<uint64_t>(index.SizePool().size()));
+  chunks([&w](const SlotChunk& c) {
+    w.PutRaw(c.pool.data(), c.pool.size_bytes());
+  });
   w.PutArray(index.Sizes());
   w.PutArray(slab_offsets);
   w.PutArray(index.Entries());

@@ -39,7 +39,8 @@ struct LiveOptions {
   /// 0 disables automatic refreezes (callers drive RefreezeNow/Checkpoint).
   /// A refreeze costs O(change), so the default trades a few publishes'
   /// CPU for visibility: each epoch also starts a new result-cache
-  /// generation and copies the whole image.
+  /// generation and copies the slabs and the chunk table, besides the
+  /// slot chunks its changes touch (the rest it shares with its base).
   uint64_t refreeze_every = 64;
   /// Hard bound on vertex ids accepted by inserts (auto-grow limit).
   graph::VertexId max_vertex_id = (1u << 22);
@@ -138,7 +139,8 @@ struct LiveStats {
 /// published epoch as its base, copies the slots logged since the base's
 /// position into a flat patch, reads the watermark and trims the log to
 /// the base's position; FrozenEsdIndex::FromDelta then builds the image
-/// outside the lock. The patch holds every slot written after the base
+/// outside the lock, sharing with the base every slot chunk the patch
+/// leaves alone. The patch holds every slot written after the base
 /// was frozen, so a refreeze that fails or loses the publish race drops
 /// nothing. When the log was dropped (it never outgrows the slot count),
 /// the refreeze falls back to a full Freeze under the lock.

@@ -46,24 +46,10 @@ std::vector<VertexId> MergeCommonNeighbors(const Graph& g, const Edge& uv) {
   return out;
 }
 
-FrozenEsdIndex::Parts PartsOf(const FrozenEsdIndex& frozen) {
-  FrozenEsdIndex::Parts p;
-  p.scorer = frozen.Scorer();
-  p.edges.assign(frozen.Edges().begin(), frozen.Edges().end());
-  p.live.assign(frozen.LiveMask().begin(), frozen.LiveMask().end());
-  p.size_offsets.assign(frozen.SizeOffsets().begin(),
-                        frozen.SizeOffsets().end());
-  p.size_pool.assign(frozen.SizePool().begin(), frozen.SizePool().end());
-  p.sizes.assign(frozen.Sizes().begin(), frozen.Sizes().end());
-  p.offsets.assign(frozen.SlabOffsets().begin(), frozen.SlabOffsets().end());
-  p.entries.assign(frozen.Entries().begin(), frozen.Entries().end());
-  return p;
-}
-
 void ExpectAdopted(const FrozenEsdIndex& frozen, const std::string& what) {
   FrozenEsdIndex out;
   std::string error;
-  EXPECT_TRUE(FrozenEsdIndex::Adopt(PartsOf(frozen), &out, &error))
+  EXPECT_TRUE(FrozenEsdIndex::Adopt(frozen.ToParts(), &out, &error))
       << what << ": " << error;
   EXPECT_TRUE(out == frozen) << what;
 }
@@ -349,6 +335,25 @@ TEST(BuildKernelTest, FrozenBuildMatchesFreezeOfBfsBuild) {
     EXPECT_TRUE(core::BuildFrozenIndex(g) ==
                 core::Freeze(core::BuildIndexBasic(g)))
         << name;
+  }
+}
+
+// With M_e wanted, C_e comes off the roots the export pass finds, not off
+// ComponentSizePool: the pool is the same either way, serial and pooled.
+TEST(BuildKernelTest, SizePoolIsTheSameWithAndWithoutDsuExport) {
+  util::ThreadPool threads(3);
+  for (const auto& [name, g] : ArenaGraphs()) {
+    for (util::ThreadPool* pool : {static_cast<util::ThreadPool*>(nullptr),
+                                   &threads}) {
+      const core::EdgeSizePool plain = core::CliqueComponentSizes(g, pool);
+      util::KeyedDsuPool exported;
+      const core::EdgeSizePool with_m =
+          core::CliqueComponentSizes(g, pool, &exported);
+      const char* how = pool == nullptr ? " serial" : " pooled";
+      EXPECT_EQ(with_m.offsets, plain.offsets) << name << how;
+      EXPECT_EQ(with_m.values, plain.values) << name << how;
+      EXPECT_EQ(exported.size(), g.NumEdges()) << name << how;
+    }
   }
 }
 

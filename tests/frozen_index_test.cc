@@ -205,19 +205,7 @@ TEST(FrozenIndexTest, EmptyAndDefaultImages) {
 TEST(FrozenIndexTest, AdoptRejectsMalformedParts) {
   graph::Graph g = gen::ErdosRenyiGnm(20, 60, 9);
   FrozenEsdIndex frozen = core::BuildFrozenIndex(g);
-  auto parts_of = [&frozen] {
-    FrozenEsdIndex::Parts p;
-    p.edges.assign(frozen.Edges().begin(), frozen.Edges().end());
-    p.live.assign(frozen.LiveMask().begin(), frozen.LiveMask().end());
-    p.size_offsets.assign(frozen.SizeOffsets().begin(),
-                          frozen.SizeOffsets().end());
-    p.size_pool.assign(frozen.SizePool().begin(), frozen.SizePool().end());
-    p.sizes.assign(frozen.Sizes().begin(), frozen.Sizes().end());
-    p.offsets.assign(frozen.SlabOffsets().begin(),
-                     frozen.SlabOffsets().end());
-    p.entries.assign(frozen.Entries().begin(), frozen.Entries().end());
-    return p;
-  };
+  auto parts_of = [&frozen] { return frozen.ToParts(); };
   {
     FrozenEsdIndex out;
     std::string error;
@@ -411,6 +399,165 @@ TEST(FrozenDeltaTest, RandomDeltaChainsMatchFreeze) {
   }
 }
 
+// ---- Chunk sharing ---------------------------------------------------------
+
+/// The bytes SaveFrozenIndex writes for `image`.
+std::string SavedBytes(const FrozenEsdIndex& image) {
+  // One file per test process: ctest runs these tests side by side.
+  const std::string path = ::testing::TempDir() + "/esd_delta_share_" +
+                           std::to_string(getpid()) + ".esdx";
+  std::string error;
+  EXPECT_TRUE(core::SaveFrozenIndex(image, path, &error)) << error;
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream bytes;
+  bytes << in.rdbuf();
+  std::remove(path.c_str());
+  return bytes.str();
+}
+
+/// The delta of `base` by every slot `table` logged since `pos`, checked
+/// three ways: it equals Freeze(table), it saves to the same bytes, and it
+/// shares with its base (pointer-equal) exactly the chunks that hold no
+/// patched slot.
+FrozenEsdIndex SharingDelta(const FrozenEsdIndex& base,
+                            const core::EdgeSizeTable& table, uint64_t pos,
+                            const std::string& what) {
+  std::vector<graph::EdgeId> slots;
+  EXPECT_TRUE(table.ChangedSince(pos, &slots)) << what;
+  const core::SlotPatch patch = core::CopySlots(table, slots);
+  FrozenEsdIndex delta = FrozenEsdIndex::FromDelta(base, patch);
+  const FrozenEsdIndex full = core::Freeze(table);
+  EXPECT_TRUE(delta == full) << what;
+  EXPECT_EQ(SavedBytes(delta), SavedBytes(full)) << what;
+  std::vector<uint8_t> patched(delta.NumChunks(), 0);
+  for (graph::EdgeId e : patch.ids) patched[e / core::kSlotChunk] = 1;
+  EXPECT_EQ(delta.ChunksSharedWith(base),
+            static_cast<size_t>(
+                std::count(patched.begin(), patched.end(), uint8_t{0})))
+      << what;
+  return delta;
+}
+
+/// A table of `g`'s ESD multisets that spans several chunks, logging.
+struct ChunkedTable {
+  explicit ChunkedTable(const graph::Graph& g) : table(TableOf(g)) {
+    EXPECT_GT(table.EdgeSlotCount(), 2 * core::kSlotChunk);
+    base = core::Freeze(table);
+  }
+  /// Applies `change`, checks the delta it makes and makes it the base.
+  template <typename Change>
+  void Step(const std::string& what, Change change) {
+    const uint64_t pos = table.ChangeLogEnd();
+    change();
+    base = SharingDelta(base, table, pos, what);
+    table.TrimChangeLog(pos);
+  }
+  core::EdgeSizeTable table;
+  FrozenEsdIndex base;
+};
+
+std::vector<uint32_t> RandomSizes(util::Rng& rng) {
+  std::vector<uint32_t> sizes(rng.NextBounded(5));
+  for (uint32_t& c : sizes) c = 1 + static_cast<uint32_t>(rng.NextBounded(40));
+  std::sort(sizes.begin(), sizes.end());
+  return sizes;
+}
+
+// Seeded batches of random edits over a multi-chunk table: multisets
+// rewritten, slots freed, reused and appended.
+TEST(FrozenDeltaTest, SeededBatchesShareEveryChunkTheirPatchLeftAlone) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    util::Rng rng(seed);
+    ChunkedTable t(gen::ErdosRenyiGnm(500, 2600, seed));
+    for (int round = 0; round < 12; ++round) {
+      const std::string what =
+          "seed " + std::to_string(seed) + " round " + std::to_string(round);
+      t.Step(what, [&] {
+        for (uint64_t op = rng.NextBounded(24); op-- > 0;) {
+          const auto e = static_cast<graph::EdgeId>(
+              rng.NextBounded(t.table.EdgeSlotCount()));
+          const uint64_t kind = rng.NextBounded(4);
+          if (kind == 0) {
+            const auto u =
+                static_cast<graph::VertexId>(600 + rng.NextBounded(400));
+            const graph::EdgeId added =
+                t.table.RegisterEdge(graph::MakeEdge(u, u + 1));
+            t.table.SetEdgeSizes(added, RandomSizes(rng));
+          } else if (!t.table.IsLive(e)) {
+            continue;
+          } else if (kind == 1) {
+            t.table.SetEdgeSizes(e, {});
+            t.table.UnregisterEdge(e);
+          } else {
+            t.table.SetEdgeSizes(e, RandomSizes(rng));
+          }
+        }
+      });
+    }
+  }
+}
+
+// Slots freed in two chunks, then reused by new edges: each step rebuilds
+// only the chunks of the slots it wrote.
+TEST(FrozenDeltaTest, FreedSlotsReusedShareTheOtherChunks) {
+  ChunkedTable t(gen::ErdosRenyiGnm(500, 2600, 7));
+  const std::vector<graph::EdgeId> victims = {5, 40, 1500, 1501};
+  t.Step("slots freed", [&] {
+    for (graph::EdgeId e : victims) {
+      t.table.SetEdgeSizes(e, {});
+      t.table.UnregisterEdge(e);
+    }
+  });
+  EXPECT_FALSE(t.base.IsLive(1500));
+  t.Step("freed slots reused", [&] {
+    for (graph::VertexId v = 900; v < 904; ++v) {
+      const graph::EdgeId e = t.table.RegisterEdge(graph::MakeEdge(v, v + 1));
+      EXPECT_TRUE(std::find(victims.begin(), victims.end(), e) !=
+                  victims.end());
+      t.table.SetEdgeSizes(e, std::vector<uint32_t>{2, v - 890});
+    }
+  });
+  EXPECT_EQ(t.base.NumRegisteredEdges(), t.table.NumRegisteredEdges());
+}
+
+// A batch that grows the table past a chunk boundary: the last base chunk
+// and the new one are built, the others shared.
+TEST(FrozenDeltaTest, GrowthPastAChunkBoundary) {
+  ChunkedTable t(gen::ErdosRenyiGnm(500, 2 * core::kSlotChunk + 1000, 3));
+  const size_t chunks_before = t.base.NumChunks();
+  util::Rng rng(11);
+  t.Step("grow to the boundary and past it", [&] {
+    for (graph::VertexId v = 600;
+         t.table.EdgeSlotCount() % core::kSlotChunk != 20; ++v) {
+      const graph::EdgeId e = t.table.RegisterEdge(graph::MakeEdge(v, v + 1));
+      t.table.SetEdgeSizes(e, RandomSizes(rng));
+    }
+  });
+  EXPECT_EQ(t.base.NumChunks(), chunks_before + 1);
+  EXPECT_EQ(t.base.EdgeSlotCount() % core::kSlotChunk, 20u);
+}
+
+// One write in every chunk: the delta shares nothing and still equals the
+// full freeze.
+TEST(FrozenDeltaTest, PatchTouchingEveryChunkSharesNone) {
+  ChunkedTable t(gen::ErdosRenyiGnm(500, 2600, 5));
+  t.Step("every chunk", [&] {
+    for (size_t e = 3; e < t.table.EdgeSlotCount(); e += core::kSlotChunk) {
+      t.table.SetEdgeSizes(static_cast<graph::EdgeId>(e),
+                           std::vector<uint32_t>{1, 1, 77});
+    }
+  });
+  EXPECT_GT(t.base.NumChunks(), 2u);
+  const FrozenEsdIndex before = t.base;
+  t.Step("every chunk again", [&] {
+    for (size_t e = 3; e < t.table.EdgeSlotCount(); e += core::kSlotChunk) {
+      t.table.SetEdgeSizes(static_cast<graph::EdgeId>(e), {});
+    }
+  });
+  EXPECT_EQ(t.base.ChunksSharedWith(before), 0u);
+  EXPECT_EQ(t.base.DistinctSizes(), core::Freeze(t.table).DistinctSizes());
+}
+
 TEST(EdgeSizeTableTest, ChangeLogIsOptInTrimmedAndBounded) {
   const graph::Graph g = gen::BarabasiAlbert(20, 2, 3);
   core::EdgeSizeTable table;
@@ -560,9 +707,9 @@ std::vector<size_t> V2CountOffsets(const FrozenEsdIndex& frozen) {
   std::vector<size_t> offsets;
   size_t pos = 12;
   const size_t payload_bytes[] = {
-      frozen.Edges().size() * sizeof(graph::Edge),
-      frozen.LiveMask().size() * sizeof(uint8_t),
-      std::max<size_t>(frozen.SizeOffsets().size(), 1) * sizeof(uint64_t),
+      frozen.EdgeSlotCount() * sizeof(graph::Edge),
+      frozen.EdgeSlotCount() * sizeof(uint8_t),
+      (frozen.EdgeSlotCount() + 1) * sizeof(uint64_t),
       frozen.SizePool().size() * sizeof(uint32_t),
       frozen.Sizes().size() * sizeof(uint32_t),
       std::max<size_t>(frozen.SlabOffsets().size(), 1) * sizeof(uint64_t),
@@ -613,7 +760,7 @@ TEST(IndexIoV2Test, TruncatedBlockRejected) {
   // promises more elements than the stream holds.
   graph::Graph g = gen::ErdosRenyiGnm(12, 30, 22);
   FrozenEsdIndex frozen = core::BuildFrozenIndex(g);
-  ASSERT_FALSE(frozen.Edges().empty());
+  ASSERT_GT(frozen.EdgeSlotCount(), 0u);
   std::stringstream buf;
   std::string error;
   ASSERT_TRUE(core::SerializeFrozenIndex(frozen, buf, &error)) << error;

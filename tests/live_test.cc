@@ -1044,9 +1044,11 @@ TEST(LiveIndexTest, RefreezePublishesFreshEpochs) {
 // generation to stale answers). The seq guard must discard it instead.
 //
 // The live.refreeze fail point sits exactly in that freeze-to-publish
-// window; nth(1)*delay(...) parks only the FIRST refreeze there (FireCount
-// bumps before the sleep, giving the test a sync point), letting a second,
-// newer refreeze overtake it deterministically.
+// window; nth(1)*park parks only the FIRST refreeze there (FireCount bumps
+// before it parks, giving the test a sync point) until Release lets it go,
+// so a second, newer refreeze overtakes it deterministically. The stale
+// image is a delta that shares chunks with the published one, so the epoch
+// left standing is also checked against a full Freeze of the same state.
 TEST(LiveIndexTest, StalePublishDiscardedBySeqGuard) {
   if (!fault::kFailPointsCompiledIn) {
     // The race window is held open by the live.refreeze fail point.
@@ -1056,21 +1058,32 @@ TEST(LiveIndexTest, StalePublishDiscardedBySeqGuard) {
   LiveOptions options;
   options.wal_path = dir.Path("wal.bin");
   options.refreeze_every = 0;  // every refreeze in this test is explicit
+  const graph::Graph bootstrap = gen::BarabasiAlbert(40, 2, 9);
   std::string error;
-  auto live =
-      LiveEsdIndex::Open(gen::BarabasiAlbert(40, 2, 9), options, &error);
+  auto live = LiveEsdIndex::Open(bootstrap, options, &error);
   ASSERT_NE(live, nullptr) << error;
+  // The writer's table, replayed: the same updates on the dynamic engine.
+  core::DynamicEsdIndex dyn(graph::DynamicGraph(bootstrap).Snapshot());
 
   LiveUpdate first;
   first.u = 0;
   first.v = 39;
   ASSERT_TRUE(live->Apply(first, &error)) << error;  // seq 1
+  ASSERT_TRUE(ApplyToDynamic(&dyn, first));
 
   fault::FailPointRegistry& fp = fault::FailPointRegistry::Global();
-  ASSERT_TRUE(fp.Set("live.refreeze", "nth(1)*delay(300)", &error)) << error;
+  ASSERT_TRUE(fp.Set("live.refreeze", "nth(1)*park", &error)) << error;
 
   // Thread A freezes at seq 1, then parks in the window.
   std::thread slow([&] { EXPECT_TRUE(live->RefreezeNow()); });
+  // Whatever fails below, the parked refreeze is let go and joined.
+  struct Unpark {
+    std::thread& slow;
+    ~Unpark() {
+      fault::FailPointRegistry::Global().Clear("live.refreeze");
+      if (slow.joinable()) slow.join();
+    }
+  } unpark{slow};
   while (fp.FireCount("live.refreeze") < 1) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -1081,11 +1094,13 @@ TEST(LiveIndexTest, StalePublishDiscardedBySeqGuard) {
   second.u = 1;
   second.v = 38;
   ASSERT_TRUE(live->Apply(second, &error)) << error;  // seq 2
+  ASSERT_TRUE(ApplyToDynamic(&dyn, second));
   ASSERT_TRUE(live->RefreezeNow());
   auto fresh = live->CurrentSnapshot();
   EXPECT_EQ(fresh->epoch, 1u);
   EXPECT_EQ(fresh->applied_seq, 2u);
 
+  fp.Release("live.refreeze");
   slow.join();
   fp.Clear("live.refreeze");
 
@@ -1094,6 +1109,7 @@ TEST(LiveIndexTest, StalePublishDiscardedBySeqGuard) {
   auto current = live->CurrentSnapshot();
   EXPECT_EQ(current->epoch, 1u);
   EXPECT_EQ(current->applied_seq, 2u);
+  EXPECT_TRUE(current->index == core::Freeze(dyn.Index()));
   const live::LiveStats stats = live->Stats();
   EXPECT_EQ(stats.publish_races, 1u);
   EXPECT_EQ(stats.refreezes, 2u);  // boot + the fast refreeze; no third epoch
