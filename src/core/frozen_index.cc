@@ -46,6 +46,10 @@ bool TallyDistinctSizes(std::span<const uint32_t> pool, uint32_t max_value,
   }
   rank->assign(static_cast<size_t>(max_value) + 1, 0);
   for (uint32_t v : pool) ++(*rank)[v];
+  const size_t distinct = static_cast<size_t>(
+      rank->size() - std::count(rank->begin(), rank->end(), 0u));
+  sizes->reserve(distinct);
+  counts->reserve(distinct);
   for (uint32_t v = 0; v <= max_value; ++v) {
     if ((*rank)[v] == 0) continue;
     counts->push_back((*rank)[v]);
